@@ -369,6 +369,7 @@ def validate(catalog: Catalog) -> list[str]:
             problems.extend(_check_query(question, cq))
 
     problems.extend(_check_rules(catalog))
+    problems.extend(_check_reach(catalog))
     return problems
 
 
@@ -380,9 +381,7 @@ def _check_query(question: Question, cq: CompactQuery) -> list[str]:
         problems.append(f"question '{question.id}' query {cq.id} must be a plain BGP")
         return problems
     mentions_kg = any(
-        isinstance(pos, (Variable, Placeholder)) and pos.name == "kg"
-        for tp in cq.query.pattern.patterns
-        for pos in tp.positions()
+        _is_kg(pos) for tp in cq.query.pattern.patterns for pos in tp.positions()
     )
     if not mentions_kg:
         problems.append(f"question '{question.id}' query {cq.id} never mentions ?kg")
@@ -447,6 +446,41 @@ def _check_rules(catalog: Catalog) -> list[str]:
                     "derives; chained rules would make saturation and query expansion disagree"
                 )
     return problems
+
+
+def _check_reach(catalog: Catalog) -> list[str]:
+    """Patterns of the expanded queries that the fetch route cannot see.
+
+    A campaign downloads one fixed shape per dataset: its own triples, the
+    triples of the nodes it links to, and the nodes linking to it with
+    their triples.  A pattern lies inside that shape when ?kg is its
+    subject or object, or when its subject is one hop from ?kg through
+    another pattern of the same branch.  Anything further would score on
+    the remote route but never on the fetch route.
+    """
+    problems: list[str] = []
+    for _, cq in catalog.queries():
+        if not isinstance(cq.query.pattern, Bgp):
+            continue
+        extended = expand_extended(cq.query, catalog.rules).pattern
+        branches = extended.branches if isinstance(extended, UnionPattern) else (extended,)
+        for branch in branches:
+            near = {tp.object for tp in branch.patterns if _is_kg(tp.subject)}
+            near |= {tp.subject for tp in branch.patterns if _is_kg(tp.object)}
+            for tp in branch.patterns:
+                if _is_kg(tp.subject) or _is_kg(tp.object) or tp.subject in near:
+                    continue
+                problem = (
+                    f"query {cq.id} pattern '{format_triple_pattern(tp, catalog.prefixes)}' "
+                    "lies beyond what a campaign fetches (two hops out of ?kg, one hop in)"
+                )
+                if problem not in problems:
+                    problems.append(problem)
+    return problems
+
+
+def _is_kg(pos: object) -> bool:
+    return isinstance(pos, (Variable, Placeholder)) and pos.name == "kg"
 
 
 # ---------------------------------------------------------------------------

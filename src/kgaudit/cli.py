@@ -12,14 +12,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
 
 from .catalog import Catalog, CatalogError, default_catalog, expand_extended, load_catalog
 from .client import (
     DEFAULT_DELAY,
-    DEFAULT_DEPTH,
     DEFAULT_PAGE_SIZE,
     DEFAULT_TIMEOUT,
     CampaignConfig,
@@ -28,6 +26,7 @@ from .client import (
     discover_in_graph,
     evaluate_remote,
     run_campaign,
+    utcnow,
 )
 from .rdf import Iri, ParseError, load_rdf, serialize_ntriples
 from .reporting import build_report, figure_files, to_csv, to_dqv, to_json
@@ -82,7 +81,6 @@ def _parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument("--runs", type=int, default=3)
     campaign.add_argument("--delay", type=float, default=DEFAULT_DELAY)
-    campaign.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     campaign.add_argument("--page-size", type=int, default=DEFAULT_PAGE_SIZE)
     campaign.add_argument("--workers", type=int, default=4)
     campaign.add_argument("--retries", type=int, default=2)
@@ -191,20 +189,19 @@ def _cmd_evaluate(args) -> int:
     catalog = _load_catalog(args)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-    stamp = _utcnow()
+    stamp = utcnow()
     results: list[DatasetResult] = []
     if args.file:
         graph = load_rdf(args.file)
         datasets = [Iri(d) for d in args.dataset] if args.dataset else discover_in_graph(graph)
-        saturated = saturate(graph, catalog.rules)
+        saturated, _ = saturate(graph, catalog.rules)
         results = [
             evaluate_graph(catalog, graph, dataset, saturated=saturated)
             for dataset in datasets
         ]
     else:
         transport = _transport(args)
-        getter = getattr(transport, "run_timestamp", None)
-        stamp = (getter(args.endpoint, args.run) if getter else None) or stamp
+        stamp = transport.run_timestamp(args.endpoint, args.run) or stamp
         if args.dataset:
             datasets = [Iri(d) for d in args.dataset]
         else:
@@ -269,7 +266,6 @@ def _cmd_campaign(args) -> int:
         timeout=args.timeout,
         retries=args.retries,
         delay=args.delay,
-        depth=args.depth,
         page_size=args.page_size,
         workers=args.workers,
         journal_path=args.journal,
@@ -296,10 +292,6 @@ def _cmd_campaign(args) -> int:
 def _write(directory: str, name: str, content: str) -> None:
     with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
         handle.write(content)
-
-
-def _utcnow() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,18 @@
-"""Auditing endpoints: probing, dataset discovery, fetching, campaigns.
+"""Auditing endpoints: dataset discovery, fetching, campaigns.
 
 Two evaluation routes exist on purpose and must stay distinct:
 
-* the *fetch* route (campaigns) downloads a neighbourhood of each dataset's
-  description, merges what the runs saw, saturates the merged graph with
-  the vocabulary rules and answers the compact queries locally;
+* the *fetch* route (campaigns) downloads each dataset's description,
+  merges what the runs saw, saturates the merged graph with the
+  vocabulary rules and answers the compact queries locally;
 * the *remote* route sends the expanded UNION form of every query to the
   endpoint and trusts its ASK answers.
+
+Both routes give the same score for the same served data because the
+fetch shape covers everything a catalog query can reach: the catalog
+validator refuses any query or rule that looks further than two hops out
+of the dataset or one hop into it.  An endpoint-run costs one discovery
+query plus one (paged) fetch query per dataset.
 
 Campaigns work endpoint-by-endpoint in parallel, but requests to any
 single endpoint are sequential with a politeness delay.  Every run is
@@ -24,10 +30,19 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .catalog import Catalog, default_catalog, expand_extended
-from .rdf import BlankNode, Graph, Iri, Literal, Triple, parse_ntriples, serialize_ntriples
+from .rdf import (
+    BlankNode,
+    Graph,
+    Iri,
+    Literal,
+    Term,
+    Triple,
+    parse_ntriples,
+    serialize_ntriples,
+)
 from .reporting import Report, RunRecord, build_report
 from .scoring import (
     DatasetResult,
@@ -43,8 +58,8 @@ from .transport import HttpTransport, Transport, TransportError
 # Finds dataset IRIs that an endpoint both describes and links to itself.
 # The link predicate is left open: catalogues use void:sparqlEndpoint,
 # dcat:endpointURL, sd:endpoint and others, and some state the endpoint
-# address as a plain string, which is why discovery runs twice (IRI and
-# literal form of the endpoint URL).
+# address as a plain string, which is why the link is matched in both the
+# IRI and the literal form of the endpoint URL.
 DISCOVERY_QUERY = """\
 PREFIX dcat: <http://www.w3.org/ns/dcat#>
 PREFIX void: <http://rdfs.org/ns/void#>
@@ -53,7 +68,7 @@ PREFIX schema: <http://schema.org/>
 PREFIX sd: <http://www.w3.org/ns/sparql-service-description#>
 PREFIX dataid: <http://dataid.dbpedia.org/ns/core#>
 SELECT ?kg WHERE {
-  ?kg ?endpointLink $rawEndpointUrl .
+  { ?kg ?endpointLink $endpointIri } UNION { ?kg ?endpointLink $endpointLiteral }
   { ?kg a dcat:Dataset } UNION { ?kg a void:Dataset } UNION { ?kg a dcmitype:Dataset }
   UNION { ?kg a schema:Dataset } UNION { ?kg a sd:Dataset } UNION { ?kg a dataid:Dataset }
 }
@@ -72,11 +87,20 @@ _RDF_TYPE = Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
 
 DEFAULT_TIMEOUT = 30.0
 DEFAULT_DELAY = 0.5
-DEFAULT_DEPTH = 2
 DEFAULT_PAGE_SIZE = 10000
 
+# The fetch shape: the dataset's own triples, the triples of every node it
+# points at, and every node pointing at it together with that node's
+# triples.  Each row carries a whole path, so a blank node keeps its
+# identity between the two triples of a row.
+FETCH_QUERY = (
+    "SELECT * WHERE {{ {{ <{kg}> ?p ?o }} UNION {{ <{kg}> ?p ?o . ?o ?p2 ?o2 }} "
+    "UNION {{ ?s ?p <{kg}> . ?s ?p2 ?o2 }} }} "
+    "ORDER BY ?s ?p ?o ?p2 ?o2 LIMIT {limit} OFFSET {offset}"
+)
 
-def _utcnow() -> str:
+
+def utcnow() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
@@ -97,48 +121,25 @@ class ThrottledTransport:
         return self._inner.query(url, text, timeout=timeout, run=run)
 
     def run_timestamp(self, url: str, run: int) -> str | None:
-        getter = getattr(self._inner, "run_timestamp", None)
-        return getter(url, run) if getter else None
+        return self._inner.run_timestamp(url, run)
 
 
 # ---------------------------------------------------------------------------
-# Probing and discovery
-
-
-def probe(
-    transport: Transport, url: str, *, timeout: float = DEFAULT_TIMEOUT, run: int = 0
-) -> bool:
-    """Is there a SPARQL endpoint at this URL right now?"""
-    try:
-        answer = transport.query(url, "ASK {}", timeout=timeout, run=run)
-        if isinstance(answer, bool):
-            return True
-    except TransportError as exc:
-        if exc.kind in ("connection", "timeout"):
-            return False
-    # some endpoints refuse bare ASK; give SELECT a chance
-    try:
-        answer = transport.query(url, "SELECT * WHERE {} LIMIT 1", timeout=timeout, run=run)
-        return isinstance(answer, list)
-    except TransportError:
-        return False
+# Discovery
 
 
 def discover_datasets(
     transport: Transport, url: str, *, timeout: float = DEFAULT_TIMEOUT, run: int = 0
 ) -> list[Iri]:
-    """Dataset IRIs the endpoint self-describes, IRI- and literal-linked."""
-    template = parse_query(DISCOVERY_QUERY)
-    found: set[Iri] = set()
-    for endpoint_term in (Iri(url), Literal(url)):
-        query = substitute(template, {"rawEndpointUrl": endpoint_term})
-        rows = transport.query(url, format_query(query), timeout=timeout, run=run)
-        if not isinstance(rows, list):
-            raise TransportError("malformed", "discovery expected SELECT results")
-        for row in rows:
-            kg = row.get("kg")
-            if isinstance(kg, Iri):
-                found.add(kg)
+    """Dataset IRIs the endpoint self-describes, IRI- or literal-linked."""
+    query = substitute(
+        parse_query(DISCOVERY_QUERY),
+        {"endpointIri": Iri(url), "endpointLiteral": Literal(url)},
+    )
+    rows = transport.query(url, format_query(query), timeout=timeout, run=run)
+    if not isinstance(rows, list):
+        raise TransportError("malformed", "discovery expected SELECT results")
+    found = {row["kg"] for row in rows if isinstance(row.get("kg"), Iri)}
     return sorted(found, key=lambda iri: iri.value)
 
 
@@ -162,79 +163,56 @@ def fetch_metadata(
     url: str,
     dataset: Iri,
     *,
-    depth: int = DEFAULT_DEPTH,
     page_size: int = DEFAULT_PAGE_SIZE,
     timeout: float = DEFAULT_TIMEOUT,
     run: int = 0,
 ) -> Graph:
-    """Fetch the dataset's description with a bounded breadth-first walk.
+    """Fetch the dataset's description with one paged query.
 
-    ``depth`` counts fetched rings: the triples of every node fewer than
-    ``depth`` hops from the dataset are read, so depth 0 fetches nothing
-    and depth 1 reads the dataset node alone.  Each node is read with paged
-    ``SELECT ?p ?o`` queries (ORDER BY keeps pages stable between requests).
-    Blank-node objects are kept but renamed apart per response, since blank
-    node labels only identify a node within a single result document.
-
-    For the dataset node itself the incoming edges are fetched too: service
-    descriptions and similar records point *at* the dataset, so an
-    outgoing-only walk would never see them.
+    The query (``FETCH_QUERY``) returns the dataset's outgoing triples,
+    the outgoing triples of each of their objects, and each incoming
+    triple together with its subject's outgoing triples: two hops out and
+    one hop in, which is as far as any validated catalog query reaches.
+    Each row maps to one or two triples.  Blank nodes are kept but renamed
+    apart per response, since a blank node label only identifies a node
+    within one result document; a two-hop path arrives whole in one row,
+    so its blank node joins up.  ORDER BY keeps pages stable between
+    requests.
     """
     graph = Graph()
-    queue: list[tuple[Iri, int]] = [(dataset, 0)]
-    visited: set[Iri] = set()
-    response_no = 0
+    offset = 0
+    response = 0
+    while True:
+        text = FETCH_QUERY.format(kg=dataset.value, limit=page_size, offset=offset)
+        rows = transport.query(url, text, timeout=timeout, run=run)
+        if not isinstance(rows, list):
+            raise TransportError("malformed", "metadata fetch expected SELECT results")
+        response += 1
+        for row in rows:
+            graph.update(_row_triples(row, dataset, response))
+        if len(rows) < page_size:
+            return graph
+        offset += page_size
 
-    def fetch_pages(pattern: str, order: str) -> list[dict]:
-        nonlocal response_no
-        collected = []
-        offset = 0
-        while True:
-            text = (
-                f"SELECT {order} WHERE {{ {pattern} }} "
-                f"ORDER BY {order} LIMIT {page_size} OFFSET {offset}"
-            )
-            rows = transport.query(url, text, timeout=timeout, run=run)
-            if not isinstance(rows, list):
-                raise TransportError("malformed", "metadata fetch expected SELECT results")
-            response_no += 1
-            for row in rows:
-                collected.append({**row, "response": response_no})
-            if len(rows) < page_size:
-                break
-            offset += page_size
-        return collected
 
-    def relabel(term, response: int):
-        if isinstance(term, BlankNode):
-            return BlankNode(f"r{response}b{term.label}")
-        return term
+def _row_triples(row: Mapping[str, Term], dataset: Iri, response: int) -> Iterator[Triple]:
+    """The one or two triples a fetch row stands for, blank nodes renamed apart."""
+    s, p, o, p2, o2 = (_relabel(row.get(name), response) for name in ("s", "p", "o", "p2", "o2"))
+    paths = ((s, p, dataset), (s, p2, o2)) if s is not None else ((dataset, p, o), (o, p2, o2))
+    for parts in paths:
+        if None in parts:
+            continue  # a one-hop row has no second triple
+        try:
+            triple = Triple(*parts)
+        except ValueError:
+            continue  # a literal subject or predicate makes no triple
+        yield triple
 
-    while queue:
-        node, distance = queue.pop(0)
-        if node in visited or distance >= depth:
-            continue
-        visited.add(node)
-        for row in fetch_pages(f"<{node.value}> ?p ?o .", "?p ?o"):
-            predicate = row.get("p")
-            obj = row.get("o")
-            if not isinstance(predicate, Iri) or obj is None:
-                continue
-            graph.add(Triple(node, predicate, relabel(obj, row["response"])))
-            if isinstance(obj, Iri) and obj not in visited:
-                queue.append((obj, distance + 1))
-        if distance == 0:
-            for row in fetch_pages(f"?s ?p <{node.value}> .", "?s ?p"):
-                subject = row.get("s")
-                predicate = row.get("p")
-                if not isinstance(predicate, Iri) or subject is None:
-                    continue
-                if isinstance(subject, Literal):
-                    continue
-                graph.add(Triple(relabel(subject, row["response"]), predicate, node))
-                if isinstance(subject, Iri) and subject not in visited:
-                    queue.append((subject, 1))
-    return graph
+
+def _relabel(term: Term | None, response: int) -> Term | None:
+    if isinstance(term, BlankNode):
+        return BlankNode(f"r{response}b{term.label}")
+    return term
 
 
 # ---------------------------------------------------------------------------
@@ -294,31 +272,27 @@ def audit_run(
     run: int,
     *,
     timeout: float = DEFAULT_TIMEOUT,
-    depth: int = DEFAULT_DEPTH,
     page_size: int = DEFAULT_PAGE_SIZE,
 ) -> EndpointRun:
-    """One endpoint, one run: probe, discover, fetch."""
-    getter = getattr(transport, "run_timestamp", None)
-    timestamp = (getter(endpoint, run) if getter else None) or _utcnow()
-    if not probe(transport, endpoint, timeout=timeout, run=run):
-        return EndpointRun(endpoint, run, timestamp, False, {})
+    """One endpoint, one run: discover, then fetch every dataset.
+
+    Discovery doubles as the availability probe: when it cannot reach the
+    endpoint (a connection error or a timeout) the run is unavailable.
+    """
+    timestamp = transport.run_timestamp(endpoint, run) or utcnow()
     errors: list[tuple[str, str]] = []
     try:
         discovered = discover_datasets(transport, endpoint, timeout=timeout, run=run)
     except TransportError as exc:
+        if exc.kind in ("connection", "timeout"):
+            return EndpointRun(endpoint, run, timestamp, False, {})
         discovered = []
         errors.append(("discovery", exc.kind))
     graphs: dict[str, Graph] = {}
     for dataset in discovered:
         try:
             graphs[dataset.value] = fetch_metadata(
-                transport,
-                endpoint,
-                dataset,
-                depth=depth,
-                page_size=page_size,
-                timeout=timeout,
-                run=run,
+                transport, endpoint, dataset, page_size=page_size, timeout=timeout, run=run
             )
         except TransportError as exc:
             graphs[dataset.value] = Graph()
@@ -481,7 +455,6 @@ class CampaignConfig:
     timeout: float = DEFAULT_TIMEOUT
     retries: int = 2
     delay: float = DEFAULT_DELAY
-    depth: int = DEFAULT_DEPTH
     page_size: int = DEFAULT_PAGE_SIZE
     workers: int = 4
     journal_path: str | None = None
@@ -499,8 +472,6 @@ def run_campaign(config: CampaignConfig) -> Report:
         raise ValueError("the politeness delay cannot be negative")
     if config.retries < 0:
         raise ValueError("the retry count cannot be negative")
-    if config.depth < 0:
-        raise ValueError("the fetch depth cannot be negative")
     if config.page_size < 1:
         raise ValueError("the page size must be at least one")
     if config.workers < 1:
@@ -526,12 +497,7 @@ def run_campaign(config: CampaignConfig) -> Report:
             if (endpoint, run) in completed:
                 continue
             er = audit_run(
-                throttled,
-                endpoint,
-                run,
-                timeout=config.timeout,
-                depth=config.depth,
-                page_size=config.page_size,
+                throttled, endpoint, run, timeout=config.timeout, page_size=config.page_size
             )
             if journal is not None:
                 journal.append(er)
@@ -548,7 +514,7 @@ def run_campaign(config: CampaignConfig) -> Report:
     merged = merge_runs(all_runs)
     results = evaluate_merged(catalog, merged, endpoints)
     timestamps = [er.timestamp for er in all_runs if er.timestamp]
-    generated_at = max(timestamps) if timestamps else _utcnow()
+    generated_at = max(timestamps) if timestamps else utcnow()
     records = tuple(
         RunRecord(
             endpoint=er.endpoint,

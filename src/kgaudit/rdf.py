@@ -217,13 +217,6 @@ class Graph:
         return f"<Graph with {len(self)} triples>"
 
 
-def union(*graphs: Graph) -> Graph:
-    out = Graph()
-    for g in graphs:
-        out.update(g)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Shared lexing helpers
 

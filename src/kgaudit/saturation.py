@@ -48,18 +48,11 @@ def saturate(
     rules: Sequence[EquivalenceRule],
     *,
     cap: int = DEFAULT_PASS_CAP,
-) -> Graph:
-    """A new graph extended with all rule consequences; input untouched."""
-    result, _ = saturate_traced(graph, rules, cap=cap)
-    return result
-
-
-def saturate_traced(
-    graph: Graph,
-    rules: Sequence[EquivalenceRule],
-    *,
-    cap: int = DEFAULT_PASS_CAP,
 ) -> tuple[Graph, SaturationTrace]:
+    """A new graph extended with all rule consequences, and how that went.
+
+    The input graph is left untouched.
+    """
     work = graph.copy()
     firings = {rule.id: 0 for rule in rules}
     delta: list[Triple] = list(work)

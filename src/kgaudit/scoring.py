@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 
 from .catalog import Catalog
 from .rdf import Graph, Iri
-from .saturation import SaturationTrace, saturate_traced
+from .saturation import SaturationTrace, saturate
 from .sparql import eval_ask, substitute
 
 
@@ -130,7 +130,7 @@ def evaluate_graph(
     """
     trace = None
     if saturated is None:
-        saturated, trace = saturate_traced(graph, catalog.rules)
+        saturated, trace = saturate(graph, catalog.rules)
     outcomes = []
     for _, cq in catalog.queries():
         ok = eval_ask(saturated, substitute(cq.query, {"kg": dataset}))

@@ -638,15 +638,6 @@ class Solution(Mapping[str, Term]):
     def __hash__(self) -> int:
         return hash(frozenset(self._bindings.items()))
 
-    def merge(self, other: "Solution") -> "Solution | None":
-        """Merge compatible solutions; None when a shared variable disagrees."""
-        merged = dict(self._bindings)
-        for name, value in other._bindings.items():
-            if merged.get(name, value) != value:
-                return None
-            merged[name] = value
-        return Solution(merged)
-
     def __repr__(self) -> str:
         inner = ", ".join(
             f"?{k}={format_term(self._bindings[k])}" for k in sorted(self._bindings)

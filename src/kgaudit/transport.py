@@ -9,7 +9,9 @@ differently from a refused connection without touching HTTP internals.
 The transcript transport replays a recorded audit: a YAML file holds, per
 endpoint and per run, an availability flag, a timestamp and an N-Triples
 snapshot of what the endpoint would serve.  Queries are answered by the
-package's own evaluator, which makes campaign runs fully deterministic.
+package's own evaluator, which makes campaign runs fully deterministic;
+``run_timestamp`` hands out the recorded timestamps, where the live
+transport has none.
 """
 
 from __future__ import annotations
@@ -49,6 +51,10 @@ class Transport(Protocol):
         """Answer one SPARQL query; ``run`` selects the campaign run."""
         ...
 
+    def run_timestamp(self, url: str, run: int) -> str | None:
+        """When the run was recorded, for replays; None for live endpoints."""
+        ...
+
 
 # ---------------------------------------------------------------------------
 # Live HTTP
@@ -66,6 +72,9 @@ class HttpTransport:
     def __init__(self, *, retries: int = 2, session: requests.Session | None = None):
         self.retries = retries
         self.session = session or requests.Session()
+
+    def run_timestamp(self, url: str, run: int) -> str | None:
+        return None
 
     def query(
         self, url: str, text: str, *, timeout: float, run: int = 0

@@ -11,6 +11,15 @@ from kgaudit.sparql import Solution, TriplePattern, Variable
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+# A catalog rule whose source walks ?kg -> distribution -> part -> download
+# URL: one hop further than a campaign fetches.
+THREE_HOP_RULE = {
+    "id": "access-distribution-part",
+    "source": "?kg dcat:distribution ?d . ?d <http://example.org/part> ?e . "
+    "?e dcat:downloadURL ?url .",
+    "target": "?kg dcat:accessURL ?url .",
+}
+
 _IRIS = [
     "http://example.org/dataset/a",
     "http://example.org/dataset/b",

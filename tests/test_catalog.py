@@ -16,6 +16,8 @@ from kgaudit.catalog import (
 )
 from kgaudit.sparql import Bgp, UnionPattern, pattern_variables
 
+from helpers import THREE_HOP_RULE
+
 
 # ---------------------------------------------------------------------------
 # Shape of the bundled catalog
@@ -191,6 +193,26 @@ def test_chained_rules_rejected():
     message = _mutated(mutate)
     assert "rule 'chainy'" in message
     assert "another rule derives" in message
+
+
+def test_rule_reaching_three_hops_rejected():
+    def mutate(doc):
+        doc["rules"].append(THREE_HOP_RULE)
+
+    message = _mutated(mutate)
+    assert "query access-url.1 pattern" in message
+    assert "query access-url-how.1 pattern" in message
+    assert "beyond what a campaign fetches" in message
+
+
+def test_query_reaching_past_a_neighbour_rejected():
+    def mutate(doc):
+        doc["questions"][0]["queries"] = [
+            "ASK { ?kg dct:creator ?c . ?c foaf:knows ?f . ?f foaf:name ?n . }"
+        ]
+
+    message = _mutated(mutate)
+    assert "query creator.1 pattern '?f foaf:name ?n .'" in message
 
 
 def test_unbound_target_variable_rejected():

@@ -7,10 +7,12 @@ import subprocess
 import sys
 
 import pytest
+import yaml
 
+from kgaudit.catalog import default_catalog, dump_catalog
 from kgaudit.cli import main
 
-from helpers import FIXTURES
+from helpers import FIXTURES, THREE_HOP_RULE
 
 TRANSCRIPT = str(FIXTURES / "campaign.yaml")
 ENDPOINTS = [
@@ -310,6 +312,18 @@ def test_catalog_validate_rejects_broken_file(tmp_path, capsys):
     bad.write_text("version: '1.0'\nprefixes: {}\nhierarchy: []\n")
     assert main(["catalog", "validate", "--catalog", str(bad)]) == 1
     assert "kgaudit:" in capsys.readouterr().err
+
+
+def test_catalog_validate_rejects_unfetchable_rule(tmp_path, capsys):
+    doc = yaml.safe_load(dump_catalog(default_catalog()))
+    doc["rules"].append(THREE_HOP_RULE)
+    reaching = tmp_path / "reaching.yaml"
+    reaching.write_text(yaml.safe_dump(doc))
+    assert main(["catalog", "validate", "--catalog", str(reaching)]) == 1
+    err = capsys.readouterr().err
+    assert "query access-url.1 pattern" in err
+    assert "dcat:downloadURL ?url" in err
+    assert "beyond what a campaign fetches" in err
 
 
 def test_catalog_list(capsys):

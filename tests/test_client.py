@@ -1,4 +1,4 @@
-"""Client tests: probing, discovery, fetching, campaign runs, journaling."""
+"""Client tests: discovery, fetching, campaign runs, journaling."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from kgaudit.client import (
     evaluate_remote,
     fetch_metadata,
     merge_runs,
-    probe,
     run_campaign,
 )
 from kgaudit.rdf import BlankNode, Graph, Iri, Triple, parse_ntriples
@@ -80,29 +79,25 @@ class FailingTransport:
 
 
 class PartialTransport:
-    """Probing answers; discovery or fetching fails, scripted by stage."""
+    """Discovery fails with ``discovery_error``, or finds one dataset whose
+    fetch times out."""
 
-    def __init__(self, fail_discovery: bool = False):
-        self.fail_discovery = fail_discovery
+    def __init__(self, discovery_error: str | None = None):
+        self.discovery_error = discovery_error
 
     def query(self, url, text, *, timeout, run=0):
-        if text.lstrip().startswith("ASK"):
-            return True
         if "?endpointLink" in text:
-            if self.fail_discovery:
-                raise TransportError("connection", "scripted failure")
+            if self.discovery_error:
+                raise TransportError(self.discovery_error, "scripted failure")
             return [{"kg": Iri("http://e.org/kg")}]
         raise TransportError("timeout", "scripted failure")
 
+    def run_timestamp(self, url, run):
+        return None
+
 
 # ---------------------------------------------------------------------------
-# probe / discovery
-
-
-def test_probe(transcript):
-    assert probe(transcript, FULL_ENDPOINT, run=0)
-    assert not probe(transcript, FULL_ENDPOINT, run=1)
-    assert not probe(transcript, "http://unknown.example.org/")
+# discovery
 
 
 def test_discover_datasets(transcript):
@@ -184,7 +179,7 @@ def test_fetch_includes_incoming_service_description(transcript):
     assert len(list(g.match(service, None, None))) == 2
 
 
-def test_fetch_depth_limits_walk(tmp_path):
+def test_fetch_radius_is_two_hops(tmp_path):
     path = tmp_path / "chain.yaml"
     path.write_text(
         "endpoints:\n"
@@ -198,15 +193,7 @@ def test_fetch_depth_limits_walk(tmp_path):
         "          <http://e.org/c> <http://e.org/p> <http://e.org/d> .\n"
     )
     transport = TranscriptTransport(str(path))
-    url = "http://c.example.org/sparql"
-    kg = Iri("http://e.org/kg")
-
-    assert len(fetch_metadata(transport, url, kg, depth=0)) == 0
-
-    shallow = fetch_metadata(transport, url, kg, depth=1)
-    assert len(shallow) == 1  # the kg node's own triples only
-
-    g = fetch_metadata(transport, url, kg, depth=2)
+    g = fetch_metadata(transport, "http://c.example.org/sparql", Iri("http://e.org/kg"))
     assert len(g) == 2
     assert not list(g.match(Iri("http://e.org/b"), None, None))
 
@@ -216,8 +203,9 @@ def test_fetch_pages_through_large_nodes(transcript):
     paged = fetch_metadata(counting, FULL_ENDPOINT, FULL_KG, page_size=7)
     full = fetch_metadata(transcript, FULL_ENDPOINT, FULL_KG)
     assert set(paged) == set(full)
-    # kg/full has 33 outgoing properties: five pages of 7 instead of one
-    assert counting.count > 10
+    # kg/full answers with 37 rows (33 outgoing, 2 two-hop, 2 incoming):
+    # six pages of 7 instead of one
+    assert counting.count == 6
 
 
 def test_fetch_renames_blank_nodes_apart(tmp_path):
@@ -281,6 +269,12 @@ def test_audit_run_records_unavailability(transcript):
     assert er == EndpointRun(FULL_ENDPOINT, 1, "2024-05-02T10:00:00Z", False, {})
 
 
+def test_audit_run_detects_availability(transcript):
+    assert audit_run(transcript, FULL_ENDPOINT, 0).available
+    assert not audit_run(transcript, FULL_ENDPOINT, 1).available
+    assert not audit_run(transcript, "http://unknown.example.org/", 0).available
+
+
 def test_audit_run_records_fetch_errors():
     er = audit_run(PartialTransport(), "http://e.org/sparql", 0)
     assert er.available
@@ -289,10 +283,18 @@ def test_audit_run_records_fetch_errors():
 
 
 def test_audit_run_records_discovery_errors():
-    er = audit_run(PartialTransport(fail_discovery=True), "http://e.org/sparql", 0)
+    er = audit_run(PartialTransport(discovery_error="http"), "http://e.org/sparql", 0)
     assert er.available
     assert dict(er.datasets) == {}
-    assert er.errors == (("discovery", "connection"),)
+    assert er.errors == (("discovery", "http"),)
+
+
+@pytest.mark.parametrize("kind", ["connection", "timeout"])
+def test_audit_run_unreachable_discovery_is_unavailable(kind):
+    er = audit_run(PartialTransport(discovery_error=kind), "http://e.org/sparql", 0)
+    assert not er.available
+    assert dict(er.datasets) == {}
+    assert er.errors == ()
 
 
 def test_merge_runs_unions_graphs():
@@ -402,7 +404,6 @@ def test_campaign_requires_a_run(config):
         ("timeout", 0.0),
         ("delay", -1.0),
         ("retries", -1),
-        ("depth", -1),
         ("page_size", 0),
         ("workers", 0),
     ],

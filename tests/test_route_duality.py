@@ -1,0 +1,140 @@
+"""The fetch route and the remote route score the same served data alike.
+
+Each case serves one metadata graph as a one-run transcript.  The fetch
+route discovers the dataset, downloads it, merges and saturates; the
+remote route sends the expanded ASKs.  The graphs are built from the
+catalog's own compact patterns and expanded branches, with free variables
+bound to IRIs, literals and blank nodes, so metadata hanging off blank
+nodes (creators, service descriptions, distributions) is covered.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import yaml
+
+from kgaudit.catalog import default_catalog, expand_extended
+from kgaudit.client import audit_run, evaluate_merged, evaluate_remote, merge_runs
+from kgaudit.rdf import BlankNode, Graph, Iri, Literal, Triple, parse_ntriples, serialize_ntriples
+from kgaudit.sparql import UnionPattern, Variable
+from kgaudit.transport import TranscriptTransport
+
+from helpers import catalog_vocabulary, random_metadata_graph
+
+CATALOG = default_catalog()
+URL = "http://duality.example.org/sparql"
+KG = Iri("http://example.org/kg/main")
+DISCOVERABLE = (
+    f"<{KG.value}> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
+    "<http://www.w3.org/ns/dcat#Dataset> .\n"
+    f"<{KG.value}> <http://rdfs.org/ns/void#sparqlEndpoint> <{URL}> .\n"
+)
+
+_NODES = [Iri("http://example.org/agent/1"), Iri("http://example.org/thing/a")]
+_BLANKS = [BlankNode("b0"), BlankNode("b1"), BlankNode("b2")]
+_LITERALS = [
+    Literal("Alice"),
+    Literal("2023-05-17", datatype="http://www.w3.org/2001/XMLSchema#date"),
+    Literal("hello", language="en"),
+]
+
+
+def _shapes() -> list[tuple]:
+    """Every compact pattern list and every expanded branch of the catalog."""
+    shapes = []
+    for _, cq in CATALOG.queries():
+        shapes.append(cq.query.pattern.patterns)
+        extended = expand_extended(cq.query, CATALOG.rules).pattern
+        branches = extended.branches if isinstance(extended, UnionPattern) else (extended,)
+        shapes.extend(branch.patterns for branch in branches)
+    return shapes
+
+
+def _instantiate(rng: random.Random, patterns, predicates: list[Iri]) -> list[Triple]:
+    """One match of the patterns, ?kg bound to KG, other variables at random."""
+    subjects = {
+        tp.subject.name for tp in patterns if isinstance(tp.subject, Variable)
+    }
+    verbs = {tp.predicate.name for tp in patterns if isinstance(tp.predicate, Variable)}
+    binding = {"kg": KG}
+
+    def bind(pos):
+        if not isinstance(pos, Variable):
+            return pos
+        if pos.name not in binding:
+            if pos.name in verbs:
+                binding[pos.name] = rng.choice(predicates)
+            else:
+                roll = rng.random()
+                if roll < 0.4:
+                    binding[pos.name] = rng.choice(_BLANKS)
+                elif roll < 0.8 or pos.name in subjects:
+                    binding[pos.name] = rng.choice(_NODES)
+                else:
+                    binding[pos.name] = rng.choice(_LITERALS)
+        return binding[pos.name]
+
+    return [Triple(bind(tp.subject), bind(tp.predicate), bind(tp.object)) for tp in patterns]
+
+
+def _serve(path, graph: Graph) -> TranscriptTransport:
+    doc = {
+        "endpoints": {
+            URL: {
+                "runs": [
+                    {
+                        "available": True,
+                        "timestamp": "2024-05-01T10:00:00Z",
+                        "data": serialize_ntriples(graph),
+                    }
+                ]
+            }
+        }
+    }
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    return TranscriptTransport(str(path))
+
+
+def _route_scores(transport: TranscriptTransport) -> tuple[Fraction, Fraction]:
+    """(fetch route score, remote route score) of KG."""
+    merged = merge_runs([audit_run(transport, URL, 0)])
+    fetched = {r.dataset: r.score for r in evaluate_merged(CATALOG, merged, [URL])[URL]}
+    return fetched[KG.value], evaluate_remote(transport, URL, CATALOG, KG).score
+
+
+def test_routes_agree_on_random_metadata(tmp_path):
+    rng = random.Random(20240501)
+    shapes = _shapes()
+    predicates, constants = catalog_vocabulary(CATALOG)
+    path = tmp_path / "served.yaml"
+    blank_cases = disagreements = 0
+    # every shape leads a case; two more random shapes ride along
+    for index in range(200):
+        graph = parse_ntriples(DISCOVERABLE)
+        graph.update(random_metadata_graph(rng, predicates, constants, max_triples=10))
+        for patterns in (shapes[index % len(shapes)], rng.choice(shapes), rng.choice(shapes)):
+            triples = _instantiate(rng, patterns, predicates)
+            if len(triples) > 1 and rng.random() < 0.25:
+                triples.pop(rng.randrange(len(triples)))  # a near miss
+            graph.update(triples)
+        blank_cases += any(isinstance(t.subject, BlankNode) for t in graph)
+        fetched, remote = _route_scores(_serve(path, graph))
+        if fetched != remote:
+            disagreements += 1
+    assert len(shapes) < 200
+    assert blank_cases > 100
+    assert disagreements == 0
+
+
+def test_routes_agree_on_blank_creator(tmp_path):
+    graph = parse_ntriples(
+        DISCOVERABLE
+        + f"<{KG.value}> <http://purl.org/dc/terms/creator> _:c .\n"
+        + '_:c <http://xmlns.com/foaf/0.1/name> "Alice" .\n'
+    )
+    assert _route_scores(_serve(tmp_path / "alice.yaml", graph)) == (
+        Fraction(13, 120),
+        Fraction(13, 120),
+    )

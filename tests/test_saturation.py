@@ -6,11 +6,7 @@ import pytest
 
 from kgaudit.catalog import EquivalenceRule, default_catalog, expand_extended
 from kgaudit.rdf import Graph, Iri, Literal, Triple, parse_ntriples
-from kgaudit.saturation import (
-    SaturationCapExceeded,
-    saturate,
-    saturate_traced,
-)
+from kgaudit.saturation import SaturationCapExceeded, saturate
 from kgaudit.sparql import eval_ask, parse_triple_patterns, substitute
 
 from helpers import catalog_vocabulary, random_metadata_graph
@@ -28,7 +24,7 @@ def _rules(*pairs: tuple[str, str]) -> tuple[EquivalenceRule, ...]:
 
 def test_single_step_rewrite():
     g = parse_ntriples(f"<{KG.value}> <http://schema.org/author> <{EX}alice> .\n")
-    sat = saturate(g, default_catalog().rules)
+    sat, _ = saturate(g, default_catalog().rules)
     derived = Triple(KG, Iri("http://purl.org/dc/terms/creator"), Iri(EX + "alice"))
     assert derived in sat
     assert len(sat) == 2
@@ -41,7 +37,7 @@ def test_publication_activity_chain_fires():
         "<http://www.w3.org/ns/prov#Publish> .\n"
         f"<{EX}act> <http://www.w3.org/ns/prov#wasAssociatedWith> <{EX}acme> .\n"
     )
-    sat, trace = saturate_traced(g, default_catalog().rules)
+    sat, trace = saturate(g, default_catalog().rules)
     assert Triple(KG, Iri("http://purl.org/dc/terms/publisher"), Iri(EX + "acme")) in sat
     assert trace.firings["publisher-prov-activity"] == 1
     assert trace.passes == 2
@@ -57,7 +53,7 @@ def test_input_graph_is_not_mutated():
 
 def test_no_rules_is_a_copy():
     g = parse_ntriples(f"<{KG.value}> <{EX}p> <{EX}o> .\n")
-    sat, trace = saturate_traced(g, ())
+    sat, trace = saturate(g, ())
     assert sat == g
     assert sat is not g
     assert trace.derived == 0
@@ -65,7 +61,7 @@ def test_no_rules_is_a_copy():
 
 
 def test_empty_graph():
-    sat, trace = saturate_traced(Graph(), default_catalog().rules)
+    sat, trace = saturate(Graph(), default_catalog().rules)
     assert len(sat) == 0
     assert trace.passes == 0
 
@@ -75,8 +71,8 @@ def test_idempotent():
     predicates, constants = catalog_vocabulary(default_catalog())
     for _ in range(10):
         g = random_metadata_graph(rng, predicates, constants)
-        once = saturate(g, default_catalog().rules)
-        twice = saturate(once, default_catalog().rules)
+        once, _ = saturate(g, default_catalog().rules)
+        twice, _ = saturate(once, default_catalog().rules)
         assert once == twice
 
 
@@ -85,7 +81,7 @@ def test_output_contains_input():
     predicates, constants = catalog_vocabulary(default_catalog())
     for _ in range(10):
         g = random_metadata_graph(rng, predicates, constants)
-        sat = saturate(g, default_catalog().rules)
+        sat, _ = saturate(g, default_catalog().rules)
         assert all(t in sat for t in g)
 
 
@@ -94,7 +90,7 @@ def test_firings_count_distinct_solutions():
         f"<{KG.value}> <http://schema.org/author> <{EX}alice> .\n"
         f"<{KG.value}> <http://schema.org/author> <{EX}bob> .\n"
     )
-    _, trace = saturate_traced(g, default_catalog().rules)
+    _, trace = saturate(g, default_catalog().rules)
     assert trace.firings["creator-schema-author"] == 2
 
 
@@ -104,7 +100,7 @@ def test_duplicate_derivations_counted_once():
         f"<{KG.value}> <http://purl.org/dc/elements/1.1/creator> <{EX}alice> .\n"
         f"<{KG.value}> <http://schema.org/creator> <{EX}alice> .\n"
     )
-    sat, trace = saturate_traced(g, default_catalog().rules)
+    sat, trace = saturate(g, default_catalog().rules)
     assert trace.derived == 1
     assert trace.firings["creator-dce"] + trace.firings["creator-schema"] == 1
 
@@ -116,7 +112,7 @@ def test_pass_cap_raises_on_chained_rules():
         (f"?s <{EX}c> ?o .", f"?s <{EX}d> ?o ."),
     )
     g = parse_ntriples(f"<{EX}x> <{EX}a> <{EX}y> .\n")
-    sat, trace = saturate_traced(g, rules, cap=10)
+    sat, trace = saturate(g, rules, cap=10)
     assert len(sat) == 4
     assert trace.passes == 4
     with pytest.raises(SaturationCapExceeded):
@@ -129,7 +125,7 @@ def test_unsound_instantiations_are_skipped():
     g = Graph()
     g.add(Triple(Iri(EX + "x"), Iri(EX + "p"), Literal("text")))
     g.add(Triple(Iri(EX + "x"), Iri(EX + "p"), Iri(EX + "y")))
-    sat = saturate(g, rules)
+    sat, _ = saturate(g, rules)
     assert len(sat) == 3
     assert Triple(Iri(EX + "y"), Iri(EX + "q"), Iri(EX + "x")) in sat
 
@@ -159,7 +155,7 @@ def test_matches_naive_fixpoint():
     rules = default_catalog().rules
     for _ in range(25):
         g = random_metadata_graph(rng, predicates, constants)
-        assert saturate(g, rules) == _naive_fixpoint(g, rules)
+        assert saturate(g, rules)[0] == _naive_fixpoint(g, rules)
 
 
 def test_compact_on_saturated_agrees_with_extended_on_raw():
@@ -172,7 +168,7 @@ def test_compact_on_saturated_agrees_with_extended_on_raw():
     checked = disagreements = 0
     for _ in range(150):
         g = random_metadata_graph(rng, predicates, constants)
-        sat = saturate(g, cat.rules)
+        sat, _ = saturate(g, cat.rules)
         for _, cq in cat.queries():
             compact = substitute(cq.query, {"kg": KG})
             expanded = substitute(extended[cq.id], {"kg": KG})

@@ -287,12 +287,3 @@ def test_discovery_query_against_small_store() -> None:
     rows = eval_select(g, q)
     assert [sol["kg"] for sol in rows] == [Iri("http://example.org/kg1")]
 
-
-def test_solution_merge() -> None:
-    a = Solution({"x": Iri("http://example.org/1")})
-    b = Solution({"y": Iri("http://example.org/2")})
-    merged = a.merge(b)
-    assert merged == Solution({"x": Iri("http://example.org/1"), "y": Iri("http://example.org/2")})
-    conflicting = Solution({"x": Iri("http://example.org/3")})
-    assert a.merge(conflicting) is None
-    assert a.merge(a) == a
