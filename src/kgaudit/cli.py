@@ -74,7 +74,10 @@ def _parser() -> argparse.ArgumentParser:
     )
     evaluate.set_defaults(func=_cmd_evaluate)
 
-    campaign = sub.add_parser("campaign", help="audit endpoints over several runs")
+    # no prefix matching, or a stray --run would quietly mean --runs
+    campaign = sub.add_parser(
+        "campaign", help="audit endpoints over several runs", allow_abbrev=False
+    )
     campaign.add_argument("endpoints", nargs="*", metavar="URL")
     campaign.add_argument(
         "--endpoints-file", metavar="PATH", help="file with one endpoint URL per line"
@@ -121,6 +124,9 @@ def _add_source(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--endpoint", metavar="URL", help="SPARQL endpoint to query")
     source.add_argument("--file", metavar="PATH", help="local RDF file (N-Triples or Turtle)")
+    parser.add_argument(
+        "--run", type=int, default=0, help="transcript run to replay (default 0)"
+    )
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -135,9 +141,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--transcript",
         metavar="PATH",
         help="answer queries from a recorded transcript instead of the network",
-    )
-    parser.add_argument(
-        "--run", type=int, default=0, help="transcript run to replay (default 0)"
     )
 
 

@@ -25,15 +25,17 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .catalog import Catalog, default_catalog, expand_extended
 from .rdf import (
+    RDF_TYPE,
     BlankNode,
     Graph,
     Iri,
@@ -52,7 +54,7 @@ from .scoring import (
     evaluate_graph,
     not_evaluated_result,
 )
-from .sparql import format_query, parse_query, substitute
+from .sparql import Query, parse_query, substitute
 from .transport import HttpTransport, Transport, TransportError
 
 # Finds dataset IRIs that an endpoint both describes and links to itself.
@@ -60,7 +62,7 @@ from .transport import HttpTransport, Transport, TransportError
 # dcat:endpointURL, sd:endpoint and others, and some state the endpoint
 # address as a plain string, which is why the link is matched in both the
 # IRI and the literal form of the endpoint URL.
-DISCOVERY_QUERY = """\
+DISCOVERY_QUERY = parse_query("""\
 PREFIX dcat: <http://www.w3.org/ns/dcat#>
 PREFIX void: <http://rdfs.org/ns/void#>
 PREFIX dcmitype: <http://purl.org/dc/dcmitype/>
@@ -72,7 +74,7 @@ SELECT ?kg WHERE {
   { ?kg a dcat:Dataset } UNION { ?kg a void:Dataset } UNION { ?kg a dcmitype:Dataset }
   UNION { ?kg a schema:Dataset } UNION { ?kg a sd:Dataset } UNION { ?kg a dataid:Dataset }
 }
-"""
+""")
 
 DATASET_CLASSES = (
     Iri("http://www.w3.org/ns/dcat#Dataset"),
@@ -83,8 +85,6 @@ DATASET_CLASSES = (
     Iri("http://dataid.dbpedia.org/ns/core#Dataset"),
 )
 
-_RDF_TYPE = Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
-
 DEFAULT_TIMEOUT = 30.0
 DEFAULT_DELAY = 0.5
 DEFAULT_PAGE_SIZE = 10000
@@ -93,10 +93,9 @@ DEFAULT_PAGE_SIZE = 10000
 # points at, and every node pointing at it together with that node's
 # triples.  Each row carries a whole path, so a blank node keeps its
 # identity between the two triples of a row.
-FETCH_QUERY = (
-    "SELECT * WHERE {{ {{ <{kg}> ?p ?o }} UNION {{ <{kg}> ?p ?o . ?o ?p2 ?o2 }} "
-    "UNION {{ ?s ?p <{kg}> . ?s ?p2 ?o2 }} }} "
-    "ORDER BY ?s ?p ?o ?p2 ?o2 LIMIT {limit} OFFSET {offset}"
+FETCH_QUERY = parse_query(
+    "SELECT * WHERE { { $kg ?p ?o } UNION { $kg ?p ?o . ?o ?p2 ?o2 } "
+    "UNION { ?s ?p $kg . ?s ?p2 ?o2 } }"
 )
 
 
@@ -112,13 +111,13 @@ class ThrottledTransport:
         self._delay = delay
         self._due = 0.0
 
-    def query(self, url: str, text: str, *, timeout: float, run: int = 0):
+    def query(self, url: str, query: Query, *, timeout: float, run: int = 0):
         if self._delay > 0:
             now = time.monotonic()
             if now < self._due:
                 time.sleep(self._due - now)
             self._due = time.monotonic() + self._delay
-        return self._inner.query(url, text, timeout=timeout, run=run)
+        return self._inner.query(url, query, timeout=timeout, run=run)
 
     def run_timestamp(self, url: str, run: int) -> str | None:
         return self._inner.run_timestamp(url, run)
@@ -133,10 +132,9 @@ def discover_datasets(
 ) -> list[Iri]:
     """Dataset IRIs the endpoint self-describes, IRI- or literal-linked."""
     query = substitute(
-        parse_query(DISCOVERY_QUERY),
-        {"endpointIri": Iri(url), "endpointLiteral": Literal(url)},
+        DISCOVERY_QUERY, {"endpointIri": Iri(url), "endpointLiteral": Literal(url)}
     )
-    rows = transport.query(url, format_query(query), timeout=timeout, run=run)
+    rows = transport.query(url, query, timeout=timeout, run=run)
     if not isinstance(rows, list):
         raise TransportError("malformed", "discovery expected SELECT results")
     found = {row["kg"] for row in rows if isinstance(row.get("kg"), Iri)}
@@ -148,7 +146,7 @@ def discover_in_graph(graph: Graph) -> list[Iri]:
     found = {
         triple.subject
         for cls in DATASET_CLASSES
-        for triple in graph.match(None, _RDF_TYPE, cls)
+        for triple in graph.match(None, Iri(RDF_TYPE), cls)
         if isinstance(triple.subject, Iri)
     }
     return sorted(found, key=lambda iri: iri.value)
@@ -176,15 +174,14 @@ def fetch_metadata(
     Each row maps to one or two triples.  Blank nodes are kept but renamed
     apart per response, since a blank node label only identifies a node
     within one result document; a two-hop path arrives whole in one row,
-    so its blank node joins up.  ORDER BY keeps pages stable between
-    requests.
+    so its blank node joins up.  Pages slice the rows in one fixed order
+    (``ORDER BY`` every variable), so no row is skipped or repeated.
     """
+    query = replace(substitute(FETCH_QUERY, {"kg": dataset}), limit=page_size)
     graph = Graph()
-    offset = 0
     response = 0
     while True:
-        text = FETCH_QUERY.format(kg=dataset.value, limit=page_size, offset=offset)
-        rows = transport.query(url, text, timeout=timeout, run=run)
+        rows = transport.query(url, query, timeout=timeout, run=run)
         if not isinstance(rows, list):
             raise TransportError("malformed", "metadata fetch expected SELECT results")
         response += 1
@@ -192,7 +189,7 @@ def fetch_metadata(
             graph.update(_row_triples(row, dataset, response))
         if len(rows) < page_size:
             return graph
-        offset += page_size
+        query = replace(query, offset=query.offset + page_size)
 
 
 def _row_triples(row: Mapping[str, Term], dataset: Iri, response: int) -> Iterator[Triple]:
@@ -231,10 +228,9 @@ def evaluate_remote(
     """Score a dataset by asking the endpoint the expanded queries."""
     outcomes = []
     for _, cq in catalog.queries():
-        extended = expand_extended(cq.query, catalog.rules)
-        text = format_query(substitute(extended, {"kg": dataset}))
+        query = substitute(expand_extended(cq.query, catalog.rules), {"kg": dataset})
         try:
-            answer = transport.query(url, text, timeout=timeout, run=run)
+            answer = transport.query(url, query, timeout=timeout, run=run)
             if not isinstance(answer, bool):
                 raise TransportError("malformed", "ASK answered with bindings")
             outcomes.append(
@@ -352,9 +348,10 @@ class Journal:
     """Append-only JSON-lines record of completed endpoint runs.
 
     The first line pins the catalog hash and run count; every line carries
-    a checksum over its record.  Any mismatch means the file was edited or
-    truncated mid-write, and resuming would silently skew scores, so the
-    journal refuses instead.
+    a checksum over its record.  An unterminated last line is an append a
+    crash cut short: loading drops it, so that cell is audited again.  Any
+    other mismatch means the file was edited, and resuming would silently
+    skew scores, so the journal refuses instead.
     """
 
     def __init__(self, path: str, catalog: Catalog, runs: int):
@@ -364,18 +361,16 @@ class Journal:
 
     def load(self) -> dict[tuple[str, int], EndpointRun]:
         completed: dict[tuple[str, int], EndpointRun] = {}
+        header = self._line("header", self._header).encode("utf-8")
         try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                lines = handle.read().splitlines()
+            with open(self.path, "rb") as handle:
+                data = handle.read()
         except FileNotFoundError:
-            with open(self.path, "w", encoding="utf-8") as handle:
-                handle.write(self._line("header", self._header))
-            return completed
-        if not lines:
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(self._line("header", self._header))
-            return completed
-        for number, line in enumerate(lines, start=1):
+            data = b""
+        whole = data[: data.rfind(b"\n") + 1]
+        if not whole and not header.startswith(data):
+            whole = data  # no line ends here, and it is not our header cut short
+        for number, line in enumerate(whole.decode("utf-8").splitlines(), start=1):
             try:
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -395,6 +390,14 @@ class Journal:
                 raise JournalError(f"{self.path}:{number}: unexpected record kind {kind!r}")
             er = _run_from_record(self.path, number, record)
             completed[(er.endpoint, er.run)] = er
+        if whole != data:
+            note = f"{self.path}: dropped an unterminated last line; its run is audited again"
+            print(f"kgaudit: {note}", file=sys.stderr)
+            with open(self.path, "r+b") as handle:
+                handle.truncate(len(whole))
+        if not whole:
+            with open(self.path, "ab") as handle:
+                handle.write(header)
         return completed
 
     def append(self, er: EndpointRun) -> None:

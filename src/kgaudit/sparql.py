@@ -17,7 +17,7 @@ counting bound positions under the bindings accumulated so far.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, Union as TypingUnion
 
 from .rdf import (
@@ -119,13 +119,17 @@ class Query:
     """A parsed query.
 
     ``projection`` is None for ASK; for SELECT it lists the projected
-    variable names, with the empty tuple standing for ``*``.
+    variable names, with the empty tuple standing for ``*``.  ``limit``
+    and ``offset`` page a SELECT's ordered rows; the client sets them and
+    the parser never does, so catalog queries cannot page.
     """
 
     form: str  # "ask" | "select"
     projection: tuple[str, ...] | None
     pattern: GroupPattern
     prefixes: Mapping[str, str] = field(default_factory=dict)
+    limit: int | None = None
+    offset: int = 0
 
     def __post_init__(self) -> None:
         if self.form not in ("ask", "select"):
@@ -140,6 +144,13 @@ def pattern_variables(pattern: GroupPattern) -> set[str]:
             if isinstance(pos, Variable):
                 out.add(pos.name)
     return out
+
+
+def _projected_names(query: Query) -> list[str]:
+    """The variables a SELECT returns, in order; ``*`` projects all, sorted."""
+    if query.projection == ():
+        return sorted(pattern_variables(query.pattern))
+    return list(query.projection or ())
 
 
 def pattern_placeholders(pattern: GroupPattern) -> set[str]:
@@ -469,7 +480,11 @@ _SAFE_LOCAL = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ012345678
 
 
 def format_query(query: Query) -> str:
-    """Render a query as standard SPARQL; parsing the output reproduces it."""
+    """Render a query as standard SPARQL.
+
+    Parsing the output reproduces an unpaged query.  A paged SELECT orders
+    by its projected variables, as eval_select does, then pages.
+    """
     lines = [
         f"PREFIX {name}: <{iri}>"
         for name, iri in sorted(query.prefixes.items())
@@ -481,6 +496,10 @@ def format_query(query: Query) -> str:
         head = f"SELECT {proj} WHERE "
     body = _format_group(query.pattern, query.prefixes, indent=0)
     lines.append(head + body)
+    if query.limit is not None or query.offset:
+        order = " ".join(f"?{name}" for name in _projected_names(query))
+        limit = "" if query.limit is None else f" LIMIT {query.limit}"
+        lines.append(f"ORDER BY {order}{limit} OFFSET {query.offset}")
     return "\n".join(lines) + "\n"
 
 
@@ -490,7 +509,7 @@ def _format_group(pattern: GroupPattern, prefixes: Mapping[str, str], indent: in
     if isinstance(pattern, Bgp):
         if not pattern.patterns:
             return "{ }"
-        lines = [inner + _format_triple(tp, prefixes) for tp in pattern.patterns]
+        lines = [inner + format_triple_pattern(tp, prefixes) for tp in pattern.patterns]
         return "{\n" + "\n".join(lines) + "\n" + pad + "}"
     if isinstance(pattern, UnionPattern):
         rendered = [_format_group(b, prefixes, indent + 1) for b in pattern.branches]
@@ -500,7 +519,8 @@ def _format_group(pattern: GroupPattern, prefixes: Mapping[str, str], indent: in
     return "{\n" + "\n".join(inner + p for p in parts) + "\n" + pad + "}"
 
 
-def _format_triple(tp: TriplePattern, prefixes: Mapping[str, str]) -> str:
+def format_triple_pattern(tp: TriplePattern, prefixes: Mapping[str, str]) -> str:
+    """One pattern as SPARQL text, dot-terminated; inverse of parse_triple_patterns."""
     if tp.predicate == Iri(RDF_TYPE):
         verb = "a"
     else:
@@ -509,11 +529,6 @@ def _format_triple(tp: TriplePattern, prefixes: Mapping[str, str]) -> str:
         f"{_format_pattern_term(tp.subject, prefixes)} {verb} "
         f"{_format_pattern_term(tp.object, prefixes)} ."
     )
-
-
-def format_triple_pattern(tp: TriplePattern, prefixes: Mapping[str, str]) -> str:
-    """One pattern as SPARQL text, dot-terminated; inverse of parse_triple_patterns."""
-    return _format_triple(tp, prefixes)
 
 
 def _format_pattern_term(term: PatternTerm, prefixes: Mapping[str, str]) -> str:
@@ -574,11 +589,8 @@ def substitute(query: Query, values: Mapping[str, Term]) -> Query:
             raise SparqlError(
                 "cannot substitute projected variables: " + ", ".join(sorted(clash))
             )
-    return Query(
-        query.form,
-        query.projection,
-        _substitute_group(query.pattern, values),
-        dict(query.prefixes),
+    return replace(
+        query, pattern=_substitute_group(query.pattern, values), prefixes=dict(query.prefixes)
     )
 
 
@@ -746,14 +758,11 @@ def eval_ask(g: Graph, query: Query) -> bool:
 
 
 def eval_select(g: Graph, query: Query) -> list[Solution]:
-    """Distinct projected solutions of a SELECT query, deterministically sorted."""
+    """Distinct projected solutions of a SELECT query, sorted, then paged."""
     if query.form != "select":
         raise SparqlError("eval_select needs a SELECT query")
     _check_no_placeholders(query.pattern)
-    if query.projection == ():
-        names = sorted(pattern_variables(query.pattern))
-    else:
-        names = list(query.projection or ())
+    names = _projected_names(query)
     seen: dict[Solution, None] = {}
     for binding in _gen(g, query.pattern, {}):
         projected = {name: binding[name] for name in names if name in binding}
@@ -765,4 +774,5 @@ def eval_select(g: Graph, query: Query) -> list[Solution]:
             for name in names
         )
 
-    return sorted(seen, key=row_key)
+    end = None if query.limit is None else query.offset + query.limit
+    return sorted(seen, key=row_key)[query.offset : end]

@@ -1,23 +1,24 @@
 """How queries reach an endpoint: live HTTP or a recorded transcript.
 
-Both transports expose the same ``query`` method: they take a SPARQL text
-and return a decoded answer, ``bool`` for ASK and a list of variable
-binding rows for SELECT.  Everything that can go wrong surfaces as a
-:class:`TransportError` with a coarse kind, so callers can score a timeout
-differently from a refused connection without touching HTTP internals.
+Both transports expose the same ``query`` method: they take a parsed
+:class:`~kgaudit.sparql.Query` and return a decoded answer, ``bool`` for
+ASK and a list of variable binding rows for SELECT.  Only the HTTP
+transport turns the query into SPARQL text, once per request.  Everything
+that can go wrong surfaces as a :class:`TransportError` with a coarse
+kind, so callers can score a timeout differently from a refused
+connection without touching HTTP internals.
 
 The transcript transport replays a recorded audit: a YAML file holds, per
 endpoint and per run, an availability flag, a timestamp and an N-Triples
-snapshot of what the endpoint would serve.  Queries are answered by the
-package's own evaluator, which makes campaign runs fully deterministic;
-``run_timestamp`` hands out the recorded timestamps, where the live
-transport has none.
+snapshot of what the endpoint would serve.  The package's own evaluator
+answers the client's queries directly, paging included, which makes
+campaign runs fully deterministic; ``run_timestamp`` hands out the
+recorded timestamps, where the live transport has none.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -25,7 +26,7 @@ import requests
 import yaml
 
 from .rdf import BlankNode, Graph, Iri, Literal, ParseError, Term, parse_ntriples
-from .sparql import SparqlError, eval_ask, eval_select, parse_query
+from .sparql import Query, eval_ask, eval_select, format_query
 
 ACCEPT = "application/sparql-results+json"
 USER_AGENT = "kgaudit/0.1 (+https://example.org/kgaudit)"
@@ -46,9 +47,9 @@ class TransportError(RuntimeError):
 
 class Transport(Protocol):
     def query(
-        self, url: str, text: str, *, timeout: float, run: int = 0
+        self, url: str, query: Query, *, timeout: float, run: int = 0
     ) -> bool | list[dict[str, Term]]:
-        """Answer one SPARQL query; ``run`` selects the campaign run."""
+        """Answer one query; ``run`` selects the campaign run."""
         ...
 
     def run_timestamp(self, url: str, run: int) -> str | None:
@@ -77,8 +78,9 @@ class HttpTransport:
         return None
 
     def query(
-        self, url: str, text: str, *, timeout: float, run: int = 0
+        self, url: str, query: Query, *, timeout: float, run: int = 0
     ) -> bool | list[dict[str, Term]]:
+        text = format_query(query)
         last: TransportError | None = None
         for _ in range(self.retries + 1):
             try:
@@ -167,15 +169,6 @@ def _decode_row(row: object) -> dict[str, Term]:
 # ---------------------------------------------------------------------------
 # Recorded transcripts
 
-# solution modifiers accepted (and stripped) at the end of a query
-_MODIFIER_RE = re.compile(
-    r"(?:\s+ORDER\s+BY(?:\s+(?:ASC|DESC)\s*\(\s*\?\w+\s*\)|\s+\?\w+)+)?"
-    r"(?:\s+LIMIT\s+(?P<limit>\d+))?"
-    r"(?:\s+OFFSET\s+(?P<offset>\d+))?\s*$",
-    re.IGNORECASE,
-)
-
-
 @dataclass(frozen=True)
 class TranscriptRun:
     available: bool
@@ -245,25 +238,11 @@ class TranscriptTransport:
             return None
 
     def query(
-        self, url: str, text: str, *, timeout: float, run: int = 0
+        self, url: str, query: Query, *, timeout: float, run: int = 0
     ) -> bool | list[dict[str, Term]]:
         entry = self._run(url, run)
         if not entry.available:
             raise TransportError("connection", f"endpoint {url} is recorded as down")
-        match = _MODIFIER_RE.search(text)
-        limit = offset = None
-        stripped = text
-        if match:
-            stripped = text[: match.start()]
-            limit = int(match.group("limit")) if match.group("limit") else None
-            offset = int(match.group("offset")) if match.group("offset") else None
-        try:
-            query = parse_query(stripped)
-        except SparqlError as exc:
-            raise TransportError("malformed", f"transcript cannot answer: {exc}") from None
         if query.form == "ask":
             return eval_ask(entry.graph, query)
-        rows = [dict(solution) for solution in eval_select(entry.graph, query)]
-        start = offset or 0
-        end = start + limit if limit is not None else None
-        return rows[start:end]
+        return [dict(solution) for solution in eval_select(entry.graph, query)]

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import kgaudit
 from kgaudit.catalog import default_catalog, dump_catalog
 from kgaudit.cli import main
 
@@ -229,6 +232,14 @@ def test_campaign_requires_positive_runs(capsys):
     assert "--runs" in capsys.readouterr().err
 
 
+def test_campaign_has_no_run_option(capsys):
+    # a campaign replays every run; --run only picks one for discover/evaluate
+    with pytest.raises(SystemExit) as exc:
+        main(["campaign", ENDPOINTS[0], "--transcript", TRANSCRIPT, "--run", "1"])
+    assert exc.value.code == 2
+    assert "--run" in capsys.readouterr().err
+
+
 def test_campaign_rejects_bad_timeout(capsys):
     code = main(
         ["campaign", ENDPOINTS[0], "--transcript", TRANSCRIPT, "--timeout", "0"]
@@ -353,10 +364,12 @@ def test_catalog_export_unknown_question(capsys):
 
 
 def test_console_script_runs():
+    src = Path(kgaudit.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "kgaudit.cli", "catalog", "validate"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0
     assert "OK" in proc.stdout

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import json
 import time
 
 import pytest
@@ -26,6 +27,7 @@ from kgaudit.client import (
 )
 from kgaudit.rdf import BlankNode, Graph, Iri, Triple, parse_ntriples
 from kgaudit.scoring import FailureKind
+from kgaudit.sparql import parse_query
 from kgaudit.transport import TranscriptTransport, TransportError
 
 from fractions import Fraction
@@ -62,9 +64,9 @@ class CountingTransport:
         self.inner = inner
         self.count = 0
 
-    def query(self, url, text, *, timeout, run=0):
+    def query(self, url, query, *, timeout, run=0):
         self.count += 1
-        return self.inner.query(url, text, timeout=timeout, run=run)
+        return self.inner.query(url, query, timeout=timeout, run=run)
 
     def run_timestamp(self, url, run):
         return self.inner.run_timestamp(url, run)
@@ -74,7 +76,7 @@ class FailingTransport:
     def __init__(self, kind: str):
         self.kind = kind
 
-    def query(self, url, text, *, timeout, run=0):
+    def query(self, url, query, *, timeout, run=0):
         raise TransportError(self.kind, "scripted failure")
 
 
@@ -85,8 +87,8 @@ class PartialTransport:
     def __init__(self, discovery_error: str | None = None):
         self.discovery_error = discovery_error
 
-    def query(self, url, text, *, timeout, run=0):
-        if "?endpointLink" in text:
+    def query(self, url, query, *, timeout, run=0):
+        if query.projection == ("kg",):
             if self.discovery_error:
                 raise TransportError(self.discovery_error, "scripted failure")
             return [{"kg": Iri("http://e.org/kg")}]
@@ -253,7 +255,7 @@ def test_evaluate_remote_error_kind():
 
 def test_evaluate_remote_rejects_bindings_answer():
     class Bindings:
-        def query(self, url, text, *, timeout, run=0):
+        def query(self, url, query, *, timeout, run=0):
             return []
 
     result = evaluate_remote(Bindings(), "http://t.example.org/", default_catalog(), FULL_KG)
@@ -457,6 +459,43 @@ def test_journal_refuses_garbage(tmp_path, config):
         run_campaign(journaled)
 
 
+def test_journal_redoes_a_run_cut_mid_append(tmp_path, monkeypatch, capsys, transcript):
+    from kgaudit import cli
+
+    journal = tmp_path / "journal.jsonl"
+    args = ["campaign", *ENDPOINTS, "--transcript", str(FIXTURES / "campaign.yaml"),
+            "--delay", "0", "--journal", str(journal)]
+    assert cli.main(args + ["--out", str(tmp_path / "uncut")]) == 0
+    recorded = journal.read_bytes()
+    journal.write_bytes(recorded[:-40])
+    cut = json.loads(recorded.splitlines()[-1])["record"]
+    one_run = CountingTransport(transcript)
+    audit_run(one_run, cut["endpoint"], cut["run"])
+
+    counting = CountingTransport(transcript)
+    monkeypatch.setattr(cli, "_transport", lambda args: counting)
+    capsys.readouterr()
+    assert cli.main(args + ["--out", str(tmp_path / "cut")]) == 0
+    assert "unterminated last line" in capsys.readouterr().err
+    assert counting.count == one_run.count > 0
+    for uncut in (tmp_path / "uncut").iterdir():
+        assert (tmp_path / "cut" / uncut.name).read_bytes() == uncut.read_bytes()
+    assert sorted(journal.read_bytes().splitlines()) == sorted(recorded.splitlines())
+
+
+def test_journal_rewrites_a_cut_header_but_refuses_other_text(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    Journal(str(path), default_catalog(), 3).load()
+    header = path.read_bytes()
+    path.write_bytes(header[:25])
+    assert Journal(str(path), default_catalog(), 3).load() == {}
+    assert path.read_bytes() == header
+    path.write_bytes(b"not a journal")
+    with pytest.raises(JournalError, match="not JSON"):
+        Journal(str(path), default_catalog(), 3).load()
+    assert path.read_bytes() == b"not a journal"
+
+
 def test_journal_refuses_other_campaign(tmp_path, config):
     journal_path = tmp_path / "journal.jsonl"
     journaled = CampaignConfig(**{**config.__dict__, "journal_path": str(journal_path)})
@@ -498,6 +537,6 @@ def test_journal_round_trips_errors(tmp_path):
 def test_throttled_transport_spaces_requests(transcript):
     throttled = ThrottledTransport(transcript, delay=0.05)
     start = time.monotonic()
-    throttled.query(FULL_ENDPOINT, "ASK {}", timeout=1.0, run=0)
-    throttled.query(FULL_ENDPOINT, "ASK {}", timeout=1.0, run=0)
+    throttled.query(FULL_ENDPOINT, parse_query("ASK {}"), timeout=1.0, run=0)
+    throttled.query(FULL_ENDPOINT, parse_query("ASK {}"), timeout=1.0, run=0)
     assert time.monotonic() - start >= 0.05

@@ -7,11 +7,16 @@ import http.server
 import json
 import threading
 from contextlib import contextmanager
+from dataclasses import replace
+from urllib.parse import parse_qs, urlsplit
 
 import pytest
 import requests
 
+from kgaudit.catalog import default_catalog, expand_extended
+from kgaudit.client import DISCOVERY_QUERY, FETCH_QUERY
 from kgaudit.rdf import BlankNode, Iri, Literal
+from kgaudit.sparql import format_query, parse_query, substitute
 from kgaudit.transport import (
     HttpTransport,
     TranscriptTransport,
@@ -20,6 +25,9 @@ from kgaudit.transport import (
 )
 
 from helpers import FIXTURES
+
+
+ASK_ALL = parse_query("ASK {}")
 
 
 def ask_body(value: bool) -> str:
@@ -124,7 +132,7 @@ class ScriptedSession:
 def test_http_get_success():
     session = ScriptedSession([FakeResponse(200, ask_body(True))])
     transport = HttpTransport(session=session)
-    assert transport.query("http://e.org/sparql", "ASK {}", timeout=1.0) is True
+    assert transport.query("http://e.org/sparql", ASK_ALL, timeout=1.0) is True
     assert session.calls == ["get"]
 
 
@@ -132,7 +140,7 @@ def test_http_get_success():
 def test_http_falls_back_to_post(status):
     session = ScriptedSession([FakeResponse(status), FakeResponse(200, ask_body(False))])
     transport = HttpTransport(session=session)
-    assert transport.query("http://e.org/sparql", "ASK {}", timeout=1.0) is False
+    assert transport.query("http://e.org/sparql", ASK_ALL, timeout=1.0) is False
     assert session.calls == ["get", "post"]
 
 
@@ -141,7 +149,7 @@ def test_http_retries_server_errors_then_succeeds():
         [FakeResponse(500), FakeResponse(503), FakeResponse(200, ask_body(True))]
     )
     transport = HttpTransport(retries=2, session=session)
-    assert transport.query("http://e.org/sparql", "ASK {}", timeout=1.0) is True
+    assert transport.query("http://e.org/sparql", ASK_ALL, timeout=1.0) is True
     assert session.calls == ["get", "get", "get"]
 
 
@@ -149,7 +157,7 @@ def test_http_retry_budget_exhausted():
     session = ScriptedSession([FakeResponse(500), FakeResponse(500)])
     transport = HttpTransport(retries=1, session=session)
     with pytest.raises(TransportError) as err:
-        transport.query("http://e.org/sparql", "ASK {}", timeout=1.0)
+        transport.query("http://e.org/sparql", ASK_ALL, timeout=1.0)
     assert err.value.kind == "http"
     assert err.value.retryable
     assert session.calls == ["get", "get"]
@@ -158,14 +166,14 @@ def test_http_retry_budget_exhausted():
 def test_http_429_is_retried():
     session = ScriptedSession([FakeResponse(429), FakeResponse(200, ask_body(True))])
     transport = HttpTransport(retries=1, session=session)
-    assert transport.query("http://e.org/sparql", "ASK {}", timeout=1.0) is True
+    assert transport.query("http://e.org/sparql", ASK_ALL, timeout=1.0) is True
 
 
 def test_http_timeout_is_not_retried():
     session = ScriptedSession([requests.Timeout("too slow"), FakeResponse(200, ask_body(True))])
     transport = HttpTransport(retries=3, session=session)
     with pytest.raises(TransportError) as err:
-        transport.query("http://e.org/sparql", "ASK {}", timeout=1.0)
+        transport.query("http://e.org/sparql", ASK_ALL, timeout=1.0)
     assert err.value.kind == "timeout"
     assert session.calls == ["get"]
 
@@ -175,7 +183,7 @@ def test_http_connection_error_is_retried():
         [requests.ConnectionError("refused"), FakeResponse(200, ask_body(True))]
     )
     transport = HttpTransport(retries=1, session=session)
-    assert transport.query("http://e.org/sparql", "ASK {}", timeout=1.0) is True
+    assert transport.query("http://e.org/sparql", ASK_ALL, timeout=1.0) is True
     assert session.calls == ["get", "get"]
 
 
@@ -183,7 +191,7 @@ def test_http_client_error_is_not_retried():
     session = ScriptedSession([FakeResponse(404)])
     transport = HttpTransport(retries=3, session=session)
     with pytest.raises(TransportError) as err:
-        transport.query("http://e.org/sparql", "ASK {}", timeout=1.0)
+        transport.query("http://e.org/sparql", ASK_ALL, timeout=1.0)
     assert err.value.kind == "http"
     assert not err.value.retryable
     assert session.calls == ["get"]
@@ -224,7 +232,7 @@ def test_http_round_trip_over_localhost():
             self.reply(200, ask_body(True))
 
     with local_server(Handler) as url:
-        assert HttpTransport().query(url, "ASK {}", timeout=5.0) is True
+        assert HttpTransport().query(url, ASK_ALL, timeout=5.0) is True
 
 
 def test_http_malformed_body_over_localhost():
@@ -234,7 +242,7 @@ def test_http_malformed_body_over_localhost():
 
     with local_server(Handler) as url:
         with pytest.raises(TransportError) as err:
-            HttpTransport().query(url, "ASK {}", timeout=5.0)
+            HttpTransport().query(url, ASK_ALL, timeout=5.0)
         assert err.value.kind == "malformed"
 
 
@@ -251,25 +259,25 @@ def transcript() -> TranscriptTransport:
 
 
 def test_transcript_ask(transcript):
-    text = "ASK { <http://example.org/kg/full> ?p ?o . }"
-    assert transcript.query(ENDPOINT, text, timeout=1.0, run=0) is True
+    query = parse_query("ASK { <http://example.org/kg/full> ?p ?o . }")
+    assert transcript.query(ENDPOINT, query, timeout=1.0, run=0) is True
 
 
 def test_transcript_unavailable_run(transcript):
     with pytest.raises(TransportError) as err:
-        transcript.query(ENDPOINT, "ASK {}", timeout=1.0, run=1)
+        transcript.query(ENDPOINT, ASK_ALL, timeout=1.0, run=1)
     assert err.value.kind == "connection"
 
 
 def test_transcript_run_index_clamps(transcript):
     # run 7 does not exist; the last recorded run answers
-    assert transcript.query(ENDPOINT, "ASK {}", timeout=1.0, run=7) is True
+    assert transcript.query(ENDPOINT, ASK_ALL, timeout=1.0, run=7) is True
     assert transcript.run_timestamp(ENDPOINT, 7) == "2024-05-03T10:00:00Z"
 
 
 def test_transcript_unknown_endpoint(transcript):
     with pytest.raises(TransportError) as err:
-        transcript.query("http://nowhere.example.org/", "ASK {}", timeout=1.0)
+        transcript.query("http://nowhere.example.org/", ASK_ALL, timeout=1.0)
     assert err.value.kind == "connection"
     assert transcript.run_timestamp("http://nowhere.example.org/", 0) is None
 
@@ -280,19 +288,13 @@ def test_transcript_timestamps(transcript):
 
 
 def test_transcript_select_with_modifiers(transcript):
-    base = "SELECT ?p ?o WHERE { <http://example.org/kg/full> ?p ?o . } ORDER BY ?p ?o"
+    base = parse_query("SELECT ?p ?o WHERE { <http://example.org/kg/full> ?p ?o . }")
     everything = transcript.query(ENDPOINT, base, timeout=1.0, run=0)
-    page = transcript.query(ENDPOINT, base + " LIMIT 5 OFFSET 5", timeout=1.0, run=0)
+    page = transcript.query(ENDPOINT, replace(base, limit=5, offset=5), timeout=1.0, run=0)
     assert len(page) == 5
     assert page == everything[5:10]
-    beyond = transcript.query(ENDPOINT, base + " LIMIT 5 OFFSET 9999", timeout=1.0, run=0)
-    assert beyond == []
-
-
-def test_transcript_rejects_queries_it_cannot_answer(transcript):
-    with pytest.raises(TransportError) as err:
-        transcript.query(ENDPOINT, "DESCRIBE <http://example.org/kg/full>", timeout=1.0)
-    assert err.value.kind == "malformed"
+    beyond = replace(base, limit=5, offset=9999)
+    assert transcript.query(ENDPOINT, beyond, timeout=1.0, run=0) == []
 
 
 def test_transcript_validation_errors(tmp_path):
@@ -314,3 +316,46 @@ def test_transcript_validation_errors(tmp_path):
     )
     with pytest.raises(ValueError, match="run 0"):
         TranscriptTransport(str(bad_data))
+
+
+# ---------------------------------------------------------------------------
+# The text on the wire
+
+
+def wire_queries() -> list:
+    """Every query a campaign or a remote evaluation sends, filled in."""
+    catalog = default_catalog()
+    kg = Iri("http://example.org/kg/full")
+    queries = [
+        substitute(expand_extended(cq.query, catalog.rules), {"kg": kg})
+        for _, cq in catalog.queries()
+    ]
+    endpoint = {"endpointIri": Iri(ENDPOINT), "endpointLiteral": Literal(ENDPOINT)}
+    return queries + [substitute(DISCOVERY_QUERY, endpoint), substitute(FETCH_QUERY, {"kg": kg})]
+
+
+def test_wire_text_parses_back_to_the_query():
+    queries = wire_queries()
+    assert len(queries) == 35
+    for query in queries:
+        assert parse_query(format_query(query)) == query
+
+
+def test_paged_fetch_wire_text():
+    query = substitute(FETCH_QUERY, {"kg": Iri("http://example.org/kg/full")})
+    text = format_query(replace(query, limit=7, offset=14))
+    assert text.endswith("\nORDER BY ?o ?o2 ?p ?p2 ?s LIMIT 7 OFFSET 14\n")
+
+
+def test_http_sends_the_formatted_query():
+    received = []
+
+    class Handler(_Quiet):
+        def do_GET(self):
+            received.extend(parse_qs(urlsplit(self.path).query)["query"])
+            self.reply(200, ask_body(True))
+
+    query = wire_queries()[0]
+    with local_server(Handler) as url:
+        assert HttpTransport().query(url, query, timeout=5.0) is True
+    assert received == [format_query(query)]
