@@ -110,6 +110,12 @@ class Catalog:
     root: HierarchyNode
     rules: tuple[EquivalenceRule, ...]
     prefixes: Mapping[str, str] = field(default_factory=dict)
+    # The vocabulary-expanded query of each query id, filled on first use
+    # by the remote route (``client.evaluate_remote``).  The catalog never
+    # changes, so the expansions never go stale.
+    expanded: dict[str, Query] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def steps(self) -> tuple[HierarchyNode, ...]:
         return self.root.children

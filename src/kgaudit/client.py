@@ -226,9 +226,10 @@ def evaluate_remote(
     run: int = 0,
 ) -> DatasetResult:
     """Score a dataset by asking the endpoint the expanded queries."""
+    expanded = _expanded_queries(catalog)
     outcomes = []
     for _, cq in catalog.queries():
-        query = substitute(expand_extended(cq.query, catalog.rules), {"kg": dataset})
+        query = substitute(expanded[cq.id], {"kg": dataset})
         try:
             answer = transport.query(url, query, timeout=timeout, run=run)
             if not isinstance(answer, bool):
@@ -240,6 +241,16 @@ def evaluate_remote(
             kind = FailureKind.TIMEOUT if exc.kind == "timeout" else FailureKind.REMOTE_ERROR
             outcomes.append(QueryOutcome(cq.id, False, kind))
     return build_result(catalog, dataset.value, outcomes)
+
+
+def _expanded_queries(catalog: Catalog) -> dict[str, Query]:
+    """The catalog's expanded queries by id, expanded once per catalog."""
+    if not catalog.expanded:
+        expanded = {
+            cq.id: expand_extended(cq.query, catalog.rules) for _, cq in catalog.queries()
+        }
+        catalog.expanded.update(expanded)  # one step, so no thread sees half
+    return catalog.expanded
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +323,23 @@ def merge_runs(runs: Iterable[EndpointRun]) -> dict[str, dict[str, Graph]]:
     return merged
 
 
+# Results by dataset and triple count, each beside the graph it scored.
+ScoreMemo = dict[tuple[str, int], list[tuple[Graph, DatasetResult]]]
+
+
 def evaluate_merged(
     catalog: Catalog,
     merged: Mapping[str, Mapping[str, Graph]],
     endpoints: Sequence[str],
+    *,
+    memo: ScoreMemo | None = None,
 ) -> dict[str, list[DatasetResult]]:
-    """Score every dataset; endpoints with nothing auditable get a zero row."""
+    """Score every dataset; endpoints with nothing auditable get a zero row.
+
+    Results are kept in ``memo`` by dataset and triples; a caller that
+    scores more graphs afterwards passes the same dict to reuse them.
+    """
+    memo = {} if memo is None else memo
     results: dict[str, list[DatasetResult]] = {}
     for endpoint in endpoints:
         graphs = merged.get(endpoint, {})
@@ -325,10 +347,23 @@ def evaluate_merged(
             results[endpoint] = [not_evaluated_result(catalog, endpoint)]
             continue
         results[endpoint] = [
-            evaluate_graph(catalog, graph, Iri(dataset))
+            _evaluate_once(catalog, memo, dataset, graph)
             for dataset, graph in sorted(graphs.items())
         ]
     return results
+
+
+def _evaluate_once(
+    catalog: Catalog, memo: ScoreMemo, dataset: str, graph: Graph
+) -> DatasetResult:
+    """``evaluate_graph``, run once per distinct dataset and triple set."""
+    scored = memo.setdefault((dataset, len(graph)), [])
+    for seen, result in scored:
+        if seen == graph:
+            return result
+    result = evaluate_graph(catalog, graph, Iri(dataset))
+    scored.append((graph, result))
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +549,11 @@ def run_campaign(config: CampaignConfig) -> Report:
                 all_runs.extend(runs)
     all_runs.sort(key=lambda er: (er.endpoint, er.run))
 
+    # A run that served exactly the merged graph, or the same graph as an
+    # earlier run, reuses that score.
+    memo: ScoreMemo = {}
     merged = merge_runs(all_runs)
-    results = evaluate_merged(catalog, merged, endpoints)
+    results = evaluate_merged(catalog, merged, endpoints, memo=memo)
     timestamps = [er.timestamp for er in all_runs if er.timestamp]
     generated_at = max(timestamps) if timestamps else utcnow()
     records = tuple(
@@ -525,7 +563,7 @@ def run_campaign(config: CampaignConfig) -> Report:
             timestamp=er.timestamp,
             available=er.available,
             scores=tuple(
-                (dataset, evaluate_graph(catalog, graph, Iri(dataset)).score)
+                (dataset, _evaluate_once(catalog, memo, dataset, graph).score)
                 for dataset, graph in sorted(er.datasets.items())
             ),
             errors=er.errors,

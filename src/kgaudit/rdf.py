@@ -6,6 +6,12 @@ predicate indexes.  Graphs are mutated while a single owner loads them and
 are treated as read-only afterwards; every helper that combines graphs
 builds a new one.
 
+The N-Triples reader matches each statement line against one compiled
+regular expression built from the RDF 1.1 N-Triples productions, so a
+line is either a whole valid statement or rejected with its line number.
+Terms are interned per parse: each distinct spelling is built, and
+validated, once.
+
 The Turtle reader covers the subset needed for hand-written metadata
 fixtures: prefix declarations, prefixed names, ``a``, predicate and object
 lists, and quoted literals with an optional datatype or language tag.
@@ -27,6 +33,9 @@ XSD_STRING = XSD + "string"
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 _LANGTAG_RE = re.compile(r"^[A-Za-z]+(-[A-Za-z0-9]+)*$")
 _BLANK_LABEL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.\-]*$")
+# Characters no IRI may hold: the controls, space and the IRIREF
+# exclusions, plus surrogates, which are not characters at all.
+_IRI_FORBIDDEN_RE = re.compile(r'[\x00-\x20<>"{}|^`\\\ud800-\udfff]')
 
 
 class ParseError(ValueError):
@@ -52,7 +61,7 @@ class Iri:
     def __post_init__(self) -> None:
         if not _SCHEME_RE.match(self.value):
             raise ValueError(f"IRI is not absolute: {self.value!r}")
-        if any(c in self.value for c in ' <>"{}|^`') or "\\" in self.value:
+        if _IRI_FORBIDDEN_RE.search(self.value):
             raise ValueError(f"IRI contains a forbidden character: {self.value!r}")
 
     def __repr__(self) -> str:
@@ -245,6 +254,14 @@ def _escape_literal(text: str) -> str:
     return "".join(_ECHAR_ENCODE.get(c, c) for c in text)
 
 
+def _code_point(digits: str) -> str:
+    """The character a ``\\u`` or ``\\U`` escape names."""
+    code = int(digits, 16)
+    if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+        raise ValueError(f"escape names no Unicode character: U+{code:04X}")
+    return chr(code)
+
+
 class _Scanner:
     """Character cursor over one logical chunk of input."""
 
@@ -358,7 +375,10 @@ class _Scanner:
             if len(digits) != width or any(d not in "0123456789abcdefABCDEF" for d in digits):
                 raise self.error(f"invalid \\{c} escape")
             self.pos += width
-            return chr(int(digits, 16))
+            try:
+                return _code_point(digits)
+            except ValueError as exc:
+                raise self.error(str(exc)) from None
         if allow_echar and c in _ECHAR_DECODE:
             return _ECHAR_DECODE[c]
         raise self.error(f"invalid escape sequence \\{c}")
@@ -368,52 +388,89 @@ class _Scanner:
 # N-Triples
 
 
+# One statement line, from the RDF 1.1 N-Triples productions.  Escapes
+# are checked here and decoded later, only in tokens that hold one.  Blank
+# node labels keep to the ASCII letters, digits, '_', '-' and inner '.'
+# that BlankNode accepts.
+_NT_IRIREF = (
+    r'<[^\x00-\x20<>"{}|^`\\]*'
+    r'(?:\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})[^\x00-\x20<>"{}|^`\\]*)*>'
+)
+_NT_BLANK = r"_:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?"
+_NT_LITERAL = (
+    r'"([^"\\\n\r]*(?:\\(?:[tbnrf"\'\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})[^"\\\n\r]*)*)"'
+    rf"(?:@([A-Za-z]+(?:-[A-Za-z0-9]+)*)|\^\^({_NT_IRIREF}))?"
+)
+_NT_STATEMENT = re.compile(
+    rf"({_NT_IRIREF}|{_NT_BLANK})[ \t]*({_NT_IRIREF})[ \t]*"
+    rf"({_NT_IRIREF}|{_NT_BLANK}|{_NT_LITERAL})[ \t]*\.[ \t]*(?:#.*)?"
+)
+_ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
+
+
+def _decode_escape(match: re.Match) -> str:
+    short, long, char = match.groups()
+    return _ECHAR_DECODE[char] if char is not None else _code_point(short or long)
+
+
+def _unescape(token: str) -> str:
+    return _ESCAPE_RE.sub(_decode_escape, token) if "\\" in token else token
+
+
 def parse_ntriples(text: str) -> Graph:
-    """Parse N-Triples; raises ParseError with the line number on bad input."""
+    """Parse N-Triples; raises ParseError with the line number on bad input.
+
+    Each statement line must match ``_NT_STATEMENT`` as a whole; a line it
+    rejects raises ParseError quoting the line.  Terms are interned by
+    their spelling, so the graph holds one object per distinct term, and
+    each distinct term goes through its validating constructor once: an
+    escape that names no character, or a term its class refuses (such as
+    a relative IRI), raises ParseError for the line it first appears on.
+    """
     g = Graph()
+    terms: dict[str, Term] = {}
+    statement = _NT_STATEMENT.fullmatch
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        sc = _Scanner(line, lineno)
-        subject = _nt_subject(sc)
-        sc.skip_ws()
-        predicate = sc.read_iriref()
-        sc.skip_ws()
-        obj = _nt_object(sc)
-        sc.skip_ws()
-        sc.expect(".")
-        sc.skip_ws()
-        if not sc.at_end():
-            raise sc.error(f"trailing content after '.': {sc.text[sc.pos:]!r}")
+        match = statement(line)
+        if match is None:
+            raise ParseError(f"malformed N-Triples statement: {line!r}", lineno)
+        s, p, o, lexical, language, datatype = match.groups()
+        subject = terms[s] if s in terms else _nt_term(terms, lineno, s)
+        predicate = terms[p] if p in terms else _nt_term(terms, lineno, p)
+        if o in terms:
+            obj = terms[o]
+        else:
+            obj = _nt_term(terms, lineno, o, lexical, language, datatype)
         g.add(Triple(subject, predicate, obj))
     return g
 
 
-def _nt_subject(sc: _Scanner) -> Term:
-    sc.skip_ws()
-    if sc.peek() == "<":
-        return sc.read_iriref()
-    if sc.peek() == "_":
-        return sc.read_blank()
-    raise sc.error(f"expected IRI or blank node subject, found {sc.peek()!r}")
-
-
-def _nt_object(sc: _Scanner) -> Term:
-    c = sc.peek()
-    if c == "<":
-        return sc.read_iriref()
-    if c == "_":
-        return sc.read_blank()
-    if c == '"':
-        body = sc.read_string_body()
-        if sc.peek() == "@":
-            return Literal(body, language=sc.read_langtag())
-        if sc.text.startswith("^^", sc.pos):
-            sc.pos += 2
-            return Literal(body, datatype=sc.read_iriref().value)
-        return Literal(body)
-    raise sc.error(f"expected IRI, blank node or literal object, found {c!r}")
+def _nt_term(
+    terms: dict[str, Term],
+    lineno: int,
+    token: str,
+    lexical: str | None = None,
+    language: str | None = None,
+    datatype: str | None = None,
+) -> Term:
+    """Build, validate and intern the term a matched token spells."""
+    try:
+        if token[0] == "<":
+            term: Term = Iri(_unescape(token[1:-1]))
+        elif token[0] == "_":
+            term = BlankNode(token[2:])
+        else:
+            if datatype is not None:
+                dt = terms[datatype] if datatype in terms else _nt_term(terms, lineno, datatype)
+                datatype = dt.value
+            term = Literal(_unescape(lexical), datatype, language)
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno) from None
+    terms[token] = term
+    return term
 
 
 def serialize_ntriples(g: Graph) -> str:

@@ -5,7 +5,11 @@ canonical predicates the compact queries ask for, so a compact ASK over
 the saturated graph answers exactly like the expanded UNION query over
 the raw graph.  The loop is semi-naive: the first pass joins every rule
 source against the whole graph, later passes only consider joins that
-touch at least one triple derived in the previous pass.
+touch at least one triple derived in the previous pass.  Each source
+pattern in turn is bound to those new triples, and the delta graph's
+subject and predicate indexes hand it only the ones that carry its
+constant subject, predicate and object; a pattern with no constant sees
+them all.
 
 Rule targets never invent terms (every target variable is bound by the
 source), so saturation always terminates on finite graphs.  The pass cap
@@ -55,7 +59,7 @@ def saturate(
     """
     work = graph.copy()
     firings = {rule.id: 0 for rule in rules}
-    delta: list[Triple] = list(work)
+    delta = graph  # everything is new to the first pass
     passes = 0
     while delta:
         if passes >= cap:
@@ -76,14 +80,14 @@ def saturate(
                         added += 1
                 if added:
                     firings[rule.id] += 1
-        delta = list(fresh)
+        delta = fresh
         work.update(fresh)
     trace = SaturationTrace(len(graph), len(work), passes, firings)
     return work, trace
 
 
 def _rule_solutions(
-    work: Graph, rule: EquivalenceRule, delta: list[Triple], first: bool
+    work: Graph, rule: EquivalenceRule, delta: Graph, first: bool
 ) -> Iterable[Solution]:
     if first:
         yield from eval_bgp(work, rule.source)
@@ -93,7 +97,7 @@ def _rule_solutions(
     seen: set[Solution] = set()
     for index, tp in enumerate(rule.source):
         rest = rule.source[:index] + rule.source[index + 1 :]
-        for triple in delta:
+        for triple in delta.match(*map(_constant, tp.positions())):
             seed = _match_triple(tp, triple)
             if seed is None:
                 continue
@@ -101,6 +105,10 @@ def _rule_solutions(
                 if solution not in seen:
                     seen.add(solution)
                     yield solution
+
+
+def _constant(pos: Term | Variable) -> Term | None:
+    return None if isinstance(pos, Variable) else pos
 
 
 def _match_triple(tp: TriplePattern, triple: Triple) -> dict[str, Term] | None:

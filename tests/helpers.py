@@ -39,7 +39,20 @@ _DATATYPES = [
     "http://www.w3.org/2001/XMLSchema#date",
 ]
 _LANGS = ["en", "fr", "en-GB"]
-_LEXICALS = ["alpha", "beta with space", 'quo"te', "tab\there", "new\nline", "42", "", "\\slash"]
+_LEXICALS = [
+    "alpha",
+    "beta with space",
+    'quo"te',
+    "tab\there",
+    "new\nline",
+    "42",
+    "",
+    "\\slash",
+    "Élan, Grüße, 東京 \U0001F600",
+    "cr\rff\fbs\b mixed \\\" '",
+    "ends in a backslash \\",
+    "\\u0041 is not an escape here",
+]
 
 
 def random_iri(rng: random.Random) -> Iri:

@@ -9,8 +9,8 @@ import time
 import pytest
 import yaml
 
-from kgaudit import reporting
-from kgaudit.catalog import default_catalog
+from kgaudit import client, reporting
+from kgaudit.catalog import default_catalog, dump_catalog, parse_catalog
 from kgaudit.client import (
     CampaignConfig,
     EndpointRun,
@@ -262,6 +262,23 @@ def test_evaluate_remote_rejects_bindings_answer():
     assert all(o.failure is FailureKind.REMOTE_ERROR for o in result.outcomes)
 
 
+def test_evaluate_remote_expands_each_query_once_per_catalog(transcript, monkeypatch):
+    catalog = parse_catalog(dump_catalog(default_catalog()))
+    expanded = []
+    real = client.expand_extended
+
+    def counting(query, rules):
+        expanded.append(query)
+        return real(query, rules)
+
+    monkeypatch.setattr(client, "expand_extended", counting)
+    first = evaluate_remote(transcript, FULL_ENDPOINT, catalog, FULL_KG)
+    second = evaluate_remote(transcript, SPARSE_ENDPOINT, catalog, Iri("http://example.org/kg/sparse"))
+    assert len(expanded) == len(list(catalog.queries()))
+    assert first.score == 1
+    assert second.score == Fraction(1, 30)
+
+
 # ---------------------------------------------------------------------------
 # runs and merging
 
@@ -392,6 +409,25 @@ def test_campaign_retains_run_records(config):
     )
     assert not by_key[(DEAD_ENDPOINT, 0)].available
     assert all(rr.errors == () for rr in report.runs)
+
+
+def test_campaign_scores_each_distinct_graph_once(config, monkeypatch):
+    scored = []
+    real = client.evaluate_graph
+
+    def counting(catalog, graph, dataset, **kwargs):
+        scored.append((dataset.value, frozenset(graph)))
+        return real(catalog, graph, dataset, **kwargs)
+
+    monkeypatch.setattr(client, "evaluate_graph", counting)
+    report = run_campaign(config)
+    assert len(scored) == len(set(scored))
+    for rr in report.runs:
+        er = audit_run(config.transport, rr.endpoint, rr.run)
+        assert rr.scores == tuple(
+            (dataset, real(config.catalog, graph, Iri(dataset)).score)
+            for dataset, graph in sorted(er.datasets.items())
+        )
 
 
 def test_campaign_requires_a_run(config):

@@ -49,6 +49,12 @@ def test_iri_must_be_absolute() -> None:
         Iri("no scheme at all")
 
 
+@pytest.mark.parametrize("char", ["\x00", "\t", "\n", "\r", "\x1f", " ", "\ud800"])
+def test_iri_rejects_controls_space_and_surrogates(char: str) -> None:
+    with pytest.raises(ValueError):
+        Iri(f"http://example.org/x{char}y")
+
+
 def test_triple_shape_invariants() -> None:
     iri = Iri("http://example.org/s")
     with pytest.raises(ValueError):
@@ -164,11 +170,88 @@ def test_ntriples_error_carries_line_number() -> None:
         '"literal" <http://example.org/p> <http://example.org/o> .',
         "<http://example.org/s> <http://example.org/p> <http://example.org/o> . extra",
         "<relative> <http://example.org/p> <http://example.org/o> .",
+        '<http://example.org/s> <http://example.org/p> "x"@en- .',
+        '<http://example.org/s> <http://example.org/p> "x"@1a .',
+        '<http://example.org/s> <http://example.org/p> "short \\u12 escape" .',
+        "<http://example.org/a b> <http://example.org/p> <http://example.org/o> .",
+        "<http://example.org/a\\nb> <http://example.org/p> <http://example.org/o> .",
+        "<http://example.org/a\tb> <http://example.org/p> <http://example.org/o> .",
+        '<http://example.org/s> <http://example.org/p> "out of range \\U00110000" .',
+        '<http://example.org/s> <http://example.org/p> "surrogate \\uD800" .',
+        "<http://example.org/s\\uDFFF> <http://example.org/p> <http://example.org/o> .",
     ],
 )
 def test_ntriples_rejects_malformed_lines(line: str) -> None:
-    with pytest.raises(ParseError):
-        parse_ntriples(line)
+    text = '<http://example.org/s> <http://example.org/p> "ok" .\n# a comment\n\n' + line
+    with pytest.raises(ParseError) as err:
+        parse_ntriples(text)
+    assert err.value.line == 4
+
+
+_S = Iri("http://example.org/s")
+_P = Iri("http://example.org/p")
+
+
+@pytest.mark.parametrize(
+    ("text", "expected"),
+    [
+        (
+            '<http://example.org/s> <http://example.org/p> "caf\\u00E9 \\U0001F600" .',
+            Triple(_S, _P, Literal("café \U0001F600")),
+        ),
+        (
+            "<http://example.org/\\u00E9t\\U000000C9> <http://example.org/p> <http://example.org/o> .",
+            Triple(Iri("http://example.org/étÉ"), _P, Iri("http://example.org/o")),
+        ),
+        (
+            '<http://example.org/s> <http://example.org/p> "Grüße, 東京 \U0001F600"@de .',
+            Triple(_S, _P, Literal("Grüße, 東京 \U0001F600", language="de")),
+        ),
+        (
+            "<http://example.org/ünï> <http://example.org/p> _:a.b .",
+            Triple(Iri("http://example.org/ünï"), _P, BlankNode("a.b")),
+        ),
+        ("_:a.b <http://example.org/p> _:c .", Triple(BlankNode("a.b"), _P, BlankNode("c"))),
+        ("_:s <http://example.org/p> _:o.", Triple(BlankNode("s"), _P, BlankNode("o"))),
+        (
+            "<http://example.org/s><http://example.org/p><http://example.org/o>.",
+            Triple(_S, _P, Iri("http://example.org/o")),
+        ),
+        (
+            '<http://example.org/s> <http://example.org/p> "x"@en-GB . # a trailing comment',
+            Triple(_S, _P, Literal("x", language="en-GB")),
+        ),
+        (
+            '<http://example.org/s> <http://example.org/p> "x"'
+            "^^<http://www.w3.org/2001/XMLSchema#string> .",
+            Triple(_S, _P, Literal("x")),
+        ),
+        (
+            '<http://example.org/s> <http://example.org/p> "\\t\\b\\n\\r\\f\\"\\\'\\\\" .',
+            Triple(_S, _P, Literal("\t\b\n\r\f\"'\\")),
+        ),
+    ],
+)
+def test_ntriples_reads_each_term_form(text: str, expected: Triple) -> None:
+    assert list(parse_ntriples(text)) == [expected]
+
+
+def test_ntriples_interns_terms_within_a_parse() -> None:
+    g = parse_ntriples(
+        '<http://example.org/s> <http://example.org/p> "v" .\n'
+        '<http://example.org/s> <http://example.org/q> "v" .\n'
+    )
+    first, second = list(g)
+    assert first.subject is second.subject
+    assert first.object is second.object
+
+
+@pytest.mark.parametrize("escape", ["\\U00110000", "\\uD800", "\\uDC00"])
+def test_turtle_rejects_escapes_that_name_no_character(escape: str) -> None:
+    text = f'<http://e.org/s> <http://e.org/p> "ok" .\n<http://e.org/s> <http://e.org/p> "x{escape}" .\n'
+    with pytest.raises(ParseError) as err:
+        parse_turtle(text)
+    assert err.value.line == 2
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from kgaudit.catalog import EquivalenceRule, default_catalog, expand_extended
-from kgaudit.rdf import Graph, Iri, Literal, Triple, parse_ntriples
+from kgaudit.rdf import BlankNode, Graph, Iri, Literal, Triple, parse_ntriples
 from kgaudit.saturation import SaturationCapExceeded, saturate
 from kgaudit.sparql import eval_ask, parse_triple_patterns, substitute
 
@@ -130,12 +130,16 @@ def test_unsound_instantiations_are_skipped():
     assert Triple(Iri(EX + "y"), Iri(EX + "q"), Iri(EX + "x")) in sat
 
 
-def _naive_fixpoint(g: Graph, rules) -> Graph:
-    """Reference implementation: re-run every rule on the whole graph."""
+def _naive_fixpoint(g: Graph, rules) -> tuple[Graph, int]:
+    """Reference implementation: re-run every rule on the whole graph.
+
+    Also returns the number of rounds that derived something.
+    """
     from kgaudit.sparql import eval_bgp
     from kgaudit.saturation import _instantiate
 
     work = g.copy()
+    rounds = 0
     while True:
         additions = []
         for rule in rules:
@@ -145,8 +149,14 @@ def _naive_fixpoint(g: Graph, rules) -> Graph:
                     if triple is not None and triple not in work:
                         additions.append(triple)
         if not additions:
-            return work
+            return work, rounds
+        rounds += 1
         work.update(additions)
+
+
+def _expected_passes(g: Graph, rounds: int) -> int:
+    # one pass per deriving round, then one that finds nothing new
+    return rounds + 1 if len(g) else 0
 
 
 def test_matches_naive_fixpoint():
@@ -155,7 +165,42 @@ def test_matches_naive_fixpoint():
     rules = default_catalog().rules
     for _ in range(25):
         g = random_metadata_graph(rng, predicates, constants)
-        assert saturate(g, rules)[0] == _naive_fixpoint(g, rules)
+        sat, trace = saturate(g, rules)
+        expected, rounds = _naive_fixpoint(g, rules)
+        assert sat == expected
+        assert trace.passes == _expected_passes(g, rounds)
+
+
+def test_chained_and_variable_predicate_rules_match_naive_fixpoint():
+    # Later passes derive here, so the delta each pattern is bound to
+    # matters: a chain a -> b -> c -> d, and a rule whose source has a
+    # variable predicate that turns aliased predicates into their target.
+    rules = _rules(
+        (f"?s <{EX}a> ?o .", f"?s <{EX}b> ?o ."),
+        (f"?s <{EX}b> ?o .", f"?s <{EX}c> ?o ."),
+        (f"?s <{EX}c> ?o .", f"?s <{EX}d> ?o ."),
+        (f"?s ?p ?o . ?p <{EX}alias> ?q .", f"?s ?q ?o ."),
+    )
+    predicates = [Iri(EX + name) for name in ("a", "b", "c", "d", "q", "alias")]
+    nodes = [Iri(EX + f"n{i}") for i in range(3)] + [BlankNode("x")]
+    rng = random.Random(31337)
+    late_passes = alias_firings = 0
+    for _ in range(60):
+        g = Graph()
+        for _ in range(rng.randrange(1, 10)):
+            s = rng.choice(nodes + predicates)
+            p = rng.choice(predicates)
+            o = rng.choice(nodes + predicates + [Literal("v")])
+            g.add(Triple(s, p, o))
+        sat, trace = saturate(g, rules, cap=50)
+        expected, rounds = _naive_fixpoint(g, rules)
+        assert sat == expected
+        assert trace.passes == _expected_passes(g, rounds)
+        assert trace.derived == len(expected) - len(g)
+        late_passes += trace.passes >= 4
+        alias_firings += trace.firings["r3"]
+    assert late_passes >= 10
+    assert alias_firings > 0
 
 
 def test_compact_on_saturated_agrees_with_extended_on_raw():

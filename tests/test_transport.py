@@ -98,6 +98,15 @@ def test_decode_malformed(body):
     assert err.value.kind == "malformed"
 
 
+@pytest.mark.parametrize("value", ["http://e.org/a\tb", "http://e.org/a\nb", "http://e.org/\ud800"])
+def test_decode_rejects_uri_with_control_or_surrogate(value):
+    body = select_body({"s": {"type": "uri", "value": value}})
+    with pytest.raises(TransportError) as err:
+        decode_results(body)
+    assert err.value.kind == "malformed"
+    assert "?s" in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # HttpTransport against scripted sessions
 
