@@ -174,10 +174,20 @@ def default_catalog() -> Catalog:
 
 _DEFAULT: Catalog | None = None
 
+# libyaml's scanner and parser when this PyYAML was built with them, the
+# pure-Python ones otherwise.  Tags are resolved and objects built by
+# PyYAML's SafeConstructor either way, so both give equal documents.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def load_yaml(stream):
+    """Parse one YAML document (text or a text file) with the safe loader."""
+    return yaml.load(stream, Loader=YAML_LOADER)
+
 
 def parse_catalog(text: str, source: str = "<string>") -> Catalog:
     try:
-        doc = yaml.safe_load(text)
+        doc = load_yaml(text)
     except yaml.YAMLError as exc:
         raise CatalogError(f"{source}: not valid YAML: {exc}") from None
     if not isinstance(doc, dict):

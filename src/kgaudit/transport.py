@@ -6,13 +6,18 @@ ASK and a list of variable binding rows for SELECT.  Only the HTTP
 transport turns the query into SPARQL text, once per request.  Everything
 that can go wrong surfaces as a :class:`TransportError` with a coarse
 kind, so callers can score a timeout differently from a refused
-connection without touching HTTP internals.
+connection without touching HTTP internals.  ``requests`` is imported
+only when an :class:`HttpTransport` is built, so replays and local
+evaluation never load it.
 
 The transcript transport replays a recorded audit: a YAML file holds, per
 endpoint and per run, an availability flag, a timestamp and an N-Triples
-snapshot of what the endpoint would serve.  The package's own evaluator
-answers the client's queries directly, paging included, which makes
-campaign runs fully deterministic; ``run_timestamp`` hands out the
+snapshot of what the endpoint would serve.  It is read with the catalog's
+YAML loader (libyaml when present) and checked field by field: a file
+that is not YAML or holds a field of the wrong type is refused with a
+``ValueError`` naming the file, endpoint and run.  The package's own
+evaluator answers the client's queries directly, paging included, which
+makes campaign runs fully deterministic; ``run_timestamp`` hands out the
 recorded timestamps, where the live transport has none.
 """
 
@@ -20,13 +25,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
-import requests
 import yaml
 
+from .catalog import load_yaml
 from .rdf import BlankNode, Graph, Iri, Literal, ParseError, Term, parse_ntriples
 from .sparql import Query, eval_ask, eval_select, format_query
+
+if TYPE_CHECKING:
+    import requests
 
 ACCEPT = "application/sparql-results+json"
 USER_AGENT = "kgaudit/0.1 (+https://example.org/kgaudit)"
@@ -71,6 +79,8 @@ class HttpTransport:
     """
 
     def __init__(self, *, retries: int = 2, session: requests.Session | None = None):
+        import requests
+
         self.retries = retries
         self.session = session or requests.Session()
 
@@ -93,6 +103,8 @@ class HttpTransport:
         raise last
 
     def _attempt(self, url: str, text: str, timeout: float):
+        import requests
+
         headers = {"Accept": ACCEPT, "User-Agent": USER_AGENT}
         try:
             response = self.session.get(
@@ -191,39 +203,37 @@ class TranscriptTransport:
               - available: false
                 timestamp: "2024-05-02T10:00:00Z"
 
+    Each endpoint maps to a mapping whose ``runs`` is a non-empty list
+    of mappings.  In a run, ``available`` is a YAML boolean (default
+    true), ``timestamp`` a string (default empty; quote it, or YAML reads
+    a date) and ``data`` N-Triples text (default empty).  Anything else
+    raises ``ValueError``.
+
     A campaign asking for a run beyond the recorded ones gets the last
     recorded run.  Unavailable runs refuse queries with a connection
     error, exactly like a dead endpoint.
     """
 
     def __init__(self, path: str):
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = yaml.safe_load(handle)
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                doc = load_yaml(handle)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"{path}: not valid YAML: {exc}") from None
         self._endpoints: dict[str, list[TranscriptRun]] = {}
         if not isinstance(doc, dict) or not isinstance(doc.get("endpoints"), dict):
             raise ValueError(f"{path}: transcript needs an 'endpoints' mapping")
         for url, spec in doc["endpoints"].items():
+            where = f"{path}: endpoint {url}"
+            if spec is not None and not isinstance(spec, dict):
+                raise ValueError(f"{where}: expected a mapping, got {spec!r}")
             runs = (spec or {}).get("runs")
             if not isinstance(runs, list) or not runs:
-                raise ValueError(f"{path}: endpoint {url} needs a non-empty 'runs' list")
-            parsed = []
-            for index, entry in enumerate(runs):
-                entry = entry or {}
-                data = entry.get("data", "")
-                try:
-                    graph = parse_ntriples(data)
-                except ParseError as exc:
-                    raise ValueError(
-                        f"{path}: endpoint {url} run {index}: {exc}"
-                    ) from None
-                parsed.append(
-                    TranscriptRun(
-                        available=bool(entry.get("available", True)),
-                        timestamp=str(entry.get("timestamp", "")),
-                        graph=graph,
-                    )
-                )
-            self._endpoints[str(url)] = parsed
+                raise ValueError(f"{where} needs a non-empty 'runs' list")
+            self._endpoints[str(url)] = [
+                _transcript_run(entry, f"{where} run {index}")
+                for index, entry in enumerate(runs)
+            ]
 
     def _run(self, url: str, run: int) -> TranscriptRun:
         runs = self._endpoints.get(url)
@@ -246,3 +256,27 @@ class TranscriptTransport:
         if query.form == "ask":
             return eval_ask(entry.graph, query)
         return [dict(solution) for solution in eval_select(entry.graph, query)]
+
+
+def _transcript_run(entry: object, where: str) -> TranscriptRun:
+    """Check and parse one recorded run; an empty entry is an available run
+    with no timestamp that serves nothing."""
+    if entry is None:
+        entry = {}
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where}: expected a mapping, got {entry!r}")
+    available = _run_field(entry, "available", bool, True, where, "true or false")
+    timestamp = _run_field(entry, "timestamp", str, "", where, "a quoted string")
+    data = _run_field(entry, "data", str, "", where, "N-Triples text")
+    try:
+        graph = parse_ntriples(data)
+    except ParseError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    return TranscriptRun(available=available, timestamp=timestamp, graph=graph)
+
+
+def _run_field(entry: dict, key: str, kind: type, default, where: str, expected: str):
+    value = entry.get(key, default)
+    if not isinstance(value, kind):
+        raise ValueError(f"{where}: {key}: expected {expected}, got {value!r}")
+    return value

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -227,6 +228,14 @@ def test_campaign_requires_endpoints(capsys):
     assert "at least one endpoint" in capsys.readouterr().err
 
 
+def test_campaign_refuses_a_malformed_transcript(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text('endpoints:\n  "http://e.org/":\n    runs:\n      - available: "false"\n')
+    assert main(["campaign", "http://e.org/", "--transcript", str(bad), "--delay", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"kgaudit: {bad}: endpoint http://e.org/ run 0: available:")
+
+
 def test_campaign_requires_positive_runs(capsys):
     assert main(["campaign", ENDPOINTS[0], "--transcript", TRANSCRIPT, "--runs", "0"]) == 2
     assert "--runs" in capsys.readouterr().err
@@ -325,6 +334,18 @@ def test_catalog_validate_rejects_broken_file(tmp_path, capsys):
     assert "kgaudit:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pure", [False, True], ids=["picked-loader", "pure-python-loader"])
+def test_catalog_validate_rejects_malformed_yaml(tmp_path, capsys, monkeypatch, pure):
+    if pure:
+        monkeypatch.setattr("kgaudit.catalog.YAML_LOADER", yaml.SafeLoader)
+    bad = tmp_path / "malformed.yaml"
+    bad.write_text("version: '1.0'\nquestions: [unclosed\nrules: []\n")
+    assert main(["catalog", "validate", "--catalog", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert f"kgaudit: {bad}: not valid YAML" in err
+    assert re.search(r"line \d+, column \d+", err)
+
+
 def test_catalog_validate_rejects_unfetchable_rule(tmp_path, capsys):
     doc = yaml.safe_load(dump_catalog(default_catalog()))
     doc["rules"].append(THREE_HOP_RULE)
@@ -373,3 +394,26 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "OK" in proc.stdout
+
+
+def test_local_commands_do_not_import_requests(tmp_path):
+    # only a live HttpTransport needs requests; file scoring and transcript
+    # replays run without loading it
+    src = Path(kgaudit.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "from kgaudit.cli import main\n"
+        "codes = [main(['evaluate', '--file', sys.argv[1]]),\n"
+        "         main(['campaign', sys.argv[2], '--transcript', sys.argv[3],\n"
+        "               '--delay', '0', '--out', sys.argv[4]])]\n"
+        "print(codes, 'requests' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(FIXTURES / "accountable.nt"),
+         ENDPOINTS[0], TRANSCRIPT, str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False"

@@ -5,15 +5,18 @@ from __future__ import annotations
 
 import http.server
 import json
+import re
 import threading
 from contextlib import contextmanager
 from dataclasses import replace
+from importlib import resources
 from urllib.parse import parse_qs, urlsplit
 
 import pytest
 import requests
+import yaml
 
-from kgaudit.catalog import default_catalog, expand_extended
+from kgaudit.catalog import YAML_LOADER, default_catalog, expand_extended, load_yaml
 from kgaudit.client import DISCOVERY_QUERY, FETCH_QUERY
 from kgaudit.rdf import BlankNode, Iri, Literal
 from kgaudit.sparql import format_query, parse_query, substitute
@@ -325,6 +328,99 @@ def test_transcript_validation_errors(tmp_path):
     )
     with pytest.raises(ValueError, match="run 0"):
         TranscriptTransport(str(bad_data))
+
+    endpoint = 'endpoints:\n  "http://e.org/":\n'
+    two_runs = endpoint + "    runs:\n      - {}\n      - "
+    cases = [
+        ("endpoints: [unclosed\n", "not valid YAML: .*line 2"),
+        (endpoint.rstrip("\n") + " 7\n", "endpoint http://e.org/: expected a mapping, got 7"),
+        (endpoint + "    runs: [3]\n", "endpoint http://e.org/ run 0: expected a mapping, got 3"),
+        (two_runs + "{data: 5}\n", "endpoint http://e.org/ run 1: data: expected N-Triples text"),
+        (
+            two_runs + '{available: "false"}\n',
+            "run 1: available: expected true or false, got 'false'",
+        ),
+        (
+            two_runs + "{timestamp: 2024-05-01T10:00:00Z}\n",
+            "run 1: timestamp: expected a quoted string, got datetime",
+        ),
+    ]
+    for index, (text, message) in enumerate(cases):
+        path = tmp_path / f"case{index}.yaml"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"(?s)^{re.escape(str(path))}: .*{message}"):
+            TranscriptTransport(str(path))
+
+    # missing fields keep their defaults: available, no timestamp, no data
+    defaults = tmp_path / "defaults.yaml"
+    defaults.write_text(endpoint + "    runs:\n      - {}\n      -\n")
+    replay = TranscriptTransport(str(defaults))
+    for run in (0, 1):
+        assert replay.run_timestamp("http://e.org/", run) is None
+        assert replay.query("http://e.org/", ASK_ALL, timeout=1.0, run=run) is True
+
+
+# ---------------------------------------------------------------------------
+# The YAML loader
+
+# Escapes in YAML double-quoted scalars and in N-Triples, raw non-ASCII and
+# an astral character, in flow and block styles.
+ESCAPED_TRANSCRIPT = r'''endpoints:
+  "http://example.org/sparql/caf\u00e9":
+    runs:
+      - available: true
+        timestamp: "2024-05-01T10:00:00Z \t\u00e9\U0001F600"
+        data: "<http://example.org/kg> <http://purl.org/dc/terms/title> \"caf\\u00e9 \\\"q\\\" \\t\"@fr .\n"
+      - timestamp: '2024-05-02'
+        data: |
+          # comment: naïve
+          <http://example.org/kg> <http://purl.org/dc/terms/title> "naïve 😀 \u00e9\U0001F600\\n" .
+          <http://example.org/kg> <http://purl.org/dc/terms/creator> _:c .
+          _:c <http://xmlns.com/foaf/0.1/name> "Zoë"@de .
+      - available: false
+'''
+
+
+def test_libyaml_loader_is_picked_when_present():
+    if yaml.__with_libyaml__:
+        assert YAML_LOADER is yaml.CSafeLoader
+    else:
+        assert YAML_LOADER is yaml.SafeLoader
+
+
+def test_both_loaders_read_equal_documents():
+    default = resources.files("kgaudit").joinpath("data/default_catalog.yaml")
+    texts = [
+        (FIXTURES / "campaign.yaml").read_text("utf-8"),
+        default.read_text("utf-8"),
+        ESCAPED_TRANSCRIPT,
+    ]
+    for text in texts:
+        expected = yaml.load(text, Loader=yaml.SafeLoader)
+        assert load_yaml(text) == expected
+    assert "http://example.org/sparql/café" in expected["endpoints"]
+
+
+@pytest.mark.parametrize(
+    "path", [FIXTURES / "campaign.yaml", "escaped"], ids=["fixture", "escaped"]
+)
+def test_transcript_is_the_same_under_the_pure_python_loader(tmp_path, monkeypatch, path):
+    if path == "escaped":
+        path = tmp_path / "escaped.yaml"
+        path.write_text(ESCAPED_TRANSCRIPT, encoding="utf-8")
+    picked = TranscriptTransport(str(path))
+    streams = []
+
+    class PureLoader(yaml.SafeLoader):
+        def __init__(self, stream):
+            streams.append(stream)
+            super().__init__(stream)
+
+    monkeypatch.setattr("kgaudit.catalog.YAML_LOADER", PureLoader)
+    pure = TranscriptTransport(str(path))
+    assert len(streams) == 1
+    assert pure._endpoints == picked._endpoints
+    assert sum(len(run.graph) for runs in pure._endpoints.values() for run in runs) > 0
 
 
 # ---------------------------------------------------------------------------
