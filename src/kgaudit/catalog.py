@@ -10,12 +10,15 @@ weights, queries and rules without touching code.  ``load_catalog`` parses
 and validates; ``dump_catalog`` writes the same structure back out, and
 ``default_catalog`` loads the catalog bundled with the package.
 
-The same rules drive two interchangeable evaluation routes: graph
-saturation before running the compact query, or expansion of the compact
-query into a UNION of rewritten variants (``expand_extended``).  Expansion
-replaces, independently for every triple pattern of the compact BGP, the
-pattern by each rule source whose target unifies with it, and emits one
-UNION branch per combination, so the two routes agree on every graph.
+The same rules drive two interchangeable evaluation routes: one-step rule
+application to the published graph before running the compact query
+(``saturation.saturate``), or expansion of the compact query into a UNION
+of rewritten variants (``expand_extended``).  Expansion replaces,
+independently for every triple pattern of the compact BGP, the pattern by
+each rule source whose target unifies with it, and emits one UNION branch
+per combination.  Validation refuses the shapes unification would miss (a
+compact pattern with a variable predicate, a rule target other than
+``?s <p> ?o``), so the two routes agree on every graph.
 """
 
 from __future__ import annotations
@@ -401,6 +404,11 @@ def _check_query(question: Question, cq: CompactQuery) -> list[str]:
     )
     if not mentions_kg:
         problems.append(f"question '{question.id}' query {cq.id} never mentions ?kg")
+    if any(isinstance(tp.predicate, Variable) for tp in cq.query.pattern.patterns):
+        problems.append(
+            f"question '{question.id}' query {cq.id} has a variable predicate; "
+            "query expansion cannot match rule targets against it"
+        )
     return problems
 
 
@@ -439,6 +447,15 @@ def _check_rules(catalog: Catalog) -> list[str]:
                 problems.append(f"rule '{rule.id}' target predicate must be a constant IRI")
                 continue
             target_predicates.add(tp.predicate)
+            if not (
+                isinstance(tp.subject, Variable)
+                and isinstance(tp.object, Variable)
+                and tp.subject != tp.object
+            ):
+                problems.append(
+                    f"rule '{rule.id}' target must be '?s <p> ?o' with two distinct "
+                    "variables; query expansion cannot match any other shape"
+                )
             for pos in tp.positions():
                 if isinstance(pos, Variable) and pos.name not in source_vars:
                     problems.append(
@@ -459,7 +476,8 @@ def _check_rules(catalog: Catalog) -> list[str]:
             if isinstance(tp.predicate, Iri) and tp.predicate in target_predicates:
                 problems.append(
                     f"rule '{rule.id}' source uses <{tp.predicate.value}>, which another rule "
-                    "derives; chained rules would make saturation and query expansion disagree"
+                    "derives; rules apply once to the published triples, so this rule "
+                    "would never see what the other derives"
                 )
     return problems
 
@@ -539,6 +557,12 @@ def _format_patterns(patterns: tuple[TriplePattern, ...], prefixes: Mapping[str,
     return " ".join(format_triple_pattern(tp, prefixes) for tp in patterns)
 
 
+# A raw line break inside double quotes folds to a space when read back.
+_YAML_ESCAPES = str.maketrans(
+    {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\x85": "\\N"}
+)
+
+
 def _yaml_str(value: str) -> str:
     plain = (
         value
@@ -552,7 +576,7 @@ def _yaml_str(value: str) -> str:
             float(value)
         except ValueError:
             return value
-    return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return '"' + value.translate(_YAML_ESCAPES) + '"'
 
 
 # ---------------------------------------------------------------------------

@@ -314,7 +314,6 @@ def to_json(report: Report, catalog: Catalog) -> str:
                     "input": result.trace.input_size,
                     "output": result.trace.output_size,
                     "derived": result.trace.derived,
-                    "passes": result.trace.passes,
                 }
             datasets[result.dataset] = entry
         endpoints[endpoint] = {"best": best_map[endpoint].dataset, "datasets": datasets}

@@ -1,36 +1,25 @@
-"""Forward chaining: materialize everything the vocabulary rules derive.
+"""Rule application: add what the vocabulary rules derive from a graph.
 
 Saturating a metadata graph rewrites alternative vocabulary into the
-canonical predicates the compact queries ask for, so a compact ASK over
-the saturated graph answers exactly like the expanded UNION query over
-the raw graph.  The loop is semi-naive: the first pass joins every rule
-source against the whole graph, later passes only consider joins that
-touch at least one triple derived in the previous pass.  Each source
-pattern in turn is bound to those new triples, and the delta graph's
-subject and predicate indexes hand it only the ones that carry its
-constant subject, predicate and object; a pattern with no constant sees
-them all.
+canonical predicates the compact queries ask for.  Every rule is applied
+once, to the triples of the input graph only; nothing a rule derives is
+fed back to the rules.
 
-Rule targets never invent terms (every target variable is bound by the
-source), so saturation always terminates on finite graphs.  The pass cap
-only guards against rule sets that chain rewrites; the default catalog
-forbids those.
+That is exactly what ``catalog.expand_extended`` encodes on the remote
+route: each compact pattern matches either a published triple or the
+target of one rule whose source matches published triples.  A compact ASK
+over the saturated graph therefore answers like the expanded UNION query
+over the raw graph, for any rule set the catalog accepts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .catalog import EquivalenceRule
 from .rdf import Graph, Term, Triple
-from .sparql import Solution, TriplePattern, Variable, eval_bgp
-
-DEFAULT_PASS_CAP = 10
-
-
-class SaturationCapExceeded(RuntimeError):
-    """Still deriving new triples when the pass cap was reached."""
+from .sparql import TriplePattern, Variable, eval_bgp
 
 
 @dataclass(frozen=True)
@@ -39,7 +28,6 @@ class SaturationTrace:
 
     input_size: int
     output_size: int
-    passes: int
     firings: Mapping[str, int]
 
     @property
@@ -48,10 +36,7 @@ class SaturationTrace:
 
 
 def saturate(
-    graph: Graph,
-    rules: Sequence[EquivalenceRule],
-    *,
-    cap: int = DEFAULT_PASS_CAP,
+    graph: Graph, rules: Sequence[EquivalenceRule]
 ) -> tuple[Graph, SaturationTrace]:
     """A new graph extended with all rule consequences, and how that went.
 
@@ -59,68 +44,16 @@ def saturate(
     """
     work = graph.copy()
     firings = {rule.id: 0 for rule in rules}
-    delta = graph  # everything is new to the first pass
-    passes = 0
-    while delta:
-        if passes >= cap:
-            raise SaturationCapExceeded(
-                f"saturation still derives new triples after {cap} passes; "
-                "the rule set probably chains rewrites"
-            )
-        passes += 1
-        fresh = Graph()
-        for rule in rules:
-            for solution in _rule_solutions(work, rule, delta, first=passes == 1):
-                added = 0
-                for tp in rule.target:
-                    triple = _instantiate(tp, solution)
-                    if triple is None or triple in work:
-                        continue
-                    if fresh.add(triple):
-                        added += 1
-                if added:
-                    firings[rule.id] += 1
-        delta = fresh
-        work.update(fresh)
-    trace = SaturationTrace(len(graph), len(work), passes, firings)
-    return work, trace
-
-
-def _rule_solutions(
-    work: Graph, rule: EquivalenceRule, delta: Graph, first: bool
-) -> Iterable[Solution]:
-    if first:
-        yield from eval_bgp(work, rule.source)
-        return
-    # A genuinely new solution must bind at least one source pattern to a
-    # triple from the last pass; try each pattern in that role.
-    seen: set[Solution] = set()
-    for index, tp in enumerate(rule.source):
-        rest = rule.source[:index] + rule.source[index + 1 :]
-        for triple in delta.match(*map(_constant, tp.positions())):
-            seed = _match_triple(tp, triple)
-            if seed is None:
-                continue
-            for solution in eval_bgp(work, rest, initial=seed):
-                if solution not in seen:
-                    seen.add(solution)
-                    yield solution
-
-
-def _constant(pos: Term | Variable) -> Term | None:
-    return None if isinstance(pos, Variable) else pos
-
-
-def _match_triple(tp: TriplePattern, triple: Triple) -> dict[str, Term] | None:
-    binding: dict[str, Term] = {}
-    for pos, value in zip(tp.positions(), (triple.subject, triple.predicate, triple.object)):
-        if isinstance(pos, Variable):
-            if binding.get(pos.name, value) != value:
-                return None
-            binding[pos.name] = value
-        elif pos != value:
-            return None
-    return binding
+    for rule in rules:
+        for solution in eval_bgp(graph, rule.source):
+            added = 0
+            for tp in rule.target:
+                triple = _instantiate(tp, solution)
+                if triple is not None and work.add(triple):
+                    added += 1
+            if added:
+                firings[rule.id] += 1
+    return work, SaturationTrace(len(graph), len(work), firings)
 
 
 def _instantiate(tp: TriplePattern, solution: Mapping[str, Term]) -> Triple | None:

@@ -482,8 +482,10 @@ _SAFE_LOCAL = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ012345678
 def format_query(query: Query) -> str:
     """Render a query as standard SPARQL.
 
-    Parsing the output reproduces an unpaged query.  A paged SELECT orders
-    by its projected variables, as eval_select does, then pages.
+    Parsing the output reproduces an unpaged query.  A SELECT asks for
+    DISTINCT rows, the set semantics eval_select answers with, so that an
+    endpoint's duplicate rows cannot shift pages.  A paged SELECT orders by
+    its projected variables, as eval_select does, then pages.
     """
     lines = [
         f"PREFIX {name}: <{iri}>"
@@ -493,7 +495,7 @@ def format_query(query: Query) -> str:
         head = "ASK "
     else:
         proj = "*" if query.projection == () else " ".join(f"?{v}" for v in query.projection or ())
-        head = f"SELECT {proj} WHERE "
+        head = f"SELECT DISTINCT {proj} WHERE "
     body = _format_group(query.pattern, query.prefixes, indent=0)
     lines.append(head + body)
     if query.limit is not None or query.offset:
@@ -730,19 +732,12 @@ def _gen_seq(
         yield from _gen_seq(g, rest, solution)
 
 
-def eval_bgp(
-    g: Graph,
-    patterns: Iterable[TriplePattern],
-    initial: Mapping[str, Term] | None = None,
-) -> list[Solution]:
-    """Distinct solutions of a basic graph pattern, natural-join semantics.
-
-    ``initial`` pre-binds variables; every returned solution extends it.
-    """
+def eval_bgp(g: Graph, patterns: Iterable[TriplePattern]) -> list[Solution]:
+    """Distinct solutions of a basic graph pattern, natural-join semantics."""
     pattern_list = list(patterns)
     _check_no_placeholders(Bgp(tuple(pattern_list)))
     seen: dict[Solution, None] = {}
-    for binding in _gen_bgp(g, pattern_list, dict(initial or {})):
+    for binding in _gen_bgp(g, pattern_list, {}):
         seen.setdefault(Solution(binding))
     return list(seen)
 

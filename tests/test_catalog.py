@@ -111,6 +111,18 @@ def test_dump_parse_round_trip():
     assert again.content_hash() == cat.content_hash()
 
 
+def test_dump_parse_round_trip_keeps_line_breaks():
+    text = "Who created\nthe knowledge graph?\r\n(any agent)"
+    label = "Creator,\non three\x85lines"
+    doc = yaml.safe_load(dump_catalog(default_catalog()))
+    doc["questions"][0]["text"] = text
+    doc["questions"][0]["queries"][0]["label"] = label
+    cat = parse_catalog(yaml.safe_dump(doc))
+    assert cat.question("creator").text == text
+    assert cat.question("creator").queries[0].label == label
+    assert parse_catalog(dump_catalog(cat)) == cat
+
+
 def test_load_catalog_from_file(tmp_path):
     path = tmp_path / "catalog.yaml"
     path.write_text(dump_catalog(default_catalog()), encoding="utf-8")
@@ -193,6 +205,29 @@ def test_chained_rules_rejected():
     message = _mutated(mutate)
     assert "rule 'chainy'" in message
     assert "another rule derives" in message
+
+
+@pytest.mark.parametrize(
+    "target",
+    ["?kg dct:creator <http://example.org/someone> .", "?kg dct:creator ?kg ."],
+    ids=["constant-object", "repeated-variable"],
+)
+def test_rule_target_must_be_two_distinct_variables(target):
+    def mutate(doc):
+        doc["rules"].append(
+            {"id": "odd-target", "source": "?kg schema:accountablePerson ?x .", "target": target}
+        )
+
+    message = _mutated(mutate)
+    assert "rule 'odd-target' target must be '?s <p> ?o' with two distinct variables" in message
+
+
+def test_query_with_variable_predicate_rejected():
+    def mutate(doc):
+        doc["questions"][0]["queries"] = ["ASK { ?kg ?p ?o . ?o a foaf:Person . }"]
+
+    message = _mutated(mutate)
+    assert "question 'creator' query creator.1 has a variable predicate" in message
 
 
 def test_rule_reaching_three_hops_rejected():

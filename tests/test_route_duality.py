@@ -13,11 +13,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
 import yaml
 
-from kgaudit.catalog import default_catalog, expand_extended
+from kgaudit.catalog import Catalog, default_catalog, dump_catalog, expand_extended, parse_catalog
 from kgaudit.client import audit_run, evaluate_merged, evaluate_remote, merge_runs
 from kgaudit.rdf import BlankNode, Graph, Iri, Literal, Triple, parse_ntriples, serialize_ntriples
+from kgaudit.scoring import evaluate_graph
 from kgaudit.sparql import UnionPattern, Variable
 from kgaudit.transport import TranscriptTransport
 
@@ -97,11 +99,13 @@ def _serve(path, graph: Graph) -> TranscriptTransport:
     return TranscriptTransport(str(path))
 
 
-def _route_scores(transport: TranscriptTransport) -> tuple[Fraction, Fraction]:
+def _route_scores(
+    transport: TranscriptTransport, catalog: Catalog = CATALOG
+) -> tuple[Fraction, Fraction]:
     """(fetch route score, remote route score) of KG."""
     merged = merge_runs([audit_run(transport, URL, 0)])
-    fetched = {r.dataset: r.score for r in evaluate_merged(CATALOG, merged, [URL])[URL]}
-    return fetched[KG.value], evaluate_remote(transport, URL, CATALOG, KG).score
+    fetched = {r.dataset: r.score for r in evaluate_merged(catalog, merged, [URL])[URL]}
+    return fetched[KG.value], evaluate_remote(transport, URL, catalog, KG).score
 
 
 def test_routes_agree_on_random_metadata(tmp_path):
@@ -138,3 +142,42 @@ def test_routes_agree_on_blank_creator(tmp_path):
         Fraction(13, 120),
         Fraction(13, 120),
     )
+
+
+_PUBLISH_ACTIVITY = (
+    f"<{KG.value}> <http://www.w3.org/ns/prov#wasGeneratedBy> <http://example.org/act> .\n"
+    "<http://example.org/act> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
+    "<http://www.w3.org/ns/prov#Publish> .\n"
+    "<http://example.org/act> <http://www.w3.org/ns/prov#wasAssociatedWith> "
+    "<http://example.org/acme> .\n"
+    "<http://example.org/acme> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
+    "<http://xmlns.com/foaf/0.1/Person> .\n"
+)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        "",
+        # acme links in to the dataset, so a campaign fetches its rdf:type too
+        f"<http://example.org/acme> <http://example.org/funds> <{KG.value}> .\n",
+    ],
+    ids=["published", "acme-links-in"],
+)
+def test_routes_agree_when_a_rule_source_matches_a_derived_triple(tmp_path, extra):
+    # creator-any-person's source ?kg ?p ?c matches the dct:publisher triple
+    # that publisher-prov-activity derives.  Rules apply once to the
+    # published triples, so no route lets the two compose.
+    doc = yaml.safe_load(dump_catalog(CATALOG))
+    doc["rules"].append(
+        {
+            "id": "creator-any-person",
+            "source": "?kg ?p ?c . ?c a foaf:Person .",
+            "target": "?kg dct:creator ?c .",
+        }
+    )
+    catalog = parse_catalog(yaml.safe_dump(doc))
+    graph = parse_ntriples(DISCOVERABLE + _PUBLISH_ACTIVITY + extra)
+    fetched, remote = _route_scores(_serve(tmp_path / "served.yaml", graph), catalog)
+    local = evaluate_graph(catalog, graph, KG).score  # as `evaluate --file` scores it
+    assert fetched == remote == local

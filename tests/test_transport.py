@@ -449,6 +449,7 @@ def test_wire_text_parses_back_to_the_query():
 def test_paged_fetch_wire_text():
     query = substitute(FETCH_QUERY, {"kg": Iri("http://example.org/kg/full")})
     text = format_query(replace(query, limit=7, offset=14))
+    assert "SELECT DISTINCT " in text
     assert text.endswith("\nORDER BY ?o ?o2 ?p ?p2 ?s LIMIT 7 OFFSET 14\n")
 
 
