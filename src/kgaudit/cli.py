@@ -40,12 +40,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CatalogError, ParseError, TransportError, JournalError, ValueError) as exc:
+    except (CatalogError, ParseError, TransportError, JournalError, ValueError, OSError) as exc:
         print(f"kgaudit: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"kgaudit: {exc}", file=sys.stderr)
-        return 2
+    finally:
+        if getattr(args, "http", None):
+            args.http.close()
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -164,7 +164,8 @@ def _load_catalog(args) -> Catalog:
 def _transport(args) -> Transport:
     if getattr(args, "transcript", None):
         return TranscriptTransport(args.transcript)
-    return HttpTransport(retries=getattr(args, "retries", 2))
+    args.http = HttpTransport(retries=getattr(args, "retries", 2))  # main closes it
+    return args.http
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ Two evaluation routes exist on purpose and must stay distinct:
 Both routes give the same score for the same served data because the
 fetch shape covers everything a catalog query can reach: the catalog
 validator refuses any query or rule that looks further than two hops out
-of the dataset or one hop into it.  An endpoint-run costs one discovery
-query plus one (paged) fetch query per dataset.
+of the dataset or one hop into it.  An endpoint-run costs one query
+that finds and fetches its datasets (more only when it needs pages).
 
 Campaigns work endpoint-by-endpoint in parallel, but requests to any
 single endpoint are sequential with a politeness delay.  Every run is
@@ -54,7 +54,7 @@ from .scoring import (
     evaluate_graph,
     not_evaluated_result,
 )
-from .sparql import Query, parse_query, substitute
+from .sparql import Query, SeqPattern, parse_query, substitute
 from .transport import HttpTransport, Transport, TransportError
 
 # Finds dataset IRIs that an endpoint both describes and links to itself.
@@ -76,26 +76,25 @@ SELECT ?kg WHERE {
 }
 """)
 
-DATASET_CLASSES = (
-    Iri("http://www.w3.org/ns/dcat#Dataset"),
-    Iri("http://rdfs.org/ns/void#Dataset"),
-    Iri("http://purl.org/dc/dcmitype/Dataset"),
-    Iri("http://schema.org/Dataset"),
-    Iri("http://www.w3.org/ns/sparql-service-description#Dataset"),
-    Iri("http://dataid.dbpedia.org/ns/core#Dataset"),
+# The dataset classes, read from discovery's type UNION.
+DATASET_CLASSES = tuple(
+    branch.patterns[0].object for branch in DISCOVERY_QUERY.pattern.parts[1].branches
 )
 
 DEFAULT_TIMEOUT = 30.0
 DEFAULT_DELAY = 0.5
 DEFAULT_PAGE_SIZE = 10000
 
-# The fetch shape: the dataset's own triples, the triples of every node it
-# points at, and every node pointing at it together with that node's
-# triples.  Each row carries a whole path, so a blank node keeps its
-# identity between the two triples of a row.
-FETCH_QUERY = parse_query(
-    "SELECT * WHERE { { $kg ?p ?o } UNION { $kg ?p ?o . ?o ?p2 ?o2 } "
-    "UNION { ?s ?p $kg . ?s ?p2 ?o2 } }"
+# The one query of an endpoint-run: discovery's two groups, then the fetch
+# shape around each dataset found.  Each row carries a whole path, so a
+# blank node keeps its identity between the two triples of a row.
+_FETCH_SHAPE = parse_query(
+    "ASK { { ?kg ?p ?o } UNION { ?kg ?p ?o . ?o ?p2 ?o2 } UNION { ?s ?p ?kg . ?s ?p2 ?o2 } }"
+).pattern
+METADATA_QUERY = replace(
+    DISCOVERY_QUERY,
+    projection=("kg", "s", "p", "o", "p2", "o2"),
+    pattern=SeqPattern((*DISCOVERY_QUERY.pattern.parts, _FETCH_SHAPE)),
 )
 
 
@@ -124,17 +123,14 @@ class ThrottledTransport:
 
 
 # ---------------------------------------------------------------------------
-# Discovery
+# Discovery and fetching
 
 
 def discover_datasets(
     transport: Transport, url: str, *, timeout: float = DEFAULT_TIMEOUT, run: int = 0
 ) -> list[Iri]:
     """Dataset IRIs the endpoint self-describes, IRI- or literal-linked."""
-    query = substitute(
-        DISCOVERY_QUERY, {"endpointIri": Iri(url), "endpointLiteral": Literal(url)}
-    )
-    rows = transport.query(url, query, timeout=timeout, run=run)
+    rows = transport.query(url, _at_endpoint(DISCOVERY_QUERY, url), timeout=timeout, run=run)
     if not isinstance(rows, list):
         raise TransportError("malformed", "discovery expected SELECT results")
     found = {row["kg"] for row in rows if isinstance(row.get("kg"), Iri)}
@@ -152,50 +148,56 @@ def discover_in_graph(graph: Graph) -> list[Iri]:
     return sorted(found, key=lambda iri: iri.value)
 
 
-# ---------------------------------------------------------------------------
-# Metadata fetching
+class LaterPageError(TransportError):
+    """A page after the first failed, so the endpoint did answer."""
+
+
+def _at_endpoint(query: Query, url: str) -> Query:
+    return substitute(query, {"endpointIri": Iri(url), "endpointLiteral": Literal(url)})
 
 
 def fetch_metadata(
     transport: Transport,
     url: str,
-    dataset: Iri,
     *,
     page_size: int = DEFAULT_PAGE_SIZE,
     timeout: float = DEFAULT_TIMEOUT,
     run: int = 0,
-) -> Graph:
-    """Fetch the dataset's description with one paged query.
+) -> dict[str, Graph]:
+    """Find every dataset and fetch its description with one paged query.
 
-    The query (``FETCH_QUERY``) returns the dataset's outgoing triples,
-    the outgoing triples of each of their objects, and each incoming
-    triple together with its subject's outgoing triples: two hops out and
-    one hop in, which is as far as any validated catalog query reaches.
-    Each row maps to one or two triples.  Blank nodes are kept but renamed
-    apart per response, since a blank node label only identifies a node
-    within one result document; a two-hop path arrives whole in one row,
-    so its blank node joins up.  Pages slice the rows in one fixed order
-    (``ORDER BY`` every variable), so no row is skipped or repeated.
+    ``METADATA_QUERY`` reaches two hops out of each dataset and one hop in,
+    which is as far as any validated catalog query reaches.  Each row maps
+    to one or two triples of the graph of its ``?kg``, if that is an IRI.
+    Blank nodes are renamed apart per response, since a label identifies a
+    node only within one result document.  Pages slice the rows in one
+    fixed order, so no row is skipped or repeated.
     """
-    query = replace(substitute(FETCH_QUERY, {"kg": dataset}), limit=page_size)
-    graph = Graph()
+    query = replace(_at_endpoint(METADATA_QUERY, url), limit=page_size)
+    graphs: dict[str, Graph] = {}
     response = 0
     while True:
-        rows = transport.query(url, query, timeout=timeout, run=run)
+        try:
+            rows = transport.query(url, query, timeout=timeout, run=run)
+        except TransportError as exc:
+            if response:
+                raise LaterPageError(exc.kind, f"page {response + 1} failed ({exc})") from exc
+            raise
         if not isinstance(rows, list):
             raise TransportError("malformed", "metadata fetch expected SELECT results")
         response += 1
         for row in rows:
-            graph.update(_row_triples(row, dataset, response))
+            if isinstance(row.get("kg"), Iri):
+                graphs.setdefault(row["kg"].value, Graph()).update(_row_triples(row, response))
         if len(rows) < page_size:
-            return graph
+            return graphs
         query = replace(query, offset=query.offset + page_size)
 
 
-def _row_triples(row: Mapping[str, Term], dataset: Iri, response: int) -> Iterator[Triple]:
+def _row_triples(row: Mapping[str, Term], response: int) -> Iterator[Triple]:
     """The one or two triples a fetch row stands for, blank nodes renamed apart."""
-    s, p, o, p2, o2 = (_relabel(row.get(name), response) for name in ("s", "p", "o", "p2", "o2"))
-    paths = ((s, p, dataset), (s, p2, o2)) if s is not None else ((dataset, p, o), (o, p2, o2))
+    kg, s, p, o, p2, o2 = (_relabel(row.get(name), response) for name in METADATA_QUERY.projection)
+    paths = ((s, p, kg), (s, p2, o2)) if s is not None else ((kg, p, o), (o, p2, o2))
     for parts in paths:
         if None in parts:
             continue  # a one-hop row has no second triple
@@ -261,8 +263,8 @@ def _expanded_queries(catalog: Catalog) -> dict[str, Query]:
 class EndpointRun:
     """Everything one run observed about one endpoint.
 
-    ``errors`` lists (stage, error kind) pairs for requests that failed but
-    did not abort the run, such as a discovery query that timed out.
+    ``errors`` lists (stage, error kind) pairs for requests that failed
+    while the endpoint was up, such as a fetch page that timed out.
     """
 
     endpoint: str
@@ -281,30 +283,20 @@ def audit_run(
     timeout: float = DEFAULT_TIMEOUT,
     page_size: int = DEFAULT_PAGE_SIZE,
 ) -> EndpointRun:
-    """One endpoint, one run: discover, then fetch every dataset.
+    """One endpoint, one run: one paged query finds and fetches every dataset.
 
-    Discovery doubles as the availability probe: when it cannot reach the
-    endpoint (a connection error or a timeout) the run is unavailable.
+    When its first page cannot reach the endpoint (a connection error or a
+    timeout) the run is unavailable.  Any other failure loses the run's
+    datasets and is recorded as a ``fetch`` error of an available run.
     """
     timestamp = transport.run_timestamp(endpoint, run) or utcnow()
-    errors: list[tuple[str, str]] = []
     try:
-        discovered = discover_datasets(transport, endpoint, timeout=timeout, run=run)
+        graphs = fetch_metadata(transport, endpoint, page_size=page_size, timeout=timeout, run=run)
     except TransportError as exc:
-        if exc.kind in ("connection", "timeout"):
+        if exc.kind in ("connection", "timeout") and not isinstance(exc, LaterPageError):
             return EndpointRun(endpoint, run, timestamp, False, {})
-        discovered = []
-        errors.append(("discovery", exc.kind))
-    graphs: dict[str, Graph] = {}
-    for dataset in discovered:
-        try:
-            graphs[dataset.value] = fetch_metadata(
-                transport, endpoint, dataset, page_size=page_size, timeout=timeout, run=run
-            )
-        except TransportError as exc:
-            graphs[dataset.value] = Graph()
-            errors.append((f"fetch {dataset.value}", exc.kind))
-    return EndpointRun(endpoint, run, timestamp, True, graphs, tuple(errors))
+        return EndpointRun(endpoint, run, timestamp, True, {}, (("fetch", exc.kind),))
+    return EndpointRun(endpoint, run, timestamp, True, graphs)
 
 
 def merge_runs(runs: Iterable[EndpointRun]) -> dict[str, dict[str, Graph]]:
@@ -515,7 +507,6 @@ def run_campaign(config: CampaignConfig) -> Report:
     if config.workers < 1:
         raise ValueError("the worker count must be at least one")
     catalog = config.catalog or default_catalog()
-    transport = config.transport or HttpTransport(retries=config.retries)
     endpoints = list(dict.fromkeys(config.endpoints))
 
     completed: dict[tuple[str, int], EndpointRun] = {}
@@ -543,10 +534,14 @@ def run_campaign(config: CampaignConfig) -> Report:
         return out
 
     all_runs: list[EndpointRun] = list(completed.values())
-    if order:
+    transport = config.transport or HttpTransport(retries=config.retries)
+    try:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             for runs in pool.map(job, order):
                 all_runs.extend(runs)
+    finally:
+        if config.transport is None:
+            transport.close()
     all_runs.sort(key=lambda er: (er.endpoint, er.run))
 
     # A run that served exactly the merged graph, or the same graph as an

@@ -81,26 +81,28 @@ class HttpTransport:
     def __init__(self, *, retries: int = 2, session: requests.Session | None = None):
         import requests
 
+        if retries < 0:
+            raise ValueError("the retry count cannot be negative")
         self.retries = retries
         self.session = session or requests.Session()
 
     def run_timestamp(self, url: str, run: int) -> str | None:
         return None
 
+    def close(self) -> None:
+        """Close the session and the connections it keeps alive."""
+        self.session.close()
+
     def query(
         self, url: str, query: Query, *, timeout: float, run: int = 0
     ) -> bool | list[dict[str, Term]]:
         text = format_query(query)
-        last: TransportError | None = None
-        for _ in range(self.retries + 1):
+        for attempt in range(self.retries + 1):
             try:
                 return self._attempt(url, text, timeout)
             except TransportError as exc:
-                if not exc.retryable:
+                if not exc.retryable or attempt == self.retries:
                     raise
-                last = exc
-        assert last is not None
-        raise last
 
     def _attempt(self, url: str, text: str, timeout: float):
         import requests

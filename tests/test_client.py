@@ -80,22 +80,30 @@ class FailingTransport:
         raise TransportError(self.kind, "scripted failure")
 
 
-class PartialTransport:
-    """Discovery fails with ``discovery_error``, or finds one dataset whose
-    fetch times out."""
+class FailingPage:
+    """Delegates to an inner transport, but request number ``page`` fails
+    with ``kind``."""
 
-    def __init__(self, discovery_error: str | None = None):
-        self.discovery_error = discovery_error
+    def __init__(self, inner, kind: str, page: int = 1):
+        self.inner = inner
+        self.kind = kind
+        self.page = page
+        self.count = 0
 
     def query(self, url, query, *, timeout, run=0):
-        if query.projection == ("kg",):
-            if self.discovery_error:
-                raise TransportError(self.discovery_error, "scripted failure")
-            return [{"kg": Iri("http://e.org/kg")}]
-        raise TransportError("timeout", "scripted failure")
+        self.count += 1
+        if self.count == self.page:
+            raise TransportError(self.kind, "scripted failure")
+        return self.inner.query(url, query, timeout=timeout, run=run)
 
     def run_timestamp(self, url, run):
         return None
+
+
+def serve(path, url: str, data: str) -> TranscriptTransport:
+    """A one-run transcript of ``url`` serving the N-Triples ``data``."""
+    path.write_text(yaml.safe_dump({"endpoints": {url: {"runs": [{"data": data}]}}}))
+    return TranscriptTransport(str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -175,58 +183,131 @@ def test_discovery_scales_to_many_datasets():
 # fetch_metadata
 
 
+RDF_TYPE = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
+VOID_DATASET = "<http://rdfs.org/ns/void#Dataset>"
+SPARQL_ENDPOINT = "<http://rdfs.org/ns/void#sparqlEndpoint>"
+
+
+def discoverable(subject: str, url: str) -> str:
+    """N-Triples that make ``subject`` a dataset ``url`` describes."""
+    return f"{subject} {RDF_TYPE} {VOID_DATASET} .\n{subject} {SPARQL_ENDPOINT} <{url}> .\n"
+
+
 def test_fetch_includes_incoming_service_description(transcript):
-    g = fetch_metadata(transcript, FULL_ENDPOINT, FULL_KG)
+    g = fetch_metadata(transcript, FULL_ENDPOINT)[FULL_KG.value]
     service = Iri("http://example.org/service/main")
     assert len(list(g.match(service, None, None))) == 2
 
 
 def test_fetch_radius_is_two_hops(tmp_path):
-    path = tmp_path / "chain.yaml"
-    path.write_text(
-        "endpoints:\n"
-        '  "http://c.example.org/sparql":\n'
-        "    runs:\n"
-        "      - available: true\n"
-        "        data: |\n"
-        "          <http://e.org/kg> <http://e.org/p> <http://e.org/a> .\n"
-        "          <http://e.org/a> <http://e.org/p> <http://e.org/b> .\n"
-        "          <http://e.org/b> <http://e.org/p> <http://e.org/c> .\n"
-        "          <http://e.org/c> <http://e.org/p> <http://e.org/d> .\n"
+    url = "http://c.example.org/sparql"
+    transport = serve(
+        tmp_path / "chain.yaml",
+        url,
+        discoverable("<http://e.org/kg>", url)
+        + "<http://e.org/kg> <http://e.org/p> <http://e.org/a> .\n"
+        "<http://e.org/a> <http://e.org/p> <http://e.org/b> .\n"
+        "<http://e.org/b> <http://e.org/p> <http://e.org/c> .\n"
+        "<http://e.org/c> <http://e.org/p> <http://e.org/d> .\n",
     )
-    transport = TranscriptTransport(str(path))
-    g = fetch_metadata(transport, "http://c.example.org/sparql", Iri("http://e.org/kg"))
-    assert len(g) == 2
+    g = fetch_metadata(transport, url)["http://e.org/kg"]
+    assert len(g) == 4  # the chain's first two links, the type and the endpoint link
     assert not list(g.match(Iri("http://e.org/b"), None, None))
 
 
+class RowCounting(CountingTransport):
+    """Counts the queries and the rows they answer with."""
+
+    rows = 0
+
+    def query(self, url, query, *, timeout, run=0):
+        answer = super().query(url, query, timeout=timeout, run=run)
+        self.rows += len(answer)
+        return answer
+
+
 def test_fetch_pages_through_large_nodes(transcript):
-    counting = CountingTransport(transcript)
-    paged = fetch_metadata(counting, FULL_ENDPOINT, FULL_KG, page_size=7)
-    full = fetch_metadata(transcript, FULL_ENDPOINT, FULL_KG)
-    assert set(paged) == set(full)
-    # kg/full answers with 37 rows (33 outgoing, 2 two-hop, 2 incoming):
-    # six pages of 7 instead of one
-    assert counting.count == 6
+    counting = RowCounting(transcript)
+    paged = fetch_metadata(counting, FULL_ENDPOINT, page_size=7)
+    full = fetch_metadata(transcript, FULL_ENDPOINT)
+    assert paged == full
+    # kg/full, the run's only dataset, answers with 35 rows: five full
+    # pages of 7, then an empty one
+    assert counting.rows == 35
+    assert counting.count == counting.rows // 7 + 1
 
 
 def test_fetch_renames_blank_nodes_apart(tmp_path):
-    path = tmp_path / "bnodes.yaml"
-    path.write_text(
-        "endpoints:\n"
-        '  "http://b.example.org/sparql":\n'
-        "    runs:\n"
-        "      - available: true\n"
-        "        data: |\n"
-        "          <http://e.org/kg> <http://e.org/p> _:x .\n"
+    url = "http://b.example.org/sparql"
+    transport = serve(
+        tmp_path / "bnodes.yaml",
+        url,
+        discoverable("<http://e.org/kg>", url) + "<http://e.org/kg> <http://e.org/p> _:x .\n",
     )
-    transport = TranscriptTransport(str(path))
-    g = fetch_metadata(transport, "http://b.example.org/sparql", Iri("http://e.org/kg"))
-    objects = [t.object for t in g.match(Iri("http://e.org/kg"), None, None)]
+    g = fetch_metadata(transport, url)["http://e.org/kg"]
+    objects = [t.object for t in g.match(Iri("http://e.org/kg"), Iri("http://e.org/p"), None)]
     assert len(objects) == 1
     assert isinstance(objects[0], BlankNode)
     assert objects[0].label.endswith("bx")
     assert objects[0].label != "x"
+
+
+DCAT_DATASET = "<http://www.w3.org/ns/dcat#Dataset>"
+METADATA = (
+    '<http://e.org/kg> <http://purl.org/dc/terms/title> "T" .\n'
+    "<http://e.org/kg> <http://purl.org/dc/terms/publisher> <http://e.org/acme> .\n"
+)
+
+
+def test_fetch_does_not_multiply_rows(tmp_path):
+    # typed twice and linked twice, by two predicates: four discovery
+    # matches, one set of rows
+    url = "http://m.example.org/sparql"
+    extra = (
+        f"<http://e.org/kg> {RDF_TYPE} {DCAT_DATASET} .\n"
+        f'<http://e.org/kg> <http://www.w3.org/ns/dcat#endpointURL> "{url}" .\n'
+    )
+    single = discoverable("<http://e.org/kg>", url) + METADATA
+    counting = RowCounting(serve(tmp_path / "twice.yaml", url, single + extra))
+    er = audit_run(counting, url, 0)
+    assert counting.count == 1
+    graph = er.datasets["http://e.org/kg"]
+    assert counting.rows == len(graph) == 6  # one row per one-hop triple
+    once = fetch_metadata(serve(tmp_path / "once.yaml", url, single), url)
+    assert set(graph) == set(once["http://e.org/kg"]) | set(parse_ntriples(extra))
+
+
+def test_fetch_and_discovery_find_the_same_datasets(tmp_path):
+    # IRI and literal links, an untyped node, and a blank-node dataset
+    url = "http://s.example.org/sparql"
+    transport = serve(
+        tmp_path / "mixed.yaml",
+        url,
+        discoverable("<http://e.org/kg>", url)
+        + METADATA
+        + f"<http://e.org/lit> {RDF_TYPE} {DCAT_DATASET} .\n"
+        + f'<http://e.org/lit> {SPARQL_ENDPOINT} "{url}" .\n'
+        + f"<http://e.org/untyped> {SPARQL_ENDPOINT} <{url}> .\n"
+        + discoverable("_:d", url)
+        + '_:d <http://purl.org/dc/terms/title> "blank" .\n',
+    )
+    fetched = fetch_metadata(transport, url)
+    assert sorted(fetched) == ["http://e.org/kg", "http://e.org/lit"]
+    assert [iri.value for iri in discover_datasets(transport, url)] == sorted(fetched)
+
+
+def test_fetch_and_discover_in_graph_agree_on_every_class(tmp_path):
+    from kgaudit.client import DATASET_CLASSES
+
+    url = "http://k.example.org/sparql"
+    lines = [f"<http://e.org/untyped> {SPARQL_ENDPOINT} <{url}> .\n"]
+    for index, cls in enumerate(DATASET_CLASSES):
+        kg = f"<http://e.org/kg/{index}>"
+        lines.append(f"{kg} {RDF_TYPE} <{cls.value}> .\n{kg} {SPARQL_ENDPOINT} <{url}> .\n")
+    data = "".join(lines)
+    local = [iri.value for iri in discover_in_graph(parse_ntriples(data))]
+    assert len(local) == 6
+    assert sorted(fetch_metadata(serve(tmp_path / "classes.yaml", url, data), url)) == local
 
 
 # ---------------------------------------------------------------------------
@@ -294,23 +375,47 @@ def test_audit_run_detects_availability(transcript):
     assert not audit_run(transcript, "http://unknown.example.org/", 0).available
 
 
-def test_audit_run_records_fetch_errors():
-    er = audit_run(PartialTransport(), "http://e.org/sparql", 0)
+@pytest.mark.parametrize("kind", ["http", "malformed"])
+def test_audit_run_records_fetch_errors(transcript, kind):
+    # the run's one query fails: the endpoint answered, the datasets are lost
+    er = audit_run(FailingPage(transcript, kind), FULL_ENDPOINT, 0)
     assert er.available
-    assert dict(er.datasets) == {"http://e.org/kg": Graph()}
-    assert er.errors == (("fetch http://e.org/kg", "timeout"),)
+    assert dict(er.datasets) == {}
+    assert er.errors == (("fetch", kind),)
+
+
+@pytest.mark.parametrize("kind", ["connection", "timeout", "http"])
+def test_audit_run_records_fetch_errors_on_a_later_page(transcript, kind):
+    # the first page answered, so even a lost connection leaves the run up
+    failing = FailingPage(transcript, kind, page=2)
+    er = audit_run(failing, FULL_ENDPOINT, 0, page_size=7)
+    assert failing.count == 2
+    assert er.available
+    assert dict(er.datasets) == {}
+    assert er.errors == (("fetch", kind),)
 
 
 def test_audit_run_records_discovery_errors():
-    er = audit_run(PartialTransport(discovery_error="http"), "http://e.org/sparql", 0)
+    # discovery rides in the fetch query, so an answer that is not rows
+    # is a fetch error
+    class Boolean:
+        def query(self, url, query, *, timeout, run=0):
+            return True
+
+        def run_timestamp(self, url, run):
+            return None
+
+    er = audit_run(Boolean(), "http://e.org/sparql", 0)
     assert er.available
     assert dict(er.datasets) == {}
-    assert er.errors == (("discovery", "http"),)
+    assert er.errors == (("fetch", "malformed"),)
 
 
 @pytest.mark.parametrize("kind", ["connection", "timeout"])
-def test_audit_run_unreachable_discovery_is_unavailable(kind):
-    er = audit_run(PartialTransport(discovery_error=kind), "http://e.org/sparql", 0)
+def test_audit_run_unreachable_discovery_is_unavailable(transcript, kind):
+    failing = FailingPage(transcript, kind)
+    er = audit_run(failing, FULL_ENDPOINT, 0)
+    assert failing.count == 1
     assert not er.available
     assert dict(er.datasets) == {}
     assert er.errors == ()
@@ -428,6 +533,42 @@ def test_campaign_scores_each_distinct_graph_once(config, monkeypatch):
             (dataset, real(config.catalog, graph, Iri(dataset)).score)
             for dataset, graph in sorted(er.datasets.items())
         )
+
+
+class ClosableTranscript(CountingTransport):
+    """Stands in for the HTTP transport; remembers being closed."""
+
+    built: list = []
+
+    def __init__(self, retries):
+        super().__init__(TranscriptTransport(str(FIXTURES / "campaign.yaml")))
+        self.closed = False
+        ClosableTranscript.built.append(self)
+
+    def close(self):
+        self.closed = True
+
+
+def test_campaign_closes_the_http_transport_it_builds(config, monkeypatch):
+    monkeypatch.setattr(ClosableTranscript, "built", [])
+    monkeypatch.setattr(client, "HttpTransport", ClosableTranscript)
+    report = run_campaign(CampaignConfig(**{**config.__dict__, "transport": None}))
+    assert report == run_campaign(config)
+    assert [t.closed for t in ClosableTranscript.built] == [True]
+
+
+@pytest.mark.parametrize("command", ["discover", "evaluate", "campaign"])
+def test_cli_closes_the_http_transport_it_builds(monkeypatch, capsys, command):
+    from kgaudit import cli
+
+    monkeypatch.setattr(ClosableTranscript, "built", [])
+    monkeypatch.setattr(cli, "HttpTransport", ClosableTranscript)
+    if command == "campaign":
+        argv = [command, FULL_ENDPOINT, "--delay", "0"]
+    else:
+        argv = [command, "--endpoint", FULL_ENDPOINT]
+    assert cli.main(argv) == 0
+    assert [t.closed for t in ClosableTranscript.built] == [True]
 
 
 def test_campaign_requires_a_run(config):

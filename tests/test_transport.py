@@ -7,7 +7,7 @@ import http.server
 import json
 import re
 import threading
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import replace
 from importlib import resources
 from urllib.parse import parse_qs, urlsplit
@@ -17,7 +17,7 @@ import requests
 import yaml
 
 from kgaudit.catalog import YAML_LOADER, default_catalog, expand_extended, load_yaml
-from kgaudit.client import DISCOVERY_QUERY, FETCH_QUERY
+from kgaudit.client import DISCOVERY_QUERY, METADATA_QUERY
 from kgaudit.rdf import BlankNode, Iri, Literal
 from kgaudit.sparql import format_query, parse_query, substitute
 from kgaudit.transport import (
@@ -126,6 +126,10 @@ class ScriptedSession:
     def __init__(self, steps):
         self.steps = list(steps)
         self.calls: list[str] = []
+        self.closed = False
+
+    def close(self):
+        self.closed = True
 
     def get(self, url, **kwargs):
         return self._next("get")
@@ -175,6 +179,25 @@ def test_http_retry_budget_exhausted():
     assert session.calls == ["get", "get"]
 
 
+def test_http_without_retries_tries_once():
+    session = ScriptedSession([FakeResponse(500), FakeResponse(200, ask_body(True))])
+    transport = HttpTransport(retries=0, session=session)
+    with pytest.raises(TransportError):
+        transport.query("http://e.org/sparql", ASK_ALL, timeout=1.0)
+    assert session.calls == ["get"]
+
+
+def test_http_rejects_a_negative_retry_count():
+    with pytest.raises(ValueError, match="retry count"):
+        HttpTransport(retries=-1, session=ScriptedSession([]))
+
+
+def test_http_close_closes_the_session():
+    session = ScriptedSession([])
+    HttpTransport(session=session).close()
+    assert session.closed
+
+
 def test_http_429_is_retried():
     session = ScriptedSession([FakeResponse(429), FakeResponse(200, ask_body(True))])
     transport = HttpTransport(retries=1, session=session)
@@ -222,6 +245,7 @@ def local_server(handler_class):
         yield f"http://127.0.0.1:{server.server_address[1]}/sparql"
     finally:
         server.shutdown()
+        server.server_close()
         thread.join()
 
 
@@ -243,8 +267,8 @@ def test_http_round_trip_over_localhost():
         def do_GET(self):
             self.reply(200, ask_body(True))
 
-    with local_server(Handler) as url:
-        assert HttpTransport().query(url, ASK_ALL, timeout=5.0) is True
+    with local_server(Handler) as url, closing(HttpTransport()) as transport:
+        assert transport.query(url, ASK_ALL, timeout=5.0) is True
 
 
 def test_http_malformed_body_over_localhost():
@@ -252,9 +276,9 @@ def test_http_malformed_body_over_localhost():
         def do_GET(self):
             self.reply(200, "<html>this is not sparql json</html>")
 
-    with local_server(Handler) as url:
+    with local_server(Handler) as url, closing(HttpTransport()) as transport:
         with pytest.raises(TransportError) as err:
-            HttpTransport().query(url, ASK_ALL, timeout=5.0)
+            transport.query(url, ASK_ALL, timeout=5.0)
         assert err.value.kind == "malformed"
 
 
@@ -436,7 +460,7 @@ def wire_queries() -> list:
         for _, cq in catalog.queries()
     ]
     endpoint = {"endpointIri": Iri(ENDPOINT), "endpointLiteral": Literal(ENDPOINT)}
-    return queries + [substitute(DISCOVERY_QUERY, endpoint), substitute(FETCH_QUERY, {"kg": kg})]
+    return queries + [substitute(DISCOVERY_QUERY, endpoint), substitute(METADATA_QUERY, endpoint)]
 
 
 def test_wire_text_parses_back_to_the_query():
@@ -447,10 +471,10 @@ def test_wire_text_parses_back_to_the_query():
 
 
 def test_paged_fetch_wire_text():
-    query = substitute(FETCH_QUERY, {"kg": Iri("http://example.org/kg/full")})
-    text = format_query(replace(query, limit=7, offset=14))
-    assert "SELECT DISTINCT " in text
-    assert text.endswith("\nORDER BY ?o ?o2 ?p ?p2 ?s LIMIT 7 OFFSET 14\n")
+    endpoint = {"endpointIri": Iri(ENDPOINT), "endpointLiteral": Literal(ENDPOINT)}
+    text = format_query(replace(substitute(METADATA_QUERY, endpoint), limit=7, offset=14))
+    assert "SELECT DISTINCT ?kg ?s ?p ?o ?p2 ?o2 WHERE " in text
+    assert text.endswith("\nORDER BY ?kg ?s ?p ?o ?p2 ?o2 LIMIT 7 OFFSET 14\n")
 
 
 def test_http_sends_the_formatted_query():
@@ -462,6 +486,6 @@ def test_http_sends_the_formatted_query():
             self.reply(200, ask_body(True))
 
     query = wire_queries()[0]
-    with local_server(Handler) as url:
-        assert HttpTransport().query(url, query, timeout=5.0) is True
+    with local_server(Handler) as url, closing(HttpTransport()) as transport:
+        assert transport.query(url, query, timeout=5.0) is True
     assert received == [format_query(query)]
