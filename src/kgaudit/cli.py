@@ -28,7 +28,7 @@ from .client import (
     run_campaign,
     utcnow,
 )
-from .rdf import Iri, ParseError, load_rdf, serialize_ntriples
+from .rdf import Iri, ParseError, load_rdf
 from .reporting import build_report, figure_files, to_csv, to_dqv, to_json
 from .saturation import saturate
 from .scoring import DatasetResult, evaluate_graph, format_percent
@@ -226,7 +226,7 @@ def _cmd_evaluate(args) -> int:
         report = build_report(catalog, {source: results}, stamp)
         _write(args.out, "report.json", to_json(report, catalog))
         _write(args.out, "report.csv", to_csv(report, catalog))
-        _write(args.out, "report.nt", serialize_ntriples(to_dqv(report, catalog)))
+        _write(args.out, "report.nt", to_dqv(report, catalog))
     if len(results) == 1:
         print(format_percent(results[0].score))
     else:
@@ -287,7 +287,7 @@ def _cmd_campaign(args) -> int:
         radar = tuple(args.radar) if args.radar else None
         _write(args.out, "report.json", to_json(report, catalog))
         _write(args.out, "report.csv", to_csv(report, catalog))
-        _write(args.out, "report.nt", serialize_ntriples(to_dqv(report, catalog)))
+        _write(args.out, "report.nt", to_dqv(report, catalog))
         for name, content in figure_files(report, catalog, radar=radar).items():
             _write(args.out, name, content)
     return 0

@@ -508,6 +508,11 @@ def run_campaign(config: CampaignConfig) -> Report:
         raise ValueError("the worker count must be at least one")
     catalog = config.catalog or default_catalog()
     endpoints = list(dict.fromkeys(config.endpoints))
+    for endpoint in endpoints:
+        try:
+            Iri(endpoint)
+        except ValueError as exc:
+            raise ValueError(f"endpoint {endpoint!r}: {exc}") from None
 
     completed: dict[tuple[str, int], EndpointRun] = {}
     journal = None

@@ -1,4 +1,4 @@
-"""Report assembly and export: DQV triples, JSON, CSV, figure files.
+"""Report assembly and export: DQV N-Triples, JSON, CSV, figure files.
 
 A report is the durable outcome of an audit: catalog identity, one
 timestamp (the newest run), and per endpoint the scored datasets.  All
@@ -6,10 +6,11 @@ exports are deterministic byte-for-byte, so replaying a recorded campaign
 reproduces identical files.
 
 The DQV export is lossless: every query outcome and every node score goes
-out as a quality measurement, scores carry their exact fraction next to
-the rounded decimal, and :func:`from_dqv` rebuilds the full report from
-the triples, recomputing the aggregation and refusing graphs whose stored
-node scores disagree with their own query outcomes.
+out as a quality measurement, and scores carry their exact fraction next
+to the rounded decimal.  :func:`to_dqv` formats the N-Triples lines straight
+from the report, without building a graph, and :func:`from_dqv` parses
+them back into the full report, recomputing the aggregation and refusing
+exports whose stored node scores disagree with their own query outcomes.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .catalog import Catalog
-from .rdf import RDF_TYPE, Graph, Iri, Literal, Term, Triple, XSD
+from .rdf import RDF_TYPE, Graph, Iri, Literal, Term, XSD, format_term, parse_ntriples
 from .scoring import (
     DatasetResult,
     FailureKind,
@@ -129,63 +130,105 @@ def _pair_id(endpoint: str, dataset: str) -> str:
 # DQV export
 
 
-def to_dqv(report: Report, catalog: Catalog) -> Graph:
-    """The report as DQV quality measurements (plus a few tool terms).
+def _tail(predicate: Iri, obj: str) -> str:
+    """The part of an N-Triples line after its subject."""
+    return f" {format_term(predicate)} {obj} ."
 
-    Metric IRIs are declared only when some measurement references them, so
-    an empty report exports nothing beyond its own metadata.
+
+_IS_MEASUREMENT = _tail(Iri(RDF_TYPE), format_term(_D_MEASUREMENT))
+_IS_METRIC = _tail(Iri(RDF_TYPE), format_term(_D_METRIC))
+_TRUE = _tail(_D_VALUE, format_term(Literal("true", datatype=_XSD_BOOLEAN)))
+_FALSE = _tail(_D_VALUE, format_term(Literal("false", datatype=_XSD_BOOLEAN)))
+_FAILURE = {
+    kind: _tail(_T_FAILURE, format_term(Literal(kind.value))) for kind in FailureKind
+}
+
+
+def to_dqv(report: Report, catalog: Catalog) -> str:
+    """The report as DQV quality measurements (plus a few tool terms), as
+    N-Triples text: one sorted line per distinct statement.
+
+    Lines are formatted straight from the report.  Every distinct
+    endpoint, dataset and metric IRI still goes through :class:`Iri` once,
+    so a value that makes no valid IRI raises ``ValueError``.  Metric IRIs
+    are declared only when some measurement references them, so an empty
+    report exports nothing beyond its own metadata.
     """
-    g = Graph()
-    g.add(Triple(REPORT_NODE, _T_GENERATED, Literal(report.generated_at)))
-    g.add(Triple(REPORT_NODE, _T_VERSION, Literal(report.catalog_version)))
-    g.add(Triple(REPORT_NODE, _T_HASH, Literal(report.catalog_hash)))
-    metrics: set[Iri] = set()
+    report_node = format_term(REPORT_NODE)
+    lines = {
+        report_node + _tail(predicate, format_term(Literal(value)))
+        for predicate, value in (
+            (_T_GENERATED, report.generated_at),
+            (_T_VERSION, report.catalog_version),
+            (_T_HASH, report.catalog_hash),
+        )
+    }
+    iris: dict[str, str] = {}
+    metrics: dict[str, str] = {}  # metric IRI -> its isMeasurementOf tail
+    # score -> its value and exactValue tails
+    scores_out: dict[Fraction, tuple[str, str]] = {}
+
+    def iri(value: str) -> str:
+        term = iris.get(value)
+        if term is None:
+            term = iris[value] = format_term(Iri(value))
+        return term
+
+    def measurement_of(value: str) -> str:
+        tail = metrics.get(value)
+        if tail is None:
+            tail = metrics[value] = _tail(_D_MEASUREMENT_OF, iri(value))
+        return tail
 
     for endpoint, results in report.results.items():
         for result in results:
             pair = _pair_id(endpoint, result.dataset)
-            target = Iri(result.dataset)
+            computed_on = _tail(_D_COMPUTED_ON, iri(result.dataset))
+            on_endpoint = _tail(_T_ENDPOINT, iri(endpoint))
             for outcome in result.outcomes:
-                metric = Iri(_METRIC_QUERY + outcome.query_id)
-                metrics.add(metric)
-                m = Iri(f"{_MEASURE}query:{pair}:{outcome.query_id}")
-                g.add(Triple(m, Iri(RDF_TYPE), _D_MEASUREMENT))
-                g.add(Triple(m, _D_COMPUTED_ON, target))
-                g.add(Triple(m, _D_MEASUREMENT_OF, metric))
-                g.add(Triple(m, _T_ENDPOINT, Iri(endpoint)))
-                g.add(
-                    Triple(
-                        m,
-                        _D_VALUE,
-                        Literal("true" if outcome.success else "false", datatype=_XSD_BOOLEAN),
+                metric = measurement_of(_METRIC_QUERY + outcome.query_id)
+                m = f"<{_MEASURE}query:{pair}:{outcome.query_id}>"
+                lines.update(
+                    (
+                        m + _IS_MEASUREMENT,
+                        m + computed_on,
+                        m + metric,
+                        m + on_endpoint,
+                        m + (_TRUE if outcome.success else _FALSE),
                     )
                 )
                 if outcome.failure is not None:
-                    g.add(Triple(m, _T_FAILURE, Literal(outcome.failure.value)))
-            for prefix, scores in (
-                (_METRIC_QUESTION, result.question_scores),
-                (_METRIC_NODE, result.node_scores),
+                    lines.add(m + _FAILURE[outcome.failure])
+            for kind, prefix, scores in (
+                ("question", _METRIC_QUESTION, result.question_scores),
+                ("node", _METRIC_NODE, result.node_scores),
             ):
-                kind = "question" if prefix is _METRIC_QUESTION else "node"
                 for key, score in scores.items():
-                    metric = Iri(prefix + key)
-                    metrics.add(metric)
-                    m = Iri(f"{_MEASURE}{kind}:{pair}:{key}")
-                    g.add(Triple(m, Iri(RDF_TYPE), _D_MEASUREMENT))
-                    g.add(Triple(m, _D_COMPUTED_ON, target))
-                    g.add(Triple(m, _D_MEASUREMENT_OF, metric))
-                    g.add(Triple(m, _T_ENDPOINT, Iri(endpoint)))
-                    g.add(
-                        Triple(
-                            m,
-                            _D_VALUE,
-                            Literal(f"{float(score):.6f}", datatype=_XSD_DECIMAL),
+                    metric = measurement_of(prefix + key)
+                    tails = scores_out.get(score)
+                    if tails is None:
+                        decimal = Literal(f"{float(score):.6f}", datatype=_XSD_DECIMAL)
+                        tails = scores_out[score] = (
+                            _tail(_D_VALUE, format_term(decimal)),
+                            _tail(_T_EXACT, format_term(Literal(str(score)))),
+                        )
+                    m = f"<{_MEASURE}{kind}:{pair}:{key}>"
+                    lines.update(
+                        (
+                            m + _IS_MEASUREMENT,
+                            m + computed_on,
+                            m + metric,
+                            m + on_endpoint,
+                            m + tails[0],
+                            m + tails[1],
                         )
                     )
-                    g.add(Triple(m, _T_EXACT, Literal(str(score))))
-    for metric in metrics:
-        g.add(Triple(metric, Iri(RDF_TYPE), _D_METRIC))
-    return g
+    lines.update(iris[value] + _IS_METRIC for value in metrics)
+    # Sort whole lines, never terms: "-", "." and the digits sort below
+    # ">", so the line of <...:collection.how> precedes that of
+    # <...:collection> although the bare strings sort the other way.
+    # The three report lines keep the text from being empty.
+    return "\n".join(sorted(lines)) + "\n"
 
 
 def _only_object(g: Graph, subject: Iri, predicate: Iri) -> Term:
@@ -198,12 +241,14 @@ def _only_object(g: Graph, subject: Iri, predicate: Iri) -> Term:
     return objects[0]
 
 
-def from_dqv(g: Graph, catalog: Catalog) -> Report:
-    """Rebuild a report from its DQV export, verifying the aggregation.
+def from_dqv(text: str, catalog: Catalog) -> Report:
+    """Rebuild a report from its DQV export (N-Triples text), verifying
+    the aggregation.
 
-    Node and question scores in the graph are checked against scores
+    Node and question scores in the export are checked against scores
     recomputed from the query outcomes; any disagreement is an error.
     """
+    g = parse_ntriples(text)
     generated_at = _literal_value(_only_object(g, REPORT_NODE, _T_GENERATED))
     version = _literal_value(_only_object(g, REPORT_NODE, _T_VERSION))
     digest = _literal_value(_only_object(g, REPORT_NODE, _T_HASH))

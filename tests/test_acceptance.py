@@ -290,7 +290,7 @@ def test_criterion_08_dqv_round_trip():
         "http://dead.example.org/sparql",
     ]
     report = run_campaign(_transcript_config(str(FIXTURES / "campaign.yaml"), endpoints))
-    rebuilt = from_dqv(parse_ntriples(serialize_ntriples(to_dqv(report, CATALOG))), CATALOG)
+    rebuilt = from_dqv(to_dqv(report, CATALOG), CATALOG)
 
     outcomes_ok = all(
         rebuilt.results[e][i].outcomes == r.outcomes

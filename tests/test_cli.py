@@ -236,6 +236,26 @@ def test_campaign_refuses_a_malformed_transcript(tmp_path, capsys):
     assert err.startswith(f"kgaudit: {bad}: endpoint http://e.org/ run 0: available:")
 
 
+def test_campaign_refuses_a_malformed_endpoint(tmp_path, capsys):
+    journal = tmp_path / "journal.jsonl"
+    argv = [
+        "campaign",
+        ENDPOINTS[0],
+        "not a url",
+        "--transcript",
+        TRANSCRIPT,
+        "--runs",
+        "1",
+        "--delay",
+        "0",
+        "--journal",
+        str(journal),
+    ]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("kgaudit: endpoint 'not a url': ")
+    assert not journal.exists()
+
+
 def test_campaign_requires_positive_runs(capsys):
     assert main(["campaign", ENDPOINTS[0], "--transcript", TRANSCRIPT, "--runs", "0"]) == 2
     assert "--runs" in capsys.readouterr().err

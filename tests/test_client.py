@@ -593,6 +593,26 @@ def test_campaign_rejects_bad_config(config, name, value):
         run_campaign(broken)
 
 
+@pytest.mark.parametrize("bad", ["not a url", "http://e.org/a b"])
+def test_campaign_refuses_a_malformed_endpoint_before_any_request(
+    tmp_path, transcript, config, bad
+):
+    counting = CountingTransport(transcript)
+    journal = tmp_path / "journal.jsonl"
+    broken = CampaignConfig(
+        **{
+            **config.__dict__,
+            "endpoints": [FULL_ENDPOINT, bad],
+            "transport": counting,
+            "journal_path": str(journal),
+        }
+    )
+    with pytest.raises(ValueError, match=f"endpoint {bad!r}"):
+        run_campaign(broken)
+    assert counting.count == 0
+    assert not journal.exists()
+
+
 # ---------------------------------------------------------------------------
 # journal
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import random
 import statistics
@@ -11,7 +13,8 @@ from fractions import Fraction
 import pytest
 
 from kgaudit.catalog import default_catalog, parse_catalog, dump_catalog
-from kgaudit.rdf import Iri, Literal, load_rdf, parse_ntriples, serialize_ntriples
+from kgaudit.client import CampaignConfig, run_campaign
+from kgaudit.rdf import Iri, load_rdf, parse_ntriples, serialize_ntriples
 from kgaudit.reporting import (
     Report,
     bars_figure,
@@ -27,6 +30,7 @@ from kgaudit.reporting import (
     to_json,
 )
 from kgaudit.scoring import FailureKind, evaluate_graph, not_evaluated_result
+from kgaudit.transport import TranscriptTransport
 
 from helpers import FIXTURES
 
@@ -83,50 +87,115 @@ def test_best_breaks_ties_on_dataset_key():
 
 
 def test_dqv_round_trip_is_exact(report):
-    graph = to_dqv(report, CATALOG)
-    assert from_dqv(graph, CATALOG) == report
+    assert from_dqv(to_dqv(report, CATALOG), CATALOG) == report
 
 
-def test_dqv_survives_serialization(report):
-    text = serialize_ntriples(to_dqv(report, CATALOG))
-    assert from_dqv(parse_ntriples(text), CATALOG) == report
+def test_dqv_text_is_canonical_ntriples(report):
+    text = to_dqv(report, CATALOG)
+    assert serialize_ntriples(parse_ntriples(text)) == text
 
 
 def test_dqv_refuses_other_catalog(report):
-    graph = to_dqv(report, CATALOG)
+    text = to_dqv(report, CATALOG)
     other = parse_catalog(dump_catalog(CATALOG).replace('version: "1.0"', 'version: "9.9"'))
     with pytest.raises(ValueError, match="different catalog"):
-        from_dqv(graph, other)
+        from_dqv(text, other)
 
 
 def test_dqv_refuses_tampered_scores(report):
-    graph = to_dqv(report, CATALOG)
-    exact = Iri("urn:kgaudit:v1:ns:exactValue")
-    victim = next(
-        t for t in graph.match(None, exact, None) if t.object == Literal("1/30")
-    )
-    tampered = parse_ntriples(
-        serialize_ntriples(graph).replace(
-            f"<{victim.subject.value}> <urn:kgaudit:v1:ns:exactValue> \"1/30\"",
-            f"<{victim.subject.value}> <urn:kgaudit:v1:ns:exactValue> \"29/30\"",
-        )
-    )
+    text = to_dqv(report, CATALOG)
+    stored = ' <urn:kgaudit:v1:ns:exactValue> "1/30" .'
+    victim = next(line for line in text.splitlines() if line.endswith(stored))
+    tampered = text.replace(victim, victim.replace('"1/30"', '"29/30"'))
     with pytest.raises(ValueError, match="outcomes yield"):
         from_dqv(tampered, CATALOG)
 
 
 def test_dqv_failure_kinds_round_trip(report):
-    graph = to_dqv(report, CATALOG)
-    rebuilt = from_dqv(graph, CATALOG)
+    rebuilt = from_dqv(to_dqv(report, CATALOG), CATALOG)
     dead = rebuilt.results["http://dead.example.org/sparql"][0]
     assert {o.failure for o in dead.outcomes} == {FailureKind.NOT_EVALUATED}
 
 
 def test_dqv_empty_report_is_metadata_only(report):
     empty = build_report(CATALOG, {}, "2024-01-01T00:00:00Z")
-    graph = to_dqv(empty, CATALOG)
-    assert len(graph) == 3
-    assert all(t.subject == Iri("urn:kgaudit:v1:report") for t in graph)
+    assert to_dqv(empty, CATALOG) == (
+        '<urn:kgaudit:v1:report> <urn:kgaudit:v1:ns:catalogHash> '
+        f'"{CATALOG.content_hash()}" .\n'
+        '<urn:kgaudit:v1:report> <urn:kgaudit:v1:ns:catalogVersion> '
+        f'"{CATALOG.version}" .\n'
+        '<urn:kgaudit:v1:report> <urn:kgaudit:v1:ns:generatedAt> '
+        '"2024-01-01T00:00:00Z" .\n'
+    )
+
+
+@pytest.mark.parametrize("endpoint", ["not a url", "http://e.org/a b"])
+def test_dqv_refuses_an_invalid_endpoint_iri(endpoint):
+    result = not_evaluated_result(CATALOG, "http://example.org/kg/a")
+    rep = build_report(CATALOG, {endpoint: [result]}, "t")
+    with pytest.raises(ValueError, match="IRI"):
+        to_dqv(rep, CATALOG)
+
+
+def test_dqv_refuses_a_key_that_makes_an_invalid_iri():
+    result = not_evaluated_result(CATALOG, "http://example.org/kg/a")
+    bad = dataclasses.replace(
+        result, question_scores={"bad key": Fraction(0), **result.question_scores}
+    )
+    rep = build_report(CATALOG, {"http://e.org/": [bad]}, "t")
+    with pytest.raises(ValueError, match="forbidden character"):
+        to_dqv(rep, CATALOG)
+
+
+# Line count and SHA-256 of the report.nt text for the two reports below,
+# recorded from the graph-building exporter that the direct writer
+# replaced: any change to the exported bytes shows here.
+CAMPAIGN_DQV = (1489, "3ee8346642b5d10aa6fa1cfbc507d3ae3b4314c6e9edf1b918b7621bd3e727d3")
+AWKWARD_DQV = (1010, "1bc70ac4d32cee2cffe719db8b6761daad5ffe0c6b0febfa46d2074310fc0f58")
+
+
+def _pin(text: str) -> tuple[int, str]:
+    return text.count("\n"), hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_dqv_bytes_of_the_campaign_report_are_pinned():
+    endpoints = [
+        "http://example.org/sparql",
+        "http://sparse.example.org/sparql",
+        "http://dead.example.org/sparql",
+    ]
+    config = CampaignConfig(
+        endpoints=endpoints,
+        catalog=CATALOG,
+        runs=3,
+        delay=0.0,
+        transport=TranscriptTransport(str(FIXTURES / "campaign.yaml")),
+    )
+    assert _pin(to_dqv(run_campaign(config), CATALOG)) == CAMPAIGN_DQV
+
+
+def test_dqv_bytes_of_an_awkward_report_are_pinned(report):
+    # a repeated (endpoint, dataset) row, a not-evaluated endpoint row and
+    # report literals that need escaping
+    full = report.results["http://example.org/sparql"][0]
+    dead = report.results["http://dead.example.org/sparql"][0]
+    awkward = dataclasses.replace(
+        build_report(
+            CATALOG,
+            {"http://example.org/sparql": [full, full], "http://dead.example.org/sparql": [dead]},
+            'stamp "q" \\ back\nslash',
+        ),
+        catalog_version='v"1\\0\n',
+    )
+    text = to_dqv(awkward, CATALOG)
+    assert _pin(text) == AWKWARD_DQV
+    version = '<urn:kgaudit:v1:report> <urn:kgaudit:v1:ns:catalogVersion> "v\\"1\\\\0\\n" .'
+    assert version in text.splitlines()
+    # node keys sort as whole lines: "collection.how>" before "collection>"
+    lines = text.splitlines()
+    how = lines.index(next(line for line in lines if ":collection.how> " in line))
+    bare = lines.index(next(line for line in lines if ":collection> " in line))
+    assert how < bare
 
 
 # ---------------------------------------------------------------------------
