@@ -189,6 +189,11 @@ def _cmd_discover(args) -> int:
 # evaluate
 
 
+def _named_datasets(args) -> list[Iri]:
+    """The ``--dataset`` IRIs, each once, in the order first given."""
+    return [Iri(d) for d in dict.fromkeys(args.dataset or ())]
+
+
 def _cmd_evaluate(args) -> int:
     catalog = _load_catalog(args)
     if args.out:
@@ -197,7 +202,7 @@ def _cmd_evaluate(args) -> int:
     results: list[DatasetResult] = []
     if args.file:
         graph = load_rdf(args.file)
-        datasets = [Iri(d) for d in args.dataset] if args.dataset else discover_in_graph(graph)
+        datasets = _named_datasets(args) or discover_in_graph(graph)
         saturated, _ = saturate(graph, catalog.rules)
         results = [
             evaluate_graph(catalog, graph, dataset, saturated=saturated)
@@ -206,12 +211,9 @@ def _cmd_evaluate(args) -> int:
     else:
         transport = _transport(args)
         stamp = transport.run_timestamp(args.endpoint, args.run) or stamp
-        if args.dataset:
-            datasets = [Iri(d) for d in args.dataset]
-        else:
-            datasets = discover_datasets(
-                transport, args.endpoint, timeout=args.timeout, run=args.run
-            )
+        datasets = _named_datasets(args) or discover_datasets(
+            transport, args.endpoint, timeout=args.timeout, run=args.run
+        )
         results = [
             evaluate_remote(
                 transport, args.endpoint, catalog, dataset, timeout=args.timeout, run=args.run

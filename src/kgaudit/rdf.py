@@ -6,6 +6,17 @@ predicate indexes.  Graphs are mutated while a single owner loads them and
 are treated as read-only afterwards; every helper that combines graphs
 builds a new one.
 
+Terms and triples are validated, immutable tuples: each class subclasses
+a ``NamedTuple`` of its fields with a ``__new__`` that runs the class's
+checks.  Hashing and equality are therefore ``tuple``'s own C slots, so
+the graph, the parser's interning, saturation and the ASKs put terms into
+sets and dicts and compare them without calling back into Python; only
+construction runs Python code.  Equality ignores the class, yet terms of
+different classes are never equal: an IRI always holds a ':' and a blank
+node label never does, and a literal holds strings and None where a
+triple holds terms.  A term does equal the plain tuple of its fields; no
+set or dict in kgaudit holds both.
+
 The N-Triples reader matches each statement line against one compiled
 regular expression built from the RDF 1.1 N-Triples productions, so a
 line is either a whole valid statement or rejected with its line number.
@@ -22,8 +33,7 @@ misread.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 RDF = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDF_TYPE = RDF + "type"
@@ -52,70 +62,111 @@ class ParseError(ValueError):
 # Terms
 
 
-@dataclass(frozen=True, order=False)
-class Iri:
-    """An absolute IRI."""
+# Builds the tuple directly; NamedTuple's own __new__ is one more Python call.
+_new_tuple = tuple.__new__
 
+
+class _Term:
+    """Rebuilding a term from fields goes through its validating constructor."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        # NamedTuple's _make, which _replace calls too, would skip __new__
+        return cls(*iterable)
+
+
+class _Iri(NamedTuple):
     value: str
 
-    def __post_init__(self) -> None:
-        if not _SCHEME_RE.match(self.value):
-            raise ValueError(f"IRI is not absolute: {self.value!r}")
-        if _IRI_FORBIDDEN_RE.search(self.value):
-            raise ValueError(f"IRI contains a forbidden character: {self.value!r}")
+
+class Iri(_Term, _Iri):
+    """An absolute IRI: a validated 1-tuple of its string, which holds a ':'."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: str) -> "Iri":
+        if not _SCHEME_RE.match(value):
+            raise ValueError(f"IRI is not absolute: {value!r}")
+        if _IRI_FORBIDDEN_RE.search(value):
+            raise ValueError(f"IRI contains a forbidden character: {value!r}")
+        return _new_tuple(cls, (value,))
 
     def __repr__(self) -> str:
         return f"Iri({self.value!r})"
 
 
-@dataclass(frozen=True)
-class BlankNode:
-    """A blank node identified by a label unique within its graph."""
-
+class _BlankNode(NamedTuple):
     label: str
 
-    def __post_init__(self) -> None:
-        if not _BLANK_LABEL_RE.match(self.label) or self.label.endswith("."):
-            raise ValueError(f"invalid blank node label: {self.label!r}")
+
+class BlankNode(_Term, _BlankNode):
+    """A blank node identified by a label unique within its graph.
+
+    A validated 1-tuple of the label, which never holds a ':', so no blank
+    node equals an IRI.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, label: str) -> "BlankNode":
+        if not _BLANK_LABEL_RE.match(label) or label.endswith("."):
+            raise ValueError(f"invalid blank node label: {label!r}")
+        return _new_tuple(cls, (label,))
 
 
-@dataclass(frozen=True)
-class Literal:
+class _Literal(NamedTuple):
+    lexical: str
+    datatype: str | None
+    language: str | None
+
+
+class Literal(_Term, _Literal):
     """A literal with an optional datatype IRI or language tag, not both.
 
+    A validated 3-tuple of strings and None, so no literal equals a triple.
     A literal typed ``xsd:string`` is normalised to a plain literal so the
     two spellings compare equal, as RDF 1.1 intends.
     """
 
-    lexical: str
-    datatype: str | None = None
-    language: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.datatype is not None and self.language is not None:
+    def __new__(
+        cls, lexical: str, datatype: str | None = None, language: str | None = None
+    ) -> "Literal":
+        if datatype is not None and language is not None:
             raise ValueError("literal cannot carry both a datatype and a language")
-        if self.language is not None and not _LANGTAG_RE.match(self.language):
-            raise ValueError(f"invalid language tag: {self.language!r}")
-        if self.datatype == XSD_STRING:
-            object.__setattr__(self, "datatype", None)
+        if language is not None and not _LANGTAG_RE.match(language):
+            raise ValueError(f"invalid language tag: {language!r}")
+        if datatype == XSD_STRING:
+            datatype = None
+        return _new_tuple(cls, (lexical, datatype, language))
 
 
 Term = Union[Iri, BlankNode, Literal]
 
 
-@dataclass(frozen=True)
-class Triple:
-    """An RDF triple; the predicate is an IRI and the subject is not a literal."""
-
+class _Triple(NamedTuple):
     subject: Term
     predicate: Term
     object: Term
 
-    def __post_init__(self) -> None:
-        if isinstance(self.subject, Literal):
+
+class Triple(_Term, _Triple):
+    """An RDF triple; the predicate is an IRI and the subject is not a literal.
+
+    A validated 3-tuple of terms, so no triple equals a literal.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, subject: Term, predicate: Term, object: Term) -> "Triple":
+        if isinstance(subject, Literal):
             raise ValueError("triple subject cannot be a literal")
-        if not isinstance(self.predicate, Iri):
+        if not isinstance(predicate, Iri):
             raise ValueError("triple predicate must be an IRI")
+        return _new_tuple(cls, (subject, predicate, object))
 
 
 def format_term(term: Term) -> str:

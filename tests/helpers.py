@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
+from dataclasses import dataclass
 from pathlib import Path
 
 from kgaudit.rdf import BlankNode, Graph, Iri, Literal, Term, Triple, term_sort_key
@@ -240,3 +242,100 @@ def random_metadata_graph(
             obj = rng.choice(resources)
         g.add(Triple(subject, predicate, obj))
     return g
+
+
+# ---------------------------------------------------------------------------
+# Reference term model: the frozen dataclasses ``kgaudit.rdf`` used for its
+# terms before they became tuples, copied as they were, so tests can check
+# the tuple terms against them.  Each sets ``__qualname__`` so that its
+# repr reads like the class it models.
+
+_REF_XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
+_REF_SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
+_REF_LANGTAG_RE = re.compile(r"^[A-Za-z]+(-[A-Za-z0-9]+)*$")
+_REF_BLANK_LABEL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.\-]*$")
+_REF_IRI_FORBIDDEN_RE = re.compile(r'[\x00-\x20<>"{}|^`\\\ud800-\udfff]')
+
+
+@dataclass(frozen=True, order=False)
+class RefIri:
+    __qualname__ = "Iri"
+
+    value: str
+
+    def __post_init__(self) -> None:
+        if not _REF_SCHEME_RE.match(self.value):
+            raise ValueError(f"IRI is not absolute: {self.value!r}")
+        if _REF_IRI_FORBIDDEN_RE.search(self.value):
+            raise ValueError(f"IRI contains a forbidden character: {self.value!r}")
+
+    def __repr__(self) -> str:
+        return f"Iri({self.value!r})"
+
+
+@dataclass(frozen=True)
+class RefBlankNode:
+    __qualname__ = "BlankNode"
+
+    label: str
+
+    def __post_init__(self) -> None:
+        if not _REF_BLANK_LABEL_RE.match(self.label) or self.label.endswith("."):
+            raise ValueError(f"invalid blank node label: {self.label!r}")
+
+
+@dataclass(frozen=True)
+class RefLiteral:
+    __qualname__ = "Literal"
+
+    lexical: str
+    datatype: str | None = None
+    language: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.datatype is not None and self.language is not None:
+            raise ValueError("literal cannot carry both a datatype and a language")
+        if self.language is not None and not _REF_LANGTAG_RE.match(self.language):
+            raise ValueError(f"invalid language tag: {self.language!r}")
+        if self.datatype == _REF_XSD_STRING:
+            object.__setattr__(self, "datatype", None)
+
+
+@dataclass(frozen=True)
+class RefTriple:
+    __qualname__ = "Triple"
+
+    subject: object
+    predicate: object
+    object: object
+
+    def __post_init__(self) -> None:
+        if isinstance(self.subject, RefLiteral):
+            raise ValueError("triple subject cannot be a literal")
+        if not isinstance(self.predicate, RefIri):
+            raise ValueError("triple predicate must be an IRI")
+
+
+_REF_ECHAR_ENCODE = {
+    "\\": "\\\\",
+    '"': '\\"',
+    "\n": "\\n",
+    "\r": "\\r",
+    "\t": "\\t",
+    "\b": "\\b",
+    "\f": "\\f",
+}
+
+
+def ref_format_term(term) -> str:
+    """``format_term`` over the reference classes."""
+    if isinstance(term, RefIri):
+        return f"<{term.value}>"
+    if isinstance(term, RefBlankNode):
+        return f"_:{term.label}"
+    body = "".join(_REF_ECHAR_ENCODE.get(c, c) for c in term.lexical)
+    if term.language is not None:
+        return f'"{body}"@{term.language}'
+    if term.datatype is not None:
+        return f'"{body}"^^<{term.datatype}>'
+    return f'"{body}"'

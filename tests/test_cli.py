@@ -88,6 +88,55 @@ def test_evaluate_file_multiple_datasets_tabulates(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "source",
+    [
+        ["--file", str(FIXTURES / "accountable.nt")],
+        ["--endpoint", ENDPOINTS[0], "--transcript", TRANSCRIPT],
+    ],
+    ids=["file", "endpoint"],
+)
+def test_evaluate_scores_a_repeated_dataset_once(source, tmp_path, capsys, monkeypatch):
+    from kgaudit.transport import TranscriptTransport
+
+    asked = []
+    query = TranscriptTransport.query
+
+    def counting(self, url, q, **kwargs):
+        asked.append(q)
+        return query(self, url, q, **kwargs)
+
+    monkeypatch.setattr(TranscriptTransport, "query", counting)
+
+    def evaluate(out, *datasets):
+        argv = ["evaluate", *source, "--out", str(out)]
+        for dataset in datasets:
+            argv += ["--dataset", dataset]
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    full = "http://example.org/kg/full"
+    once = evaluate(tmp_path / "once", full)
+    asked_once = len(asked)
+    assert evaluate(tmp_path / "twice", full, full) == once == "100.0%\n"
+    assert len(asked) == 2 * asked_once
+    assert (tmp_path / "twice" / "report.csv").read_bytes().count(b"\r\n") == 2
+    aggregates = [
+        json.loads((tmp_path / name / "report.json").read_text())["aggregates"]
+        for name in ("once", "twice")
+    ]
+    assert aggregates[0] == aggregates[1]
+
+
+def test_evaluate_keeps_the_first_order_of_repeated_datasets(capsys):
+    full, absent = "http://example.org/kg/full", "http://example.org/kg/absent"
+    argv = ["evaluate", "--file", str(FIXTURES / "accountable.nt")]
+    for dataset in (full, absent, full, absent):
+        argv += ["--dataset", dataset]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"100.0%\t{full}\n0.0%\t{absent}\n"
+
+
 def test_evaluate_endpoint_remote_route(capsys):
     code = main(
         ["evaluate", "--endpoint", ENDPOINTS[0], "--transcript", TRANSCRIPT]

@@ -2,18 +2,39 @@
 
 from __future__ import annotations
 
+import copy
+import copyreg
+import itertools
+import pickle
 import random
+from pathlib import Path
 
 import pytest
 
-from helpers import FIXTURES, random_graph
+import kgaudit
+from helpers import (
+    _DATATYPES,
+    _IRIS,
+    _LANGS,
+    _LEXICALS,
+    FIXTURES,
+    RefBlankNode,
+    RefIri,
+    RefLiteral,
+    RefTriple,
+    random_graph,
+    ref_format_term,
+)
 from kgaudit.rdf import (
+    XSD,
+    XSD_STRING,
     BlankNode,
     Graph,
     Iri,
     Literal,
     ParseError,
     Triple,
+    format_term,
     load_rdf,
     parse_ntriples,
     parse_turtle,
@@ -63,6 +84,175 @@ def test_triple_shape_invariants() -> None:
         Triple(iri, Literal("nope"), iri)
     with pytest.raises(ValueError):
         Triple(iri, BlankNode("b"), iri)
+
+
+_TERM_SAMPLES = [
+    Iri("http://x"),
+    BlankNode("x"),
+    Literal("http://x"),
+    Literal("x", language="en"),
+    Literal("5", datatype=XSD + "integer"),
+    Triple(BlankNode("x"), Iri("http://x"), Literal("http://x")),
+]
+
+
+@pytest.mark.parametrize("cls", [Iri, BlankNode, Literal, Triple], ids=lambda c: c.__name__)
+def test_term_hash_and_equality_are_tuple_slots(cls) -> None:
+    assert issubclass(cls, tuple)
+    assert cls.__hash__ is tuple.__hash__
+    assert cls.__eq__ is tuple.__eq__
+    assert cls.__ne__ is tuple.__ne__
+
+
+@pytest.mark.parametrize("term", _TERM_SAMPLES, ids=repr)
+def test_terms_are_immutable_and_carry_no_instance_dict(term) -> None:
+    assert not hasattr(term, "__dict__")
+    with pytest.raises(AttributeError):
+        term.extra = 1
+    with pytest.raises(AttributeError):
+        setattr(term, term._fields[0], "http://y")
+
+
+@pytest.mark.parametrize("term", _TERM_SAMPLES, ids=repr)
+def test_pickle_and_deepcopy_keep_the_class_and_rebuild_through_the_checks(term) -> None:
+    for again in (pickle.loads(pickle.dumps(term)), copy.deepcopy(term)):
+        assert type(again) is type(term)
+        assert again == term and repr(again) == repr(term)
+    # both rebuild a term as cls.__new__(cls, *fields), the validating constructor
+    rebuild, args = term.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[:2]
+    assert rebuild is copyreg.__newobj__
+    assert args == (type(term), *term)
+
+
+def test_unpickling_runs_the_constructor_checks() -> None:
+    data = pickle.dumps(Iri("http://x/abcd"))
+    # same length, so the pickle's string header still fits
+    with pytest.raises(ValueError, match="IRI is not absolute: 'not an iri!!!'"):
+        pickle.loads(data.replace(b"http://x/abcd", b"not an iri!!!"))
+    typed = pickle.dumps(Literal("x", datatype=XSD + "strinG"))
+    assert pickle.loads(typed.replace(b"#strinG", b"#string")).datatype is None
+
+
+def test_make_and_replace_rebuild_through_the_checks() -> None:
+    with pytest.raises(ValueError, match="IRI is not absolute"):
+        Iri._make(["relative/path"])
+    with pytest.raises(ValueError, match="invalid blank node label"):
+        BlankNode("b")._replace(label="b.")
+    with pytest.raises(ValueError, match="both a datatype and a language"):
+        Literal("x", language="en")._replace(datatype=XSD + "date")
+    assert Literal("x", language="en")._replace(language=None, datatype=XSD_STRING) == Literal("x")
+    with pytest.raises(ValueError, match="predicate must be an IRI"):
+        _TERM_SAMPLES[-1]._replace(predicate=BlankNode("p"))
+
+
+def test_terms_of_different_classes_never_compare_equal() -> None:
+    same_text = [Iri("http://x"), BlankNode("x"), Literal("http://x"), Literal("x")]
+    for a, b in itertools.combinations(same_text, 2):
+        assert a != b and not a == b
+    # equality is tuple equality: a term equals the plain tuple of its fields
+    assert Iri("http://x") == ("http://x",)
+    assert Literal("x") == ("x", None, None)
+
+
+def test_src_never_rebuilds_a_term_around_its_checks() -> None:
+    # NamedTuple's _make and _replace are where a tuple gets built without
+    # __new__; kgaudit's own code builds terms only through the classes
+    offenders = [
+        f"{path.name}:{number}"
+        for path in sorted(Path(kgaudit.__file__).parent.rglob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "._make(" in line or "._replace(" in line
+    ]
+    assert offenders == []
+
+
+# ---------------------------------------------------------------------------
+# Terms against the reference dataclasses (tests/helpers.py)
+
+_NEW_CLASSES = {"Iri": Iri, "BlankNode": BlankNode, "Literal": Literal, "Triple": Triple}
+_REF_CLASSES = {"Iri": RefIri, "BlankNode": RefBlankNode, "Literal": RefLiteral, "Triple": RefTriple}
+_BLANK_LABELS = ["b0", "b1", "x", "alpha", "42", "a.b", "a.b.c", "_9-z.q", "0"]
+
+
+def _term_recipe(rng: random.Random, allow_literal: bool = True) -> tuple:
+    roll = rng.random()
+    if roll < 0.4:
+        return ("Iri", (rng.choice(_IRIS),), {})
+    if roll < 0.65 or not allow_literal:
+        return ("BlankNode", (rng.choice(_BLANK_LABELS),), {})
+    lexical = rng.choice(_LEXICALS + _IRIS)
+    if rng.random() < 0.3:
+        return ("Literal", (lexical,), {"language": rng.choice(_LANGS)})
+    return ("Literal", (lexical,), {"datatype": rng.choice(_DATATYPES + [XSD_STRING])})
+
+
+def _recipe(rng: random.Random) -> tuple:
+    if rng.random() < 0.25:
+        parts = (
+            _term_recipe(rng, allow_literal=False),
+            ("Iri", (rng.choice(_IRIS),), {}),
+            _term_recipe(rng),
+        )
+        return ("Triple", parts, {})
+    return _term_recipe(rng)
+
+
+def _build(recipe: tuple, classes: dict):
+    name, args, kwargs = recipe
+    if name == "Triple":
+        args = tuple(_build(part, classes) for part in args)
+    return classes[name](*args, **kwargs)
+
+
+@pytest.mark.parametrize("seed", [7, 20261018])
+def test_terms_agree_with_the_reference_dataclasses(seed: int) -> None:
+    rng = random.Random(seed)
+    recipes = [_recipe(rng) for _ in range(160)]
+    new = [_build(r, _NEW_CLASSES) for r in recipes]
+    ref = [_build(r, _REF_CLASSES) for r in recipes]
+    equal_pairs = 0
+    for a, ra in zip(new, ref):
+        assert repr(a) == repr(ra)
+        if not isinstance(a, Triple):
+            assert format_term(a) == ref_format_term(ra)
+        for b, rb in zip(new, ref):
+            assert (a == b) is (ra == rb)
+            assert (a != b) is (ra != rb)
+            if a == b:
+                assert hash(a) == hash(b)
+                equal_pairs += a is not b
+    assert equal_pairs > 0
+    assert len(set(new)) == len(set(ref))
+
+
+_BAD_RECIPES = [
+    ("Iri", ("relative/path",), {}),
+    ("Iri", ("no scheme at all",), {}),
+    ("Iri", ("",), {}),
+    ("Iri", ("http://example.org/a b",), {}),
+    ("Iri", ("http://example.org/<x>",), {}),
+    ("Iri", ("http://example.org/\ud800",), {}),
+    ("BlankNode", ("",), {}),
+    ("BlankNode", ("a.",), {}),
+    ("BlankNode", (".a",), {}),
+    ("BlankNode", ("a:b",), {}),
+    ("Literal", ("x",), {"datatype": XSD + "date", "language": "en"}),
+    ("Literal", ("x",), {"datatype": XSD_STRING, "language": "en"}),
+    ("Literal", ("x",), {"language": "e n"}),
+    ("Literal", ("x",), {"language": ""}),
+    ("Triple", (("Literal", ("s",), {}), ("Iri", ("http://p",), {}), ("Iri", ("http://o",), {})), {}),
+    ("Triple", (("Iri", ("http://s",), {}), ("BlankNode", ("p",), {}), ("Iri", ("http://o",), {})), {}),
+    ("Triple", (("Iri", ("http://s",), {}), ("Literal", ("p",), {}), ("Iri", ("http://o",), {})), {}),
+]
+
+
+@pytest.mark.parametrize("recipe", _BAD_RECIPES)
+def test_constructors_refuse_what_the_reference_refuses(recipe: tuple) -> None:
+    with pytest.raises(ValueError) as refused:
+        _build(recipe, _REF_CLASSES)
+    with pytest.raises(ValueError) as also_refused:
+        _build(recipe, _NEW_CLASSES)
+    assert str(also_refused.value) == str(refused.value)
 
 
 # ---------------------------------------------------------------------------

@@ -152,13 +152,19 @@ def test_dqv_refuses_a_key_that_makes_an_invalid_iri():
 # replaced: any change to the exported bytes shows here.
 CAMPAIGN_DQV = (1489, "3ee8346642b5d10aa6fa1cfbc507d3ae3b4314c6e9edf1b918b7621bd3e727d3")
 AWKWARD_DQV = (1010, "1bc70ac4d32cee2cffe719db8b6761daad5ffe0c6b0febfa46d2074310fc0f58")
+# The same campaign's report.json, report.csv and sorted journal lines,
+# recorded while terms were still dataclasses.
+CAMPAIGN_JSON = (2338, "a502ce8c7efc90da8260deea13b4d68b64be5caf927e0e56bfe4a3df610a641f")
+CAMPAIGN_CSV = (4, "bd701e420649ea768d15efa75f483785e244b809de83eaa9c3d33d01159fad09")
+CAMPAIGN_JOURNAL = (10, "2d99ada8d3ab801272b2e931e2b1db53abadc66858256fed3f56cbe6e5a93c53")
 
 
 def _pin(text: str) -> tuple[int, str]:
     return text.count("\n"), hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def test_dqv_bytes_of_the_campaign_report_are_pinned():
+def _campaign_report(journal_path: str | None = None) -> Report:
+    """The criterion-08 campaign: three endpoints, three runs, transcript-fed."""
     endpoints = [
         "http://example.org/sparql",
         "http://sparse.example.org/sparql",
@@ -169,9 +175,24 @@ def test_dqv_bytes_of_the_campaign_report_are_pinned():
         catalog=CATALOG,
         runs=3,
         delay=0.0,
+        journal_path=journal_path,
         transport=TranscriptTransport(str(FIXTURES / "campaign.yaml")),
     )
-    assert _pin(to_dqv(run_campaign(config), CATALOG)) == CAMPAIGN_DQV
+    return run_campaign(config)
+
+
+def test_dqv_bytes_of_the_campaign_report_are_pinned():
+    assert _pin(to_dqv(_campaign_report(), CATALOG)) == CAMPAIGN_DQV
+
+
+def test_json_csv_and_journal_bytes_of_the_campaign_are_pinned(tmp_path):
+    journal = tmp_path / "journal.jsonl"
+    report = _campaign_report(str(journal))
+    assert _pin(to_json(report, CATALOG)) == CAMPAIGN_JSON
+    assert _pin(to_csv(report, CATALOG)) == CAMPAIGN_CSV
+    # workers append in completion order, so only the sorted lines are stable
+    lines = journal.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert _pin("".join(sorted(lines))) == CAMPAIGN_JOURNAL
 
 
 def test_dqv_bytes_of_an_awkward_report_are_pinned(report):
