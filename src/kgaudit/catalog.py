@@ -112,13 +112,10 @@ class Catalog:
     version: str
     root: HierarchyNode
     rules: tuple[EquivalenceRule, ...]
+    # The vocabulary-expanded query of each plain-BGP query id, computed once
+    # by ``parse_catalog``; the remote route asks these.
+    expanded: Mapping[str, Query]
     prefixes: Mapping[str, str] = field(default_factory=dict)
-    # The vocabulary-expanded query of each query id, filled on first use
-    # by the remote route (``client.evaluate_remote``).  The catalog never
-    # changes, so the expansions never go stale.
-    expanded: dict[str, Query] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def steps(self) -> tuple[HierarchyNode, ...]:
         return self.root.children
@@ -238,8 +235,17 @@ def parse_catalog(text: str, source: str = "<string>") -> Catalog:
         for index, entry in enumerate(raw_rules)
     )
 
+    expanded = {
+        cq.id: expand_extended(cq.query, rules)
+        for questions in questions_by_leaf.values()
+        for question in questions
+        for cq in question.queries
+        if isinstance(cq.query.pattern, Bgp)  # validation refuses the others
+    }
     root = _build_tree(labels, questions_by_leaf)
-    catalog = Catalog(version=version, root=root, rules=rules, prefixes=dict(prefixes))
+    catalog = Catalog(
+        version=version, root=root, rules=rules, expanded=expanded, prefixes=dict(prefixes)
+    )
     diagnostics = validate(catalog)
     if diagnostics:
         raise CatalogError(f"{source}: catalog is invalid", diagnostics)
@@ -493,10 +499,8 @@ def _check_reach(catalog: Catalog) -> list[str]:
     the remote route but never on the fetch route.
     """
     problems: list[str] = []
-    for _, cq in catalog.queries():
-        if not isinstance(cq.query.pattern, Bgp):
-            continue
-        extended = expand_extended(cq.query, catalog.rules).pattern
+    for query_id, query in catalog.expanded.items():
+        extended = query.pattern
         branches = extended.branches if isinstance(extended, UnionPattern) else (extended,)
         for branch in branches:
             near = {tp.object for tp in branch.patterns if _is_kg(tp.subject)}
@@ -505,7 +509,7 @@ def _check_reach(catalog: Catalog) -> list[str]:
                 if _is_kg(tp.subject) or _is_kg(tp.object) or tp.subject in near:
                     continue
                 problem = (
-                    f"query {cq.id} pattern '{format_triple_pattern(tp, catalog.prefixes)}' "
+                    f"query {query_id} pattern '{format_triple_pattern(tp, catalog.prefixes)}' "
                     "lies beyond what a campaign fetches (two hops out of ?kg, one hop in)"
                 )
                 if problem not in problems:

@@ -12,10 +12,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 from typing import Sequence
+from urllib.parse import quote
 
-from .catalog import Catalog, CatalogError, default_catalog, expand_extended, load_catalog
+from .catalog import Catalog, CatalogError, default_catalog, load_catalog
 from .client import (
     DEFAULT_DELAY,
     DEFAULT_PAGE_SIZE,
@@ -224,7 +224,8 @@ def _cmd_evaluate(args) -> int:
         print("kgaudit: no datasets to evaluate", file=sys.stderr)
         return 1
     if args.out:
-        source = args.endpoint or Path(args.file).resolve().as_uri()
+        # the file as typed, so the report does not depend on where it lives
+        source = args.endpoint or "file:" + quote(args.file)
         report = build_report(catalog, {source: results}, stamp)
         _write(args.out, "report.json", to_json(report, catalog))
         _write(args.out, "report.csv", to_csv(report, catalog))
@@ -296,8 +297,16 @@ def _cmd_campaign(args) -> int:
 
 
 def _write(directory: str, name: str, content: str) -> None:
-    with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
-        handle.write(content)
+    """Replace the file whole: a write that fails leaves the old one as it was."""
+    path = os.path.join(directory, name)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(content)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +345,7 @@ def _cmd_catalog_export(args) -> int:
             print()
         first = False
         print(f"# {cq.id}")
-        extended = expand_extended(cq.query, catalog.rules)
-        print(format_query(extended), end="")
+        print(format_query(catalog.expanded[cq.id]), end="")
     if first and args.question:
         print(f"kgaudit: no question named {args.question!r}", file=sys.stderr)
         return 1

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .catalog import Catalog, default_catalog, expand_extended
+from .catalog import Catalog, default_catalog
 from .rdf import (
     RDF_TYPE,
     BlankNode,
@@ -228,10 +228,9 @@ def evaluate_remote(
     run: int = 0,
 ) -> DatasetResult:
     """Score a dataset by asking the endpoint the expanded queries."""
-    expanded = _expanded_queries(catalog)
     outcomes = []
     for _, cq in catalog.queries():
-        query = substitute(expanded[cq.id], {"kg": dataset})
+        query = substitute(catalog.expanded[cq.id], {"kg": dataset})
         try:
             answer = transport.query(url, query, timeout=timeout, run=run)
             if not isinstance(answer, bool):
@@ -243,16 +242,6 @@ def evaluate_remote(
             kind = FailureKind.TIMEOUT if exc.kind == "timeout" else FailureKind.REMOTE_ERROR
             outcomes.append(QueryOutcome(cq.id, False, kind))
     return build_result(catalog, dataset.value, outcomes)
-
-
-def _expanded_queries(catalog: Catalog) -> dict[str, Query]:
-    """The catalog's expanded queries by id, expanded once per catalog."""
-    if not catalog.expanded:
-        expanded = {
-            cq.id: expand_extended(cq.query, catalog.rules) for _, cq in catalog.queries()
-        }
-        catalog.expanded.update(expanded)  # one step, so no thread sees half
-    return catalog.expanded
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,13 @@ line is either a whole valid statement or rejected with its line number.
 Terms are interned per parse: each distinct spelling is built, and
 validated, once.
 
+Turtle and the SPARQL fragment (``sparql``) share one lexer: a single
+compiled regular expression, built from the same N-Triples productions
+plus prefixed names, variables, directives, words and punctuation, turns a
+text into ``(kind, text, line)`` tokens in one ``finditer`` pass, dropping
+spaces and comments.  Each reader walks that token list and refuses what
+its language lacks.
+
 The Turtle reader covers the subset needed for hand-written metadata
 fixtures: prefix declarations, prefixed names, ``a``, predicate and object
 lists, and quoted literals with an optional datatype or language tag.
@@ -33,7 +40,7 @@ misread.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 RDF = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDF_TYPE = RDF + "type"
@@ -313,128 +320,6 @@ def _code_point(digits: str) -> str:
     return chr(code)
 
 
-class _Scanner:
-    """Character cursor over one logical chunk of input."""
-
-    def __init__(self, text: str, line: int):
-        self.text = text
-        self.pos = 0
-        self.line = line
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line)
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c == "\n":
-                self.line += 1
-                self.pos += 1
-            elif c in " \t\r":
-                self.pos += 1
-            elif c == "#":
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self.pos += 1
-            else:
-                break
-
-    def expect(self, char: str) -> None:
-        if self.peek() != char:
-            raise self.error(f"expected {char!r}, found {self.peek()!r}")
-        self.pos += 1
-
-    def read_iriref(self) -> Iri:
-        self.expect("<")
-        out: list[str] = []
-        while True:
-            if self.at_end():
-                raise self.error("unterminated IRI")
-            c = self.text[self.pos]
-            self.pos += 1
-            if c == ">":
-                break
-            if c == "\\":
-                out.append(self._read_uchar(allow_echar=False))
-            else:
-                out.append(c)
-        try:
-            return Iri("".join(out))
-        except ValueError as exc:
-            raise self.error(str(exc)) from None
-
-    def read_blank(self) -> BlankNode:
-        if not self.text.startswith("_:", self.pos):
-            raise self.error("expected blank node")
-        self.pos += 2
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] in "_.-"
-        ):
-            self.pos += 1
-        label = self.text[start : self.pos]
-        if label.endswith("."):
-            self.pos -= 1
-            label = label[:-1]
-        try:
-            return BlankNode(label)
-        except ValueError as exc:
-            raise self.error(str(exc)) from None
-
-    def read_string_body(self) -> str:
-        self.expect('"')
-        out: list[str] = []
-        while True:
-            if self.at_end():
-                raise self.error("unterminated string literal")
-            c = self.text[self.pos]
-            self.pos += 1
-            if c == '"':
-                return "".join(out)
-            if c == "\n":
-                raise self.error("newline inside string literal")
-            if c == "\\":
-                out.append(self._read_uchar(allow_echar=True))
-            else:
-                out.append(c)
-
-    def read_langtag(self) -> str:
-        self.expect("@")
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "-"
-        ):
-            self.pos += 1
-        tag = self.text[start : self.pos]
-        if not _LANGTAG_RE.match(tag):
-            raise self.error(f"invalid language tag: {tag!r}")
-        return tag
-
-    def _read_uchar(self, allow_echar: bool) -> str:
-        if self.at_end():
-            raise self.error("dangling escape")
-        c = self.text[self.pos]
-        self.pos += 1
-        if c == "u" or c == "U":
-            width = 4 if c == "u" else 8
-            digits = self.text[self.pos : self.pos + width]
-            if len(digits) != width or any(d not in "0123456789abcdefABCDEF" for d in digits):
-                raise self.error(f"invalid \\{c} escape")
-            self.pos += width
-            try:
-                return _code_point(digits)
-            except ValueError as exc:
-                raise self.error(str(exc)) from None
-        if allow_echar and c in _ECHAR_DECODE:
-            return _ECHAR_DECODE[c]
-        raise self.error(f"invalid escape sequence \\{c}")
-
-
 # ---------------------------------------------------------------------------
 # N-Triples
 
@@ -448,10 +333,9 @@ _NT_IRIREF = (
     r'(?:\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})[^\x00-\x20<>"{}|^`\\]*)*>'
 )
 _NT_BLANK = r"_:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?"
-_NT_LITERAL = (
-    r'"([^"\\\n\r]*(?:\\(?:[tbnrf"\'\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})[^"\\\n\r]*)*)"'
-    rf"(?:@([A-Za-z]+(?:-[A-Za-z0-9]+)*)|\^\^({_NT_IRIREF}))?"
-)
+_NT_STRING = r'[^"\\\n\r]*(?:\\(?:[tbnrf"\'\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})[^"\\\n\r]*)*'
+_NT_LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
+_NT_LITERAL = rf'"({_NT_STRING})"(?:@({_NT_LANGTAG})|\^\^({_NT_IRIREF}))?'
 _NT_STATEMENT = re.compile(
     rf"({_NT_IRIREF}|{_NT_BLANK})[ \t]*({_NT_IRIREF})[ \t]*"
     rf"({_NT_IRIREF}|{_NT_BLANK}|{_NT_LITERAL})[ \t]*\.[ \t]*(?:#.*)?"
@@ -534,12 +418,146 @@ def serialize_ntriples(g: Graph) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Turtle and SPARQL tokens
+
+# Prefixed names and variables, from the productions RDF 1.1 Turtle §6.5
+# and SPARQL 1.1 §19.8 share.  PN_LOCAL_ESC ('\' before one of its
+# punctuation characters) is the only escape a local name may hold.  On
+# ASCII the classes are the W3C's own; beyond it Python's Unicode word
+# characters stand in for the W3C code point ranges, which take re tens of
+# milliseconds to compile.
+_PN_CHARS_BASE = r"[^\W\d_]"
+_VARNAME_CHARS = r"\w\u00B7\u0300-\u036F\u203F\u2040"
+_PN_CHARS = _VARNAME_CHARS + r"\-"
+_PLX = r"%[0-9A-Fa-f]{2}|\\[_~.\-!$&'()*+,;=/?#@%]"
+_PN_PREFIX = rf"{_PN_CHARS_BASE}(?:[{_PN_CHARS}.]*[{_PN_CHARS}])?"
+_PN_LOCAL = rf"(?:[\w:]|{_PLX})(?:(?:[{_PN_CHARS}.:]|{_PLX})*(?:[{_PN_CHARS}:]|{_PLX}))?"
+
+# One token at a time; alternatives are tried in order, and the last takes
+# any other single character, so the tokens cover the whole text.  A
+# string that is malformed (unterminated, a bad escape, a raw line break)
+# leaves its opening '"' as a lone punct token, and so does an IRI with a
+# forbidden character its '<'.
+_TOKEN_RE = re.compile(
+    r"(?P<space>[ \t\r\n]+|#[^\r\n]*)"
+    rf"|(?P<iri>{_NT_IRIREF})"
+    rf'|(?P<string>"(?!""){_NT_STRING}")'
+    rf"|(?P<blank>{_NT_BLANK})"
+    rf"|(?P<pname>(?:{_PN_PREFIX})?:(?:{_PN_LOCAL})?)"
+    rf"|(?P<var>[?$][{_VARNAME_CHARS}]+)"
+    rf"|(?P<at>@{_NT_LANGTAG})"
+    r"|(?P<number>[+-]?[0-9]*\.?[0-9]+)"
+    r"|(?P<word>[A-Za-z][A-Za-z0-9_]*)"
+    r'|(?P<punct>\^\^|"""|[^ \t\r\n])'
+)
+_MALFORMED = {'"': "malformed string literal", "<": "malformed IRI"}
+
+
+class _Token(NamedTuple):
+    kind: str  # a group name of _TOKEN_RE other than "space", or "eof"
+    text: str
+    line: int
+
+
+def _tokenize(text: str) -> list[_Token]:
+    """The tokens of a Turtle or SPARQL text, without spaces and comments."""
+    tokens = []
+    line = 1
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "space":
+            line += match.group().count("\n")
+        else:
+            tokens.append(_Token(kind, match.group(), line))
+    tokens.append(_Token("eof", "", line))
+    return tokens
+
+
+class _TokenReader:
+    """A cursor over the tokens of one text, with the term rules Turtle and
+    SPARQL share; errors are ``error_type``, carrying the token's line."""
+
+    error_type: type[ValueError] = ParseError
+
+    def __init__(self, text: str, prefixes: Mapping[str, str] = {}):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.prefixes = dict(prefixes)
+
+    def error(self, message: str, line: int | None = None) -> ValueError:
+        return self.error_type(message, self.peek().line if line is None else line)
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def next(self) -> _Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != "eof":
+            self.pos += 1
+        return tok
+
+    def accept(self, text: str) -> bool:
+        if self.tokens[self.pos].text == text:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, text: str) -> None:
+        tok = self.next()
+        if tok.text != text:
+            raise self.error(f"expected {text!r}, found {tok.text!r}", tok.line)
+
+    def at_keyword(self, word: str) -> bool:
+        tok = self.tokens[self.pos]
+        return tok.kind == "word" and tok.text.upper() == word
+
+    def prefix_decl(self) -> None:
+        """Read ``name: <iri>`` after a prefix keyword."""
+        name = self.next()
+        prefix, _, local = name.text.partition(":")
+        if name.kind != "pname" or local:
+            raise self.error("expected a prefix name ending in ':'", name.line)
+        iri = self.next()
+        if iri.kind != "iri":
+            raise self.error("expected an IRI in the prefix declaration", iri.line)
+        self.prefixes[prefix] = self.iri(iri).value
+
+    def iri(self, tok: _Token) -> Iri:
+        """The IRI an IRIREF or a prefixed name spells."""
+        kind, text, line = tok
+        prefix, _, local = text.partition(":")
+        try:
+            if kind == "iri":
+                return Iri(_unescape(text[1:-1]))
+            if kind == "pname" and prefix in self.prefixes:
+                return Iri(self.prefixes[prefix] + local.replace("\\", ""))
+        except ValueError as exc:
+            raise self.error(str(exc), line) from None
+        if kind == "pname":
+            raise self.error(f"undeclared prefix {prefix + ':'!r}", line)
+        raise self.error(_MALFORMED.get(text, f"expected an IRI, found {text!r}"), line)
+
+    def literal(self, tok: _Token) -> Literal:
+        """The literal a string token starts, with its language tag or datatype."""
+        try:
+            lexical = _unescape(tok.text[1:-1])
+        except ValueError as exc:
+            raise self.error(str(exc), tok.line) from None
+        if self.peek().kind == "at":
+            return Literal(lexical, language=self.next().text[1:])
+        if self.accept("^^"):
+            return Literal(lexical, datatype=self.iri(self.next()).value)
+        return Literal(lexical)
+
+
+# ---------------------------------------------------------------------------
 # Turtle subset
 
 _TURTLE_UNSUPPORTED = {
     "(": "collections",
     "[": "blank node property lists",
     "'": "single-quoted strings",
+    '"""': "long strings",
 }
 
 
@@ -548,147 +566,71 @@ def parse_turtle(text: str) -> Graph:
 
     Features outside the subset (collections, blank node property lists,
     base declarations, bare numeric or boolean literals, single-quoted or
-    long strings) raise ParseError naming the feature.
+    long strings) raise ParseError naming the feature.  Any other token
+    out of place, such as a SPARQL variable, raises ParseError quoting it.
     """
-    sc = _Scanner(text, 1)
-    g = Graph()
-    prefixes: dict[str, str] = {}
-    while True:
-        sc.skip_ws()
-        if sc.at_end():
-            return g
-        if sc.text.startswith("@prefix", sc.pos):
-            sc.pos += len("@prefix")
-            _read_prefix_decl(sc, prefixes, dotted=True)
-            continue
-        if sc.text.startswith("@base", sc.pos) or _keyword_at(sc, "BASE"):
-            raise sc.error("unsupported Turtle feature: base declarations")
-        if sc.text.startswith("@", sc.pos):
-            raise sc.error("unknown directive")
-        if _keyword_at(sc, "PREFIX"):
-            sc.pos += len("PREFIX")
-            _read_prefix_decl(sc, prefixes, dotted=False)
-            continue
-        _read_statement(sc, g, prefixes)
+    return _TurtleReader(text).graph()
 
 
-def _keyword_at(sc: _Scanner, word: str) -> bool:
-    end = sc.pos + len(word)
-    if sc.text[sc.pos : end].upper() != word:
-        return False
-    if end >= len(sc.text):
-        return True
-    # a following ':' means this is a prefixed name, not a keyword
-    return not (sc.text[end].isalnum() or sc.text[end] in "_:")
+class _TurtleReader(_TokenReader):
+    def graph(self) -> Graph:
+        g = Graph()
+        while self.peek().kind != "eof":
+            tok = self.peek()
+            if tok.text == "@base" or self.at_keyword("BASE"):
+                raise self.error("unsupported Turtle feature: base declarations")
+            if tok.text == "@prefix" or self.at_keyword("PREFIX"):
+                self.next()
+                self.prefix_decl()
+                if tok.text == "@prefix":
+                    self.expect(".")
+            elif tok.kind == "at":
+                raise self.error("unknown directive")
+            else:
+                self.triples(g)
+        return g
 
-
-def _read_prefix_decl(sc: _Scanner, prefixes: dict[str, str], dotted: bool) -> None:
-    sc.skip_ws()
-    start = sc.pos
-    while sc.pos < len(sc.text) and sc.text[sc.pos] != ":":
-        if sc.text[sc.pos] in " \t\n<":
-            raise sc.error("malformed prefix declaration")
-        sc.pos += 1
-    name = sc.text[start : sc.pos]
-    sc.expect(":")
-    sc.skip_ws()
-    iri = sc.read_iriref()
-    if dotted:
-        sc.skip_ws()
-        sc.expect(".")
-    prefixes[name] = iri.value
-
-
-def _read_statement(sc: _Scanner, g: Graph, prefixes: dict[str, str]) -> None:
-    subject = _turtle_term(sc, prefixes, position="subject")
-    while True:
-        sc.skip_ws()
-        predicate = _turtle_verb(sc, prefixes)
+    def triples(self, g: Graph) -> None:
+        subject = self.term("subject")
         while True:
-            sc.skip_ws()
-            obj = _turtle_term(sc, prefixes, position="object")
-            g.add(Triple(subject, predicate, obj))
-            sc.skip_ws()
-            if sc.peek() == ",":
-                sc.pos += 1
-                continue
-            break
-        if sc.peek() == ";":
-            while sc.peek() == ";":
-                sc.pos += 1
-                sc.skip_ws()
-            if sc.peek() == ".":
-                sc.pos += 1
-                return
-            if sc.at_end():
-                raise sc.error("statement not terminated by '.'")
-            continue
-        sc.expect(".")
-        return
+            predicate = self.verb()
+            g.add(Triple(subject, predicate, self.term("object")))
+            while self.accept(","):
+                g.add(Triple(subject, predicate, self.term("object")))
+            if not self.accept(";"):
+                break
+            while self.accept(";"):
+                pass
+            if self.peek().text == ".":
+                break
+        self.expect(".")
 
+    def verb(self) -> Iri:
+        if self.accept("a"):
+            return Iri(RDF_TYPE)
+        term = self.term("predicate")
+        if not isinstance(term, Iri):
+            raise self.error("predicate must be an IRI")
+        return term
 
-def _turtle_verb(sc: _Scanner, prefixes: dict[str, str]) -> Iri:
-    if _keyword_at(sc, "A") and sc.text[sc.pos] == "a":
-        sc.pos += 1
-        return Iri(RDF_TYPE)
-    term = _turtle_term(sc, prefixes, position="predicate")
-    if not isinstance(term, Iri):
-        raise sc.error("predicate must be an IRI")
-    return term
-
-
-def _turtle_term(sc: _Scanner, prefixes: dict[str, str], position: str) -> Term:
-    sc.skip_ws()
-    c = sc.peek()
-    if c == "":
-        raise sc.error("unexpected end of input")
-    if c in _TURTLE_UNSUPPORTED:
-        raise sc.error(f"unsupported Turtle feature: {_TURTLE_UNSUPPORTED[c]}")
-    if c == "<":
-        return sc.read_iriref()
-    if c == "_":
-        return sc.read_blank()
-    if c == '"':
-        if position == "subject":
-            raise sc.error("subject cannot be a literal")
-        if sc.text.startswith('"""', sc.pos):
-            raise sc.error("unsupported Turtle feature: long strings")
-        body = sc.read_string_body()
-        if sc.peek() == "@":
-            return Literal(body, language=sc.read_langtag())
-        if sc.text.startswith("^^", sc.pos):
-            sc.pos += 2
-            sc.skip_ws()
-            if sc.peek() == "<":
-                return Literal(body, datatype=sc.read_iriref().value)
-            dt = _read_pname(sc, prefixes)
-            return Literal(body, datatype=dt.value)
-        return Literal(body)
-    if c.isdigit() or c in "+-" or _keyword_at(sc, "TRUE") or _keyword_at(sc, "FALSE"):
-        raise sc.error("unsupported Turtle feature: bare numeric and boolean literals")
-    return _read_pname(sc, prefixes)
-
-
-_PNAME_STOP = set(' \t\r\n,;<>"()[]{}#')
-
-
-def _read_pname(sc: _Scanner, prefixes: dict[str, str]) -> Iri:
-    start = sc.pos
-    while sc.pos < len(sc.text) and sc.text[sc.pos] not in _PNAME_STOP:
-        sc.pos += 1
-    token = sc.text[start : sc.pos]
-    if token.endswith("."):
-        token = token[:-1]
-        sc.pos -= 1
-    if ":" not in token:
-        raise sc.error(f"expected a prefixed name, found {token!r}")
-    prefix, local = token.split(":", 1)
-    if prefix not in prefixes:
-        raise sc.error(f"undeclared prefix {prefix + ':'!r}")
-    try:
-        return Iri(prefixes[prefix] + local)
-    except ValueError as exc:
-        raise sc.error(str(exc)) from None
+    def term(self, position: str) -> Term:
+        tok = self.next()
+        kind, text, line = tok
+        if kind == "iri" or kind == "pname":
+            return self.iri(tok)
+        if kind == "blank":
+            return BlankNode(text[2:])
+        if kind == "string":
+            if position == "subject":
+                raise self.error("subject cannot be a literal", line)
+            return self.literal(tok)
+        if kind == "number" or text in ("true", "false"):
+            raise self.error("unsupported Turtle feature: bare numeric and boolean literals", line)
+        if text in _TURTLE_UNSUPPORTED:
+            raise self.error(f"unsupported Turtle feature: {_TURTLE_UNSUPPORTED[text]}", line)
+        if kind == "eof":
+            raise self.error("unexpected end of input", line)
+        raise self.error(_MALFORMED.get(text, f"expected an RDF term, found {text!r}"), line)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,13 @@ patterns with ``a``, predicate/object lists, grouped patterns and UNION.
 ``?name`` parses as a variable and ``$name`` as a placeholder to be filled
 in by :func:`substitute` before evaluation.
 
-Everything else (FILTER, OPTIONAL, property paths, solution modifiers, and
-so on) raises :class:`UnsupportedSparqlFeature` naming the construct, so a
-query outside the fragment fails loudly instead of being half-understood.
+Queries are lexed by the tokenizer the Turtle reader uses (``rdf``), so
+IRIs, prefixed names, strings, language tags and comments read exactly as
+the SPARQL 1.1 grammar spells them.  Before parsing, the token list is
+checked in text order: the first construct outside the fragment (FILTER,
+OPTIONAL, property paths, blank nodes, numbers, solution modifiers, and so
+on) raises :class:`UnsupportedSparqlFeature` naming it, so a query outside
+the fragment fails loudly instead of being half-understood.
 
 Evaluation implements natural-join semantics over an in-memory graph with
 distinct solutions.  Patterns inside a BGP are tried most-selective-first,
@@ -26,7 +30,8 @@ from .rdf import (
     Iri,
     Literal,
     Term,
-    _Scanner,
+    _MALFORMED,
+    _TokenReader,
     format_term,
     term_sort_key,
 )
@@ -174,166 +179,68 @@ def _walk_patterns(pattern: GroupPattern) -> Iterator[TriplePattern]:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Parser
 
-_KEYWORDS = {"PREFIX", "ASK", "SELECT", "WHERE", "UNION", "DISTINCT", "A"}
+_KEYWORDS = {"PREFIX", "ASK", "SELECT", "WHERE", "UNION", "DISTINCT"}
 _REJECTED_KEYWORDS = {
     "FILTER", "OPTIONAL", "GRAPH", "SERVICE", "BIND", "VALUES", "MINUS",
     "EXISTS", "LIMIT", "OFFSET", "ORDER", "GROUP", "HAVING", "CONSTRUCT",
     "DESCRIBE", "INSERT", "DELETE", "FROM", "NAMED", "REDUCED", "BASE",
 }
-_PATH_PUNCT = set("/|^+")
-_PNAME_CHARS_STOP = set(' \t\r\n{}.;,*<>"()[]/|^+?$&!=@')
+# Token kinds and punctuation outside the fragment, by the feature they start.
+_UNSUPPORTED = {
+    "blank": "blank nodes in query patterns",
+    "number": "numeric literals",
+    "(": "RDF collections or expressions",
+    "[": "blank node property lists",
+    "'": "single-quoted strings",
+    '"""': "long strings",
+    **dict.fromkeys("/|^+", "property paths"),
+}
 
 
-@dataclass
-class _Token:
-    kind: str  # keyword | var | placeholder | iri | pname | literal | punct | eof
-    value: object
-    line: int
+class _Parser(_TokenReader):
+    error_type = SparqlError
 
-
-def _tokenize(text: str) -> list[_Token]:
-    sc = _Scanner(text, 1)
-    tokens: list[_Token] = []
-    while True:
-        sc.skip_ws()
-        if sc.at_end():
-            tokens.append(_Token("eof", None, sc.line))
-            return tokens
-        line = sc.line
-        c = sc.peek()
-        if c in "{}.;,*":
-            sc.pos += 1
-            tokens.append(_Token("punct", c, line))
-        elif c.isdigit() or (c in "+-" and sc.text[sc.pos + 1 : sc.pos + 2].isdigit()):
-            raise UnsupportedSparqlFeature("numeric literals", line)
-        elif c in _PATH_PUNCT:
-            raise UnsupportedSparqlFeature("property paths", line)
-        elif c == "(":
-            raise UnsupportedSparqlFeature("RDF collections or expressions", line)
-        elif c == "[":
-            raise UnsupportedSparqlFeature("blank node property lists", line)
-        elif c in "?$":
-            sc.pos += 1
-            start = sc.pos
-            while sc.pos < len(sc.text) and (sc.text[sc.pos].isalnum() or sc.text[sc.pos] == "_"):
-                sc.pos += 1
-            name = sc.text[start : sc.pos]
-            if not name:
-                raise SparqlError(f"expected a variable name after {c!r}", line)
-            tokens.append(_Token("var" if c == "?" else "placeholder", name, line))
-        elif c == "<":
-            tokens.append(_Token("iri", sc.read_iriref(), line))
-        elif c == '"':
-            tokens.append(_Token("literal", _read_literal(sc), line))
-        elif c == "'":
-            raise UnsupportedSparqlFeature("single-quoted strings", line)
-        elif c == "_":
-            raise UnsupportedSparqlFeature("blank nodes in query patterns", line)
-        else:
-            tokens.append(_read_word(sc, line))
-
-
-def _read_literal(sc: _Scanner) -> tuple[str, str | None, object]:
-    body = sc.read_string_body()
-    if sc.peek() == "@":
-        return (body, sc.read_langtag(), None)
-    if sc.text.startswith("^^", sc.pos):
-        sc.pos += 2
-        if sc.peek() == "<":
-            return (body, None, ("iri", sc.read_iriref().value))
-        word = _read_word(sc, sc.line)
-        if word.kind != "pname":
-            raise SparqlError("expected a datatype IRI after '^^'", sc.line)
-        return (body, None, ("pname",) + word.value)  # type: ignore[operator]
-    return (body, None, None)
-
-
-def _read_word(sc: _Scanner, line: int) -> _Token:
-    start = sc.pos
-    while sc.pos < len(sc.text) and sc.text[sc.pos] not in _PNAME_CHARS_STOP:
-        sc.pos += 1
-    token = sc.text[start : sc.pos]
-    if token.endswith(".") and ":" in token:
-        token = token[:-1]
-        sc.pos -= 1
-    if not token:
-        raise SparqlError(f"unexpected character {sc.peek()!r}", line)
-    if ":" in token:
-        prefix, local = token.split(":", 1)
-        return _Token("pname", (prefix, local), line)
-    word = token.upper()
-    if word in _REJECTED_KEYWORDS:
-        raise UnsupportedSparqlFeature(word, line)
-    if word in _KEYWORDS:
-        return _Token("keyword", word, line)
-    raise SparqlError(f"unexpected token {token!r}", line)
-
-
-# ---------------------------------------------------------------------------
-# Parser
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def error(self, message: str) -> SparqlError:
-        return SparqlError(message, self.peek().line)
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "keyword" and tok.value == word
-
-    def expect_punct(self, char: str) -> None:
-        tok = self.next()
-        if tok.kind != "punct" or tok.value != char:
-            raise SparqlError(f"expected {char!r}", tok.line)
+    def __init__(self, text: str, prefixes: Mapping[str, str] = {}):
+        super().__init__(text, prefixes)
+        # Refuse what the fragment lacks before parsing, first in text order.
+        for kind, spelling, line in self.tokens:
+            if kind == "word":
+                word = spelling.upper()
+                if word in _REJECTED_KEYWORDS:
+                    raise UnsupportedSparqlFeature(word, line)
+                if word not in _KEYWORDS and spelling != "a":
+                    raise SparqlError(f"unexpected token {spelling!r}", line)
+            elif kind in _UNSUPPORTED or spelling in _UNSUPPORTED:
+                feature = _UNSUPPORTED.get(kind) or _UNSUPPORTED[spelling]
+                raise UnsupportedSparqlFeature(feature, line)
+            elif spelling in _MALFORMED:
+                raise SparqlError(_MALFORMED[spelling], line)
 
     def parse_query(self) -> Query:
-        prefixes: dict[str, str] = {}
         while self.at_keyword("PREFIX"):
             self.next()
-            name_tok = self.next()
-            if name_tok.kind != "pname" or name_tok.value[1] != "":
-                raise SparqlError("expected a prefix name ending in ':'", name_tok.line)
-            iri_tok = self.next()
-            if iri_tok.kind != "iri":
-                raise SparqlError("expected an IRI in PREFIX declaration", iri_tok.line)
-            prefixes[name_tok.value[0]] = iri_tok.value.value
+            self.prefix_decl()
 
         if self.at_keyword("ASK"):
             self.next()
-            pattern = self.group(prefixes)
-            query = Query("ask", None, pattern, prefixes)
+            pattern = self.group()
+            query = Query("ask", None, pattern, self.prefixes)
         elif self.at_keyword("SELECT"):
             self.next()
             if self.at_keyword("DISTINCT"):
                 self.next()
             projection: list[str] = []
-            star = False
-            if self.peek().kind == "punct" and self.peek().value == "*":
-                self.next()
-                star = True
-            else:
-                while self.peek().kind == "var":
-                    projection.append(self.next().value)
+            star = self.accept("*")
+            if not star:
+                while self.peek().text.startswith("?"):
+                    projection.append(self.next().text[1:])
                 if not projection:
                     raise self.error("SELECT needs '*' or at least one variable")
             if self.at_keyword("WHERE"):
                 self.next()
-            pattern = self.group(prefixes)
+            pattern = self.group()
             if not star:
                 missing = set(projection) - pattern_variables(pattern)
                 if missing:
@@ -341,7 +248,7 @@ class _Parser:
                         "projected variables not in pattern: "
                         + ", ".join(sorted(missing))
                     )
-            query = Query("select", tuple(projection), pattern, prefixes)
+            query = Query("select", tuple(projection), pattern, self.prefixes)
         else:
             raise self.error("expected ASK or SELECT")
 
@@ -350,8 +257,8 @@ class _Parser:
             raise SparqlError("unexpected content after query", tok.line)
         return query
 
-    def group(self, prefixes: dict[str, str]) -> GroupPattern:
-        self.expect_punct("{")
+    def group(self) -> GroupPattern:
+        self.expect("{")
         parts: list[GroupPattern] = []
         bgp: list[TriplePattern] = []
 
@@ -360,27 +267,21 @@ class _Parser:
                 parts.append(Bgp(tuple(bgp)))
                 bgp.clear()
 
-        while True:
+        while not self.accept("}"):
             tok = self.peek()
-            if tok.kind == "punct" and tok.value == "}":
-                self.next()
-                break
-            if tok.kind == "punct" and tok.value == "{":
+            if tok.text == "{":
                 flush()
-                branches = [self.group(prefixes)]
+                branches = [self.group()]
                 while self.at_keyword("UNION"):
                     self.next()
-                    branches.append(self.group(prefixes))
+                    branches.append(self.group())
                 parts.append(branches[0] if len(branches) == 1 else UnionPattern(tuple(branches)))
-                if self.peek().kind == "punct" and self.peek().value == ".":
-                    self.next()
+                self.accept(".")
                 continue
             if tok.kind == "eof":
                 raise SparqlError("unterminated group pattern", tok.line)
-            self.triples_same_subject(bgp, prefixes)
-            if self.peek().kind == "punct" and self.peek().value == ".":
-                self.next()
-            elif not (self.peek().kind == "punct" and self.peek().value in "}{"):
+            self.triples_same_subject(bgp)
+            if not self.accept(".") and self.peek().text not in ("}", "{"):
                 raise self.error("expected '.', '}' or a group")
 
         flush()
@@ -390,69 +291,39 @@ class _Parser:
             return parts[0]
         return SeqPattern(tuple(parts))
 
-    def triples_same_subject(self, bgp: list[TriplePattern], prefixes: dict[str, str]) -> None:
-        subject = self.term(prefixes)
+    def triples_same_subject(self, bgp: list[TriplePattern]) -> None:
+        subject = self.term()
         while True:
-            predicate = self.verb(prefixes)
-            while True:
-                obj = self.term(prefixes)
-                bgp.append(TriplePattern(subject, predicate, obj))
-                if self.peek().kind == "punct" and self.peek().value == ",":
-                    self.next()
-                    continue
-                break
-            if self.peek().kind == "punct" and self.peek().value == ";":
-                self.next()
-                tok = self.peek()
-                if tok.kind == "punct" and tok.value in ".}":
-                    return
-                continue
-            return
+            predicate = self.verb()
+            bgp.append(TriplePattern(subject, predicate, self.term()))
+            while self.accept(","):
+                bgp.append(TriplePattern(subject, predicate, self.term()))
+            if not self.accept(";") or self.peek().text in (".", "}"):
+                return
 
-    def verb(self, prefixes: dict[str, str]) -> PatternTerm:
-        if self.at_keyword("A"):
-            self.next()
+    def verb(self) -> PatternTerm:
+        if self.accept("a"):
             return Iri(RDF_TYPE)
-        term = self.term(prefixes)
+        term = self.term()
         if isinstance(term, Literal):
             raise self.error("a literal cannot be a predicate")
         return term
 
-    def term(self, prefixes: dict[str, str]) -> PatternTerm:
+    def term(self) -> PatternTerm:
         tok = self.next()
         if tok.kind == "var":
-            return Variable(tok.value)
-        if tok.kind == "placeholder":
-            return Placeholder(tok.value)
-        if tok.kind == "iri":
-            return tok.value
-        if tok.kind == "pname":
-            return _resolve_pname(tok.value, prefixes, tok.line)
-        if tok.kind == "literal":
-            body, lang, dtype = tok.value
-            if lang is not None:
-                return Literal(body, language=lang)
-            if dtype is None:
-                return Literal(body)
-            if dtype[0] == "iri":
-                return Literal(body, datatype=dtype[1])
-            return Literal(body, datatype=_resolve_pname(dtype[1:], prefixes, tok.line).value)
-        raise SparqlError(f"expected a term, found {tok.value!r}", tok.line)
-
-
-def _resolve_pname(value: tuple[str, str], prefixes: Mapping[str, str], line: int) -> Iri:
-    prefix, local = value
-    if prefix not in prefixes:
-        raise SparqlError(f"undeclared prefix {prefix + ':'!r}", line)
-    try:
-        return Iri(prefixes[prefix] + local)
-    except ValueError as exc:
-        raise SparqlError(str(exc), line) from None
+            name = tok.text[1:]
+            return Variable(name) if tok.text[0] == "?" else Placeholder(name)
+        if tok.kind == "string":
+            return self.literal(tok)
+        if tok.kind == "iri" or tok.kind == "pname":
+            return self.iri(tok)
+        raise SparqlError(f"expected a term, found {tok.text!r}", tok.line)
 
 
 def parse_query(text: str) -> Query:
     """Parse an ASK or SELECT query in the supported fragment."""
-    return _Parser(_tokenize(text)).parse_query()
+    return _Parser(text).parse_query()
 
 
 def parse_triple_patterns(text: str, prefixes: Mapping[str, str]) -> tuple[TriplePattern, ...]:
@@ -461,13 +332,12 @@ def parse_triple_patterns(text: str, prefixes: Mapping[str, str]) -> tuple[Tripl
     The text uses the same syntax as a BGP body; prefixed names resolve
     against the supplied mapping.
     """
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text, prefixes)
     bgp: list[TriplePattern] = []
-    env = dict(prefixes)
     while parser.peek().kind != "eof":
-        parser.triples_same_subject(bgp, env)
-        if parser.peek().kind == "punct" and parser.peek().value == ".":
-            parser.next()
+        parser.triples_same_subject(bgp)
+        if not parser.accept(".") and parser.peek().kind != "eof":
+            raise parser.error("expected '.' between triple patterns")
     if not bgp:
         raise SparqlError("no triple patterns found")
     return tuple(bgp)

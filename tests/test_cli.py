@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from urllib.parse import quote
 
 import pytest
 import yaml
 
 import kgaudit
 from kgaudit.catalog import default_catalog, dump_catalog
+from kgaudit import cli
 from kgaudit.cli import main
 
 from helpers import FIXTURES, THREE_HOP_RULE
@@ -157,9 +160,37 @@ def test_evaluate_writes_reports(tmp_path, capsys):
     assert capsys.readouterr().out == "3.3%\n"
     assert {p.name for p in out.iterdir()} == {"report.json", "report.csv", "report.nt"}
     doc = json.loads((out / "report.json").read_text())
-    datasets = doc["endpoints"][path.resolve().as_uri()]["datasets"]
+    datasets = doc["endpoints"]["file:" + quote(str(path))]["datasets"]
     assert datasets["http://example.org/kg/sparse"]["score"]["percent"] == "3.3%"
     assert (out / "report.csv").read_bytes().count(b"\r\n") == 2  # header + one row
+
+
+def test_evaluate_file_reports_do_not_depend_on_the_working_directory(tmp_path, monkeypatch):
+    names = ("report.json", "report.csv", "report.nt")
+    reports = []
+    for place in ("here", "somewhere/else/entirely"):
+        cwd = tmp_path / place
+        (cwd / "data").mkdir(parents=True)
+        (cwd / "data" / "kg.nt").write_bytes((FIXTURES / "accountable.nt").read_bytes())
+        monkeypatch.chdir(cwd)
+        assert main(["evaluate", "--file", "data/kg.nt", "--out", "out"]) == 0
+        stamp = json.loads((cwd / "out" / "report.json").read_text())["generated_at"]
+        reports.append([(cwd / "out" / n).read_text().replace(stamp, "STAMP") for n in names])
+    assert reports[0] == reports[1]
+    assert '"file:data/kg.nt"' in reports[0][0]
+
+
+def test_a_failed_report_write_keeps_the_old_file(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    argv = ["evaluate", "--file", str(FIXTURES / "accountable.nt"), "--out", str(out)]
+    assert main(argv) == 0
+    before = (out / "report.csv").read_bytes()
+    # a lone surrogate cannot be encoded, so writing it fails part way
+    monkeypatch.setattr(cli, "to_csv", lambda report, catalog: "endpoint,dataset\r\n\ud800")
+    assert main(argv) == 2
+    assert "surrogate" in capsys.readouterr().err
+    assert (out / "report.csv").read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == ["report.csv", "report.json", "report.nt"]
 
 
 def test_evaluate_endpoint_report_uses_run_timestamp(tmp_path, capsys):
@@ -442,6 +473,19 @@ def test_catalog_export_extended(capsys):
     assert "# publisher.1" in out
     assert "UNION" in out
     assert "ASK" in out
+
+
+# Line count and SHA-256 of `catalog export-extended` for every question,
+# recorded before Turtle and SPARQL shared one lexer: they pin what the
+# parser makes of the bundled catalog, which content_hash (over the raw
+# query texts) cannot.
+EXPORT_EXTENDED = (1107, "269fca7fb4078ac367975781174f06cd22afbf383874017de6ab30f24f06b949")
+
+
+def test_catalog_export_extended_output_is_pinned(capsys):
+    assert main(["catalog", "export-extended"]) == 0
+    out = capsys.readouterr().out
+    assert (out.count("\n"), hashlib.sha256(out.encode("utf-8")).hexdigest()) == EXPORT_EXTENDED
 
 
 def test_catalog_export_unknown_question(capsys):

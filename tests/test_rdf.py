@@ -504,6 +504,23 @@ def test_turtle_type_shortcut_and_semicolon_before_dot() -> None:
     assert len(g) == 2
 
 
+def test_turtle_reads_serialized_ntriples_as_the_same_graph() -> None:
+    # N-Triples is a subset of Turtle, and both readers share the term productions
+    assert parse_turtle(fixture_text("term_shapes.nt")) == parse_ntriples(fixture_text("term_shapes.nt"))
+    rng = random.Random(2718)
+    for _ in range(40):
+        g = random_graph(rng, max_triples=120)
+        assert parse_turtle(serialize_ntriples(g)) == g
+
+
+def test_turtle_refuses_a_raw_carriage_return_in_a_string() -> None:
+    # as N-Triples does: a string may hold a CR only as the escape \r
+    text = '<http://e.org/s> <http://e.org/p> "ok" .\n<http://e.org/s> <http://e.org/p> "a\rb" .\n'
+    with pytest.raises(ParseError) as err:
+        parse_turtle(text)
+    assert err.value.line == 2
+
+
 # ---------------------------------------------------------------------------
 # File loading
 

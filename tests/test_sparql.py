@@ -137,6 +137,23 @@ def test_syntax_errors() -> None:
     assert "nope" in str(err2.value)
 
 
+def test_rule_patterns_need_the_dot_a_group_needs() -> None:
+    text = "?a <http://e.org/p> ?c ?d <http://e.org/q> ?f"
+    with pytest.raises(SparqlError) as err:
+        parse_query("ASK { " + text + " }")
+    assert "expected '.'" in str(err.value)
+    with pytest.raises(SparqlError) as err:
+        parse_triple_patterns(text, {})
+    assert "expected '.'" in str(err.value)
+
+
+def test_hash_after_a_prefixed_name_starts_a_comment() -> None:
+    q = parse_query("PREFIX e: <http://e.org/>\nASK { ?kg e:p e:o#x\n}")
+    assert q.pattern == Bgp(
+        (TriplePattern(Variable("kg"), Iri("http://e.org/p"), Iri("http://e.org/o")),)
+    )
+
+
 def test_parse_triple_patterns_for_rules() -> None:
     patterns = parse_triple_patterns(
         "?kg prov:wasGeneratedBy ?activity . ?activity a prov:Publish",
@@ -165,6 +182,18 @@ def test_parse_triple_patterns_for_rules() -> None:
 def test_print_then_parse_is_identity(text: str) -> None:
     q = parse_query(text)
     assert parse_query(format_query(q)) == q
+
+
+def test_every_abbreviated_local_name_parses_back() -> None:
+    # inner dots, a leading digit or '_', '-' and the empty local name
+    locals_ = ["a.b", "1x", "_x", "x-y", "a..b-", ""]
+    text = "PREFIX e: <http://e.org/> ASK { " + " ".join(
+        f"?kg <http://e.org/p> <http://e.org/{local}> ." for local in locals_
+    ) + " }"
+    q = parse_query(text)
+    out = format_query(q)
+    assert all(f"e:{local} ." in out for local in locals_)
+    assert parse_query(out) == q
 
 
 def test_printer_output_is_plain_sparql() -> None:
