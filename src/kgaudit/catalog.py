@@ -8,7 +8,9 @@ canonical predicates used by the compact ASK queries.
 Catalogs live in a single YAML document so that curators can edit texts,
 weights, queries and rules without touching code.  ``load_catalog`` parses
 and validates; ``dump_catalog`` writes the same structure back out, and
-``default_catalog`` loads the catalog bundled with the package.
+``default_catalog`` loads the catalog bundled with the package.  A query
+names the dataset it scores ``?kg`` or ``$kg``; parsing turns both into
+the variable ``?kg``.
 
 The same rules drive two interchangeable evaluation routes: one-step rule
 application to the published graph before running the compact query
@@ -24,7 +26,7 @@ compact pattern with a variable predicate, a rule target other than
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
 from typing import Iterator, Mapping
@@ -44,7 +46,12 @@ from .sparql import (
     format_triple_pattern,
     parse_query,
     parse_triple_patterns,
+    pattern_placeholders,
+    substitute,
 )
+
+# The variable every query binds to the dataset it scores.
+KG = Variable("kg")
 
 STEP_IDS = ("collection", "maintenance", "usage")
 LEAF_NAMES = {
@@ -113,8 +120,13 @@ class Catalog:
     root: HierarchyNode
     rules: tuple[EquivalenceRule, ...]
     # The vocabulary-expanded query of each plain-BGP query id, computed once
-    # by ``parse_catalog``; the remote route asks these.
+    # by ``parse_catalog``.
     expanded: Mapping[str, Query]
+    # Both forms as ``SELECT DISTINCT ?kg``, also built once: scoring binds
+    # ?kg to the datasets with VALUES and asks the compact form of a
+    # saturated graph, the expanded form of an endpoint.
+    compact_selects: Mapping[str, Query]
+    expanded_selects: Mapping[str, Query]
     prefixes: Mapping[str, str] = field(default_factory=dict)
 
     def steps(self) -> tuple[HierarchyNode, ...]:
@@ -235,21 +247,35 @@ def parse_catalog(text: str, source: str = "<string>") -> Catalog:
         for index, entry in enumerate(raw_rules)
     )
 
-    expanded = {
-        cq.id: expand_extended(cq.query, rules)
+    compact = {
+        cq.id: cq.query
         for questions in questions_by_leaf.values()
         for question in questions
         for cq in question.queries
         if isinstance(cq.query.pattern, Bgp)  # validation refuses the others
     }
+    expanded = {qid: expand_extended(query, rules) for qid, query in compact.items()}
     root = _build_tree(labels, questions_by_leaf)
     catalog = Catalog(
-        version=version, root=root, rules=rules, expanded=expanded, prefixes=dict(prefixes)
+        version=version,
+        root=root,
+        rules=rules,
+        expanded=expanded,
+        compact_selects=_selects(compact),
+        expanded_selects=_selects(expanded),
+        prefixes=dict(prefixes),
     )
     diagnostics = validate(catalog)
     if diagnostics:
         raise CatalogError(f"{source}: catalog is invalid", diagnostics)
     return catalog
+
+
+def _selects(queries: Mapping[str, Query]) -> dict[str, Query]:
+    return {
+        qid: replace(query, form="select", projection=(KG.name,))
+        for qid, query in queries.items()
+    }
 
 
 def _parse_question(entry: dict, header: str, where: str) -> Question:
@@ -277,6 +303,9 @@ def _parse_question(entry: dict, header: str, where: str) -> Question:
         body = q.strip()
         try:
             parsed = parse_query(header + body)
+            if pattern_placeholders(parsed.pattern):
+                # $kg becomes ?kg, which VALUES can bind; any other is refused
+                parsed = substitute(parsed, {KG.name: KG})
         except SparqlError as exc:
             raise CatalogError(f"question '{qid}' query {qindex}: {exc}") from None
         queries.append(CompactQuery(f"{qid}.{qindex}", body, parsed, label))
@@ -518,7 +547,7 @@ def _check_reach(catalog: Catalog) -> list[str]:
 
 
 def _is_kg(pos: object) -> bool:
-    return isinstance(pos, (Variable, Placeholder)) and pos.name == "kg"
+    return pos == KG
 
 
 # ---------------------------------------------------------------------------

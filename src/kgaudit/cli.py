@@ -24,14 +24,14 @@ from .client import (
     JournalError,
     discover_datasets,
     discover_in_graph,
-    evaluate_remote,
+    evaluate_remote_datasets,
     run_campaign,
     utcnow,
 )
 from .rdf import Iri, ParseError, load_rdf
 from .reporting import build_report, figure_files, to_csv, to_dqv, to_json
 from .saturation import saturate
-from .scoring import DatasetResult, evaluate_graph, format_percent
+from .scoring import DatasetResult, format_percent, score_datasets
 from .sparql import format_query
 from .transport import HttpTransport, TranscriptTransport, Transport, TransportError
 
@@ -204,22 +204,16 @@ def _cmd_evaluate(args) -> int:
         graph = load_rdf(args.file)
         datasets = _named_datasets(args) or discover_in_graph(graph)
         saturated, _ = saturate(graph, catalog.rules)
-        results = [
-            evaluate_graph(catalog, graph, dataset, saturated=saturated)
-            for dataset in datasets
-        ]
+        results = score_datasets(catalog, saturated, datasets)
     else:
         transport = _transport(args)
         stamp = transport.run_timestamp(args.endpoint, args.run) or stamp
         datasets = _named_datasets(args) or discover_datasets(
             transport, args.endpoint, timeout=args.timeout, run=args.run
         )
-        results = [
-            evaluate_remote(
-                transport, args.endpoint, catalog, dataset, timeout=args.timeout, run=args.run
-            )
-            for dataset in datasets
-        ]
+        results = evaluate_remote_datasets(
+            transport, args.endpoint, catalog, datasets, timeout=args.timeout, run=args.run
+        )
     if not results:
         print("kgaudit: no datasets to evaluate", file=sys.stderr)
         return 1

@@ -6,7 +6,13 @@ Two evaluation routes exist on purpose and must stay distinct:
   merges what the runs saw, saturates the merged graph with the
   vocabulary rules and answers the compact queries locally;
 * the *remote* route sends the expanded UNION form of every query to the
-  endpoint and trusts its ASK answers.
+  endpoint and trusts its answers.  Each query goes out once for all the
+  datasets, as ``SELECT DISTINCT ?kg`` with ?kg bound to them by VALUES,
+  and the datasets it returns satisfy it: scoring N datasets costs one
+  request per catalog query, whatever N is.  A request that fails fails
+  its query for every dataset alike, with the same ``FailureKind``
+  (``timeout`` for a timeout, ``remote-error`` otherwise); an answer that
+  is not a list of rows counts as a remote error too.
 
 Both routes give the same score for the same served data because the
 fetch shape covers everything a catalog query can reach: the catalog
@@ -33,7 +39,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .catalog import Catalog, default_catalog
+from .catalog import KG, Catalog, default_catalog
 from .rdf import (
     RDF_TYPE,
     BlankNode,
@@ -49,12 +55,11 @@ from .reporting import Report, RunRecord, build_report
 from .scoring import (
     DatasetResult,
     FailureKind,
-    QueryOutcome,
-    build_result,
     evaluate_graph,
     not_evaluated_result,
+    results_from_answers,
 )
-from .sparql import Query, SeqPattern, parse_query, substitute
+from .sparql import Query, SeqPattern, bind_values, parse_query, substitute
 from .transport import HttpTransport, Transport, TransportError
 
 # Finds dataset IRIs that an endpoint both describes and links to itself.
@@ -228,20 +233,35 @@ def evaluate_remote(
     run: int = 0,
 ) -> DatasetResult:
     """Score a dataset by asking the endpoint the expanded queries."""
-    outcomes = []
-    for _, cq in catalog.queries():
-        query = substitute(catalog.expanded[cq.id], {"kg": dataset})
+    return evaluate_remote_datasets(
+        transport, url, catalog, [dataset], timeout=timeout, run=run
+    )[0]
+
+
+def evaluate_remote_datasets(
+    transport: Transport,
+    url: str,
+    catalog: Catalog,
+    datasets: Sequence[Iri],
+    *,
+    timeout: float = DEFAULT_TIMEOUT,
+    run: int = 0,
+) -> list[DatasetResult]:
+    """Score datasets with one request per expanded query, naming them all."""
+    if not datasets:
+        return []
+    answers: dict[str, set[Term] | FailureKind] = {}
+    for qid, select in catalog.expanded_selects.items():
+        query = bind_values(select, KG.name, datasets)
         try:
-            answer = transport.query(url, query, timeout=timeout, run=run)
-            if not isinstance(answer, bool):
-                raise TransportError("malformed", "ASK answered with bindings")
-            outcomes.append(
-                QueryOutcome(cq.id, answer, None if answer else FailureKind.ANSWER_FALSE)
-            )
+            rows = transport.query(url, query, timeout=timeout, run=run)
+            if not isinstance(rows, list):
+                raise TransportError("malformed", "SELECT answered with a boolean")
+            answers[qid] = {row.get(KG.name) for row in rows}
         except TransportError as exc:
             kind = FailureKind.TIMEOUT if exc.kind == "timeout" else FailureKind.REMOTE_ERROR
-            outcomes.append(QueryOutcome(cq.id, False, kind))
-    return build_result(catalog, dataset.value, outcomes)
+            answers[qid] = kind
+    return results_from_answers(catalog, datasets, answers)
 
 
 # ---------------------------------------------------------------------------

@@ -327,12 +327,18 @@ def _iri_value(term: Term) -> str:
 def to_json(report: Report, catalog: Catalog) -> str:
     """Canonical JSON: keys sorted, scores as fraction, decimal and percent."""
 
+    # A report holds few distinct scores, so each is rendered once.
+    rendered: dict[Fraction, dict] = {}
+
     def score_obj(score: Fraction) -> dict:
-        return {
-            "fraction": str(score),
-            "decimal": float(score),
-            "percent": format_percent(score),
-        }
+        obj = rendered.get(score)
+        if obj is None:
+            obj = rendered[score] = {
+                "fraction": str(score),
+                "decimal": float(score),
+                "percent": format_percent(score),
+            }
+        return obj
 
     best_map = report.best_per_endpoint()
     endpoints: dict[str, dict] = {}

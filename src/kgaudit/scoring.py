@@ -1,4 +1,11 @@
-"""From ASK answers to hierarchical accountability scores.
+"""From query answers to hierarchical accountability scores.
+
+Each catalog query is asked once for a whole set of datasets, as
+``SELECT DISTINCT ?kg`` with ?kg bound to them by VALUES; a dataset
+satisfies the query when the answer holds it.  Locally the compact form
+is asked of the saturated graph (:func:`score_datasets`); the remote route
+asks an endpoint the expanded form and hands its answers to
+:func:`results_from_answers` too.
 
 Scores are exact rationals all the way up: a question is the mean of its
 query outcomes, a leaf is the weighted mean of its questions, and every
@@ -11,12 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping, Sequence
 
-from .catalog import Catalog
-from .rdf import Graph, Iri
+from .catalog import KG, Catalog
+from .rdf import Graph, Iri, Term
 from .saturation import SaturationTrace, saturate
-from .sparql import eval_ask, substitute
+from .sparql import bind_values, eval_select
 
 
 class FailureKind(Enum):
@@ -131,13 +138,44 @@ def evaluate_graph(
     trace = None
     if saturated is None:
         saturated, trace = saturate(graph, catalog.rules)
-    outcomes = []
-    for _, cq in catalog.queries():
-        ok = eval_ask(saturated, substitute(cq.query, {"kg": dataset}))
-        outcomes.append(
-            QueryOutcome(cq.id, ok, None if ok else FailureKind.ANSWER_FALSE)
-        )
-    return build_result(catalog, dataset.value, outcomes, trace)
+    return score_datasets(catalog, saturated, [dataset], trace)[0]
+
+
+def score_datasets(
+    catalog: Catalog,
+    saturated: Graph,
+    datasets: Sequence[Iri],
+    trace: SaturationTrace | None = None,
+) -> list[DatasetResult]:
+    """Score datasets of one saturated graph, each compact query asked once."""
+    answers = {}
+    for qid, select in catalog.compact_selects.items():
+        rows = eval_select(saturated, bind_values(select, KG.name, datasets))
+        answers[qid] = {row[KG.name] for row in rows}
+    return results_from_answers(catalog, datasets, answers, trace)
+
+
+def results_from_answers(
+    catalog: Catalog,
+    datasets: Sequence[Iri],
+    answers: Mapping[str, Collection[Term] | FailureKind],
+    trace: SaturationTrace | None = None,
+) -> list[DatasetResult]:
+    """One result per dataset, from the datasets each query found, or the
+    failure that query met, which then holds for every dataset alike."""
+    results = []
+    for dataset in datasets:
+        outcomes = []
+        for _, cq in catalog.queries():
+            answer = answers[cq.id]
+            if isinstance(answer, FailureKind):
+                outcomes.append(QueryOutcome(cq.id, False, answer))
+            elif dataset in answer:
+                outcomes.append(QueryOutcome(cq.id, True))
+            else:
+                outcomes.append(QueryOutcome(cq.id, False, FailureKind.ANSWER_FALSE))
+        results.append(build_result(catalog, dataset.value, outcomes, trace))
+    return results
 
 
 def not_evaluated_result(

@@ -1,10 +1,12 @@
 """A small SPARQL fragment: ASK and SELECT over basic graph patterns and UNION.
 
-The fragment covers exactly what the requirement queries and the dataset
-discovery query need: PREFIX declarations, ASK and SELECT forms, triple
-patterns with ``a``, predicate/object lists, grouped patterns and UNION.
-``?name`` parses as a variable and ``$name`` as a placeholder to be filled
-in by :func:`substitute` before evaluation.
+The fragment covers exactly what the requirement queries, the dataset
+discovery query and scoring need: PREFIX declarations, ASK and SELECT
+forms, triple patterns with ``a``, predicate/object lists, grouped
+patterns, UNION, and inline data over one variable (``VALUES ?v { ... }``
+with IRIs and literals, at the head of a group).  ``?name`` parses as a
+variable and ``$name`` as a placeholder to be filled in by
+:func:`substitute` before evaluation.
 
 Queries are lexed by the tokenizer the Turtle reader uses (``rdf``), so
 IRIs, prefixed names, strings, language tags and comments read exactly as
@@ -12,11 +14,16 @@ the SPARQL 1.1 grammar spells them.  Before parsing, the token list is
 checked in text order: the first construct outside the fragment (FILTER,
 OPTIONAL, property paths, blank nodes, numbers, solution modifiers, and so
 on) raises :class:`UnsupportedSparqlFeature` naming it, so a query outside
-the fragment fails loudly instead of being half-understood.
+the fragment fails loudly instead of being half-understood.  So do the
+forms of VALUES the fragment lacks: several variables, ``UNDEF``, and
+inline data anywhere but at the head of a group.
 
 Evaluation implements natural-join semantics over an in-memory graph with
 distinct solutions.  Patterns inside a BGP are tried most-selective-first,
-counting bound positions under the bindings accumulated so far.
+counting bound positions under the bindings accumulated so far.  A SELECT
+that projects only the variable its leading inline data binds asks, in
+effect, which of those values have a solution; it stops at the first
+solution of each.
 """
 
 from __future__ import annotations
@@ -110,13 +117,32 @@ class UnionPattern:
 
 
 @dataclass(frozen=True)
+class InlineData:
+    """``VALUES ?variable { ... }``: one solution per value, IRIs and literals."""
+
+    variable: str
+    values: tuple[Term, ...]
+
+    def __post_init__(self) -> None:
+        if not all(isinstance(value, (Iri, Literal)) for value in self.values):
+            raise ValueError("inline data holds IRIs and literals only")
+
+
+@dataclass(frozen=True)
 class SeqPattern:
-    """Group patterns evaluated in sequence and joined."""
+    """Group patterns evaluated in sequence and joined.
+
+    Inline data may only lead: that is the one place the parser reads it.
+    """
 
     parts: tuple["GroupPattern", ...]
 
+    def __post_init__(self) -> None:
+        if any(isinstance(part, InlineData) for part in self.parts[1:]):
+            raise ValueError("inline data must lead its group")
 
-GroupPattern = TypingUnion[Bgp, UnionPattern, SeqPattern]
+
+GroupPattern = TypingUnion[Bgp, UnionPattern, SeqPattern, InlineData]
 
 
 @dataclass(frozen=True, eq=True)
@@ -144,10 +170,14 @@ class Query:
 def pattern_variables(pattern: GroupPattern) -> set[str]:
     """Names of all variables occurring anywhere in the pattern."""
     out: set[str] = set()
-    for tp in _walk_patterns(pattern):
-        for pos in tp.positions():
-            if isinstance(pos, Variable):
-                out.add(pos.name)
+    for leaf in _leaves(pattern):
+        if isinstance(leaf, InlineData):
+            out.add(leaf.variable)
+            continue
+        for tp in leaf.patterns:
+            for pos in tp.positions():
+                if isinstance(pos, Variable):
+                    out.add(pos.name)
     return out
 
 
@@ -160,30 +190,37 @@ def _projected_names(query: Query) -> list[str]:
 
 def pattern_placeholders(pattern: GroupPattern) -> set[str]:
     out: set[str] = set()
-    for tp in _walk_patterns(pattern):
-        for pos in tp.positions():
-            if isinstance(pos, Placeholder):
-                out.add(pos.name)
+    for leaf in _leaves(pattern):
+        if isinstance(leaf, InlineData):
+            continue  # its values are concrete terms
+        for tp in leaf.patterns:
+            for pos in tp.positions():
+                if isinstance(pos, Placeholder):
+                    out.add(pos.name)
     return out
 
 
-def _walk_patterns(pattern: GroupPattern) -> Iterator[TriplePattern]:
-    if isinstance(pattern, Bgp):
-        yield from pattern.patterns
-    elif isinstance(pattern, UnionPattern):
-        for branch in pattern.branches:
-            yield from _walk_patterns(branch)
-    else:
-        for part in pattern.parts:
-            yield from _walk_patterns(part)
+def _leaves(pattern: GroupPattern) -> list[Bgp | InlineData]:
+    """The basic graph patterns and inline data the pattern is built from,
+    in no particular order."""
+    leaves, stack = [], [pattern]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, UnionPattern):
+            stack.extend(node.branches)
+        elif isinstance(node, SeqPattern):
+            stack.extend(node.parts)
+        else:
+            leaves.append(node)
+    return leaves
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
-_KEYWORDS = {"PREFIX", "ASK", "SELECT", "WHERE", "UNION", "DISTINCT"}
+_KEYWORDS = {"PREFIX", "ASK", "SELECT", "WHERE", "UNION", "DISTINCT", "VALUES"}
 _REJECTED_KEYWORDS = {
-    "FILTER", "OPTIONAL", "GRAPH", "SERVICE", "BIND", "VALUES", "MINUS",
+    "FILTER", "OPTIONAL", "GRAPH", "SERVICE", "BIND", "UNDEF", "MINUS",
     "EXISTS", "LIMIT", "OFFSET", "ORDER", "GROUP", "HAVING", "CONSTRUCT",
     "DESCRIBE", "INSERT", "DELETE", "FROM", "NAMED", "REDUCED", "BASE",
 }
@@ -205,9 +242,15 @@ class _Parser(_TokenReader):
     def __init__(self, text: str, prefixes: Mapping[str, str] = {}):
         super().__init__(text, prefixes)
         # Refuse what the fragment lacks before parsing, first in text order.
-        for kind, spelling, line in self.tokens:
+        for index, (kind, spelling, line) in enumerate(self.tokens):
             if kind == "word":
                 word = spelling.upper()
+                if word == "VALUES":
+                    if index == 0 or self.tokens[index - 1].text != "{":
+                        feature = "VALUES other than at the head of a group"
+                        raise UnsupportedSparqlFeature(feature, line)
+                    if self.tokens[index + 1].text == "(":
+                        raise UnsupportedSparqlFeature("VALUES over several variables", line)
                 if word in _REJECTED_KEYWORDS:
                     raise UnsupportedSparqlFeature(word, line)
                 if word not in _KEYWORDS and spelling != "a":
@@ -261,6 +304,8 @@ class _Parser(_TokenReader):
         self.expect("{")
         parts: list[GroupPattern] = []
         bgp: list[TriplePattern] = []
+        if self.at_keyword("VALUES"):
+            parts.append(self.inline_data())
 
         def flush() -> None:
             if bgp:
@@ -287,9 +332,25 @@ class _Parser(_TokenReader):
         flush()
         if not parts:
             return Bgp(())
-        if len(parts) == 1:
+        if len(parts) == 1 and not isinstance(parts[0], InlineData):
             return parts[0]
         return SeqPattern(tuple(parts))
+
+    def inline_data(self) -> InlineData:
+        """``VALUES ?v { term ... }``, keyword included."""
+        self.next()
+        var = self.next()
+        if var.kind != "var" or var.text[0] != "?":
+            raise SparqlError(f"VALUES needs a ?variable, found {var.text!r}", var.line)
+        self.expect("{")
+        values = []
+        while not self.accept("}"):
+            tok = self.peek()
+            term = self.term()
+            if isinstance(term, (Variable, Placeholder)):
+                raise SparqlError(f"VALUES holds IRIs and literals, found {tok.text!r}", tok.line)
+            values.append(term)
+        return InlineData(var.text[1:], tuple(values))
 
     def triples_same_subject(self, bgp: list[TriplePattern]) -> None:
         subject = self.term()
@@ -378,6 +439,9 @@ def format_query(query: Query) -> str:
 def _format_group(pattern: GroupPattern, prefixes: Mapping[str, str], indent: int) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
+    if isinstance(pattern, InlineData):
+        values = [_format_pattern_term(value, prefixes) for value in pattern.values]
+        return f"VALUES ?{pattern.variable} " + " ".join(["{", *values, "}"])
     if isinstance(pattern, Bgp):
         if not pattern.patterns:
             return "{ }"
@@ -439,6 +503,13 @@ def _abbreviate(iri: Iri, prefixes: Mapping[str, str]) -> str:
     return f"{best[1]}:{best[2]}"
 
 
+def bind_values(query: Query, name: str, values: Iterable[Term]) -> Query:
+    """The query with ``?name`` bound to each of ``values``: inline data
+    leads its pattern, as in ``{ VALUES ?name { ... } pattern }``."""
+    pattern = SeqPattern((InlineData(name, tuple(values)), query.pattern))
+    return Query(query.form, query.projection, pattern, query.prefixes, query.limit, query.offset)
+
+
 # ---------------------------------------------------------------------------
 # Substitution
 
@@ -467,6 +538,10 @@ def substitute(query: Query, values: Mapping[str, Term]) -> Query:
 
 
 def _substitute_group(pattern: GroupPattern, values: Mapping[str, Term]) -> GroupPattern:
+    if isinstance(pattern, InlineData):
+        if pattern.variable in values:
+            raise SparqlError(f"cannot substitute ?{pattern.variable}: VALUES binds it")
+        return pattern
     if isinstance(pattern, Bgp):
         return Bgp(tuple(_substitute_triple(tp, values) for tp in pattern.patterns))
     if isinstance(pattern, UnionPattern):
@@ -587,6 +662,13 @@ def _gen(g: Graph, pattern: GroupPattern, binding: dict[str, Term]) -> Iterator[
     elif isinstance(pattern, UnionPattern):
         for branch in pattern.branches:
             yield from _gen(g, branch, binding)
+    elif isinstance(pattern, InlineData):
+        bound = binding.get(pattern.variable)
+        for value in pattern.values:
+            if bound is None:
+                yield {**binding, pattern.variable: value}
+            elif bound == value:
+                yield binding
     else:
         yield from _gen_seq(g, list(pattern.parts), binding)
 
@@ -628,10 +710,22 @@ def eval_select(g: Graph, query: Query) -> list[Solution]:
         raise SparqlError("eval_select needs a SELECT query")
     _check_no_placeholders(query.pattern)
     names = _projected_names(query)
+    pattern = query.pattern
     seen: dict[Solution, None] = {}
-    for binding in _gen(g, query.pattern, {}):
-        projected = {name: binding[name] for name in names if name in binding}
-        seen.setdefault(Solution(projected))
+    if (
+        isinstance(pattern, SeqPattern)
+        and isinstance(pattern.parts[0], InlineData)
+        and names == [pattern.parts[0].variable]
+    ):
+        # Which of the values have a solution: the first one settles each.
+        name, rest = names[0], list(pattern.parts[1:])
+        for value in pattern.parts[0].values:
+            if next(_gen_seq(g, rest, {name: value}), None) is not None:
+                seen.setdefault(Solution({name: value}))
+    else:
+        for binding in _gen(g, pattern, {}):
+            projected = {name: binding[name] for name in names if name in binding}
+            seen.setdefault(Solution(projected))
 
     def row_key(sol: Solution) -> tuple:
         return tuple(

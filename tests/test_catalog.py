@@ -1,5 +1,6 @@
 """Catalog loading, validation, round-tripping and query expansion."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,13 @@ from kgaudit.catalog import (
     parse_catalog,
     validate,
 )
-from kgaudit.sparql import Bgp, UnionPattern, pattern_variables
+from kgaudit.client import evaluate_remote
+from kgaudit.rdf import Iri, load_rdf
+from kgaudit.scoring import evaluate_graph
+from kgaudit.sparql import Bgp, UnionPattern, format_query, pattern_variables
+from kgaudit.transport import TranscriptTransport
 
-from helpers import THREE_HOP_RULE
+from helpers import FIXTURES, THREE_HOP_RULE
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +103,56 @@ def test_queries_are_parsed_asks():
         assert cq.query.form == "ask"
         assert isinstance(cq.query.pattern, Bgp)
         assert "kg" in pattern_variables(cq.query.pattern)
+
+
+def _dollar_kg_catalog():
+    """The default catalog with ``$kg`` in place of ``?kg`` in every query."""
+    doc = yaml.safe_load(dump_catalog(default_catalog()))
+    for question in doc["questions"]:
+        for index, query in enumerate(question["queries"]):
+            if isinstance(query, dict):
+                query["ask"] = re.sub(r"\?kg\b", "$kg", query["ask"])
+            else:
+                question["queries"][index] = re.sub(r"\?kg\b", "$kg", query)
+    return parse_catalog(yaml.safe_dump(doc))
+
+
+def test_a_kg_placeholder_reads_as_the_kg_variable():
+    cat, dollar = default_catalog(), _dollar_kg_catalog()
+    assert all("$kg" in cq.text and "?kg" not in cq.text for _, cq in dollar.queries())
+    assert [cq.query for _, cq in dollar.queries()] == [cq.query for _, cq in cat.queries()]
+    for qid, query in cat.expanded.items():
+        assert format_query(dollar.expanded[qid]) == format_query(query)
+    assert dollar.compact_selects == cat.compact_selects
+    assert dollar.expanded_selects == cat.expanded_selects
+
+
+def test_a_kg_placeholder_scores_alike_on_both_routes():
+    cat, dollar = default_catalog(), _dollar_kg_catalog()
+    graph = load_rdf(str(FIXTURES / "accountable.nt"))
+    datasets = [Iri("http://example.org/kg/full"), Iri("http://example.org/kg/absent")]
+    for catalog in (cat, dollar):
+        local = [evaluate_graph(catalog, graph, dataset) for dataset in datasets]
+        assert [r.score for r in local] == [1, 0]
+    transport = TranscriptTransport(str(FIXTURES / "campaign.yaml"))
+    for url, dataset in (
+        ("http://example.org/sparql", "http://example.org/kg/full"),
+        ("http://sparse.example.org/sparql", "http://example.org/kg/sparse"),
+    ):
+        scores = {
+            evaluate_remote(transport, url, catalog, Iri(dataset)).score for catalog in (cat, dollar)
+        }
+        assert len(scores) == 1 and scores != {0}
+
+
+def test_only_the_kg_placeholder_is_filled():
+    def mutate(doc):
+        for q in doc["questions"]:
+            if q["id"] == "license":
+                q["queries"] = ["ASK { ?kg dct:license $license . }"]
+
+    message = _mutated(mutate)
+    assert "question 'license' query 1: missing placeholder value: license" in message
 
 
 # ---------------------------------------------------------------------------

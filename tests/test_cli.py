@@ -148,6 +148,67 @@ def test_evaluate_endpoint_remote_route(capsys):
     assert capsys.readouterr().out == "100.0%\n"
 
 
+def _count_requests(monkeypatch) -> list:
+    """Record every query the CLI's transcript transport is asked."""
+    from kgaudit.transport import TranscriptTransport
+
+    sent = []
+
+    class Counting(TranscriptTransport):
+        def query(self, url, query, **kwargs):
+            sent.append(query)
+            return super().query(url, query, **kwargs)
+
+    monkeypatch.setattr(cli, "TranscriptTransport", Counting)
+    return sent
+
+
+def _one_run(path, url: str, data: str) -> str:
+    path.write_text(yaml.safe_dump({"endpoints": {url: {"runs": [{"data": data}]}}}))
+    return str(path)
+
+
+@pytest.mark.parametrize("count", [1, 2, 9])
+def test_evaluate_endpoint_sends_one_request_per_query(tmp_path, capsys, monkeypatch, count):
+    url = "http://many.example.org/sparql"
+    data = "".join(
+        f"<http://many.example.org/kg/{index}> <{predicate}> <{obj}> .\n"
+        for index in range(count)
+        for predicate, obj in (
+            ("http://www.w3.org/1999/02/22-rdf-syntax-ns#type", "http://rdfs.org/ns/void#Dataset"),
+            ("http://rdfs.org/ns/void#sparqlEndpoint", url),
+            ("http://purl.org/dc/terms/publisher", "http://many.example.org/acme"),
+        )
+    )
+    sent = _count_requests(monkeypatch)
+    path = _one_run(tmp_path / "many.yaml", url, data)
+    assert main(["evaluate", "--endpoint", url, "--transcript", path]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == count
+    # one discovery request, then one per catalog query, whatever the count
+    assert len(sent) == 1 + len(list(default_catalog().queries())) == 34
+
+
+def test_evaluate_endpoint_scores_a_named_dataset_it_does_not_describe(
+    tmp_path, capsys, monkeypatch
+):
+    url = "http://quiet.example.org/sparql"
+    kg, other = "http://quiet.example.org/kg", "http://quiet.example.org/other"
+    data = (FIXTURES / "publisher_only.nt").read_text().replace("http://example.org/kg/sparse", kg)
+    nt = tmp_path / "quiet.nt"
+    nt.write_text(data)
+    path = _one_run(tmp_path / "quiet.yaml", url, data)
+    assert main(["discover", "--endpoint", url, "--transcript", path]) == 1
+    assert main(["discover", "--file", str(nt)]) == 0  # typed, but not linked to the endpoint
+    capsys.readouterr()
+    sent = _count_requests(monkeypatch)
+    argv = ["evaluate", "--endpoint", url, "--transcript", path]
+    assert main(argv + ["--dataset", kg, "--dataset", other]) == 0
+    assert capsys.readouterr().out == f"3.3%\t{kg}\n0.0%\t{other}\n"
+    assert len(sent) == 33
+    assert main(["evaluate", "--file", str(nt), "--dataset", kg]) == 0
+    assert capsys.readouterr().out == "3.3%\n"
+
+
 def test_evaluate_nothing_to_score(capsys):
     assert main(["evaluate", "--file", str(FIXTURES / "empty.ttl")]) == 1
     assert "no datasets" in capsys.readouterr().err

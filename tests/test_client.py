@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import random
 import time
 
 import pytest
@@ -22,18 +23,20 @@ from kgaudit.client import (
     discover_datasets,
     discover_in_graph,
     evaluate_remote,
+    evaluate_remote_datasets,
     fetch_metadata,
     merge_runs,
     run_campaign,
 )
 from kgaudit.rdf import BlankNode, Graph, Iri, Triple, parse_ntriples
-from kgaudit.scoring import FailureKind
+from kgaudit.scoring import FailureKind, QueryOutcome
 from kgaudit.sparql import parse_query
 from kgaudit.transport import TranscriptTransport, TransportError
 
 from fractions import Fraction
 
-from helpers import FIXTURES
+import test_route_duality as duality
+from helpers import FIXTURES, catalog_vocabulary
 
 FULL_ENDPOINT = "http://example.org/sparql"
 SPARSE_ENDPOINT = "http://sparse.example.org/sparql"
@@ -335,12 +338,13 @@ def test_evaluate_remote_error_kind():
     assert all(o.failure is FailureKind.REMOTE_ERROR for o in result.outcomes)
 
 
-def test_evaluate_remote_rejects_bindings_answer():
-    class Bindings:
+def test_evaluate_remote_rejects_a_boolean_answer():
+    # the remote route asks SELECTs; an ASK-style answer is malformed
+    class Boolean:
         def query(self, url, query, *, timeout, run=0):
-            return []
+            return True
 
-    result = evaluate_remote(Bindings(), "http://t.example.org/", default_catalog(), FULL_KG)
+    result = evaluate_remote(Boolean(), "http://t.example.org/", default_catalog(), FULL_KG)
     assert all(o.failure is FailureKind.REMOTE_ERROR for o in result.outcomes)
 
 
@@ -355,6 +359,75 @@ def test_evaluate_remote_expands_each_query_once_per_catalog(transcript, monkeyp
     assert expanded == []
     assert first.score == 1
     assert second.score == Fraction(1, 30)
+
+
+class TimesOutOn:
+    """Delegates to an inner transport, but the request asking ``pattern``
+    times out."""
+
+    def __init__(self, inner, pattern):
+        self.inner = inner
+        self.pattern = pattern
+        self.count = 0
+
+    def query(self, url, query, *, timeout, run=0):
+        self.count += 1
+        if query.pattern.parts[-1] == self.pattern:
+            raise TransportError("timeout", "scripted failure")
+        return self.inner.query(url, query, timeout=timeout, run=run)
+
+
+def test_a_failed_request_fails_its_query_for_every_dataset(tmp_path):
+    recorded = yaml.safe_load((FIXTURES / "campaign.yaml").read_text())["endpoints"]
+    data = recorded[FULL_ENDPOINT]["runs"][0]["data"] + recorded[SPARSE_ENDPOINT]["runs"][0]["data"]
+    transport = serve(tmp_path / "both.yaml", FULL_ENDPOINT, data)
+    catalog = default_catalog()
+    datasets = [FULL_KG, Iri("http://example.org/kg/sparse"), Iri("http://example.org/kg/none")]
+    clean = evaluate_remote_datasets(transport, FULL_ENDPOINT, catalog, datasets)
+    assert [r.score for r in clean] == [1, Fraction(1, 30), 0]
+    failing = "publisher.1"
+    slow = TimesOutOn(transport, catalog.expanded_selects[failing].pattern)
+    results = evaluate_remote_datasets(slow, FULL_ENDPOINT, catalog, datasets)
+    assert slow.count == len(catalog.expanded) == 33
+    for before, after in zip(clean, results):
+        assert after.dataset == before.dataset
+        for was, now in zip(before.outcomes, after.outcomes):
+            if now.query_id == failing:
+                assert now == QueryOutcome(failing, False, FailureKind.TIMEOUT)
+            else:
+                assert now == was
+    assert results[0].score < 1
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_one_request_per_query_scores_like_one_dataset_at_a_time(tmp_path, seed):
+    # the multi-dataset graphs of the route-duality test with pages of 1-3 rows
+    rng = random.Random(seed)
+    shapes = duality._shapes()
+    predicates, _ = catalog_vocabulary(duality.CATALOG)
+    for _ in range(12):
+        graph = Graph()
+        for dataset in duality.DATASETS:
+            graph.update(
+                parse_ntriples(duality.DISCOVERABLE.replace(duality.KG.value, dataset.value))
+            )
+            for _ in range(3):
+                triples = duality._instantiate(rng, rng.choice(shapes), predicates)
+                graph.update(duality._renamed(triples, dataset))
+        transport = duality._serve(tmp_path / "served.yaml", graph)
+        batched = evaluate_remote_datasets(
+            transport, duality.URL, duality.CATALOG, duality.DATASETS
+        )
+        assert batched == [
+            evaluate_remote(transport, duality.URL, duality.CATALOG, dataset)
+            for dataset in duality.DATASETS
+        ]
+
+
+def test_no_datasets_means_no_requests():
+    counting = CountingTransport(FailingTransport("timeout"))
+    assert evaluate_remote_datasets(counting, FULL_ENDPOINT, default_catalog(), []) == []
+    assert counting.count == 0
 
 
 # ---------------------------------------------------------------------------

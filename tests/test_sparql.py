@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from helpers import bgp_oracle, random_bgp, small_graph, solutions_as_sets
-from kgaudit.rdf import Graph, Iri, Literal, Triple, parse_ntriples
+from kgaudit.rdf import BlankNode, Graph, Iri, Literal, Triple, parse_ntriples, term_sort_key
 from kgaudit.sparql import (
     Bgp,
+    InlineData,
     Placeholder,
     PlaceholderError,
     Query,
@@ -20,12 +22,14 @@ from kgaudit.sparql import (
     UnionPattern,
     UnsupportedSparqlFeature,
     Variable,
+    bind_values,
     eval_ask,
     eval_bgp,
     eval_select,
     format_query,
     parse_query,
     parse_triple_patterns,
+    pattern_variables,
     substitute,
 )
 
@@ -112,7 +116,12 @@ def test_parse_typed_and_tagged_literals() -> None:
         ("SELECT ?s WHERE { ?s ?p ?o } LIMIT 5", "LIMIT"),
         ("ASK { GRAPH ?g { ?s ?p ?o } }", "GRAPH"),
         ("ASK { BIND(1 AS ?x) }", "BIND"),
-        ("ASK { VALUES ?x { 1 } }", "VALUES"),
+        ("ASK { VALUES (?x ?y) { (<http://e.org/a> <http://e.org/b>) } }", "VALUES over several"),
+        ("ASK { VALUES ?x { UNDEF } }", "UNDEF"),
+        ("SELECT ?x WHERE { ?x ?p ?o } VALUES ?x { <http://e.org/a> }", "VALUES other than"),
+        ("ASK { ?x ?p ?o . VALUES ?x { <http://e.org/a> } }", "VALUES other than"),
+        ("ASK { ?x ?p ?o VALUES ?x { <http://e.org/a> } }", "VALUES other than"),
+        ("ASK { VALUES ?x { 1 } }", "numeric literals"),
         ("ASK { ?s ?p _:b }", "blank nodes"),
         ("ASK { ?s ?p 42 }", "numeric literals"),
         ("ASK { ?s ?p (1 2) }", "RDF collections"),
@@ -135,6 +144,39 @@ def test_syntax_errors() -> None:
     with pytest.raises(SparqlError) as err2:
         parse_query("SELECT ?nope WHERE { ?s ?p ?o }")
     assert "nope" in str(err2.value)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "ASK { VALUES ?x { ?y } }",
+        "ASK { VALUES $x { <http://e.org/a> } }",
+        "ASK { VALUES ?x <http://e.org/a> }",
+    ],
+)
+def test_inline_data_needs_one_variable_and_concrete_terms(text: str) -> None:
+    with pytest.raises(SparqlError) as err:
+        parse_query(text)
+    assert not isinstance(err.value, UnsupportedSparqlFeature)
+
+
+def test_parse_inline_data_at_the_head_of_any_group() -> None:
+    q = parse_query(
+        'PREFIX e: <http://e.org/> SELECT ?kg WHERE { VALUES ?kg { e:a "b"@en } '
+        "{ VALUES ?o { e:o } ?kg e:p ?o } UNION { ?kg e:q ?o } }"
+    )
+    data, alternatives = q.pattern.parts
+    assert data == InlineData("kg", (Iri("http://e.org/a"), Literal("b", language="en")))
+    first = alternatives.branches[0]
+    assert first.parts[0] == InlineData("o", (Iri("http://e.org/o"),))
+    assert parse_query("ASK { VALUES ?x { } }").pattern == SeqPattern((InlineData("x", ()),))
+
+
+def test_inline_data_only_leads_and_holds_no_blank_nodes() -> None:
+    with pytest.raises(ValueError):
+        SeqPattern((Bgp(()), InlineData("x", ())))
+    with pytest.raises(ValueError):
+        InlineData("x", (BlankNode("b"),))
 
 
 def test_rule_patterns_need_the_dot_a_group_needs() -> None:
@@ -177,6 +219,8 @@ def test_parse_triple_patterns_for_rules() -> None:
         'PREFIX xsd: <http://www.w3.org/2001/XMLSchema#> ASK { ?s ?p "x"^^xsd:date . ?s ?q "y"@fr }',
         "PREFIX dcat: <http://www.w3.org/ns/dcat#> ASK { { ?s a dcat:Dataset } UNION { ?s a dcat:Catalog } }",
         "ASK { { ?s ?p ?o } UNION { { ?s ?p ?o . ?o ?q ?r } UNION { ?s ?p ?r } } }",
+        'PREFIX e: <http://e.org/> SELECT ?s WHERE { VALUES ?s { e:a <http://f.org/b> "x\\"y\\n"@en } ?s ?p ?o }',
+        "ASK { VALUES ?x { } { VALUES ?y { <http://e.org/a> } } }",
     ],
 )
 def test_print_then_parse_is_identity(text: str) -> None:
@@ -228,6 +272,12 @@ def test_substitute_requires_placeholder_values() -> None:
     with pytest.raises(PlaceholderError) as err:
         substitute(q, {})
     assert "rawEndpointUrl" in str(err.value)
+
+
+def test_substitute_refuses_a_variable_inline_data_binds() -> None:
+    q = bind_values(parse_query(PUBLISHER_ASK), "kg", [Iri("http://example.org/kg1")])
+    with pytest.raises(SparqlError):
+        substitute(q, {"kg": Iri("http://example.org/kg2")})
 
 
 def test_substitute_rejects_literal_subject() -> None:
@@ -316,3 +366,41 @@ def test_discovery_query_against_small_store() -> None:
     rows = eval_select(g, q)
     assert [sol["kg"] for sol in rows] == [Iri("http://example.org/kg1")]
 
+
+
+def test_inline_data_joins_with_the_rest_of_its_group() -> None:
+    g = parse_ntriples(
+        "<http://example.org/a> <http://example.org/p/0> <http://example.org/o> .\n"
+        "<http://example.org/b> <http://example.org/p/0> <http://example.org/o> .\n"
+    )
+    q = parse_query(
+        "SELECT * WHERE { VALUES ?s { <http://example.org/a> <http://example.org/c> } "
+        "{ VALUES ?s { <http://example.org/a> <http://example.org/b> } } ?s ?p ?o }"
+    )
+    assert [sol["s"] for sol in eval_select(g, q)] == [Iri("http://example.org/a")]
+    assert eval_ask(g, replace(q, form="ask", projection=None)) is True
+
+
+def test_values_select_keeps_the_values_with_a_solution() -> None:
+    # projecting only the VALUES variable stops at each value's first
+    # solution; the rows must be those of enumerating every solution
+    rng = random.Random(4242)
+    for _ in range(80):
+        g = small_graph(rng)
+        patterns = random_bgp(rng, g)
+        names = sorted(pattern_variables(Bgp(tuple(patterns))))
+        if not names:
+            continue
+        name = rng.choice(names)
+        free = Query("select", (name,), Bgp(tuple(patterns)))
+        found = [sol[name] for sol in eval_select(g, free)]
+        terms = sorted(g.terms(), key=term_sort_key) + [Iri("http://example.org/none")]
+        values = [
+            t for t in rng.sample(found, min(2, len(found))) + rng.sample(terms, min(3, len(terms)))
+            if not isinstance(t, BlankNode)
+        ]
+        one = bind_values(free, name, values)
+        every = replace(one, projection=())
+        expected = {sol[name] for sol in eval_select(g, every)}
+        assert {sol[name] for sol in eval_select(g, one)} == expected
+        assert eval_ask(g, replace(one, form="ask", projection=None)) is bool(expected)

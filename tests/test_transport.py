@@ -17,9 +17,9 @@ import requests
 import yaml
 
 from kgaudit.catalog import YAML_LOADER, default_catalog, expand_extended, load_yaml
-from kgaudit.client import DISCOVERY_QUERY, METADATA_QUERY
+from kgaudit.client import DISCOVERY_QUERY, METADATA_QUERY, evaluate_remote_datasets
 from kgaudit.rdf import BlankNode, Iri, Literal
-from kgaudit.sparql import format_query, parse_query, substitute
+from kgaudit.sparql import bind_values, format_query, parse_query, substitute
 from kgaudit.transport import (
     HttpTransport,
     TranscriptTransport,
@@ -451,12 +451,20 @@ def test_transcript_is_the_same_under_the_pure_python_loader(tmp_path, monkeypat
 # The text on the wire
 
 
+WIRE_DATASETS = [Iri("http://example.org/kg/full"), Iri("http://example.org/kg/sparse")]
+
+
 def wire_queries() -> list:
-    """Every query a campaign or a remote evaluation sends, filled in."""
+    """Every query a campaign or a remote evaluation sends, filled in: one
+    ``SELECT DISTINCT ?kg`` per expanded query, ?kg bound by VALUES, then
+    discovery and the metadata fetch."""
     catalog = default_catalog()
-    kg = Iri("http://example.org/kg/full")
     queries = [
-        substitute(expand_extended(cq.query, catalog.rules), {"kg": kg})
+        bind_values(
+            replace(expand_extended(cq.query, catalog.rules), form="select", projection=("kg",)),
+            "kg",
+            WIRE_DATASETS,
+        )
         for _, cq in catalog.queries()
     ]
     endpoint = {"endpointIri": Iri(ENDPOINT), "endpointLiteral": Literal(ENDPOINT)}
@@ -466,8 +474,25 @@ def wire_queries() -> list:
 def test_wire_text_parses_back_to_the_query():
     queries = wire_queries()
     assert len(queries) == 35
+    # a VALUES literal whose text needs escaping
+    awkward = Literal('say "hi"\\\n\tthere', language="en")
+    queries.append(bind_values(queries[0], "other", [awkward, Iri(ENDPOINT)]))
     for query in queries:
         assert parse_query(format_query(query)) == query
+    assert '"say \\"hi\\"\\\\\\n\\tthere"@en' in format_query(queries[-1])
+
+
+def test_the_remote_route_sends_the_wire_queries():
+    sent = []
+
+    class Recording:
+        def query(self, url, query, *, timeout, run=0):
+            sent.append(query)
+            return []
+
+    catalog = default_catalog()
+    evaluate_remote_datasets(Recording(), ENDPOINT, catalog, WIRE_DATASETS)
+    assert sent == wire_queries()[: len(catalog.expanded)]
 
 
 def test_paged_fetch_wire_text():
@@ -483,9 +508,9 @@ def test_http_sends_the_formatted_query():
     class Handler(_Quiet):
         def do_GET(self):
             received.extend(parse_qs(urlsplit(self.path).query)["query"])
-            self.reply(200, ask_body(True))
+            self.reply(200, select_body({"kg": {"type": "uri", "value": WIRE_DATASETS[0].value}}))
 
     query = wire_queries()[0]
     with local_server(Handler) as url, closing(HttpTransport()) as transport:
-        assert transport.query(url, query, timeout=5.0) is True
+        assert transport.query(url, query, timeout=5.0) == [{"kg": WIRE_DATASETS[0]}]
     assert received == [format_query(query)]
