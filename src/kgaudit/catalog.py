@@ -7,7 +7,8 @@ canonical predicates used by the compact ASK queries.
 
 Catalogs live in a single YAML document so that curators can edit texts,
 weights, queries and rules without touching code.  ``load_catalog`` parses
-and validates; ``dump_catalog`` writes the same structure back out, and
+and validates, then derives the :class:`ScoringPlan` that scoring reads
+every score off; ``dump_catalog`` writes the same structure back out, and
 ``default_catalog`` loads the catalog bundled with the package.  A query
 names the dataset it scores ``?kg`` or ``$kg``; parsing turns both into
 the variable ``?kg``.
@@ -26,6 +27,7 @@ compact pattern with a variable predicate, a rule target other than
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
@@ -115,6 +117,27 @@ class EquivalenceRule:
 
 
 @dataclass(frozen=True)
+class ScoringPlan:
+    """Every score of the hierarchy as a fixed function of hit counts.
+
+    A question scores ``hits / n`` over its ``n`` queries, and every node is
+    a linear function of those question scores, so with the hits per
+    question in catalog order a node scores ``Fraction(Σ c·hits, D)``
+    over the questions under it.
+    """
+
+    # The catalog's query ids in order.
+    query_ids: tuple[str, ...]
+    # Per question: its id, its query ids, and Fraction(hits, n) for each
+    # possible hit count.
+    questions: tuple[tuple[str, tuple[str, ...], tuple[Fraction, ...]], ...]
+    # Per node, leaves then steps then root: its id, the run of consecutive
+    # questions under it (as a slice of the questions), one integer
+    # coefficient per question of that run, and the denominator D.
+    nodes: tuple[tuple[str, slice, tuple[int, ...], int], ...]
+
+
+@dataclass(frozen=True)
 class Catalog:
     version: str
     root: HierarchyNode
@@ -128,6 +151,10 @@ class Catalog:
     compact_selects: Mapping[str, Query]
     expanded_selects: Mapping[str, Query]
     prefixes: Mapping[str, str] = field(default_factory=dict)
+    # Derived from the hierarchy by ``parse_catalog`` once the catalog has
+    # validated (None only while it validates), so it takes no part in
+    # equality or repr.
+    plan: ScoringPlan | None = field(default=None, compare=False, repr=False)
 
     def steps(self) -> tuple[HierarchyNode, ...]:
         return self.root.children
@@ -268,7 +295,49 @@ def parse_catalog(text: str, source: str = "<string>") -> Catalog:
     diagnostics = validate(catalog)
     if diagnostics:
         raise CatalogError(f"{source}: catalog is invalid", diagnostics)
-    return catalog
+    # only a valid catalog has positive leaf weights and no empty node
+    return replace(catalog, plan=_scoring_plan(catalog))
+
+
+def _scoring_plan(catalog: Catalog) -> ScoringPlan:
+    # Per node id: the run of consecutive catalog questions under the node
+    # (a slice), and the node's score per hit of each of them as integer
+    # coefficients over one denominator.
+    rows: dict[str, tuple[slice, tuple[int, ...], int]] = {}
+    start = 0
+    for leaf in catalog.leaves():
+        total = sum(q.weight for q in leaf.questions)
+        per_hit = [q.weight / (total * len(q.queries)) for q in leaf.questions]
+        denominator = math.lcm(*(w.denominator for w in per_hit))
+        coefficients = tuple(w.numerator * (denominator // w.denominator) for w in per_hit)
+        rows[leaf.id] = (slice(start, start + len(per_hit)), coefficients, denominator)
+        start += len(per_hit)
+
+    def mean(children: list[str]) -> tuple[slice, tuple[int, ...], int]:
+        common = math.lcm(*(rows[child][2] for child in children))
+        coefficients = [
+            c * (common // rows[child][2]) for child in children for c in rows[child][1]
+        ]
+        denominator = common * len(children)
+        divisor = math.gcd(denominator, *coefficients)
+        span = slice(rows[children[0]][0].start, rows[children[-1]][0].stop)
+        return span, tuple(c // divisor for c in coefficients), denominator // divisor
+
+    for step in catalog.steps():
+        rows[step.id] = mean([leaf.id for leaf in step.children])
+    rows["root"] = mean([step.id for step in catalog.steps()])
+
+    # questions with as many queries share one table of scores
+    sizes = {len(q.queries) for q in catalog.questions()}
+    tables = {n: tuple(Fraction(hits, n) for hits in range(n + 1)) for n in sizes}
+    return ScoringPlan(
+        query_ids=tuple(cq.id for _, cq in catalog.queries()),
+        questions=tuple(
+            (q.id, tuple(cq.id for cq in q.queries), tables[len(q.queries)])
+            for q in catalog.questions()
+        ),
+        nodes=tuple((node_id, *row) for node_id, row in rows.items()),
+    )
 
 
 def _selects(queries: Mapping[str, Query]) -> dict[str, Query]:

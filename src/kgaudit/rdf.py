@@ -233,7 +233,12 @@ class Graph:
             self.add(t)
 
     def copy(self) -> "Graph":
-        return Graph(self)
+        """An independent graph with the same triples in the same order."""
+        new = Graph()
+        new._triples = self._triples.copy()
+        new._by_subject = {term: ts[:] for term, ts in self._by_subject.items()}
+        new._by_predicate = {term: ts[:] for term, ts in self._by_predicate.items()}
+        return new
 
     def match(
         self,

@@ -18,10 +18,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Mapping, Sequence
 
 from .catalog import Catalog
@@ -325,21 +325,30 @@ def _iri_value(term: Term) -> str:
 
 
 def to_json(report: Report, catalog: Catalog) -> str:
-    """Canonical JSON: keys sorted, scores as fraction, decimal and percent."""
+    """Canonical JSON: keys sorted, scores as fraction, decimal and percent.
 
-    # A report holds few distinct scores, so each is rendered once.
-    rendered: dict[Fraction, dict] = {}
+    The text is what ``json.dumps(doc, sort_keys=True, indent=2)`` makes
+    of the document, written by :func:`_indented_json`: each score and
+    each kind of query outcome is one shared dict, rendered once per depth.
+    """
+
+    # A report holds few distinct scores, so each is rendered once.  They
+    # are looked up by numerator and denominator, which hash in C.
+    rendered: dict[tuple[int, int], dict] = {}
 
     def score_obj(score: Fraction) -> dict:
-        obj = rendered.get(score)
+        key = (score.numerator, score.denominator)
+        obj = rendered.get(key)
         if obj is None:
-            obj = rendered[score] = {
+            obj = rendered[key] = {
                 "fraction": str(score),
                 "decimal": float(score),
                 "percent": format_percent(score),
             }
         return obj
 
+    success = {"success": True}
+    failures = {kind: {"success": False, "failure": kind.value} for kind in FailureKind}
     best_map = report.best_per_endpoint()
     endpoints: dict[str, dict] = {}
     for endpoint, results in report.results.items():
@@ -352,11 +361,7 @@ def to_json(report: Report, catalog: Catalog) -> str:
                     k: score_obj(v) for k, v in result.question_scores.items()
                 },
                 "queries": {
-                    o.query_id: (
-                        {"success": True}
-                        if o.success
-                        else {"success": False, "failure": o.failure.value}
-                    )
+                    o.query_id: success if o.success else failures[o.failure]
                     for o in result.outcomes
                 },
             }
@@ -395,7 +400,94 @@ def to_json(report: Report, catalog: Catalog) -> str:
         "aggregates": aggregates,
         "runs": runs,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _indented_json(doc) + "\n"
+
+
+def _indented_json(doc: object) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)`` for a document of
+    dicts with str keys, lists, tuples, str, int, float, bool and None.
+
+    NaN and the infinities raise ValueError, other keys and values
+    TypeError.  A dict that holds no dict or list is rendered once per
+    depth however often the document holds that very object.
+    """
+    out: list[str] = []
+    _write_json(doc, 0, out, {}, [])
+    return "".join(out)
+
+
+def _write_json(
+    value: object,
+    depth: int,
+    out: list[str],
+    flat: dict[tuple[int, int], str],
+    layouts: list[tuple[str, str, str, str, str]],
+) -> None:
+    """Append the text of ``value`` at ``depth`` to ``out``.
+
+    ``flat`` holds the text of each dict of scalars by (id, depth).
+    ``layouts`` holds, per depth, the texts that open a dict's and a
+    list's members, go between two members, and close a dict and a list:
+    built once and reused.
+    """
+    while len(layouts) <= depth:
+        inner = "\n" + "  " * (len(layouts) + 1)
+        outer = "\n" + "  " * len(layouts)
+        layouts.append(("{" + inner, "[" + inner, "," + inner, outer + "}", outer + "]"))
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        text = flat.get((id(value), depth))
+        if text is not None:
+            out.append(text)
+            return
+        open_dict, _, between, close_dict, _ = layouts[depth]
+        items = sorted(value.items())
+        if not any(isinstance(v, (dict, list, tuple)) for v in value.values()):
+            members = between.join(_json_str(k) + ": " + _json_scalar(v) for k, v in items)
+            text = flat[id(value), depth] = open_dict + members + close_dict
+            out.append(text)
+            return
+        separator = open_dict
+        for k, v in items:
+            out.append(separator)
+            out.append(_json_str(k))
+            out.append(": ")
+            _write_json(v, depth + 1, out, flat, layouts)
+            separator = between
+        out.append(close_dict)
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        _, open_list, between, _, close_list = layouts[depth]
+        separator = open_list
+        for v in value:
+            out.append(separator)
+            _write_json(v, depth + 1, out, flat, layouts)
+            separator = between
+        out.append(close_list)
+    else:
+        out.append(_json_scalar(value))
+
+
+def _json_scalar(value: object) -> str:
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value or value in (math.inf, -math.inf):
+            raise ValueError(f"out of range float value for JSON: {value!r}")
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------

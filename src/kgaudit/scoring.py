@@ -9,8 +9,12 @@ asks an endpoint the expanded form and hands its answers to
 
 Scores are exact rationals all the way up: a question is the mean of its
 query outcomes, a leaf is the weighted mean of its questions, and every
-node above that is the plain mean of its children.  Nothing is rounded
-until a score is rendered for people (tenth of a percent).
+node above that is the plain mean of its children.  Each score is thus a
+fixed function of the hits per question, which the catalog's
+:class:`~kgaudit.catalog.ScoringPlan` holds as precomputed fractions and
+integer coefficients; :func:`build_result` only counts hits and reads the
+scores off it.  Nothing is rounded until a score is rendered for people
+(tenth of a percent).
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .catalog import KG, Catalog
@@ -85,15 +90,15 @@ def build_result(
     trace: SaturationTrace | None = None,
 ) -> DatasetResult:
     """Aggregate outcomes; they must cover the catalog's queries exactly."""
+    plan = catalog.plan
     by_id: dict[str, QueryOutcome] = {}
     for outcome in outcomes:
         if outcome.query_id in by_id:
             raise ValueError(f"duplicate outcome for query '{outcome.query_id}'")
         by_id[outcome.query_id] = outcome
-    expected = [cq.id for _, cq in catalog.queries()]
-    missing = [qid for qid in expected if qid not in by_id]
-    stray = sorted(set(by_id) - set(expected))
-    if missing or stray:
+    missing = [qid for qid in plan.query_ids if qid not in by_id]
+    if missing or len(by_id) != len(plan.query_ids):
+        stray = sorted(set(by_id).difference(plan.query_ids))
         parts = []
         if missing:
             parts.append("missing outcomes: " + ", ".join(missing))
@@ -101,25 +106,20 @@ def build_result(
             parts.append("unknown query ids: " + ", ".join(stray))
         raise ValueError("; ".join(parts))
 
+    hits = []
     question_scores: dict[str, Fraction] = {}
-    for question in catalog.questions():
-        hits = sum(1 for cq in question.queries if by_id[cq.id].success)
-        question_scores[question.id] = Fraction(hits, len(question.queries))
-
-    node_scores: dict[str, Fraction] = {}
-    for leaf in catalog.leaves():
-        total = sum(q.weight for q in leaf.questions)
-        weighted = sum(q.weight * question_scores[q.id] for q in leaf.questions)
-        node_scores[leaf.id] = weighted / total
-    for step in catalog.steps():
-        node_scores[step.id] = sum(
-            node_scores[leaf.id] for leaf in step.children
-        ) / len(step.children)
-    node_scores["root"] = sum(
-        node_scores[step.id] for step in catalog.steps()
-    ) / len(catalog.steps())
-
-    ordered = tuple(by_id[qid] for qid in expected)
+    for question_id, query_ids, fractions in plan.questions:
+        if len(query_ids) == 1:
+            count = int(by_id[query_ids[0]].success)
+        else:
+            count = sum([by_id[qid].success for qid in query_ids])
+        hits.append(count)
+        question_scores[question_id] = fractions[count]
+    node_scores = {
+        node_id: Fraction(sum(map(mul, coefficients, hits[span])), denominator)
+        for node_id, span, coefficients, denominator in plan.nodes
+    }
+    ordered = tuple(map(by_id.__getitem__, plan.query_ids))
     return DatasetResult(dataset, ordered, question_scores, node_scores, trace)
 
 
@@ -163,26 +163,36 @@ def results_from_answers(
 ) -> list[DatasetResult]:
     """One result per dataset, from the datasets each query found, or the
     failure that query met, which then holds for every dataset alike."""
-    results = []
-    for dataset in datasets:
-        outcomes = []
-        for _, cq in catalog.queries():
-            answer = answers[cq.id]
-            if isinstance(answer, FailureKind):
-                outcomes.append(QueryOutcome(cq.id, False, answer))
-            elif dataset in answer:
-                outcomes.append(QueryOutcome(cq.id, True))
-            else:
-                outcomes.append(QueryOutcome(cq.id, False, FailureKind.ANSWER_FALSE))
-        results.append(build_result(catalog, dataset.value, outcomes, trace))
-    return results
+    # (datasets found, outcome if found, outcome if not), shared by all datasets
+    per_query = []
+    for qid in catalog.plan.query_ids:
+        answer = answers[qid]
+        if isinstance(answer, FailureKind):
+            per_query.append(((), None, QueryOutcome(qid, False, answer)))
+        else:
+            per_query.append(
+                (
+                    answer,
+                    QueryOutcome(qid, True),
+                    QueryOutcome(qid, False, FailureKind.ANSWER_FALSE),
+                )
+            )
+    return [
+        build_result(
+            catalog,
+            dataset.value,
+            [hit if dataset in found else miss for found, hit, miss in per_query],
+            trace,
+        )
+        for dataset in datasets
+    ]
 
 
 def not_evaluated_result(
     catalog: Catalog, key: str, failure: FailureKind = FailureKind.NOT_EVALUATED
 ) -> DatasetResult:
     """An all-zero result for something that could not be audited at all."""
-    outcomes = [QueryOutcome(cq.id, False, failure) for _, cq in catalog.queries()]
+    outcomes = [QueryOutcome(qid, False, failure) for qid in catalog.plan.query_ids]
     return build_result(catalog, key, outcomes)
 
 

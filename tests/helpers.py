@@ -6,6 +6,7 @@ import itertools
 import random
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 from kgaudit.rdf import BlankNode, Graph, Iri, Literal, Term, Triple, term_sort_key
@@ -339,3 +340,49 @@ def ref_format_term(term) -> str:
     if term.datatype is not None:
         return f'"{body}"^^<{term.datatype}>'
     return f'"{body}"'
+
+
+# ---------------------------------------------------------------------------
+# Reference aggregation: ``kgaudit.scoring.build_result`` as it computed
+# scores before they were read off the catalog's scoring plan, copied as it
+# was, so tests can check the plan against it.
+
+
+def ref_build_result(catalog, dataset: str, outcomes):
+    """(outcomes in catalog order, question scores, node scores)."""
+    by_id = {}
+    for outcome in outcomes:
+        if outcome.query_id in by_id:
+            raise ValueError(f"duplicate outcome for query '{outcome.query_id}'")
+        by_id[outcome.query_id] = outcome
+    expected = [cq.id for _, cq in catalog.queries()]
+    missing = [qid for qid in expected if qid not in by_id]
+    stray = sorted(set(by_id) - set(expected))
+    if missing or stray:
+        parts = []
+        if missing:
+            parts.append("missing outcomes: " + ", ".join(missing))
+        if stray:
+            parts.append("unknown query ids: " + ", ".join(stray))
+        raise ValueError("; ".join(parts))
+
+    question_scores = {}
+    for question in catalog.questions():
+        hits = sum(1 for cq in question.queries if by_id[cq.id].success)
+        question_scores[question.id] = Fraction(hits, len(question.queries))
+
+    node_scores = {}
+    for leaf in catalog.leaves():
+        total = sum(q.weight for q in leaf.questions)
+        weighted = sum(q.weight * question_scores[q.id] for q in leaf.questions)
+        node_scores[leaf.id] = weighted / total
+    for step in catalog.steps():
+        node_scores[step.id] = sum(
+            node_scores[leaf.id] for leaf in step.children
+        ) / len(step.children)
+    node_scores["root"] = sum(
+        node_scores[step.id] for step in catalog.steps()
+    ) / len(catalog.steps())
+
+    ordered = tuple(by_id[qid] for qid in expected)
+    return ordered, question_scores, node_scores

@@ -225,6 +225,19 @@ def test_non_positive_weight_rejected():
     assert "question 'publisher' has non-positive weight" in message
 
 
+def test_weights_summing_to_zero_are_a_catalog_error():
+    # collection.where's weights would sum to 0: the error must name the
+    # bad weight, not come from dividing by that sum
+    def mutate(doc):
+        weights = {"source": 1, "creation-location": -1}
+        for q in doc["questions"]:
+            if q["id"] in weights:
+                q["weight"] = weights[q["id"]]
+
+    message = _mutated(mutate)
+    assert "question 'creation-location' has non-positive weight -1" in message
+
+
 def test_float_weight_rejected_with_hint():
     def mutate(doc):
         doc["questions"][0]["weight"] = 0.5

@@ -254,6 +254,23 @@ def test_a_failed_report_write_keeps_the_old_file(tmp_path, monkeypatch, capsys)
     assert sorted(p.name for p in out.iterdir()) == ["report.csv", "report.json", "report.nt"]
 
 
+# Line count and SHA-256 of the report.json that `evaluate --file` writes
+# for every N-Triples fixture at once (five datasets, one file: source),
+# recorded while to_json still called json.dumps(..., indent=2).
+EVALUATE_FILE_JSON = (2964, "8aa093760e3c08db3b12b86a0d25af8185339a1dc2d2cae2f84e7f9bc4eba449")
+
+
+def test_evaluate_file_report_json_is_pinned(tmp_path, monkeypatch, capsys):
+    text = "".join(p.read_text(encoding="utf-8") for p in sorted(FIXTURES.glob("*.nt")))
+    (tmp_path / "fixtures.nt").write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "utcnow", lambda: "2024-05-03T10:00:00Z")
+    assert main(["evaluate", "--file", "fixtures.nt", "--out", "out"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 5
+    out = (tmp_path / "out" / "report.json").read_text(encoding="utf-8")
+    assert (out.count("\n"), hashlib.sha256(out.encode("utf-8")).hexdigest()) == EVALUATE_FILE_JSON
+
+
 def test_evaluate_endpoint_report_uses_run_timestamp(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(

@@ -275,6 +275,38 @@ def test_graph_equality_ignores_insertion_order() -> None:
     assert Graph([a]) != Graph([b])
 
 
+def _fresh_triple(rng: random.Random, g: Graph) -> Triple:
+    """A triple not in ``g``, mostly on a subject and predicate ``g`` has."""
+    subjects = [t.subject for t in g] + [Iri("http://example.org/fresh")]
+    predicates = [t.predicate for t in g] + [Iri(DCT + "fresh")]
+    fresh = Literal(f"fresh {rng.randrange(10**9)}")
+    return Triple(rng.choice(subjects), rng.choice(predicates), fresh)
+
+
+def test_copy_is_equal_and_independent() -> None:
+    rng = random.Random(4711)
+    for _ in range(20):
+        g = random_graph(rng, max_triples=120)
+        before = (list(g), len(g), list(g.match()))
+        by_subject = {term: list(ts) for term, ts in g._by_subject.items()}
+        by_predicate = {term: list(ts) for term, ts in g._by_predicate.items()}
+        copied = g.copy()
+        assert copied == g
+        assert list(copied) == before[0]
+        added = [t for t in (_fresh_triple(rng, g) for _ in range(5)) if copied.add(t)]
+        assert added and len(copied) == len(g) + len(added)
+        for t in added:
+            assert t not in g
+            assert t in set(copied.match(t.subject, None, None))
+            assert t in set(copied.match(None, t.predicate, None))
+        assert (list(g), len(g), list(g.match())) == before
+        assert g._by_subject == by_subject
+        assert g._by_predicate == by_predicate
+        for t in added:
+            assert t not in set(g.match(t.subject, None, None))
+            assert t not in set(g.match(None, t.predicate, None))
+
+
 def test_match_agrees_with_scan_for_all_binding_combinations() -> None:
     rng = random.Random(90125)
     for _ in range(30):

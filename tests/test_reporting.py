@@ -17,6 +17,7 @@ from kgaudit.client import CampaignConfig, run_campaign
 from kgaudit.rdf import Iri, load_rdf, parse_ntriples, serialize_ntriples
 from kgaudit.reporting import (
     Report,
+    _indented_json,
     bars_figure,
     boxplot_figure,
     boxplot_stats,
@@ -227,6 +228,79 @@ def test_json_is_canonical(report):
     text = to_json(report, CATALOG)
     doc = json.loads(text)
     assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+_JSON_STRINGS = [
+    "",
+    "plain",
+    "Élan, Grüße, 東京",
+    "astral \U0001F600 \U00010348",
+    "controls \x00\x01\x08\t\n\x0c\r\x1f\x7f",
+    'quo"te',
+    "back\\slash \\u0041",
+    "\u2028\u2029 and a lone \ud800",
+]
+_JSON_FLOATS = [1 / 3, 0.1, 1e-7, 1e16, -0.0, 0.0, 2.5e-308, 1.7976931348623157e308]
+_JSON_INTS = [0, -1, 7, 2**63, -(10**30), 10**40 + 1]
+
+
+def _random_json(rng: random.Random, depth: int, shared: list) -> object:
+    roll = rng.random()
+    if depth < 6 and roll < 0.35:
+        if shared and rng.random() < 0.3:
+            return rng.choice(shared)
+        size = rng.randrange(5)
+        obj = {
+            rng.choice(_JSON_STRINGS) + str(rng.randrange(3)): _random_json(rng, depth + 1, shared)
+            for _ in range(size)
+        }
+        if rng.random() < 0.3:
+            shared.append(obj)
+        return obj
+    if depth < 6 and roll < 0.5:
+        items = [_random_json(rng, depth + 1, shared) for _ in range(rng.randrange(4))]
+        return tuple(items) if rng.random() < 0.2 else items
+    return rng.choice(
+        [rng.choice(_JSON_STRINGS), rng.choice(_JSON_FLOATS), rng.choice(_JSON_INTS)]
+        + [True, False, None, rng.uniform(-1e6, 1e6)]
+    )
+
+
+def _nesting(value: object) -> int:
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return 1 + max(map(_nesting, value), default=0)
+    return 0
+
+
+@pytest.mark.parametrize("seed", [3, 1013, 20261018])
+def test_indented_json_matches_json_dumps(seed):
+    rng = random.Random(seed)
+    deepest = 0
+    for _ in range(60):
+        shared = [{"fraction": "1/3", "decimal": 1 / 3, "percent": "33.3%"}, {}]
+        doc = {"top": _random_json(rng, 1, shared), "again": shared[:3]}
+        doc["nested"] = {"deeper": {"still": shared[0]}}
+        assert _indented_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+        deepest = max(deepest, _nesting(doc))
+    assert deepest >= 6
+    for scalar in [*_JSON_STRINGS, *_JSON_FLOATS, *_JSON_INTS, True, False, None, [], {}]:
+        assert _indented_json(scalar) == json.dumps(scalar, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_indented_json_refuses_nan_and_infinities(value):
+    with pytest.raises(ValueError):
+        _indented_json({"score": [value]})
+
+
+@pytest.mark.parametrize("key", [1, None, 2.5, True, ("a", "b")])
+def test_indented_json_refuses_keys_that_are_not_strings(key):
+    with pytest.raises(TypeError):
+        _indented_json({key: 1})
+    with pytest.raises(TypeError):
+        _indented_json({"a": {"b": 1, key: 2}})
 
 
 def test_json_contents(report):

@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import yaml
 
-from kgaudit.catalog import default_catalog
+from kgaudit.catalog import default_catalog, dump_catalog, parse_catalog
 from kgaudit.rdf import Iri, load_rdf
 from kgaudit.scoring import (
     FailureKind,
@@ -14,9 +15,10 @@ from kgaudit.scoring import (
     evaluate_graph,
     format_percent,
     not_evaluated_result,
+    results_from_answers,
 )
 
-from helpers import FIXTURES
+from helpers import FIXTURES, ref_build_result
 
 CATALOG = default_catalog()
 ALL_QUERY_IDS = [cq.id for _, cq in CATALOG.queries()]
@@ -40,6 +42,26 @@ def test_outcome_consistency_enforced():
         QueryOutcome("publisher.1", False, None)
 
 
+def test_cover_errors_keep_their_messages():
+    none = outcomes_where(set())
+    stray = [
+        QueryOutcome("nope.1", False, FailureKind.ANSWER_FALSE),
+        QueryOutcome("aaa.1", True),
+    ]
+    cases = [
+        (none[:-1], "missing outcomes: quality.1"),
+        (none[2:-1], "missing outcomes: creator.1, creator.2, quality.1"),
+        (none + [none[1]], "duplicate outcome for query 'creator.2'"),
+        (none + stray, "unknown query ids: aaa.1, nope.1"),
+        (none[1:] + stray, "missing outcomes: creator.1; unknown query ids: aaa.1, nope.1"),
+    ]
+    for outcomes, message in cases:
+        for build in (build_result, ref_build_result):
+            with pytest.raises(ValueError) as err:
+                build(CATALOG, "d", outcomes)
+            assert str(err.value) == message
+
+
 def test_build_result_requires_exact_query_cover():
     with pytest.raises(ValueError, match="missing outcomes"):
         build_result(CATALOG, "d", outcomes_where(set())[:-1])
@@ -51,6 +73,91 @@ def test_build_result_requires_exact_query_cover():
             "d",
             outcomes_where(set()) + [QueryOutcome("nope.1", False, FailureKind.ANSWER_FALSE)],
         )
+
+
+# ---------------------------------------------------------------------------
+# The catalog's scoring plan against the reference aggregation
+# (tests/helpers.py), on catalogs with other weights and query counts
+
+_WEIGHTS = [1, 2, 5, "1/2", "1/3", "2/7", "3/4", "5/3"]
+# None stands for a success
+_KINDS = [None, *FailureKind]
+
+
+def _catalog_variant(rng: random.Random):
+    """The default catalog with random weights and 1-4 queries per question."""
+    doc = yaml.safe_load(dump_catalog(CATALOG))
+    pool = [query for question in doc["questions"] for query in question["queries"]]
+    for question in doc["questions"]:
+        question["weight"] = rng.choice(_WEIGHTS)
+        extra = rng.randrange(5 - len(question["queries"]))
+        for _ in range(extra):
+            query = rng.choice(pool)
+            question["queries"].append(dict(query) if isinstance(query, dict) else query)
+    return parse_catalog(yaml.safe_dump(doc))
+
+
+def _random_outcomes(rng: random.Random, catalog) -> list[QueryOutcome]:
+    outcomes = []
+    for _, cq in catalog.queries():
+        kind = rng.choice(_KINDS)
+        outcomes.append(QueryOutcome(cq.id, kind is None, kind))
+    rng.shuffle(outcomes)
+    return outcomes
+
+
+def _assert_matches_reference(result, catalog, outcomes):
+    ordered, questions, nodes = ref_build_result(catalog, result.dataset, outcomes)
+    assert result.outcomes == ordered
+    assert list(result.question_scores.items()) == list(questions.items())
+    assert list(result.node_scores.items()) == list(nodes.items())
+    scores = [*result.question_scores.values(), *result.node_scores.values()]
+    assert all(type(score) is Fraction for score in scores)
+
+
+@pytest.mark.parametrize("seed", [13, 2026])
+def test_plan_scores_like_the_reference(seed):
+    rng = random.Random(seed)
+    catalogs = [CATALOG] + [_catalog_variant(rng) for _ in range(3)]
+    counts = {len(q.queries) for catalog in catalogs for q in catalog.questions()}
+    assert counts == {1, 2, 3, 4}
+    for catalog in catalogs:
+        for _ in range(25):
+            outcomes = _random_outcomes(rng, catalog)
+            result = build_result(catalog, "d", outcomes)
+            _assert_matches_reference(result, catalog, outcomes)
+
+
+@pytest.mark.parametrize("seed", [5, 77])
+def test_results_from_answers_score_like_the_reference(seed):
+    rng = random.Random(seed)
+    catalog = _catalog_variant(rng)
+    datasets = [Iri(f"http://example.org/kg/{i}") for i in range(4)]
+    answers = {}
+    for _, cq in catalog.queries():
+        kind = rng.choice([None, *FailureKind])
+        answers[cq.id] = (
+            {d for d in datasets if rng.random() < 0.5}
+            if kind in (None, FailureKind.ANSWER_FALSE)
+            else kind
+        )
+    results = results_from_answers(catalog, datasets, answers)
+    assert [r.dataset for r in results] == [d.value for d in datasets]
+    for dataset, result in zip(datasets, results):
+        expected = []
+        for _, cq in catalog.queries():
+            answer = answers[cq.id]
+            if isinstance(answer, FailureKind):
+                expected.append(QueryOutcome(cq.id, False, answer))
+            elif dataset in answer:
+                expected.append(QueryOutcome(cq.id, True))
+            else:
+                expected.append(QueryOutcome(cq.id, False, FailureKind.ANSWER_FALSE))
+        _assert_matches_reference(result, catalog, expected)
+    for kind in FailureKind:
+        result = not_evaluated_result(catalog, "key", kind)
+        expected = [QueryOutcome(cq.id, False, kind) for _, cq in catalog.queries()]
+        _assert_matches_reference(result, catalog, expected)
 
 
 # ---------------------------------------------------------------------------
