@@ -10,8 +10,8 @@ weights, queries and rules without touching code.  ``load_catalog`` parses
 and validates, then derives the :class:`ScoringPlan` that scoring reads
 every score off; ``dump_catalog`` writes the same structure back out, and
 ``default_catalog`` loads the catalog bundled with the package.  A query
-names the dataset it scores ``?kg`` or ``$kg``; parsing turns both into
-the variable ``?kg``.
+names the dataset it scores with the variable ``?kg`` (``$kg`` is the same
+variable, as in SPARQL 1.1), which scoring binds with VALUES.
 
 The same rules drive two interchangeable evaluation routes: one-step rule
 application to the published graph before running the compact query
@@ -39,7 +39,6 @@ from .rdf import Iri
 from .sparql import (
     Bgp,
     GroupPattern,
-    Placeholder,
     Query,
     SparqlError,
     TriplePattern,
@@ -48,8 +47,6 @@ from .sparql import (
     format_triple_pattern,
     parse_query,
     parse_triple_patterns,
-    pattern_placeholders,
-    substitute,
 )
 
 # The variable every query binds to the dataset it scores.
@@ -372,9 +369,6 @@ def _parse_question(entry: dict, header: str, where: str) -> Question:
         body = q.strip()
         try:
             parsed = parse_query(header + body)
-            if pattern_placeholders(parsed.pattern):
-                # $kg becomes ?kg, which VALUES can bind; any other is refused
-                parsed = substitute(parsed, {KG.name: KG})
         except SparqlError as exc:
             raise CatalogError(f"question '{qid}' query {qindex}: {exc}") from None
         queries.append(CompactQuery(f"{qid}.{qindex}", body, parsed, label))
@@ -531,12 +525,6 @@ def _check_rules(catalog: Catalog) -> list[str]:
         if rule.id in seen_rules:
             problems.append(f"duplicate rule id '{rule.id}'")
         seen_rules.add(rule.id)
-        if any(
-            isinstance(pos, Placeholder)
-            for tp in rule.source + rule.target
-            for pos in tp.positions()
-        ):
-            problems.append(f"rule '{rule.id}' contains a placeholder")
         source_vars = {
             pos.name
             for tp in rule.source

@@ -309,7 +309,7 @@ def _write(directory: str, name: str, content: str) -> None:
 
 def _cmd_catalog_validate(args) -> int:
     try:
-        catalog = load_catalog(args.catalog) if args.catalog else default_catalog()
+        catalog = _load_catalog(args)
     except CatalogError as exc:
         print(f"kgaudit: {exc}", file=sys.stderr)
         return 1
@@ -323,14 +323,14 @@ def _cmd_catalog_validate(args) -> int:
 
 
 def _cmd_catalog_list(args) -> int:
-    catalog = load_catalog(args.catalog) if args.catalog else default_catalog()
+    catalog = _load_catalog(args)
     for question in catalog.questions():
         print(f"{question.id}\t{question.leaf}\t{question.weight}\t{question.text}")
     return 0
 
 
 def _cmd_catalog_export(args) -> int:
-    catalog = load_catalog(args.catalog) if args.catalog else default_catalog()
+    catalog = _load_catalog(args)
     first = True
     for question, cq in catalog.queries():
         if args.question and question.id != args.question:

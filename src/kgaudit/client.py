@@ -19,6 +19,9 @@ fetch shape covers everything a catalog query can reach: the catalog
 validator refuses any query or rule that looks further than two hops out
 of the dataset or one hop into it.  An endpoint-run costs one query
 that finds and fetches its datasets (more only when it needs pages).
+Discovery and that fetch bind ``?endpoint`` with VALUES to both the IRI
+and the literal form of the endpoint URL, since catalogues state the
+address either way.
 
 Campaigns work endpoint-by-endpoint in parallel, but requests to any
 single endpoint are sequential with a politeness delay.  Every run is
@@ -59,14 +62,14 @@ from .scoring import (
     not_evaluated_result,
     results_from_answers,
 )
-from .sparql import Query, SeqPattern, bind_values, parse_query, substitute
+from .sparql import Query, SeqPattern, bind_values, parse_query
 from .transport import HttpTransport, Transport, TransportError
 
 # Finds dataset IRIs that an endpoint both describes and links to itself.
 # The link predicate is left open: catalogues use void:sparqlEndpoint,
 # dcat:endpointURL, sd:endpoint and others, and some state the endpoint
-# address as a plain string, which is why the link is matched in both the
-# IRI and the literal form of the endpoint URL.
+# address as a plain string, which is why ?endpoint is bound by VALUES to
+# both the IRI and the literal form of the endpoint URL.
 DISCOVERY_QUERY = parse_query("""\
 PREFIX dcat: <http://www.w3.org/ns/dcat#>
 PREFIX void: <http://rdfs.org/ns/void#>
@@ -75,7 +78,7 @@ PREFIX schema: <http://schema.org/>
 PREFIX sd: <http://www.w3.org/ns/sparql-service-description#>
 PREFIX dataid: <http://dataid.dbpedia.org/ns/core#>
 SELECT ?kg WHERE {
-  { ?kg ?endpointLink $endpointIri } UNION { ?kg ?endpointLink $endpointLiteral }
+  ?kg ?endpointLink ?endpoint .
   { ?kg a dcat:Dataset } UNION { ?kg a void:Dataset } UNION { ?kg a dcmitype:Dataset }
   UNION { ?kg a schema:Dataset } UNION { ?kg a sd:Dataset } UNION { ?kg a dataid:Dataset }
 }
@@ -158,7 +161,7 @@ class LaterPageError(TransportError):
 
 
 def _at_endpoint(query: Query, url: str) -> Query:
-    return substitute(query, {"endpointIri": Iri(url), "endpointLiteral": Literal(url)})
+    return bind_values(query, "endpoint", (Iri(url), Literal(url)))
 
 
 def fetch_metadata(

@@ -165,8 +165,9 @@ def to_dqv(report: Report, catalog: Catalog) -> str:
     }
     iris: dict[str, str] = {}
     metrics: dict[str, str] = {}  # metric IRI -> its isMeasurementOf tail
-    # score -> its value and exactValue tails
-    scores_out: dict[Fraction, tuple[str, str]] = {}
+    # (numerator, denominator) of a score -> its value and exactValue tails;
+    # the pair hashes in C, a Fraction in Python
+    scores_out: dict[tuple[int, int], tuple[str, str]] = {}
 
     def iri(value: str) -> str:
         term = iris.get(value)
@@ -205,10 +206,11 @@ def to_dqv(report: Report, catalog: Catalog) -> str:
             ):
                 for key, score in scores.items():
                     metric = measurement_of(prefix + key)
-                    tails = scores_out.get(score)
+                    score_key = (score.numerator, score.denominator)
+                    tails = scores_out.get(score_key)
                     if tails is None:
                         decimal = Literal(f"{float(score):.6f}", datatype=_XSD_DECIMAL)
-                        tails = scores_out[score] = (
+                        tails = scores_out[score_key] = (
                             _tail(_D_VALUE, format_term(decimal)),
                             _tail(_T_EXACT, format_term(Literal(str(score)))),
                         )

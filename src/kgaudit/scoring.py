@@ -123,21 +123,9 @@ def build_result(
     return DatasetResult(dataset, ordered, question_scores, node_scores, trace)
 
 
-def evaluate_graph(
-    catalog: Catalog,
-    graph: Graph,
-    dataset: Iri,
-    *,
-    saturated: Graph | None = None,
-) -> DatasetResult:
-    """Audit one dataset in a local graph: saturate, then run compact queries.
-
-    Pass ``saturated`` to reuse one saturation across several datasets of
-    the same graph (the result then carries no trace of its own).
-    """
-    trace = None
-    if saturated is None:
-        saturated, trace = saturate(graph, catalog.rules)
+def evaluate_graph(catalog: Catalog, graph: Graph, dataset: Iri) -> DatasetResult:
+    """Audit one dataset in a local graph: saturate, then run compact queries."""
+    saturated, trace = saturate(graph, catalog.rules)
     return score_datasets(catalog, saturated, [dataset], trace)[0]
 
 

@@ -4,9 +4,8 @@ The fragment covers exactly what the requirement queries, the dataset
 discovery query and scoring need: PREFIX declarations, ASK and SELECT
 forms, triple patterns with ``a``, predicate/object lists, grouped
 patterns, UNION, and inline data over one variable (``VALUES ?v { ... }``
-with IRIs and literals, at the head of a group).  ``?name`` parses as a
-variable and ``$name`` as a placeholder to be filled in by
-:func:`substitute` before evaluation.
+with IRIs and literals, at the head of a group).  ``?name`` and ``$name``
+are the same variable, as in SPARQL 1.1.
 
 Queries are lexed by the tokenizer the Turtle reader uses (``rdf``), so
 IRIs, prefixed names, strings, language tags and comments read exactly as
@@ -65,10 +64,6 @@ class UnsupportedSparqlFeature(SparqlError):
         super().__init__(f"unsupported SPARQL feature: {feature}", line)
 
 
-class PlaceholderError(SparqlError):
-    """A placeholder was left unfilled, or a substitution value is missing."""
-
-
 # ---------------------------------------------------------------------------
 # AST
 
@@ -78,14 +73,7 @@ class Variable:
     name: str
 
 
-@dataclass(frozen=True)
-class Placeholder:
-    """A ``$name`` hole that substitution must fill before evaluation."""
-
-    name: str
-
-
-PatternTerm = TypingUnion[Iri, Literal, Variable, Placeholder]
+PatternTerm = TypingUnion[Iri, Literal, Variable]
 
 
 @dataclass(frozen=True)
@@ -188,18 +176,6 @@ def _projected_names(query: Query) -> list[str]:
     return list(query.projection or ())
 
 
-def pattern_placeholders(pattern: GroupPattern) -> set[str]:
-    out: set[str] = set()
-    for leaf in _leaves(pattern):
-        if isinstance(leaf, InlineData):
-            continue  # its values are concrete terms
-        for tp in leaf.patterns:
-            for pos in tp.positions():
-                if isinstance(pos, Placeholder):
-                    out.add(pos.name)
-    return out
-
-
 def _leaves(pattern: GroupPattern) -> list[Bgp | InlineData]:
     """The basic graph patterns and inline data the pattern is built from,
     in no particular order."""
@@ -277,7 +253,7 @@ class _Parser(_TokenReader):
             projection: list[str] = []
             star = self.accept("*")
             if not star:
-                while self.peek().text.startswith("?"):
+                while self.peek().kind == "var":
                     projection.append(self.next().text[1:])
                 if not projection:
                     raise self.error("SELECT needs '*' or at least one variable")
@@ -340,14 +316,14 @@ class _Parser(_TokenReader):
         """``VALUES ?v { term ... }``, keyword included."""
         self.next()
         var = self.next()
-        if var.kind != "var" or var.text[0] != "?":
-            raise SparqlError(f"VALUES needs a ?variable, found {var.text!r}", var.line)
+        if var.kind != "var":
+            raise SparqlError(f"VALUES needs a variable, found {var.text!r}", var.line)
         self.expect("{")
         values = []
         while not self.accept("}"):
             tok = self.peek()
             term = self.term()
-            if isinstance(term, (Variable, Placeholder)):
+            if isinstance(term, Variable):
                 raise SparqlError(f"VALUES holds IRIs and literals, found {tok.text!r}", tok.line)
             values.append(term)
         return InlineData(var.text[1:], tuple(values))
@@ -373,8 +349,7 @@ class _Parser(_TokenReader):
     def term(self) -> PatternTerm:
         tok = self.next()
         if tok.kind == "var":
-            name = tok.text[1:]
-            return Variable(name) if tok.text[0] == "?" else Placeholder(name)
+            return Variable(tok.text[1:])
         if tok.kind == "string":
             return self.literal(tok)
         if tok.kind == "iri" or tok.kind == "pname":
@@ -470,8 +445,6 @@ def format_triple_pattern(tp: TriplePattern, prefixes: Mapping[str, str]) -> str
 def _format_pattern_term(term: PatternTerm, prefixes: Mapping[str, str]) -> str:
     if isinstance(term, Variable):
         return f"?{term.name}"
-    if isinstance(term, Placeholder):
-        return f"${term.name}"
     if isinstance(term, Iri):
         return _abbreviate(term, prefixes)
     if isinstance(term, Literal) and term.datatype is not None:
@@ -515,17 +488,7 @@ def bind_values(query: Query, name: str, values: Iterable[Term]) -> Query:
 
 
 def substitute(query: Query, values: Mapping[str, Term]) -> Query:
-    """Fill placeholders (and same-named variables) with concrete terms.
-
-    Every placeholder occurring in the query must have a value; variables
-    listed in ``values`` are replaced too, which is how the dataset IRI is
-    injected into requirement queries written with ``?kg``.
-    """
-    missing = pattern_placeholders(query.pattern) - set(values)
-    if missing:
-        raise PlaceholderError(
-            "missing placeholder value: " + ", ".join(sorted(missing))
-        )
+    """The query with each variable named in ``values`` replaced by its term."""
     if query.projection:
         clash = set(query.projection) & set(values)
         if clash:
@@ -561,7 +524,7 @@ def _substitute_triple(tp: TriplePattern, values: Mapping[str, Term]) -> TripleP
 
 
 def _substitute_term(term: PatternTerm, values: Mapping[str, Term]) -> PatternTerm:
-    if isinstance(term, (Variable, Placeholder)) and term.name in values:
+    if isinstance(term, Variable) and term.name in values:
         return values[term.name]
     return term
 
@@ -604,29 +567,17 @@ class Solution(Mapping[str, Term]):
         return f"Solution({inner})"
 
 
-def _check_no_placeholders(pattern: GroupPattern) -> None:
-    left = pattern_placeholders(pattern)
-    if left:
-        raise PlaceholderError(
-            "query still contains placeholders: " + ", ".join(sorted(left))
-        )
-
-
 def _resolve(term: PatternTerm, binding: Mapping[str, Term]) -> Term | None:
     """Concrete term for a pattern position, or None when still free."""
     if isinstance(term, Variable):
         return binding.get(term.name)
-    if isinstance(term, Placeholder):
-        raise PlaceholderError(f"query still contains placeholders: {term.name}")
     return term
 
 
 def _boundness(tp: TriplePattern, binding: Mapping[str, Term]) -> int:
     count = 0
     for pos in tp.positions():
-        if not isinstance(pos, (Variable, Placeholder)) or (
-            isinstance(pos, Variable) and pos.name in binding
-        ):
+        if not isinstance(pos, Variable) or pos.name in binding:
             count += 1
     return count
 
@@ -687,7 +638,6 @@ def _gen_seq(
 def eval_bgp(g: Graph, patterns: Iterable[TriplePattern]) -> list[Solution]:
     """Distinct solutions of a basic graph pattern, natural-join semantics."""
     pattern_list = list(patterns)
-    _check_no_placeholders(Bgp(tuple(pattern_list)))
     seen: dict[Solution, None] = {}
     for binding in _gen_bgp(g, pattern_list, {}):
         seen.setdefault(Solution(binding))
@@ -698,7 +648,6 @@ def eval_ask(g: Graph, query: Query) -> bool:
     """True iff the pattern of an ASK query has at least one solution."""
     if query.form != "ask":
         raise SparqlError("eval_ask needs an ASK query")
-    _check_no_placeholders(query.pattern)
     for _ in _gen(g, query.pattern, {}):
         return True
     return False
@@ -708,7 +657,6 @@ def eval_select(g: Graph, query: Query) -> list[Solution]:
     """Distinct projected solutions of a SELECT query, sorted, then paged."""
     if query.form != "select":
         raise SparqlError("eval_select needs a SELECT query")
-    _check_no_placeholders(query.pattern)
     names = _projected_names(query)
     pattern = query.pattern
     seen: dict[Solution, None] = {}

@@ -145,14 +145,18 @@ def test_a_kg_placeholder_scores_alike_on_both_routes():
         assert len(scores) == 1 and scores != {0}
 
 
-def test_only_the_kg_placeholder_is_filled():
-    def mutate(doc):
+def test_any_dollar_variable_is_its_question_mark_spelling():
+    def license_query(ask):
+        doc = yaml.safe_load(dump_catalog(default_catalog()))
         for q in doc["questions"]:
             if q["id"] == "license":
-                q["queries"] = ["ASK { ?kg dct:license $license . }"]
+                q["queries"] = [ask]
+        catalog = parse_catalog(yaml.safe_dump(doc))
+        return next(cq.query for _, cq in catalog.queries() if cq.id == "license.1")
 
-    message = _mutated(mutate)
-    assert "question 'license' query 1: missing placeholder value: license" in message
+    dollar = license_query("ASK { ?kg dct:license $license . }")
+    assert dollar == license_query("ASK { ?kg dct:license ?license . }")
+    assert "license" in pattern_variables(dollar.pattern)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ from kgaudit.rdf import BlankNode, Graph, Iri, Literal, Triple, parse_ntriples, 
 from kgaudit.sparql import (
     Bgp,
     InlineData,
-    Placeholder,
-    PlaceholderError,
     Query,
     SeqPattern,
     Solution,
@@ -76,7 +74,7 @@ def test_parse_discovery_shape() -> None:
     assert isinstance(q.pattern, SeqPattern)
     first, alternatives = q.pattern.parts
     assert first == Bgp(
-        (TriplePattern(Variable("kg"), Variable("endpointLink"), Placeholder("rawEndpointUrl")),)
+        (TriplePattern(Variable("kg"), Variable("endpointLink"), Variable("rawEndpointUrl")),)
     )
     assert isinstance(alternatives, UnionPattern)
     assert len(alternatives.branches) == 6
@@ -95,6 +93,9 @@ def test_parse_empty_ask_and_select_star() -> None:
     assert parse_query("ASK {}").pattern == Bgp(())
     q = parse_query("SELECT * WHERE { ?s ?p ?o }")
     assert q.projection == ()
+    # $s and ?s are one variable, as in SPARQL 1.1
+    assert parse_query("SELECT ?s WHERE { $s ?p ?o }") == parse_query("SELECT ?s WHERE { ?s ?p ?o }")
+    assert parse_query("SELECT $s WHERE { ?s ?p ?o }") == parse_query("SELECT ?s WHERE { ?s ?p ?o }")
 
 
 def test_parse_typed_and_tagged_literals() -> None:
@@ -150,7 +151,6 @@ def test_syntax_errors() -> None:
     "text",
     [
         "ASK { VALUES ?x { ?y } }",
-        "ASK { VALUES $x { <http://e.org/a> } }",
         "ASK { VALUES ?x <http://e.org/a> }",
     ],
 )
@@ -170,6 +170,7 @@ def test_parse_inline_data_at_the_head_of_any_group() -> None:
     first = alternatives.branches[0]
     assert first.parts[0] == InlineData("o", (Iri("http://e.org/o"),))
     assert parse_query("ASK { VALUES ?x { } }").pattern == SeqPattern((InlineData("x", ()),))
+    assert parse_query("ASK { VALUES $x { } }") == parse_query("ASK { VALUES ?x { } }")
 
 
 def test_inline_data_only_leads_and_holds_no_blank_nodes() -> None:
@@ -267,13 +268,6 @@ def test_substitute_with_empty_map_is_identity() -> None:
     assert substitute(q, {}) == q
 
 
-def test_substitute_requires_placeholder_values() -> None:
-    q = parse_query(DISCOVERY_SELECT)
-    with pytest.raises(PlaceholderError) as err:
-        substitute(q, {})
-    assert "rawEndpointUrl" in str(err.value)
-
-
 def test_substitute_refuses_a_variable_inline_data_binds() -> None:
     q = bind_values(parse_query(PUBLISHER_ASK), "kg", [Iri("http://example.org/kg1")])
     with pytest.raises(SparqlError):
@@ -284,12 +278,6 @@ def test_substitute_rejects_literal_subject() -> None:
     q = parse_query(PUBLISHER_ASK)
     with pytest.raises(SparqlError):
         substitute(q, {"kg": Literal("not a node")})
-
-
-def test_evaluating_unsubstituted_placeholder_fails() -> None:
-    q = parse_query(DISCOVERY_SELECT)
-    with pytest.raises(PlaceholderError):
-        eval_select(Graph(), q)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +367,12 @@ def test_inline_data_joins_with_the_rest_of_its_group() -> None:
     )
     assert [sol["s"] for sol in eval_select(g, q)] == [Iri("http://example.org/a")]
     assert eval_ask(g, replace(q, form="ask", projection=None)) is True
+    dollar = parse_query(
+        "SELECT * WHERE { VALUES $s { <http://example.org/a> <http://example.org/c> } ?s ?p $o }"
+    )
+    assert eval_select(g, dollar) == [
+        {"s": Iri("http://example.org/a"), "p": Iri("http://example.org/p/0"), "o": Iri("http://example.org/o")}
+    ]
 
 
 def test_values_select_keeps_the_values_with_a_solution() -> None:

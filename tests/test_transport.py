@@ -17,9 +17,17 @@ import requests
 import yaml
 
 from kgaudit.catalog import YAML_LOADER, default_catalog, expand_extended, load_yaml
-from kgaudit.client import DISCOVERY_QUERY, METADATA_QUERY, evaluate_remote_datasets
+from kgaudit.client import (
+    DEFAULT_PAGE_SIZE,
+    DISCOVERY_QUERY,
+    METADATA_QUERY,
+    _at_endpoint,
+    discover_datasets,
+    evaluate_remote_datasets,
+    fetch_metadata,
+)
 from kgaudit.rdf import BlankNode, Iri, Literal
-from kgaudit.sparql import bind_values, format_query, parse_query, substitute
+from kgaudit.sparql import bind_values, format_query, parse_query
 from kgaudit.transport import (
     HttpTransport,
     TranscriptTransport,
@@ -457,7 +465,7 @@ WIRE_DATASETS = [Iri("http://example.org/kg/full"), Iri("http://example.org/kg/s
 def wire_queries() -> list:
     """Every query a campaign or a remote evaluation sends, filled in: one
     ``SELECT DISTINCT ?kg`` per expanded query, ?kg bound by VALUES, then
-    discovery and the metadata fetch."""
+    discovery and the metadata fetch, ?endpoint bound by VALUES."""
     catalog = default_catalog()
     queries = [
         bind_values(
@@ -467,8 +475,7 @@ def wire_queries() -> list:
         )
         for _, cq in catalog.queries()
     ]
-    endpoint = {"endpointIri": Iri(ENDPOINT), "endpointLiteral": Literal(ENDPOINT)}
-    return queries + [substitute(DISCOVERY_QUERY, endpoint), substitute(METADATA_QUERY, endpoint)]
+    return queries + [_at_endpoint(DISCOVERY_QUERY, ENDPOINT), _at_endpoint(METADATA_QUERY, ENDPOINT)]
 
 
 def test_wire_text_parses_back_to_the_query():
@@ -482,23 +489,36 @@ def test_wire_text_parses_back_to_the_query():
     assert '"say \\"hi\\"\\\\\\n\\tthere"@en' in format_query(queries[-1])
 
 
+class Recording:
+    """A transport that keeps every query it is sent and answers no rows."""
+
+    def __init__(self):
+        self.sent = []
+
+    def query(self, url, query, *, timeout, run=0):
+        self.sent.append(query)
+        return []
+
+
 def test_the_remote_route_sends_the_wire_queries():
-    sent = []
-
-    class Recording:
-        def query(self, url, query, *, timeout, run=0):
-            sent.append(query)
-            return []
-
+    transport = Recording()
     catalog = default_catalog()
-    evaluate_remote_datasets(Recording(), ENDPOINT, catalog, WIRE_DATASETS)
-    assert sent == wire_queries()[: len(catalog.expanded)]
+    evaluate_remote_datasets(transport, ENDPOINT, catalog, WIRE_DATASETS)
+    assert transport.sent == wire_queries()[: len(catalog.expanded)]
+
+
+def test_discovery_and_fetch_send_the_wire_queries():
+    transport = Recording()
+    assert discover_datasets(transport, ENDPOINT) == []
+    assert fetch_metadata(transport, ENDPOINT) == {}
+    discovery, metadata = wire_queries()[-2:]
+    assert transport.sent == [discovery, replace(metadata, limit=DEFAULT_PAGE_SIZE)]
 
 
 def test_paged_fetch_wire_text():
-    endpoint = {"endpointIri": Iri(ENDPOINT), "endpointLiteral": Literal(ENDPOINT)}
-    text = format_query(replace(substitute(METADATA_QUERY, endpoint), limit=7, offset=14))
+    text = format_query(replace(_at_endpoint(METADATA_QUERY, ENDPOINT), limit=7, offset=14))
     assert "SELECT DISTINCT ?kg ?s ?p ?o ?p2 ?o2 WHERE " in text
+    assert f'VALUES ?endpoint {{ <{ENDPOINT}> "{ENDPOINT}" }}' in text
     assert text.endswith("\nORDER BY ?kg ?s ?p ?o ?p2 ?o2 LIMIT 7 OFFSET 14\n")
 
 
