@@ -93,9 +93,13 @@ def test_parse_empty_ask_and_select_star() -> None:
     assert parse_query("ASK {}").pattern == Bgp(())
     q = parse_query("SELECT * WHERE { ?s ?p ?o }")
     assert q.projection == ()
-    # $s and ?s are one variable, as in SPARQL 1.1
+
+
+def test_dollar_and_question_mark_spell_one_variable() -> None:
+    # SPARQL 1.1 §4.1.3: $abc and ?abc identify the same variable
     assert parse_query("SELECT ?s WHERE { $s ?p ?o }") == parse_query("SELECT ?s WHERE { ?s ?p ?o }")
     assert parse_query("SELECT $s WHERE { ?s ?p ?o }") == parse_query("SELECT ?s WHERE { ?s ?p ?o }")
+    assert parse_query("ASK { VALUES $x { } }") == parse_query("ASK { VALUES ?x { } }")
 
 
 def test_parse_typed_and_tagged_literals() -> None:
@@ -170,7 +174,6 @@ def test_parse_inline_data_at_the_head_of_any_group() -> None:
     first = alternatives.branches[0]
     assert first.parts[0] == InlineData("o", (Iri("http://e.org/o"),))
     assert parse_query("ASK { VALUES ?x { } }").pattern == SeqPattern((InlineData("x", ()),))
-    assert parse_query("ASK { VALUES $x { } }") == parse_query("ASK { VALUES ?x { } }")
 
 
 def test_inline_data_only_leads_and_holds_no_blank_nodes() -> None:
@@ -266,6 +269,12 @@ def test_substitute_fills_kg_variable() -> None:
 def test_substitute_with_empty_map_is_identity() -> None:
     q = parse_query(PUBLISHER_ASK)
     assert substitute(q, {}) == q
+
+
+def test_substitute_fills_a_dollar_variable() -> None:
+    kg = {"kg": Iri("http://example.org/kg1")}
+    dollar = substitute(parse_query(PUBLISHER_ASK.replace("?kg", "$kg")), kg)
+    assert dollar == substitute(parse_query(PUBLISHER_ASK), kg)
 
 
 def test_substitute_refuses_a_variable_inline_data_binds() -> None:
@@ -367,6 +376,13 @@ def test_inline_data_joins_with_the_rest_of_its_group() -> None:
     )
     assert [sol["s"] for sol in eval_select(g, q)] == [Iri("http://example.org/a")]
     assert eval_ask(g, replace(q, form="ask", projection=None)) is True
+
+
+def test_dollar_and_question_mark_variables_join() -> None:
+    g = parse_ntriples(
+        "<http://example.org/a> <http://example.org/p/0> <http://example.org/o> .\n"
+        "<http://example.org/b> <http://example.org/p/0> <http://example.org/o> .\n"
+    )
     dollar = parse_query(
         "SELECT * WHERE { VALUES $s { <http://example.org/a> <http://example.org/c> } ?s ?p $o }"
     )
