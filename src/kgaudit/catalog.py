@@ -27,6 +27,7 @@ compact pattern with a variable predicate, a rule target other than
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -696,23 +697,12 @@ def expand_extended(query: Query, rules: tuple[EquivalenceRule, ...]) -> Query:
                 options.append(_instantiate_source(rule.source, mapping, counter[0]))
         alternatives.append(options)
 
-    branches: list[Bgp] = []
-    for combo in _product(alternatives):
-        patterns: list[TriplePattern] = []
-        for group in combo:
-            patterns.extend(group)
-        branches.append(Bgp(tuple(patterns)))
+    branches = [
+        Bgp(tuple(itertools.chain.from_iterable(combo)))
+        for combo in itertools.product(*alternatives)
+    ]
     pattern: GroupPattern = branches[0] if len(branches) == 1 else UnionPattern(tuple(branches))
     return Query(query.form, query.projection, pattern, dict(query.prefixes))
-
-
-def _product(alternatives: list[list[tuple[TriplePattern, ...]]]) -> Iterator[list]:
-    if not alternatives:
-        yield []
-        return
-    for head in alternatives[0]:
-        for rest in _product(alternatives[1:]):
-            yield [head] + rest
 
 
 def _unify(target: TriplePattern, concrete: TriplePattern) -> dict[str, object] | None:

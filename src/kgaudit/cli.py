@@ -33,7 +33,13 @@ from .reporting import build_report, figure_files, to_csv, to_dqv, to_json
 from .saturation import saturate
 from .scoring import DatasetResult, format_percent, score_datasets
 from .sparql import format_query
-from .transport import HttpTransport, TranscriptTransport, Transport, TransportError
+from .transport import (
+    HttpTransport,
+    ThrottledTransport,
+    TranscriptTransport,
+    Transport,
+    TransportError,
+)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -88,7 +94,6 @@ def _parser() -> argparse.ArgumentParser:
     campaign.add_argument("--workers", type=int, default=4)
     campaign.add_argument("--retries", type=int, default=2)
     campaign.add_argument("--journal", metavar="PATH", help="journal file; resumes if present")
-    campaign.add_argument("--seed", type=int, help="shuffle endpoint processing order")
     campaign.add_argument("--out", metavar="DIR", help="write report files into this directory")
     campaign.add_argument(
         "--radar",
@@ -161,11 +166,18 @@ def _load_catalog(args) -> Catalog:
     return default_catalog()
 
 
-def _transport(args) -> Transport:
-    if getattr(args, "transcript", None):
-        return TranscriptTransport(args.transcript)
-    args.http = HttpTransport(retries=getattr(args, "retries", 2))  # main closes it
-    return args.http
+def _transport(args) -> Transport | None:
+    """The transcript to answer from, or None to talk to the network."""
+    return TranscriptTransport(args.transcript) if args.transcript else None
+
+
+def _endpoint(args) -> Transport:
+    """What ``discover`` and ``evaluate --endpoint`` query through: the
+    request layer with no delay and its default two retries."""
+    inner = _transport(args)
+    if inner is None:
+        inner = args.http = HttpTransport()  # main closes it
+    return ThrottledTransport(inner, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +188,7 @@ def _cmd_discover(args) -> int:
     if args.file:
         datasets = discover_in_graph(load_rdf(args.file))
     else:
-        transport = _transport(args)
+        transport = _endpoint(args)
         datasets = discover_datasets(
             transport, args.endpoint, timeout=args.timeout, run=args.run
         )
@@ -206,7 +218,7 @@ def _cmd_evaluate(args) -> int:
         saturated, _ = saturate(graph, catalog.rules)
         results = score_datasets(catalog, saturated, datasets)
     else:
-        transport = _transport(args)
+        transport = _endpoint(args)
         stamp = transport.run_timestamp(args.endpoint, args.run) or stamp
         datasets = _named_datasets(args) or discover_datasets(
             transport, args.endpoint, timeout=args.timeout, run=args.run
@@ -271,7 +283,6 @@ def _cmd_campaign(args) -> int:
         workers=args.workers,
         journal_path=args.journal,
         transport=_transport(args),
-        seed=args.seed,
     )
     report = run_campaign(config)
 

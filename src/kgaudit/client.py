@@ -24,7 +24,11 @@ and the literal form of the endpoint URL, since catalogues state the
 address either way.
 
 Campaigns work endpoint-by-endpoint in parallel, but requests to any
-single endpoint are sequential with a politeness delay.  Every run is
+single endpoint are sequential: each endpoint job sends them through a
+:class:`~kgaudit.transport.ThrottledTransport` of its own, which spaces
+them by the politeness delay and retries what can be retried, and
+without an injected transport it talks HTTP over a session of its own,
+closed when the job ends.  Every run is
 appended to a journal file (JSON lines, checksummed), so an interrupted
 campaign resumes without repeating completed endpoint/run cells.
 """
@@ -33,10 +37,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
 import sys
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -63,7 +65,7 @@ from .scoring import (
     results_from_answers,
 )
 from .sparql import Query, SeqPattern, bind_values, parse_query
-from .transport import HttpTransport, Transport, TransportError
+from .transport import HttpTransport, ThrottledTransport, Transport, TransportError
 
 # Finds dataset IRIs that an endpoint both describes and links to itself.
 # The link predicate is left open: catalogues use void:sparqlEndpoint,
@@ -108,26 +110,6 @@ METADATA_QUERY = replace(
 
 def utcnow() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-class ThrottledTransport:
-    """Wraps a transport; enforces a minimum delay between its requests."""
-
-    def __init__(self, inner: Transport, delay: float):
-        self._inner = inner
-        self._delay = delay
-        self._due = 0.0
-
-    def query(self, url: str, query: Query, *, timeout: float, run: int = 0):
-        if self._delay > 0:
-            now = time.monotonic()
-            if now < self._due:
-                time.sleep(self._due - now)
-            self._due = time.monotonic() + self._delay
-        return self._inner.query(url, query, timeout=timeout, run=run)
-
-    def run_timestamp(self, url: str, run: int) -> str | None:
-        return self._inner.run_timestamp(url, run)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +483,6 @@ class CampaignConfig:
     workers: int = 4
     journal_path: str | None = None
     transport: Transport | None = None
-    seed: int | None = None
 
 
 def run_campaign(config: CampaignConfig) -> Report:
@@ -532,33 +513,29 @@ def run_campaign(config: CampaignConfig) -> Report:
         journal = Journal(config.journal_path, catalog, config.runs)
         completed = journal.load()
 
-    order = list(endpoints)
-    if config.seed is not None:
-        random.Random(config.seed).shuffle(order)
-
     def job(endpoint: str) -> list[EndpointRun]:
-        throttled = ThrottledTransport(transport, config.delay)
+        inner = config.transport or HttpTransport()
+        transport = ThrottledTransport(inner, config.delay, retries=config.retries)
         out = []
-        for run in range(config.runs):
-            if (endpoint, run) in completed:
-                continue
-            er = audit_run(
-                throttled, endpoint, run, timeout=config.timeout, page_size=config.page_size
-            )
-            if journal is not None:
-                journal.append(er)
-            out.append(er)
+        try:
+            for run in range(config.runs):
+                if (endpoint, run) in completed:
+                    continue
+                er = audit_run(
+                    transport, endpoint, run, timeout=config.timeout, page_size=config.page_size
+                )
+                if journal is not None:
+                    journal.append(er)
+                out.append(er)
+        finally:
+            if inner is not config.transport:
+                inner.close()
         return out
 
     all_runs: list[EndpointRun] = list(completed.values())
-    transport = config.transport or HttpTransport(retries=config.retries)
-    try:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            for runs in pool.map(job, order):
-                all_runs.extend(runs)
-    finally:
-        if config.transport is None:
-            transport.close()
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        for runs in pool.map(job, endpoints):
+            all_runs.extend(runs)
     all_runs.sort(key=lambda er: (er.endpoint, er.run))
 
     # A run that served exactly the merged graph, or the same graph as an

@@ -19,7 +19,7 @@ scores off it.  Nothing is rounded until a score is rendered for people
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from operator import mul
@@ -84,10 +84,7 @@ class DatasetResult:
 
 
 def build_result(
-    catalog: Catalog,
-    dataset: str,
-    outcomes: Iterable[QueryOutcome],
-    trace: SaturationTrace | None = None,
+    catalog: Catalog, dataset: str, outcomes: Iterable[QueryOutcome]
 ) -> DatasetResult:
     """Aggregate outcomes; they must cover the catalog's queries exactly."""
     plan = catalog.plan
@@ -120,34 +117,30 @@ def build_result(
         for node_id, span, coefficients, denominator in plan.nodes
     }
     ordered = tuple(map(by_id.__getitem__, plan.query_ids))
-    return DatasetResult(dataset, ordered, question_scores, node_scores, trace)
+    return DatasetResult(dataset, ordered, question_scores, node_scores)
 
 
 def evaluate_graph(catalog: Catalog, graph: Graph, dataset: Iri) -> DatasetResult:
     """Audit one dataset in a local graph: saturate, then run compact queries."""
     saturated, trace = saturate(graph, catalog.rules)
-    return score_datasets(catalog, saturated, [dataset], trace)[0]
+    return replace(score_datasets(catalog, saturated, [dataset])[0], trace=trace)
 
 
 def score_datasets(
-    catalog: Catalog,
-    saturated: Graph,
-    datasets: Sequence[Iri],
-    trace: SaturationTrace | None = None,
+    catalog: Catalog, saturated: Graph, datasets: Sequence[Iri]
 ) -> list[DatasetResult]:
     """Score datasets of one saturated graph, each compact query asked once."""
     answers = {}
     for qid, select in catalog.compact_selects.items():
         rows = eval_select(saturated, bind_values(select, KG.name, datasets))
         answers[qid] = {row[KG.name] for row in rows}
-    return results_from_answers(catalog, datasets, answers, trace)
+    return results_from_answers(catalog, datasets, answers)
 
 
 def results_from_answers(
     catalog: Catalog,
     datasets: Sequence[Iri],
     answers: Mapping[str, Collection[Term] | FailureKind],
-    trace: SaturationTrace | None = None,
 ) -> list[DatasetResult]:
     """One result per dataset, from the datasets each query found, or the
     failure that query met, which then holds for every dataset alike."""
@@ -170,7 +163,6 @@ def results_from_answers(
             catalog,
             dataset.value,
             [hit if dataset in found else miss for found, hit, miss in per_query],
-            trace,
         )
         for dataset in datasets
     ]

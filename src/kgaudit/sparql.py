@@ -533,40 +533,6 @@ def _substitute_term(term: PatternTerm, values: Mapping[str, Term]) -> PatternTe
 # Solutions and evaluation
 
 
-class Solution(Mapping[str, Term]):
-    """An immutable variable binding."""
-
-    __slots__ = ("_bindings",)
-
-    def __init__(self, bindings: Mapping[str, Term]):
-        self._bindings = dict(bindings)
-
-    def __getitem__(self, name: str) -> Term:
-        return self._bindings[name]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._bindings)
-
-    def __len__(self) -> int:
-        return len(self._bindings)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Solution):
-            return self._bindings == other._bindings
-        if isinstance(other, Mapping):
-            return self._bindings == dict(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._bindings.items()))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            f"?{k}={format_term(self._bindings[k])}" for k in sorted(self._bindings)
-        )
-        return f"Solution({inner})"
-
-
 def _resolve(term: PatternTerm, binding: Mapping[str, Term]) -> Term | None:
     """Concrete term for a pattern position, or None when still free."""
     if isinstance(term, Variable):
@@ -635,13 +601,15 @@ def _gen_seq(
         yield from _gen_seq(g, rest, solution)
 
 
-def eval_bgp(g: Graph, patterns: Iterable[TriplePattern]) -> list[Solution]:
+def eval_bgp(g: Graph, patterns: Iterable[TriplePattern]) -> list[dict[str, Term]]:
     """Distinct solutions of a basic graph pattern, natural-join semantics."""
     pattern_list = list(patterns)
-    seen: dict[Solution, None] = {}
+    positions = [pos for tp in pattern_list for pos in tp.positions()]
+    names = [pos.name for pos in positions if isinstance(pos, Variable)]
+    seen: dict[tuple, dict[str, Term]] = {}
     for binding in _gen_bgp(g, pattern_list, {}):
-        seen.setdefault(Solution(binding))
-    return list(seen)
+        seen.setdefault(tuple(binding[name] for name in names), binding)
+    return list(seen.values())
 
 
 def eval_ask(g: Graph, query: Query) -> bool:
@@ -653,13 +621,13 @@ def eval_ask(g: Graph, query: Query) -> bool:
     return False
 
 
-def eval_select(g: Graph, query: Query) -> list[Solution]:
+def eval_select(g: Graph, query: Query) -> list[dict[str, Term]]:
     """Distinct projected solutions of a SELECT query, sorted, then paged."""
     if query.form != "select":
         raise SparqlError("eval_select needs a SELECT query")
     names = _projected_names(query)
     pattern = query.pattern
-    seen: dict[Solution, None] = {}
+    seen: dict[tuple, dict[str, Term]] = {}
     if (
         isinstance(pattern, SeqPattern)
         and isinstance(pattern.parts[0], InlineData)
@@ -669,17 +637,14 @@ def eval_select(g: Graph, query: Query) -> list[Solution]:
         name, rest = names[0], list(pattern.parts[1:])
         for value in pattern.parts[0].values:
             if next(_gen_seq(g, rest, {name: value}), None) is not None:
-                seen.setdefault(Solution({name: value}))
+                seen.setdefault((value,), {name: value})
     else:
         for binding in _gen(g, pattern, {}):
-            projected = {name: binding[name] for name in names if name in binding}
-            seen.setdefault(Solution(projected))
+            key = tuple(binding.get(name) for name in names)
+            seen.setdefault(key, {name: binding[name] for name in names if name in binding})
 
-    def row_key(sol: Solution) -> tuple:
-        return tuple(
-            term_sort_key(sol[name]) if name in sol else (-1, "")
-            for name in names
-        )
+    def row_key(key: tuple) -> tuple:
+        return tuple((-1, "") if term is None else term_sort_key(term) for term in key)
 
     end = None if query.limit is None else query.offset + query.limit
-    return sorted(seen, key=row_key)[query.offset : end]
+    return [seen[key] for key in sorted(seen, key=row_key)[query.offset : end]]

@@ -3,12 +3,17 @@
 Both transports expose the same ``query`` method: they take a parsed
 :class:`~kgaudit.sparql.Query` and return a decoded answer, ``bool`` for
 ASK and a list of variable binding rows for SELECT.  Only the HTTP
-transport turns the query into SPARQL text, once per request.  Everything
+transport turns the query into SPARQL text, once per attempt.  Everything
 that can go wrong surfaces as a :class:`TransportError` with a coarse
 kind, so callers can score a timeout differently from a refused
 connection without touching HTTP internals.  ``requests`` is imported
 only when an :class:`HttpTransport` is built, so replays and local
 evaluation never load it.
+
+A transport makes one attempt per query.  :class:`ThrottledTransport`
+wraps one and is the only place that decides when an attempt goes out:
+it spaces attempts by the politeness delay and retries the retryable
+failures, each retry waiting that delay too.
 
 The transcript transport replays a recorded audit: a YAML file holds, per
 endpoint and per run, an availability flag, a timestamp and an N-Triples
@@ -24,6 +29,7 @@ recorded timestamps, where the live transport has none.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol
 
@@ -66,24 +72,64 @@ class Transport(Protocol):
 
 
 # ---------------------------------------------------------------------------
+# When requests go out
+
+
+class ThrottledTransport:
+    """The one layer that decides when a request goes out, and how often.
+
+    Attempts through one layer start at least ``delay`` seconds apart,
+    retries included: a retry waits like any other request.  A failure is
+    tried again, up to ``retries`` more times, only when its
+    :class:`TransportError` is retryable.  The layer keeps no lock, so
+    each worker builds its own.
+    """
+
+    def __init__(self, inner: Transport, delay: float, *, retries: int = 2):
+        if retries < 0:
+            raise ValueError("the retry count cannot be negative")
+        self._inner = inner
+        self._delay = delay
+        self._retries = retries
+        self._due = 0.0
+
+    def query(
+        self, url: str, query: Query, *, timeout: float, run: int = 0
+    ) -> bool | list[dict[str, Term]]:
+        for attempt in range(self._retries + 1):
+            if self._delay > 0:
+                now = time.monotonic()
+                if now < self._due:
+                    time.sleep(self._due - now)
+                self._due = time.monotonic() + self._delay
+            try:
+                return self._inner.query(url, query, timeout=timeout, run=run)
+            except TransportError as exc:
+                if not exc.retryable or attempt == self._retries:
+                    raise
+
+    def run_timestamp(self, url: str, run: int) -> str | None:
+        return self._inner.run_timestamp(url, run)
+
+
+# ---------------------------------------------------------------------------
 # Live HTTP
 
 
 class HttpTransport:
-    """Talks to a SPARQL endpoint over HTTP.
+    """Talks to a SPARQL endpoint over HTTP, one attempt per query.
 
-    Queries go out as GET; endpoints that reject long URLs (414) or GET
-    itself (405) are retried once as form-encoded POST.  Connection errors
-    and 5xx answers are retried up to ``retries`` extra times; timeouts are
-    not, since each one already costs the full timeout budget.
+    A query goes out as GET; an endpoint that rejects long URLs (414) or
+    GET itself (405) is asked again once as form-encoded POST, within the
+    same attempt.  A refused connection, a 429 and a 5xx answer raise a
+    retryable :class:`TransportError`; a timeout does not, since each one
+    already costs the full timeout budget.  Whether and when to try again
+    is :class:`ThrottledTransport`'s call.
     """
 
-    def __init__(self, *, retries: int = 2, session: requests.Session | None = None):
+    def __init__(self, *, session: requests.Session | None = None):
         import requests
 
-        if retries < 0:
-            raise ValueError("the retry count cannot be negative")
-        self.retries = retries
         self.session = session or requests.Session()
 
     def run_timestamp(self, url: str, run: int) -> str | None:
@@ -96,17 +142,9 @@ class HttpTransport:
     def query(
         self, url: str, query: Query, *, timeout: float, run: int = 0
     ) -> bool | list[dict[str, Term]]:
-        text = format_query(query)
-        for attempt in range(self.retries + 1):
-            try:
-                return self._attempt(url, text, timeout)
-            except TransportError as exc:
-                if not exc.retryable or attempt == self.retries:
-                    raise
-
-    def _attempt(self, url: str, text: str, timeout: float):
         import requests
 
+        text = format_query(query)
         headers = {"Accept": ACCEPT, "User-Agent": USER_AGENT}
         try:
             response = self.session.get(
@@ -257,7 +295,7 @@ class TranscriptTransport:
             raise TransportError("connection", f"endpoint {url} is recorded as down")
         if query.form == "ask":
             return eval_ask(entry.graph, query)
-        return [dict(solution) for solution in eval_select(entry.graph, query)]
+        return eval_select(entry.graph, query)
 
 
 def _transcript_run(entry: object, where: str) -> TranscriptRun:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from kgaudit.rdf import BlankNode, Graph, Iri, Literal, Term, Triple, term_sort_key
-from kgaudit.sparql import Solution, TriplePattern, Variable
+from kgaudit.sparql import TriplePattern, Variable
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -173,7 +173,7 @@ def bgp_oracle(g: Graph, patterns: list[TriplePattern]) -> set[frozenset]:
     return found
 
 
-def solutions_as_sets(solutions: list[Solution]) -> set[frozenset]:
+def solutions_as_sets(solutions: list[dict[str, Term]]) -> set[frozenset]:
     return {frozenset(sol.items()) for sol in solutions}
 
 

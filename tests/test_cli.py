@@ -18,6 +18,7 @@ import kgaudit
 from kgaudit.catalog import default_catalog, dump_catalog
 from kgaudit import cli
 from kgaudit.cli import main
+from kgaudit.transport import TranscriptTransport, TransportError
 
 from helpers import FIXTURES, THREE_HOP_RULE
 
@@ -287,6 +288,42 @@ def test_evaluate_endpoint_report_uses_run_timestamp(tmp_path, capsys):
     assert code == 0
     doc = json.loads((out / "report.json").read_text())
     assert doc["generated_at"] == "2024-05-01T10:00:00Z"
+
+
+# ---------------------------------------------------------------------------
+# the request layer in front of a live endpoint
+
+
+@pytest.mark.parametrize("command, requests", [("discover", 1), ("evaluate", 34)])
+def test_endpoint_commands_recover_from_one_retryable_failure(
+    monkeypatch, capsys, command, requests
+):
+    argv = [command, "--endpoint", ENDPOINTS[0]]
+    assert main(argv + ["--transcript", TRANSCRIPT]) == 0
+    clean = capsys.readouterr().out
+    built = []
+
+    class FlakyOnce(TranscriptTransport):
+        """Stands in for the HTTP transport: its first request meets a 503."""
+
+        def __init__(self):
+            super().__init__(TRANSCRIPT)
+            self.attempts = 0
+            built.append(self)
+
+        def query(self, url, query, **kwargs):
+            self.attempts += 1
+            if self.attempts == 1:
+                raise TransportError("http", "status 503", retryable=True)
+            return super().query(url, query, **kwargs)
+
+        def close(self):
+            pass
+
+    monkeypatch.setattr(cli, "HttpTransport", FlakyOnce)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == clean
+    assert [t.attempts for t in built] == [requests + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from kgaudit.sparql import (
     InlineData,
     Query,
     SeqPattern,
-    Solution,
     SparqlError,
     TriplePattern,
     UnionPattern,
@@ -302,7 +301,7 @@ def test_eval_bgp_matches_brute_force_oracle() -> None:
 
 
 def test_empty_bgp_has_one_empty_solution() -> None:
-    assert eval_bgp(Graph(), []) == [Solution({})]
+    assert eval_bgp(Graph(), []) == [{}]
     assert eval_ask(Graph(), parse_query("ASK {}")) is True
 
 

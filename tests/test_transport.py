@@ -16,6 +16,7 @@ import pytest
 import requests
 import yaml
 
+from kgaudit import transport as transport_module
 from kgaudit.catalog import YAML_LOADER, default_catalog, expand_extended, load_yaml
 from kgaudit.client import (
     DEFAULT_PAGE_SIZE,
@@ -30,6 +31,7 @@ from kgaudit.rdf import BlankNode, Iri, Literal
 from kgaudit.sparql import bind_values, format_query, parse_query
 from kgaudit.transport import (
     HttpTransport,
+    ThrottledTransport,
     TranscriptTransport,
     TransportError,
     decode_results,
@@ -172,14 +174,14 @@ def test_http_retries_server_errors_then_succeeds():
     session = ScriptedSession(
         [FakeResponse(500), FakeResponse(503), FakeResponse(200, ask_body(True))]
     )
-    transport = HttpTransport(retries=2, session=session)
+    transport = ThrottledTransport(HttpTransport(session=session), 0, retries=2)
     assert transport.query("http://e.org/sparql", ASK_ALL, timeout=1.0) is True
     assert session.calls == ["get", "get", "get"]
 
 
 def test_http_retry_budget_exhausted():
     session = ScriptedSession([FakeResponse(500), FakeResponse(500)])
-    transport = HttpTransport(retries=1, session=session)
+    transport = ThrottledTransport(HttpTransport(session=session), 0, retries=1)
     with pytest.raises(TransportError) as err:
         transport.query("http://e.org/sparql", ASK_ALL, timeout=1.0)
     assert err.value.kind == "http"
@@ -189,7 +191,7 @@ def test_http_retry_budget_exhausted():
 
 def test_http_without_retries_tries_once():
     session = ScriptedSession([FakeResponse(500), FakeResponse(200, ask_body(True))])
-    transport = HttpTransport(retries=0, session=session)
+    transport = ThrottledTransport(HttpTransport(session=session), 0, retries=0)
     with pytest.raises(TransportError):
         transport.query("http://e.org/sparql", ASK_ALL, timeout=1.0)
     assert session.calls == ["get"]
@@ -197,7 +199,7 @@ def test_http_without_retries_tries_once():
 
 def test_http_rejects_a_negative_retry_count():
     with pytest.raises(ValueError, match="retry count"):
-        HttpTransport(retries=-1, session=ScriptedSession([]))
+        ThrottledTransport(HttpTransport(session=ScriptedSession([])), 0, retries=-1)
 
 
 def test_http_close_closes_the_session():
@@ -208,13 +210,13 @@ def test_http_close_closes_the_session():
 
 def test_http_429_is_retried():
     session = ScriptedSession([FakeResponse(429), FakeResponse(200, ask_body(True))])
-    transport = HttpTransport(retries=1, session=session)
+    transport = ThrottledTransport(HttpTransport(session=session), 0, retries=1)
     assert transport.query("http://e.org/sparql", ASK_ALL, timeout=1.0) is True
 
 
 def test_http_timeout_is_not_retried():
     session = ScriptedSession([requests.Timeout("too slow"), FakeResponse(200, ask_body(True))])
-    transport = HttpTransport(retries=3, session=session)
+    transport = ThrottledTransport(HttpTransport(session=session), 0, retries=3)
     with pytest.raises(TransportError) as err:
         transport.query("http://e.org/sparql", ASK_ALL, timeout=1.0)
     assert err.value.kind == "timeout"
@@ -225,19 +227,109 @@ def test_http_connection_error_is_retried():
     session = ScriptedSession(
         [requests.ConnectionError("refused"), FakeResponse(200, ask_body(True))]
     )
-    transport = HttpTransport(retries=1, session=session)
+    transport = ThrottledTransport(HttpTransport(session=session), 0, retries=1)
     assert transport.query("http://e.org/sparql", ASK_ALL, timeout=1.0) is True
     assert session.calls == ["get", "get"]
 
 
 def test_http_client_error_is_not_retried():
     session = ScriptedSession([FakeResponse(404)])
-    transport = HttpTransport(retries=3, session=session)
+    transport = ThrottledTransport(HttpTransport(session=session), 0, retries=3)
     with pytest.raises(TransportError) as err:
         transport.query("http://e.org/sparql", ASK_ALL, timeout=1.0)
     assert err.value.kind == "http"
     assert not err.value.retryable
     assert session.calls == ["get"]
+
+
+def test_http_makes_one_attempt():
+    session = ScriptedSession([FakeResponse(503), FakeResponse(200, ask_body(True))])
+    with pytest.raises(TransportError) as err:
+        HttpTransport(session=session).query("http://e.org/sparql", ASK_ALL, timeout=1.0)
+    assert err.value.retryable
+    assert session.calls == ["get"]
+
+
+# ---------------------------------------------------------------------------
+# ThrottledTransport on a fake clock
+
+
+class FakeClock:
+    """Stands in for ``time`` in kgaudit.transport; sleeping moves it on."""
+
+    def __init__(self):
+        self.now = 100.0
+        self.sleeps: list[float] = []
+
+    def monotonic(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
+@pytest.fixture()
+def clock(monkeypatch) -> FakeClock:
+    fake = FakeClock()
+    monkeypatch.setattr(transport_module, "time", fake)
+    return fake
+
+
+class Counting:
+    """Counts the attempts that reach the inner transport."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.attempts = 0
+
+    def query(self, url, query, *, timeout, run=0):
+        self.attempts += 1
+        return self.inner.query(url, query, timeout=timeout, run=run)
+
+    def run_timestamp(self, url, run):
+        return self.inner.run_timestamp(url, run)
+
+
+def test_throttled_retry_waits_the_delay(clock):
+    session = ScriptedSession(
+        [FakeResponse(503), FakeResponse(429), FakeResponse(200, ask_body(True))]
+    )
+    transport = ThrottledTransport(HttpTransport(session=session), 0.5, retries=2)
+    assert transport.query("http://e.org/sparql", ASK_ALL, timeout=1.0) is True
+    assert session.calls == ["get", "get", "get"]
+    assert clock.sleeps == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("retries", [0, 1, 3])
+def test_throttled_retries_a_retryable_failure_retries_times(clock, retries):
+    session = ScriptedSession([FakeResponse(503)] * (retries + 1))
+    transport = ThrottledTransport(HttpTransport(session=session), 0.25, retries=retries)
+    with pytest.raises(TransportError) as err:
+        transport.query("http://e.org/sparql", ASK_ALL, timeout=1.0)
+    assert err.value.retryable
+    assert session.calls == ["get"] * (retries + 1)
+    assert clock.sleeps == [0.25] * retries
+
+
+def test_throttled_tries_a_non_retryable_failure_once(clock):
+    session = ScriptedSession([FakeResponse(404), FakeResponse(200, ask_body(True))])
+    transport = ThrottledTransport(HttpTransport(session=session), 0.5, retries=2)
+    with pytest.raises(TransportError):
+        transport.query("http://e.org/sparql", ASK_ALL, timeout=1.0)
+    assert session.calls == ["get"]
+    assert clock.sleeps == []
+
+
+def test_throttled_tries_a_transcript_down_run_once(clock, transcript):
+    counting = Counting(transcript)
+    transport = ThrottledTransport(counting, 0.5, retries=2)
+    with pytest.raises(TransportError) as err:
+        transport.query(ENDPOINT, ASK_ALL, timeout=1.0, run=1)
+    assert err.value.kind == "connection" and not err.value.retryable
+    assert counting.attempts == 1
+    assert clock.sleeps == []
+    assert transport.run_timestamp(ENDPOINT, 1) == "2024-05-02T10:00:00Z"
 
 
 # ---------------------------------------------------------------------------
