@@ -30,8 +30,7 @@ from .client import (
 )
 from .rdf import Iri, ParseError, load_rdf
 from .reporting import build_report, figure_files, to_csv, to_dqv, to_json
-from .saturation import saturate
-from .scoring import DatasetResult, format_percent, score_datasets
+from .scoring import format_percent, score_datasets
 from .sparql import format_query
 from .transport import (
     HttpTransport,
@@ -211,12 +210,10 @@ def _cmd_evaluate(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
     stamp = utcnow()
-    results: list[DatasetResult] = []
     if args.file:
         graph = load_rdf(args.file)
         datasets = _named_datasets(args) or discover_in_graph(graph)
-        saturated, _ = saturate(graph, catalog.rules)
-        results = score_datasets(catalog, saturated, datasets)
+        results, _ = score_datasets(catalog, graph, datasets)
     else:
         transport = _endpoint(args)
         stamp = transport.run_timestamp(args.endpoint, args.run) or stamp

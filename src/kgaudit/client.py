@@ -2,9 +2,10 @@
 
 Two evaluation routes exist on purpose and must stay distinct:
 
-* the *fetch* route (campaigns) downloads each dataset's description,
-  merges what the runs saw, saturates the merged graph with the
-  vocabulary rules and answers the compact queries locally;
+* the *fetch* route (campaigns) downloads, in each run, one graph that
+  describes all of an endpoint's datasets, unions what the runs saw,
+  saturates that union once and answers the compact queries locally for
+  all those datasets, as ``evaluate --file`` does for a file;
 * the *remote* route sends the expanded UNION form of every query to the
   endpoint and trusts its answers.  Each query goes out once for all the
   datasets, as ``SELECT DISTINCT ?kg`` with ?kg bound to them by VALUES,
@@ -17,20 +18,23 @@ Two evaluation routes exist on purpose and must stay distinct:
 Both routes give the same score for the same served data because the
 fetch shape covers everything a catalog query can reach: the catalog
 validator refuses any query or rule that looks further than two hops out
-of the dataset or one hop into it.  An endpoint-run costs one query
-that finds and fetches its datasets (more only when it needs pages).
-Discovery and that fetch bind ``?endpoint`` with VALUES to both the IRI
-and the literal form of the endpoint URL, since catalogues state the
-address either way.
+of the dataset or one hop into it.  So whatever a query matches for one
+dataset in the endpoint's union lies within that dataset's own fetch
+shape, and the union answers for each dataset as the endpoint does.  An
+endpoint-run costs one query that finds and fetches its datasets (more
+only when it needs pages).  Discovery and that fetch bind ``?endpoint``
+with VALUES to both the IRI and the literal form of the endpoint URL,
+since catalogues state the address either way.
 
 Campaigns work endpoint-by-endpoint in parallel, but requests to any
 single endpoint are sequential: each endpoint job sends them through a
 :class:`~kgaudit.transport.ThrottledTransport` of its own, which spaces
 them by the politeness delay and retries what can be retried, and
 without an injected transport it talks HTTP over a session of its own,
-closed when the job ends.  Every run is
-appended to a journal file (JSON lines, checksummed), so an interrupted
-campaign resumes without repeating completed endpoint/run cells.
+closed when the job ends; a job with no run left builds neither.  Every
+run is appended to a journal file (JSON lines, checksummed), so an
+interrupted campaign resumes without repeating completed endpoint/run
+cells.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .catalog import KG, Catalog, default_catalog
@@ -60,9 +65,9 @@ from .reporting import Report, RunRecord, build_report
 from .scoring import (
     DatasetResult,
     FailureKind,
-    evaluate_graph,
     not_evaluated_result,
     results_from_answers,
+    score_datasets,
 )
 from .sparql import Query, SeqPattern, bind_values, parse_query
 from .transport import HttpTransport, ThrottledTransport, Transport, TransportError
@@ -146,6 +151,10 @@ def _at_endpoint(query: Query, url: str) -> Query:
     return bind_values(query, "endpoint", (Iri(url), Literal(url)))
 
 
+# What was fetched from an endpoint: one graph, and the datasets it describes.
+Unit = tuple[Graph, tuple[str, ...]]
+
+
 def fetch_metadata(
     transport: Transport,
     url: str,
@@ -153,18 +162,20 @@ def fetch_metadata(
     page_size: int = DEFAULT_PAGE_SIZE,
     timeout: float = DEFAULT_TIMEOUT,
     run: int = 0,
-) -> dict[str, Graph]:
+) -> Unit:
     """Find every dataset and fetch its description with one paged query.
 
+    Returns one graph for all the datasets, and their IRIs, sorted.
     ``METADATA_QUERY`` reaches two hops out of each dataset and one hop in,
-    which is as far as any validated catalog query reaches.  Each row maps
-    to one or two triples of the graph of its ``?kg``, if that is an IRI.
-    Blank nodes are renamed apart per response, since a label identifies a
-    node only within one result document.  Pages slice the rows in one
-    fixed order, so no row is skipped or repeated.
+    which is as far as any validated catalog query reaches.  Each row whose
+    ``?kg`` is an IRI maps to one or two triples.  Blank nodes are renamed
+    apart per response, since a label identifies a node only within one
+    result document.  Pages slice the rows in one fixed order, so no row
+    is skipped or repeated.
     """
     query = replace(_at_endpoint(METADATA_QUERY, url), limit=page_size)
-    graphs: dict[str, Graph] = {}
+    graph = Graph()
+    datasets: set[str] = set()
     response = 0
     while True:
         try:
@@ -178,9 +189,10 @@ def fetch_metadata(
         response += 1
         for row in rows:
             if isinstance(row.get("kg"), Iri):
-                graphs.setdefault(row["kg"].value, Graph()).update(_row_triples(row, response))
+                datasets.add(row["kg"].value)
+                graph.update(_row_triples(row, response))
         if len(rows) < page_size:
-            return graphs
+            return graph, tuple(sorted(datasets))
         query = replace(query, offset=query.offset + page_size)
 
 
@@ -257,6 +269,7 @@ def evaluate_remote_datasets(
 class EndpointRun:
     """Everything one run observed about one endpoint.
 
+    ``graph`` holds what the run fetched about all of its ``datasets``.
     ``errors`` lists (stage, error kind) pairs for requests that failed
     while the endpoint was up, such as a fetch page that timed out.
     """
@@ -265,7 +278,8 @@ class EndpointRun:
     run: int
     timestamp: str
     available: bool
-    datasets: Mapping[str, Graph]
+    graph: Graph
+    datasets: tuple[str, ...]
     errors: tuple[tuple[str, str], ...] = ()
 
 
@@ -285,71 +299,47 @@ def audit_run(
     """
     timestamp = transport.run_timestamp(endpoint, run) or utcnow()
     try:
-        graphs = fetch_metadata(transport, endpoint, page_size=page_size, timeout=timeout, run=run)
+        unit = fetch_metadata(transport, endpoint, page_size=page_size, timeout=timeout, run=run)
     except TransportError as exc:
         if exc.kind in ("connection", "timeout") and not isinstance(exc, LaterPageError):
-            return EndpointRun(endpoint, run, timestamp, False, {})
-        return EndpointRun(endpoint, run, timestamp, True, {}, (("fetch", exc.kind),))
-    return EndpointRun(endpoint, run, timestamp, True, graphs)
+            return EndpointRun(endpoint, run, timestamp, False, Graph(), ())
+        return EndpointRun(endpoint, run, timestamp, True, Graph(), (), (("fetch", exc.kind),))
+    return EndpointRun(endpoint, run, timestamp, True, *unit)
 
 
-def merge_runs(runs: Iterable[EndpointRun]) -> dict[str, dict[str, Graph]]:
-    """Union the fetched graphs per endpoint and dataset across runs.
+def merge_runs(runs: Iterable[EndpointRun]) -> dict[str, Unit]:
+    """Union the fetched graphs and the dataset lists per endpoint.
 
     Unavailable runs contribute nothing, so an endpoint that was down for
     one of three runs scores exactly like one that was always up, as long
     as the up runs served the same data.
     """
-    merged: dict[str, dict[str, Graph]] = {}
+    merged: dict[str, Unit] = {}
     for er in runs:
-        per_endpoint = merged.setdefault(er.endpoint, {})
-        for dataset, graph in er.datasets.items():
-            target = per_endpoint.setdefault(dataset, Graph())
-            target.update(graph)
+        if er.endpoint not in merged:
+            merged[er.endpoint] = er.graph.copy(), er.datasets
+            continue
+        graph, datasets = merged[er.endpoint]
+        graph.update(er.graph)
+        merged[er.endpoint] = graph, tuple(sorted({*datasets, *er.datasets}))
     return merged
 
 
-# Results by dataset and triple count, each beside the graph it scored.
-ScoreMemo = dict[tuple[str, int], list[tuple[Graph, DatasetResult]]]
-
-
 def evaluate_merged(
-    catalog: Catalog,
-    merged: Mapping[str, Mapping[str, Graph]],
-    endpoints: Sequence[str],
-    *,
-    memo: ScoreMemo | None = None,
+    catalog: Catalog, merged: Mapping[str, Unit], endpoints: Sequence[str]
 ) -> dict[str, list[DatasetResult]]:
-    """Score every dataset; endpoints with nothing auditable get a zero row.
-
-    Results are kept in ``memo`` by dataset and triples; a caller that
-    scores more graphs afterwards passes the same dict to reuse them.
-    """
-    memo = {} if memo is None else memo
+    """Score each endpoint's datasets in its merged graph, saturated once;
+    endpoints with nothing auditable get a zero row.  Every result of an
+    endpoint carries that saturation's trace."""
     results: dict[str, list[DatasetResult]] = {}
     for endpoint in endpoints:
-        graphs = merged.get(endpoint, {})
-        if not graphs:
+        graph, datasets = merged.get(endpoint, (Graph(), ()))
+        if not datasets:
             results[endpoint] = [not_evaluated_result(catalog, endpoint)]
             continue
-        results[endpoint] = [
-            _evaluate_once(catalog, memo, dataset, graph)
-            for dataset, graph in sorted(graphs.items())
-        ]
+        scored, trace = score_datasets(catalog, graph, [Iri(d) for d in datasets])
+        results[endpoint] = [replace(result, trace=trace) for result in scored]
     return results
-
-
-def _evaluate_once(
-    catalog: Catalog, memo: ScoreMemo, dataset: str, graph: Graph
-) -> DatasetResult:
-    """``evaluate_graph``, run once per distinct dataset and triple set."""
-    scored = memo.setdefault((dataset, len(graph)), [])
-    for seen, result in scored:
-        if seen == graph:
-            return result
-    result = evaluate_graph(catalog, graph, Iri(dataset))
-    scored.append((graph, result))
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -368,17 +358,20 @@ def _checksum(record: dict) -> str:
 class Journal:
     """Append-only JSON-lines record of completed endpoint runs.
 
-    The first line pins the catalog hash and run count; every line carries
-    a checksum over its record.  An unterminated last line is an append a
-    crash cut short: loading drops it, so that cell is audited again.  Any
-    other mismatch means the file was edited, and resuming would silently
-    skew scores, so the journal refuses instead.
+    The first line pins the record format, the catalog hash and the run
+    count; every line carries a checksum over its record.  A run record
+    holds the run's fetched graph as one N-Triples text and its datasets
+    (format 2; journals without a format stored one text per dataset).
+    An unterminated last line is an append a crash cut short: loading
+    drops it, so that cell is audited again.  Any other mismatch means the
+    file was edited or belongs elsewhere, and resuming would silently skew
+    scores, so the journal refuses instead and leaves the file as it is.
     """
 
     def __init__(self, path: str, catalog: Catalog, runs: int):
         self.path = path
         self._lock = threading.Lock()
-        self._header = {"catalog": catalog.content_hash(), "runs": runs}
+        self._header = {"catalog": catalog.content_hash(), "format": 2, "runs": runs}
 
     def load(self) -> dict[tuple[str, int], EndpointRun]:
         completed: dict[tuple[str, int], EndpointRun] = {}
@@ -401,6 +394,11 @@ class Journal:
                 raise JournalError(f"{self.path}:{number}: checksum mismatch")
             kind = doc.get("kind")
             if number == 1:
+                if kind == "header" and record.get("format") != self._header["format"]:
+                    raise JournalError(
+                        f"{self.path}: journal was written in an older format; "
+                        "start the campaign again with a new journal"
+                    )
                 if kind != "header" or record != self._header:
                     raise JournalError(
                         f"{self.path}: journal belongs to a different campaign "
@@ -427,10 +425,8 @@ class Journal:
             "run": er.run,
             "timestamp": er.timestamp,
             "available": er.available,
-            "datasets": {
-                dataset: serialize_ntriples(graph)
-                for dataset, graph in sorted(er.datasets.items())
-            },
+            "graph": serialize_ntriples(er.graph),
+            "datasets": list(er.datasets),
             "errors": [list(pair) for pair in er.errors],
         }
         line = self._line("run", record)
@@ -451,19 +447,16 @@ class Journal:
 
 def _run_from_record(path: str, number: int, record: dict) -> EndpointRun:
     try:
-        datasets = {
-            dataset: parse_ntriples(data)
-            for dataset, data in record["datasets"].items()
-        }
         return EndpointRun(
             endpoint=record["endpoint"],
             run=int(record["run"]),
             timestamp=record["timestamp"],
             available=bool(record["available"]),
-            datasets=datasets,
+            graph=parse_ntriples(record["graph"]),
+            datasets=tuple(str(dataset) for dataset in record["datasets"]),
             errors=tuple((str(stage), str(kind)) for stage, kind in record["errors"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise JournalError(f"{path}:{number}: malformed run record: {exc}") from None
 
 
@@ -514,13 +507,14 @@ def run_campaign(config: CampaignConfig) -> Report:
         completed = journal.load()
 
     def job(endpoint: str) -> list[EndpointRun]:
+        left = [run for run in range(config.runs) if (endpoint, run) not in completed]
+        if not left:
+            return []
         inner = config.transport or HttpTransport()
         transport = ThrottledTransport(inner, config.delay, retries=config.retries)
         out = []
         try:
-            for run in range(config.runs):
-                if (endpoint, run) in completed:
-                    continue
+            for run in left:
                 er = audit_run(
                     transport, endpoint, run, timeout=config.timeout, page_size=config.page_size
                 )
@@ -538,11 +532,19 @@ def run_campaign(config: CampaignConfig) -> Report:
             all_runs.extend(runs)
     all_runs.sort(key=lambda er: (er.endpoint, er.run))
 
-    # A run that served exactly the merged graph, or the same graph as an
-    # earlier run, reuses that score.
-    memo: ScoreMemo = {}
     merged = merge_runs(all_runs)
-    results = evaluate_merged(catalog, merged, endpoints, memo=memo)
+    results = evaluate_merged(catalog, merged, endpoints)
+
+    def run_scores(er: EndpointRun) -> tuple[tuple[str, Fraction], ...]:
+        """A run's scores on its data alone.  A run that served its
+        endpoint's merged graph reuses the endpoint's results."""
+        if not er.datasets:
+            return ()
+        scored = results.get(er.endpoint)  # None: a journal run outside this campaign
+        if scored is None or (er.graph, er.datasets) != merged[er.endpoint]:
+            scored, _ = score_datasets(catalog, er.graph, [Iri(d) for d in er.datasets])
+        return tuple((result.dataset, result.score) for result in scored)
+
     timestamps = [er.timestamp for er in all_runs if er.timestamp]
     generated_at = max(timestamps) if timestamps else utcnow()
     records = tuple(
@@ -551,10 +553,7 @@ def run_campaign(config: CampaignConfig) -> Report:
             run=er.run,
             timestamp=er.timestamp,
             available=er.available,
-            scores=tuple(
-                (dataset, _evaluate_once(catalog, memo, dataset, graph).score)
-                for dataset, graph in sorted(er.datasets.items())
-            ),
+            scores=run_scores(er),
             errors=er.errors,
         )
         for er in all_runs

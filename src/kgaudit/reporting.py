@@ -367,14 +367,15 @@ def to_json(report: Report, catalog: Catalog) -> str:
                     for o in result.outcomes
                 },
             }
-            if result.trace is not None:
-                entry["saturation"] = {
-                    "input": result.trace.input_size,
-                    "output": result.trace.output_size,
-                    "derived": result.trace.derived,
-                }
             datasets[result.dataset] = entry
         endpoints[endpoint] = {"best": best_map[endpoint].dataset, "datasets": datasets}
+        trace = results[0].trace  # a campaign saturates once per endpoint
+        if trace is not None:
+            endpoints[endpoint]["saturation"] = {
+                "input": trace.input_size,
+                "output": trace.output_size,
+                "derived": trace.derived,
+            }
     aggregates = {
         population: {
             node: {name: score_obj(value) for name, value in stats.items()}

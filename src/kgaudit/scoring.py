@@ -2,9 +2,10 @@
 
 Each catalog query is asked once for a whole set of datasets, as
 ``SELECT DISTINCT ?kg`` with ?kg bound to them by VALUES; a dataset
-satisfies the query when the answer holds it.  Locally the compact form
-is asked of the saturated graph (:func:`score_datasets`); the remote route
-asks an endpoint the expanded form and hands its answers to
+satisfies the query when the answer holds it.  Locally a graph (a file,
+or what a campaign fetched from one endpoint) is saturated once and asked
+the compact form (:func:`score_datasets`); the remote route asks an
+endpoint the expanded form and hands its answers to
 :func:`results_from_answers` too.
 
 Scores are exact rationals all the way up: a question is the mean of its
@@ -19,7 +20,7 @@ scores off it.  Nothing is rounded until a score is rendered for people
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from operator import mul
@@ -61,9 +62,9 @@ class DatasetResult:
 
     ``dataset`` is normally the dataset IRI; for an endpoint where nothing
     could be audited it falls back to the endpoint URL so the zero still
-    shows up in reports.  ``trace`` records how saturation unfolded when
-    the result came from a local graph; it is provenance, so it stays out
-    of equality.
+    shows up in reports.  ``trace`` records how saturation unfolded on the
+    graph a campaign scored the endpoint's datasets in, so all of them
+    share it; it is provenance, so it stays out of equality.
     """
 
     dataset: str
@@ -121,20 +122,21 @@ def build_result(
 
 
 def evaluate_graph(catalog: Catalog, graph: Graph, dataset: Iri) -> DatasetResult:
-    """Audit one dataset in a local graph: saturate, then run compact queries."""
-    saturated, trace = saturate(graph, catalog.rules)
-    return replace(score_datasets(catalog, saturated, [dataset])[0], trace=trace)
+    """Audit one dataset in a local graph."""
+    return score_datasets(catalog, graph, [dataset])[0][0]
 
 
 def score_datasets(
-    catalog: Catalog, saturated: Graph, datasets: Sequence[Iri]
-) -> list[DatasetResult]:
-    """Score datasets of one saturated graph, each compact query asked once."""
+    catalog: Catalog, graph: Graph, datasets: Sequence[Iri]
+) -> tuple[list[DatasetResult], SaturationTrace]:
+    """Score datasets of one local graph: saturate it, then ask each
+    compact query once for all of them.  Also returns how saturation went."""
+    saturated, trace = saturate(graph, catalog.rules)
     answers = {}
     for qid, select in catalog.compact_selects.items():
         rows = eval_select(saturated, bind_values(select, KG.name, datasets))
         answers[qid] = {row[KG.name] for row in rows}
-    return results_from_answers(catalog, datasets, answers)
+    return results_from_answers(catalog, datasets, answers), trace
 
 
 def results_from_answers(

@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from kgaudit.rdf import BlankNode, Graph, Iri, Literal, Term, Triple, term_sort_key
-from kgaudit.sparql import TriplePattern, Variable
+from kgaudit.sparql import TriplePattern, UnionPattern, Variable
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -243,6 +243,49 @@ def random_metadata_graph(
             obj = rng.choice(resources)
         g.add(Triple(subject, predicate, obj))
     return g
+
+
+def catalog_shapes(catalog) -> list[tuple]:
+    """Every compact pattern list and every expanded branch of a catalog:
+    the shapes a dataset's metadata must take for its queries to match."""
+    shapes = []
+    for _, cq in catalog.queries():
+        shapes.append(cq.query.pattern.patterns)
+        expanded = catalog.expanded[cq.id].pattern
+        branches = expanded.branches if isinstance(expanded, UnionPattern) else (expanded,)
+        shapes.extend(branch.patterns for branch in branches)
+    return shapes
+
+
+def instantiate_shape(
+    rng: random.Random,
+    patterns,
+    kg: Iri,
+    predicates: list[Iri],
+    nodes: list,
+    literals: list[Literal],
+) -> list[Triple]:
+    """One match of ``patterns`` with ?kg bound to ``kg``.  A variable in
+    predicate position takes one of ``predicates``; any other takes one of
+    ``nodes`` (IRIs and blank nodes), or a literal where it is never a
+    subject."""
+    subjects = {tp.subject.name for tp in patterns if isinstance(tp.subject, Variable)}
+    verbs = {tp.predicate.name for tp in patterns if isinstance(tp.predicate, Variable)}
+    binding = {"kg": kg}
+
+    def bind(pos):
+        if not isinstance(pos, Variable):
+            return pos
+        if pos.name not in binding:
+            if pos.name in verbs:
+                binding[pos.name] = rng.choice(predicates)
+            elif pos.name in subjects or rng.random() < 0.8:
+                binding[pos.name] = rng.choice(nodes)
+            else:
+                binding[pos.name] = rng.choice(literals)
+        return binding[pos.name]
+
+    return [Triple(bind(tp.subject), bind(tp.predicate), bind(tp.object)) for tp in patterns]
 
 
 # ---------------------------------------------------------------------------

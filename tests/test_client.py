@@ -5,7 +5,6 @@ from __future__ import annotations
 import copy
 import json
 import random
-import time
 
 import pytest
 import yaml
@@ -18,7 +17,6 @@ from kgaudit.client import (
     EndpointRun,
     Journal,
     JournalError,
-    ThrottledTransport,
     audit_run,
     discover_datasets,
     discover_in_graph,
@@ -30,7 +28,6 @@ from kgaudit.client import (
 )
 from kgaudit.rdf import BlankNode, Graph, Iri, Triple, parse_ntriples
 from kgaudit.scoring import FailureKind, QueryOutcome
-from kgaudit.sparql import parse_query
 from kgaudit.transport import TranscriptTransport, TransportError
 
 from fractions import Fraction
@@ -198,7 +195,8 @@ def discoverable(subject: str, url: str) -> str:
 
 
 def test_fetch_includes_incoming_service_description(transcript):
-    g = fetch_metadata(transcript, FULL_ENDPOINT)[FULL_KG.value]
+    g, datasets = fetch_metadata(transcript, FULL_ENDPOINT)
+    assert datasets == (FULL_KG.value,)
     service = Iri("http://example.org/service/main")
     assert len(list(g.match(service, None, None))) == 2
 
@@ -214,7 +212,7 @@ def test_fetch_radius_is_two_hops(tmp_path):
         "<http://e.org/b> <http://e.org/p> <http://e.org/c> .\n"
         "<http://e.org/c> <http://e.org/p> <http://e.org/d> .\n",
     )
-    g = fetch_metadata(transport, url)["http://e.org/kg"]
+    g, _ = fetch_metadata(transport, url)
     assert len(g) == 4  # the chain's first two links, the type and the endpoint link
     assert not list(g.match(Iri("http://e.org/b"), None, None))
 
@@ -248,7 +246,7 @@ def test_fetch_renames_blank_nodes_apart(tmp_path):
         url,
         discoverable("<http://e.org/kg>", url) + "<http://e.org/kg> <http://e.org/p> _:x .\n",
     )
-    g = fetch_metadata(transport, url)["http://e.org/kg"]
+    g, _ = fetch_metadata(transport, url)
     objects = [t.object for t in g.match(Iri("http://e.org/kg"), Iri("http://e.org/p"), None)]
     assert len(objects) == 1
     assert isinstance(objects[0], BlankNode)
@@ -275,10 +273,10 @@ def test_fetch_does_not_multiply_rows(tmp_path):
     counting = RowCounting(serve(tmp_path / "twice.yaml", url, single + extra))
     er = audit_run(counting, url, 0)
     assert counting.count == 1
-    graph = er.datasets["http://e.org/kg"]
-    assert counting.rows == len(graph) == 6  # one row per one-hop triple
-    once = fetch_metadata(serve(tmp_path / "once.yaml", url, single), url)
-    assert set(graph) == set(once["http://e.org/kg"]) | set(parse_ntriples(extra))
+    assert er.datasets == ("http://e.org/kg",)
+    assert counting.rows == len(er.graph) == 6  # one row per one-hop triple
+    once, _ = fetch_metadata(serve(tmp_path / "once.yaml", url, single), url)
+    assert set(er.graph) == set(once) | set(parse_ntriples(extra))
 
 
 def test_fetch_and_discovery_find_the_same_datasets(tmp_path):
@@ -295,9 +293,9 @@ def test_fetch_and_discovery_find_the_same_datasets(tmp_path):
         + discoverable("_:d", url)
         + '_:d <http://purl.org/dc/terms/title> "blank" .\n',
     )
-    fetched = fetch_metadata(transport, url)
-    assert sorted(fetched) == ["http://e.org/kg", "http://e.org/lit"]
-    assert [iri.value for iri in discover_datasets(transport, url)] == sorted(fetched)
+    _, fetched = fetch_metadata(transport, url)
+    assert fetched == ("http://e.org/kg", "http://e.org/lit")
+    assert tuple(iri.value for iri in discover_datasets(transport, url)) == fetched
 
 
 def test_fetch_and_discover_in_graph_agree_on_every_class(tmp_path):
@@ -311,7 +309,7 @@ def test_fetch_and_discover_in_graph_agree_on_every_class(tmp_path):
     data = "".join(lines)
     local = [iri.value for iri in discover_in_graph(parse_ntriples(data))]
     assert len(local) == 6
-    assert sorted(fetch_metadata(serve(tmp_path / "classes.yaml", url, data), url)) == local
+    assert fetch_metadata(serve(tmp_path / "classes.yaml", url, data), url)[1] == tuple(local)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +434,7 @@ def test_no_datasets_means_no_requests():
 
 def test_audit_run_records_unavailability(transcript):
     er = audit_run(transcript, FULL_ENDPOINT, 1)
-    assert er == EndpointRun(FULL_ENDPOINT, 1, "2024-05-02T10:00:00Z", False, {})
+    assert er == EndpointRun(FULL_ENDPOINT, 1, "2024-05-02T10:00:00Z", False, Graph(), ())
 
 
 def test_audit_run_detects_availability(transcript):
@@ -450,7 +448,7 @@ def test_audit_run_records_fetch_errors(transcript, kind):
     # the run's one query fails: the endpoint answered, the datasets are lost
     er = audit_run(FailingPage(transcript, kind), FULL_ENDPOINT, 0)
     assert er.available
-    assert dict(er.datasets) == {}
+    assert (len(er.graph), er.datasets) == (0, ())
     assert er.errors == (("fetch", kind),)
 
 
@@ -461,7 +459,7 @@ def test_audit_run_records_fetch_errors_on_a_later_page(transcript, kind):
     er = audit_run(failing, FULL_ENDPOINT, 0, page_size=7)
     assert failing.count == 2
     assert er.available
-    assert dict(er.datasets) == {}
+    assert (len(er.graph), er.datasets) == (0, ())
     assert er.errors == (("fetch", kind),)
 
 
@@ -477,7 +475,7 @@ def test_audit_run_records_discovery_errors():
 
     er = audit_run(Boolean(), "http://e.org/sparql", 0)
     assert er.available
-    assert dict(er.datasets) == {}
+    assert (len(er.graph), er.datasets) == (0, ())
     assert er.errors == (("fetch", "malformed"),)
 
 
@@ -487,7 +485,7 @@ def test_audit_run_unreachable_discovery_is_unavailable(transcript, kind):
     er = audit_run(failing, FULL_ENDPOINT, 0)
     assert failing.count == 1
     assert not er.available
-    assert dict(er.datasets) == {}
+    assert (len(er.graph), er.datasets) == (0, ())
     assert er.errors == ()
 
 
@@ -495,16 +493,20 @@ def test_merge_runs_unions_graphs():
     g1 = parse_ntriples("<http://e.org/kg> <http://e.org/p> <http://e.org/a> .\n")
     g2 = parse_ntriples(
         "<http://e.org/kg> <http://e.org/p> <http://e.org/a> .\n"
-        "<http://e.org/kg> <http://e.org/q> <http://e.org/b> .\n"
+        "<http://e.org/kg2> <http://e.org/q> <http://e.org/b> .\n"
     )
     runs = [
-        EndpointRun("http://e.org/", 0, "t0", True, {"http://e.org/kg": g1}),
-        EndpointRun("http://e.org/", 1, "t1", False, {}),
-        EndpointRun("http://e.org/", 2, "t2", True, {"http://e.org/kg": g2}),
+        EndpointRun("http://e.org/", 0, "t0", True, g1, ("http://e.org/kg",)),
+        EndpointRun("http://e.org/", 1, "t1", False, Graph(), ()),
+        EndpointRun("http://e.org/", 2, "t2", True, g2, ("http://e.org/kg", "http://e.org/kg2")),
+        EndpointRun("http://down.e.org/", 0, "t0", False, Graph(), ()),
     ]
     merged = merge_runs(runs)
-    assert set(merged) == {"http://e.org/"}
-    assert len(merged["http://e.org/"]["http://e.org/kg"]) == 2
+    assert merged == {
+        "http://e.org/": (g2, ("http://e.org/kg", "http://e.org/kg2")),
+        "http://down.e.org/": (Graph(), ()),
+    }
+    assert len(g1) == 1  # the runs' own graphs are left as they were
 
 
 # ---------------------------------------------------------------------------
@@ -581,23 +583,38 @@ def test_campaign_retains_run_records(config):
     assert all(rr.errors == () for rr in report.runs)
 
 
-def test_campaign_scores_each_distinct_graph_once(config, monkeypatch):
+def test_campaign_scores_each_endpoint_once_and_each_differing_run(
+    tmp_path, config, monkeypatch
+):
+    # the full endpoint's last run serves less than its first
+    doc = yaml.safe_load((FIXTURES / "campaign.yaml").read_text())
+    runs = doc["endpoints"][FULL_ENDPOINT]["runs"]
+    runs[2]["data"] = "".join(runs[2]["data"].splitlines(keepends=True)[:-3])
+    path = tmp_path / "shrinking.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    transport = TranscriptTransport(str(path))
     scored = []
-    real = client.evaluate_graph
+    real = client.score_datasets
 
-    def counting(catalog, graph, dataset, **kwargs):
-        scored.append((dataset.value, frozenset(graph)))
-        return real(catalog, graph, dataset, **kwargs)
+    def counting(catalog, graph, datasets):
+        scored.append(graph)
+        return real(catalog, graph, datasets)
 
-    monkeypatch.setattr(client, "evaluate_graph", counting)
-    report = run_campaign(config)
-    assert len(scored) == len(set(scored))
-    for rr in report.runs:
-        er = audit_run(config.transport, rr.endpoint, rr.run)
-        assert rr.scores == tuple(
-            (dataset, real(config.catalog, graph, Iri(dataset)).score)
-            for dataset, graph in sorted(er.datasets.items())
-        )
+    monkeypatch.setattr(client, "score_datasets", counting)
+    report = run_campaign(CampaignConfig(**{**config.__dict__, "transport": transport}))
+    runs = [audit_run(transport, rr.endpoint, rr.run) for rr in report.runs]
+    merged = merge_runs(runs)
+    differing = [
+        er for er in runs if er.datasets and (er.graph, er.datasets) != merged[er.endpoint]
+    ]
+    assert [(er.endpoint, er.run) for er in differing] == [(FULL_ENDPOINT, 2)]
+    # one scoring per endpoint with datasets (full, sparse), one per differing run
+    assert len(scored) == 2 + 1
+    for rr, er in zip(report.runs, runs):
+        results, _ = real(config.catalog, er.graph, [Iri(d) for d in er.datasets])
+        assert rr.scores == tuple((r.dataset, r.score) for r in results)
+    full = {rr.run: dict(rr.scores) for rr in report.runs if rr.endpoint == FULL_ENDPOINT}
+    assert full[2][FULL_KG.value] < full[0][FULL_KG.value] == 1
 
 
 class ClosableTranscript(CountingTransport):
@@ -629,6 +646,16 @@ def test_campaign_closes_the_http_transport_it_builds(config, monkeypatch):
     built = sorted(ClosableTranscript.built, key=lambda t: sorted(t.urls))
     assert [t.urls for t in built] == [{endpoint} for endpoint in sorted(ENDPOINTS)]
     assert [t.closed for t in built] == [True] * len(ENDPOINTS)
+
+
+def test_resumed_campaign_builds_no_http_transport(tmp_path, config, monkeypatch):
+    journaled = CampaignConfig(**{**config.__dict__, "journal_path": str(tmp_path / "j.jsonl")})
+    first = run_campaign(journaled)
+    monkeypatch.setattr(ClosableTranscript, "built", [])
+    monkeypatch.setattr(client, "HttpTransport", ClosableTranscript)
+    resumed = run_campaign(CampaignConfig(**{**journaled.__dict__, "transport": None}))
+    assert resumed == first
+    assert ClosableTranscript.built == []
 
 
 @pytest.mark.parametrize("command", ["discover", "evaluate", "campaign"])
@@ -769,6 +796,34 @@ def test_journal_rewrites_a_cut_header_but_refuses_other_text(tmp_path):
     assert path.read_bytes() == b"not a journal"
 
 
+def test_journal_refuses_an_older_format_and_leaves_it(tmp_path, config):
+    # the header journals had before they held a format key
+    record = {"catalog": default_catalog().content_hash(), "runs": 3}
+    digest = client._checksum(record)
+    header = json.dumps({"kind": "header", "record": record, "sha256": digest}, sort_keys=True)
+    journal_path = tmp_path / "journal.jsonl"
+    journal_path.write_text(header + "\n")
+    before = journal_path.read_bytes()
+    journaled = CampaignConfig(**{**config.__dict__, "journal_path": str(journal_path)})
+    with pytest.raises(JournalError, match="older format; start the campaign again"):
+        run_campaign(journaled)
+    assert journal_path.read_bytes() == before
+
+
+@pytest.mark.parametrize("field, value", [("graph", {}), ("graph", None), ("datasets", 5)])
+def test_journal_refuses_a_malformed_run_record(tmp_path, field, value):
+    path = tmp_path / "journal.jsonl"
+    journal = Journal(str(path), default_catalog(), 3)
+    journal.load()
+    journal.append(EndpointRun("http://e.org/sparql", 0, "t", True, Graph(), ()))
+    header, line = path.read_text().splitlines()
+    record = {**json.loads(line)["record"], field: value}
+    doc = {"kind": "run", "record": record, "sha256": client._checksum(record)}
+    path.write_text(header + "\n" + json.dumps(doc) + "\n")
+    with pytest.raises(JournalError, match="malformed run record"):
+        Journal(str(path), default_catalog(), 3).load()
+
+
 def test_journal_refuses_other_campaign(tmp_path, config):
     journal_path = tmp_path / "journal.jsonl"
     journaled = CampaignConfig(**{**config.__dict__, "journal_path": str(journal_path)})
@@ -796,20 +851,10 @@ def test_journal_round_trips_errors(tmp_path):
         0,
         "2024-05-01T10:00:00Z",
         True,
-        {"http://e.org/kg": Graph()},
+        parse_ntriples("<http://e.org/kg> <http://e.org/p> _:b .\n"),
+        ("http://e.org/kg",),
         (("fetch http://e.org/kg", "timeout"),),
     )
     journal.append(er)
     assert Journal(path, default_catalog(), 3).load() == {("http://e.org/sparql", 0): er}
 
-
-# ---------------------------------------------------------------------------
-# throttling
-
-
-def test_throttled_transport_spaces_requests(transcript):
-    throttled = ThrottledTransport(transcript, delay=0.05)
-    start = time.monotonic()
-    throttled.query(FULL_ENDPOINT, parse_query("ASK {}"), timeout=1.0, run=0)
-    throttled.query(FULL_ENDPOINT, parse_query("ASK {}"), timeout=1.0, run=0)
-    assert time.monotonic() - start >= 0.05

@@ -153,11 +153,13 @@ def test_dqv_refuses_a_key_that_makes_an_invalid_iri():
 # replaced: any change to the exported bytes shows here.
 CAMPAIGN_DQV = (1489, "3ee8346642b5d10aa6fa1cfbc507d3ae3b4314c6e9edf1b918b7621bd3e727d3")
 AWKWARD_DQV = (1010, "1bc70ac4d32cee2cffe719db8b6761daad5ffe0c6b0febfa46d2074310fc0f58")
-# The same campaign's report.json, report.csv and sorted journal lines,
-# recorded while terms were still dataclasses.
-CAMPAIGN_JSON = (2338, "a502ce8c7efc90da8260deea13b4d68b64be5caf927e0e56bfe4a3df610a641f")
+# The same campaign's report.json, report.csv and sorted journal lines.
+# The CSV was recorded while terms were still dataclasses; the JSON and
+# the journal since saturation and journal records became per endpoint
+# and per run (journal format 2).
+CAMPAIGN_JSON = (2338, "5766dbc4eebfff0ee5cbbd68554541000528e84b39372a1021f4e95603bb3b24")
 CAMPAIGN_CSV = (4, "bd701e420649ea768d15efa75f483785e244b809de83eaa9c3d33d01159fad09")
-CAMPAIGN_JOURNAL = (10, "2d99ada8d3ab801272b2e931e2b1db53abadc66858256fed3f56cbe6e5a93c53")
+CAMPAIGN_JOURNAL = (10, "a8be1b5c12b1eae2c0097b3435cac67dba20242cc4ff4a3c39c85cde5886f469")
 
 
 def _pin(text: str) -> tuple[int, str]:
@@ -317,19 +319,18 @@ def test_json_contents(report):
 
 
 def test_json_carries_saturation_and_aggregates(report):
+    # a campaign saturates each endpoint's merged graph once
+    campaign = json.loads(to_json(_campaign_report(), CATALOG))["endpoints"]
+    saturation = campaign["http://example.org/sparql"]["saturation"]
+    assert saturation["input"] == 35
+    assert saturation["output"] >= 35
+    assert saturation["derived"] == saturation["output"] - saturation["input"]
+    # the dead endpoint was never saturated, so it carries no trace
+    assert "saturation" not in campaign["http://dead.example.org/sparql"]
+    assert not any("saturation" in d for e in campaign.values() for d in e["datasets"].values())
     doc = json.loads(to_json(report, CATALOG))
-    full = doc["endpoints"]["http://example.org/sparql"]["datasets"][
-        "http://example.org/kg/full"
-    ]
-    assert full["saturation"]["input"] == 35
-    assert full["saturation"]["output"] >= 35
-    assert (
-        full["saturation"]["derived"]
-        == full["saturation"]["output"] - full["saturation"]["input"]
-    )
-    # the zero row was never saturated, so it carries no trace
-    dead = doc["endpoints"]["http://dead.example.org/sparql"]["datasets"]
-    assert "saturation" not in dead["http://dead.example.org/sparql"]
+    # results scored on their own, as by `evaluate --file`, carry no trace either
+    assert not any("saturation" in e for e in doc["endpoints"].values())
     root = doc["aggregates"]["datasets"]["root"]
     assert root["mean"]["fraction"] == "31/90"
     assert root["median"]["fraction"] == "1/30"

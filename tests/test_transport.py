@@ -27,7 +27,7 @@ from kgaudit.client import (
     evaluate_remote_datasets,
     fetch_metadata,
 )
-from kgaudit.rdf import BlankNode, Iri, Literal
+from kgaudit.rdf import BlankNode, Graph, Iri, Literal
 from kgaudit.sparql import bind_values, format_query, parse_query
 from kgaudit.transport import (
     HttpTransport,
@@ -289,6 +289,16 @@ class Counting:
 
     def run_timestamp(self, url, run):
         return self.inner.run_timestamp(url, run)
+
+
+def test_throttled_transport_spaces_requests(clock, transcript):
+    throttled = ThrottledTransport(transcript, 0.05)
+    throttled.query(ENDPOINT, ASK_ALL, timeout=1.0)
+    throttled.query(ENDPOINT, ASK_ALL, timeout=1.0)
+    assert clock.sleeps == [pytest.approx(0.05)]
+    clock.now += 1.0  # well past the due time
+    throttled.query(ENDPOINT, ASK_ALL, timeout=1.0)
+    assert len(clock.sleeps) == 1
 
 
 def test_throttled_retry_waits_the_delay(clock):
@@ -602,7 +612,7 @@ def test_the_remote_route_sends_the_wire_queries():
 def test_discovery_and_fetch_send_the_wire_queries():
     transport = Recording()
     assert discover_datasets(transport, ENDPOINT) == []
-    assert fetch_metadata(transport, ENDPOINT) == {}
+    assert fetch_metadata(transport, ENDPOINT) == (Graph(), ())
     discovery, metadata = wire_queries()[-2:]
     assert transport.sent == [discovery, replace(metadata, limit=DEFAULT_PAGE_SIZE)]
 
