@@ -21,7 +21,8 @@ independently for every triple pattern of the compact BGP, the pattern by
 each rule source whose target unifies with it, and emits one UNION branch
 per combination.  Validation refuses the shapes unification would miss (a
 compact pattern with a variable predicate, a rule target other than
-``?s <p> ?o``), so the two routes agree on every graph.
+``?s <p> ?o``), so the two routes agree on every graph.  How far a query
+or rule reaches from the dataset is not limited.
 """
 
 from __future__ import annotations
@@ -487,7 +488,6 @@ def validate(catalog: Catalog) -> list[str]:
             problems.extend(_check_query(question, cq))
 
     problems.extend(_check_rules(catalog))
-    problems.extend(_check_reach(catalog))
     return problems
 
 
@@ -498,10 +498,7 @@ def _check_query(question: Question, cq: CompactQuery) -> list[str]:
     if not isinstance(cq.query.pattern, Bgp):
         problems.append(f"question '{question.id}' query {cq.id} must be a plain BGP")
         return problems
-    mentions_kg = any(
-        _is_kg(pos) for tp in cq.query.pattern.patterns for pos in tp.positions()
-    )
-    if not mentions_kg:
+    if not any(KG in tp.positions() for tp in cq.query.pattern.patterns):
         problems.append(f"question '{question.id}' query {cq.id} never mentions ?kg")
     if any(isinstance(tp.predicate, Variable) for tp in cq.query.pattern.patterns):
         problems.append(
@@ -573,39 +570,6 @@ def _check_rules(catalog: Catalog) -> list[str]:
                     "would never see what the other derives"
                 )
     return problems
-
-
-def _check_reach(catalog: Catalog) -> list[str]:
-    """Patterns of the expanded queries that the fetch route cannot see.
-
-    A campaign downloads one fixed shape per dataset: its own triples, the
-    triples of the nodes it links to, and the nodes linking to it with
-    their triples.  A pattern lies inside that shape when ?kg is its
-    subject or object, or when its subject is one hop from ?kg through
-    another pattern of the same branch.  Anything further would score on
-    the remote route but never on the fetch route.
-    """
-    problems: list[str] = []
-    for query_id, query in catalog.expanded.items():
-        extended = query.pattern
-        branches = extended.branches if isinstance(extended, UnionPattern) else (extended,)
-        for branch in branches:
-            near = {tp.object for tp in branch.patterns if _is_kg(tp.subject)}
-            near |= {tp.subject for tp in branch.patterns if _is_kg(tp.object)}
-            for tp in branch.patterns:
-                if _is_kg(tp.subject) or _is_kg(tp.object) or tp.subject in near:
-                    continue
-                problem = (
-                    f"query {query_id} pattern '{format_triple_pattern(tp, catalog.prefixes)}' "
-                    "lies beyond what a campaign fetches (two hops out of ?kg, one hop in)"
-                )
-                if problem not in problems:
-                    problems.append(problem)
-    return problems
-
-
-def _is_kg(pos: object) -> bool:
-    return pos == KG
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,16 @@ Two evaluation routes exist on purpose and must stay distinct:
   (``timeout`` for a timeout, ``remote-error`` otherwise); an answer that
   is not a list of rows counts as a remote error too.
 
-Both routes give the same score for the same served data because the
-fetch shape covers everything a catalog query can reach: the catalog
-validator refuses any query or rule that looks further than two hops out
-of the dataset or one hop into it.  So whatever a query matches for one
-dataset in the endpoint's union lies within that dataset's own fetch
-shape, and the union answers for each dataset as the endpoint does.  An
-endpoint-run costs one query that finds and fetches its datasets (more
-only when it needs pages).  Discovery and that fetch bind ``?endpoint``
-with VALUES to both the IRI and the literal form of the endpoint URL,
-since catalogues state the address either way.
+Both routes give the same score for the same served data because a
+campaign fetches what the catalog it is scored by asks for
+(:func:`build_fetch`): every match of every expanded catalog branch
+arrives whole in one row of the answer, blank nodes included.  So the
+endpoint's union holds a copy of each match the endpoint holds for each
+dataset, and no match the endpoint lacks, and it answers for each dataset
+as the endpoint does.  An endpoint-run costs one query that finds and
+fetches its datasets (more only when it needs pages).  Discovery and that
+fetch bind ``?endpoint`` with VALUES to both the IRI and the literal form
+of the endpoint URL, since catalogues state the address either way.
 
 Campaigns work endpoint-by-endpoint in parallel, but requests to any
 single endpoint are sequential: each endpoint job sends them through a
@@ -58,6 +58,7 @@ from .rdf import (
     Literal,
     Term,
     Triple,
+    format_term,
     parse_ntriples,
     serialize_ntriples,
 )
@@ -69,7 +70,19 @@ from .scoring import (
     results_from_answers,
     score_datasets,
 )
-from .sparql import Query, SeqPattern, bind_values, parse_query
+from .sparql import (
+    Bgp,
+    InlineData,
+    Query,
+    SeqPattern,
+    TriplePattern,
+    UnionPattern,
+    Variable,
+    bind_values,
+    parse_query,
+    parse_triple_patterns,
+    pattern_variables,
+)
 from .transport import HttpTransport, ThrottledTransport, Transport, TransportError
 
 # Finds dataset IRIs that an endpoint both describes and links to itself.
@@ -99,19 +112,6 @@ DATASET_CLASSES = tuple(
 DEFAULT_TIMEOUT = 30.0
 DEFAULT_DELAY = 0.5
 DEFAULT_PAGE_SIZE = 10000
-
-# The one query of an endpoint-run: discovery's two groups, then the fetch
-# shape around each dataset found.  Each row carries a whole path, so a
-# blank node keeps its identity between the two triples of a row.
-_FETCH_SHAPE = parse_query(
-    "ASK { { ?kg ?p ?o } UNION { ?kg ?p ?o . ?o ?p2 ?o2 } UNION { ?s ?p ?kg . ?s ?p2 ?o2 } }"
-).pattern
-METADATA_QUERY = replace(
-    DISCOVERY_QUERY,
-    projection=("kg", "s", "p", "o", "p2", "o2"),
-    pattern=SeqPattern((*DISCOVERY_QUERY.pattern.parts, _FETCH_SHAPE)),
-)
-
 
 def utcnow() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
@@ -155,9 +155,69 @@ def _at_endpoint(query: Query, url: str) -> Query:
 Unit = tuple[Graph, tuple[str, ...]]
 
 
+@dataclass(frozen=True)
+class Fetch:
+    """The one query of an endpoint-run, built for the catalog it is scored by.
+
+    ``query`` joins discovery's two groups with a UNION of branches, each
+    led by its tag, ``{ VALUES ?branch { "n" } ... }``.  ``branches`` maps
+    each tag to the triple patterns a row of that branch stands for.
+    """
+
+    query: Query
+    branches: Mapping[Term, tuple[TriplePattern, ...]]
+
+
+def build_fetch(catalog: Catalog) -> Fetch:
+    """The fetch that brings each match of each expanded catalog branch
+    whole in one row: two fixed branches, each triple out of a dataset and
+    each path of two out of it, and every catalog branch no row of theirs
+    holds whole, its variables renamed ``?v0, ?v1, …``."""
+    fixed = ("?kg ?v0 ?v1 .", "?kg ?v0 ?v1 . ?v1 ?v2 ?v3 .")
+    shapes = [parse_triple_patterns(text, {}) for text in fixed]
+    for query in catalog.expanded.values():
+        pattern = query.pattern
+        for branch in pattern.branches if isinstance(pattern, UnionPattern) else (pattern,):
+            shape = _renamed(branch.patterns)
+            if shape not in shapes and not _held_whole(shape):
+                shapes.append(shape)
+    tags = [Literal(str(n)) for n in range(len(shapes))]
+    groups = [SeqPattern((InlineData("branch", (t,)), Bgp(s))) for t, s in zip(tags, shapes)]
+    union = UnionPattern(tuple(groups))
+    width = len(pattern_variables(union) - {KG.name, "branch"})
+    query = replace(
+        DISCOVERY_QUERY,
+        projection=(KG.name, "branch", *(f"v{n}" for n in range(width))),
+        pattern=SeqPattern((*DISCOVERY_QUERY.pattern.parts, union)),
+    )
+    return Fetch(query, dict(zip(tags, shapes)))
+
+
+def _renamed(patterns: tuple[TriplePattern, ...]) -> tuple[TriplePattern, ...]:
+    """The patterns with every variable but ?kg renamed ``?v0, ?v1, …`` in
+    the order they first occur."""
+    names = {KG: KG}
+
+    def rename(pos):
+        if not isinstance(pos, Variable):
+            return pos
+        return names.setdefault(pos, Variable(f"v{len(names) - 1}"))
+
+    return tuple(TriplePattern(*map(rename, tp.positions())) for tp in patterns)
+
+
+def _held_whole(shape: tuple[TriplePattern, ...]) -> bool:
+    """Whether one row of a fixed branch holds every match of ``shape``:
+    one triple out of ?kg, or a path of two out of it."""
+    if len(shape) == 1:
+        return shape[0].subject == KG
+    return len(shape) == 2 and shape[0].subject == KG and shape[1].subject == shape[0].object
+
+
 def fetch_metadata(
     transport: Transport,
     url: str,
+    fetch: Fetch,
     *,
     page_size: int = DEFAULT_PAGE_SIZE,
     timeout: float = DEFAULT_TIMEOUT,
@@ -165,15 +225,14 @@ def fetch_metadata(
 ) -> Unit:
     """Find every dataset and fetch its description with one paged query.
 
-    Returns one graph for all the datasets, and their IRIs, sorted.
-    ``METADATA_QUERY`` reaches two hops out of each dataset and one hop in,
-    which is as far as any validated catalog query reaches.  Each row whose
-    ``?kg`` is an IRI maps to one or two triples.  Blank nodes are renamed
-    apart per response, since a label identifies a node only within one
-    result document.  Pages slice the rows in one fixed order, so no row
-    is skipped or repeated.
+    Returns one graph for all the datasets, and their IRIs, sorted.  Each
+    row whose ``?kg`` is an IRI stands for the triples of its branch.  A
+    match arrives whole in one row, so each blank node is named after its
+    row by a SHA-256 digest: identical rows give identical triples, and no
+    other rows share a node, whatever the pages and runs.  Pages slice the
+    rows in one fixed order, so no row is skipped or repeated.
     """
-    query = replace(_at_endpoint(METADATA_QUERY, url), limit=page_size)
+    query = replace(_at_endpoint(fetch.query, url), limit=page_size)
     graph = Graph()
     datasets: set[str] = set()
     response = 0
@@ -188,51 +247,33 @@ def fetch_metadata(
             raise TransportError("malformed", "metadata fetch expected SELECT results")
         response += 1
         for row in rows:
-            if isinstance(row.get("kg"), Iri):
-                datasets.add(row["kg"].value)
-                graph.update(_row_triples(row, response))
+            shape = fetch.branches.get(row.get("branch"))
+            if isinstance(row.get(KG.name), Iri) and shape is not None:
+                datasets.add(row[KG.name].value)
+                graph.update(_row_triples(row, shape))
         if len(rows) < page_size:
             return graph, tuple(sorted(datasets))
         query = replace(query, offset=query.offset + page_size)
 
 
-def _row_triples(row: Mapping[str, Term], response: int) -> Iterator[Triple]:
-    """The one or two triples a fetch row stands for, blank nodes renamed apart."""
-    kg, s, p, o, p2, o2 = (_relabel(row.get(name), response) for name in METADATA_QUERY.projection)
-    paths = ((s, p, kg), (s, p2, o2)) if s is not None else ((kg, p, o), (o, p2, o2))
-    for parts in paths:
-        if None in parts:
-            continue  # a one-hop row has no second triple
-        try:
-            triple = Triple(*parts)
-        except ValueError:
-            continue  # a literal subject or predicate makes no triple
-        yield triple
-
-
-def _relabel(term: Term | None, response: int) -> Term | None:
-    if isinstance(term, BlankNode):
-        return BlankNode(f"r{response}b{term.label}")
-    return term
+def _row_triples(row: Mapping[str, Term], shape: tuple[TriplePattern, ...]) -> Iterator[Triple]:
+    """The triples a fetch row stands for, each blank node named after the row."""
+    if any(isinstance(term, BlankNode) for term in row.values()):
+        text = "\n".join(f"{name} {format_term(term)}" for name, term in sorted(row.items()))
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        row = {
+            name: BlankNode(digest + term.label) if isinstance(term, BlankNode) else term
+            for name, term in row.items()
+        }
+    for tp in shape:
+        s, p, o = (row.get(v.name) if isinstance(v, Variable) else v for v in tp.positions())
+        # an unbound variable, a literal subject or predicate makes no triple
+        if None not in (s, o) and isinstance(p, Iri) and not isinstance(s, Literal):
+            yield Triple(s, p, o)
 
 
 # ---------------------------------------------------------------------------
 # Remote evaluation (extended queries against the endpoint)
-
-
-def evaluate_remote(
-    transport: Transport,
-    url: str,
-    catalog: Catalog,
-    dataset: Iri,
-    *,
-    timeout: float = DEFAULT_TIMEOUT,
-    run: int = 0,
-) -> DatasetResult:
-    """Score a dataset by asking the endpoint the expanded queries."""
-    return evaluate_remote_datasets(
-        transport, url, catalog, [dataset], timeout=timeout, run=run
-    )[0]
 
 
 def evaluate_remote_datasets(
@@ -287,11 +328,12 @@ def audit_run(
     transport: Transport,
     endpoint: str,
     run: int,
+    fetch: Fetch,
     *,
     timeout: float = DEFAULT_TIMEOUT,
     page_size: int = DEFAULT_PAGE_SIZE,
 ) -> EndpointRun:
-    """One endpoint, one run: one paged query finds and fetches every dataset.
+    """One endpoint, one run: ``fetch`` finds and fetches every dataset.
 
     When its first page cannot reach the endpoint (a connection error or a
     timeout) the run is unavailable.  Any other failure loses the run's
@@ -299,7 +341,9 @@ def audit_run(
     """
     timestamp = transport.run_timestamp(endpoint, run) or utcnow()
     try:
-        unit = fetch_metadata(transport, endpoint, page_size=page_size, timeout=timeout, run=run)
+        unit = fetch_metadata(
+            transport, endpoint, fetch, page_size=page_size, timeout=timeout, run=run
+        )
     except TransportError as exc:
         if exc.kind in ("connection", "timeout") and not isinstance(exc, LaterPageError):
             return EndpointRun(endpoint, run, timestamp, False, Graph(), ())
@@ -361,7 +405,8 @@ class Journal:
     The first line pins the record format, the catalog hash and the run
     count; every line carries a checksum over its record.  A run record
     holds the run's fetched graph as one N-Triples text and its datasets
-    (format 2; journals without a format stored one text per dataset).
+    (format 3, blank nodes named after their fetch rows; older formats are
+    refused).
     An unterminated last line is an append a crash cut short: loading
     drops it, so that cell is audited again.  Any other mismatch means the
     file was edited or belongs elsewhere, and resuming would silently skew
@@ -371,7 +416,7 @@ class Journal:
     def __init__(self, path: str, catalog: Catalog, runs: int):
         self.path = path
         self._lock = threading.Lock()
-        self._header = {"catalog": catalog.content_hash(), "format": 2, "runs": runs}
+        self._header = {"catalog": catalog.content_hash(), "format": 3, "runs": runs}
 
     def load(self) -> dict[tuple[str, int], EndpointRun]:
         completed: dict[tuple[str, int], EndpointRun] = {}
@@ -504,7 +549,10 @@ def run_campaign(config: CampaignConfig) -> Report:
     journal = None
     if config.journal_path:
         journal = Journal(config.journal_path, catalog, config.runs)
-        completed = journal.load()
+        # runs of endpoints outside this campaign stay in the file, unread
+        completed = {key: er for key, er in journal.load().items() if key[0] in endpoints}
+    fetch = build_fetch(catalog)
+    options = dict(timeout=config.timeout, page_size=config.page_size)
 
     def job(endpoint: str) -> list[EndpointRun]:
         left = [run for run in range(config.runs) if (endpoint, run) not in completed]
@@ -515,9 +563,7 @@ def run_campaign(config: CampaignConfig) -> Report:
         out = []
         try:
             for run in left:
-                er = audit_run(
-                    transport, endpoint, run, timeout=config.timeout, page_size=config.page_size
-                )
+                er = audit_run(transport, endpoint, run, fetch, **options)
                 if journal is not None:
                     journal.append(er)
                 out.append(er)
@@ -540,8 +586,8 @@ def run_campaign(config: CampaignConfig) -> Report:
         endpoint's merged graph reuses the endpoint's results."""
         if not er.datasets:
             return ()
-        scored = results.get(er.endpoint)  # None: a journal run outside this campaign
-        if scored is None or (er.graph, er.datasets) != merged[er.endpoint]:
+        scored = results[er.endpoint]
+        if (er.graph, er.datasets) != merged[er.endpoint]:
             scored, _ = score_datasets(catalog, er.graph, [Iri(d) for d in er.datasets])
         return tuple((result.dataset, result.score) for result in scored)
 

@@ -9,19 +9,35 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+import yaml
+
+from kgaudit.catalog import default_catalog, dump_catalog, parse_catalog
 from kgaudit.rdf import BlankNode, Graph, Iri, Literal, Term, Triple, term_sort_key
 from kgaudit.sparql import TriplePattern, UnionPattern, Variable
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 # A catalog rule whose source walks ?kg -> distribution -> part -> download
-# URL: one hop further than a campaign fetches.
+# URL, and a creator query that walks ?kg -> creator -> friend -> name: both
+# reach three hops out of the dataset, one further than a path of two
+# triples, so a campaign fetches each of their matches in a branch of its own.
 THREE_HOP_RULE = {
     "id": "access-distribution-part",
     "source": "?kg dcat:distribution ?d . ?d <http://example.org/part> ?e . "
     "?e dcat:downloadURL ?url .",
     "target": "?kg dcat:accessURL ?url .",
 }
+THREE_HOP_QUERY = "ASK { ?kg dct:creator ?c . ?c foaf:knows ?f . ?f foaf:name ?n . }"
+
+
+def three_hop_catalog():
+    """The default catalog with ``THREE_HOP_RULE`` added and ``creator``'s
+    second query replaced by ``THREE_HOP_QUERY``."""
+    doc = yaml.safe_load(dump_catalog(default_catalog()))
+    doc["rules"].append(THREE_HOP_RULE)
+    creator = next(q for q in doc["questions"] if q["id"] == "creator")
+    creator["queries"][1]["ask"] = THREE_HOP_QUERY
+    return parse_catalog(yaml.safe_dump(doc))
 
 _IRIS = [
     "http://example.org/dataset/a",

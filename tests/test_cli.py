@@ -20,7 +20,7 @@ from kgaudit import cli
 from kgaudit.cli import main
 from kgaudit.transport import TranscriptTransport, TransportError
 
-from helpers import FIXTURES, THREE_HOP_RULE
+from helpers import FIXTURES, three_hop_catalog
 
 TRANSCRIPT = str(FIXTURES / "campaign.yaml")
 ENDPOINTS = [
@@ -561,16 +561,11 @@ def test_catalog_validate_rejects_malformed_yaml(tmp_path, capsys, monkeypatch, 
     assert re.search(r"line \d+, column \d+", err)
 
 
-def test_catalog_validate_rejects_unfetchable_rule(tmp_path, capsys):
-    doc = yaml.safe_load(dump_catalog(default_catalog()))
-    doc["rules"].append(THREE_HOP_RULE)
+def test_catalog_validate_accepts_a_three_hop_rule_and_query(tmp_path, capsys):
     reaching = tmp_path / "reaching.yaml"
-    reaching.write_text(yaml.safe_dump(doc))
-    assert main(["catalog", "validate", "--catalog", str(reaching)]) == 1
-    err = capsys.readouterr().err
-    assert "query access-url.1 pattern" in err
-    assert "dcat:downloadURL ?url" in err
-    assert "beyond what a campaign fetches" in err
+    reaching.write_text(dump_catalog(three_hop_catalog()))
+    assert main(["catalog", "validate", "--catalog", str(reaching)]) == 0
+    assert "OK: 30 questions, 33 queries, 79 rules" in capsys.readouterr().out
 
 
 def test_catalog_list(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import random
 
@@ -18,9 +19,9 @@ from kgaudit.client import (
     Journal,
     JournalError,
     audit_run,
+    build_fetch,
     discover_datasets,
     discover_in_graph,
-    evaluate_remote,
     evaluate_remote_datasets,
     fetch_metadata,
     merge_runs,
@@ -33,13 +34,14 @@ from kgaudit.transport import TranscriptTransport, TransportError
 from fractions import Fraction
 
 import test_route_duality as duality
-from helpers import FIXTURES, catalog_vocabulary
+from helpers import FIXTURES, catalog_shapes, catalog_vocabulary
 
 FULL_ENDPOINT = "http://example.org/sparql"
 SPARSE_ENDPOINT = "http://sparse.example.org/sparql"
 DEAD_ENDPOINT = "http://dead.example.org/sparql"
 ENDPOINTS = [FULL_ENDPOINT, SPARSE_ENDPOINT, DEAD_ENDPOINT]
 FULL_KG = Iri("http://example.org/kg/full")
+FETCH = build_fetch(default_catalog())
 
 
 @pytest.fixture(scope="module")
@@ -195,7 +197,7 @@ def discoverable(subject: str, url: str) -> str:
 
 
 def test_fetch_includes_incoming_service_description(transcript):
-    g, datasets = fetch_metadata(transcript, FULL_ENDPOINT)
+    g, datasets = fetch_metadata(transcript, FULL_ENDPOINT, FETCH)
     assert datasets == (FULL_KG.value,)
     service = Iri("http://example.org/service/main")
     assert len(list(g.match(service, None, None))) == 2
@@ -212,7 +214,7 @@ def test_fetch_radius_is_two_hops(tmp_path):
         "<http://e.org/b> <http://e.org/p> <http://e.org/c> .\n"
         "<http://e.org/c> <http://e.org/p> <http://e.org/d> .\n",
     )
-    g, _ = fetch_metadata(transport, url)
+    g, _ = fetch_metadata(transport, url, FETCH)
     assert len(g) == 4  # the chain's first two links, the type and the endpoint link
     assert not list(g.match(Iri("http://e.org/b"), None, None))
 
@@ -230,28 +232,32 @@ class RowCounting(CountingTransport):
 
 def test_fetch_pages_through_large_nodes(transcript):
     counting = RowCounting(transcript)
-    paged = fetch_metadata(counting, FULL_ENDPOINT, page_size=7)
-    full = fetch_metadata(transcript, FULL_ENDPOINT)
+    paged = fetch_metadata(counting, FULL_ENDPOINT, FETCH, page_size=7)
+    full = fetch_metadata(transcript, FULL_ENDPOINT, FETCH)
     assert paged == full
-    # kg/full, the run's only dataset, answers with 35 rows: five full
-    # pages of 7, then an empty one
-    assert counting.rows == 35
+    # kg/full, the run's only dataset, answers with 34 rows: four full
+    # pages of 7, then one of 6
+    assert counting.rows == 34
     assert counting.count == counting.rows // 7 + 1
 
 
-def test_fetch_renames_blank_nodes_apart(tmp_path):
+def test_fetch_names_blank_nodes_after_their_row(tmp_path):
     url = "http://b.example.org/sparql"
     transport = serve(
         tmp_path / "bnodes.yaml",
         url,
-        discoverable("<http://e.org/kg>", url) + "<http://e.org/kg> <http://e.org/p> _:x .\n",
+        discoverable("<http://e.org/kg>", url)
+        + '<http://e.org/kg> <http://e.org/p> _:x .\n_:x <http://e.org/q> "v" .\n',
     )
-    g, _ = fetch_metadata(transport, url)
-    objects = [t.object for t in g.match(Iri("http://e.org/kg"), Iri("http://e.org/p"), None)]
-    assert len(objects) == 1
-    assert isinstance(objects[0], BlankNode)
-    assert objects[0].label.endswith("bx")
-    assert objects[0].label != "x"
+    g, _ = fetch_metadata(transport, url, FETCH)
+    # _:x comes in two rows, one per fixed branch: two nodes
+    objects = {t.object for t in g.match(Iri("http://e.org/kg"), Iri("http://e.org/p"), None)}
+    assert len(objects) == 2 and len(g) == 2 + 3
+    # named by a SHA-256 digest of the row, so the bytes repeat in any process
+    row = '\n'.join(['branch "0"', "kg <http://e.org/kg>", "v0 <http://e.org/p>", "v1 _:x"])
+    one_hop = BlankNode(hashlib.sha256(row.encode("utf-8")).hexdigest() + "x")
+    assert one_hop in objects
+    assert fetch_metadata(transport, url, FETCH) == (g, ("http://e.org/kg",))
 
 
 DCAT_DATASET = "<http://www.w3.org/ns/dcat#Dataset>"
@@ -271,11 +277,11 @@ def test_fetch_does_not_multiply_rows(tmp_path):
     )
     single = discoverable("<http://e.org/kg>", url) + METADATA
     counting = RowCounting(serve(tmp_path / "twice.yaml", url, single + extra))
-    er = audit_run(counting, url, 0)
+    er = audit_run(counting, url, 0, FETCH)
     assert counting.count == 1
     assert er.datasets == ("http://e.org/kg",)
     assert counting.rows == len(er.graph) == 6  # one row per one-hop triple
-    once, _ = fetch_metadata(serve(tmp_path / "once.yaml", url, single), url)
+    once, _ = fetch_metadata(serve(tmp_path / "once.yaml", url, single), url, FETCH)
     assert set(er.graph) == set(once) | set(parse_ntriples(extra))
 
 
@@ -293,7 +299,7 @@ def test_fetch_and_discovery_find_the_same_datasets(tmp_path):
         + discoverable("_:d", url)
         + '_:d <http://purl.org/dc/terms/title> "blank" .\n',
     )
-    _, fetched = fetch_metadata(transport, url)
+    _, fetched = fetch_metadata(transport, url, FETCH)
     assert fetched == ("http://e.org/kg", "http://e.org/lit")
     assert tuple(iri.value for iri in discover_datasets(transport, url)) == fetched
 
@@ -309,7 +315,7 @@ def test_fetch_and_discover_in_graph_agree_on_every_class(tmp_path):
     data = "".join(lines)
     local = [iri.value for iri in discover_in_graph(parse_ntriples(data))]
     assert len(local) == 6
-    assert fetch_metadata(serve(tmp_path / "classes.yaml", url, data), url)[1] == tuple(local)
+    assert fetch_metadata(serve(tmp_path / "classes.yaml", url, data), url, FETCH)[1] == tuple(local)
 
 
 # ---------------------------------------------------------------------------
@@ -317,21 +323,21 @@ def test_fetch_and_discover_in_graph_agree_on_every_class(tmp_path):
 
 
 def test_evaluate_remote_full_score(transcript):
-    result = evaluate_remote(transcript, FULL_ENDPOINT, default_catalog(), FULL_KG)
+    [result] = evaluate_remote_datasets(transcript, FULL_ENDPOINT, default_catalog(), [FULL_KG])
     assert result.score == 1
 
 
 def test_evaluate_remote_timeout_kind():
-    result = evaluate_remote(
-        FailingTransport("timeout"), "http://t.example.org/", default_catalog(), FULL_KG
+    [result] = evaluate_remote_datasets(
+        FailingTransport("timeout"), "http://t.example.org/", default_catalog(), [FULL_KG]
     )
     assert result.score == 0
     assert all(o.failure is FailureKind.TIMEOUT for o in result.outcomes)
 
 
 def test_evaluate_remote_error_kind():
-    result = evaluate_remote(
-        FailingTransport("connection"), "http://t.example.org/", default_catalog(), FULL_KG
+    [result] = evaluate_remote_datasets(
+        FailingTransport("connection"), "http://t.example.org/", default_catalog(), [FULL_KG]
     )
     assert all(o.failure is FailureKind.REMOTE_ERROR for o in result.outcomes)
 
@@ -342,7 +348,9 @@ def test_evaluate_remote_rejects_a_boolean_answer():
         def query(self, url, query, *, timeout, run=0):
             return True
 
-    result = evaluate_remote(Boolean(), "http://t.example.org/", default_catalog(), FULL_KG)
+    [result] = evaluate_remote_datasets(
+        Boolean(), "http://t.example.org/", default_catalog(), [FULL_KG]
+    )
     assert all(o.failure is FailureKind.REMOTE_ERROR for o in result.outcomes)
 
 
@@ -352,8 +360,9 @@ def test_evaluate_remote_expands_each_query_once_per_catalog(transcript, monkeyp
     assert set(catalog.expanded) == {cq.id for _, cq in catalog.queries()}
     expanded = []
     monkeypatch.setattr(kgaudit.catalog, "expand_extended", lambda *args: expanded.append(args))
-    first = evaluate_remote(transcript, FULL_ENDPOINT, catalog, FULL_KG)
-    second = evaluate_remote(transcript, SPARSE_ENDPOINT, catalog, Iri("http://example.org/kg/sparse"))
+    [first] = evaluate_remote_datasets(transcript, FULL_ENDPOINT, catalog, [FULL_KG])
+    sparse = Iri("http://example.org/kg/sparse")
+    [second] = evaluate_remote_datasets(transcript, SPARSE_ENDPOINT, catalog, [sparse])
     assert expanded == []
     assert first.score == 1
     assert second.score == Fraction(1, 30)
@@ -401,7 +410,7 @@ def test_a_failed_request_fails_its_query_for_every_dataset(tmp_path):
 def test_one_request_per_query_scores_like_one_dataset_at_a_time(tmp_path, seed):
     # the multi-dataset graphs of the route-duality test with pages of 1-3 rows
     rng = random.Random(seed)
-    shapes = duality._shapes()
+    shapes = catalog_shapes(duality.CATALOG)
     predicates, _ = catalog_vocabulary(duality.CATALOG)
     for _ in range(12):
         graph = Graph()
@@ -417,7 +426,7 @@ def test_one_request_per_query_scores_like_one_dataset_at_a_time(tmp_path, seed)
             transport, duality.URL, duality.CATALOG, duality.DATASETS
         )
         assert batched == [
-            evaluate_remote(transport, duality.URL, duality.CATALOG, dataset)
+            evaluate_remote_datasets(transport, duality.URL, duality.CATALOG, [dataset])[0]
             for dataset in duality.DATASETS
         ]
 
@@ -433,20 +442,20 @@ def test_no_datasets_means_no_requests():
 
 
 def test_audit_run_records_unavailability(transcript):
-    er = audit_run(transcript, FULL_ENDPOINT, 1)
+    er = audit_run(transcript, FULL_ENDPOINT, 1, FETCH)
     assert er == EndpointRun(FULL_ENDPOINT, 1, "2024-05-02T10:00:00Z", False, Graph(), ())
 
 
 def test_audit_run_detects_availability(transcript):
-    assert audit_run(transcript, FULL_ENDPOINT, 0).available
-    assert not audit_run(transcript, FULL_ENDPOINT, 1).available
-    assert not audit_run(transcript, "http://unknown.example.org/", 0).available
+    assert audit_run(transcript, FULL_ENDPOINT, 0, FETCH).available
+    assert not audit_run(transcript, FULL_ENDPOINT, 1, FETCH).available
+    assert not audit_run(transcript, "http://unknown.example.org/", 0, FETCH).available
 
 
 @pytest.mark.parametrize("kind", ["http", "malformed"])
 def test_audit_run_records_fetch_errors(transcript, kind):
     # the run's one query fails: the endpoint answered, the datasets are lost
-    er = audit_run(FailingPage(transcript, kind), FULL_ENDPOINT, 0)
+    er = audit_run(FailingPage(transcript, kind), FULL_ENDPOINT, 0, FETCH)
     assert er.available
     assert (len(er.graph), er.datasets) == (0, ())
     assert er.errors == (("fetch", kind),)
@@ -456,7 +465,7 @@ def test_audit_run_records_fetch_errors(transcript, kind):
 def test_audit_run_records_fetch_errors_on_a_later_page(transcript, kind):
     # the first page answered, so even a lost connection leaves the run up
     failing = FailingPage(transcript, kind, page=2)
-    er = audit_run(failing, FULL_ENDPOINT, 0, page_size=7)
+    er = audit_run(failing, FULL_ENDPOINT, 0, FETCH, page_size=7)
     assert failing.count == 2
     assert er.available
     assert (len(er.graph), er.datasets) == (0, ())
@@ -473,7 +482,7 @@ def test_audit_run_records_discovery_errors():
         def run_timestamp(self, url, run):
             return None
 
-    er = audit_run(Boolean(), "http://e.org/sparql", 0)
+    er = audit_run(Boolean(), "http://e.org/sparql", 0, FETCH)
     assert er.available
     assert (len(er.graph), er.datasets) == (0, ())
     assert er.errors == (("fetch", "malformed"),)
@@ -482,7 +491,7 @@ def test_audit_run_records_discovery_errors():
 @pytest.mark.parametrize("kind", ["connection", "timeout"])
 def test_audit_run_unreachable_discovery_is_unavailable(transcript, kind):
     failing = FailingPage(transcript, kind)
-    er = audit_run(failing, FULL_ENDPOINT, 0)
+    er = audit_run(failing, FULL_ENDPOINT, 0, FETCH)
     assert failing.count == 1
     assert not er.available
     assert (len(er.graph), er.datasets) == (0, ())
@@ -602,7 +611,7 @@ def test_campaign_scores_each_endpoint_once_and_each_differing_run(
 
     monkeypatch.setattr(client, "score_datasets", counting)
     report = run_campaign(CampaignConfig(**{**config.__dict__, "transport": transport}))
-    runs = [audit_run(transport, rr.endpoint, rr.run) for rr in report.runs]
+    runs = [audit_run(transport, rr.endpoint, rr.run, FETCH) for rr in report.runs]
     merged = merge_runs(runs)
     differing = [
         er for er in runs if er.datasets and (er.graph, er.datasets) != merged[er.endpoint]
@@ -770,7 +779,7 @@ def test_journal_redoes_a_run_cut_mid_append(tmp_path, monkeypatch, capsys, tran
     journal.write_bytes(recorded[:-40])
     cut = json.loads(recorded.splitlines()[-1])["record"]
     one_run = CountingTransport(transcript)
-    audit_run(one_run, cut["endpoint"], cut["run"])
+    audit_run(one_run, cut["endpoint"], cut["run"], FETCH)
 
     counting = CountingTransport(transcript)
     monkeypatch.setattr(cli, "_transport", lambda args: counting)
@@ -796,9 +805,11 @@ def test_journal_rewrites_a_cut_header_but_refuses_other_text(tmp_path):
     assert path.read_bytes() == b"not a journal"
 
 
-def test_journal_refuses_an_older_format_and_leaves_it(tmp_path, config):
-    # the header journals had before they held a format key
-    record = {"catalog": default_catalog().content_hash(), "runs": 3}
+@pytest.mark.parametrize("older", [{}, {"format": 2}], ids=["no-format", "format-2"])
+def test_journal_refuses_an_older_format_and_leaves_it(tmp_path, config, older):
+    # the header journals had before they held a format key, and the one
+    # they had while blank nodes were named per response page
+    record = {"catalog": default_catalog().content_hash(), "runs": 3, **older}
     digest = client._checksum(record)
     header = json.dumps({"kind": "header", "record": record, "sha256": digest}, sort_keys=True)
     journal_path = tmp_path / "journal.jsonl"
@@ -822,6 +833,34 @@ def test_journal_refuses_a_malformed_run_record(tmp_path, field, value):
     path.write_text(header + "\n" + json.dumps(doc) + "\n")
     with pytest.raises(JournalError, match="malformed run record"):
         Journal(str(path), default_catalog(), 3).load()
+
+
+def test_a_journal_lends_a_campaign_only_its_own_endpoints(tmp_path, config):
+    # the sparse endpoint was audited last; a campaign that drops it reads
+    # neither its runs nor their timestamps from the journal
+    doc = yaml.safe_load((FIXTURES / "campaign.yaml").read_text())
+    doc["endpoints"][SPARSE_ENDPOINT]["runs"][0]["timestamp"] = "2024-06-01T11:00:00Z"
+    path = tmp_path / "later.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    journal_path = tmp_path / "journal.jsonl"
+    both = CampaignConfig(
+        **{
+            **config.__dict__,
+            "endpoints": [FULL_ENDPOINT, SPARSE_ENDPOINT],
+            "journal_path": str(journal_path),
+            "transport": TranscriptTransport(str(path)),
+        }
+    )
+    run_campaign(both)
+    recorded = journal_path.read_bytes()
+    full = CampaignConfig(**{**both.__dict__, "endpoints": [FULL_ENDPOINT]})
+    resumed = run_campaign(full)
+    fresh = run_campaign(CampaignConfig(**{**full.__dict__, "journal_path": None}))
+    assert [(rr.endpoint, rr.run) for rr in resumed.runs] == [(FULL_ENDPOINT, n) for n in range(3)]
+    assert resumed.generated_at == "2024-05-03T10:00:00Z"
+    catalog = config.catalog
+    assert reporting.to_json(resumed, catalog) == reporting.to_json(fresh, catalog)
+    assert journal_path.read_bytes() == recorded
 
 
 def test_journal_refuses_other_campaign(tmp_path, config):

@@ -1,11 +1,13 @@
 """The fetch route and the remote route score the same served data alike.
 
-Each case serves one metadata graph as a one-run transcript.  The fetch
-route finds and downloads the datasets in one paged query, merges and
-saturates; the remote route sends the expanded ASKs.  The graphs are built from the
-catalog's own compact patterns and expanded branches, with free variables
-bound to IRIs, literals and blank nodes, so metadata hanging off blank
-nodes (creators, service descriptions, distributions) is covered.
+Each case serves one metadata graph as a one-run transcript (two runs
+where runs reuse blank-node labels).  The fetch route finds and downloads
+the datasets in one paged query built from the catalog, merges and
+saturates; the remote route sends the expanded queries.  The graphs are
+built from the catalog's own compact patterns and expanded branches, with
+free variables bound to IRIs, literals and blank nodes, so metadata
+hanging off blank nodes (creators, service descriptions, distributions,
+activities) is covered, at page sizes that cut through it.
 """
 
 from __future__ import annotations
@@ -16,14 +18,21 @@ from fractions import Fraction
 import pytest
 import yaml
 
-from kgaudit.catalog import Catalog, default_catalog, dump_catalog, expand_extended, parse_catalog
-from kgaudit.client import audit_run, evaluate_merged, evaluate_remote, merge_runs
+from kgaudit.catalog import Catalog, default_catalog, dump_catalog, parse_catalog
+from kgaudit.client import (
+    DEFAULT_PAGE_SIZE,
+    audit_run,
+    build_fetch,
+    evaluate_merged,
+    evaluate_remote_datasets,
+    merge_runs,
+)
 from kgaudit.rdf import BlankNode, Graph, Iri, Literal, Triple, parse_ntriples, serialize_ntriples
 from kgaudit.scoring import evaluate_graph
-from kgaudit.sparql import UnionPattern, Variable
+from kgaudit.sparql import Variable
 from kgaudit.transport import TranscriptTransport
 
-from helpers import catalog_vocabulary, random_metadata_graph
+from helpers import catalog_shapes, catalog_vocabulary, random_metadata_graph, three_hop_catalog
 
 CATALOG = default_catalog()
 URL = "http://duality.example.org/sparql"
@@ -41,17 +50,6 @@ _LITERALS = [
     Literal("2023-05-17", datatype="http://www.w3.org/2001/XMLSchema#date"),
     Literal("hello", language="en"),
 ]
-
-
-def _shapes() -> list[tuple]:
-    """Every compact pattern list and every expanded branch of the catalog."""
-    shapes = []
-    for _, cq in CATALOG.queries():
-        shapes.append(cq.query.pattern.patterns)
-        extended = expand_extended(cq.query, CATALOG.rules).pattern
-        branches = extended.branches if isinstance(extended, UnionPattern) else (extended,)
-        shapes.extend(branch.patterns for branch in branches)
-    return shapes
 
 
 def _instantiate(rng: random.Random, patterns, predicates: list[Iri]) -> list[Triple]:
@@ -81,37 +79,46 @@ def _instantiate(rng: random.Random, patterns, predicates: list[Iri]) -> list[Tr
     return [Triple(bind(tp.subject), bind(tp.predicate), bind(tp.object)) for tp in patterns]
 
 
-def _serve(path, graph: Graph) -> TranscriptTransport:
-    doc = {
-        "endpoints": {
-            URL: {
-                "runs": [
-                    {
-                        "available": True,
-                        "timestamp": "2024-05-01T10:00:00Z",
-                        "data": serialize_ntriples(graph),
-                    }
-                ]
-            }
-        }
-    }
-    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+def _serve(path, *graphs: Graph) -> TranscriptTransport:
+    """One run per graph."""
+    runs = [
+        {"available": True, "timestamp": f"2024-05-0{n + 1}T10:00:00Z", "data": serialize_ntriples(g)}
+        for n, g in enumerate(graphs)
+    ]
+    path.write_text(yaml.safe_dump({"endpoints": {URL: {"runs": runs}}}), encoding="utf-8")
     return TranscriptTransport(str(path))
 
 
+def _fetched_scores(
+    transport: TranscriptTransport,
+    catalog: Catalog = CATALOG,
+    *,
+    runs: int = 1,
+    page_size: int = DEFAULT_PAGE_SIZE,
+) -> dict[str, Fraction]:
+    """Each dataset's score on the union of what ``runs`` runs fetched."""
+    fetch = build_fetch(catalog)
+    merged = merge_runs(
+        audit_run(transport, URL, run, fetch, page_size=page_size) for run in range(runs)
+    )
+    return {r.dataset: r.score for r in evaluate_merged(catalog, merged, [URL])[URL]}
+
+
 def _route_scores(
-    transport: TranscriptTransport, catalog: Catalog = CATALOG
+    transport: TranscriptTransport, catalog: Catalog = CATALOG, *, page_size: int = DEFAULT_PAGE_SIZE
 ) -> tuple[Fraction, Fraction]:
     """(fetch route score, remote route score) of KG."""
-    merged = merge_runs([audit_run(transport, URL, 0)])
-    fetched = {r.dataset: r.score for r in evaluate_merged(catalog, merged, [URL])[URL]}
-    return fetched[KG.value], evaluate_remote(transport, URL, catalog, KG).score
+    fetched = _fetched_scores(transport, catalog, page_size=page_size)[KG.value]
+    return fetched, evaluate_remote_datasets(transport, URL, catalog, [KG])[0].score
 
 
-def test_routes_agree_on_random_metadata(tmp_path):
+@pytest.mark.parametrize(
+    "catalog", [CATALOG, three_hop_catalog()], ids=["default", "three-hop"]
+)
+def test_routes_agree_on_random_metadata(tmp_path, catalog):
     rng = random.Random(20240501)
-    shapes = _shapes()
-    predicates, constants = catalog_vocabulary(CATALOG)
+    shapes = catalog_shapes(catalog)
+    predicates, constants = catalog_vocabulary(catalog)
     path = tmp_path / "served.yaml"
     blank_cases = disagreements = 0
     # every shape leads a case; two more random shapes ride along
@@ -124,7 +131,7 @@ def test_routes_agree_on_random_metadata(tmp_path):
                 triples.pop(rng.randrange(len(triples)))  # a near miss
             graph.update(triples)
         blank_cases += any(isinstance(t.subject, BlankNode) for t in graph)
-        fetched, remote = _route_scores(_serve(path, graph))
+        fetched, remote = _route_scores(_serve(path, graph), catalog)
         if fetched != remote:
             disagreements += 1
     assert len(shapes) < 200
@@ -153,6 +160,37 @@ _PUBLISH_ACTIVITY = (
     "<http://example.org/acme> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
     "<http://xmlns.com/foaf/0.1/Person> .\n"
 )
+
+
+# publisher.1's branch joins three triples on the activity, which a
+# campaign fetches as one row of a branch of their own
+_BLANK_PUBLISH_ACTIVITY = (
+    f"<{KG.value}> <http://www.w3.org/ns/prov#wasGeneratedBy> _:act .\n"
+    "_:act <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://www.w3.org/ns/prov#Publish> .\n"
+    "_:act <http://www.w3.org/ns/prov#wasAssociatedWith> <http://example.org/acme> .\n"
+)
+
+
+@pytest.mark.parametrize("page_size", [1, 2, 3, 4, 5])
+def test_routes_agree_on_a_blank_publish_activity(tmp_path, page_size):
+    transport = _serve(tmp_path / "act.yaml", parse_ntriples(DISCOVERABLE + _BLANK_PUBLISH_ACTIVITY))
+    assert _route_scores(transport, page_size=page_size) == (Fraction(17, 120), Fraction(17, 120))
+
+
+def test_runs_that_reuse_blank_labels_keep_their_nodes_apart(tmp_path):
+    # two runs serve the same description, the labels of its two blank
+    # nodes swapped: merged, no creator gains the publisher's name
+    first = (
+        f"<{KG.value}> <http://purl.org/dc/terms/creator> _:b0 .\n"
+        f"<{KG.value}> <http://purl.org/dc/terms/publisher> _:b1 .\n"
+        '_:b1 <http://xmlns.com/foaf/0.1/name> "Acme" .\n'
+    )
+    second = first.replace("_:b0", "_:tmp").replace("_:b1", "_:b0").replace("_:tmp", "_:b1")
+    graphs = [parse_ntriples(DISCOVERABLE + data) for data in (first, second)]
+    transport = _serve(tmp_path / "swapped.yaml", *graphs)
+    assert _fetched_scores(transport, runs=1) == {KG.value: Fraction(1, 10)}
+    assert _fetched_scores(transport, runs=2) == {KG.value: Fraction(1, 10)}
+    assert evaluate_graph(CATALOG, graphs[0], KG).score == Fraction(1, 10)
 
 
 @pytest.mark.parametrize(
@@ -198,7 +236,7 @@ def test_routes_agree_when_pages_cross_datasets(tmp_path, page_size):
     # one endpoint serves three datasets at once, so the run's pages cut
     # through them
     rng = random.Random(page_size)
-    shapes = _shapes()
+    shapes = catalog_shapes(CATALOG)
     predicates, _ = catalog_vocabulary(CATALOG)
     path = tmp_path / "served.yaml"
     for _ in range(12):
@@ -208,10 +246,9 @@ def test_routes_agree_when_pages_cross_datasets(tmp_path, page_size):
             for _ in range(3):
                 graph.update(_renamed(_instantiate(rng, rng.choice(shapes), predicates), dataset))
         transport = _serve(path, graph)
-        merged = merge_runs([audit_run(transport, URL, 0, page_size=page_size)])
-        fetched = {r.dataset: r.score for r in evaluate_merged(CATALOG, merged, [URL])[URL]}
-        remote = {d.value: evaluate_remote(transport, URL, CATALOG, d).score for d in DATASETS}
-        assert fetched == remote
+        fetched = _fetched_scores(transport, page_size=page_size)
+        remote = evaluate_remote_datasets(transport, URL, CATALOG, DATASETS)
+        assert fetched == {r.dataset: r.score for r in remote}
 
 
 def _person_catalog() -> Catalog:
@@ -221,8 +258,9 @@ def _person_catalog() -> Catalog:
     return parse_catalog(yaml.safe_dump(doc))
 
 
-# Four rows sort before the creator's: with pages of 1, 2 or 3 rows, the
-# creator's type row and name row land on different pages.
+# Four rows sort before the creator's, so pages of 1, 2 or 3 rows cut
+# between the rows about the creator; the query's match still arrives whole
+# in one row of a branch of its own.
 _PERSON = "".join(
     f'<{KG.value}> <http://example.org/pad/{index}> "pad" .\n' for index in range(4)
 ) + (
@@ -231,21 +269,8 @@ _PERSON = "".join(
     '_:c <http://xmlns.com/foaf/0.1/name> "Alice" .\n'
 )
 
-_SPLIT_BLANK = pytest.mark.xfail(
-    raises=AssertionError,
-    strict=True,
-    reason="blank nodes are renamed per response, so a creator whose type and "
-    "name arrive on different pages is two nodes on the fetch route",
-)
-
-
-@pytest.mark.parametrize(
-    "page_size",
-    [pytest.param(size, marks=_SPLIT_BLANK) for size in (1, 2, 3)] + [10000],
-)
+@pytest.mark.parametrize("page_size", [1, 2, 3, DEFAULT_PAGE_SIZE])
 def test_routes_agree_when_a_query_joins_two_rows_on_a_blank_node(tmp_path, page_size):
-    catalog = _person_catalog()
     transport = _serve(tmp_path / "person.yaml", parse_ntriples(DISCOVERABLE + _PERSON))
-    merged = merge_runs([audit_run(transport, URL, 0, page_size=page_size)])
-    fetched = evaluate_merged(catalog, merged, [URL])[URL][0].score
-    assert fetched == evaluate_remote(transport, URL, catalog, KG).score
+    fetched, remote = _route_scores(transport, _person_catalog(), page_size=page_size)
+    assert fetched == remote == Fraction(13, 120)

@@ -19,13 +19,20 @@ import pytest
 import yaml
 
 from kgaudit.catalog import default_catalog
-from kgaudit.client import audit_run, evaluate_merged, evaluate_remote_datasets, merge_runs
+from kgaudit.client import (
+    audit_run,
+    build_fetch,
+    evaluate_merged,
+    evaluate_remote_datasets,
+    merge_runs,
+)
 from kgaudit.rdf import BlankNode, Graph, Iri, Literal, Triple, serialize_ntriples
 from kgaudit.transport import TranscriptTransport
 
 from helpers import RDF_TYPE_IRI, catalog_shapes, catalog_vocabulary, instantiate_shape
 
 CATALOG = default_catalog()
+FETCH = build_fetch(CATALOG)
 URL = "http://endpoints.example.org/sparql"
 DCAT = "http://www.w3.org/ns/dcat#"
 DCT = "http://purl.org/dc/terms/"
@@ -99,7 +106,7 @@ def test_routes_agree_on_every_dataset_of_an_endpoint(tmp_path, seed):
     for _ in range(25):
         graph, datasets = _case(rng, shapes, predicates)
         transport = _serve(tmp_path / "served.yaml", graph)
-        merged = merge_runs([audit_run(transport, URL, 0)])
+        merged = merge_runs([audit_run(transport, URL, 0, FETCH)])
         fetched = {r.dataset: r.score for r in evaluate_merged(CATALOG, merged, [URL])[URL]}
         remote = evaluate_remote_datasets(transport, URL, CATALOG, datasets)
         assert fetched == {r.dataset: r.score for r in remote}

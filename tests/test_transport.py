@@ -21,8 +21,8 @@ from kgaudit.catalog import YAML_LOADER, default_catalog, expand_extended, load_
 from kgaudit.client import (
     DEFAULT_PAGE_SIZE,
     DISCOVERY_QUERY,
-    METADATA_QUERY,
     _at_endpoint,
+    build_fetch,
     discover_datasets,
     evaluate_remote_datasets,
     fetch_metadata,
@@ -562,6 +562,7 @@ def test_transcript_is_the_same_under_the_pure_python_loader(tmp_path, monkeypat
 
 
 WIRE_DATASETS = [Iri("http://example.org/kg/full"), Iri("http://example.org/kg/sparse")]
+FETCH = build_fetch(default_catalog())
 
 
 def wire_queries() -> list:
@@ -577,7 +578,7 @@ def wire_queries() -> list:
         )
         for _, cq in catalog.queries()
     ]
-    return queries + [_at_endpoint(DISCOVERY_QUERY, ENDPOINT), _at_endpoint(METADATA_QUERY, ENDPOINT)]
+    return queries + [_at_endpoint(DISCOVERY_QUERY, ENDPOINT), _at_endpoint(FETCH.query, ENDPOINT)]
 
 
 def test_wire_text_parses_back_to_the_query():
@@ -612,16 +613,23 @@ def test_the_remote_route_sends_the_wire_queries():
 def test_discovery_and_fetch_send_the_wire_queries():
     transport = Recording()
     assert discover_datasets(transport, ENDPOINT) == []
-    assert fetch_metadata(transport, ENDPOINT) == (Graph(), ())
+    assert fetch_metadata(transport, ENDPOINT, FETCH) == (Graph(), ())
     discovery, metadata = wire_queries()[-2:]
     assert transport.sent == [discovery, replace(metadata, limit=DEFAULT_PAGE_SIZE)]
 
 
 def test_paged_fetch_wire_text():
-    text = format_query(replace(_at_endpoint(METADATA_QUERY, ENDPOINT), limit=7, offset=14))
-    assert "SELECT DISTINCT ?kg ?s ?p ?o ?p2 ?o2 WHERE " in text
+    text = format_query(replace(_at_endpoint(FETCH.query, ENDPOINT), limit=7, offset=14))
+    assert "SELECT DISTINCT ?kg ?branch ?v0 ?v1 ?v2 ?v3 WHERE " in text
     assert f'VALUES ?endpoint {{ <{ENDPOINT}> "{ENDPOINT}" }}' in text
-    assert text.endswith("\nORDER BY ?kg ?s ?p ?o ?p2 ?o2 LIMIT 7 OFFSET 14\n")
+    # the two fixed branches, then the default catalog's four that no row
+    # of theirs holds whole: publisher.1's activity and three service
+    # descriptions
+    tags = [f'VALUES ?branch {{ "{n}" }}' in text for n in range(7)]
+    assert tags == [True] * 6 + [False]
+    assert text.count("sd:defaultDataset ?kg") == 3
+    assert len(text) < 2048  # small enough to go out as GET
+    assert text.endswith("\nORDER BY ?kg ?branch ?v0 ?v1 ?v2 ?v3 LIMIT 7 OFFSET 14\n")
 
 
 def test_http_sends_the_formatted_query():
