@@ -4,7 +4,9 @@ Four subcommands: ``discover`` lists the datasets an endpoint or file
 describes, ``evaluate`` scores datasets one-shot, ``campaign`` runs the
 full multi-run audit and writes report files, and ``catalog`` inspects
 the question catalog.  All argument validation happens before the first
-request goes out.
+request goes out.  ``discover`` and ``evaluate --endpoint`` query through
+:func:`~kgaudit.transport.open_layer` with no politeness delay and its
+default two retries; a campaign opens one layer per endpoint job.
 """
 
 from __future__ import annotations
@@ -32,13 +34,7 @@ from .rdf import Iri, ParseError, load_rdf
 from .reporting import build_report, figure_files, to_csv, to_dqv, to_json
 from .scoring import format_percent, score_datasets
 from .sparql import format_query
-from .transport import (
-    HttpTransport,
-    ThrottledTransport,
-    TranscriptTransport,
-    Transport,
-    TransportError,
-)
+from .transport import TranscriptTransport, Transport, TransportError, open_layer
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -48,9 +44,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (CatalogError, ParseError, TransportError, JournalError, ValueError, OSError) as exc:
         print(f"kgaudit: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if getattr(args, "http", None):
-            args.http.close()
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -170,15 +163,6 @@ def _transport(args) -> Transport | None:
     return TranscriptTransport(args.transcript) if args.transcript else None
 
 
-def _endpoint(args) -> Transport:
-    """What ``discover`` and ``evaluate --endpoint`` query through: the
-    request layer with no delay and its default two retries."""
-    inner = _transport(args)
-    if inner is None:
-        inner = args.http = HttpTransport()  # main closes it
-    return ThrottledTransport(inner, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # discover
 
@@ -187,10 +171,10 @@ def _cmd_discover(args) -> int:
     if args.file:
         datasets = discover_in_graph(load_rdf(args.file))
     else:
-        transport = _endpoint(args)
-        datasets = discover_datasets(
-            transport, args.endpoint, timeout=args.timeout, run=args.run
-        )
+        with open_layer(_transport(args), 0.0) as transport:
+            datasets = discover_datasets(
+                transport, args.endpoint, timeout=args.timeout, run=args.run
+            )
     for dataset in datasets:
         print(dataset.value)
     return 0 if datasets else 1
@@ -215,14 +199,14 @@ def _cmd_evaluate(args) -> int:
         datasets = _named_datasets(args) or discover_in_graph(graph)
         results, _ = score_datasets(catalog, graph, datasets)
     else:
-        transport = _endpoint(args)
-        stamp = transport.run_timestamp(args.endpoint, args.run) or stamp
-        datasets = _named_datasets(args) or discover_datasets(
-            transport, args.endpoint, timeout=args.timeout, run=args.run
-        )
-        results = evaluate_remote_datasets(
-            transport, args.endpoint, catalog, datasets, timeout=args.timeout, run=args.run
-        )
+        with open_layer(_transport(args), 0.0) as transport:
+            stamp = transport.run_timestamp(args.endpoint, args.run) or stamp
+            datasets = _named_datasets(args) or discover_datasets(
+                transport, args.endpoint, timeout=args.timeout, run=args.run
+            )
+            results = evaluate_remote_datasets(
+                transport, args.endpoint, catalog, datasets, timeout=args.timeout, run=args.run
+            )
     if not results:
         print("kgaudit: no datasets to evaluate", file=sys.stderr)
         return 1

@@ -12,8 +12,7 @@ Two evaluation routes exist on purpose and must stay distinct:
   and the datasets it returns satisfy it: scoring N datasets costs one
   request per catalog query, whatever N is.  A request that fails fails
   its query for every dataset alike, with the same ``FailureKind``
-  (``timeout`` for a timeout, ``remote-error`` otherwise); an answer that
-  is not a list of rows counts as a remote error too.
+  (``timeout`` for a timeout, ``remote-error`` otherwise).
 
 Both routes give the same score for the same served data because a
 campaign fetches what the catalog it is scored by asks for
@@ -27,11 +26,11 @@ fetch bind ``?endpoint`` with VALUES to both the IRI and the literal form
 of the endpoint URL, since catalogues state the address either way.
 
 Campaigns work endpoint-by-endpoint in parallel, but requests to any
-single endpoint are sequential: each endpoint job sends them through a
-:class:`~kgaudit.transport.ThrottledTransport` of its own, which spaces
-them by the politeness delay and retries what can be retried, and
-without an injected transport it talks HTTP over a session of its own,
-closed when the job ends; a job with no run left builds neither.  Every
+single endpoint are sequential: each endpoint job opens a request layer
+of its own with :func:`~kgaudit.transport.open_layer`, which spaces them
+by the politeness delay, retries what can be retried and, without an
+injected transport, talks HTTP over a session closed when the job ends;
+a job with no run left opens none.  Every
 run is appended to a journal file (JSON lines, checksummed), so an
 interrupted campaign resumes without repeating completed endpoint/run
 cells.
@@ -83,7 +82,7 @@ from .sparql import (
     parse_triple_patterns,
     pattern_variables,
 )
-from .transport import HttpTransport, ThrottledTransport, Transport, TransportError
+from .transport import Transport, TransportError, open_layer
 
 # Finds dataset IRIs that an endpoint both describes and links to itself.
 # The link predicate is left open: catalogues use void:sparqlEndpoint,
@@ -126,8 +125,6 @@ def discover_datasets(
 ) -> list[Iri]:
     """Dataset IRIs the endpoint self-describes, IRI- or literal-linked."""
     rows = transport.query(url, _at_endpoint(DISCOVERY_QUERY, url), timeout=timeout, run=run)
-    if not isinstance(rows, list):
-        raise TransportError("malformed", "discovery expected SELECT results")
     found = {row["kg"] for row in rows if isinstance(row.get("kg"), Iri)}
     return sorted(found, key=lambda iri: iri.value)
 
@@ -227,15 +224,19 @@ def fetch_metadata(
 
     Returns one graph for all the datasets, and their IRIs, sorted.  Each
     row whose ``?kg`` is an IRI stands for the triples of its branch.  A
-    match arrives whole in one row, so each blank node is named after its
-    row by a SHA-256 digest: identical rows give identical triples, and no
-    other rows share a node, whatever the pages and runs.  Pages slice the
-    rows in one fixed order, so no row is skipped or repeated.
+    blank-node label names one node within one answer, so each page's
+    blank nodes are named after that page by a SHA-256 digest: rows of one
+    page that share a label share a node, identical pages give identical
+    triples, and no two different pages or runs share a node.  Pages slice
+    the rows in one fixed order, so no row is skipped or repeated; a page
+    longer than its LIMIT, or a full page equal to the one before it, shows
+    an endpoint that ignores LIMIT or OFFSET, and is malformed.
     """
     query = replace(_at_endpoint(fetch.query, url), limit=page_size)
     graph = Graph()
     datasets: set[str] = set()
     response = 0
+    previous = None
     while True:
         try:
             rows = transport.query(url, query, timeout=timeout, run=run)
@@ -243,28 +244,38 @@ def fetch_metadata(
             if response:
                 raise LaterPageError(exc.kind, f"page {response + 1} failed ({exc})") from exc
             raise
-        if not isinstance(rows, list):
-            raise TransportError("malformed", "metadata fetch expected SELECT results")
         response += 1
-        for row in rows:
+        if len(rows) > page_size:
+            raise TransportError("malformed", f"page {response} is longer than its LIMIT")
+        if rows == previous:
+            raise TransportError("malformed", f"page {response} repeats the page before it")
+        for row in _named_blank_nodes(rows):
             shape = fetch.branches.get(row.get("branch"))
             if isinstance(row.get(KG.name), Iri) and shape is not None:
                 datasets.add(row[KG.name].value)
                 graph.update(_row_triples(row, shape))
         if len(rows) < page_size:
             return graph, tuple(sorted(datasets))
+        previous = rows
         query = replace(query, offset=query.offset + page_size)
 
 
+def _named_blank_nodes(rows: list[dict[str, Term]]) -> list[dict[str, Term]]:
+    """The page's rows, each blank node named by one SHA-256 digest of the
+    page's rows that hold one, prefixed to its label."""
+    blank = [row for row in rows if any(isinstance(t, BlankNode) for t in row.values())]
+    if not blank:
+        return rows
+    texts = ("\n".join(f"{n} {format_term(t)}" for n, t in sorted(row.items())) for row in blank)
+    digest = hashlib.sha256("\n\n".join(texts).encode("utf-8")).hexdigest()
+    return [
+        {n: BlankNode(digest + t.label) if isinstance(t, BlankNode) else t for n, t in row.items()}
+        for row in rows
+    ]
+
+
 def _row_triples(row: Mapping[str, Term], shape: tuple[TriplePattern, ...]) -> Iterator[Triple]:
-    """The triples a fetch row stands for, each blank node named after the row."""
-    if any(isinstance(term, BlankNode) for term in row.values()):
-        text = "\n".join(f"{name} {format_term(term)}" for name, term in sorted(row.items()))
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        row = {
-            name: BlankNode(digest + term.label) if isinstance(term, BlankNode) else term
-            for name, term in row.items()
-        }
+    """The triples a fetch row stands for."""
     for tp in shape:
         s, p, o = (row.get(v.name) if isinstance(v, Variable) else v for v in tp.positions())
         # an unbound variable, a literal subject or predicate makes no triple
@@ -293,8 +304,6 @@ def evaluate_remote_datasets(
         query = bind_values(select, KG.name, datasets)
         try:
             rows = transport.query(url, query, timeout=timeout, run=run)
-            if not isinstance(rows, list):
-                raise TransportError("malformed", "SELECT answered with a boolean")
             answers[qid] = {row.get(KG.name) for row in rows}
         except TransportError as exc:
             kind = FailureKind.TIMEOUT if exc.kind == "timeout" else FailureKind.REMOTE_ERROR
@@ -405,7 +414,7 @@ class Journal:
     The first line pins the record format, the catalog hash and the run
     count; every line carries a checksum over its record.  A run record
     holds the run's fetched graph as one N-Triples text and its datasets
-    (format 3, blank nodes named after their fetch rows; older formats are
+    (format 4, blank nodes named after their fetch page; older formats are
     refused).
     An unterminated last line is an append a crash cut short: loading
     drops it, so that cell is audited again.  Any other mismatch means the
@@ -416,7 +425,7 @@ class Journal:
     def __init__(self, path: str, catalog: Catalog, runs: int):
         self.path = path
         self._lock = threading.Lock()
-        self._header = {"catalog": catalog.content_hash(), "format": 3, "runs": runs}
+        self._header = {"catalog": catalog.content_hash(), "format": 4, "runs": runs}
 
     def load(self) -> dict[tuple[str, int], EndpointRun]:
         completed: dict[tuple[str, int], EndpointRun] = {}
@@ -558,18 +567,13 @@ def run_campaign(config: CampaignConfig) -> Report:
         left = [run for run in range(config.runs) if (endpoint, run) not in completed]
         if not left:
             return []
-        inner = config.transport or HttpTransport()
-        transport = ThrottledTransport(inner, config.delay, retries=config.retries)
         out = []
-        try:
+        with open_layer(config.transport, config.delay, retries=config.retries) as transport:
             for run in left:
                 er = audit_run(transport, endpoint, run, fetch, **options)
                 if journal is not None:
                     journal.append(er)
                 out.append(er)
-        finally:
-            if inner is not config.transport:
-                inner.close()
         return out
 
     all_runs: list[EndpointRun] = list(completed.values())

@@ -1,19 +1,20 @@
 """How queries reach an endpoint: live HTTP or a recorded transcript.
 
 Both transports expose the same ``query`` method: they take a parsed
-:class:`~kgaudit.sparql.Query` and return a decoded answer, ``bool`` for
-ASK and a list of variable binding rows for SELECT.  Only the HTTP
-transport turns the query into SPARQL text, once per attempt.  Everything
-that can go wrong surfaces as a :class:`TransportError` with a coarse
-kind, so callers can score a timeout differently from a refused
-connection without touching HTTP internals.  ``requests`` is imported
-only when an :class:`HttpTransport` is built, so replays and local
-evaluation never load it.
+SELECT :class:`~kgaudit.sparql.Query` and return its rows of variable
+bindings.  Only the HTTP transport turns the query into SPARQL text, once
+per attempt.  Everything that can go wrong surfaces as a
+:class:`TransportError` with a coarse kind, so callers can score a
+timeout differently from a refused connection without touching HTTP
+internals.  ``requests`` is imported only when an :class:`HttpTransport`
+is built, so replays and local evaluation never load it.
 
 A transport makes one attempt per query.  :class:`ThrottledTransport`
 wraps one and is the only place that decides when an attempt goes out:
 it spaces attempts by the politeness delay and retries the retryable
-failures, each retry waiting that delay too.
+failures, each retry waiting that delay too.  Every command opens it the
+one way, :func:`open_layer`, which also owns the HTTP session when no
+transcript stands in for the network.
 
 The transcript transport replays a recorded audit: a YAML file holds, per
 endpoint and per run, an availability flag, a timestamp and an N-Triples
@@ -30,14 +31,15 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING, Iterator, Protocol
 
 import yaml
 
 from .catalog import load_yaml
 from .rdf import BlankNode, Graph, Iri, Literal, ParseError, Term, parse_ntriples
-from .sparql import Query, eval_ask, eval_select, format_query
+from .sparql import Query, eval_select, format_query
 
 if TYPE_CHECKING:
     import requests
@@ -62,7 +64,7 @@ class TransportError(RuntimeError):
 class Transport(Protocol):
     def query(
         self, url: str, query: Query, *, timeout: float, run: int = 0
-    ) -> bool | list[dict[str, Term]]:
+    ) -> list[dict[str, Term]]:
         """Answer one query; ``run`` selects the campaign run."""
         ...
 
@@ -82,7 +84,7 @@ class ThrottledTransport:
     retries included: a retry waits like any other request.  A failure is
     tried again, up to ``retries`` more times, only when its
     :class:`TransportError` is retryable.  The layer keeps no lock, so
-    each worker builds its own.
+    each worker opens its own.
     """
 
     def __init__(self, inner: Transport, delay: float, *, retries: int = 2):
@@ -95,7 +97,7 @@ class ThrottledTransport:
 
     def query(
         self, url: str, query: Query, *, timeout: float, run: int = 0
-    ) -> bool | list[dict[str, Term]]:
+    ) -> list[dict[str, Term]]:
         for attempt in range(self._retries + 1):
             if self._delay > 0:
                 now = time.monotonic()
@@ -110,6 +112,18 @@ class ThrottledTransport:
 
     def run_timestamp(self, url: str, run: int) -> str | None:
         return self._inner.run_timestamp(url, run)
+
+
+@contextmanager
+def open_layer(
+    inner: Transport | None, delay: float, *, retries: int = 2
+) -> Iterator[ThrottledTransport]:
+    """The request layer over ``inner``; with no ``inner``, over an HTTP
+    session of its own, closed when the block ends."""
+    with ExitStack() as stack:
+        if inner is None:
+            inner = stack.enter_context(closing(HttpTransport()))
+        yield ThrottledTransport(inner, delay, retries=retries)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +155,7 @@ class HttpTransport:
 
     def query(
         self, url: str, query: Query, *, timeout: float, run: int = 0
-    ) -> bool | list[dict[str, Term]]:
+    ) -> list[dict[str, Term]]:
         import requests
 
         text = format_query(query)
@@ -167,19 +181,14 @@ class HttpTransport:
         return decode_results(response.text)
 
 
-def decode_results(body: str) -> bool | list[dict[str, Term]]:
-    """Decode a SPARQL JSON results document."""
+def decode_results(body: str) -> list[dict[str, Term]]:
+    """Decode the rows of a SPARQL JSON results document."""
     try:
         doc = json.loads(body)
     except json.JSONDecodeError as exc:
         raise TransportError("malformed", f"not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise TransportError("malformed", "result document is not an object")
-    if "boolean" in doc:
-        value = doc["boolean"]
-        if not isinstance(value, bool):
-            raise TransportError("malformed", "boolean result is not a boolean")
-        return value
     try:
         bindings = doc["results"]["bindings"]
     except (KeyError, TypeError):
@@ -289,12 +298,10 @@ class TranscriptTransport:
 
     def query(
         self, url: str, query: Query, *, timeout: float, run: int = 0
-    ) -> bool | list[dict[str, Term]]:
+    ) -> list[dict[str, Term]]:
         entry = self._run(url, run)
         if not entry.available:
             raise TransportError("connection", f"endpoint {url} is recorded as down")
-        if query.form == "ask":
-            return eval_ask(entry.graph, query)
         return eval_select(entry.graph, query)
 
 

@@ -17,10 +17,12 @@ import yaml
 import kgaudit
 from kgaudit.catalog import default_catalog, dump_catalog
 from kgaudit import cli
+from kgaudit import transport as transport_module
 from kgaudit.cli import main
-from kgaudit.transport import TranscriptTransport, TransportError
+from kgaudit.transport import HttpTransport, TranscriptTransport, TransportError
 
 from helpers import FIXTURES, three_hop_catalog
+from test_transport import FakeResponse, ScriptedSession
 
 TRANSCRIPT = str(FIXTURES / "campaign.yaml")
 ENDPOINTS = [
@@ -320,10 +322,21 @@ def test_endpoint_commands_recover_from_one_retryable_failure(
         def close(self):
             pass
 
-    monkeypatch.setattr(cli, "HttpTransport", FlakyOnce)
+    monkeypatch.setattr(transport_module, "HttpTransport", FlakyOnce)
     assert main(argv) == 0
     assert capsys.readouterr().out == clean
     assert [t.attempts for t in built] == [requests + 1]
+
+
+def test_evaluate_endpoint_closes_its_session_when_discovery_fails(monkeypatch, capsys):
+    session = ScriptedSession([FakeResponse(404)])
+    monkeypatch.setattr(
+        transport_module, "HttpTransport", lambda: HttpTransport(session=session)
+    )
+    assert main(["evaluate", "--endpoint", ENDPOINTS[0]]) == 2
+    assert "status 404" in capsys.readouterr().err
+    assert session.calls == ["get"]
+    assert session.closed
 
 
 # ---------------------------------------------------------------------------

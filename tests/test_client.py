@@ -6,12 +6,14 @@ import copy
 import hashlib
 import json
 import random
+from dataclasses import replace
 
 import pytest
 import yaml
 
 import kgaudit.catalog
 from kgaudit import client, reporting
+from kgaudit import transport as transport_module
 from kgaudit.catalog import default_catalog, dump_catalog, parse_catalog
 from kgaudit.client import (
     CampaignConfig,
@@ -29,11 +31,12 @@ from kgaudit.client import (
 )
 from kgaudit.rdf import BlankNode, Graph, Iri, Triple, parse_ntriples
 from kgaudit.scoring import FailureKind, QueryOutcome
-from kgaudit.transport import TranscriptTransport, TransportError
+from kgaudit.transport import HttpTransport, TranscriptTransport, TransportError
 
 from fractions import Fraction
 
 import test_route_duality as duality
+from test_transport import FakeResponse, ScriptedSession
 from helpers import FIXTURES, catalog_shapes, catalog_vocabulary
 
 FULL_ENDPOINT = "http://example.org/sparql"
@@ -42,6 +45,7 @@ DEAD_ENDPOINT = "http://dead.example.org/sparql"
 ENDPOINTS = [FULL_ENDPOINT, SPARSE_ENDPOINT, DEAD_ENDPOINT]
 FULL_KG = Iri("http://example.org/kg/full")
 FETCH = build_fetch(default_catalog())
+BOOLEAN_BODY = json.dumps({"head": {}, "boolean": True})
 
 
 @pytest.fixture(scope="module")
@@ -241,7 +245,7 @@ def test_fetch_pages_through_large_nodes(transcript):
     assert counting.count == counting.rows // 7 + 1
 
 
-def test_fetch_names_blank_nodes_after_their_row(tmp_path):
+def test_fetch_names_blank_nodes_after_their_page(tmp_path):
     url = "http://b.example.org/sparql"
     transport = serve(
         tmp_path / "bnodes.yaml",
@@ -250,14 +254,45 @@ def test_fetch_names_blank_nodes_after_their_row(tmp_path):
         + '<http://e.org/kg> <http://e.org/p> _:x .\n_:x <http://e.org/q> "v" .\n',
     )
     g, _ = fetch_metadata(transport, url, FETCH)
-    # _:x comes in two rows, one per fixed branch: two nodes
+    # _:x comes in two rows of one page, one per fixed branch: one node
     objects = {t.object for t in g.match(Iri("http://e.org/kg"), Iri("http://e.org/p"), None)}
-    assert len(objects) == 2 and len(g) == 2 + 3
-    # named by a SHA-256 digest of the row, so the bytes repeat in any process
-    row = '\n'.join(['branch "0"', "kg <http://e.org/kg>", "v0 <http://e.org/p>", "v1 _:x"])
-    one_hop = BlankNode(hashlib.sha256(row.encode("utf-8")).hexdigest() + "x")
-    assert one_hop in objects
+    assert len(objects) == 1 and len(g) == 2 + 2
+    # named by a SHA-256 digest of the page's blank-node rows, so the bytes
+    # repeat in any process
+    rows = [
+        ['branch "0"', "kg <http://e.org/kg>", "v0 <http://e.org/p>", "v1 _:x"],
+        ['branch "1"', "kg <http://e.org/kg>", "v0 <http://e.org/p>", "v1 _:x"]
+        + ["v2 <http://e.org/q>", 'v3 "v"'],
+    ]
+    page = "\n\n".join("\n".join(row) for row in rows)
+    assert objects == {BlankNode(hashlib.sha256(page.encode("utf-8")).hexdigest() + "x")}
     assert fetch_metadata(transport, url, FETCH) == (g, ("http://e.org/kg",))
+
+
+class Ignoring(CountingTransport):
+    """An endpoint that ignores one solution modifier, ``limit`` or
+    ``offset``; the sixth request fails the test rather than hang it."""
+
+    def __init__(self, inner, modifier: str):
+        super().__init__(inner)
+        self.modifier = modifier
+
+    def query(self, url, query, *, timeout, run=0):
+        if self.count == 5:
+            raise AssertionError("still paging after 5 requests")
+        ignored = replace(query, **{self.modifier: None if self.modifier == "limit" else 0})
+        return super().query(url, ignored, timeout=timeout, run=run)
+
+
+@pytest.mark.parametrize("modifier, requests", [("limit", 1), ("offset", 2)])
+def test_fetch_stops_when_an_endpoint_ignores_limit_or_offset(transcript, modifier, requests):
+    # kg/full answers with 34 rows: all of them at once, or its first five again
+    ignoring = Ignoring(transcript, modifier)
+    er = audit_run(ignoring, FULL_ENDPOINT, 0, FETCH, page_size=5)
+    assert ignoring.count == requests
+    assert er.available
+    assert (len(er.graph), er.datasets) == (0, ())
+    assert er.errors == (("fetch", "malformed"),)
 
 
 DCAT_DATASET = "<http://www.w3.org/ns/dcat#Dataset>"
@@ -344,14 +379,12 @@ def test_evaluate_remote_error_kind():
 
 def test_evaluate_remote_rejects_a_boolean_answer():
     # the remote route asks SELECTs; an ASK-style answer is malformed
-    class Boolean:
-        def query(self, url, query, *, timeout, run=0):
-            return True
-
+    session = ScriptedSession([FakeResponse(200, BOOLEAN_BODY)] * 33)
     [result] = evaluate_remote_datasets(
-        Boolean(), "http://t.example.org/", default_catalog(), [FULL_KG]
+        HttpTransport(session=session), "http://t.example.org/", default_catalog(), [FULL_KG]
     )
     assert all(o.failure is FailureKind.REMOTE_ERROR for o in result.outcomes)
+    assert session.calls == ["get"] * 33
 
 
 def test_evaluate_remote_expands_each_query_once_per_catalog(transcript, monkeypatch):
@@ -475,14 +508,9 @@ def test_audit_run_records_fetch_errors_on_a_later_page(transcript, kind):
 def test_audit_run_records_discovery_errors():
     # discovery rides in the fetch query, so an answer that is not rows
     # is a fetch error
-    class Boolean:
-        def query(self, url, query, *, timeout, run=0):
-            return True
-
-        def run_timestamp(self, url, run):
-            return None
-
-    er = audit_run(Boolean(), "http://e.org/sparql", 0, FETCH)
+    session = ScriptedSession([FakeResponse(200, BOOLEAN_BODY)])
+    er = audit_run(HttpTransport(session=session), "http://e.org/sparql", 0, FETCH)
+    assert session.calls == ["get"]
     assert er.available
     assert (len(er.graph), er.datasets) == (0, ())
     assert er.errors == (("fetch", "malformed"),)
@@ -648,7 +676,7 @@ class ClosableTranscript(CountingTransport):
 
 def test_campaign_closes_the_http_transport_it_builds(config, monkeypatch):
     monkeypatch.setattr(ClosableTranscript, "built", [])
-    monkeypatch.setattr(client, "HttpTransport", ClosableTranscript)
+    monkeypatch.setattr(transport_module, "HttpTransport", ClosableTranscript)
     report = run_campaign(CampaignConfig(**{**config.__dict__, "transport": None}))
     assert report == run_campaign(config)
     # one per endpoint, each asked about its own endpoint only
@@ -661,7 +689,7 @@ def test_resumed_campaign_builds_no_http_transport(tmp_path, config, monkeypatch
     journaled = CampaignConfig(**{**config.__dict__, "journal_path": str(tmp_path / "j.jsonl")})
     first = run_campaign(journaled)
     monkeypatch.setattr(ClosableTranscript, "built", [])
-    monkeypatch.setattr(client, "HttpTransport", ClosableTranscript)
+    monkeypatch.setattr(transport_module, "HttpTransport", ClosableTranscript)
     resumed = run_campaign(CampaignConfig(**{**journaled.__dict__, "transport": None}))
     assert resumed == first
     assert ClosableTranscript.built == []
@@ -672,9 +700,7 @@ def test_cli_closes_the_http_transport_it_builds(monkeypatch, capsys, command):
     from kgaudit import cli
 
     monkeypatch.setattr(ClosableTranscript, "built", [])
-    # a campaign builds its HTTP transports in run_campaign, one per endpoint
-    builder = client if command == "campaign" else cli
-    monkeypatch.setattr(builder, "HttpTransport", ClosableTranscript)
+    monkeypatch.setattr(transport_module, "HttpTransport", ClosableTranscript)
     if command == "campaign":
         argv = [command, FULL_ENDPOINT, "--delay", "0"]
     else:
@@ -805,10 +831,13 @@ def test_journal_rewrites_a_cut_header_but_refuses_other_text(tmp_path):
     assert path.read_bytes() == b"not a journal"
 
 
-@pytest.mark.parametrize("older", [{}, {"format": 2}], ids=["no-format", "format-2"])
+@pytest.mark.parametrize(
+    "older", [{}, {"format": 2}, {"format": 3}], ids=["no-format", "format-2", "format-3"]
+)
 def test_journal_refuses_an_older_format_and_leaves_it(tmp_path, config, older):
-    # the header journals had before they held a format key, and the one
-    # they had while blank nodes were named per response page
+    # the header journals had before they held a format key, the one they
+    # had while blank nodes were named per page and relabelled, and the one
+    # they had while blank nodes were named per row
     record = {"catalog": default_catalog().content_hash(), "runs": 3, **older}
     digest = client._checksum(record)
     header = json.dumps({"kind": "header", "record": record, "sha256": digest}, sort_keys=True)

@@ -156,11 +156,11 @@ AWKWARD_DQV = (1010, "1bc70ac4d32cee2cffe719db8b6761daad5ffe0c6b0febfa46d2074310
 # The same campaign's report.json, report.csv and sorted journal lines.
 # The CSV was recorded while terms were still dataclasses; the JSON since
 # saturation and journal records became per endpoint and per run; the
-# journal since its header moved to format 3 (blank nodes named after
-# their fetch row; this fixture has none, so only the header changed).
+# journal since its header moved to format 4 (blank nodes named after
+# their fetch page; this fixture has none, so only the header changed).
 CAMPAIGN_JSON = (2338, "5766dbc4eebfff0ee5cbbd68554541000528e84b39372a1021f4e95603bb3b24")
 CAMPAIGN_CSV = (4, "bd701e420649ea768d15efa75f483785e244b809de83eaa9c3d33d01159fad09")
-CAMPAIGN_JOURNAL = (10, "583ec122da45444df6771dcec31a5bbf1aeec9929fb40047d8e06c676a35ae78")
+CAMPAIGN_JOURNAL = (10, "fb19bdc7fd29b95ed86c0ce486bcc0cc5fcfd6bfceeece9e1013f9039c5cd08f")
 
 
 def _pin(text: str) -> tuple[int, str]:

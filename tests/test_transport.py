@@ -10,12 +10,14 @@ import threading
 from contextlib import closing, contextmanager
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
 import pytest
 import requests
 import yaml
 
+import kgaudit
 from kgaudit import transport as transport_module
 from kgaudit.catalog import YAML_LOADER, default_catalog, expand_extended, load_yaml
 from kgaudit.client import (
@@ -40,11 +42,10 @@ from kgaudit.transport import (
 from helpers import FIXTURES
 
 
-ASK_ALL = parse_query("ASK {}")
-
-
-def ask_body(value: bool) -> str:
-    return json.dumps({"head": {}, "boolean": value})
+# one solution, the empty one, on any graph
+SELECT_ALL = parse_query("SELECT * WHERE {}")
+ROW = {"s": {"type": "uri", "value": "http://e.org/x"}}
+ROWS = [{"s": Iri("http://e.org/x")}]
 
 
 def select_body(*rows: dict) -> str:
@@ -55,9 +56,12 @@ def select_body(*rows: dict) -> str:
 # decode_results
 
 
-def test_decode_ask_true_and_false():
-    assert decode_results(ask_body(True)) is True
-    assert decode_results(ask_body(False)) is False
+def test_decode_refuses_a_boolean_document():
+    # transports answer SELECTs only; an ASK answer has no results.bindings
+    for value in (True, False):
+        with pytest.raises(TransportError, match="missing results.bindings") as err:
+            decode_results(json.dumps({"head": {}, "boolean": value}))
+        assert err.value.kind == "malformed"
 
 
 def test_decode_bindings_term_types():
@@ -156,26 +160,26 @@ class ScriptedSession:
 
 
 def test_http_get_success():
-    session = ScriptedSession([FakeResponse(200, ask_body(True))])
+    session = ScriptedSession([FakeResponse(200, select_body(ROW))])
     transport = HttpTransport(session=session)
-    assert transport.query("http://e.org/sparql", ASK_ALL, timeout=1.0) is True
+    assert transport.query("http://e.org/sparql", SELECT_ALL, timeout=1.0) == ROWS
     assert session.calls == ["get"]
 
 
 @pytest.mark.parametrize("status", [405, 414])
 def test_http_falls_back_to_post(status):
-    session = ScriptedSession([FakeResponse(status), FakeResponse(200, ask_body(False))])
+    session = ScriptedSession([FakeResponse(status), FakeResponse(200, select_body())])
     transport = HttpTransport(session=session)
-    assert transport.query("http://e.org/sparql", ASK_ALL, timeout=1.0) is False
+    assert transport.query("http://e.org/sparql", SELECT_ALL, timeout=1.0) == []
     assert session.calls == ["get", "post"]
 
 
 def test_http_retries_server_errors_then_succeeds():
     session = ScriptedSession(
-        [FakeResponse(500), FakeResponse(503), FakeResponse(200, ask_body(True))]
+        [FakeResponse(500), FakeResponse(503), FakeResponse(200, select_body(ROW))]
     )
     transport = ThrottledTransport(HttpTransport(session=session), 0, retries=2)
-    assert transport.query("http://e.org/sparql", ASK_ALL, timeout=1.0) is True
+    assert transport.query("http://e.org/sparql", SELECT_ALL, timeout=1.0) == ROWS
     assert session.calls == ["get", "get", "get"]
 
 
@@ -183,17 +187,17 @@ def test_http_retry_budget_exhausted():
     session = ScriptedSession([FakeResponse(500), FakeResponse(500)])
     transport = ThrottledTransport(HttpTransport(session=session), 0, retries=1)
     with pytest.raises(TransportError) as err:
-        transport.query("http://e.org/sparql", ASK_ALL, timeout=1.0)
+        transport.query("http://e.org/sparql", SELECT_ALL, timeout=1.0)
     assert err.value.kind == "http"
     assert err.value.retryable
     assert session.calls == ["get", "get"]
 
 
 def test_http_without_retries_tries_once():
-    session = ScriptedSession([FakeResponse(500), FakeResponse(200, ask_body(True))])
+    session = ScriptedSession([FakeResponse(500), FakeResponse(200, select_body(ROW))])
     transport = ThrottledTransport(HttpTransport(session=session), 0, retries=0)
     with pytest.raises(TransportError):
-        transport.query("http://e.org/sparql", ASK_ALL, timeout=1.0)
+        transport.query("http://e.org/sparql", SELECT_ALL, timeout=1.0)
     assert session.calls == ["get"]
 
 
@@ -209,26 +213,26 @@ def test_http_close_closes_the_session():
 
 
 def test_http_429_is_retried():
-    session = ScriptedSession([FakeResponse(429), FakeResponse(200, ask_body(True))])
+    session = ScriptedSession([FakeResponse(429), FakeResponse(200, select_body(ROW))])
     transport = ThrottledTransport(HttpTransport(session=session), 0, retries=1)
-    assert transport.query("http://e.org/sparql", ASK_ALL, timeout=1.0) is True
+    assert transport.query("http://e.org/sparql", SELECT_ALL, timeout=1.0) == ROWS
 
 
 def test_http_timeout_is_not_retried():
-    session = ScriptedSession([requests.Timeout("too slow"), FakeResponse(200, ask_body(True))])
+    session = ScriptedSession([requests.Timeout("too slow"), FakeResponse(200, select_body(ROW))])
     transport = ThrottledTransport(HttpTransport(session=session), 0, retries=3)
     with pytest.raises(TransportError) as err:
-        transport.query("http://e.org/sparql", ASK_ALL, timeout=1.0)
+        transport.query("http://e.org/sparql", SELECT_ALL, timeout=1.0)
     assert err.value.kind == "timeout"
     assert session.calls == ["get"]
 
 
 def test_http_connection_error_is_retried():
     session = ScriptedSession(
-        [requests.ConnectionError("refused"), FakeResponse(200, ask_body(True))]
+        [requests.ConnectionError("refused"), FakeResponse(200, select_body(ROW))]
     )
     transport = ThrottledTransport(HttpTransport(session=session), 0, retries=1)
-    assert transport.query("http://e.org/sparql", ASK_ALL, timeout=1.0) is True
+    assert transport.query("http://e.org/sparql", SELECT_ALL, timeout=1.0) == ROWS
     assert session.calls == ["get", "get"]
 
 
@@ -236,18 +240,32 @@ def test_http_client_error_is_not_retried():
     session = ScriptedSession([FakeResponse(404)])
     transport = ThrottledTransport(HttpTransport(session=session), 0, retries=3)
     with pytest.raises(TransportError) as err:
-        transport.query("http://e.org/sparql", ASK_ALL, timeout=1.0)
+        transport.query("http://e.org/sparql", SELECT_ALL, timeout=1.0)
     assert err.value.kind == "http"
     assert not err.value.retryable
     assert session.calls == ["get"]
 
 
 def test_http_makes_one_attempt():
-    session = ScriptedSession([FakeResponse(503), FakeResponse(200, ask_body(True))])
+    session = ScriptedSession([FakeResponse(503), FakeResponse(200, select_body(ROW))])
     with pytest.raises(TransportError) as err:
-        HttpTransport(session=session).query("http://e.org/sparql", ASK_ALL, timeout=1.0)
+        HttpTransport(session=session).query("http://e.org/sparql", SELECT_ALL, timeout=1.0)
     assert err.value.retryable
     assert session.calls == ["get"]
+
+
+def test_only_the_transport_module_builds_transports():
+    # every command reaches an endpoint through open_layer
+    built = re.compile(r"\b(?:HttpTransport|ThrottledTransport)\(")
+    package = Path(kgaudit.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert package / "transport.py" in modules
+    offenders = [
+        path.name
+        for path in modules
+        if path.name != "transport.py" and built.search(path.read_text("utf-8"))
+    ]
+    assert offenders == []
 
 
 # ---------------------------------------------------------------------------
@@ -293,20 +311,20 @@ class Counting:
 
 def test_throttled_transport_spaces_requests(clock, transcript):
     throttled = ThrottledTransport(transcript, 0.05)
-    throttled.query(ENDPOINT, ASK_ALL, timeout=1.0)
-    throttled.query(ENDPOINT, ASK_ALL, timeout=1.0)
+    throttled.query(ENDPOINT, SELECT_ALL, timeout=1.0)
+    throttled.query(ENDPOINT, SELECT_ALL, timeout=1.0)
     assert clock.sleeps == [pytest.approx(0.05)]
     clock.now += 1.0  # well past the due time
-    throttled.query(ENDPOINT, ASK_ALL, timeout=1.0)
+    throttled.query(ENDPOINT, SELECT_ALL, timeout=1.0)
     assert len(clock.sleeps) == 1
 
 
 def test_throttled_retry_waits_the_delay(clock):
     session = ScriptedSession(
-        [FakeResponse(503), FakeResponse(429), FakeResponse(200, ask_body(True))]
+        [FakeResponse(503), FakeResponse(429), FakeResponse(200, select_body(ROW))]
     )
     transport = ThrottledTransport(HttpTransport(session=session), 0.5, retries=2)
-    assert transport.query("http://e.org/sparql", ASK_ALL, timeout=1.0) is True
+    assert transport.query("http://e.org/sparql", SELECT_ALL, timeout=1.0) == ROWS
     assert session.calls == ["get", "get", "get"]
     assert clock.sleeps == [0.5, 0.5]
 
@@ -316,17 +334,17 @@ def test_throttled_retries_a_retryable_failure_retries_times(clock, retries):
     session = ScriptedSession([FakeResponse(503)] * (retries + 1))
     transport = ThrottledTransport(HttpTransport(session=session), 0.25, retries=retries)
     with pytest.raises(TransportError) as err:
-        transport.query("http://e.org/sparql", ASK_ALL, timeout=1.0)
+        transport.query("http://e.org/sparql", SELECT_ALL, timeout=1.0)
     assert err.value.retryable
     assert session.calls == ["get"] * (retries + 1)
     assert clock.sleeps == [0.25] * retries
 
 
 def test_throttled_tries_a_non_retryable_failure_once(clock):
-    session = ScriptedSession([FakeResponse(404), FakeResponse(200, ask_body(True))])
+    session = ScriptedSession([FakeResponse(404), FakeResponse(200, select_body(ROW))])
     transport = ThrottledTransport(HttpTransport(session=session), 0.5, retries=2)
     with pytest.raises(TransportError):
-        transport.query("http://e.org/sparql", ASK_ALL, timeout=1.0)
+        transport.query("http://e.org/sparql", SELECT_ALL, timeout=1.0)
     assert session.calls == ["get"]
     assert clock.sleeps == []
 
@@ -335,7 +353,7 @@ def test_throttled_tries_a_transcript_down_run_once(clock, transcript):
     counting = Counting(transcript)
     transport = ThrottledTransport(counting, 0.5, retries=2)
     with pytest.raises(TransportError) as err:
-        transport.query(ENDPOINT, ASK_ALL, timeout=1.0, run=1)
+        transport.query(ENDPOINT, SELECT_ALL, timeout=1.0, run=1)
     assert err.value.kind == "connection" and not err.value.retryable
     assert counting.attempts == 1
     assert clock.sleeps == []
@@ -375,10 +393,10 @@ class _Quiet(http.server.BaseHTTPRequestHandler):
 def test_http_round_trip_over_localhost():
     class Handler(_Quiet):
         def do_GET(self):
-            self.reply(200, ask_body(True))
+            self.reply(200, select_body(ROW))
 
     with local_server(Handler) as url, closing(HttpTransport()) as transport:
-        assert transport.query(url, ASK_ALL, timeout=5.0) is True
+        assert transport.query(url, SELECT_ALL, timeout=5.0) == ROWS
 
 
 def test_http_malformed_body_over_localhost():
@@ -388,7 +406,7 @@ def test_http_malformed_body_over_localhost():
 
     with local_server(Handler) as url, closing(HttpTransport()) as transport:
         with pytest.raises(TransportError) as err:
-            transport.query(url, ASK_ALL, timeout=5.0)
+            transport.query(url, SELECT_ALL, timeout=5.0)
         assert err.value.kind == "malformed"
 
 
@@ -405,25 +423,25 @@ def transcript() -> TranscriptTransport:
 
 
 def test_transcript_ask(transcript):
-    query = parse_query("ASK { <http://example.org/kg/full> ?p ?o . }")
-    assert transcript.query(ENDPOINT, query, timeout=1.0, run=0) is True
+    query = parse_query("SELECT ?p WHERE { <http://example.org/kg/full> ?p ?o . }")
+    assert transcript.query(ENDPOINT, query, timeout=1.0, run=0)
 
 
 def test_transcript_unavailable_run(transcript):
     with pytest.raises(TransportError) as err:
-        transcript.query(ENDPOINT, ASK_ALL, timeout=1.0, run=1)
+        transcript.query(ENDPOINT, SELECT_ALL, timeout=1.0, run=1)
     assert err.value.kind == "connection"
 
 
 def test_transcript_run_index_clamps(transcript):
     # run 7 does not exist; the last recorded run answers
-    assert transcript.query(ENDPOINT, ASK_ALL, timeout=1.0, run=7) is True
+    assert transcript.query(ENDPOINT, SELECT_ALL, timeout=1.0, run=7) == [{}]
     assert transcript.run_timestamp(ENDPOINT, 7) == "2024-05-03T10:00:00Z"
 
 
 def test_transcript_unknown_endpoint(transcript):
     with pytest.raises(TransportError) as err:
-        transcript.query("http://nowhere.example.org/", ASK_ALL, timeout=1.0)
+        transcript.query("http://nowhere.example.org/", SELECT_ALL, timeout=1.0)
     assert err.value.kind == "connection"
     assert transcript.run_timestamp("http://nowhere.example.org/", 0) is None
 
@@ -491,7 +509,7 @@ def test_transcript_validation_errors(tmp_path):
     replay = TranscriptTransport(str(defaults))
     for run in (0, 1):
         assert replay.run_timestamp("http://e.org/", run) is None
-        assert replay.query("http://e.org/", ASK_ALL, timeout=1.0, run=run) is True
+        assert replay.query("http://e.org/", SELECT_ALL, timeout=1.0, run=run) == [{}]
 
 
 # ---------------------------------------------------------------------------
