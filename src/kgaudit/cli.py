@@ -4,9 +4,11 @@ Four subcommands: ``discover`` lists the datasets an endpoint or file
 describes, ``evaluate`` scores datasets one-shot, ``campaign`` runs the
 full multi-run audit and writes report files, and ``catalog`` inspects
 the question catalog.  All argument validation happens before the first
-request goes out.  ``discover`` and ``evaluate --endpoint`` query through
-:func:`~kgaudit.transport.open_layer` with no politeness delay and its
-default two retries; a campaign opens one layer per endpoint job.
+request goes out, a non-positive ``--timeout`` included; ``KGAUDIT_TIMEOUT``
+is read only by the commands that take ``--timeout``.  ``discover`` and
+``evaluate --endpoint`` query through :func:`~kgaudit.transport.open_layer`
+with no politeness delay and its default two retries; a campaign opens one
+layer per endpoint.
 """
 
 from __future__ import annotations
@@ -40,14 +42,31 @@ from .transport import TranscriptTransport, Transport, TransportError, open_laye
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if "timeout" in args and not args.timeout > 0:
+            raise ValueError("the timeout must be positive")
         return args.func(args)
     except (CatalogError, ParseError, TransportError, JournalError, ValueError, OSError) as exc:
         print(f"kgaudit: {exc}", file=sys.stderr)
         return 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads ``KGAUDIT_TIMEOUT`` once a command that takes ``--timeout`` is
+    parsed without one, and not while the parsers are built."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if getattr(namespace, "timeout", 0) is None:
+            raw = os.environ.get("KGAUDIT_TIMEOUT")
+            try:
+                namespace.timeout = DEFAULT_TIMEOUT if raw is None else float(raw)
+            except ValueError:
+                self.error(f"KGAUDIT_TIMEOUT is not a number: {raw!r}")
+        return namespace, extras
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kgaudit",
         description="Score how accountable RDF knowledge graphs are from their metadata.",
     )
@@ -83,7 +102,9 @@ def _parser() -> argparse.ArgumentParser:
     campaign.add_argument("--runs", type=int, default=3)
     campaign.add_argument("--delay", type=float, default=DEFAULT_DELAY)
     campaign.add_argument("--page-size", type=int, default=DEFAULT_PAGE_SIZE)
-    campaign.add_argument("--workers", type=int, default=4)
+    campaign.add_argument(
+        "--workers", type=int, default=4, help="requests in flight at once (default 4)"
+    )
     campaign.add_argument("--retries", type=int, default=2)
     campaign.add_argument("--journal", metavar="PATH", help="journal file; resumes if present")
     campaign.add_argument("--out", metavar="DIR", help="write report files into this directory")
@@ -131,25 +152,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--timeout",
         type=float,
-        default=_default_timeout(),
-        help="per-request timeout in seconds (or set KGAUDIT_TIMEOUT)",
+        help=f"per-request timeout in seconds (default: KGAUDIT_TIMEOUT or {DEFAULT_TIMEOUT:g})",
     )
     parser.add_argument(
         "--transcript",
         metavar="PATH",
         help="answer queries from a recorded transcript instead of the network",
     )
-
-
-def _default_timeout() -> float:
-    raw = os.environ.get("KGAUDIT_TIMEOUT")
-    if raw is None:
-        return DEFAULT_TIMEOUT
-    try:
-        return float(raw)
-    except ValueError:
-        print(f"kgaudit: KGAUDIT_TIMEOUT is not a number: {raw!r}", file=sys.stderr)
-        raise SystemExit(2) from None
 
 
 def _load_catalog(args) -> Catalog:

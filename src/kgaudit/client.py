@@ -25,15 +25,18 @@ fetches its datasets (more only when it needs pages).  Discovery and that
 fetch bind ``?endpoint`` with VALUES to both the IRI and the literal form
 of the endpoint URL, since catalogues state the address either way.
 
-Campaigns work endpoint-by-endpoint in parallel, but requests to any
-single endpoint are sequential: each endpoint job opens a request layer
-of its own with :func:`~kgaudit.transport.open_layer`, which spaces them
-by the politeness delay, retries what can be retried and, without an
-injected transport, talks HTTP over a session closed when the job ends;
-a job with no run left opens none.  Every
-run is appended to a journal file (JSON lines, checksummed), so an
-interrupted campaign resumes without repeating completed endpoint/run
-cells.
+A campaign's unit of work is a *cell*, one run of one endpoint, and its
+workers audit cells of different endpoints in parallel.  Requests to any
+single endpoint are sequential: an endpoint's cells all go through one
+request layer, opened with :func:`~kgaudit.transport.open_layer` before
+its first cell and closed after its last, which spaces them by the
+politeness delay, retries what can be retried and, without an injected
+transport, talks HTTP over one session; an endpoint with no run left
+opens none.  A free worker takes the endpoint whose next request may go
+out soonest, so it does not sleep out one endpoint's delay while another
+endpoint has a run due (:func:`_audit_cells`).  Every run is appended to
+a journal file (JSON lines, checksummed), so an interrupted campaign
+resumes without repeating completed endpoint/run cells.
 """
 
 from __future__ import annotations
@@ -42,7 +45,9 @@ import hashlib
 import json
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -82,7 +87,7 @@ from .sparql import (
     parse_triple_patterns,
     pattern_variables,
 )
-from .transport import Transport, TransportError, open_layer
+from .transport import ThrottledTransport, Transport, TransportError, open_layer
 
 # Finds dataset IRIs that an endpoint both describes and links to itself.
 # The link predicate is left open: catalogues use void:sparqlEndpoint,
@@ -560,26 +565,12 @@ def run_campaign(config: CampaignConfig) -> Report:
         journal = Journal(config.journal_path, catalog, config.runs)
         # runs of endpoints outside this campaign stay in the file, unread
         completed = {key: er for key, er in journal.load().items() if key[0] in endpoints}
-    fetch = build_fetch(catalog)
-    options = dict(timeout=config.timeout, page_size=config.page_size)
-
-    def job(endpoint: str) -> list[EndpointRun]:
-        left = [run for run in range(config.runs) if (endpoint, run) not in completed]
-        if not left:
-            return []
-        out = []
-        with open_layer(config.transport, config.delay, retries=config.retries) as transport:
-            for run in left:
-                er = audit_run(transport, endpoint, run, fetch, **options)
-                if journal is not None:
-                    journal.append(er)
-                out.append(er)
-        return out
-
-    all_runs: list[EndpointRun] = list(completed.values())
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        for runs in pool.map(job, endpoints):
-            all_runs.extend(runs)
+    left = {
+        endpoint: [run for run in range(config.runs) if (endpoint, run) not in completed]
+        for endpoint in endpoints
+    }
+    all_runs = list(completed.values())
+    all_runs += _audit_cells(config, left, build_fetch(catalog), journal)
     all_runs.sort(key=lambda er: (er.endpoint, er.run))
 
     merged = merge_runs(all_runs)
@@ -609,3 +600,73 @@ def run_campaign(config: CampaignConfig) -> Report:
         for er in all_runs
     )
     return build_report(catalog, results, generated_at, records)
+
+
+def _audit_cells(
+    config: CampaignConfig,
+    left: Mapping[str, Sequence[int]],
+    fetch: Fetch,
+    journal: Journal | None,
+) -> list[EndpointRun]:
+    """Audit the cells ``left``, each endpoint's runs in order, with
+    ``config.workers`` cells in flight at most.
+
+    An endpoint's cells go through one request layer, opened before its
+    first cell and closed after its last, and never two at a time, so the
+    delay and the HTTP session stay per endpoint.  A free worker takes the
+    open endpoint whose next attempt may start soonest, if it may start now
+    or no endpoint is left to open; otherwise it opens the next endpoint.
+    So layers are opened only while none that is open is due, and with no
+    delay an endpoint's runs go back to back.  Once a cell raises, no new
+    cell starts: the cells in flight finish, every open layer closes and
+    the error goes on.
+    """
+    runs = {endpoint: deque(todo) for endpoint, todo in left.items() if todo}
+    unopened = deque(runs)
+    layers: dict[str, tuple[ExitStack, ThrottledTransport]] = {}  # in opening order
+    in_flight: dict[Future, str] = {}
+    done: list[EndpointRun] = []
+
+    def next_endpoint() -> str | None:
+        busy = set(in_flight.values())
+        waits = {e: layer.wait_s() for e, (_, layer) in layers.items() if e not in busy}
+        soonest = min(waits, key=waits.get, default=None)
+        if soonest is not None and (not waits[soonest] or not unopened):
+            return soonest
+        if not unopened:
+            return None
+        endpoint = unopened.popleft()
+        stack = ExitStack()
+        layer = stack.enter_context(
+            open_layer(config.transport, config.delay, retries=config.retries)
+        )
+        layers[endpoint] = stack, layer
+        return endpoint
+
+    def cell(layer: ThrottledTransport, endpoint: str, run: int) -> EndpointRun:
+        er = audit_run(
+            layer, endpoint, run, fetch, timeout=config.timeout, page_size=config.page_size
+        )
+        if journal is not None:
+            journal.append(er)
+        return er
+
+    try:
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+            while True:
+                while len(in_flight) < config.workers and (endpoint := next_endpoint()):
+                    _, layer = layers[endpoint]
+                    future = pool.submit(cell, layer, endpoint, runs[endpoint].popleft())
+                    in_flight[future] = endpoint
+                if not in_flight:
+                    return done
+                finished, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+                for future in finished:
+                    endpoint = in_flight.pop(future)
+                    done.append(future.result())
+                    if not runs[endpoint]:
+                        layers.pop(endpoint)[0].close()
+    finally:
+        # after the pool has let every cell in flight finish
+        for stack, _ in layers.values():
+            stack.close()

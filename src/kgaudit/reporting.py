@@ -528,24 +528,39 @@ def boxplot_stats(
     Quantile q sits at rank h = (n - 1) * q; non-integer ranks interpolate
     between the neighbouring order statistics, all in exact arithmetic.
     """
-    data = sorted(Fraction(v) for v in values)
-    if not data:
-        raise ValueError("boxplot needs at least one value")
+    return _boxplot(*_over_common_denominator(values))
 
-    def quantile(q: Fraction) -> Fraction:
-        h = (len(data) - 1) * q
-        lo = math.floor(h)
-        frac = h - lo
-        if frac == 0:
-            return data[lo]
-        return data[lo] + frac * (data[lo + 1] - data[lo])
+
+def _over_common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """The values' numerators over their least common denominator, sorted,
+    and that denominator: sorting and summing integers costs no
+    ``Fraction`` arithmetic."""
+    ratios = [value.as_integer_ratio() for value in values]
+    if not ratios:
+        raise ValueError("boxplot needs at least one value")
+    denominator = math.lcm(*{d for _, d in ratios})
+    return sorted(n * (denominator // d) for n, d in ratios), denominator
+
+
+def _boxplot(
+    numerators: list[int], denominator: int
+) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
+    """:func:`boxplot_stats` of the sorted ``numerators`` over ``denominator``."""
+
+    def quartile(k: int) -> Fraction:
+        # rank (n - 1) * k / 4 = lo + rest / 4
+        lo, rest = divmod((len(numerators) - 1) * k, 4)
+        if not rest:
+            return Fraction(numerators[lo], denominator)
+        low, high = numerators[lo], numerators[lo + 1]
+        return Fraction(4 * low + rest * (high - low), 4 * denominator)
 
     return (
-        data[0],
-        quantile(Fraction(1, 4)),
-        quantile(Fraction(1, 2)),
-        quantile(Fraction(3, 4)),
-        data[-1],
+        Fraction(numerators[0], denominator),
+        quartile(1),
+        quartile(2),
+        quartile(3),
+        Fraction(numerators[-1], denominator),
     )
 
 
@@ -568,10 +583,12 @@ def node_aggregates(
     if not results:
         return aggregates
     for node_id in catalog.node_ids():
-        values = [result.node_scores[node_id] for result in results]
-        low, q1, median, q3, high = boxplot_stats(values)
+        numerators, denominator = _over_common_denominator(
+            result.node_scores[node_id] for result in results
+        )
+        low, q1, median, q3, high = _boxplot(numerators, denominator)
         aggregates[node_id] = {
-            "mean": sum(values, Fraction(0)) / len(values),
+            "mean": Fraction(sum(numerators), denominator * len(numerators)),
             "min": low,
             "q1": q1,
             "median": median,

@@ -81,10 +81,12 @@ class ThrottledTransport:
     """The one layer that decides when a request goes out, and how often.
 
     Attempts through one layer start at least ``delay`` seconds apart,
-    retries included: a retry waits like any other request.  A failure is
-    tried again, up to ``retries`` more times, only when its
-    :class:`TransportError` is retryable.  The layer keeps no lock, so
-    each worker opens its own.
+    retries included: a retry waits like any other request, and
+    :meth:`wait_s` tells how long until the next one may start.  A failure
+    is tried again, up to ``retries`` more times, only when its
+    :class:`TransportError` is retryable.  The layer keeps no lock: one
+    query at a time goes through it, which a campaign keeps by never having
+    two cells of one endpoint in flight.
     """
 
     def __init__(self, inner: Transport, delay: float, *, retries: int = 2):
@@ -100,15 +102,19 @@ class ThrottledTransport:
     ) -> list[dict[str, Term]]:
         for attempt in range(self._retries + 1):
             if self._delay > 0:
-                now = time.monotonic()
-                if now < self._due:
-                    time.sleep(self._due - now)
+                wait = self.wait_s()
+                if wait:
+                    time.sleep(wait)
                 self._due = time.monotonic() + self._delay
             try:
                 return self._inner.query(url, query, timeout=timeout, run=run)
             except TransportError as exc:
                 if not exc.retryable or attempt == self._retries:
                     raise
+
+    def wait_s(self) -> float:
+        """Seconds until the next attempt may start; 0 when it may start now."""
+        return max(0.0, self._due - time.monotonic())
 
     def run_timestamp(self, url: str, run: int) -> str | None:
         return self._inner.run_timestamp(url, run)

@@ -544,6 +544,32 @@ def test_timeout_env_rejects_garbage(monkeypatch, capsys):
     assert "KGAUDIT_TIMEOUT" in capsys.readouterr().err
 
 
+def test_catalog_commands_do_not_read_the_timeout_variable(monkeypatch, capsys):
+    monkeypatch.setenv("KGAUDIT_TIMEOUT", "abc")
+    assert main(["catalog", "validate"]) == 0
+    assert "OK" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--endpoint", ENDPOINTS[0], "--timeout", "-1"],
+        ["discover", "--endpoint", ENDPOINTS[0], "--timeout", "0"],
+    ],
+)
+def test_every_command_refuses_a_non_positive_timeout(monkeypatch, capsys, argv):
+    sent = _count_requests(monkeypatch)
+    assert main([*argv, "--transcript", TRANSCRIPT]) == 2
+    assert "the timeout must be positive" in capsys.readouterr().err
+    assert sent == []
+
+
+def test_a_non_positive_timeout_variable_is_refused(monkeypatch, capsys):
+    monkeypatch.setenv("KGAUDIT_TIMEOUT", "0")
+    assert main(["discover", "--endpoint", ENDPOINTS[0], "--transcript", TRANSCRIPT]) == 2
+    assert "the timeout must be positive" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # catalog
 

@@ -6,6 +6,9 @@ import copy
 import hashlib
 import json
 import random
+import sys
+import threading
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -36,7 +39,7 @@ from kgaudit.transport import HttpTransport, TranscriptTransport, TransportError
 from fractions import Fraction
 
 import test_route_duality as duality
-from test_transport import FakeResponse, ScriptedSession
+from test_transport import FakeClock, FakeResponse, ScriptedSession
 from helpers import FIXTURES, catalog_shapes, catalog_vocabulary
 
 FULL_ENDPOINT = "http://example.org/sparql"
@@ -693,6 +696,116 @@ def test_resumed_campaign_builds_no_http_transport(tmp_path, config, monkeypatch
     resumed = run_campaign(CampaignConfig(**{**journaled.__dict__, "transport": None}))
     assert resumed == first
     assert ClosableTranscript.built == []
+
+
+class Watch:
+    """Builds the stand-ins for the HTTP transport, each answering from
+    ``transcript``, and watches them: how many are open at once, how often
+    each is closed, and whether an endpoint ever has two queries in flight.
+    A query about ``failing`` raises a ``RuntimeError``, which is not a
+    :class:`TransportError`."""
+
+    def __init__(self, transcript: TranscriptTransport, failing: str | None = None):
+        self.transcript = transcript
+        self.failing = failing
+        self.lock = threading.Lock()
+        self.closes: list[int] = []  # per stand-in, in the order built
+        self.most_open = 0
+        self.in_flight: Counter[str] = Counter()
+        self.overlapped: set[str] = set()
+        self.asked: list[str] = []
+
+    def __call__(self) -> "Watched":
+        with self.lock:
+            self.closes.append(0)
+            self.most_open = max(self.most_open, self.closes.count(0))
+            return Watched(self, len(self.closes) - 1)
+
+
+class Watched:
+    """One stand-in that :class:`Watch` built."""
+
+    def __init__(self, watch: Watch, index: int):
+        self.watch = watch
+        self.index = index
+
+    def query(self, url, query, *, timeout, run=0):
+        watch = self.watch
+        with watch.lock:
+            watch.asked.append(url)
+            watch.in_flight[url] += 1
+            if watch.in_flight[url] > 1:
+                watch.overlapped.add(url)
+        try:
+            if url == watch.failing:
+                raise RuntimeError(f"scripted bug at {url}")
+            return watch.transcript.query(url, query, timeout=timeout, run=run)
+        finally:
+            with watch.lock:
+                watch.in_flight[url] -= 1
+
+    def run_timestamp(self, url, run):
+        return self.watch.transcript.run_timestamp(url, run)
+
+    def close(self):
+        with self.watch.lock:
+            self.watch.closes[self.index] += 1
+
+
+def test_campaign_sleeps_only_when_no_endpoint_is_due(config, monkeypatch):
+    clock = FakeClock()
+    monkeypatch.setattr(transport_module, "time", clock)
+    polite = CampaignConfig(**{**config.__dict__, "workers": 1, "delay": 0.5})
+    assert run_campaign(polite) == run_campaign(config)
+    # each endpoint's first run starts at once; then the worker sleeps only
+    # before the first endpoint's next run, when no endpoint is due
+    assert clock.sleeps == [0.5, 0.5]
+
+
+def test_campaign_keeps_at_most_workers_layers_open(tmp_path, config, monkeypatch):
+    # the fixture's endpoints and seven more that serve what the sparse one does
+    doc = yaml.safe_load((FIXTURES / "campaign.yaml").read_text())
+    for n in range(7):
+        doc["endpoints"][f"http://e{n}.example.org/sparql"] = doc["endpoints"][SPARSE_ENDPOINT]
+    path = tmp_path / "wide.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    transcript = TranscriptTransport(str(path))
+    watch = Watch(transcript)
+    monkeypatch.setattr(transport_module, "HttpTransport", watch)
+    endpoints = list(doc["endpoints"])
+    wide = CampaignConfig(
+        **{**config.__dict__, "endpoints": endpoints, "workers": 4, "transport": transcript}
+    )
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more workers than cores, switching often
+    try:
+        report = run_campaign(replace(wide, transport=None))
+    finally:
+        sys.setswitchinterval(switch)
+    assert report == run_campaign(replace(wide, workers=1))
+    assert watch.closes == [1] * len(endpoints)
+    assert 1 <= watch.most_open <= 4
+    assert watch.overlapped == set()
+    assert Counter(watch.asked) == {endpoint: 3 for endpoint in endpoints}
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_a_failing_cell_stops_the_campaign_and_closes_every_layer(
+    tmp_path, transcript, config, monkeypatch, workers
+):
+    watch = Watch(transcript, failing=SPARSE_ENDPOINT)
+    monkeypatch.setattr(transport_module, "HttpTransport", watch)
+    journal = tmp_path / "journal.jsonl"
+    broken = CampaignConfig(
+        **{**config.__dict__, "transport": None, "workers": workers, "journal_path": str(journal)}
+    )
+    with pytest.raises(RuntimeError, match="scripted bug"):
+        run_campaign(broken)
+    assert watch.closes and watch.closes == [1] * len(watch.closes)
+    if workers == 1:
+        # the full endpoint's runs went first; after the failure none started
+        assert watch.asked == [FULL_ENDPOINT] * 3 + [SPARSE_ENDPOINT]
+        assert len(journal.read_text().splitlines()) == 1 + 3
 
 
 @pytest.mark.parametrize("command", ["discover", "evaluate", "campaign"])
