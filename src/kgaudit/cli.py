@@ -258,6 +258,11 @@ def _cmd_campaign(args) -> int:
     if args.runs < 1:
         print("kgaudit: --runs must be at least 1", file=sys.stderr)
         return 2
+    for dataset in args.radar or ():
+        try:
+            Iri(dataset)
+        except ValueError as exc:
+            raise ValueError(f"--radar {dataset!r}: {exc}") from None
     catalog = _load_catalog(args)
     if args.out:
         os.makedirs(args.out, exist_ok=True)

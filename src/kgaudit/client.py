@@ -5,7 +5,10 @@ Two evaluation routes exist on purpose and must stay distinct:
 * the *fetch* route (campaigns) downloads, in each run, one graph that
   describes all of an endpoint's datasets, unions what the runs saw,
   saturates that union once and answers the compact queries locally for
-  all those datasets, as ``evaluate --file`` does for a file;
+  all those datasets, as ``evaluate --file`` does for a file
+  (:func:`score_endpoint`).  A down run adds nothing, so an endpoint that
+  was down for one of three runs scores exactly like one that was always
+  up, as long as the up runs served the same data;
 * the *remote* route sends the expanded UNION form of every query to the
   endpoint and trusts its answers.  Each query goes out once for all the
   datasets, as ``SELECT DISTINCT ?kg`` with ?kg bound to them by VALUES,
@@ -50,8 +53,8 @@ from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import groupby
+from typing import Iterator, Mapping, Sequence
 
 from .catalog import KG, Catalog, default_catalog
 from .rdf import (
@@ -67,6 +70,7 @@ from .rdf import (
     serialize_ntriples,
 )
 from .reporting import Report, RunRecord, build_report
+from .saturation import SaturationTrace
 from .scoring import (
     DatasetResult,
     FailureKind,
@@ -153,10 +157,6 @@ def _at_endpoint(query: Query, url: str) -> Query:
     return bind_values(query, "endpoint", (Iri(url), Literal(url)))
 
 
-# What was fetched from an endpoint: one graph, and the datasets it describes.
-Unit = tuple[Graph, tuple[str, ...]]
-
-
 @dataclass(frozen=True)
 class Fetch:
     """The one query of an endpoint-run, built for the catalog it is scored by.
@@ -224,7 +224,7 @@ def fetch_metadata(
     page_size: int = DEFAULT_PAGE_SIZE,
     timeout: float = DEFAULT_TIMEOUT,
     run: int = 0,
-) -> Unit:
+) -> tuple[Graph, tuple[str, ...]]:
     """Find every dataset and fetch its description with one paged query.
 
     Returns one graph for all the datasets, and their IRIs, sorted.  Each
@@ -352,8 +352,12 @@ def audit_run(
     When its first page cannot reach the endpoint (a connection error or a
     timeout) the run is unavailable.  Any other failure loses the run's
     datasets and is recorded as a ``fetch`` error of an available run.
+    A replayed run keeps the transcript's stamp, ``""`` when it has none;
+    only a live run is stamped with the clock.
     """
-    timestamp = transport.run_timestamp(endpoint, run) or utcnow()
+    timestamp = transport.run_timestamp(endpoint, run)
+    if timestamp is None:
+        timestamp = utcnow()
     try:
         unit = fetch_metadata(
             transport, endpoint, fetch, page_size=page_size, timeout=timeout, run=run
@@ -365,39 +369,39 @@ def audit_run(
     return EndpointRun(endpoint, run, timestamp, True, *unit)
 
 
-def merge_runs(runs: Iterable[EndpointRun]) -> dict[str, Unit]:
-    """Union the fetched graphs and the dataset lists per endpoint.
+def score_endpoint(
+    catalog: Catalog, endpoint: str, runs: Sequence[EndpointRun]
+) -> tuple[list[DatasetResult], SaturationTrace | None, list[RunRecord]]:
+    """One endpoint's report rows, how saturation went on the graph they
+    were scored in (None with no dataset), and each run's record, in the
+    order of ``runs``.
 
-    Unavailable runs contribute nothing, so an endpoint that was down for
-    one of three runs scores exactly like one that was always up, as long
-    as the up runs served the same data.
+    The rows are scored on the union of what the runs fetched, saturated
+    once.  Unavailable runs contribute nothing, so an endpoint that was
+    down for one of three runs scores exactly like one that was always up,
+    as long as the up runs served the same data; with no dataset the
+    endpoint gets one zero row.  A run's record holds its scores on its own
+    data: a run that served the whole union reuses the rows.
     """
-    merged: dict[str, Unit] = {}
+    graph = Graph(triple for er in runs for triple in er.graph)
+    datasets = tuple(sorted({dataset for er in runs for dataset in er.datasets}))
+    if datasets:
+        results, trace = score_datasets(catalog, graph, [Iri(d) for d in datasets])
+    else:
+        results, trace = [not_evaluated_result(catalog, endpoint)], None
+    records = []
     for er in runs:
-        if er.endpoint not in merged:
-            merged[er.endpoint] = er.graph.copy(), er.datasets
-            continue
-        graph, datasets = merged[er.endpoint]
-        graph.update(er.graph)
-        merged[er.endpoint] = graph, tuple(sorted({*datasets, *er.datasets}))
-    return merged
-
-
-def evaluate_merged(
-    catalog: Catalog, merged: Mapping[str, Unit], endpoints: Sequence[str]
-) -> dict[str, list[DatasetResult]]:
-    """Score each endpoint's datasets in its merged graph, saturated once;
-    endpoints with nothing auditable get a zero row.  Every result of an
-    endpoint carries that saturation's trace."""
-    results: dict[str, list[DatasetResult]] = {}
-    for endpoint in endpoints:
-        graph, datasets = merged.get(endpoint, (Graph(), ()))
-        if not datasets:
-            results[endpoint] = [not_evaluated_result(catalog, endpoint)]
-            continue
-        scored, trace = score_datasets(catalog, graph, [Iri(d) for d in datasets])
-        results[endpoint] = [replace(result, trace=trace) for result in scored]
-    return results
+        if not er.datasets:
+            scored = []
+        elif (er.graph, er.datasets) == (graph, datasets):
+            scored = results
+        else:
+            scored, _ = score_datasets(catalog, er.graph, [Iri(d) for d in er.datasets])
+        scores = tuple((result.dataset, result.score) for result in scored)
+        records.append(
+            RunRecord(er.endpoint, er.run, er.timestamp, er.available, scores, er.errors)
+        )
+    return results, trace, records
 
 
 # ---------------------------------------------------------------------------
@@ -573,33 +577,16 @@ def run_campaign(config: CampaignConfig) -> Report:
     all_runs += _audit_cells(config, left, build_fetch(catalog), journal)
     all_runs.sort(key=lambda er: (er.endpoint, er.run))
 
-    merged = merge_runs(all_runs)
-    results = evaluate_merged(catalog, merged, endpoints)
-
-    def run_scores(er: EndpointRun) -> tuple[tuple[str, Fraction], ...]:
-        """A run's scores on its data alone.  A run that served its
-        endpoint's merged graph reuses the endpoint's results."""
-        if not er.datasets:
-            return ()
-        scored = results[er.endpoint]
-        if (er.graph, er.datasets) != merged[er.endpoint]:
-            scored, _ = score_datasets(catalog, er.graph, [Iri(d) for d in er.datasets])
-        return tuple((result.dataset, result.score) for result in scored)
-
-    timestamps = [er.timestamp for er in all_runs if er.timestamp]
-    generated_at = max(timestamps) if timestamps else utcnow()
-    records = tuple(
-        RunRecord(
-            endpoint=er.endpoint,
-            run=er.run,
-            timestamp=er.timestamp,
-            available=er.available,
-            scores=run_scores(er),
-            errors=er.errors,
-        )
-        for er in all_runs
-    )
-    return build_report(catalog, results, generated_at, records)
+    results, saturation, records = {}, {}, []
+    for endpoint, runs in groupby(all_runs, key=lambda er: er.endpoint):
+        results[endpoint], trace, run_records = score_endpoint(catalog, endpoint, list(runs))
+        if trace is not None:
+            saturation[endpoint] = trace
+        records += run_records
+    # a replayed run may carry no stamp, a live one always does
+    generated_at = max((er.timestamp for er in all_runs), default="")
+    ordered = {endpoint: results[endpoint] for endpoint in endpoints}
+    return build_report(catalog, ordered, generated_at, records, saturation=saturation)
 
 
 def _audit_cells(

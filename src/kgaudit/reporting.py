@@ -26,6 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .catalog import Catalog
 from .rdf import RDF_TYPE, Graph, Iri, Literal, Term, XSD, format_term, parse_ntriples
+from .saturation import SaturationTrace
 from .scoring import (
     DatasetResult,
     FailureKind,
@@ -79,9 +80,10 @@ class RunRecord:
 class Report:
     """Everything one audit produced, ready for export.
 
-    ``runs`` is provenance, not measurement: it is kept out of equality so
-    a report parsed back from an export compares equal when it carries the
-    same results.
+    ``runs`` and ``saturation``, how saturation went on the graph each
+    endpoint's datasets were scored in, are provenance, not measurement:
+    they are kept out of equality so a report parsed back from an export
+    compares equal when it carries the same results.
     """
 
     catalog_version: str
@@ -89,6 +91,9 @@ class Report:
     generated_at: str
     results: Mapping[str, tuple[DatasetResult, ...]]
     runs: tuple[RunRecord, ...] = field(default=(), compare=False, repr=False)
+    saturation: Mapping[str, SaturationTrace] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def rows(self) -> list[tuple[str, DatasetResult]]:
         """(endpoint, result) pairs in report order."""
@@ -111,6 +116,7 @@ def build_report(
     results: Mapping[str, Sequence[DatasetResult]],
     generated_at: str,
     runs: Sequence[RunRecord] = (),
+    saturation: Mapping[str, SaturationTrace] = {},
 ) -> Report:
     return Report(
         catalog_version=catalog.version,
@@ -118,6 +124,7 @@ def build_report(
         generated_at=generated_at,
         results={endpoint: tuple(rs) for endpoint, rs in results.items()},
         runs=tuple(runs),
+        saturation=dict(saturation),
     )
 
 
@@ -369,7 +376,7 @@ def to_json(report: Report, catalog: Catalog) -> str:
             }
             datasets[result.dataset] = entry
         endpoints[endpoint] = {"best": best_map[endpoint].dataset, "datasets": datasets}
-        trace = results[0].trace  # a campaign saturates once per endpoint
+        trace = report.saturation.get(endpoint)
         if trace is not None:
             endpoints[endpoint]["saturation"] = {
                 "input": trace.input_size,

@@ -20,7 +20,7 @@ scores off it.  Nothing is rounded until a score is rendered for people
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import mul
@@ -62,16 +62,13 @@ class DatasetResult:
 
     ``dataset`` is normally the dataset IRI; for an endpoint where nothing
     could be audited it falls back to the endpoint URL so the zero still
-    shows up in reports.  ``trace`` records how saturation unfolded on the
-    graph a campaign scored the endpoint's datasets in, so all of them
-    share it; it is provenance, so it stays out of equality.
+    shows up in reports.
     """
 
     dataset: str
     outcomes: tuple[QueryOutcome, ...]
     question_scores: Mapping[str, Fraction]
     node_scores: Mapping[str, Fraction]
-    trace: SaturationTrace | None = field(default=None, compare=False, repr=False)
 
     @property
     def score(self) -> Fraction:

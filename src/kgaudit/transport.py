@@ -24,7 +24,8 @@ that is not YAML or holds a field of the wrong type is refused with a
 ``ValueError`` naming the file, endpoint and run.  The package's own
 evaluator answers the client's queries directly, paging included, which
 makes campaign runs fully deterministic; ``run_timestamp`` hands out the
-recorded timestamps, where the live transport has none.
+recorded timestamps (``""`` where none is recorded), where the live
+transport has none.
 """
 
 from __future__ import annotations
@@ -69,7 +70,9 @@ class Transport(Protocol):
         ...
 
     def run_timestamp(self, url: str, run: int) -> str | None:
-        """When the run was recorded, for replays; None for live endpoints."""
+        """When the run was recorded, for replays: ``""`` when no stamp was
+        recorded or the transcript lacks the endpoint.  None for live
+        endpoints, whose runs the caller stamps with the clock."""
         ...
 
 
@@ -296,11 +299,11 @@ class TranscriptTransport:
             raise TransportError("connection", f"no transcript for endpoint {url}")
         return runs[max(0, min(run, len(runs) - 1))]
 
-    def run_timestamp(self, url: str, run: int) -> str | None:
+    def run_timestamp(self, url: str, run: int) -> str:
         try:
-            return self._run(url, run).timestamp or None
+            return self._run(url, run).timestamp
         except TransportError:
-            return None
+            return ""
 
     def query(
         self, url: str, query: Query, *, timeout: float, run: int = 0

@@ -16,7 +16,7 @@ import yaml
 
 import kgaudit
 from kgaudit.catalog import default_catalog, dump_catalog
-from kgaudit import cli
+from kgaudit import cli, client
 from kgaudit import transport as transport_module
 from kgaudit.cli import main
 from kgaudit.transport import HttpTransport, TranscriptTransport, TransportError
@@ -397,6 +397,26 @@ def test_campaign_report_files_are_reproducible(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def test_campaign_replay_does_not_read_the_clock(tmp_path, capsys, monkeypatch):
+    # the transcript has no down.example.org, and no stamp can be replayed for it
+    argv = ["campaign", *ENDPOINTS[:2], "http://down.example.org/sparql"]
+    argv += ["--transcript", TRANSCRIPT, "--delay", "0"]
+    outputs = []
+    for name, now in (("a", "2030-01-01T00:00:00Z"), ("b", "2031-06-15T12:30:00Z")):
+        monkeypatch.setattr(client, "utcnow", lambda now=now: now)
+        out, journal = tmp_path / name, tmp_path / f"{name}.jsonl"
+        assert main(argv + ["--out", str(out), "--journal", str(journal)]) == 0
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        # the workers append runs in whatever order they finish them
+        lines = sorted(journal.read_bytes().splitlines(keepends=True))
+        outputs.append((capsys.readouterr().out, lines, files))
+    assert outputs[0] == outputs[1]
+    doc = json.loads(outputs[0][2]["report.json"])
+    assert doc["generated_at"] == "2024-05-03T10:00:00Z"
+    down = [r["timestamp"] for r in doc["runs"] if r["endpoint"].startswith("http://down.")]
+    assert down == ["", "", ""]
+
+
 def test_campaign_journal_resume(tmp_path, capsys):
     journal = tmp_path / "journal.jsonl"
     args = [
@@ -526,6 +546,17 @@ def test_campaign_radar_unknown_dataset(tmp_path, capsys):
     )
     assert code == 2
     assert "not in the report" in capsys.readouterr().err
+
+
+def test_campaign_refuses_a_malformed_radar_before_auditing(tmp_path, capsys):
+    out, journal = tmp_path / "out", tmp_path / "journal.jsonl"
+    argv = ["campaign", ENDPOINTS[0], "--transcript", TRANSCRIPT, "--delay", "0"]
+    argv += ["--out", str(out), "--journal", str(journal)]
+    argv += ["--radar", "not an iri", "http://example.org/kg/full"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("kgaudit: --radar 'not an iri': ")
+    assert not journal.exists()
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_timeout_env_override(monkeypatch):

@@ -29,8 +29,8 @@ from kgaudit.client import (
     discover_in_graph,
     evaluate_remote_datasets,
     fetch_metadata,
-    merge_runs,
     run_campaign,
+    score_endpoint,
 )
 from kgaudit.rdf import BlankNode, Graph, Iri, Triple, parse_ntriples
 from kgaudit.scoring import FailureKind, QueryOutcome
@@ -529,24 +529,40 @@ def test_audit_run_unreachable_discovery_is_unavailable(transcript, kind):
     assert er.errors == ()
 
 
-def test_merge_runs_unions_graphs():
+def test_score_endpoint_unions_its_runs():
+    catalog = default_catalog()
     g1 = parse_ntriples("<http://e.org/kg> <http://e.org/p> <http://e.org/a> .\n")
     g2 = parse_ntriples(
         "<http://e.org/kg> <http://e.org/p> <http://e.org/a> .\n"
         "<http://e.org/kg2> <http://e.org/q> <http://e.org/b> .\n"
     )
-    runs = [
+    up = [
         EndpointRun("http://e.org/", 0, "t0", True, g1, ("http://e.org/kg",)),
-        EndpointRun("http://e.org/", 1, "t1", False, Graph(), ()),
         EndpointRun("http://e.org/", 2, "t2", True, g2, ("http://e.org/kg", "http://e.org/kg2")),
-        EndpointRun("http://down.e.org/", 0, "t0", False, Graph(), ()),
     ]
-    merged = merge_runs(runs)
-    assert merged == {
-        "http://e.org/": (g2, ("http://e.org/kg", "http://e.org/kg2")),
-        "http://down.e.org/": (Graph(), ()),
-    }
-    assert len(g1) == 1  # the runs' own graphs are left as they were
+    down = EndpointRun("http://e.org/", 1, "t1", False, Graph(), ())
+    results, trace, records = score_endpoint(catalog, "http://e.org/", [up[0], down, up[1]])
+    assert [r.dataset for r in results] == ["http://e.org/kg", "http://e.org/kg2"]
+    # a down run adds nothing
+    always_up, always_up_trace, _ = score_endpoint(catalog, "http://e.org/", up)
+    assert (results, trace) == (always_up, always_up_trace)
+    # the union is the last run's graph, and the runs' own graphs are left as they were
+    assert trace.input_size == len(g2) == 2
+    assert len(g1) == 1
+    assert [(rr.run, rr.timestamp, rr.available) for rr in records] == [
+        (0, "t0", True),
+        (1, "t1", False),
+        (2, "t2", True),
+    ]
+    assert [dataset for dataset, _ in records[0].scores] == ["http://e.org/kg"]
+    assert records[1].scores == ()
+    assert records[2].scores == tuple((r.dataset, r.score) for r in results)
+
+    dead = EndpointRun("http://down.e.org/", 0, "t0", False, Graph(), ())
+    nothing, trace, records = score_endpoint(catalog, "http://down.e.org/", [dead])
+    assert [(r.dataset, r.score) for r in nothing] == [("http://down.e.org/", 0)]
+    assert trace is None
+    assert [(rr.endpoint, rr.run, rr.scores) for rr in records] == [("http://down.e.org/", 0, ())]
 
 
 # ---------------------------------------------------------------------------
@@ -643,9 +659,14 @@ def test_campaign_scores_each_endpoint_once_and_each_differing_run(
     monkeypatch.setattr(client, "score_datasets", counting)
     report = run_campaign(CampaignConfig(**{**config.__dict__, "transport": transport}))
     runs = [audit_run(transport, rr.endpoint, rr.run, FETCH) for rr in report.runs]
-    merged = merge_runs(runs)
+    union = {er.endpoint: (Graph(), set()) for er in runs}
+    for er in runs:
+        union[er.endpoint][0].update(er.graph)
+        union[er.endpoint][1].update(er.datasets)
     differing = [
-        er for er in runs if er.datasets and (er.graph, er.datasets) != merged[er.endpoint]
+        er
+        for er in runs
+        if er.datasets and (er.graph, set(er.datasets)) != union[er.endpoint]
     ]
     assert [(er.endpoint, er.run) for er in differing] == [(FULL_ENDPOINT, 2)]
     # one scoring per endpoint with datasets (full, sparse), one per differing run

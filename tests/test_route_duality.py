@@ -23,9 +23,8 @@ from kgaudit.client import (
     DEFAULT_PAGE_SIZE,
     audit_run,
     build_fetch,
-    evaluate_merged,
     evaluate_remote_datasets,
-    merge_runs,
+    score_endpoint,
 )
 from kgaudit.rdf import BlankNode, Graph, Iri, Literal, Triple, parse_ntriples, serialize_ntriples
 from kgaudit.scoring import evaluate_graph
@@ -98,10 +97,12 @@ def _fetched_scores(
 ) -> dict[str, Fraction]:
     """Each dataset's score on the union of what ``runs`` runs fetched."""
     fetch = build_fetch(catalog)
-    merged = merge_runs(
-        audit_run(transport, URL, run, fetch, page_size=page_size) for run in range(runs)
+    results, _, _ = score_endpoint(
+        catalog,
+        URL,
+        [audit_run(transport, URL, run, fetch, page_size=page_size) for run in range(runs)],
     )
-    return {r.dataset: r.score for r in evaluate_merged(catalog, merged, [URL])[URL]}
+    return {r.dataset: r.score for r in results}
 
 
 def _route_scores(

@@ -22,9 +22,8 @@ from kgaudit.catalog import default_catalog
 from kgaudit.client import (
     audit_run,
     build_fetch,
-    evaluate_merged,
     evaluate_remote_datasets,
-    merge_runs,
+    score_endpoint,
 )
 from kgaudit.rdf import BlankNode, Graph, Iri, Literal, Triple, serialize_ntriples
 from kgaudit.transport import TranscriptTransport
@@ -106,8 +105,8 @@ def test_routes_agree_on_every_dataset_of_an_endpoint(tmp_path, seed):
     for _ in range(25):
         graph, datasets = _case(rng, shapes, predicates)
         transport = _serve(tmp_path / "served.yaml", graph)
-        merged = merge_runs([audit_run(transport, URL, 0, FETCH)])
-        fetched = {r.dataset: r.score for r in evaluate_merged(CATALOG, merged, [URL])[URL]}
+        results, _, _ = score_endpoint(CATALOG, URL, [audit_run(transport, URL, 0, FETCH)])
+        fetched = {r.dataset: r.score for r in results}
         remote = evaluate_remote_datasets(transport, URL, CATALOG, datasets)
         assert fetched == {r.dataset: r.score for r in remote}
         # what each dataset reaches in one hop: a blank node two of them

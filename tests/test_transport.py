@@ -443,7 +443,7 @@ def test_transcript_unknown_endpoint(transcript):
     with pytest.raises(TransportError) as err:
         transcript.query("http://nowhere.example.org/", SELECT_ALL, timeout=1.0)
     assert err.value.kind == "connection"
-    assert transcript.run_timestamp("http://nowhere.example.org/", 0) is None
+    assert transcript.run_timestamp("http://nowhere.example.org/", 0) == ""
 
 
 def test_transcript_timestamps(transcript):
@@ -508,7 +508,7 @@ def test_transcript_validation_errors(tmp_path):
     defaults.write_text(endpoint + "    runs:\n      - {}\n      -\n")
     replay = TranscriptTransport(str(defaults))
     for run in (0, 1):
-        assert replay.run_timestamp("http://e.org/", run) is None
+        assert replay.run_timestamp("http://e.org/", run) == ""
         assert replay.query("http://e.org/", SELECT_ALL, timeout=1.0, run=run) == [{}]
 
 
