@@ -240,7 +240,12 @@ def parse_catalog(text: str, source: str = "<string>") -> Catalog:
         isinstance(k, str) and isinstance(v, str) for k, v in prefixes.items()
     ):
         raise CatalogError(f"{source}: prefixes: must map prefix names to IRIs")
+    # read once as the PREFIX lines a query would declare them in
     header = "".join(f"PREFIX {name}: <{iri}>\n" for name, iri in prefixes.items())
+    try:
+        declared = parse_query(header + "ASK {}").prefixes
+    except SparqlError as exc:
+        raise CatalogError(f"{source}: prefixes: {exc}") from None
 
     hierarchy = doc.get("hierarchy")
     if not isinstance(hierarchy, dict):
@@ -262,7 +267,7 @@ def parse_catalog(text: str, source: str = "<string>") -> Catalog:
         where = f"{source}: questions[{index}]"
         if not isinstance(entry, dict):
             raise CatalogError(f"{where}: expected a mapping")
-        question = _parse_question(entry, header, where)
+        question = _parse_question(entry, declared, where)
         questions_by_leaf.setdefault(question.leaf, []).append(question)
 
     raw_rules = doc.get("rules") or []
@@ -346,7 +351,7 @@ def _selects(queries: Mapping[str, Query]) -> dict[str, Query]:
     }
 
 
-def _parse_question(entry: dict, header: str, where: str) -> Question:
+def _parse_question(entry: dict, prefixes: Mapping[str, str], where: str) -> Question:
     qid = entry.get("id")
     leaf = entry.get("leaf")
     text = entry.get("text")
@@ -370,7 +375,7 @@ def _parse_question(entry: dict, header: str, where: str) -> Question:
             raise CatalogError(f"{where}.queries[{qindex - 1}]: expected SPARQL text")
         body = q.strip()
         try:
-            parsed = parse_query(header + body)
+            parsed = parse_query(body, prefixes)
         except SparqlError as exc:
             raise CatalogError(f"question '{qid}' query {qindex}: {exc}") from None
         queries.append(CompactQuery(f"{qid}.{qindex}", body, parsed, label))

@@ -203,10 +203,13 @@ def _cmd_evaluate(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
     stamp = utcnow()
+    # the file as typed, so the report does not depend on where it lives
+    source = args.endpoint or "file:" + quote(args.file)
+    saturation = {}  # the remote route saturates nothing
     if args.file:
         graph = load_rdf(args.file)
         datasets = _named_datasets(args) or discover_in_graph(graph)
-        results, _ = score_datasets(catalog, graph, datasets)
+        results, saturation[source] = score_datasets(catalog, graph, datasets)
     else:
         with open_layer(_transport(args), 0.0) as transport:
             stamp = transport.run_timestamp(args.endpoint, args.run) or stamp
@@ -220,9 +223,7 @@ def _cmd_evaluate(args) -> int:
         print("kgaudit: no datasets to evaluate", file=sys.stderr)
         return 1
     if args.out:
-        # the file as typed, so the report does not depend on where it lives
-        source = args.endpoint or "file:" + quote(args.file)
-        report = build_report(catalog, {source: results}, stamp)
+        report = build_report(catalog, {source: results}, stamp, saturation=saturation)
         _write(args.out, "report.json", to_json(report, catalog))
         _write(args.out, "report.csv", to_csv(report, catalog))
         _write(args.out, "report.nt", to_dqv(report, catalog))

@@ -438,6 +438,7 @@ class Journal:
 
     def load(self) -> dict[tuple[str, int], EndpointRun]:
         completed: dict[tuple[str, int], EndpointRun] = {}
+        graphs: dict[str, Graph] = {}  # by N-Triples text: runs that saw the same share one
         header = self._line("header", self._header).encode("utf-8")
         try:
             with open(self.path, "rb") as handle:
@@ -470,7 +471,7 @@ class Journal:
                 continue
             if kind != "run":
                 raise JournalError(f"{self.path}:{number}: unexpected record kind {kind!r}")
-            er = _run_from_record(self.path, number, record)
+            er = _run_from_record(self.path, number, record, graphs)
             completed[(er.endpoint, er.run)] = er
         if whole != data:
             note = f"{self.path}: dropped an unterminated last line; its run is audited again"
@@ -508,14 +509,22 @@ class Journal:
         )
 
 
-def _run_from_record(path: str, number: int, record: dict) -> EndpointRun:
+def _run_from_record(
+    path: str, number: int, record: dict, graphs: dict[str, Graph]
+) -> EndpointRun:
+    """The run a journal record holds; its graph is taken from ``graphs``
+    when an earlier record held the same text, and added to it otherwise."""
     try:
+        text = record["graph"]
+        graph = graphs.get(text)
+        if graph is None:
+            graph = graphs[text] = parse_ntriples(text)
         return EndpointRun(
             endpoint=record["endpoint"],
             run=int(record["run"]),
             timestamp=record["timestamp"],
             available=bool(record["available"]),
-            graph=parse_ntriples(record["graph"]),
+            graph=graph,
             datasets=tuple(str(dataset) for dataset in record["datasets"]),
             errors=tuple((str(stage), str(kind)) for stage, kind in record["errors"]),
         )

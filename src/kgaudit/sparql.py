@@ -357,9 +357,13 @@ class _Parser(_TokenReader):
         raise SparqlError(f"expected a term, found {tok.text!r}", tok.line)
 
 
-def parse_query(text: str) -> Query:
-    """Parse an ASK or SELECT query in the supported fragment."""
-    return _Parser(text).parse_query()
+def parse_query(text: str, prefixes: Mapping[str, str] = {}) -> Query:
+    """Parse an ASK or SELECT query in the supported fragment.
+
+    Prefixed names resolve against ``prefixes`` as if each were declared
+    before the text, which may declare more or redeclare them.
+    """
+    return _Parser(text, prefixes).parse_query()
 
 
 def parse_triple_patterns(text: str, prefixes: Mapping[str, str]) -> tuple[TriplePattern, ...]:

@@ -19,13 +19,16 @@ transcript stands in for the network.
 The transcript transport replays a recorded audit: a YAML file holds, per
 endpoint and per run, an availability flag, a timestamp and an N-Triples
 snapshot of what the endpoint would serve.  It is read with the catalog's
-YAML loader (libyaml when present) and checked field by field: a file
-that is not YAML or holds a field of the wrong type is refused with a
-``ValueError`` naming the file, endpoint and run.  The package's own
-evaluator answers the client's queries directly, paging included, which
-makes campaign runs fully deterministic; ``run_timestamp`` hands out the
-recorded timestamps (``""`` where none is recorded), where the live
-transport has none.
+YAML loader (libyaml when present) and the type of every field is checked
+at once: a file that is not YAML or holds a field of the wrong type is
+refused with a ``ValueError`` naming the file, endpoint and run.  A run's
+N-Triples are parsed, and checked, only when the run is first queried,
+each distinct text once, so a resumed campaign that sends no request
+parses none; a text that is not N-Triples raises the same kind of
+``ValueError`` then.  The package's own evaluator answers the client's
+queries directly, paging included, which makes campaign runs fully
+deterministic; ``run_timestamp`` hands out the recorded timestamps
+(``""`` where none is recorded), where the live transport has none.
 """
 
 from __future__ import annotations
@@ -243,7 +246,8 @@ def _decode_row(row: object) -> dict[str, Term]:
 class TranscriptRun:
     available: bool
     timestamp: str
-    graph: Graph
+    data: str  # N-Triples, parsed at the run's first query
+    where: str  # the file, endpoint and run, for errors
 
 
 class TranscriptTransport:
@@ -265,7 +269,13 @@ class TranscriptTransport:
     of mappings.  In a run, ``available`` is a YAML boolean (default
     true), ``timestamp`` a string (default empty; quote it, or YAML reads
     a date) and ``data`` N-Triples text (default empty).  Anything else
-    raises ``ValueError``.
+    raises ``ValueError`` when the file is loaded.  ``data`` is parsed
+    when its run is first queried, and each distinct text once, into one
+    graph that every run serving it shares; a text that is not N-Triples
+    raises ``ValueError`` then, naming the file, endpoint and run, and a
+    run that is never queried, or recorded as down, is never parsed.  Two
+    workers meeting an unparsed text at once may both parse it; they get
+    equal graphs, and one of them is kept.
 
     A campaign asking for a run beyond the recorded ones gets the last
     recorded run.  Unavailable runs refuse queries with a connection
@@ -279,6 +289,7 @@ class TranscriptTransport:
         except yaml.YAMLError as exc:
             raise ValueError(f"{path}: not valid YAML: {exc}") from None
         self._endpoints: dict[str, list[TranscriptRun]] = {}
+        self._graphs: dict[str, Graph] = {}  # by N-Triples text
         if not isinstance(doc, dict) or not isinstance(doc.get("endpoints"), dict):
             raise ValueError(f"{path}: transcript needs an 'endpoints' mapping")
         for url, spec in doc["endpoints"].items():
@@ -311,12 +322,19 @@ class TranscriptTransport:
         entry = self._run(url, run)
         if not entry.available:
             raise TransportError("connection", f"endpoint {url} is recorded as down")
-        return eval_select(entry.graph, query)
+        graph = self._graphs.get(entry.data)
+        if graph is None:
+            try:
+                graph = parse_ntriples(entry.data)
+            except ParseError as exc:
+                raise ValueError(f"{entry.where}: {exc}") from None
+            self._graphs[entry.data] = graph
+        return eval_select(graph, query)
 
 
 def _transcript_run(entry: object, where: str) -> TranscriptRun:
-    """Check and parse one recorded run; an empty entry is an available run
-    with no timestamp that serves nothing."""
+    """Check the fields of one recorded run; an empty entry is an available
+    run with no timestamp that serves nothing."""
     if entry is None:
         entry = {}
     if not isinstance(entry, dict):
@@ -324,11 +342,7 @@ def _transcript_run(entry: object, where: str) -> TranscriptRun:
     available = _run_field(entry, "available", bool, True, where, "true or false")
     timestamp = _run_field(entry, "timestamp", str, "", where, "a quoted string")
     data = _run_field(entry, "data", str, "", where, "N-Triples text")
-    try:
-        graph = parse_ntriples(data)
-    except ParseError as exc:
-        raise ValueError(f"{where}: {exc}") from None
-    return TranscriptRun(available=available, timestamp=timestamp, graph=graph)
+    return TranscriptRun(available, timestamp, data, where)
 
 
 def _run_field(entry: dict, key: str, kind: type, default, where: str, expected: str):

@@ -12,7 +12,16 @@ from pathlib import Path
 import yaml
 
 from kgaudit.catalog import default_catalog, dump_catalog, parse_catalog
-from kgaudit.rdf import BlankNode, Graph, Iri, Literal, Term, Triple, term_sort_key
+from kgaudit.rdf import (
+    BlankNode,
+    Graph,
+    Iri,
+    Literal,
+    Term,
+    Triple,
+    parse_ntriples,
+    term_sort_key,
+)
 from kgaudit.sparql import TriplePattern, UnionPattern, Variable
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -28,6 +37,20 @@ THREE_HOP_RULE = {
     "target": "?kg dcat:accessURL ?url .",
 }
 THREE_HOP_QUERY = "ASK { ?kg dct:creator ?c . ?c foaf:knows ?f . ?f foaf:name ?n . }"
+
+
+def counted_parse(monkeypatch, module) -> list[str]:
+    """The texts ``module`` parses as N-Triples from now on, in call order:
+    its global ``parse_ntriples``, the one the benchmark's tracer wraps, is
+    replaced by a recording one."""
+    parsed = []
+
+    def counting(text):
+        parsed.append(text)
+        return parse_ntriples(text)
+
+    monkeypatch.setattr(module, "parse_ntriples", counting)
+    return parsed
 
 
 def three_hop_catalog():

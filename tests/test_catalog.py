@@ -381,6 +381,29 @@ def test_query_parse_errors_name_the_question():
     assert "FILTER" in message
 
 
+def test_query_parse_error_lines_count_from_the_query():
+    def mutate(doc):
+        for q in doc["questions"]:
+            if q["id"] == "creator":
+                q["queries"] = ["ASK {\n  ?kg dct:creator ?c .\n  FILTER (?c)\n}"]
+
+    assert "question 'creator' query 1: line 3: " in _mutated(mutate)
+
+
+@pytest.mark.parametrize(
+    "name, iri, message",
+    [
+        ("spare", "not an iri", "malformed IRI"),
+        ("a b", "http://example.org/", "expected a prefix name ending in ':'"),
+    ],
+)
+def test_a_malformed_prefix_is_rejected(name, iri, message):
+    def mutate(doc):
+        doc["prefixes"][name] = iri
+
+    assert re.search(f": prefixes: line [0-9]+: .*{message}", _mutated(mutate))
+
+
 def test_question_on_undeclared_leaf_rejected():
     def mutate(doc):
         for q in doc["questions"]:

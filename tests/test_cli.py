@@ -19,9 +19,11 @@ from kgaudit.catalog import default_catalog, dump_catalog
 from kgaudit import cli, client
 from kgaudit import transport as transport_module
 from kgaudit.cli import main
+from kgaudit.rdf import load_rdf
+from kgaudit.saturation import saturate
 from kgaudit.transport import HttpTransport, TranscriptTransport, TransportError
 
-from helpers import FIXTURES, three_hop_catalog
+from helpers import FIXTURES, counted_parse, three_hop_catalog
 from test_transport import FakeResponse, ScriptedSession
 
 TRANSCRIPT = str(FIXTURES / "campaign.yaml")
@@ -259,8 +261,8 @@ def test_a_failed_report_write_keeps_the_old_file(tmp_path, monkeypatch, capsys)
 
 # Line count and SHA-256 of the report.json that `evaluate --file` writes
 # for every N-Triples fixture at once (five datasets, one file: source),
-# recorded while to_json still called json.dumps(..., indent=2).
-EVALUATE_FILE_JSON = (2964, "8aa093760e3c08db3b12b86a0d25af8185339a1dc2d2cae2f84e7f9bc4eba449")
+# recorded once its saturation block was written.
+EVALUATE_FILE_JSON = (2969, "54ff9b2ccbd74d7696e45b7c7ad31656842631db256769d7992e6a84466d449c")
 
 
 def test_evaluate_file_report_json_is_pinned(tmp_path, monkeypatch, capsys):
@@ -272,6 +274,11 @@ def test_evaluate_file_report_json_is_pinned(tmp_path, monkeypatch, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 5
     out = (tmp_path / "out" / "report.json").read_text(encoding="utf-8")
     assert (out.count("\n"), hashlib.sha256(out.encode("utf-8")).hexdigest()) == EVALUATE_FILE_JSON
+    # the saturation block counts what saturating the file's graph counts
+    _, trace = saturate(load_rdf("fixtures.nt"), default_catalog().rules)
+    assert trace.derived > 0
+    block = json.loads(out)["endpoints"]["file:fixtures.nt"]["saturation"]
+    assert block == {"input": trace.input_size, "output": trace.output_size, "derived": trace.derived}
 
 
 def test_evaluate_endpoint_report_uses_run_timestamp(tmp_path, capsys):
@@ -435,6 +442,53 @@ def test_campaign_journal_resume(tmp_path, capsys):
     assert main(args) == 0
     assert capsys.readouterr().out == first
     assert journal.read_bytes() == recorded
+
+
+def test_a_resumed_campaign_never_parses_transcript_data(tmp_path, capsys, monkeypatch):
+    doc = yaml.safe_load(Path(TRANSCRIPT).read_text(encoding="utf-8"))
+    for spec in doc["endpoints"].values():
+        for run in spec["runs"]:
+            run["data"] = "<only-a-subject>"
+    malformed = tmp_path / "malformed.yaml"
+    malformed.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    journal = tmp_path / "journal.jsonl"
+    args = ["campaign", *ENDPOINTS, "--delay", "0", "--journal", str(journal)]
+    outputs, parsed = [], []
+    for transcript, out in ((TRANSCRIPT, "valid"), (str(malformed), "malformed")):
+        parsed.append(counted_parse(monkeypatch, transport_module))
+        assert main(args + ["--transcript", transcript, "--out", str(tmp_path / out)]) == 0
+        files = {p.name: p.read_bytes() for p in sorted((tmp_path / out).iterdir())}
+        outputs.append((capsys.readouterr().out, files))
+    assert parsed[0] and parsed[1] == []
+    assert outputs[0] == outputs[1]
+    # without the journal, the same transcript is refused at its first query
+    assert main(args[:-2] + ["--transcript", str(malformed), "--workers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"kgaudit: {malformed}: endpoint {ENDPOINTS[0]} run 0: line 1: ")
+
+
+def test_campaign_parses_each_queried_text_once(tmp_path, capsys, monkeypatch):
+    # every text repeats within one endpoint only: cells of one endpoint
+    # never run at once, so no two workers can meet one unparsed text
+    doc = yaml.safe_load(Path(TRANSCRIPT).read_text(encoding="utf-8"))
+    full, sparse = (doc["endpoints"][url]["runs"][0]["data"] for url in ENDPOINTS[:2])
+    down = {"available": False, "data": "<only-a-subject>"}
+    runs = {
+        ENDPOINTS[0]: [{"data": full}, {"data": full}, down],
+        ENDPOINTS[1]: [down, {"data": sparse}],
+        ENDPOINTS[2]: [down],
+        "http://empty.example.org/sparql": [{}],
+    }
+    path = tmp_path / "repeated.yaml"
+    path.write_text(yaml.safe_dump({"endpoints": {u: {"runs": r} for u, r in runs.items()}}))
+    parsed = counted_parse(monkeypatch, transport_module)
+    args = ["campaign", *runs, "--transcript", str(path), "--delay", "0", "--workers", "4"]
+    assert main(args) == 0
+    assert sorted(parsed) == sorted([full, sparse, ""])
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "100.0%\thttp://example.org/kg/full\thttp://example.org/sparql",
+        "3.3%\thttp://example.org/kg/sparse\thttp://sparse.example.org/sparql",
+    ]
 
 
 def test_campaign_endpoints_file(tmp_path, capsys):

@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import test_route_duality as duality
 from test_transport import FakeClock, FakeResponse, ScriptedSession
-from helpers import FIXTURES, catalog_shapes, catalog_vocabulary
+from helpers import FIXTURES, catalog_shapes, catalog_vocabulary, counted_parse
 
 FULL_ENDPOINT = "http://example.org/sparql"
 SPARSE_ENDPOINT = "http://sparse.example.org/sparql"
@@ -905,6 +905,28 @@ def test_journal_resume_skips_completed_runs(tmp_path, transcript, config):
     assert counting.count == 0
     assert resumed == first
     assert journal_path.read_bytes() == recorded
+
+
+def test_journal_parses_each_repeated_text_once(tmp_path, config, monkeypatch):
+    journal_path = tmp_path / "journal.jsonl"
+    journaled = CampaignConfig(**{**config.__dict__, "journal_path": str(journal_path)})
+    first = run_campaign(journaled)
+    records = [json.loads(line)["record"] for line in journal_path.read_text().splitlines()[1:]]
+    texts = [record["graph"] for record in records]
+    assert len(set(texts)) < len(texts)
+    # each record parsed on its own, as every run's graph was before
+    expected = {
+        (r["endpoint"], r["run"]): EndpointRun(
+            r["endpoint"], r["run"], r["timestamp"], r["available"],
+            parse_ntriples(r["graph"]), tuple(r["datasets"]), tuple(map(tuple, r["errors"])),
+        )
+        for r in records
+    }
+    parsed = counted_parse(monkeypatch, client)
+    assert Journal(str(journal_path), default_catalog(), 3).load() == expected
+    assert sorted(parsed) == sorted(set(texts))
+    resumed = run_campaign(journaled)
+    assert reporting.to_json(resumed, config.catalog) == reporting.to_json(first, config.catalog)
 
 
 def test_journal_refuses_checksum_mismatch(tmp_path, config):

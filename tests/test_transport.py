@@ -39,7 +39,7 @@ from kgaudit.transport import (
     decode_results,
 )
 
-from helpers import FIXTURES
+from helpers import FIXTURES, counted_parse
 
 
 # one solution, the empty one, on any graph
@@ -472,14 +472,25 @@ def test_transcript_validation_errors(tmp_path):
     with pytest.raises(ValueError, match="non-empty 'runs'"):
         TranscriptTransport(str(empty_runs))
 
+    # data that is not N-Triples loads, and is refused at its first query,
+    # naming the file, endpoint and run; the other runs still answer
     bad_data = tmp_path / "bad3.yaml"
     bad_data.write_text(
         'endpoints:\n  "http://e.org/":\n    runs:\n'
         "      - available: true\n"
         '        data: "<only-a-subject>"\n'
+        "      - {}\n"
     )
-    with pytest.raises(ValueError, match="run 0"):
-        TranscriptTransport(str(bad_data))
+    replay = TranscriptTransport(str(bad_data))
+    message = (
+        f"{bad_data}: endpoint http://e.org/ run 0: "
+        "line 1: malformed N-Triples statement: '<only-a-subject>'"
+    )
+    for _ in range(2):
+        with pytest.raises(ValueError) as err:
+            replay.query("http://e.org/", SELECT_ALL, timeout=1.0, run=0)
+        assert str(err.value) == message
+    assert replay.query("http://e.org/", SELECT_ALL, timeout=1.0, run=1) == [{}]
 
     endpoint = 'endpoints:\n  "http://e.org/":\n'
     two_runs = endpoint + "    runs:\n      - {}\n      - "
@@ -572,7 +583,47 @@ def test_transcript_is_the_same_under_the_pure_python_loader(tmp_path, monkeypat
     pure = TranscriptTransport(str(path))
     assert len(streams) == 1
     assert pure._endpoints == picked._endpoints
-    assert sum(len(run.graph) for runs in pure._endpoints.values() for run in runs) > 0
+    rows = 0
+    for url, runs in pure._endpoints.items():
+        for run, entry in enumerate(runs):
+            if entry.available:
+                answered = pure.query(url, EVERY_TRIPLE, timeout=1.0, run=run)
+                assert answered == picked.query(url, EVERY_TRIPLE, timeout=1.0, run=run)
+                rows += len(answered)
+    assert rows > 0
+
+
+EVERY_TRIPLE = parse_query("SELECT * WHERE { ?s ?p ?o . }")
+TEXTS = [
+    "<http://e.org/a> <http://e.org/p> <http://e.org/b> .\n",
+    "<http://e.org/a> <http://e.org/p> _:b .\n",
+]
+
+
+def test_transcript_parses_each_text_once_at_its_first_query(tmp_path, monkeypatch):
+    runs = {
+        "http://one.org/": [{"data": TEXTS[0]}, {"data": TEXTS[0]}, {"available": False, "data": "<x>"}],
+        "http://two.org/": [{"data": TEXTS[0]}, {"data": TEXTS[1]}],
+    }
+    path = tmp_path / "repeated.yaml"
+    path.write_text(yaml.safe_dump({"endpoints": {u: {"runs": r} for u, r in runs.items()}}))
+    parsed = counted_parse(monkeypatch, transport_module)
+    replay = TranscriptTransport(str(path))
+    assert parsed == []
+    answers = [
+        replay.query(url, EVERY_TRIPLE, timeout=1.0, run=run)
+        for url, run in [("http://one.org/", 0), ("http://one.org/", 1), ("http://two.org/", 0)]
+    ]
+    expected = [{"s": Iri("http://e.org/a"), "p": Iri("http://e.org/p"), "o": Iri("http://e.org/b")}]
+    assert answers == [expected] * 3
+    assert parsed == [TEXTS[0]]
+    # a down run is not parsed, even when its data is not N-Triples
+    with pytest.raises(TransportError, match="recorded as down"):
+        replay.query("http://one.org/", EVERY_TRIPLE, timeout=1.0, run=2)
+    assert parsed == [TEXTS[0]]
+    (row,) = replay.query("http://two.org/", EVERY_TRIPLE, timeout=1.0, run=1)
+    assert isinstance(row["o"], BlankNode)
+    assert parsed == TEXTS
 
 
 # ---------------------------------------------------------------------------
