@@ -5,10 +5,10 @@ describes, ``evaluate`` scores datasets one-shot, ``campaign`` runs the
 full multi-run audit and writes report files, and ``catalog`` inspects
 the question catalog.  All argument validation happens before the first
 request goes out, a non-positive ``--timeout`` included; ``KGAUDIT_TIMEOUT``
-is read only by the commands that take ``--timeout``.  ``discover`` and
+is parsed only by the commands that take ``--timeout``.  ``discover`` and
 ``evaluate --endpoint`` query through :func:`~kgaudit.transport.open_layer`
-with no politeness delay and its default two retries; a campaign opens one
-layer per endpoint.
+with the timeout, no politeness delay and its default retries; a campaign
+opens one layer per endpoint.  Only ``evaluate --file`` reads the clock.
 """
 
 from __future__ import annotations
@@ -23,20 +23,25 @@ from .catalog import Catalog, CatalogError, default_catalog, load_catalog
 from .client import (
     DEFAULT_DELAY,
     DEFAULT_PAGE_SIZE,
-    DEFAULT_TIMEOUT,
     CampaignConfig,
     JournalError,
     discover_datasets,
     discover_in_graph,
     evaluate_remote_datasets,
     run_campaign,
-    utcnow,
 )
 from .rdf import Iri, ParseError, load_rdf
 from .reporting import build_report, figure_files, to_csv, to_dqv, to_json
 from .scoring import format_percent, score_datasets
 from .sparql import format_query
-from .transport import TranscriptTransport, Transport, TransportError, open_layer
+from .transport import (
+    DEFAULT_RETRIES,
+    DEFAULT_TIMEOUT,
+    TranscriptTransport,
+    TransportError,
+    open_layer,
+    utcnow,
+)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -50,23 +55,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reads ``KGAUDIT_TIMEOUT`` once a command that takes ``--timeout`` is
-    parsed without one, and not while the parsers are built."""
-
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, extras = super().parse_known_args(args, namespace)
-        if getattr(namespace, "timeout", 0) is None:
-            raw = os.environ.get("KGAUDIT_TIMEOUT")
-            try:
-                namespace.timeout = DEFAULT_TIMEOUT if raw is None else float(raw)
-            except ValueError:
-                self.error(f"KGAUDIT_TIMEOUT is not a number: {raw!r}")
-        return namespace, extras
-
-
 def _parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="kgaudit",
         description="Score how accountable RDF knowledge graphs are from their metadata.",
     )
@@ -105,7 +95,7 @@ def _parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--workers", type=int, default=4, help="requests in flight at once (default 4)"
     )
-    campaign.add_argument("--retries", type=int, default=2)
+    campaign.add_argument("--retries", type=int, default=DEFAULT_RETRIES)
     campaign.add_argument("--journal", metavar="PATH", help="journal file; resumes if present")
     campaign.add_argument("--out", metavar="DIR", help="write report files into this directory")
     campaign.add_argument(
@@ -149,9 +139,11 @@ def _add_source(parser: argparse.ArgumentParser) -> None:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--catalog", metavar="PATH", help="catalog file (default: built in)")
+    # argparse parses a string default only when a command takes and lacks the option
     parser.add_argument(
         "--timeout",
-        type=float,
+        type=_seconds,
+        default=os.environ.get("KGAUDIT_TIMEOUT", str(DEFAULT_TIMEOUT)),
         help=f"per-request timeout in seconds (default: KGAUDIT_TIMEOUT or {DEFAULT_TIMEOUT:g})",
     )
     parser.add_argument(
@@ -161,13 +153,21 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _seconds(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        message = f"not a number: {text!r} (from --timeout or KGAUDIT_TIMEOUT)"
+        raise argparse.ArgumentTypeError(message) from None
+
+
 def _load_catalog(args) -> Catalog:
     if getattr(args, "catalog", None):
         return load_catalog(args.catalog)
     return default_catalog()
 
 
-def _transport(args) -> Transport | None:
+def _transport(args) -> TranscriptTransport | None:
     """The transcript to answer from, or None to talk to the network."""
     return TranscriptTransport(args.transcript) if args.transcript else None
 
@@ -180,10 +180,8 @@ def _cmd_discover(args) -> int:
     if args.file:
         datasets = discover_in_graph(load_rdf(args.file))
     else:
-        with open_layer(_transport(args), 0.0) as transport:
-            datasets = discover_datasets(
-                transport, args.endpoint, timeout=args.timeout, run=args.run
-            )
+        with open_layer(_transport(args), 0.0, timeout=args.timeout) as transport:
+            datasets = discover_datasets(transport, args.endpoint, run=args.run)
     for dataset in datasets:
         print(dataset.value)
     return 0 if datasets else 1
@@ -202,22 +200,22 @@ def _cmd_evaluate(args) -> int:
     catalog = _load_catalog(args)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-    stamp = utcnow()
     # the file as typed, so the report does not depend on where it lives
     source = args.endpoint or "file:" + quote(args.file)
     saturation = {}  # the remote route saturates nothing
     if args.file:
+        stamp = utcnow()
         graph = load_rdf(args.file)
         datasets = _named_datasets(args) or discover_in_graph(graph)
         results, saturation[source] = score_datasets(catalog, graph, datasets)
     else:
-        with open_layer(_transport(args), 0.0) as transport:
-            stamp = transport.run_timestamp(args.endpoint, args.run) or stamp
+        with open_layer(_transport(args), 0.0, timeout=args.timeout) as transport:
+            stamp = transport.run_timestamp(args.endpoint, args.run)
             datasets = _named_datasets(args) or discover_datasets(
-                transport, args.endpoint, timeout=args.timeout, run=args.run
+                transport, args.endpoint, run=args.run
             )
             results = evaluate_remote_datasets(
-                transport, args.endpoint, catalog, datasets, timeout=args.timeout, run=args.run
+                transport, args.endpoint, catalog, datasets, run=args.run
             )
     if not results:
         print("kgaudit: no datasets to evaluate", file=sys.stderr)
@@ -254,11 +252,9 @@ def _cmd_campaign(args) -> int:
     if args.endpoints_file:
         endpoints += _read_endpoints_file(args.endpoints_file)
     if not endpoints:
-        print("kgaudit: campaign needs at least one endpoint", file=sys.stderr)
-        return 2
+        raise ValueError("campaign needs at least one endpoint")
     if args.runs < 1:
-        print("kgaudit: --runs must be at least 1", file=sys.stderr)
-        return 2
+        raise ValueError("--runs must be at least 1")
     for dataset in args.radar or ():
         try:
             Iri(dataset)

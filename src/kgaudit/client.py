@@ -52,7 +52,6 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
 from itertools import groupby
 from typing import Iterator, Mapping, Sequence
 
@@ -91,7 +90,14 @@ from .sparql import (
     parse_triple_patterns,
     pattern_variables,
 )
-from .transport import ThrottledTransport, Transport, TransportError, open_layer
+from .transport import (
+    DEFAULT_RETRIES,
+    DEFAULT_TIMEOUT,
+    ThrottledTransport,
+    Transport,
+    TransportError,
+    open_layer,
+)
 
 # Finds dataset IRIs that an endpoint both describes and links to itself.
 # The link predicate is left open: catalogues use void:sparqlEndpoint,
@@ -117,23 +123,17 @@ DATASET_CLASSES = tuple(
     branch.patterns[0].object for branch in DISCOVERY_QUERY.pattern.parts[1].branches
 )
 
-DEFAULT_TIMEOUT = 30.0
 DEFAULT_DELAY = 0.5
 DEFAULT_PAGE_SIZE = 10000
-
-def utcnow() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 # ---------------------------------------------------------------------------
 # Discovery and fetching
 
 
-def discover_datasets(
-    transport: Transport, url: str, *, timeout: float = DEFAULT_TIMEOUT, run: int = 0
-) -> list[Iri]:
+def discover_datasets(transport: Transport, url: str, *, run: int = 0) -> list[Iri]:
     """Dataset IRIs the endpoint self-describes, IRI- or literal-linked."""
-    rows = transport.query(url, _at_endpoint(DISCOVERY_QUERY, url), timeout=timeout, run=run)
+    rows = transport.query(url, _at_endpoint(DISCOVERY_QUERY, url), run=run)
     found = {row["kg"] for row in rows if isinstance(row.get("kg"), Iri)}
     return sorted(found, key=lambda iri: iri.value)
 
@@ -222,7 +222,6 @@ def fetch_metadata(
     fetch: Fetch,
     *,
     page_size: int = DEFAULT_PAGE_SIZE,
-    timeout: float = DEFAULT_TIMEOUT,
     run: int = 0,
 ) -> tuple[Graph, tuple[str, ...]]:
     """Find every dataset and fetch its description with one paged query.
@@ -244,7 +243,7 @@ def fetch_metadata(
     previous = None
     while True:
         try:
-            rows = transport.query(url, query, timeout=timeout, run=run)
+            rows = transport.query(url, query, run=run)
         except TransportError as exc:
             if response:
                 raise LaterPageError(exc.kind, f"page {response + 1} failed ({exc})") from exc
@@ -298,7 +297,6 @@ def evaluate_remote_datasets(
     catalog: Catalog,
     datasets: Sequence[Iri],
     *,
-    timeout: float = DEFAULT_TIMEOUT,
     run: int = 0,
 ) -> list[DatasetResult]:
     """Score datasets with one request per expanded query, naming them all."""
@@ -308,7 +306,7 @@ def evaluate_remote_datasets(
     for qid, select in catalog.expanded_selects.items():
         query = bind_values(select, KG.name, datasets)
         try:
-            rows = transport.query(url, query, timeout=timeout, run=run)
+            rows = transport.query(url, query, run=run)
             answers[qid] = {row.get(KG.name) for row in rows}
         except TransportError as exc:
             kind = FailureKind.TIMEOUT if exc.kind == "timeout" else FailureKind.REMOTE_ERROR
@@ -344,7 +342,6 @@ def audit_run(
     run: int,
     fetch: Fetch,
     *,
-    timeout: float = DEFAULT_TIMEOUT,
     page_size: int = DEFAULT_PAGE_SIZE,
 ) -> EndpointRun:
     """One endpoint, one run: ``fetch`` finds and fetches every dataset.
@@ -352,16 +349,12 @@ def audit_run(
     When its first page cannot reach the endpoint (a connection error or a
     timeout) the run is unavailable.  Any other failure loses the run's
     datasets and is recorded as a ``fetch`` error of an available run.
-    A replayed run keeps the transcript's stamp, ``""`` when it has none;
-    only a live run is stamped with the clock.
+    The run is stamped by the transport, before its first request: a live
+    one with the clock, a replayed one with the transcript's stamp.
     """
     timestamp = transport.run_timestamp(endpoint, run)
-    if timestamp is None:
-        timestamp = utcnow()
     try:
-        unit = fetch_metadata(
-            transport, endpoint, fetch, page_size=page_size, timeout=timeout, run=run
-        )
+        unit = fetch_metadata(transport, endpoint, fetch, page_size=page_size, run=run)
     except TransportError as exc:
         if exc.kind in ("connection", "timeout") and not isinstance(exc, LaterPageError):
             return EndpointRun(endpoint, run, timestamp, False, Graph(), ())
@@ -542,7 +535,7 @@ class CampaignConfig:
     catalog: Catalog | None = None
     runs: int = 3
     timeout: float = DEFAULT_TIMEOUT
-    retries: int = 2
+    retries: int = DEFAULT_RETRIES
     delay: float = DEFAULT_DELAY
     page_size: int = DEFAULT_PAGE_SIZE
     workers: int = 4
@@ -615,13 +608,17 @@ def _audit_cells(
     So layers are opened only while none that is open is due, and with no
     delay an endpoint's runs go back to back.  Once a cell raises, no new
     cell starts: the cells in flight finish, every open layer closes and
-    the error goes on.
+    the error of the failed cell first in campaign order (endpoint order,
+    then run) goes on.  With several workers, which cells ran, and were
+    journaled, before the stop still depends on timing.
     """
     runs = {endpoint: deque(todo) for endpoint, todo in left.items() if todo}
+    order = {endpoint: n for n, endpoint in enumerate(runs)}
     unopened = deque(runs)
     layers: dict[str, tuple[ExitStack, ThrottledTransport]] = {}  # in opening order
     in_flight: dict[Future, str] = {}
-    done: list[EndpointRun] = []
+    cells: dict[tuple[int, int], Future] = {}  # by endpoint order, then run
+    workers = config.workers
 
     def next_endpoint() -> str | None:
         busy = set(in_flight.values())
@@ -634,15 +631,15 @@ def _audit_cells(
         endpoint = unopened.popleft()
         stack = ExitStack()
         layer = stack.enter_context(
-            open_layer(config.transport, config.delay, retries=config.retries)
+            open_layer(
+                config.transport, config.delay, timeout=config.timeout, retries=config.retries
+            )
         )
         layers[endpoint] = stack, layer
         return endpoint
 
     def cell(layer: ThrottledTransport, endpoint: str, run: int) -> EndpointRun:
-        er = audit_run(
-            layer, endpoint, run, fetch, timeout=config.timeout, page_size=config.page_size
-        )
+        er = audit_run(layer, endpoint, run, fetch, page_size=config.page_size)
         if journal is not None:
             journal.append(er)
         return er
@@ -650,19 +647,23 @@ def _audit_cells(
     try:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             while True:
-                while len(in_flight) < config.workers and (endpoint := next_endpoint()):
+                while len(in_flight) < workers and (endpoint := next_endpoint()):
                     _, layer = layers[endpoint]
-                    future = pool.submit(cell, layer, endpoint, runs[endpoint].popleft())
+                    run = runs[endpoint].popleft()
+                    cells[order[endpoint], run] = future = pool.submit(cell, layer, endpoint, run)
                     in_flight[future] = endpoint
                 if not in_flight:
-                    return done
+                    break
                 finished, _ = wait(in_flight, return_when=FIRST_COMPLETED)
                 for future in finished:
                     endpoint = in_flight.pop(future)
-                    done.append(future.result())
+                    if future.exception() is not None:
+                        workers = 0  # start no new cell
                     if not runs[endpoint]:
                         layers.pop(endpoint)[0].close()
     finally:
         # after the pool has let every cell in flight finish
         for stack, _ in layers.values():
             stack.close()
+    # raises the error of the failed cell first in campaign order
+    return [cells[key].result() for key in sorted(cells)]

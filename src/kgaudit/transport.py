@@ -7,14 +7,15 @@ per attempt.  Everything that can go wrong surfaces as a
 :class:`TransportError` with a coarse kind, so callers can score a
 timeout differently from a refused connection without touching HTTP
 internals.  ``requests`` is imported only when an :class:`HttpTransport`
-is built, so replays and local evaluation never load it.
+is built, so replays and local evaluation never load it.  A transport
+owns its timeout and its run stamps.
 
 A transport makes one attempt per query.  :class:`ThrottledTransport`
 wraps one and is the only place that decides when an attempt goes out:
 it spaces attempts by the politeness delay and retries the retryable
 failures, each retry waiting that delay too.  Every command opens it the
-one way, :func:`open_layer`, which also owns the HTTP session when no
-transcript stands in for the network.
+one way, :func:`open_layer`, which also owns the HTTP session, built with
+the timeout, when no transcript stands in for the network.
 
 The transcript transport replays a recorded audit: a YAML file holds, per
 endpoint and per run, an availability flag, a timestamp and an N-Triples
@@ -26,9 +27,9 @@ N-Triples are parsed, and checked, only when the run is first queried,
 each distinct text once, so a resumed campaign that sends no request
 parses none; a text that is not N-Triples raises the same kind of
 ``ValueError`` then.  The package's own evaluator answers the client's
-queries directly, paging included, which makes campaign runs fully
-deterministic; ``run_timestamp`` hands out the recorded timestamps
-(``""`` where none is recorded), where the live transport has none.
+queries directly, paging included, and ``run_timestamp`` hands out the
+recorded timestamps (``""`` where none is recorded), which makes campaign
+runs fully deterministic: a replay never reads the clock.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import json
 import time
 from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass
+from datetime import datetime, timezone
 from typing import TYPE_CHECKING, Iterator, Protocol
 
 import yaml
@@ -50,6 +52,12 @@ if TYPE_CHECKING:
 
 ACCEPT = "application/sparql-results+json"
 USER_AGENT = "kgaudit/0.1 (+https://example.org/kgaudit)"
+DEFAULT_TIMEOUT = 30.0  # seconds an HTTP request may take
+DEFAULT_RETRIES = 2  # more attempts after a retryable failure
+
+
+def utcnow() -> str:
+    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 class TransportError(RuntimeError):
@@ -66,16 +74,16 @@ class TransportError(RuntimeError):
 
 
 class Transport(Protocol):
-    def query(
-        self, url: str, query: Query, *, timeout: float, run: int = 0
-    ) -> list[dict[str, Term]]:
+    """Answers queries and stamps runs.  How long a query may wait is the
+    transport's own setting, so no call passes a timeout."""
+
+    def query(self, url: str, query: Query, *, run: int = 0) -> list[dict[str, Term]]:
         """Answer one query; ``run`` selects the campaign run."""
         ...
 
-    def run_timestamp(self, url: str, run: int) -> str | None:
-        """When the run was recorded, for replays: ``""`` when no stamp was
-        recorded or the transcript lacks the endpoint.  None for live
-        endpoints, whose runs the caller stamps with the clock."""
+    def run_timestamp(self, url: str, run: int) -> str:
+        """When the run happened: the clock for a live endpoint; for a replay
+        the recorded stamp, ``""`` when there is none."""
         ...
 
 
@@ -95,7 +103,7 @@ class ThrottledTransport:
     two cells of one endpoint in flight.
     """
 
-    def __init__(self, inner: Transport, delay: float, *, retries: int = 2):
+    def __init__(self, inner: Transport, delay: float, *, retries: int = DEFAULT_RETRIES):
         if retries < 0:
             raise ValueError("the retry count cannot be negative")
         self._inner = inner
@@ -103,9 +111,7 @@ class ThrottledTransport:
         self._retries = retries
         self._due = 0.0
 
-    def query(
-        self, url: str, query: Query, *, timeout: float, run: int = 0
-    ) -> list[dict[str, Term]]:
+    def query(self, url: str, query: Query, *, run: int = 0) -> list[dict[str, Term]]:
         for attempt in range(self._retries + 1):
             if self._delay > 0:
                 wait = self.wait_s()
@@ -113,7 +119,7 @@ class ThrottledTransport:
                     time.sleep(wait)
                 self._due = time.monotonic() + self._delay
             try:
-                return self._inner.query(url, query, timeout=timeout, run=run)
+                return self._inner.query(url, query, run=run)
             except TransportError as exc:
                 if not exc.retryable or attempt == self._retries:
                     raise
@@ -122,19 +128,19 @@ class ThrottledTransport:
         """Seconds until the next attempt may start; 0 when it may start now."""
         return max(0.0, self._due - time.monotonic())
 
-    def run_timestamp(self, url: str, run: int) -> str | None:
+    def run_timestamp(self, url: str, run: int) -> str:
         return self._inner.run_timestamp(url, run)
 
 
 @contextmanager
 def open_layer(
-    inner: Transport | None, delay: float, *, retries: int = 2
+    inner: Transport | None, delay: float, *, timeout: float, retries: int = DEFAULT_RETRIES
 ) -> Iterator[ThrottledTransport]:
     """The request layer over ``inner``; with no ``inner``, over an HTTP
-    session of its own, closed when the block ends."""
+    session of its own with that ``timeout``, closed when the block ends."""
     with ExitStack() as stack:
         if inner is None:
-            inner = stack.enter_context(closing(HttpTransport()))
+            inner = stack.enter_context(closing(HttpTransport(timeout=timeout)))
         yield ThrottledTransport(inner, delay, retries=retries)
 
 
@@ -148,37 +154,38 @@ class HttpTransport:
     A query goes out as GET; an endpoint that rejects long URLs (414) or
     GET itself (405) is asked again once as form-encoded POST, within the
     same attempt.  A refused connection, a 429 and a 5xx answer raise a
-    retryable :class:`TransportError`; a timeout does not, since each one
-    already costs the full timeout budget.  Whether and when to try again
-    is :class:`ThrottledTransport`'s call.
+    retryable :class:`TransportError`; a wait past ``timeout`` seconds
+    does not, since it already cost that long.  Whether and when to try
+    again is :class:`ThrottledTransport`'s call.
     """
 
-    def __init__(self, *, session: requests.Session | None = None):
+    def __init__(
+        self, session: requests.Session | None = None, *, timeout: float = DEFAULT_TIMEOUT
+    ):
         import requests
 
         self.session = session or requests.Session()
+        self.timeout = timeout
 
-    def run_timestamp(self, url: str, run: int) -> str | None:
-        return None
+    def run_timestamp(self, url: str, run: int) -> str:
+        return utcnow()
 
     def close(self) -> None:
         """Close the session and the connections it keeps alive."""
         self.session.close()
 
-    def query(
-        self, url: str, query: Query, *, timeout: float, run: int = 0
-    ) -> list[dict[str, Term]]:
+    def query(self, url: str, query: Query, *, run: int = 0) -> list[dict[str, Term]]:
         import requests
 
         text = format_query(query)
         headers = {"Accept": ACCEPT, "User-Agent": USER_AGENT}
         try:
             response = self.session.get(
-                url, params={"query": text}, headers=headers, timeout=timeout
+                url, params={"query": text}, headers=headers, timeout=self.timeout
             )
             if response.status_code in (405, 414):
                 response = self.session.post(
-                    url, data={"query": text}, headers=headers, timeout=timeout
+                    url, data={"query": text}, headers=headers, timeout=self.timeout
                 )
         except requests.Timeout as exc:
             raise TransportError("timeout", str(exc)) from None
@@ -311,14 +318,9 @@ class TranscriptTransport:
         return runs[max(0, min(run, len(runs) - 1))]
 
     def run_timestamp(self, url: str, run: int) -> str:
-        try:
-            return self._run(url, run).timestamp
-        except TransportError:
-            return ""
+        return self._run(url, run).timestamp if url in self._endpoints else ""
 
-    def query(
-        self, url: str, query: Query, *, timeout: float, run: int = 0
-    ) -> list[dict[str, Term]]:
+    def query(self, url: str, query: Query, *, run: int = 0) -> list[dict[str, Term]]:
         entry = self._run(url, run)
         if not entry.available:
             raise TransportError("connection", f"endpoint {url} is recorded as down")

@@ -12,11 +12,12 @@ from pathlib import Path
 from urllib.parse import quote
 
 import pytest
+import requests
 import yaml
 
 import kgaudit
 from kgaudit.catalog import default_catalog, dump_catalog
-from kgaudit import cli, client
+from kgaudit import cli
 from kgaudit import transport as transport_module
 from kgaudit.cli import main
 from kgaudit.rdf import load_rdf
@@ -24,7 +25,7 @@ from kgaudit.saturation import saturate
 from kgaudit.transport import HttpTransport, TranscriptTransport, TransportError
 
 from helpers import FIXTURES, counted_parse, three_hop_catalog
-from test_transport import FakeResponse, ScriptedSession
+from test_transport import FakeResponse, ScriptedSession, select_body
 
 TRANSCRIPT = str(FIXTURES / "campaign.yaml")
 ENDPOINTS = [
@@ -299,6 +300,25 @@ def test_evaluate_endpoint_report_uses_run_timestamp(tmp_path, capsys):
     assert doc["generated_at"] == "2024-05-01T10:00:00Z"
 
 
+def test_evaluate_endpoint_replay_does_not_read_the_clock(tmp_path, capsys, monkeypatch):
+    # the replayed run records no timestamp, so the report has none
+    doc = yaml.safe_load(Path(TRANSCRIPT).read_text(encoding="utf-8"))
+    del doc["endpoints"][ENDPOINTS[0]]["runs"][0]["timestamp"]
+    path = tmp_path / "unstamped.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    argv = ["evaluate", "--endpoint", ENDPOINTS[0], "--transcript", str(path)]
+    read, outputs = [], []
+    for name, now in (("a", "2030-01-01T00:00:00Z"), ("b", "2031-06-15T12:30:00Z")):
+        monkeypatch.setattr(transport_module, "utcnow", lambda now=now: read.append(now) or now)
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) == 0
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        outputs.append((capsys.readouterr().out, files))
+    assert read == []
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1]["report.json"])["generated_at"] == ""
+
+
 # ---------------------------------------------------------------------------
 # the request layer in front of a live endpoint
 
@@ -315,7 +335,7 @@ def test_endpoint_commands_recover_from_one_retryable_failure(
     class FlakyOnce(TranscriptTransport):
         """Stands in for the HTTP transport: its first request meets a 503."""
 
-        def __init__(self):
+        def __init__(self, *, timeout):
             super().__init__(TRANSCRIPT)
             self.attempts = 0
             built.append(self)
@@ -335,10 +355,33 @@ def test_endpoint_commands_recover_from_one_retryable_failure(
     assert [t.attempts for t in built] == [requests + 1]
 
 
+FULL_KG_BODY = select_body({"kg": {"type": "uri", "value": "http://example.org/kg/full"}})
+
+
+def test_the_timeout_option_reaches_the_wire(monkeypatch, capsys):
+    session = ScriptedSession([FakeResponse(200, FULL_KG_BODY)])
+    monkeypatch.setattr(requests, "Session", lambda: session)
+    assert main(["discover", "--endpoint", ENDPOINTS[0], "--timeout", "7.5"]) == 0
+    assert capsys.readouterr().out == "http://example.org/kg/full\n"
+    assert session.timeouts == [7.5]
+    assert session.closed
+
+
+def test_the_timeout_variable_reaches_the_wire(monkeypatch, capsys):
+    monkeypatch.setenv("KGAUDIT_TIMEOUT", "7.5")
+    session = ScriptedSession([FakeResponse(200, FULL_KG_BODY)])
+    monkeypatch.setattr(
+        transport_module, "HttpTransport", lambda timeout: HttpTransport(session, timeout=timeout)
+    )
+    assert main(["discover", "--endpoint", ENDPOINTS[0]]) == 0
+    assert capsys.readouterr().out == "http://example.org/kg/full\n"
+    assert session.timeouts == [7.5]
+
+
 def test_evaluate_endpoint_closes_its_session_when_discovery_fails(monkeypatch, capsys):
     session = ScriptedSession([FakeResponse(404)])
     monkeypatch.setattr(
-        transport_module, "HttpTransport", lambda: HttpTransport(session=session)
+        transport_module, "HttpTransport", lambda timeout: HttpTransport(session, timeout=timeout)
     )
     assert main(["evaluate", "--endpoint", ENDPOINTS[0]]) == 2
     assert "status 404" in capsys.readouterr().err
@@ -410,7 +453,7 @@ def test_campaign_replay_does_not_read_the_clock(tmp_path, capsys, monkeypatch):
     argv += ["--transcript", TRANSCRIPT, "--delay", "0"]
     outputs = []
     for name, now in (("a", "2030-01-01T00:00:00Z"), ("b", "2031-06-15T12:30:00Z")):
-        monkeypatch.setattr(client, "utcnow", lambda now=now: now)
+        monkeypatch.setattr(transport_module, "utcnow", lambda now=now: now)
         out, journal = tmp_path / name, tmp_path / f"{name}.jsonl"
         assert main(argv + ["--out", str(out), "--journal", str(journal)]) == 0
         files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
@@ -465,6 +508,27 @@ def test_a_resumed_campaign_never_parses_transcript_data(tmp_path, capsys, monke
     assert main(args[:-2] + ["--transcript", str(malformed), "--workers", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"kgaudit: {malformed}: endpoint {ENDPOINTS[0]} run 0: line 1: ")
+
+
+def test_a_failing_campaign_names_its_first_failed_cell(tmp_path, capsys):
+    # run 0 of the first two endpoints serves malformed data; four workers
+    # audit both at once, and whichever fails first, the first endpoint's
+    # run 0 is the one named
+    doc = yaml.safe_load(Path(TRANSCRIPT).read_text(encoding="utf-8"))
+    for url in ENDPOINTS[:2]:
+        doc["endpoints"][url]["runs"][0]["data"] = "<only-a-subject>"
+    path = tmp_path / "malformed.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    argv = ["campaign", *ENDPOINTS, "--transcript", str(path), "--workers", "4", "--delay", "0"]
+    named = f"kgaudit: {path}: endpoint {ENDPOINTS[0]} run 0: line 1: "
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switching often, so cells finish in any order
+    try:
+        for _ in range(40):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith(named)
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_campaign_parses_each_queried_text_once(tmp_path, capsys, monkeypatch):

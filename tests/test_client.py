@@ -74,9 +74,9 @@ class CountingTransport:
         self.inner = inner
         self.count = 0
 
-    def query(self, url, query, *, timeout, run=0):
+    def query(self, url, query, *, run=0):
         self.count += 1
-        return self.inner.query(url, query, timeout=timeout, run=run)
+        return self.inner.query(url, query, run=run)
 
     def run_timestamp(self, url, run):
         return self.inner.run_timestamp(url, run)
@@ -86,7 +86,7 @@ class FailingTransport:
     def __init__(self, kind: str):
         self.kind = kind
 
-    def query(self, url, query, *, timeout, run=0):
+    def query(self, url, query, *, run=0):
         raise TransportError(self.kind, "scripted failure")
 
 
@@ -100,14 +100,14 @@ class FailingPage:
         self.page = page
         self.count = 0
 
-    def query(self, url, query, *, timeout, run=0):
+    def query(self, url, query, *, run=0):
         self.count += 1
         if self.count == self.page:
             raise TransportError(self.kind, "scripted failure")
-        return self.inner.query(url, query, timeout=timeout, run=run)
+        return self.inner.query(url, query, run=run)
 
     def run_timestamp(self, url, run):
-        return None
+        return ""
 
 
 def serve(path, url: str, data: str) -> TranscriptTransport:
@@ -231,8 +231,8 @@ class RowCounting(CountingTransport):
 
     rows = 0
 
-    def query(self, url, query, *, timeout, run=0):
-        answer = super().query(url, query, timeout=timeout, run=run)
+    def query(self, url, query, *, run=0):
+        answer = super().query(url, query, run=run)
         self.rows += len(answer)
         return answer
 
@@ -280,11 +280,11 @@ class Ignoring(CountingTransport):
         super().__init__(inner)
         self.modifier = modifier
 
-    def query(self, url, query, *, timeout, run=0):
+    def query(self, url, query, *, run=0):
         if self.count == 5:
             raise AssertionError("still paging after 5 requests")
         ignored = replace(query, **{self.modifier: None if self.modifier == "limit" else 0})
-        return super().query(url, ignored, timeout=timeout, run=run)
+        return super().query(url, ignored, run=run)
 
 
 @pytest.mark.parametrize("modifier, requests", [("limit", 1), ("offset", 2)])
@@ -413,11 +413,11 @@ class TimesOutOn:
         self.pattern = pattern
         self.count = 0
 
-    def query(self, url, query, *, timeout, run=0):
+    def query(self, url, query, *, run=0):
         self.count += 1
         if query.pattern.parts[-1] == self.pattern:
             raise TransportError("timeout", "scripted failure")
-        return self.inner.query(url, query, timeout=timeout, run=run)
+        return self.inner.query(url, query, run=run)
 
 
 def test_a_failed_request_fails_its_query_for_every_dataset(tmp_path):
@@ -684,15 +684,15 @@ class ClosableTranscript(CountingTransport):
 
     built: list = []
 
-    def __init__(self):
+    def __init__(self, *, timeout):
         super().__init__(TranscriptTransport(str(FIXTURES / "campaign.yaml")))
         self.urls: set[str] = set()
         self.closed = False
         ClosableTranscript.built.append(self)
 
-    def query(self, url, query, *, timeout, run=0):
+    def query(self, url, query, *, run=0):
         self.urls.add(url)
-        return super().query(url, query, timeout=timeout, run=run)
+        return super().query(url, query, run=run)
 
     def close(self):
         self.closed = True
@@ -736,7 +736,7 @@ class Watch:
         self.overlapped: set[str] = set()
         self.asked: list[str] = []
 
-    def __call__(self) -> "Watched":
+    def __call__(self, *, timeout) -> "Watched":
         with self.lock:
             self.closes.append(0)
             self.most_open = max(self.most_open, self.closes.count(0))
@@ -750,7 +750,7 @@ class Watched:
         self.watch = watch
         self.index = index
 
-    def query(self, url, query, *, timeout, run=0):
+    def query(self, url, query, *, run=0):
         watch = self.watch
         with watch.lock:
             watch.asked.append(url)
@@ -760,7 +760,7 @@ class Watched:
         try:
             if url == watch.failing:
                 raise RuntimeError(f"scripted bug at {url}")
-            return watch.transcript.query(url, query, timeout=timeout, run=run)
+            return watch.transcript.query(url, query, run=run)
         finally:
             with watch.lock:
                 watch.in_flight[url] -= 1

@@ -32,11 +32,13 @@ from kgaudit.client import (
 from kgaudit.rdf import BlankNode, Graph, Iri, Literal
 from kgaudit.sparql import bind_values, format_query, parse_query
 from kgaudit.transport import (
+    DEFAULT_TIMEOUT,
     HttpTransport,
     ThrottledTransport,
     TranscriptTransport,
     TransportError,
     decode_results,
+    open_layer,
 )
 
 from helpers import FIXTURES, counted_parse
@@ -135,24 +137,27 @@ class FakeResponse:
 
 
 class ScriptedSession:
-    """Pops one scripted step per request; exceptions are raised."""
+    """Pops one scripted step per request; exceptions are raised.  Records
+    each request's verb and the timeout it was sent with."""
 
     def __init__(self, steps):
         self.steps = list(steps)
         self.calls: list[str] = []
+        self.timeouts: list[float] = []
         self.closed = False
 
     def close(self):
         self.closed = True
 
-    def get(self, url, **kwargs):
-        return self._next("get")
+    def get(self, url, *, timeout, **kwargs):
+        return self._next("get", timeout)
 
-    def post(self, url, **kwargs):
-        return self._next("post")
+    def post(self, url, *, timeout, **kwargs):
+        return self._next("post", timeout)
 
-    def _next(self, verb):
+    def _next(self, verb, timeout):
         self.calls.append(verb)
+        self.timeouts.append(timeout)
         step = self.steps.pop(0)
         if isinstance(step, Exception):
             raise step
@@ -162,16 +167,33 @@ class ScriptedSession:
 def test_http_get_success():
     session = ScriptedSession([FakeResponse(200, select_body(ROW))])
     transport = HttpTransport(session=session)
-    assert transport.query("http://e.org/sparql", SELECT_ALL, timeout=1.0) == ROWS
+    assert transport.query("http://e.org/sparql", SELECT_ALL) == ROWS
     assert session.calls == ["get"]
+    assert session.timeouts == [DEFAULT_TIMEOUT]
 
 
 @pytest.mark.parametrize("status", [405, 414])
 def test_http_falls_back_to_post(status):
     session = ScriptedSession([FakeResponse(status), FakeResponse(200, select_body())])
-    transport = HttpTransport(session=session)
-    assert transport.query("http://e.org/sparql", SELECT_ALL, timeout=1.0) == []
+    transport = HttpTransport(session=session, timeout=7.5)
+    assert transport.query("http://e.org/sparql", SELECT_ALL) == []
     assert session.calls == ["get", "post"]
+    assert session.timeouts == [7.5, 7.5]
+
+
+def test_open_layer_hands_its_timeout_to_the_http_transport(monkeypatch):
+    session = ScriptedSession([FakeResponse(200, select_body(ROW))])
+    monkeypatch.setattr(requests, "Session", lambda: session)
+    with open_layer(None, 0, timeout=7.5) as layer:
+        assert layer.query("http://e.org/sparql", SELECT_ALL) == ROWS
+    assert session.timeouts == [7.5]
+    assert session.closed
+
+
+def test_http_stamps_a_run_with_the_clock(monkeypatch):
+    monkeypatch.setattr(transport_module, "utcnow", lambda: "2030-01-01T00:00:00Z")
+    transport = HttpTransport(session=ScriptedSession([]))
+    assert transport.run_timestamp("http://e.org/sparql", 0) == "2030-01-01T00:00:00Z"
 
 
 def test_http_retries_server_errors_then_succeeds():
@@ -179,7 +201,7 @@ def test_http_retries_server_errors_then_succeeds():
         [FakeResponse(500), FakeResponse(503), FakeResponse(200, select_body(ROW))]
     )
     transport = ThrottledTransport(HttpTransport(session=session), 0, retries=2)
-    assert transport.query("http://e.org/sparql", SELECT_ALL, timeout=1.0) == ROWS
+    assert transport.query("http://e.org/sparql", SELECT_ALL) == ROWS
     assert session.calls == ["get", "get", "get"]
 
 
@@ -187,7 +209,7 @@ def test_http_retry_budget_exhausted():
     session = ScriptedSession([FakeResponse(500), FakeResponse(500)])
     transport = ThrottledTransport(HttpTransport(session=session), 0, retries=1)
     with pytest.raises(TransportError) as err:
-        transport.query("http://e.org/sparql", SELECT_ALL, timeout=1.0)
+        transport.query("http://e.org/sparql", SELECT_ALL)
     assert err.value.kind == "http"
     assert err.value.retryable
     assert session.calls == ["get", "get"]
@@ -197,7 +219,7 @@ def test_http_without_retries_tries_once():
     session = ScriptedSession([FakeResponse(500), FakeResponse(200, select_body(ROW))])
     transport = ThrottledTransport(HttpTransport(session=session), 0, retries=0)
     with pytest.raises(TransportError):
-        transport.query("http://e.org/sparql", SELECT_ALL, timeout=1.0)
+        transport.query("http://e.org/sparql", SELECT_ALL)
     assert session.calls == ["get"]
 
 
@@ -215,14 +237,14 @@ def test_http_close_closes_the_session():
 def test_http_429_is_retried():
     session = ScriptedSession([FakeResponse(429), FakeResponse(200, select_body(ROW))])
     transport = ThrottledTransport(HttpTransport(session=session), 0, retries=1)
-    assert transport.query("http://e.org/sparql", SELECT_ALL, timeout=1.0) == ROWS
+    assert transport.query("http://e.org/sparql", SELECT_ALL) == ROWS
 
 
 def test_http_timeout_is_not_retried():
     session = ScriptedSession([requests.Timeout("too slow"), FakeResponse(200, select_body(ROW))])
     transport = ThrottledTransport(HttpTransport(session=session), 0, retries=3)
     with pytest.raises(TransportError) as err:
-        transport.query("http://e.org/sparql", SELECT_ALL, timeout=1.0)
+        transport.query("http://e.org/sparql", SELECT_ALL)
     assert err.value.kind == "timeout"
     assert session.calls == ["get"]
 
@@ -232,7 +254,7 @@ def test_http_connection_error_is_retried():
         [requests.ConnectionError("refused"), FakeResponse(200, select_body(ROW))]
     )
     transport = ThrottledTransport(HttpTransport(session=session), 0, retries=1)
-    assert transport.query("http://e.org/sparql", SELECT_ALL, timeout=1.0) == ROWS
+    assert transport.query("http://e.org/sparql", SELECT_ALL) == ROWS
     assert session.calls == ["get", "get"]
 
 
@@ -240,7 +262,7 @@ def test_http_client_error_is_not_retried():
     session = ScriptedSession([FakeResponse(404)])
     transport = ThrottledTransport(HttpTransport(session=session), 0, retries=3)
     with pytest.raises(TransportError) as err:
-        transport.query("http://e.org/sparql", SELECT_ALL, timeout=1.0)
+        transport.query("http://e.org/sparql", SELECT_ALL)
     assert err.value.kind == "http"
     assert not err.value.retryable
     assert session.calls == ["get"]
@@ -249,7 +271,7 @@ def test_http_client_error_is_not_retried():
 def test_http_makes_one_attempt():
     session = ScriptedSession([FakeResponse(503), FakeResponse(200, select_body(ROW))])
     with pytest.raises(TransportError) as err:
-        HttpTransport(session=session).query("http://e.org/sparql", SELECT_ALL, timeout=1.0)
+        HttpTransport(session=session).query("http://e.org/sparql", SELECT_ALL)
     assert err.value.retryable
     assert session.calls == ["get"]
 
@@ -301,9 +323,9 @@ class Counting:
         self.inner = inner
         self.attempts = 0
 
-    def query(self, url, query, *, timeout, run=0):
+    def query(self, url, query, *, run=0):
         self.attempts += 1
-        return self.inner.query(url, query, timeout=timeout, run=run)
+        return self.inner.query(url, query, run=run)
 
     def run_timestamp(self, url, run):
         return self.inner.run_timestamp(url, run)
@@ -311,11 +333,11 @@ class Counting:
 
 def test_throttled_transport_spaces_requests(clock, transcript):
     throttled = ThrottledTransport(transcript, 0.05)
-    throttled.query(ENDPOINT, SELECT_ALL, timeout=1.0)
-    throttled.query(ENDPOINT, SELECT_ALL, timeout=1.0)
+    throttled.query(ENDPOINT, SELECT_ALL)
+    throttled.query(ENDPOINT, SELECT_ALL)
     assert clock.sleeps == [pytest.approx(0.05)]
     clock.now += 1.0  # well past the due time
-    throttled.query(ENDPOINT, SELECT_ALL, timeout=1.0)
+    throttled.query(ENDPOINT, SELECT_ALL)
     assert len(clock.sleeps) == 1
 
 
@@ -324,7 +346,7 @@ def test_throttled_retry_waits_the_delay(clock):
         [FakeResponse(503), FakeResponse(429), FakeResponse(200, select_body(ROW))]
     )
     transport = ThrottledTransport(HttpTransport(session=session), 0.5, retries=2)
-    assert transport.query("http://e.org/sparql", SELECT_ALL, timeout=1.0) == ROWS
+    assert transport.query("http://e.org/sparql", SELECT_ALL) == ROWS
     assert session.calls == ["get", "get", "get"]
     assert clock.sleeps == [0.5, 0.5]
 
@@ -334,7 +356,7 @@ def test_throttled_retries_a_retryable_failure_retries_times(clock, retries):
     session = ScriptedSession([FakeResponse(503)] * (retries + 1))
     transport = ThrottledTransport(HttpTransport(session=session), 0.25, retries=retries)
     with pytest.raises(TransportError) as err:
-        transport.query("http://e.org/sparql", SELECT_ALL, timeout=1.0)
+        transport.query("http://e.org/sparql", SELECT_ALL)
     assert err.value.retryable
     assert session.calls == ["get"] * (retries + 1)
     assert clock.sleeps == [0.25] * retries
@@ -344,7 +366,7 @@ def test_throttled_tries_a_non_retryable_failure_once(clock):
     session = ScriptedSession([FakeResponse(404), FakeResponse(200, select_body(ROW))])
     transport = ThrottledTransport(HttpTransport(session=session), 0.5, retries=2)
     with pytest.raises(TransportError):
-        transport.query("http://e.org/sparql", SELECT_ALL, timeout=1.0)
+        transport.query("http://e.org/sparql", SELECT_ALL)
     assert session.calls == ["get"]
     assert clock.sleeps == []
 
@@ -353,7 +375,7 @@ def test_throttled_tries_a_transcript_down_run_once(clock, transcript):
     counting = Counting(transcript)
     transport = ThrottledTransport(counting, 0.5, retries=2)
     with pytest.raises(TransportError) as err:
-        transport.query(ENDPOINT, SELECT_ALL, timeout=1.0, run=1)
+        transport.query(ENDPOINT, SELECT_ALL, run=1)
     assert err.value.kind == "connection" and not err.value.retryable
     assert counting.attempts == 1
     assert clock.sleeps == []
@@ -395,8 +417,8 @@ def test_http_round_trip_over_localhost():
         def do_GET(self):
             self.reply(200, select_body(ROW))
 
-    with local_server(Handler) as url, closing(HttpTransport()) as transport:
-        assert transport.query(url, SELECT_ALL, timeout=5.0) == ROWS
+    with local_server(Handler) as url, closing(HttpTransport(timeout=5.0)) as transport:
+        assert transport.query(url, SELECT_ALL) == ROWS
 
 
 def test_http_malformed_body_over_localhost():
@@ -404,9 +426,9 @@ def test_http_malformed_body_over_localhost():
         def do_GET(self):
             self.reply(200, "<html>this is not sparql json</html>")
 
-    with local_server(Handler) as url, closing(HttpTransport()) as transport:
+    with local_server(Handler) as url, closing(HttpTransport(timeout=5.0)) as transport:
         with pytest.raises(TransportError) as err:
-            transport.query(url, SELECT_ALL, timeout=5.0)
+            transport.query(url, SELECT_ALL)
         assert err.value.kind == "malformed"
 
 
@@ -424,24 +446,24 @@ def transcript() -> TranscriptTransport:
 
 def test_transcript_ask(transcript):
     query = parse_query("SELECT ?p WHERE { <http://example.org/kg/full> ?p ?o . }")
-    assert transcript.query(ENDPOINT, query, timeout=1.0, run=0)
+    assert transcript.query(ENDPOINT, query, run=0)
 
 
 def test_transcript_unavailable_run(transcript):
     with pytest.raises(TransportError) as err:
-        transcript.query(ENDPOINT, SELECT_ALL, timeout=1.0, run=1)
+        transcript.query(ENDPOINT, SELECT_ALL, run=1)
     assert err.value.kind == "connection"
 
 
 def test_transcript_run_index_clamps(transcript):
     # run 7 does not exist; the last recorded run answers
-    assert transcript.query(ENDPOINT, SELECT_ALL, timeout=1.0, run=7) == [{}]
+    assert transcript.query(ENDPOINT, SELECT_ALL, run=7) == [{}]
     assert transcript.run_timestamp(ENDPOINT, 7) == "2024-05-03T10:00:00Z"
 
 
 def test_transcript_unknown_endpoint(transcript):
     with pytest.raises(TransportError) as err:
-        transcript.query("http://nowhere.example.org/", SELECT_ALL, timeout=1.0)
+        transcript.query("http://nowhere.example.org/", SELECT_ALL)
     assert err.value.kind == "connection"
     assert transcript.run_timestamp("http://nowhere.example.org/", 0) == ""
 
@@ -453,12 +475,12 @@ def test_transcript_timestamps(transcript):
 
 def test_transcript_select_with_modifiers(transcript):
     base = parse_query("SELECT ?p ?o WHERE { <http://example.org/kg/full> ?p ?o . }")
-    everything = transcript.query(ENDPOINT, base, timeout=1.0, run=0)
-    page = transcript.query(ENDPOINT, replace(base, limit=5, offset=5), timeout=1.0, run=0)
+    everything = transcript.query(ENDPOINT, base, run=0)
+    page = transcript.query(ENDPOINT, replace(base, limit=5, offset=5), run=0)
     assert len(page) == 5
     assert page == everything[5:10]
     beyond = replace(base, limit=5, offset=9999)
-    assert transcript.query(ENDPOINT, beyond, timeout=1.0, run=0) == []
+    assert transcript.query(ENDPOINT, beyond, run=0) == []
 
 
 def test_transcript_validation_errors(tmp_path):
@@ -488,9 +510,9 @@ def test_transcript_validation_errors(tmp_path):
     )
     for _ in range(2):
         with pytest.raises(ValueError) as err:
-            replay.query("http://e.org/", SELECT_ALL, timeout=1.0, run=0)
+            replay.query("http://e.org/", SELECT_ALL, run=0)
         assert str(err.value) == message
-    assert replay.query("http://e.org/", SELECT_ALL, timeout=1.0, run=1) == [{}]
+    assert replay.query("http://e.org/", SELECT_ALL, run=1) == [{}]
 
     endpoint = 'endpoints:\n  "http://e.org/":\n'
     two_runs = endpoint + "    runs:\n      - {}\n      - "
@@ -520,7 +542,7 @@ def test_transcript_validation_errors(tmp_path):
     replay = TranscriptTransport(str(defaults))
     for run in (0, 1):
         assert replay.run_timestamp("http://e.org/", run) == ""
-        assert replay.query("http://e.org/", SELECT_ALL, timeout=1.0, run=run) == [{}]
+        assert replay.query("http://e.org/", SELECT_ALL, run=run) == [{}]
 
 
 # ---------------------------------------------------------------------------
@@ -587,8 +609,8 @@ def test_transcript_is_the_same_under_the_pure_python_loader(tmp_path, monkeypat
     for url, runs in pure._endpoints.items():
         for run, entry in enumerate(runs):
             if entry.available:
-                answered = pure.query(url, EVERY_TRIPLE, timeout=1.0, run=run)
-                assert answered == picked.query(url, EVERY_TRIPLE, timeout=1.0, run=run)
+                answered = pure.query(url, EVERY_TRIPLE, run=run)
+                assert answered == picked.query(url, EVERY_TRIPLE, run=run)
                 rows += len(answered)
     assert rows > 0
 
@@ -611,7 +633,7 @@ def test_transcript_parses_each_text_once_at_its_first_query(tmp_path, monkeypat
     replay = TranscriptTransport(str(path))
     assert parsed == []
     answers = [
-        replay.query(url, EVERY_TRIPLE, timeout=1.0, run=run)
+        replay.query(url, EVERY_TRIPLE, run=run)
         for url, run in [("http://one.org/", 0), ("http://one.org/", 1), ("http://two.org/", 0)]
     ]
     expected = [{"s": Iri("http://e.org/a"), "p": Iri("http://e.org/p"), "o": Iri("http://e.org/b")}]
@@ -619,9 +641,9 @@ def test_transcript_parses_each_text_once_at_its_first_query(tmp_path, monkeypat
     assert parsed == [TEXTS[0]]
     # a down run is not parsed, even when its data is not N-Triples
     with pytest.raises(TransportError, match="recorded as down"):
-        replay.query("http://one.org/", EVERY_TRIPLE, timeout=1.0, run=2)
+        replay.query("http://one.org/", EVERY_TRIPLE, run=2)
     assert parsed == [TEXTS[0]]
-    (row,) = replay.query("http://two.org/", EVERY_TRIPLE, timeout=1.0, run=1)
+    (row,) = replay.query("http://two.org/", EVERY_TRIPLE, run=1)
     assert isinstance(row["o"], BlankNode)
     assert parsed == TEXTS
 
@@ -667,7 +689,7 @@ class Recording:
     def __init__(self):
         self.sent = []
 
-    def query(self, url, query, *, timeout, run=0):
+    def query(self, url, query, *, run=0):
         self.sent.append(query)
         return []
 
@@ -710,6 +732,6 @@ def test_http_sends_the_formatted_query():
             self.reply(200, select_body({"kg": {"type": "uri", "value": WIRE_DATASETS[0].value}}))
 
     query = wire_queries()[0]
-    with local_server(Handler) as url, closing(HttpTransport()) as transport:
-        assert transport.query(url, query, timeout=5.0) == [{"kg": WIRE_DATASETS[0]}]
+    with local_server(Handler) as url, closing(HttpTransport(timeout=5.0)) as transport:
+        assert transport.query(url, query) == [{"kg": WIRE_DATASETS[0]}]
     assert received == [format_query(query)]
