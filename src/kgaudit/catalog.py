@@ -113,6 +113,12 @@ class EquivalenceRule:
     id: str
     source: tuple[TriplePattern, ...]
     target: tuple[TriplePattern, ...]
+    # ``source`` as one basic graph pattern, which keeps its join plans
+    # from one saturation to the next; no part of equality or repr.
+    source_bgp: Bgp = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "source_bgp", Bgp(self.source))
 
 
 @dataclass(frozen=True)
@@ -144,16 +150,17 @@ class Catalog:
     # The vocabulary-expanded query of each plain-BGP query id, computed once
     # by ``parse_catalog``.
     expanded: Mapping[str, Query]
-    # Both forms as ``SELECT DISTINCT ?kg``, also built once: scoring binds
-    # ?kg to the datasets with VALUES and asks the compact form of a
-    # saturated graph, the expanded form of an endpoint.
-    compact_selects: Mapping[str, Query]
+    # The expanded form as ``SELECT DISTINCT ?kg``, also built once: the
+    # remote route binds ?kg to the datasets with VALUES and asks it of an
+    # endpoint.
     expanded_selects: Mapping[str, Query]
     prefixes: Mapping[str, str] = field(default_factory=dict)
     # Derived from the hierarchy by ``parse_catalog`` once the catalog has
     # validated (None only while it validates), so it takes no part in
     # equality or repr.
     plan: ScoringPlan | None = field(default=None, compare=False, repr=False)
+    # ``content_hash()``, made on its first call.
+    _hash: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def steps(self) -> tuple[HierarchyNode, ...]:
         return self.root.children
@@ -188,7 +195,11 @@ class Catalog:
                 yield q, cq
 
     def content_hash(self) -> str:
-        return hashlib.sha256(dump_catalog(self).encode("utf-8")).hexdigest()
+        """SHA-256 of the catalog's canonical dump."""
+        if self._hash is None:
+            digest = hashlib.sha256(dump_catalog(self).encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_hash", digest)
+        return self._hash
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +303,6 @@ def parse_catalog(text: str, source: str = "<string>") -> Catalog:
         root=root,
         rules=rules,
         expanded=expanded,
-        compact_selects=_selects(compact),
         expanded_selects=_selects(expanded),
         prefixes=dict(prefixes),
     )

@@ -576,7 +576,8 @@ def run_campaign(config: CampaignConfig) -> Report:
         for endpoint in endpoints
     }
     all_runs = list(completed.values())
-    all_runs += _audit_cells(config, left, build_fetch(catalog), journal)
+    if any(left.values()):
+        all_runs += _audit_cells(config, left, build_fetch(catalog), journal)
     all_runs.sort(key=lambda er: (er.endpoint, er.run))
 
     results, saturation, records = {}, {}, []

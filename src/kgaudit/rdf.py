@@ -262,6 +262,10 @@ class Graph:
                 continue
             yield t
 
+    def has_predicate(self, predicate: Term) -> bool:
+        """True when some triple has this predicate."""
+        return predicate in self._by_predicate
+
     def terms(self) -> set[Term]:
         """All terms occurring in any position."""
         out: set[Term] = set()
@@ -311,10 +315,11 @@ _ECHAR_ENCODE = {
     "\b": "\\b",
     "\f": "\\f",
 }
+_ECHAR_TABLE = str.maketrans(_ECHAR_ENCODE)
 
 
 def _escape_literal(text: str) -> str:
-    return "".join(_ECHAR_ENCODE.get(c, c) for c in text)
+    return text.translate(_ECHAR_TABLE)
 
 
 def _code_point(digits: str) -> str:

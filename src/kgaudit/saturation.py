@@ -45,7 +45,7 @@ def saturate(
     work = graph.copy()
     firings = {rule.id: 0 for rule in rules}
     for rule in rules:
-        for solution in eval_bgp(graph, rule.source):
+        for solution in eval_bgp(graph, rule.source_bgp):
             added = 0
             for tp in rule.target:
                 triple = _instantiate(tp, solution)

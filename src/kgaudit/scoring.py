@@ -1,12 +1,12 @@
 """From query answers to hierarchical accountability scores.
 
-Each catalog query is asked once for a whole set of datasets, as
-``SELECT DISTINCT ?kg`` with ?kg bound to them by VALUES; a dataset
-satisfies the query when the answer holds it.  Locally a graph (a file,
-or what a campaign fetched from one endpoint) is saturated once and asked
-the compact form (:func:`score_datasets`); the remote route asks an
-endpoint the expanded form and hands its answers to
-:func:`results_from_answers` too.
+Each catalog query is asked once for a whole set of datasets: which of
+them, bound to ?kg, give it a solution.  Locally a graph (a file, or what
+a campaign fetched from one endpoint) is saturated once and asked the
+compact form (:func:`score_datasets`); the remote route asks an endpoint
+the expanded form as ``SELECT DISTINCT ?kg`` with ?kg bound to the
+datasets by VALUES, and hands its answers to :func:`results_from_answers`
+too.
 
 Scores are exact rationals all the way up: a question is the mean of its
 query outcomes, a leaf is the weighted mean of its questions, and every
@@ -29,7 +29,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 from .catalog import KG, Catalog
 from .rdf import Graph, Iri, Term
 from .saturation import SaturationTrace, saturate
-from .sparql import bind_values, eval_select
+from .sparql import values_with_solution
 
 
 class FailureKind(Enum):
@@ -129,10 +129,10 @@ def score_datasets(
     """Score datasets of one local graph: saturate it, then ask each
     compact query once for all of them.  Also returns how saturation went."""
     saturated, trace = saturate(graph, catalog.rules)
-    answers = {}
-    for qid, select in catalog.compact_selects.items():
-        rows = eval_select(saturated, bind_values(select, KG.name, datasets))
-        answers[qid] = {row[KG.name] for row in rows}
+    answers = {
+        cq.id: set(values_with_solution(saturated, cq.query.pattern, KG.name, datasets))
+        for _, cq in catalog.queries()
+    }
     return results_from_answers(catalog, datasets, answers), trace
 
 

@@ -18,16 +18,22 @@ forms of VALUES the fragment lacks: several variables, ``UNDEF``, and
 inline data anywhere but at the head of a group.
 
 Evaluation implements natural-join semantics over an in-memory graph with
-distinct solutions.  Patterns inside a BGP are tried most-selective-first,
-counting bound positions under the bindings accumulated so far.  A SELECT
-that projects only the variable its leading inline data binds asks, in
-effect, which of those values have a solution; it stops at the first
-solution of each.
+distinct solutions.  Each call first prunes the pattern for the graph in
+hand: a BGP or UNION branch with a constant predicate no triple has is
+dropped, and a sequence holding one, or a query pruned to nothing, has no
+solution.  Inside a BGP the pattern with the most bound positions is
+joined first, the earliest on a tie; that order depends only on the names
+bound when the BGP starts, so it is planned once per BGP and set of bound
+names and kept on the :class:`Bgp`.  :func:`values_with_solution` asks
+which values of one variable have a solution, stopping at the first
+solution of each; it answers a SELECT that projects only the variable its
+leading inline data binds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Union as TypingUnion
 
 from .rdf import (
@@ -91,6 +97,10 @@ class Bgp:
     """A basic graph pattern: a conjunction of triple patterns."""
 
     patterns: tuple[TriplePattern, ...] = ()
+    # Join plans by the names bound at the start, made when first needed
+    # (threads that race make equal plans); like ``Catalog.plan``, no part
+    # of equality, hash or repr.
+    plans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -537,81 +547,117 @@ def _substitute_term(term: PatternTerm, values: Mapping[str, Term]) -> PatternTe
 # Solutions and evaluation
 
 
-def _resolve(term: PatternTerm, binding: Mapping[str, Term]) -> Term | None:
-    """Concrete term for a pattern position, or None when still free."""
-    if isinstance(term, Variable):
-        return binding.get(term.name)
-    return term
+def _plan(bgp: Bgp, bound: frozenset[str]) -> tuple[tuple, ...]:
+    """The join order of ``bgp`` when the names ``bound`` are bound at its
+    start: each time the pattern with the most bound positions, the earliest
+    on a tie.  A step holds the (subject, predicate, object) to match, None
+    where the binding supplies the term; the positions the binding supplies;
+    those that bind a new name; and those that must equal an earlier one."""
+    steps, left, known = [], list(bgp.patterns), set(bound)
+
+    def boundness(i: int) -> tuple[int, int]:
+        positions = left[i].positions()
+        return sum(not isinstance(pos, Variable) or pos.name in known for pos in positions), -i
+
+    while left:
+        match, supplied, new, same, first = [], [], [], [], {}
+        for i, pos in enumerate(left.pop(max(range(len(left)), key=boundness)).positions()):
+            match.append(None if isinstance(pos, Variable) else pos)
+            if not isinstance(pos, Variable):
+                continue
+            if pos.name in known:
+                supplied.append((i, pos.name))
+            elif pos.name in first:
+                same.append((i, first[pos.name]))
+            else:
+                first[pos.name] = i
+                new.append((i, pos.name))
+        known.update(first)
+        steps.append((tuple(match), tuple(supplied), tuple(new), tuple(same)))
+    return tuple(steps)
 
 
-def _boundness(tp: TriplePattern, binding: Mapping[str, Term]) -> int:
-    count = 0
-    for pos in tp.positions():
-        if not isinstance(pos, Variable) or pos.name in binding:
-            count += 1
-    return count
-
-
-def _gen_bgp(
-    g: Graph, patterns: list[TriplePattern], binding: dict[str, Term]
+def _walk(
+    g: Graph, steps: tuple[tuple, ...], depth: int, binding: dict[str, Term]
 ) -> Iterator[dict[str, Term]]:
-    if not patterns:
-        yield binding
-        return
-    best = max(range(len(patterns)), key=lambda i: (_boundness(patterns[i], binding), -i))
-    tp = patterns[best]
-    rest = patterns[:best] + patterns[best + 1 :]
-    s = _resolve(tp.subject, binding)
-    p = _resolve(tp.predicate, binding)
-    o = _resolve(tp.object, binding)
-    for triple in g.match(s, p, o):
+    match, supplied, new, same = steps[depth]
+    if supplied:
+        match = list(match)
+        for i, name in supplied:
+            match[i] = binding[name]
+    last = depth + 1 == len(steps)
+    for triple in g.match(*match):
+        if same and any(triple[i] != triple[j] for i, j in same):
+            continue
         extended = dict(binding)
-        ok = True
-        for pos, value in zip(tp.positions(), (triple.subject, triple.predicate, triple.object)):
-            if isinstance(pos, Variable):
-                if extended.get(pos.name, value) != value:
-                    ok = False
-                    break
-                extended[pos.name] = value
-        if ok:
-            yield from _gen_bgp(g, rest, extended)
+        for i, name in new:
+            extended[name] = triple[i]
+        if last:
+            yield extended
+        else:
+            yield from _walk(g, steps, depth + 1, extended)
 
 
 def _gen(g: Graph, pattern: GroupPattern, binding: dict[str, Term]) -> Iterator[dict[str, Term]]:
     if isinstance(pattern, Bgp):
-        yield from _gen_bgp(g, list(pattern.patterns), binding)
-    elif isinstance(pattern, UnionPattern):
-        for branch in pattern.branches:
-            yield from _gen(g, branch, binding)
-    elif isinstance(pattern, InlineData):
+        bound = frozenset(binding)
+        steps = pattern.plans.get(bound)
+        if steps is None:
+            steps = pattern.plans[bound] = _plan(pattern, bound)
+        return _walk(g, steps, 0, binding) if steps else iter((binding,))
+    if isinstance(pattern, UnionPattern):
+        return chain.from_iterable(_gen(g, branch, binding) for branch in pattern.branches)
+    if isinstance(pattern, InlineData):
         bound = binding.get(pattern.variable)
-        for value in pattern.values:
-            if bound is None:
-                yield {**binding, pattern.variable: value}
-            elif bound == value:
-                yield binding
-    else:
-        yield from _gen_seq(g, list(pattern.parts), binding)
+        if bound is None:
+            return ({**binding, pattern.variable: value} for value in pattern.values)
+        return (binding for value in pattern.values if value == bound)
+    return _gen_seq(g, pattern.parts, binding)
 
 
 def _gen_seq(
-    g: Graph, parts: list[GroupPattern], binding: dict[str, Term]
+    g: Graph, parts: tuple[GroupPattern, ...], binding: dict[str, Term]
 ) -> Iterator[dict[str, Term]]:
-    if not parts:
-        yield binding
-        return
-    head, rest = parts[0], parts[1:]
-    for solution in _gen(g, head, binding):
-        yield from _gen_seq(g, rest, solution)
+    if len(parts) < 2:
+        return _gen(g, parts[0], binding) if parts else iter((binding,))
+    rest = parts[1:]
+    return (solution for head in _gen(g, parts[0], binding) for solution in _gen_seq(g, rest, head))
 
 
-def eval_bgp(g: Graph, patterns: Iterable[TriplePattern]) -> list[dict[str, Term]]:
-    """Distinct solutions of a basic graph pattern, natural-join semantics."""
-    pattern_list = list(patterns)
-    positions = [pos for tp in pattern_list for pos in tp.positions()]
+def _prune(g: Graph, pattern: GroupPattern) -> GroupPattern | None:
+    """``pattern`` without the BGPs and UNION branches that name a predicate
+    no triple of ``g`` has; None when no solution is left."""
+    if isinstance(pattern, Bgp):
+        for tp in pattern.patterns:
+            if not isinstance(tp.predicate, Variable) and not g.has_predicate(tp.predicate):
+                return None
+        return pattern
+    if isinstance(pattern, InlineData):
+        return pattern
+    if isinstance(pattern, UnionPattern):
+        kept = tuple(b for b in (_prune(g, b) for b in pattern.branches) if b is not None)
+        # one branch left is a sequence of one part, which inline data may lead
+        return (UnionPattern(kept) if len(kept) > 1 else SeqPattern(kept)) if kept else None
+    parts = tuple(_prune(g, part) for part in pattern.parts)
+    return None if any(part is None for part in parts) else SeqPattern(parts)
+
+
+def _solutions(g: Graph, pattern: GroupPattern) -> Iterator[dict[str, Term]]:
+    """The solutions of ``pattern``, pruned for ``g`` first."""
+    pruned = _prune(g, pattern)
+    return iter(()) if pruned is None else _gen(g, pruned, {})
+
+
+def eval_bgp(g: Graph, patterns: Bgp | Iterable[TriplePattern]) -> list[dict[str, Term]]:
+    """Distinct solutions of a basic graph pattern, natural-join semantics.
+
+    A :class:`Bgp` keeps its join plans from one call to the next.
+    """
+    bgp = patterns if isinstance(patterns, Bgp) else Bgp(tuple(patterns))
+    positions = [pos for tp in bgp.patterns for pos in tp.positions()]
     names = [pos.name for pos in positions if isinstance(pos, Variable)]
     seen: dict[tuple, dict[str, Term]] = {}
-    for binding in _gen_bgp(g, pattern_list, {}):
+    for binding in _solutions(g, bgp):
         seen.setdefault(tuple(binding[name] for name in names), binding)
     return list(seen.values())
 
@@ -620,9 +666,20 @@ def eval_ask(g: Graph, query: Query) -> bool:
     """True iff the pattern of an ASK query has at least one solution."""
     if query.form != "ask":
         raise SparqlError("eval_ask needs an ASK query")
-    for _ in _gen(g, query.pattern, {}):
-        return True
-    return False
+    return next(_solutions(g, query.pattern), None) is not None
+
+
+def values_with_solution(
+    g: Graph, pattern: GroupPattern, name: str, values: Iterable[Term]
+) -> list[Term]:
+    """Those of ``values`` for which ``pattern`` has a solution with ``?name``
+    bound to them, each once, in the order given: what
+    ``SELECT ?name { VALUES ?name { values } pattern }`` answers."""
+    pruned = _prune(g, pattern)
+    if pruned is None:
+        return []
+    unique = dict.fromkeys(values)
+    return [value for value in unique if next(_gen(g, pruned, {name: value}), None) is not None]
 
 
 def eval_select(g: Graph, query: Query) -> list[dict[str, Term]]:
@@ -631,19 +688,17 @@ def eval_select(g: Graph, query: Query) -> list[dict[str, Term]]:
         raise SparqlError("eval_select needs a SELECT query")
     names = _projected_names(query)
     pattern = query.pattern
-    seen: dict[tuple, dict[str, Term]] = {}
     if (
         isinstance(pattern, SeqPattern)
         and isinstance(pattern.parts[0], InlineData)
         and names == [pattern.parts[0].variable]
     ):
-        # Which of the values have a solution: the first one settles each.
-        name, rest = names[0], list(pattern.parts[1:])
-        for value in pattern.parts[0].values:
-            if next(_gen_seq(g, rest, {name: value}), None) is not None:
-                seen.setdefault((value,), {name: value})
+        data, rest = pattern.parts[0], SeqPattern(pattern.parts[1:])
+        found = values_with_solution(g, rest, data.variable, data.values)
+        seen = {(value,): {data.variable: value} for value in found}
     else:
-        for binding in _gen(g, pattern, {}):
+        seen = {}
+        for binding in _solutions(g, pattern):
             key = tuple(binding.get(name) for name in names)
             seen.setdefault(key, {name: binding[name] for name in names if name in binding})
 

@@ -1,11 +1,13 @@
 """Catalog loading, validation, round-tripping and query expansion."""
 
+import hashlib
 import re
 from fractions import Fraction
 
 import pytest
 import yaml
 
+import kgaudit.catalog
 from kgaudit.catalog import (
     CatalogError,
     default_catalog,
@@ -123,7 +125,6 @@ def test_a_kg_placeholder_reads_as_the_kg_variable():
     assert [cq.query for _, cq in dollar.queries()] == [cq.query for _, cq in cat.queries()]
     for qid, query in cat.expanded.items():
         assert format_query(dollar.expanded[qid]) == format_query(query)
-    assert dollar.compact_selects == cat.compact_selects
     assert dollar.expanded_selects == cat.expanded_selects
 
 
@@ -187,6 +188,17 @@ def test_load_catalog_from_file(tmp_path):
     path = tmp_path / "catalog.yaml"
     path.write_text(dump_catalog(default_catalog()), encoding="utf-8")
     assert load_catalog(str(path)) == default_catalog()
+
+
+def test_content_hash_is_made_once_and_unchanged(monkeypatch):
+    cat = parse_catalog(dump_catalog(default_catalog()))
+    expected = hashlib.sha256(dump_catalog(cat).encode("utf-8")).hexdigest()
+    dumped = []
+    real_dump = kgaudit.catalog.dump_catalog
+    monkeypatch.setattr(kgaudit.catalog, "dump_catalog", lambda c: dumped.append(c) or real_dump(c))
+    assert [cat.content_hash() for _ in range(3)] == [expected] * 3
+    assert dumped == [cat]
+    assert "_hash" not in repr(cat) and cat == default_catalog()
 
 
 def test_content_hash_tracks_changes():

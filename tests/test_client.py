@@ -907,6 +907,17 @@ def test_journal_resume_skips_completed_runs(tmp_path, transcript, config):
     assert journal_path.read_bytes() == recorded
 
 
+def test_campaign_builds_its_fetch_only_with_a_cell_to_audit(tmp_path, config, monkeypatch):
+    built = []
+    monkeypatch.setattr(client, "build_fetch", lambda catalog: built.append(catalog) or FETCH)
+    journaled = CampaignConfig(**{**config.__dict__, "journal_path": str(tmp_path / "j.jsonl")})
+    first = run_campaign(journaled)
+    assert built == [config.catalog]
+    counting = CountingTransport(config.transport)
+    assert run_campaign(CampaignConfig(**{**journaled.__dict__, "transport": counting})) == first
+    assert built == [config.catalog] and counting.count == 0
+
+
 def test_journal_parses_each_repeated_text_once(tmp_path, config, monkeypatch):
     journal_path = tmp_path / "journal.jsonl"
     journaled = CampaignConfig(**{**config.__dict__, "journal_path": str(journal_path)})

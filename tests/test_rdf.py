@@ -28,12 +28,14 @@ from helpers import (
 from kgaudit.rdf import (
     XSD,
     XSD_STRING,
+    _ECHAR_ENCODE,
     BlankNode,
     Graph,
     Iri,
     Literal,
     ParseError,
     Triple,
+    _escape_literal,
     format_term,
     load_rdf,
     parse_ntriples,
@@ -339,6 +341,17 @@ def test_term_shapes_fixture_parses_every_statement_line() -> None:
     g = parse_ntriples(text)
     assert len(statement_lines) == 20
     assert len(g) == len(statement_lines)
+
+
+def test_escape_literal_escapes_exactly_the_echar_characters() -> None:
+    escapes = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
+    assert _ECHAR_ENCODE == escapes
+    for char, escaped in escapes.items():
+        assert _escape_literal(char) == escaped
+        assert _escape_literal(f"a{char}{char}b") == f"a{escaped}{escaped}b"
+    for text in ("", "plain text", "jeu de données ☃ \x85 \u2028 '", "\\u0041 is text"):
+        assert _escape_literal(text) == "".join(escapes.get(c, c) for c in text)
+    assert _escape_literal("no escapes at all") == "no escapes at all"
 
 
 def test_ntriples_escapes_decode() -> None:

@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from helpers import bgp_oracle, random_bgp, small_graph, solutions_as_sets
+from kgaudit import sparql
 from kgaudit.rdf import BlankNode, Graph, Iri, Literal, Triple, parse_ntriples, term_sort_key
 from kgaudit.sparql import (
     Bgp,
@@ -28,6 +29,7 @@ from kgaudit.sparql import (
     parse_triple_patterns,
     pattern_variables,
     substitute,
+    values_with_solution,
 )
 
 DCT = "http://purl.org/dc/terms/"
@@ -413,3 +415,155 @@ def test_values_select_keeps_the_values_with_a_solution() -> None:
         expected = {sol[name] for sol in eval_select(g, every)}
         assert {sol[name] for sol in eval_select(g, one)} == expected
         assert eval_ask(g, replace(one, form="ask", projection=None)) is bool(expected)
+
+
+# ---------------------------------------------------------------------------
+# Pruning, join plans and the values entry
+
+
+def greedy_solutions(g: Graph, patterns: list[TriplePattern], binding: dict):
+    """The per-binding greedy join that plans replaced: the pattern with the
+    most bound positions first, the earliest on a tie, recounted for every
+    binding."""
+    if not patterns:
+        yield binding
+        return
+
+    def boundness(i: int) -> tuple[int, int]:
+        positions = patterns[i].positions()
+        return sum(not isinstance(p, Variable) or p.name in binding for p in positions), -i
+
+    best = max(range(len(patterns)), key=boundness)
+    tp, rest = patterns[best], patterns[:best] + patterns[best + 1 :]
+    s, p, o = (binding.get(x.name) if isinstance(x, Variable) else x for x in tp.positions())
+    for triple in g.match(s, p, o):
+        extended = dict(binding)
+        for pos, value in zip(tp.positions(), triple):
+            if isinstance(pos, Variable) and extended.setdefault(pos.name, value) != value:
+                break
+        else:
+            yield from greedy_solutions(g, rest, extended)
+
+
+def greedy_eval_bgp(g: Graph, patterns: list[TriplePattern]) -> list[dict]:
+    names = [pos.name for tp in patterns for pos in tp.positions() if isinstance(pos, Variable)]
+    seen: dict = {}
+    for binding in greedy_solutions(g, list(patterns), {}):
+        seen.setdefault(tuple(binding[name] for name in names), binding)
+    return list(seen.values())
+
+
+ABSENT = Iri("http://example.org/p/absent")
+
+
+def with_absent_predicate(rng: random.Random, patterns: list[TriplePattern]) -> list[TriplePattern]:
+    """The patterns and one more whose predicate no small graph has."""
+    extra = TriplePattern(Variable(rng.choice("xyz")), ABSENT, Variable(rng.choice("xyz")))
+    return patterns + [extra] if rng.random() < 0.5 else [extra] + patterns
+
+
+def test_planned_eval_bgp_keeps_the_greedy_solutions_and_their_order() -> None:
+    rng = random.Random(2323)
+    for _ in range(200):
+        g = small_graph(rng)
+        patterns = random_bgp(rng, g, max_patterns=5)
+        bgp = Bgp(tuple(patterns))
+        expected = greedy_eval_bgp(g, patterns)
+        assert eval_bgp(g, patterns) == expected
+        # twice through one Bgp: the second call walks the kept plan
+        assert eval_bgp(g, bgp) == expected and eval_bgp(g, bgp) == expected
+
+
+def test_plans_for_names_bound_at_the_start_keep_the_greedy_order() -> None:
+    rng = random.Random(99)
+    for _ in range(100):
+        g = small_graph(rng)
+        patterns = random_bgp(rng, g)
+        bgp = Bgp(tuple(patterns))
+        for value in sorted(g.terms(), key=term_sort_key)[:4]:
+            for start in ({"x": value}, {"x": value, "y": value}, {"unused": value}):
+                expected = list(greedy_solutions(g, patterns, start))
+                assert list(sparql._gen(g, bgp, dict(start))) == expected
+
+
+def test_union_branches_with_absent_predicates_match_the_oracle() -> None:
+    rng = random.Random(5150)
+    for _ in range(80):
+        g = small_graph(rng)
+        branches = [random_bgp(rng, g, max_patterns=3) for _ in range(rng.randrange(2, 5))]
+        branches = [with_absent_predicate(rng, b) if rng.random() < 0.5 else b for b in branches]
+        union = UnionPattern(tuple(Bgp(tuple(b)) for b in branches))
+        expected = set().union(*(bgp_oracle(g, b) for b in branches))
+        assert solutions_as_sets(eval_select(g, Query("select", (), union))) == expected
+        assert eval_ask(g, Query("ask", None, union)) is bool(expected)
+        # a sequence holding a part with no solution has none
+        absent = Bgp(tuple(with_absent_predicate(rng, random_bgp(rng, g))))
+        assert eval_select(g, Query("select", (), SeqPattern((union, absent)))) == []
+
+
+def test_union_with_only_absent_predicates_has_no_solution() -> None:
+    g = parse_ntriples("<http://example.org/a> <http://example.org/p/0> <http://example.org/o> .\n")
+    q = parse_query(
+        "SELECT ?s WHERE { { ?s <http://example.org/p/absent> ?o } "
+        "UNION { ?s <http://example.org/p/1> ?o } }"
+    )
+    assert eval_select(g, q) == []
+    assert eval_ask(g, replace(q, form="ask", projection=None)) is False
+    assert values_with_solution(g, q.pattern, "s", [Iri("http://example.org/a")]) == []
+    # pruned before evaluation, so no branch was ever planned
+    assert [branch.plans for branch in q.pattern.branches] == [{}, {}]
+
+
+def test_one_query_answers_each_graph_for_its_own_predicates() -> None:
+    a, b = Iri("http://example.org/a"), Iri("http://example.org/b")
+    only_p0 = parse_ntriples(
+        "<http://example.org/a> <http://example.org/p/0> <http://example.org/o> .\n"
+    )
+    only_p1 = parse_ntriples(
+        "<http://example.org/b> <http://example.org/p/1> <http://example.org/o> .\n"
+    )
+    q = parse_query(
+        "SELECT ?s WHERE { { ?s <http://example.org/p/0> ?o } "
+        "UNION { ?s <http://example.org/p/1> ?o } }"
+    )
+    for _ in range(2):
+        assert eval_select(only_p0, q) == [{"s": a}]
+        assert eval_select(only_p1, q) == [{"s": b}]
+        assert values_with_solution(only_p0, q.pattern, "s", [b, a]) == [a]
+        assert values_with_solution(only_p1, q.pattern, "s", [b, a]) == [b]
+
+
+def test_values_with_solution_agrees_with_eval_select() -> None:
+    rng = random.Random(6060)
+    for _ in range(100):
+        g = small_graph(rng)
+        branches = [random_bgp(rng, g, max_patterns=3) for _ in range(rng.randrange(1, 3))]
+        branches = [with_absent_predicate(rng, b) if rng.random() < 0.3 else b for b in branches]
+        bgps = tuple(Bgp(tuple(b)) for b in branches)
+        pattern = bgps[0] if len(bgps) == 1 else UnionPattern(bgps)
+        names = sorted(pattern_variables(pattern))
+        if not names:
+            continue
+        name = rng.choice(names)
+        terms = [t for t in g.terms() if not isinstance(t, BlankNode)] + [Iri("http://example.org/none")]
+        values = [rng.choice(terms) for _ in range(5)]
+        found = values_with_solution(g, pattern, name, values)
+        assert found == [value for value in dict.fromkeys(values) if value in found]
+        select = bind_values(Query("select", (name,), pattern), name, values)
+        assert [row[name] for row in eval_select(g, select)] == sorted(found, key=term_sort_key)
+        every = {sol[name] for sol in eval_select(g, replace(select, projection=()))}
+        assert set(found) == every
+
+
+def test_plans_leave_equality_hash_and_repr_unchanged() -> None:
+    g = parse_ntriples(
+        "<http://example.org/a> <http://example.org/p/0> <http://example.org/o> .\n"
+    )
+    text = "SELECT ?s WHERE { ?s <http://example.org/p/0> ?o . ?o ?p ?s }"
+    used, fresh = parse_query(text), parse_query(text)
+    eval_select(g, used)
+    values_with_solution(g, used.pattern, "s", [Iri("http://example.org/a")])
+    assert used.pattern.plans and not fresh.pattern.plans
+    assert used == fresh and hash(used.pattern) == hash(fresh.pattern)
+    assert repr(used) == repr(fresh) and "plans" not in repr(used)
+    assert replace(used.pattern).plans == {}
