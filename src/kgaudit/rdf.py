@@ -371,11 +371,15 @@ def parse_ntriples(text: str) -> Graph:
     each distinct term goes through its validating constructor once: an
     escape that names no character, or a term its class refuses (such as
     a relative IRI), raises ParseError for the line it first appears on.
+
+    Lines end at LF, CR or CRLF, each one break, as the N-Triples EOL
+    production has it; no other character ends a line, so a literal may
+    hold U+0085 or U+2028.
     """
     g = Graph()
     terms: dict[str, Term] = {}
     statement = _NT_STATEMENT.fullmatch
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(_lf_lines(text).split("\n"), start=1):
         line = raw.strip()
         if not line or line[0] == "#":
             continue
@@ -391,6 +395,13 @@ def parse_ntriples(text: str) -> Graph:
             obj = _nt_term(terms, lineno, o, lexical, language, datatype)
         g.add(Triple(subject, predicate, obj))
     return g
+
+
+def _lf_lines(text: str) -> str:
+    """``text`` with each CRLF and each lone CR made one LF."""
+    if "\r" in text:
+        return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _nt_term(
@@ -470,10 +481,13 @@ class _Token(NamedTuple):
 
 
 def _tokenize(text: str) -> list[_Token]:
-    """The tokens of a Turtle or SPARQL text, without spaces and comments."""
+    """The tokens of a Turtle or SPARQL text, without spaces and comments.
+
+    A token's line counts LF, CR and CRLF as one break each.
+    """
     tokens = []
     line = 1
-    for match in _TOKEN_RE.finditer(text):
+    for match in _TOKEN_RE.finditer(_lf_lines(text)):
         kind = match.lastgroup
         if kind == "space":
             line += match.group().count("\n")

@@ -8,9 +8,12 @@ reproduces identical files.
 The DQV export is lossless: every query outcome and every node score goes
 out as a quality measurement, and scores carry their exact fraction next
 to the rounded decimal.  :func:`to_dqv` formats the N-Triples lines straight
-from the report, without building a graph, and :func:`from_dqv` parses
-them back into the full report, recomputing the aggregation and refusing
-exports whose stored node scores disagree with their own query outcomes.
+from the report, without building a graph, one block of lines per subject
+with each measurement's lines in a fixed predicate order; sorting the
+subjects alone then gives the sorted line order, since no subject IRI is
+a prefix of another.  :func:`from_dqv` parses them back into the full
+report, recomputing the aggregation and refusing exports whose stored
+node scores disagree with their own query outcomes.
 """
 
 from __future__ import annotations
@@ -138,8 +141,8 @@ def _pair_id(endpoint: str, dataset: str) -> str:
 
 
 def _tail(predicate: Iri, obj: str) -> str:
-    """The part of an N-Triples line after its subject."""
-    return f" {format_term(predicate)} {obj} ."
+    """The part of an N-Triples line after its subject, line break included."""
+    return f" {format_term(predicate)} {obj} .\n"
 
 
 _IS_MEASUREMENT = _tail(Iri(RDF_TYPE), format_term(_D_MEASUREMENT))
@@ -155,19 +158,36 @@ def to_dqv(report: Report, catalog: Catalog) -> str:
     """The report as DQV quality measurements (plus a few tool terms), as
     N-Triples text: one sorted line per distinct statement.
 
-    Lines are formatted straight from the report.  Every distinct
-    endpoint, dataset and metric IRI still goes through :class:`Iri` once,
-    so a value that makes no valid IRI raises ``ValueError``.  Metric IRIs
-    are declared only when some measurement references them, so an empty
-    report exports nothing beyond its own metadata.
+    Lines are formatted straight from the report, one block of lines per
+    subject, and only the subjects are sorted.  That yields the sorted
+    line order because every subject is an IRI in angle brackets and no
+    IRI holds ``>``: no subject is a prefix of another, so two lines of
+    different subjects differ first within the shorter subject and
+    compare as their subjects do.  Within a block a
+    measurement's tails go out in the order of their predicate IRIs
+    (``rdf:type``, ``dqv:computedOn``, ``dqv:isMeasurementOf``,
+    ``dqv:value``, then the tool's ``endpoint`` and ``exactValue`` or
+    ``failureKind``), which is their sorted order since no predicate
+    repeats.  A subject met twice, when a dataset is listed twice under
+    one endpoint, gets the distinct lines of both blocks, sorted.
+
+    Every distinct endpoint, dataset and metric IRI goes through
+    :class:`Iri` once, so a value that makes no valid IRI raises
+    ``ValueError``.  Metric IRIs are declared only when some measurement
+    references them, so an empty report exports nothing beyond its own
+    metadata.
     """
     report_node = format_term(REPORT_NODE)
-    lines = {
-        report_node + _tail(predicate, format_term(Literal(value)))
-        for predicate, value in (
-            (_T_GENERATED, report.generated_at),
-            (_T_VERSION, report.catalog_version),
-            (_T_HASH, report.catalog_hash),
+    blocks: dict[str, str] = {  # subject -> its lines
+        report_node: "".join(
+            sorted(
+                report_node + _tail(predicate, format_term(Literal(value)))
+                for predicate, value in (
+                    (_T_GENERATED, report.generated_at),
+                    (_T_VERSION, report.catalog_version),
+                    (_T_HASH, report.catalog_hash),
+                )
+            )
         )
     }
     iris: dict[str, str] = {}
@@ -196,17 +216,17 @@ def to_dqv(report: Report, catalog: Catalog) -> str:
             for outcome in result.outcomes:
                 metric = measurement_of(_METRIC_QUERY + outcome.query_id)
                 m = f"<{_MEASURE}query:{pair}:{outcome.query_id}>"
-                lines.update(
-                    (
-                        m + _IS_MEASUREMENT,
-                        m + computed_on,
-                        m + metric,
-                        m + on_endpoint,
-                        m + (_TRUE if outcome.success else _FALSE),
+                if outcome.success:
+                    block = (
+                        f"{m}{_IS_MEASUREMENT}{m}{computed_on}{m}{metric}"
+                        f"{m}{_TRUE}{m}{on_endpoint}"
                     )
-                )
-                if outcome.failure is not None:
-                    lines.add(m + _FAILURE[outcome.failure])
+                else:
+                    block = (
+                        f"{m}{_IS_MEASUREMENT}{m}{computed_on}{m}{metric}"
+                        f"{m}{_FALSE}{m}{on_endpoint}{m}{_FAILURE[outcome.failure]}"
+                    )
+                blocks[m] = _union(blocks[m], block) if m in blocks else block
             for kind, prefix, scores in (
                 ("question", _METRIC_QUESTION, result.question_scores),
                 ("node", _METRIC_NODE, result.node_scores),
@@ -222,22 +242,27 @@ def to_dqv(report: Report, catalog: Catalog) -> str:
                             _tail(_T_EXACT, format_term(Literal(str(score)))),
                         )
                     m = f"<{_MEASURE}{kind}:{pair}:{key}>"
-                    lines.update(
-                        (
-                            m + _IS_MEASUREMENT,
-                            m + computed_on,
-                            m + metric,
-                            m + on_endpoint,
-                            m + tails[0],
-                            m + tails[1],
-                        )
+                    block = (
+                        f"{m}{_IS_MEASUREMENT}{m}{computed_on}{m}{metric}"
+                        f"{m}{tails[0]}{m}{on_endpoint}{m}{tails[1]}"
                     )
-    lines.update(iris[value] + _IS_METRIC for value in metrics)
-    # Sort whole lines, never terms: "-", "." and the digits sort below
-    # ">", so the line of <...:collection.how> precedes that of
-    # <...:collection> although the bare strings sort the other way.
-    # The three report lines keep the text from being empty.
-    return "\n".join(sorted(lines)) + "\n"
+                    blocks[m] = _union(blocks[m], block) if m in blocks else block
+    for value in metrics:
+        subject = iris[value]
+        blocks[subject] = subject + _IS_METRIC
+    # Sort subjects with their closing ">": "-", "." and the digits sort
+    # below it, so <...:collection.how> and its lines precede
+    # <...:collection>, although the bare names sort the other way.  The
+    # report block keeps the text from being empty.
+    return "".join(map(blocks.__getitem__, sorted(blocks)))
+
+
+def _union(block: str, other: str) -> str:
+    """The distinct lines of two blocks of one subject, sorted."""
+    lines = set(block.split("\n"))
+    lines.update(other.split("\n"))
+    lines.discard("")
+    return "".join(line + "\n" for line in sorted(lines))
 
 
 def _only_object(g: Graph, subject: Iri, predicate: Iri) -> Term:

@@ -468,3 +468,99 @@ def ref_build_result(catalog, dataset: str, outcomes):
 
     ordered = tuple(by_id[qid] for qid in expected)
     return ordered, question_scores, node_scores
+
+
+# ---------------------------------------------------------------------------
+# Reference DQV writer: ``kgaudit.reporting.to_dqv`` as it wrote report.nt
+# before it sorted subject blocks, less its caches of formatted terms, so
+# tests can check the block writer's bytes against it.  It collects whole
+# lines in a set and sorts them all, which needs no argument about order.
+
+
+def ref_to_dqv(report) -> str:
+    from kgaudit.rdf import RDF_TYPE, format_term
+    from kgaudit.reporting import (
+        _D_COMPUTED_ON,
+        _D_MEASUREMENT,
+        _D_MEASUREMENT_OF,
+        _D_METRIC,
+        _D_VALUE,
+        _MEASURE,
+        _METRIC_NODE,
+        _METRIC_QUERY,
+        _METRIC_QUESTION,
+        _T_ENDPOINT,
+        _T_EXACT,
+        _T_FAILURE,
+        _T_GENERATED,
+        _T_HASH,
+        _T_VERSION,
+        _XSD_BOOLEAN,
+        _XSD_DECIMAL,
+        REPORT_NODE,
+        _pair_id,
+    )
+    from kgaudit.scoring import FailureKind
+
+    def tail(predicate, obj: str) -> str:
+        return f" {format_term(predicate)} {obj} ."
+
+    is_measurement = tail(Iri(RDF_TYPE), format_term(_D_MEASUREMENT))
+    is_metric = tail(Iri(RDF_TYPE), format_term(_D_METRIC))
+    true = tail(_D_VALUE, format_term(Literal("true", datatype=_XSD_BOOLEAN)))
+    false = tail(_D_VALUE, format_term(Literal("false", datatype=_XSD_BOOLEAN)))
+    failures = {
+        kind: tail(_T_FAILURE, format_term(Literal(kind.value))) for kind in FailureKind
+    }
+
+    report_node = format_term(REPORT_NODE)
+    lines = {
+        report_node + tail(predicate, format_term(Literal(value)))
+        for predicate, value in (
+            (_T_GENERATED, report.generated_at),
+            (_T_VERSION, report.catalog_version),
+            (_T_HASH, report.catalog_hash),
+        )
+    }
+    metrics: set[str] = set()
+    for endpoint, results in report.results.items():
+        for result in results:
+            pair = _pair_id(endpoint, result.dataset)
+            computed_on = tail(_D_COMPUTED_ON, format_term(Iri(result.dataset)))
+            on_endpoint = tail(_T_ENDPOINT, format_term(Iri(endpoint)))
+            for outcome in result.outcomes:
+                metric = _METRIC_QUERY + outcome.query_id
+                metrics.add(metric)
+                m = f"<{_MEASURE}query:{pair}:{outcome.query_id}>"
+                lines.update(
+                    (
+                        m + is_measurement,
+                        m + computed_on,
+                        m + tail(_D_MEASUREMENT_OF, format_term(Iri(metric))),
+                        m + on_endpoint,
+                        m + (true if outcome.success else false),
+                    )
+                )
+                if outcome.failure is not None:
+                    lines.add(m + failures[outcome.failure])
+            for kind, prefix, scores in (
+                ("question", _METRIC_QUESTION, result.question_scores),
+                ("node", _METRIC_NODE, result.node_scores),
+            ):
+                for key, score in scores.items():
+                    metric = prefix + key
+                    metrics.add(metric)
+                    decimal = Literal(f"{float(score):.6f}", datatype=_XSD_DECIMAL)
+                    m = f"<{_MEASURE}{kind}:{pair}:{key}>"
+                    lines.update(
+                        (
+                            m + is_measurement,
+                            m + computed_on,
+                            m + tail(_D_MEASUREMENT_OF, format_term(Iri(metric))),
+                            m + on_endpoint,
+                            m + tail(_D_VALUE, format_term(decimal)),
+                            m + tail(_T_EXACT, format_term(Literal(str(score)))),
+                        )
+                    )
+    lines.update(format_term(Iri(metric)) + is_metric for metric in metrics)
+    return "\n".join(sorted(lines)) + "\n"

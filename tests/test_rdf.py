@@ -397,6 +397,39 @@ def test_ntriples_error_carries_line_number() -> None:
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("eol", ["\n", "\r", "\r\n", "\r\r", "\n\r\n"])
+def test_ntriples_lines_end_at_lf_cr_and_crlf(eol: str) -> None:
+    text = eol.join(
+        [
+            "<http://a/s> <http://a/p> <http://a/o> .",
+            "<http://a/s> <http://a/p> <http://a/o2> .",
+            '<http://a/s> <http://a/p> "last" .',
+        ]
+    )
+    assert parse_ntriples(text) == parse_ntriples(text.replace(eol, "\n"))
+    assert len(parse_ntriples(text + eol)) == 3
+
+
+@pytest.mark.parametrize("eol", ["\r", "\r\n"])
+def test_ntriples_counts_each_cr_and_crlf_as_one_line(eol: str) -> None:
+    good = "<http://a/s> <http://a/p> <http://a/o> ."
+    text = eol.join([good, "# a comment", "", good, "<http://a/s> nonsense ."])
+    with pytest.raises(ParseError) as err:
+        parse_ntriples(text)
+    assert err.value.line == 5
+    assert "nonsense" in str(err.value) and good not in str(err.value)
+
+
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c"])
+def test_ntriples_keeps_a_literal_with_a_unicode_line_separator_on_one_line(char) -> None:
+    text = f'<http://a/s> <http://a/p> "one{char}line" .\n<http://a/s> nonsense .\n'
+    with pytest.raises(ParseError) as err:
+        parse_ntriples(text)
+    assert err.value.line == 2
+    (triple,) = parse_ntriples(text[: text.index("\n")])
+    assert triple.object == Literal(f"one{char}line")
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -556,6 +589,16 @@ def test_turtle_reads_serialized_ntriples_as_the_same_graph() -> None:
     for _ in range(40):
         g = random_graph(rng, max_triples=120)
         assert parse_turtle(serialize_ntriples(g)) == g
+
+
+@pytest.mark.parametrize("eol", ["\r", "\r\n"])
+def test_turtle_counts_each_cr_and_crlf_as_one_line(eol: str) -> None:
+    text = eol.join(
+        ["@prefix e: <http://e.org/> .", "", "e:s e:p e:o .", "e:s e:p nonsense ."]
+    )
+    with pytest.raises(ParseError) as err:
+        parse_turtle(text)
+    assert err.value.line == 4
 
 
 def test_turtle_refuses_a_raw_carriage_return_in_a_string() -> None:

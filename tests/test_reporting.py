@@ -14,8 +14,15 @@ import pytest
 
 from kgaudit.catalog import default_catalog, parse_catalog, dump_catalog
 from kgaudit.client import CampaignConfig, run_campaign
-from kgaudit.rdf import Iri, load_rdf, parse_ntriples, serialize_ntriples
+from kgaudit.rdf import RDF_TYPE, Iri, format_term, load_rdf, parse_ntriples, serialize_ntriples
 from kgaudit.reporting import (
+    _D_COMPUTED_ON,
+    _D_MEASUREMENT_OF,
+    _D_VALUE,
+    _MEASURE,
+    _T_ENDPOINT,
+    _T_EXACT,
+    _T_FAILURE,
     Report,
     _indented_json,
     bars_figure,
@@ -30,10 +37,16 @@ from kgaudit.reporting import (
     to_dqv,
     to_json,
 )
-from kgaudit.scoring import FailureKind, evaluate_graph, not_evaluated_result
+from kgaudit.scoring import (
+    FailureKind,
+    QueryOutcome,
+    build_result,
+    evaluate_graph,
+    not_evaluated_result,
+)
 from kgaudit.transport import TranscriptTransport
 
-from helpers import FIXTURES
+from helpers import FIXTURES, ref_to_dqv
 
 CATALOG = default_catalog()
 
@@ -221,6 +234,117 @@ def test_dqv_bytes_of_an_awkward_report_are_pinned(report):
     how = lines.index(next(line for line in lines if ":collection.how> " in line))
     bare = lines.index(next(line for line in lines if ":collection> " in line))
     assert how < bare
+
+
+_DQV_ENDPOINTS = [
+    "http://example.org/sparql",
+    "http://example.org/sparql/",
+    "http://dead.example.org/sparql",
+    "urn:x:endpoint",
+]
+_DQV_DATASETS = [
+    "http://example.org/kg/a",
+    "http://example.org/kg/a.b",
+    "http://example.org/kg/a/b",
+    "http://example.org/kg/\u00e9\u2028",
+    "urn:x:kg",
+]
+_DQV_STAMPS = ["2024-05-03T10:00:00Z", 'stamp "q" \\ back\nslash', ""]
+
+
+def _random_row(rng: random.Random, dataset: str):
+    outcomes = [
+        QueryOutcome(qid, True)
+        if rng.random() < 0.5
+        else QueryOutcome(qid, False, rng.choice(list(FailureKind)))
+        for qid in CATALOG.plan.query_ids
+    ]
+    return build_result(CATALOG, dataset, outcomes)
+
+
+def _random_dqv_report(rng: random.Random, endpoints: int) -> Report:
+    """A report over ``endpoints`` random endpoints, each with one to four
+    rows; a row repeats an (endpoint, dataset) pair now and then, with an
+    equal result or a different one."""
+    results = {}
+    for endpoint in rng.sample(_DQV_ENDPOINTS, endpoints):
+        rows = []
+        for _ in range(rng.randint(1, 4)):
+            if rows and rng.random() < 0.25:
+                rows.append(rng.choice(rows))
+            else:
+                rows.append(_random_row(rng, rng.choice(_DQV_DATASETS)))
+        results[endpoint] = rows
+    report = build_report(CATALOG, results, rng.choice(_DQV_STAMPS))
+    return dataclasses.replace(report, catalog_version=rng.choice(_DQV_STAMPS))
+
+
+def _distinct_rows(report: Report) -> Report:
+    """The report with each (endpoint, dataset) pair's first row only, in
+    dataset order: the form from_dqv rebuilds."""
+    results = {}
+    for endpoint, rows in report.results.items():
+        first = {}
+        for row in rows:
+            first.setdefault(row.dataset, row)
+        results[endpoint] = tuple(first[dataset] for dataset in sorted(first))
+    return dataclasses.replace(report, results=results)
+
+
+def test_the_catalog_has_a_node_key_that_extends_another():
+    # the case the writer's subject order must get right: "collection.how>"
+    # sorts before "collection>" although "collection" is a prefix
+    keys = set(CATALOG.node_ids())
+    assert any(key.rpartition(".")[0] in keys for key in keys)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_dqv_writer_matches_the_set_and_sort_reference(seed):
+    rng = random.Random(seed)
+    # every fourth seed makes the empty report
+    report = _random_dqv_report(rng, seed % 4)
+    text = to_dqv(report, CATALOG)
+    assert text == ref_to_dqv(report)
+    distinct = _distinct_rows(report)
+    assert from_dqv(to_dqv(distinct, CATALOG), CATALOG) == distinct
+
+
+def test_dqv_writer_takes_the_union_of_a_repeated_pair(report):
+    full, sparse = report.results["http://example.org/sparql"]
+    # sparse's result under full's dataset key: the same subjects, other values
+    other = dataclasses.replace(sparse, dataset=full.dataset)
+    for rows in ([full, full], [full, other], [other, full]):
+        repeated = build_report(CATALOG, {"http://example.org/sparql": rows}, "t")
+        assert to_dqv(repeated, CATALOG) == ref_to_dqv(repeated)
+    assert to_dqv(repeated, CATALOG) != to_dqv(
+        build_report(CATALOG, {"http://example.org/sparql": [full]}, "t"), CATALOG
+    )
+
+
+def test_dqv_tails_go_out_in_the_sorted_order_of_their_predicates(report):
+    # The writer emits each measurement's tails in a fixed order, which
+    # must be the sorted order of their predicate IRIs; a changed predicate
+    # constant shows here, not as silently reordered bytes.
+    common = [Iri(RDF_TYPE), _D_COMPUTED_ON, _D_MEASUREMENT_OF, _D_VALUE, _T_ENDPOINT]
+    kinds = {
+        "query": common + [_T_FAILURE],
+        "question": common + [_T_EXACT],
+        "node": common + [_T_EXACT],
+    }
+    written: dict[str, list[str]] = {}
+    for line in to_dqv(report, CATALOG).split("\n")[:-1]:
+        subject, predicate, _ = line.split(" ", 2)
+        written.setdefault(subject, []).append(predicate)
+    for kind, predicates in kinds.items():
+        order = sorted(format_term(predicate) for predicate in predicates)
+        blocks = [
+            block
+            for subject, block in written.items()
+            if subject.startswith(f"<{_MEASURE}{kind}:")
+        ]
+        assert blocks
+        assert all(block == [p for p in order if p in block] for block in blocks)
+        assert order in blocks
 
 
 # ---------------------------------------------------------------------------
