@@ -30,14 +30,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 import yaml
 
-from .rdf import Iri
+from .rdf import Iri, _Record, _new_tuple
 from .sparql import (
     Bgp,
     GroupPattern,
@@ -77,8 +76,7 @@ class CatalogError(ValueError):
 # Types
 
 
-@dataclass(frozen=True)
-class CompactQuery:
+class CompactQuery(NamedTuple):
     """One ASK query of a question, canonical-vocabulary form."""
 
     id: str
@@ -87,8 +85,7 @@ class CompactQuery:
     label: str | None = None
 
 
-@dataclass(frozen=True)
-class Question:
+class Question(NamedTuple):
     """A requirement question scored as the mean of its query outcomes."""
 
     id: str
@@ -98,31 +95,36 @@ class Question:
     queries: tuple[CompactQuery, ...]
 
 
-@dataclass(frozen=True)
-class HierarchyNode:
+class HierarchyNode(NamedTuple):
     id: str
     label: str
     children: tuple["HierarchyNode", ...] = ()
     questions: tuple[Question, ...] = ()
 
 
-@dataclass(frozen=True)
-class EquivalenceRule:
-    """Directional rewrite: when ``source`` holds, the ``target`` triples hold."""
-
+class _EquivalenceRule(NamedTuple):
     id: str
     source: tuple[TriplePattern, ...]
     target: tuple[TriplePattern, ...]
-    # ``source`` as one basic graph pattern, which keeps its join plans
-    # from one saturation to the next; no part of equality or repr.
-    source_bgp: Bgp = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "source_bgp", Bgp(self.source))
 
 
-@dataclass(frozen=True)
-class ScoringPlan:
+class EquivalenceRule(_Record, _EquivalenceRule):
+    """Directional rewrite: when ``source`` holds, the ``target`` triples hold.
+
+    ``source_bgp`` is ``source`` as one basic graph pattern, which keeps its
+    join plans from one saturation to the next; it is no field, so no part
+    of equality, hash or repr.
+    """
+
+    def __new__(
+        cls, id: str, source: tuple[TriplePattern, ...], target: tuple[TriplePattern, ...]
+    ) -> "EquivalenceRule":
+        self = _new_tuple(cls, (id, source, target))
+        self.source_bgp = Bgp(source)
+        return self
+
+
+class ScoringPlan(NamedTuple):
     """Every score of the hierarchy as a fixed function of hit counts.
 
     A question scores ``hits / n`` over its ``n`` queries, and every node is
@@ -142,8 +144,7 @@ class ScoringPlan:
     nodes: tuple[tuple[str, slice, tuple[int, ...], int], ...]
 
 
-@dataclass(frozen=True)
-class Catalog:
+class _Catalog(NamedTuple):
     version: str
     root: HierarchyNode
     rules: tuple[EquivalenceRule, ...]
@@ -154,13 +155,32 @@ class Catalog:
     # remote route binds ?kg to the datasets with VALUES and asks it of an
     # endpoint.
     expanded_selects: Mapping[str, Query]
-    prefixes: Mapping[str, str] = field(default_factory=dict)
-    # Derived from the hierarchy by ``parse_catalog`` once the catalog has
-    # validated (None only while it validates), so it takes no part in
-    # equality or repr.
-    plan: ScoringPlan | None = field(default=None, compare=False, repr=False)
-    # ``content_hash()``, made on its first call.
-    _hash: str | None = field(default=None, init=False, compare=False, repr=False)
+    prefixes: Mapping[str, str]
+
+
+class Catalog(_Record, _Catalog):
+    """A validated catalog and the plan its scores are read off.
+
+    ``plan`` is derived from the hierarchy by ``parse_catalog`` once the
+    catalog has validated (None only while it validates), and
+    ``content_hash()`` is made on its first call; neither is a field, so
+    neither takes part in equality, hash or repr.
+    """
+
+    def __new__(
+        cls,
+        version: str,
+        root: HierarchyNode,
+        rules: tuple[EquivalenceRule, ...],
+        expanded: Mapping[str, Query],
+        expanded_selects: Mapping[str, Query],
+        prefixes: Mapping[str, str] = {},
+        plan: ScoringPlan | None = None,
+    ) -> "Catalog":
+        self = _new_tuple(cls, (version, root, rules, expanded, expanded_selects, prefixes))
+        self.plan = plan
+        self._hash = None
+        return self
 
     def steps(self) -> tuple[HierarchyNode, ...]:
         return self.root.children
@@ -197,8 +217,7 @@ class Catalog:
     def content_hash(self) -> str:
         """SHA-256 of the catalog's canonical dump."""
         if self._hash is None:
-            digest = hashlib.sha256(dump_catalog(self).encode("utf-8")).hexdigest()
-            object.__setattr__(self, "_hash", digest)
+            self._hash = hashlib.sha256(dump_catalog(self).encode("utf-8")).hexdigest()
         return self._hash
 
 
@@ -310,7 +329,7 @@ def parse_catalog(text: str, source: str = "<string>") -> Catalog:
     if diagnostics:
         raise CatalogError(f"{source}: catalog is invalid", diagnostics)
     # only a valid catalog has positive leaf weights and no empty node
-    return replace(catalog, plan=_scoring_plan(catalog))
+    return Catalog(*catalog, plan=_scoring_plan(catalog))
 
 
 def _scoring_plan(catalog: Catalog) -> ScoringPlan:
@@ -356,7 +375,7 @@ def _scoring_plan(catalog: Catalog) -> ScoringPlan:
 
 def _selects(queries: Mapping[str, Query]) -> dict[str, Query]:
     return {
-        qid: replace(query, form="select", projection=(KG.name,))
+        qid: Query("select", (KG.name,), query.pattern, query.prefixes, query.limit, query.offset)
         for qid, query in queries.items()
     }
 

@@ -51,9 +51,8 @@ import threading
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
 from itertools import groupby
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .catalog import KG, Catalog, default_catalog
 from .rdf import (
@@ -157,8 +156,7 @@ def _at_endpoint(query: Query, url: str) -> Query:
     return bind_values(query, "endpoint", (Iri(url), Literal(url)))
 
 
-@dataclass(frozen=True)
-class Fetch:
+class Fetch(NamedTuple):
     """The one query of an endpoint-run, built for the catalog it is scored by.
 
     ``query`` joins discovery's two groups with a UNION of branches, each
@@ -187,10 +185,11 @@ def build_fetch(catalog: Catalog) -> Fetch:
     groups = [SeqPattern((InlineData("branch", (t,)), Bgp(s))) for t, s in zip(tags, shapes)]
     union = UnionPattern(tuple(groups))
     width = len(pattern_variables(union) - {KG.name, "branch"})
-    query = replace(
-        DISCOVERY_QUERY,
-        projection=(KG.name, "branch", *(f"v{n}" for n in range(width))),
-        pattern=SeqPattern((*DISCOVERY_QUERY.pattern.parts, union)),
+    query = Query(
+        DISCOVERY_QUERY.form,
+        (KG.name, "branch", *(f"v{n}" for n in range(width))),
+        SeqPattern((*DISCOVERY_QUERY.pattern.parts, union)),
+        DISCOVERY_QUERY.prefixes,
     )
     return Fetch(query, dict(zip(tags, shapes)))
 
@@ -236,12 +235,15 @@ def fetch_metadata(
     longer than its LIMIT, or a full page equal to the one before it, shows
     an endpoint that ignores LIMIT or OFFSET, and is malformed.
     """
-    query = replace(_at_endpoint(fetch.query, url), limit=page_size)
+    unpaged = _at_endpoint(fetch.query, url)
+    offset = 0
     graph = Graph()
     datasets: set[str] = set()
     response = 0
     previous = None
     while True:
+        # the form, projection, pattern and prefixes, paged
+        query = Query(*unpaged[:4], page_size, offset)
         try:
             rows = transport.query(url, query, run=run)
         except TransportError as exc:
@@ -261,7 +263,7 @@ def fetch_metadata(
         if len(rows) < page_size:
             return graph, tuple(sorted(datasets))
         previous = rows
-        query = replace(query, offset=query.offset + page_size)
+        offset += page_size
 
 
 def _named_blank_nodes(rows: list[dict[str, Term]]) -> list[dict[str, Term]]:
@@ -318,8 +320,7 @@ def evaluate_remote_datasets(
 # Campaign runs
 
 
-@dataclass(frozen=True)
-class EndpointRun:
+class EndpointRun(NamedTuple):
     """Everything one run observed about one endpoint.
 
     ``graph`` holds what the run fetched about all of its ``datasets``.
@@ -529,8 +530,7 @@ def _run_from_record(
 # Campaigns
 
 
-@dataclass
-class CampaignConfig:
+class CampaignConfig(NamedTuple):
     endpoints: Sequence[str]
     catalog: Catalog | None = None
     runs: int = 3

@@ -17,6 +17,16 @@ node label never does, and a literal holds strings and None where a
 triple holds terms.  A term does equal the plain tuple of its fields; no
 set or dict in kgaudit holds both.
 
+Every other record of kgaudit (queries and patterns, the catalog, results,
+runs, reports) is built the same way, so no module builds a dataclass:
+a plain ``NamedTuple`` when the record checks nothing, and a subclass
+over a private one, mixing in :class:`_Record`, when it has checks to run
+or members outside equality.  Such members (a BGP's join plans, the
+catalog's scoring plan) are not fields but instance attributes set by
+``__new__``: ``==``, hash and repr never see them, pickle and deepcopy
+carry them over, and ``_make`` and ``_replace``, which build a record from
+its fields alone, start them afresh.
+
 The N-Triples reader matches each statement line against one compiled
 regular expression built from the RDF 1.1 N-Triples productions, so a
 line is either a whole valid statement or rejected with its line number.
@@ -73,8 +83,8 @@ class ParseError(ValueError):
 _new_tuple = tuple.__new__
 
 
-class _Term:
-    """Rebuilding a term from fields goes through its validating constructor."""
+class _Record:
+    """Rebuilding a record from fields goes through its own constructor."""
 
     __slots__ = ()
 
@@ -88,7 +98,7 @@ class _Iri(NamedTuple):
     value: str
 
 
-class Iri(_Term, _Iri):
+class Iri(_Record, _Iri):
     """An absolute IRI: a validated 1-tuple of its string, which holds a ':'."""
 
     __slots__ = ()
@@ -108,7 +118,7 @@ class _BlankNode(NamedTuple):
     label: str
 
 
-class BlankNode(_Term, _BlankNode):
+class BlankNode(_Record, _BlankNode):
     """A blank node identified by a label unique within its graph.
 
     A validated 1-tuple of the label, which never holds a ':', so no blank
@@ -129,7 +139,7 @@ class _Literal(NamedTuple):
     language: str | None
 
 
-class Literal(_Term, _Literal):
+class Literal(_Record, _Literal):
     """A literal with an optional datatype IRI or language tag, not both.
 
     A validated 3-tuple of strings and None, so no literal equals a triple.
@@ -160,7 +170,7 @@ class _Triple(NamedTuple):
     object: Term
 
 
-class Triple(_Term, _Triple):
+class Triple(_Record, _Triple):
     """An RDF triple; the predicate is an IRI and the subject is not a literal.
 
     A validated 3-tuple of terms, so no triple equals a literal.
@@ -374,13 +384,15 @@ def parse_ntriples(text: str) -> Graph:
 
     Lines end at LF, CR or CRLF, each one break, as the N-Triples EOL
     production has it; no other character ends a line, so a literal may
-    hold U+0085 or U+2028.
+    hold U+0085 or U+2028.  Only space and tab are white space: a line
+    holding any other character outside a literal or comment, form feed
+    and U+2028 included, is refused.
     """
     g = Graph()
     terms: dict[str, Term] = {}
     statement = _NT_STATEMENT.fullmatch
     for lineno, raw in enumerate(_lf_lines(text).split("\n"), start=1):
-        line = raw.strip()
+        line = raw.strip(" \t")
         if not line or line[0] == "#":
             continue
         match = statement(line)

@@ -22,13 +22,23 @@ import csv
 import hashlib
 import io
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .catalog import Catalog
-from .rdf import RDF_TYPE, Graph, Iri, Literal, Term, XSD, format_term, parse_ntriples
+from .rdf import (
+    RDF_TYPE,
+    Graph,
+    Iri,
+    Literal,
+    Term,
+    XSD,
+    _Record,
+    _new_tuple,
+    format_term,
+    parse_ntriples,
+)
 from .saturation import SaturationTrace
 from .scoring import (
     DatasetResult,
@@ -62,8 +72,7 @@ _XSD_BOOLEAN = XSD + "boolean"
 _XSD_DECIMAL = XSD + "decimal"
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     """Provenance of one endpoint run: when it ran and what it scored.
 
     ``scores`` holds (dataset IRI, global score) pairs for that run's data
@@ -79,24 +88,36 @@ class RunRecord:
     errors: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
-class Report:
-    """Everything one audit produced, ready for export.
-
-    ``runs`` and ``saturation``, how saturation went on the graph each
-    endpoint's datasets were scored in, are provenance, not measurement:
-    they are kept out of equality so a report parsed back from an export
-    compares equal when it carries the same results.
-    """
-
+class _Report(NamedTuple):
     catalog_version: str
     catalog_hash: str
     generated_at: str
     results: Mapping[str, tuple[DatasetResult, ...]]
-    runs: tuple[RunRecord, ...] = field(default=(), compare=False, repr=False)
-    saturation: Mapping[str, SaturationTrace] = field(
-        default_factory=dict, compare=False, repr=False
-    )
+
+
+class Report(_Record, _Report):
+    """Everything one audit produced, ready for export.
+
+    ``runs`` and ``saturation``, how saturation went on the graph each
+    endpoint's datasets were scored in, are provenance, not measurement:
+    they are no fields, so they take no part in equality, hash or repr,
+    and a report parsed back from an export compares equal when it
+    carries the same results.
+    """
+
+    def __new__(
+        cls,
+        catalog_version: str,
+        catalog_hash: str,
+        generated_at: str,
+        results: Mapping[str, tuple[DatasetResult, ...]],
+        runs: tuple[RunRecord, ...] = (),
+        saturation: Mapping[str, SaturationTrace] = {},
+    ) -> "Report":
+        self = _new_tuple(cls, (catalog_version, catalog_hash, generated_at, results))
+        self.runs = runs
+        self.saturation = saturation
+        return self
 
     def rows(self) -> list[tuple[str, DatasetResult]]:
         """(endpoint, result) pairs in report order."""

@@ -14,16 +14,14 @@ over the raw graph, for any rule set the catalog accepts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .catalog import EquivalenceRule
 from .rdf import Graph, Term, Triple
 from .sparql import TriplePattern, Variable, eval_bgp
 
 
-@dataclass(frozen=True)
-class SaturationTrace:
+class SaturationTrace(NamedTuple):
     """What happened during one saturation run."""
 
     input_size: int

@@ -20,14 +20,13 @@ scores off it.  Nothing is rounded until a score is rendered for people
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import mul
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .catalog import KG, Catalog
-from .rdf import Graph, Iri, Term
+from .rdf import Graph, Iri, Term, _Record, _new_tuple
 from .saturation import SaturationTrace, saturate
 from .sparql import values_with_solution
 
@@ -41,23 +40,28 @@ class FailureKind(Enum):
     NOT_EVALUATED = "not-evaluated"
 
 
-@dataclass(frozen=True)
-class QueryOutcome:
-    """The answer one catalog query produced for one dataset."""
-
+class _QueryOutcome(NamedTuple):
     query_id: str
     success: bool
-    failure: FailureKind | None = None
+    failure: FailureKind | None
 
-    def __post_init__(self):
-        if self.success and self.failure is not None:
+
+class QueryOutcome(_Record, _QueryOutcome):
+    """The answer one catalog query produced for one dataset."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, query_id: str, success: bool, failure: FailureKind | None = None
+    ) -> "QueryOutcome":
+        if success and failure is not None:
             raise ValueError("a successful outcome cannot carry a failure kind")
-        if not self.success and self.failure is None:
+        if not success and failure is None:
             raise ValueError("a failed outcome needs a failure kind")
+        return _new_tuple(cls, (query_id, success, failure))
 
 
-@dataclass(frozen=True)
-class DatasetResult:
+class DatasetResult(NamedTuple):
     """Scores for one dataset: per query, per question, per hierarchy node.
 
     ``dataset`` is normally the dataset IRI; for an endpoint where nothing

@@ -32,9 +32,8 @@ leading inline data binds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Union as TypingUnion
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union as TypingUnion
 
 from .rdf import (
     RDF_TYPE,
@@ -43,7 +42,9 @@ from .rdf import (
     Literal,
     Term,
     _MALFORMED,
+    _Record,
     _TokenReader,
+    _new_tuple,
     format_term,
     term_sort_key,
 )
@@ -74,77 +75,118 @@ class UnsupportedSparqlFeature(SparqlError):
 # AST
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
+    """A query variable, by its name without the ``?``.
+
+    Equal as a tuple to the blank node of the same label, yet the two
+    never meet: the fragment has no blank nodes, so no pattern holds one,
+    and code tells a variable from a term by its class before it looks
+    the term up or compares it.
+    """
+
     name: str
 
 
 PatternTerm = TypingUnion[Iri, Literal, Variable]
 
 
-@dataclass(frozen=True)
-class TriplePattern:
+class TriplePattern(NamedTuple):
+    """A triple of IRIs, literals and variables.
+
+    One with no variable is equal as a tuple to the :class:`~kgaudit.rdf.Triple`
+    of its terms, yet patterns and triples never meet: graphs hold
+    triples, queries hold patterns, and a pattern becomes a triple only
+    through ``Triple``'s checks.
+    """
+
     subject: PatternTerm
     predicate: PatternTerm
     object: PatternTerm
 
     def positions(self) -> tuple[PatternTerm, PatternTerm, PatternTerm]:
-        return (self.subject, self.predicate, self.object)
+        return self
 
 
-@dataclass(frozen=True)
-class Bgp:
-    """A basic graph pattern: a conjunction of triple patterns."""
-
-    patterns: tuple[TriplePattern, ...] = ()
-    # Join plans by the names bound at the start, made when first needed
-    # (threads that race make equal plans); like ``Catalog.plan``, no part
-    # of equality, hash or repr.
-    plans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+class _Bgp(NamedTuple):
+    patterns: tuple[TriplePattern, ...]
 
 
-@dataclass(frozen=True)
-class UnionPattern:
-    """Alternative group patterns; solutions are the union over branches."""
+class Bgp(_Record, _Bgp):
+    """A basic graph pattern: a conjunction of triple patterns.
 
+    ``plans`` holds its join plans by the names bound at the start, made
+    when first needed (threads that race make equal plans); like
+    ``Catalog.plan``, it is no field, so no part of equality, hash or repr.
+    """
+
+    def __new__(cls, patterns: tuple[TriplePattern, ...] = ()) -> "Bgp":
+        self = _new_tuple(cls, (patterns,))
+        self.plans = {}
+        return self
+
+
+class _UnionPattern(NamedTuple):
     branches: tuple["GroupPattern", ...]
 
-    def __post_init__(self) -> None:
-        if len(self.branches) < 2:
+
+class UnionPattern(_Record, _UnionPattern):
+    """Alternative group patterns; solutions are the union over branches."""
+
+    __slots__ = ()
+
+    def __new__(cls, branches: tuple["GroupPattern", ...]) -> "UnionPattern":
+        if len(branches) < 2:
             raise ValueError("UNION needs at least two branches")
+        return _new_tuple(cls, (branches,))
 
 
-@dataclass(frozen=True)
-class InlineData:
-    """``VALUES ?variable { ... }``: one solution per value, IRIs and literals."""
-
+class _InlineData(NamedTuple):
     variable: str
     values: tuple[Term, ...]
 
-    def __post_init__(self) -> None:
-        if not all(isinstance(value, (Iri, Literal)) for value in self.values):
+
+class InlineData(_Record, _InlineData):
+    """``VALUES ?variable { ... }``: one solution per value, IRIs and literals."""
+
+    __slots__ = ()
+
+    def __new__(cls, variable: str, values: tuple[Term, ...]) -> "InlineData":
+        if not all(isinstance(value, (Iri, Literal)) for value in values):
             raise ValueError("inline data holds IRIs and literals only")
+        return _new_tuple(cls, (variable, values))
 
 
-@dataclass(frozen=True)
-class SeqPattern:
+class _SeqPattern(NamedTuple):
+    parts: tuple["GroupPattern", ...]
+
+
+class SeqPattern(_Record, _SeqPattern):
     """Group patterns evaluated in sequence and joined.
 
     Inline data may only lead: that is the one place the parser reads it.
     """
 
-    parts: tuple["GroupPattern", ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if any(isinstance(part, InlineData) for part in self.parts[1:]):
+    def __new__(cls, parts: tuple["GroupPattern", ...]) -> "SeqPattern":
+        if any(isinstance(part, InlineData) for part in parts[1:]):
             raise ValueError("inline data must lead its group")
+        return _new_tuple(cls, (parts,))
 
 
 GroupPattern = TypingUnion[Bgp, UnionPattern, SeqPattern, InlineData]
 
 
-@dataclass(frozen=True, eq=True)
-class Query:
+class _Query(NamedTuple):
+    form: str  # "ask" | "select"
+    projection: tuple[str, ...] | None
+    pattern: GroupPattern
+    prefixes: Mapping[str, str]
+    limit: int | None
+    offset: int
+
+
+class Query(_Record, _Query):
     """A parsed query.
 
     ``projection`` is None for ASK; for SELECT it lists the projected
@@ -153,16 +195,20 @@ class Query:
     the parser never does, so catalog queries cannot page.
     """
 
-    form: str  # "ask" | "select"
-    projection: tuple[str, ...] | None
-    pattern: GroupPattern
-    prefixes: Mapping[str, str] = field(default_factory=dict)
-    limit: int | None = None
-    offset: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.form not in ("ask", "select"):
-            raise ValueError(f"unknown query form: {self.form}")
+    def __new__(
+        cls,
+        form: str,
+        projection: tuple[str, ...] | None,
+        pattern: GroupPattern,
+        prefixes: Mapping[str, str] = {},
+        limit: int | None = None,
+        offset: int = 0,
+    ) -> "Query":
+        if form not in ("ask", "select"):
+            raise ValueError(f"unknown query form: {form}")
+        return _new_tuple(cls, (form, projection, pattern, prefixes, limit, offset))
 
 
 def pattern_variables(pattern: GroupPattern) -> set[str]:
@@ -509,8 +555,9 @@ def substitute(query: Query, values: Mapping[str, Term]) -> Query:
             raise SparqlError(
                 "cannot substitute projected variables: " + ", ".join(sorted(clash))
             )
-    return replace(
-        query, pattern=_substitute_group(query.pattern, values), prefixes=dict(query.prefixes)
+    pattern = _substitute_group(query.pattern, values)
+    return Query(
+        query.form, query.projection, pattern, dict(query.prefixes), query.limit, query.offset
     )
 
 

@@ -35,11 +35,11 @@ runs fully deterministic: a replay never reads the clock.
 from __future__ import annotations
 
 import json
+import threading
 import time
 from contextlib import ExitStack, closing, contextmanager
-from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import TYPE_CHECKING, Iterator, Protocol
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Protocol
 
 import yaml
 
@@ -249,8 +249,7 @@ def _decode_row(row: object) -> dict[str, Term]:
 # ---------------------------------------------------------------------------
 # Recorded transcripts
 
-@dataclass(frozen=True)
-class TranscriptRun:
+class TranscriptRun(NamedTuple):
     available: bool
     timestamp: str
     data: str  # N-Triples, parsed at the run's first query
@@ -280,9 +279,10 @@ class TranscriptTransport:
     when its run is first queried, and each distinct text once, into one
     graph that every run serving it shares; a text that is not N-Triples
     raises ``ValueError`` then, naming the file, endpoint and run, and a
-    run that is never queried, or recorded as down, is never parsed.  Two
-    workers meeting an unparsed text at once may both parse it; they get
-    equal graphs, and one of them is kept.
+    run that is never queried, or recorded as down, is never parsed.  A
+    text is parsed under a lock, so it is parsed exactly once however
+    many workers meet it at once; a worker whose text is already parsed
+    takes no lock.
 
     A campaign asking for a run beyond the recorded ones gets the last
     recorded run.  Unavailable runs refuse queries with a connection
@@ -297,6 +297,7 @@ class TranscriptTransport:
             raise ValueError(f"{path}: not valid YAML: {exc}") from None
         self._endpoints: dict[str, list[TranscriptRun]] = {}
         self._graphs: dict[str, Graph] = {}  # by N-Triples text
+        self._parse_lock = threading.Lock()
         if not isinstance(doc, dict) or not isinstance(doc.get("endpoints"), dict):
             raise ValueError(f"{path}: transcript needs an 'endpoints' mapping")
         for url, spec in doc["endpoints"].items():
@@ -326,12 +327,20 @@ class TranscriptTransport:
             raise TransportError("connection", f"endpoint {url} is recorded as down")
         graph = self._graphs.get(entry.data)
         if graph is None:
-            try:
-                graph = parse_ntriples(entry.data)
-            except ParseError as exc:
-                raise ValueError(f"{entry.where}: {exc}") from None
-            self._graphs[entry.data] = graph
+            graph = self._parse(entry)
         return eval_select(graph, query)
+
+    def _parse(self, entry: TranscriptRun) -> Graph:
+        with self._parse_lock:
+            # another worker may have parsed it while this one waited
+            graph = self._graphs.get(entry.data)
+            if graph is None:
+                try:
+                    graph = parse_ntriples(entry.data)
+                except ParseError as exc:
+                    raise ValueError(f"{entry.where}: {exc}") from None
+                self._graphs[entry.data] = graph
+            return graph
 
 
 def _transcript_run(entry: object, where: str) -> TranscriptRun:

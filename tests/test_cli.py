@@ -828,3 +828,24 @@ def test_local_commands_do_not_import_requests(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0] False"
+
+
+def test_commands_start_without_dataclasses_or_inspect():
+    # importing dataclasses, and the inspect it loads, and building classes
+    # with it cost every command tens of milliseconds before any work began
+    src = Path(kgaudit.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "import kgaudit.cli\n"
+        "from kgaudit.catalog import default_catalog\n"
+        "default_catalog()\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]"]

@@ -9,7 +9,6 @@ import random
 import sys
 import threading
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 import yaml
@@ -283,7 +282,7 @@ class Ignoring(CountingTransport):
     def query(self, url, query, *, run=0):
         if self.count == 5:
             raise AssertionError("still paging after 5 requests")
-        ignored = replace(query, **{self.modifier: None if self.modifier == "limit" else 0})
+        ignored = query._replace(**{self.modifier: None if self.modifier == "limit" else 0})
         return super().query(url, ignored, run=run)
 
 
@@ -590,7 +589,7 @@ def test_campaign_is_deterministic(config):
 
 
 def test_campaign_deduplicates_endpoints(config):
-    doubled = CampaignConfig(**{**config.__dict__, "endpoints": ENDPOINTS + ENDPOINTS})
+    doubled = CampaignConfig(**{**config._asdict(), "endpoints": ENDPOINTS + ENDPOINTS})
     report = run_campaign(doubled)
     assert list(report.results) == ENDPOINTS
 
@@ -608,7 +607,7 @@ def test_campaign_down_run_equals_all_up(tmp_path, config):
     path.write_text(yaml.safe_dump(flipped))
 
     allup = CampaignConfig(
-        **{**config.__dict__, "transport": TranscriptTransport(str(path))}
+        **{**config._asdict(), "transport": TranscriptTransport(str(path))}
     )
     report_down = run_campaign(config)
     report_up = run_campaign(allup)
@@ -657,7 +656,7 @@ def test_campaign_scores_each_endpoint_once_and_each_differing_run(
         return real(catalog, graph, datasets)
 
     monkeypatch.setattr(client, "score_datasets", counting)
-    report = run_campaign(CampaignConfig(**{**config.__dict__, "transport": transport}))
+    report = run_campaign(CampaignConfig(**{**config._asdict(), "transport": transport}))
     runs = [audit_run(transport, rr.endpoint, rr.run, FETCH) for rr in report.runs]
     union = {er.endpoint: (Graph(), set()) for er in runs}
     for er in runs:
@@ -701,7 +700,7 @@ class ClosableTranscript(CountingTransport):
 def test_campaign_closes_the_http_transport_it_builds(config, monkeypatch):
     monkeypatch.setattr(ClosableTranscript, "built", [])
     monkeypatch.setattr(transport_module, "HttpTransport", ClosableTranscript)
-    report = run_campaign(CampaignConfig(**{**config.__dict__, "transport": None}))
+    report = run_campaign(CampaignConfig(**{**config._asdict(), "transport": None}))
     assert report == run_campaign(config)
     # one per endpoint, each asked about its own endpoint only
     built = sorted(ClosableTranscript.built, key=lambda t: sorted(t.urls))
@@ -710,11 +709,11 @@ def test_campaign_closes_the_http_transport_it_builds(config, monkeypatch):
 
 
 def test_resumed_campaign_builds_no_http_transport(tmp_path, config, monkeypatch):
-    journaled = CampaignConfig(**{**config.__dict__, "journal_path": str(tmp_path / "j.jsonl")})
+    journaled = CampaignConfig(**{**config._asdict(), "journal_path": str(tmp_path / "j.jsonl")})
     first = run_campaign(journaled)
     monkeypatch.setattr(ClosableTranscript, "built", [])
     monkeypatch.setattr(transport_module, "HttpTransport", ClosableTranscript)
-    resumed = run_campaign(CampaignConfig(**{**journaled.__dict__, "transport": None}))
+    resumed = run_campaign(CampaignConfig(**{**journaled._asdict(), "transport": None}))
     assert resumed == first
     assert ClosableTranscript.built == []
 
@@ -776,7 +775,7 @@ class Watched:
 def test_campaign_sleeps_only_when_no_endpoint_is_due(config, monkeypatch):
     clock = FakeClock()
     monkeypatch.setattr(transport_module, "time", clock)
-    polite = CampaignConfig(**{**config.__dict__, "workers": 1, "delay": 0.5})
+    polite = CampaignConfig(**{**config._asdict(), "workers": 1, "delay": 0.5})
     assert run_campaign(polite) == run_campaign(config)
     # each endpoint's first run starts at once; then the worker sleeps only
     # before the first endpoint's next run, when no endpoint is due
@@ -795,15 +794,15 @@ def test_campaign_keeps_at_most_workers_layers_open(tmp_path, config, monkeypatc
     monkeypatch.setattr(transport_module, "HttpTransport", watch)
     endpoints = list(doc["endpoints"])
     wide = CampaignConfig(
-        **{**config.__dict__, "endpoints": endpoints, "workers": 4, "transport": transcript}
+        **{**config._asdict(), "endpoints": endpoints, "workers": 4, "transport": transcript}
     )
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # more workers than cores, switching often
     try:
-        report = run_campaign(replace(wide, transport=None))
+        report = run_campaign(wide._replace(transport=None))
     finally:
         sys.setswitchinterval(switch)
-    assert report == run_campaign(replace(wide, workers=1))
+    assert report == run_campaign(wide._replace(workers=1))
     assert watch.closes == [1] * len(endpoints)
     assert 1 <= watch.most_open <= 4
     assert watch.overlapped == set()
@@ -818,7 +817,7 @@ def test_a_failing_cell_stops_the_campaign_and_closes_every_layer(
     monkeypatch.setattr(transport_module, "HttpTransport", watch)
     journal = tmp_path / "journal.jsonl"
     broken = CampaignConfig(
-        **{**config.__dict__, "transport": None, "workers": workers, "journal_path": str(journal)}
+        **{**config._asdict(), "transport": None, "workers": workers, "journal_path": str(journal)}
     )
     with pytest.raises(RuntimeError, match="scripted bug"):
         run_campaign(broken)
@@ -844,7 +843,7 @@ def test_cli_closes_the_http_transport_it_builds(monkeypatch, capsys, command):
 
 
 def test_campaign_requires_a_run(config):
-    broken = CampaignConfig(**{**config.__dict__, "runs": 0})
+    broken = CampaignConfig(**{**config._asdict(), "runs": 0})
     with pytest.raises(ValueError):
         run_campaign(broken)
 
@@ -860,7 +859,7 @@ def test_campaign_requires_a_run(config):
     ],
 )
 def test_campaign_rejects_bad_config(config, name, value):
-    broken = CampaignConfig(**{**config.__dict__, name: value})
+    broken = CampaignConfig(**{**config._asdict(), name: value})
     with pytest.raises(ValueError):
         run_campaign(broken)
 
@@ -873,7 +872,7 @@ def test_campaign_refuses_a_malformed_endpoint_before_any_request(
     journal = tmp_path / "journal.jsonl"
     broken = CampaignConfig(
         **{
-            **config.__dict__,
+            **config._asdict(),
             "endpoints": [FULL_ENDPOINT, bad],
             "transport": counting,
             "journal_path": str(journal),
@@ -891,7 +890,7 @@ def test_campaign_refuses_a_malformed_endpoint_before_any_request(
 
 def test_journal_resume_skips_completed_runs(tmp_path, transcript, config):
     journal_path = tmp_path / "journal.jsonl"
-    journaled = CampaignConfig(**{**config.__dict__, "journal_path": str(journal_path)})
+    journaled = CampaignConfig(**{**config._asdict(), "journal_path": str(journal_path)})
     first = run_campaign(journaled)
     recorded = journal_path.read_bytes()
     # 1 header + 3 endpoints x 3 runs
@@ -899,7 +898,7 @@ def test_journal_resume_skips_completed_runs(tmp_path, transcript, config):
 
     counting = CountingTransport(transcript)
     resumed_config = CampaignConfig(
-        **{**journaled.__dict__, "transport": counting}
+        **{**journaled._asdict(), "transport": counting}
     )
     resumed = run_campaign(resumed_config)
     assert counting.count == 0
@@ -910,17 +909,17 @@ def test_journal_resume_skips_completed_runs(tmp_path, transcript, config):
 def test_campaign_builds_its_fetch_only_with_a_cell_to_audit(tmp_path, config, monkeypatch):
     built = []
     monkeypatch.setattr(client, "build_fetch", lambda catalog: built.append(catalog) or FETCH)
-    journaled = CampaignConfig(**{**config.__dict__, "journal_path": str(tmp_path / "j.jsonl")})
+    journaled = CampaignConfig(**{**config._asdict(), "journal_path": str(tmp_path / "j.jsonl")})
     first = run_campaign(journaled)
     assert built == [config.catalog]
     counting = CountingTransport(config.transport)
-    assert run_campaign(CampaignConfig(**{**journaled.__dict__, "transport": counting})) == first
+    assert run_campaign(CampaignConfig(**{**journaled._asdict(), "transport": counting})) == first
     assert built == [config.catalog] and counting.count == 0
 
 
 def test_journal_parses_each_repeated_text_once(tmp_path, config, monkeypatch):
     journal_path = tmp_path / "journal.jsonl"
-    journaled = CampaignConfig(**{**config.__dict__, "journal_path": str(journal_path)})
+    journaled = CampaignConfig(**{**config._asdict(), "journal_path": str(journal_path)})
     first = run_campaign(journaled)
     records = [json.loads(line)["record"] for line in journal_path.read_text().splitlines()[1:]]
     texts = [record["graph"] for record in records]
@@ -942,7 +941,7 @@ def test_journal_parses_each_repeated_text_once(tmp_path, config, monkeypatch):
 
 def test_journal_refuses_checksum_mismatch(tmp_path, config):
     journal_path = tmp_path / "journal.jsonl"
-    journaled = CampaignConfig(**{**config.__dict__, "journal_path": str(journal_path)})
+    journaled = CampaignConfig(**{**config._asdict(), "journal_path": str(journal_path)})
     run_campaign(journaled)
     lines = journal_path.read_text().splitlines()
     lines[1] = lines[1].replace('"run": ', '"run": 4', 1).replace('"run": 44', '"run": 4')
@@ -953,7 +952,7 @@ def test_journal_refuses_checksum_mismatch(tmp_path, config):
 
 def test_journal_refuses_garbage(tmp_path, config):
     journal_path = tmp_path / "journal.jsonl"
-    journaled = CampaignConfig(**{**config.__dict__, "journal_path": str(journal_path)})
+    journaled = CampaignConfig(**{**config._asdict(), "journal_path": str(journal_path)})
     run_campaign(journaled)
     with open(journal_path, "a", encoding="utf-8") as handle:
         handle.write("{truncated\n")
@@ -1011,7 +1010,7 @@ def test_journal_refuses_an_older_format_and_leaves_it(tmp_path, config, older):
     journal_path = tmp_path / "journal.jsonl"
     journal_path.write_text(header + "\n")
     before = journal_path.read_bytes()
-    journaled = CampaignConfig(**{**config.__dict__, "journal_path": str(journal_path)})
+    journaled = CampaignConfig(**{**config._asdict(), "journal_path": str(journal_path)})
     with pytest.raises(JournalError, match="older format; start the campaign again"):
         run_campaign(journaled)
     assert journal_path.read_bytes() == before
@@ -1041,7 +1040,7 @@ def test_a_journal_lends_a_campaign_only_its_own_endpoints(tmp_path, config):
     journal_path = tmp_path / "journal.jsonl"
     both = CampaignConfig(
         **{
-            **config.__dict__,
+            **config._asdict(),
             "endpoints": [FULL_ENDPOINT, SPARSE_ENDPOINT],
             "journal_path": str(journal_path),
             "transport": TranscriptTransport(str(path)),
@@ -1049,9 +1048,9 @@ def test_a_journal_lends_a_campaign_only_its_own_endpoints(tmp_path, config):
     )
     run_campaign(both)
     recorded = journal_path.read_bytes()
-    full = CampaignConfig(**{**both.__dict__, "endpoints": [FULL_ENDPOINT]})
+    full = CampaignConfig(**{**both._asdict(), "endpoints": [FULL_ENDPOINT]})
     resumed = run_campaign(full)
-    fresh = run_campaign(CampaignConfig(**{**full.__dict__, "journal_path": None}))
+    fresh = run_campaign(CampaignConfig(**{**full._asdict(), "journal_path": None}))
     assert [(rr.endpoint, rr.run) for rr in resumed.runs] == [(FULL_ENDPOINT, n) for n in range(3)]
     assert resumed.generated_at == "2024-05-03T10:00:00Z"
     catalog = config.catalog
@@ -1061,9 +1060,9 @@ def test_a_journal_lends_a_campaign_only_its_own_endpoints(tmp_path, config):
 
 def test_journal_refuses_other_campaign(tmp_path, config):
     journal_path = tmp_path / "journal.jsonl"
-    journaled = CampaignConfig(**{**config.__dict__, "journal_path": str(journal_path)})
+    journaled = CampaignConfig(**{**config._asdict(), "journal_path": str(journal_path)})
     run_campaign(journaled)
-    different_runs = CampaignConfig(**{**journaled.__dict__, "runs": 2})
+    different_runs = CampaignConfig(**{**journaled._asdict(), "runs": 2})
     with pytest.raises(JournalError, match="different campaign"):
         run_campaign(different_runs)
 

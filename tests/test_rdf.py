@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import copyreg
+import importlib
 import itertools
 import pickle
 import random
@@ -41,6 +42,22 @@ from kgaudit.rdf import (
     parse_ntriples,
     parse_turtle,
     serialize_ntriples,
+)
+from kgaudit.catalog import default_catalog, dump_catalog, parse_catalog
+from kgaudit.reporting import RunRecord, build_report
+from kgaudit.saturation import SaturationTrace
+from kgaudit.scoring import FailureKind, QueryOutcome
+from kgaudit.sparql import (
+    Bgp,
+    InlineData,
+    Query,
+    SeqPattern,
+    TriplePattern,
+    UnionPattern,
+    UnsupportedSparqlFeature,
+    Variable,
+    eval_select,
+    parse_query,
 )
 
 DCT = "http://purl.org/dc/terms/"
@@ -166,6 +183,139 @@ def test_src_never_rebuilds_a_term_around_its_checks() -> None:
         if "._make(" in line or "._replace(" in line
     ]
     assert offenders == []
+
+
+# ---------------------------------------------------------------------------
+# Every other record is built the way the terms are
+
+_RECORDS = {
+    "catalog": ["Catalog", "CompactQuery", "EquivalenceRule", "HierarchyNode", "Question",
+                "ScoringPlan"],
+    "client": ["CampaignConfig", "EndpointRun", "Fetch"],
+    "reporting": ["Report", "RunRecord"],
+    "saturation": ["SaturationTrace"],
+    "scoring": ["DatasetResult", "QueryOutcome"],
+    "sparql": ["Bgp", "InlineData", "Query", "SeqPattern", "TriplePattern", "UnionPattern",
+               "Variable"],
+    "transport": ["TranscriptRun"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(_RECORDS))
+def test_records_are_named_tuples_with_tuple_hash_and_equality(module) -> None:
+    namespace = vars(importlib.import_module(f"kgaudit.{module}"))
+    assert [name for name, obj in namespace.items() if hasattr(obj, "__dataclass_fields__")] == []
+    for name in _RECORDS[module]:
+        cls = namespace[name]
+        assert issubclass(cls, tuple) and cls._fields
+        assert cls.__hash__ is tuple.__hash__
+        assert cls.__eq__ is tuple.__eq__ and cls.__ne__ is tuple.__ne__
+
+
+_OUTCOME = QueryOutcome("q.1", False, FailureKind.TIMEOUT)
+_UNION = UnionPattern((Bgp(()), Bgp(())))
+_VALUES = InlineData("v", (Iri("http://x"), Literal("x")))
+_SEQ = SeqPattern((_VALUES, Bgp(())))
+_QUERY = parse_query("PREFIX x: <http://x/> SELECT ?s WHERE { ?s x:p ?o }")
+
+# A validated record, fields its checks refuse, and the refusal.
+_VALIDATED = [
+    (_OUTCOME, {"failure": None}, "a failed outcome needs a failure kind"),
+    (QueryOutcome("q.1", True), {"failure": FailureKind.TIMEOUT}, "cannot carry a failure"),
+    (_UNION, {"branches": (Bgp(()),)}, "UNION needs at least two branches"),
+    (_VALUES, {"values": (BlankNode("b"),)}, "inline data holds IRIs and literals only"),
+    (_SEQ, {"parts": (Bgp(()), _VALUES)}, "inline data must lead its group"),
+    (_QUERY, {"form": "construct"}, "unknown query form: construct"),
+]
+
+
+@pytest.mark.parametrize(
+    "record, bad, message",
+    _VALIDATED,
+    ids=["QueryOutcome-failed", "QueryOutcome-succeeded", "UnionPattern", "InlineData",
+         "SeqPattern", "Query"],
+)
+def test_validated_records_rebuild_through_their_checks(record, bad, message) -> None:
+    for again in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(again) is type(record)
+        assert again == record and repr(again) == repr(record)
+    # pickle and deepcopy rebuild a record as cls.__new__(cls, *fields)
+    rebuild, args = record.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[:2]
+    assert rebuild is copyreg.__newobj__
+    assert args == (type(record), *record)
+    assert type(record)._make(record) == record
+    with pytest.raises(ValueError, match=message):
+        record._replace(**bad)
+    with pytest.raises(ValueError, match=message):
+        type(record)._make({**record._asdict(), **bad}.values())
+
+
+@pytest.fixture(scope="module")
+def with_members() -> dict[str, object]:
+    """A record of each class with members outside equality, each member set."""
+    catalog = parse_catalog(dump_catalog(default_catalog()))
+    catalog.content_hash()
+    graph = Graph([Triple(Iri("http://x/s"), Iri("http://x/p"), Iri("http://x/o"))])
+    bgp = parse_query("ASK { ?s <http://x/p> ?o }").pattern
+    eval_select(graph, Query("select", (), bgp))
+    runs = [RunRecord("http://e.org/", 0, "t", True)]
+    report = build_report(catalog, {}, "t", runs, {"http://e.org/": SaturationTrace(1, 2, {})})
+    return {"Bgp": bgp, "EquivalenceRule": catalog.rules[0], "Catalog": catalog, "Report": report}
+
+
+# Each member outside equality, and its value in a record built from fields
+# alone; a rule's source_bgp is made anew from its source.
+_MEMBERS = {
+    "Bgp.plans": {},
+    "EquivalenceRule.source_bgp": None,
+    "Catalog.plan": None,
+    "Catalog._hash": None,
+    "Report.runs": (),
+    "Report.saturation": {},
+}
+
+
+@pytest.mark.parametrize("name", _MEMBERS)
+def test_members_outside_equality_stay_outside_eq_hash_and_repr(with_members, name) -> None:
+    cls, member = name.split(".")
+    record = with_members[cls]
+    value = getattr(record, member)
+    assert value and member not in record._fields
+    other = copy.copy(record)
+    setattr(other, member, None)
+    assert other == record and not other != record
+    assert repr(other) == repr(record) and f"{member}=" not in repr(record)
+    try:
+        assert hash(other) == hash(record)
+    except TypeError:  # a record holding a dict has no hash
+        pass
+    # pickle and deepcopy carry the member over ...
+    for again in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert getattr(again, member) == value
+    # ... and _make and _replace, which build from the fields, start it afresh
+    fresh = getattr(record._replace(), member)
+    assert fresh is not value
+    assert fresh == (_MEMBERS[name] if member != "source_bgp" else Bgp(record.source))
+
+
+def test_records_equal_as_tuples_never_meet() -> None:
+    # equality is tuple equality, so these pairs compare equal ...
+    s, p, o = Iri("http://a/s"), Iri("http://a/p"), Iri("http://a/o")
+    assert Variable("b") == BlankNode("b")
+    assert TriplePattern(s, p, o) == Triple(s, p, o)
+    assert "never meet" in Variable.__doc__ and "never meet" in TriplePattern.__doc__
+    # ... but no pattern holds a blank node, and a variable named like one binds it
+    with pytest.raises(UnsupportedSparqlFeature, match="blank nodes"):
+        parse_query("ASK { _:b <http://a/p> ?o }")
+    with pytest.raises(ValueError, match="IRIs and literals only"):
+        InlineData("b", (BlankNode("b"),))
+    graph = Graph([Triple(BlankNode("b"), p, o), Triple(s, p, o)])
+    rows = eval_select(graph, parse_query("SELECT ?b WHERE { ?b <http://a/p> <http://a/o> }"))
+    assert rows == [{"b": s}, {"b": BlankNode("b")}]
+    # a pattern without variables is asked of the graph, never looked up in it
+    ask = parse_query("SELECT * WHERE { <http://a/s> <http://a/p> <http://a/o> }")
+    assert eval_select(graph, ask) == [{}]
+    assert eval_select(Graph(), ask) == []
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +578,32 @@ def test_ntriples_keeps_a_literal_with_a_unicode_line_separator_on_one_line(char
     assert err.value.line == 2
     (triple,) = parse_ntriples(text[: text.index("\n")])
     assert triple.object == Literal(f"one{char}line")
+
+
+_GOOD = "<http://a/s> <http://a/p> <http://a/o> ."
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        " " + _GOOD + "\x0c",
+        "\x0c" + _GOOD,
+        _GOOD + "\x0b",
+        _GOOD + " \u2028",
+        "\x1c",
+        "\x0c",
+        "\u2028",
+        "\u3000",
+        "\x85",
+    ],
+    ids=repr,
+)
+def test_ntriples_white_space_is_space_and_tab_only(line: str) -> None:
+    text = _GOOD + "\n\n" + line + "\n" + _GOOD
+    with pytest.raises(ParseError) as err:
+        parse_ntriples(text)
+    assert err.value.line == 3
+    assert len(parse_ntriples(f" \t{_GOOD}\t \n \t\n\t# note\x0c\n")) == 1
 
 
 @pytest.mark.parametrize(

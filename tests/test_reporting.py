@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -153,9 +152,7 @@ def test_dqv_refuses_an_invalid_endpoint_iri(endpoint):
 
 def test_dqv_refuses_a_key_that_makes_an_invalid_iri():
     result = not_evaluated_result(CATALOG, "http://example.org/kg/a")
-    bad = dataclasses.replace(
-        result, question_scores={"bad key": Fraction(0), **result.question_scores}
-    )
+    bad = result._replace(question_scores={"bad key": Fraction(0), **result.question_scores})
     rep = build_report(CATALOG, {"http://e.org/": [bad]}, "t")
     with pytest.raises(ValueError, match="forbidden character"):
         to_dqv(rep, CATALOG)
@@ -217,14 +214,11 @@ def test_dqv_bytes_of_an_awkward_report_are_pinned(report):
     # report literals that need escaping
     full = report.results["http://example.org/sparql"][0]
     dead = report.results["http://dead.example.org/sparql"][0]
-    awkward = dataclasses.replace(
-        build_report(
-            CATALOG,
-            {"http://example.org/sparql": [full, full], "http://dead.example.org/sparql": [dead]},
-            'stamp "q" \\ back\nslash',
-        ),
-        catalog_version='v"1\\0\n',
-    )
+    awkward = build_report(
+        CATALOG,
+        {"http://example.org/sparql": [full, full], "http://dead.example.org/sparql": [dead]},
+        'stamp "q" \\ back\nslash',
+    )._replace(catalog_version='v"1\\0\n')
     text = to_dqv(awkward, CATALOG)
     assert _pin(text) == AWKWARD_DQV
     version = '<urn:kgaudit:v1:report> <urn:kgaudit:v1:ns:catalogVersion> "v\\"1\\\\0\\n" .'
@@ -276,7 +270,7 @@ def _random_dqv_report(rng: random.Random, endpoints: int) -> Report:
                 rows.append(_random_row(rng, rng.choice(_DQV_DATASETS)))
         results[endpoint] = rows
     report = build_report(CATALOG, results, rng.choice(_DQV_STAMPS))
-    return dataclasses.replace(report, catalog_version=rng.choice(_DQV_STAMPS))
+    return report._replace(catalog_version=rng.choice(_DQV_STAMPS))
 
 
 def _distinct_rows(report: Report) -> Report:
@@ -288,7 +282,7 @@ def _distinct_rows(report: Report) -> Report:
         for row in rows:
             first.setdefault(row.dataset, row)
         results[endpoint] = tuple(first[dataset] for dataset in sorted(first))
-    return dataclasses.replace(report, results=results)
+    return report._replace(results=results)
 
 
 def test_the_catalog_has_a_node_key_that_extends_another():
@@ -312,7 +306,7 @@ def test_dqv_writer_matches_the_set_and_sort_reference(seed):
 def test_dqv_writer_takes_the_union_of_a_repeated_pair(report):
     full, sparse = report.results["http://example.org/sparql"]
     # sparse's result under full's dataset key: the same subjects, other values
-    other = dataclasses.replace(sparse, dataset=full.dataset)
+    other = sparse._replace(dataset=full.dataset)
     for rows in ([full, full], [full, other], [other, full]):
         repeated = build_report(CATALOG, {"http://example.org/sparql": rows}, "t")
         assert to_dqv(repeated, CATALOG) == ref_to_dqv(repeated)

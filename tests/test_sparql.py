@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -376,7 +375,7 @@ def test_inline_data_joins_with_the_rest_of_its_group() -> None:
         "{ VALUES ?s { <http://example.org/a> <http://example.org/b> } } ?s ?p ?o }"
     )
     assert [sol["s"] for sol in eval_select(g, q)] == [Iri("http://example.org/a")]
-    assert eval_ask(g, replace(q, form="ask", projection=None)) is True
+    assert eval_ask(g, q._replace(form="ask", projection=None)) is True
 
 
 def test_dollar_and_question_mark_variables_join() -> None:
@@ -411,10 +410,10 @@ def test_values_select_keeps_the_values_with_a_solution() -> None:
             if not isinstance(t, BlankNode)
         ]
         one = bind_values(free, name, values)
-        every = replace(one, projection=())
+        every = one._replace(projection=())
         expected = {sol[name] for sol in eval_select(g, every)}
         assert {sol[name] for sol in eval_select(g, one)} == expected
-        assert eval_ask(g, replace(one, form="ask", projection=None)) is bool(expected)
+        assert eval_ask(g, one._replace(form="ask", projection=None)) is bool(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +507,7 @@ def test_union_with_only_absent_predicates_has_no_solution() -> None:
         "UNION { ?s <http://example.org/p/1> ?o } }"
     )
     assert eval_select(g, q) == []
-    assert eval_ask(g, replace(q, form="ask", projection=None)) is False
+    assert eval_ask(g, q._replace(form="ask", projection=None)) is False
     assert values_with_solution(g, q.pattern, "s", [Iri("http://example.org/a")]) == []
     # pruned before evaluation, so no branch was ever planned
     assert [branch.plans for branch in q.pattern.branches] == [{}, {}]
@@ -551,7 +550,7 @@ def test_values_with_solution_agrees_with_eval_select() -> None:
         assert found == [value for value in dict.fromkeys(values) if value in found]
         select = bind_values(Query("select", (name,), pattern), name, values)
         assert [row[name] for row in eval_select(g, select)] == sorted(found, key=term_sort_key)
-        every = {sol[name] for sol in eval_select(g, replace(select, projection=()))}
+        every = {sol[name] for sol in eval_select(g, select._replace(projection=()))}
         assert set(found) == every
 
 
@@ -566,4 +565,4 @@ def test_plans_leave_equality_hash_and_repr_unchanged() -> None:
     assert used.pattern.plans and not fresh.pattern.plans
     assert used == fresh and hash(used.pattern) == hash(fresh.pattern)
     assert repr(used) == repr(fresh) and "plans" not in repr(used)
-    assert replace(used.pattern).plans == {}
+    assert used.pattern._replace().plans == {}

@@ -8,7 +8,6 @@ import json
 import re
 import threading
 from contextlib import closing, contextmanager
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
@@ -476,10 +475,10 @@ def test_transcript_timestamps(transcript):
 def test_transcript_select_with_modifiers(transcript):
     base = parse_query("SELECT ?p ?o WHERE { <http://example.org/kg/full> ?p ?o . }")
     everything = transcript.query(ENDPOINT, base, run=0)
-    page = transcript.query(ENDPOINT, replace(base, limit=5, offset=5), run=0)
+    page = transcript.query(ENDPOINT, base._replace(limit=5, offset=5), run=0)
     assert len(page) == 5
     assert page == everything[5:10]
-    beyond = replace(base, limit=5, offset=9999)
+    beyond = base._replace(limit=5, offset=9999)
     assert transcript.query(ENDPOINT, beyond, run=0) == []
 
 
@@ -648,6 +647,42 @@ def test_transcript_parses_each_text_once_at_its_first_query(tmp_path, monkeypat
     assert parsed == TEXTS
 
 
+def test_two_workers_meeting_an_unparsed_text_parse_it_once(tmp_path, monkeypatch):
+    runs = {"http://one.org/": [{"data": TEXTS[0]}], "http://two.org/": [{"data": TEXTS[0]}]}
+    path = tmp_path / "shared.yaml"
+    path.write_text(yaml.safe_dump({"endpoints": {u: {"runs": r} for u, r in runs.items()}}))
+    parsed = counted_parse(monkeypatch, transport_module)
+    counting = transport_module.parse_ntriples
+    parsing, release = threading.Event(), threading.Event()
+
+    def held(text):
+        # the first parse holds until the second worker has had its chance
+        if not parsing.is_set():
+            parsing.set()
+            assert release.wait(10)
+        return counting(text)
+
+    monkeypatch.setattr(transport_module, "parse_ntriples", held)
+    replay = TranscriptTransport(str(path))
+    answers = {}
+
+    def ask(url):
+        answers[url] = replay.query(url, EVERY_TRIPLE)
+
+    first = threading.Thread(target=ask, args=("http://one.org/",))
+    second = threading.Thread(target=ask, args=("http://two.org/",))
+    first.start()
+    assert parsing.wait(10)
+    second.start()
+    second.join(0.2)  # without the lock it parses the text meanwhile
+    release.set()
+    first.join(10)
+    second.join(10)
+    assert parsed == [TEXTS[0]]
+    expected = [{"s": Iri("http://e.org/a"), "p": Iri("http://e.org/p"), "o": Iri("http://e.org/b")}]
+    assert answers == {"http://one.org/": expected, "http://two.org/": expected}
+
+
 # ---------------------------------------------------------------------------
 # The text on the wire
 
@@ -663,7 +698,7 @@ def wire_queries() -> list:
     catalog = default_catalog()
     queries = [
         bind_values(
-            replace(expand_extended(cq.query, catalog.rules), form="select", projection=("kg",)),
+            expand_extended(cq.query, catalog.rules)._replace(form="select", projection=("kg",)),
             "kg",
             WIRE_DATASETS,
         )
@@ -706,11 +741,11 @@ def test_discovery_and_fetch_send_the_wire_queries():
     assert discover_datasets(transport, ENDPOINT) == []
     assert fetch_metadata(transport, ENDPOINT, FETCH) == (Graph(), ())
     discovery, metadata = wire_queries()[-2:]
-    assert transport.sent == [discovery, replace(metadata, limit=DEFAULT_PAGE_SIZE)]
+    assert transport.sent == [discovery, metadata._replace(limit=DEFAULT_PAGE_SIZE)]
 
 
 def test_paged_fetch_wire_text():
-    text = format_query(replace(_at_endpoint(FETCH.query, ENDPOINT), limit=7, offset=14))
+    text = format_query(_at_endpoint(FETCH.query, ENDPOINT)._replace(limit=7, offset=14))
     assert "SELECT DISTINCT ?kg ?branch ?v0 ?v1 ?v2 ?v3 WHERE " in text
     assert f'VALUES ?endpoint {{ <{ENDPOINT}> "{ENDPOINT}" }}' in text
     # the two fixed branches, then the default catalog's four that no row
