@@ -112,8 +112,10 @@ class EquivalenceRule(_Record, _EquivalenceRule):
     """Directional rewrite: when ``source`` holds, the ``target`` triples hold.
 
     ``source_bgp`` is ``source`` as one basic graph pattern, which keeps its
-    join plans from one saturation to the next; it is no field, so no part
-    of equality, hash or repr.
+    join plans from one saturation to the next.  ``templates`` is
+    ``target`` as saturation instantiates it: per pattern, per position,
+    the variable's name (a ``str``) or the fixed term (a tuple).  Neither
+    is a field, so neither takes part in equality, hash or repr.
     """
 
     def __new__(
@@ -121,6 +123,10 @@ class EquivalenceRule(_Record, _EquivalenceRule):
     ) -> "EquivalenceRule":
         self = _new_tuple(cls, (id, source, target))
         self.source_bgp = Bgp(source)
+        self.templates = tuple(
+            tuple(pos.name if isinstance(pos, Variable) else pos for pos in tp)
+            for tp in target
+        )
         return self
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 from urllib.parse import quote
 
 from .catalog import Catalog, CatalogError, default_catalog, load_catalog
@@ -31,7 +31,7 @@ from .client import (
     run_campaign,
 )
 from .rdf import Iri, ParseError, load_rdf
-from .reporting import build_report, figure_files, to_csv, to_dqv, to_json
+from .reporting import build_report, dqv_blocks, figure_files, to_csv, to_json
 from .scoring import format_percent, score_datasets
 from .sparql import format_query
 from .transport import (
@@ -222,9 +222,9 @@ def _cmd_evaluate(args) -> int:
         return 1
     if args.out:
         report = build_report(catalog, {source: results}, stamp, saturation=saturation)
-        _write(args.out, "report.json", to_json(report, catalog))
-        _write(args.out, "report.csv", to_csv(report, catalog))
-        _write(args.out, "report.nt", to_dqv(report, catalog))
+        _write(args.out, "report.json", (to_json(report, catalog),))
+        _write(args.out, "report.csv", (to_csv(report, catalog),))
+        _write(args.out, "report.nt", dqv_blocks(report, catalog))
     if len(results) == 1:
         print(format_percent(results[0].score))
     else:
@@ -285,21 +285,23 @@ def _cmd_campaign(args) -> int:
 
     if args.out:
         radar = tuple(args.radar) if args.radar else None
-        _write(args.out, "report.json", to_json(report, catalog))
-        _write(args.out, "report.csv", to_csv(report, catalog))
-        _write(args.out, "report.nt", to_dqv(report, catalog))
+        _write(args.out, "report.json", (to_json(report, catalog),))
+        _write(args.out, "report.csv", (to_csv(report, catalog),))
+        _write(args.out, "report.nt", dqv_blocks(report, catalog))
         for name, content in figure_files(report, catalog, radar=radar).items():
-            _write(args.out, name, content)
+            _write(args.out, name, (content,))
     return 0
 
 
-def _write(directory: str, name: str, content: str) -> None:
-    """Replace the file whole: a write that fails leaves the old one as it was."""
+def _write(directory: str, name: str, chunks: Iterable[str]) -> None:
+    """Write the file from its chunks, each as it comes, and replace the old
+    one whole: a write that fails, the chunks' own included, leaves the
+    old file as it was."""
     path = os.path.join(directory, name)
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(content)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

@@ -60,9 +60,10 @@ XSD_STRING = XSD + "string"
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 _LANGTAG_RE = re.compile(r"^[A-Za-z]+(-[A-Za-z0-9]+)*$")
 _BLANK_LABEL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.\-]*$")
-# Characters no IRI may hold: the controls, space and the IRIREF
-# exclusions, plus surrogates, which are not characters at all.
-_IRI_FORBIDDEN_RE = re.compile(r'[\x00-\x20<>"{}|^`\\\ud800-\udfff]')
+# An absolute IRI: a scheme, then none of the characters no IRI may hold
+# (the controls, space and the IRIREF exclusions, plus surrogates, which
+# are not characters at all).
+_IRI_RE = re.compile(r'[A-Za-z][A-Za-z0-9+.\-]*:[^\x00-\x20<>"{}|^`\\\ud800-\udfff]*')
 
 
 class ParseError(ValueError):
@@ -104,9 +105,9 @@ class Iri(_Record, _Iri):
     __slots__ = ()
 
     def __new__(cls, value: str) -> "Iri":
-        if not _SCHEME_RE.match(value):
-            raise ValueError(f"IRI is not absolute: {value!r}")
-        if _IRI_FORBIDDEN_RE.search(value):
+        if _IRI_RE.fullmatch(value) is None:
+            if not _SCHEME_RE.match(value):
+                raise ValueError(f"IRI is not absolute: {value!r}")
             raise ValueError(f"IRI contains a forbidden character: {value!r}")
         return _new_tuple(cls, (value,))
 
@@ -226,8 +227,7 @@ class Graph:
         self._triples: dict[Triple, None] = {}
         self._by_subject: dict[Term, list[Triple]] = {}
         self._by_predicate: dict[Term, list[Triple]] = {}
-        for t in triples:
-            self.add(t)
+        self.update(triples)
 
     def add(self, triple: Triple) -> bool:
         """Add a triple; returns True when it was not already present."""
@@ -239,8 +239,25 @@ class Graph:
         return True
 
     def update(self, triples: Iterable[Triple]) -> None:
-        for t in triples:
-            self.add(t)
+        """Add each triple, as ``add`` does, in one loop."""
+        known = self._triples
+        by_subject = self._by_subject
+        by_predicate = self._by_predicate
+        for triple in triples:
+            if triple in known:
+                continue
+            known[triple] = None
+            subject, predicate, _ = triple
+            listed = by_subject.get(subject)
+            if listed is None:
+                by_subject[subject] = [triple]
+            else:
+                listed.append(triple)
+            listed = by_predicate.get(predicate)
+            if listed is None:
+                by_predicate[predicate] = [triple]
+            else:
+                listed.append(triple)
 
     def copy(self) -> "Graph":
         """An independent graph with the same triples in the same order."""
@@ -388,8 +405,9 @@ def parse_ntriples(text: str) -> Graph:
     holding any other character outside a literal or comment, form feed
     and U+2028 included, is refused.
     """
-    g = Graph()
+    triples = []
     terms: dict[str, Term] = {}
+    known = terms.get
     statement = _NT_STATEMENT.fullmatch
     for lineno, raw in enumerate(_lf_lines(text).split("\n"), start=1):
         line = raw.strip(" \t")
@@ -399,14 +417,15 @@ def parse_ntriples(text: str) -> Graph:
         if match is None:
             raise ParseError(f"malformed N-Triples statement: {line!r}", lineno)
         s, p, o, lexical, language, datatype = match.groups()
-        subject = terms[s] if s in terms else _nt_term(terms, lineno, s)
-        predicate = terms[p] if p in terms else _nt_term(terms, lineno, p)
-        if o in terms:
-            obj = terms[o]
-        else:
-            obj = _nt_term(terms, lineno, o, lexical, language, datatype)
-        g.add(Triple(subject, predicate, obj))
-    return g
+        # a term is a non-empty tuple, so it is never false
+        triples.append(
+            Triple(
+                known(s) or _nt_term(terms, lineno, s),
+                known(p) or _nt_term(terms, lineno, p),
+                known(o) or _nt_term(terms, lineno, o, lexical, language, datatype),
+            )
+        )
+    return Graph(triples)
 
 
 def _lf_lines(text: str) -> str:

@@ -7,11 +7,13 @@ reproduces identical files.
 
 The DQV export is lossless: every query outcome and every node score goes
 out as a quality measurement, and scores carry their exact fraction next
-to the rounded decimal.  :func:`to_dqv` formats the N-Triples lines straight
-from the report, without building a graph, one block of lines per subject
-with each measurement's lines in a fixed predicate order; sorting the
-subjects alone then gives the sorted line order, since no subject IRI is
-a prefix of another.  :func:`from_dqv` parses them back into the full
+to the rounded decimal.  :func:`dqv_blocks` formats the N-Triples lines
+straight from the report, without building a graph, one block of lines
+per subject with each measurement's lines in a fixed predicate order;
+sorting the subjects alone then gives the sorted line order, since no
+subject IRI is a prefix of another.  :func:`to_dqv` returns the text,
+those blocks joined, and the CLI writes the same blocks to ``report.nt``
+as they are formed.  :func:`from_dqv` parses the text back into the full
 report, recomputing the aggregation and refusing exports whose stored
 node scores disagree with their own query outcomes.
 """
@@ -24,7 +26,7 @@ import io
 import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .catalog import Catalog
 from .rdf import (
@@ -179,30 +181,41 @@ def to_dqv(report: Report, catalog: Catalog) -> str:
     """The report as DQV quality measurements (plus a few tool terms), as
     N-Triples text: one sorted line per distinct statement.
 
-    Lines are formatted straight from the report, one block of lines per
-    subject, and only the subjects are sorted.  That yields the sorted
-    line order because every subject is an IRI in angle brackets and no
-    IRI holds ``>``: no subject is a prefix of another, so two lines of
-    different subjects differ first within the shorter subject and
-    compare as their subjects do.  Within a block a
-    measurement's tails go out in the order of their predicate IRIs
-    (``rdf:type``, ``dqv:computedOn``, ``dqv:isMeasurementOf``,
-    ``dqv:value``, then the tool's ``endpoint`` and ``exactValue`` or
-    ``failureKind``), which is their sorted order since no predicate
-    repeats.  A subject met twice, when a dataset is listed twice under
-    one endpoint, gets the distinct lines of both blocks, sorted.
+    The text is the blocks of :func:`dqv_blocks`, joined.
+    """
+    return "".join(dqv_blocks(report, catalog))
+
+
+def dqv_blocks(report: Report, catalog: Catalog) -> Iterator[str]:
+    """The lines of :func:`to_dqv`, one block of lines per subject, in order.
+
+    Lines are formatted straight from the report.  Each subject keeps its
+    block as a tuple of line tails (what follows the subject), most of
+    them strings shared by many blocks, and a block's text is formed only
+    when it is yielded, so a writer can write each block as it comes.
+    Only the subjects are sorted.  That yields the sorted line order
+    because every subject is an IRI in angle brackets and no IRI holds
+    ``>``: no subject is a prefix of another, so two lines of different
+    subjects differ first within the shorter subject and compare as their
+    subjects do.  Within a block a measurement's tails go out in the
+    order of their predicate IRIs (``rdf:type``, ``dqv:computedOn``,
+    ``dqv:isMeasurementOf``, ``dqv:value``, then the tool's ``endpoint``
+    and ``exactValue`` or ``failureKind``), which is their sorted order
+    since no predicate repeats.  A subject met twice, when a dataset is
+    listed twice under one endpoint, gets the distinct tails of both
+    blocks, sorted.
 
     Every distinct endpoint, dataset and metric IRI goes through
-    :class:`Iri` once, so a value that makes no valid IRI raises
-    ``ValueError``.  Metric IRIs are declared only when some measurement
-    references them, so an empty report exports nothing beyond its own
-    metadata.
+    :class:`Iri` once, before the first block is yielded, so a value that
+    makes no valid IRI raises ``ValueError`` then.  Metric IRIs are
+    declared only when some measurement references them, so an empty
+    report exports nothing beyond its own metadata.
     """
     report_node = format_term(REPORT_NODE)
-    blocks: dict[str, str] = {  # subject -> its lines
-        report_node: "".join(
+    blocks: dict[str, tuple[str, ...]] = {  # subject -> its tails
+        report_node: tuple(
             sorted(
-                report_node + _tail(predicate, format_term(Literal(value)))
+                _tail(predicate, format_term(Literal(value)))
                 for predicate, value in (
                     (_T_GENERATED, report.generated_at),
                     (_T_VERSION, report.catalog_version),
@@ -238,14 +251,11 @@ def to_dqv(report: Report, catalog: Catalog) -> str:
                 metric = measurement_of(_METRIC_QUERY + outcome.query_id)
                 m = f"<{_MEASURE}query:{pair}:{outcome.query_id}>"
                 if outcome.success:
-                    block = (
-                        f"{m}{_IS_MEASUREMENT}{m}{computed_on}{m}{metric}"
-                        f"{m}{_TRUE}{m}{on_endpoint}"
-                    )
+                    block = (_IS_MEASUREMENT, computed_on, metric, _TRUE, on_endpoint)
                 else:
                     block = (
-                        f"{m}{_IS_MEASUREMENT}{m}{computed_on}{m}{metric}"
-                        f"{m}{_FALSE}{m}{on_endpoint}{m}{_FAILURE[outcome.failure]}"
+                        _IS_MEASUREMENT, computed_on, metric, _FALSE, on_endpoint,
+                        _FAILURE[outcome.failure],
                     )
                 blocks[m] = _union(blocks[m], block) if m in blocks else block
             for kind, prefix, scores in (
@@ -263,27 +273,25 @@ def to_dqv(report: Report, catalog: Catalog) -> str:
                             _tail(_T_EXACT, format_term(Literal(str(score)))),
                         )
                     m = f"<{_MEASURE}{kind}:{pair}:{key}>"
-                    block = (
-                        f"{m}{_IS_MEASUREMENT}{m}{computed_on}{m}{metric}"
-                        f"{m}{tails[0]}{m}{on_endpoint}{m}{tails[1]}"
-                    )
+                    block = (_IS_MEASUREMENT, computed_on, metric, tails[0], on_endpoint, tails[1])
                     blocks[m] = _union(blocks[m], block) if m in blocks else block
     for value in metrics:
-        subject = iris[value]
-        blocks[subject] = subject + _IS_METRIC
+        blocks[iris[value]] = (_IS_METRIC,)
     # Sort subjects with their closing ">": "-", "." and the digits sort
     # below it, so <...:collection.how> and its lines precede
     # <...:collection>, although the bare names sort the other way.  The
     # report block keeps the text from being empty.
-    return "".join(map(blocks.__getitem__, sorted(blocks)))
+    for subject in sorted(blocks):
+        yield subject + subject.join(blocks[subject])
 
 
-def _union(block: str, other: str) -> str:
-    """The distinct lines of two blocks of one subject, sorted."""
-    lines = set(block.split("\n"))
-    lines.update(other.split("\n"))
-    lines.discard("")
-    return "".join(line + "\n" for line in sorted(lines))
+def _union(block: tuple[str, ...], other: tuple[str, ...]) -> tuple[str, ...]:
+    """The distinct tails of two blocks of one subject, sorted.
+
+    Sorting the tails sorts the lines: they share the subject, and no
+    tail, line break aside, is a prefix of another.
+    """
+    return tuple(sorted({*block, *other}))
 
 
 def _only_object(g: Graph, subject: Iri, predicate: Iri) -> Term:

@@ -17,8 +17,8 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple, Sequence
 
 from .catalog import EquivalenceRule
-from .rdf import Graph, Term, Triple
-from .sparql import TriplePattern, Variable, eval_bgp
+from .rdf import Graph, Triple
+from .sparql import eval_bgp
 
 
 class SaturationTrace(NamedTuple):
@@ -38,35 +38,31 @@ def saturate(
 ) -> tuple[Graph, SaturationTrace]:
     """A new graph extended with all rule consequences, and how that went.
 
-    The input graph is left untouched.
+    Each solution of a rule's source fills in the rule's target templates
+    (``EquivalenceRule.templates``); a solution fires the rule when it adds
+    a triple the graph lacks.  The input graph is left untouched.
     """
     work = graph.copy()
+    add = work.add
     firings = {rule.id: 0 for rule in rules}
     for rule in rules:
+        templates = rule.templates
+        fired = 0
         for solution in eval_bgp(graph, rule.source_bgp):
-            added = 0
-            for tp in rule.target:
-                triple = _instantiate(tp, solution)
-                if triple is not None and work.add(triple):
-                    added += 1
-            if added:
-                firings[rule.id] += 1
+            added = False
+            for s, p, o in templates:
+                try:
+                    triple = Triple(
+                        solution[s] if type(s) is str else s,
+                        solution[p] if type(p) is str else p,
+                        solution[o] if type(o) is str else o,
+                    )
+                except (KeyError, ValueError):
+                    # a variable the source leaves unbound, or e.g. a literal
+                    # bound into subject position: nothing sound to add
+                    continue
+                if add(triple):
+                    added = True
+            fired += added
+        firings[rule.id] += fired
     return work, SaturationTrace(len(graph), len(work), firings)
-
-
-def _instantiate(tp: TriplePattern, solution: Mapping[str, Term]) -> Triple | None:
-    def resolve(pos):
-        if isinstance(pos, Variable):
-            return solution.get(pos.name)
-        return pos
-
-    subject = resolve(tp.subject)
-    predicate = resolve(tp.predicate)
-    obj = resolve(tp.object)
-    if subject is None or predicate is None or obj is None:
-        return None
-    try:
-        return Triple(subject, predicate, obj)
-    except ValueError:
-        # e.g. a literal bound into subject position; nothing sound to add
-        return None

@@ -22,7 +22,8 @@ from kgaudit.rdf import (
     parse_ntriples,
     term_sort_key,
 )
-from kgaudit.sparql import TriplePattern, UnionPattern, Variable
+from kgaudit.saturation import SaturationTrace
+from kgaudit.sparql import TriplePattern, UnionPattern, Variable, eval_bgp
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -325,6 +326,44 @@ def instantiate_shape(
         return binding[pos.name]
 
     return [Triple(bind(tp.subject), bind(tp.predicate), bind(tp.object)) for tp in patterns]
+
+
+# ---------------------------------------------------------------------------
+# Reference saturation: ``kgaudit.saturation.saturate`` as it was before it
+# filled in target templates, one closure and one call per target pattern.
+
+
+def ref_instantiate(tp: TriplePattern, solution) -> Triple | None:
+    def resolve(pos):
+        if isinstance(pos, Variable):
+            return solution.get(pos.name)
+        return pos
+
+    subject = resolve(tp.subject)
+    predicate = resolve(tp.predicate)
+    obj = resolve(tp.object)
+    if subject is None or predicate is None or obj is None:
+        return None
+    try:
+        return Triple(subject, predicate, obj)
+    except ValueError:
+        # e.g. a literal bound into subject position; nothing sound to add
+        return None
+
+
+def ref_saturate(graph: Graph, rules) -> tuple[Graph, SaturationTrace]:
+    work = graph.copy()
+    firings = {rule.id: 0 for rule in rules}
+    for rule in rules:
+        for solution in eval_bgp(graph, rule.source_bgp):
+            added = 0
+            for tp in rule.target:
+                triple = ref_instantiate(tp, solution)
+                if triple is not None and work.add(triple):
+                    added += 1
+            if added:
+                firings[rule.id] += 1
+    return work, SaturationTrace(len(graph), len(work), firings)
 
 
 # ---------------------------------------------------------------------------

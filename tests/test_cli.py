@@ -21,6 +21,7 @@ from kgaudit import cli
 from kgaudit import transport as transport_module
 from kgaudit.cli import main
 from kgaudit.rdf import load_rdf
+from kgaudit.reporting import dqv_blocks, to_dqv
 from kgaudit.saturation import saturate
 from kgaudit.transport import HttpTransport, TranscriptTransport, TransportError
 
@@ -257,6 +258,71 @@ def test_a_failed_report_write_keeps_the_old_file(tmp_path, monkeypatch, capsys)
     assert main(argv) == 2
     assert "surrogate" in capsys.readouterr().err
     assert (out / "report.csv").read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == ["report.csv", "report.json", "report.nt"]
+
+
+def _all_fixtures(tmp_path) -> str:
+    """Every N-Triples fixture in one file: five datasets under one source."""
+    text = "".join(p.read_text(encoding="utf-8") for p in sorted(FIXTURES.glob("*.nt")))
+    (tmp_path / "fixtures.nt").write_text(text, encoding="utf-8")
+    return str(tmp_path / "fixtures.nt")
+
+
+@pytest.mark.parametrize("twice", [False, True], ids=["as-scored", "dataset-listed-twice"])
+@pytest.mark.parametrize("command", ["evaluate", "campaign"])
+def test_the_streamed_report_nt_is_the_dqv_text(command, twice, tmp_path, monkeypatch, capsys):
+    # The CLI writes report.nt block by block; the file holds exactly the
+    # text to_dqv gives for the report it wrote.  With ``twice``, each
+    # endpoint lists its first dataset again, scored like another dataset,
+    # so its measurements take the union of two blocks.
+    written = []
+
+    def recording(report, catalog):
+        if twice:
+            results = [result for _, result in report.rows()]
+            relisted = {}
+            for endpoint, rs in report.results.items():
+                other = next(r for r in results if r.outcomes != rs[0].outcomes)
+                relisted[endpoint] = (*rs, other._replace(dataset=rs[0].dataset))
+            report = report._replace(results=relisted)
+        written.append((report, catalog))
+        return dqv_blocks(report, catalog)
+
+    monkeypatch.setattr(cli, "dqv_blocks", recording)
+    out = tmp_path / "out"
+    if command == "evaluate":
+        argv = ["evaluate", "--file", _all_fixtures(tmp_path), "--out", str(out)]
+    else:
+        argv = ["campaign", *ENDPOINTS, "--transcript", TRANSCRIPT, "--delay", "0"]
+        argv += ["--out", str(out)]
+    assert main(argv) == 0
+    [(report, catalog)] = written
+    text = to_dqv(report, catalog)
+    assert (out / "report.nt").read_bytes() == text.encode("utf-8")
+    lines = text.splitlines()
+    assert lines == sorted(set(lines))
+    if twice:
+        # the union added lines: a measurement carries both datasets' values
+        subjects = [line.split(" ", 1)[0] for line in lines]
+        values = [s for s, line in zip(subjects, lines) if "#value> " in line]
+        assert len(values) > len(set(values))
+
+
+def test_a_report_nt_block_that_fails_keeps_the_old_file(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    argv = ["evaluate", "--file", str(FIXTURES / "accountable.nt"), "--out", str(out)]
+    assert main(argv) == 0
+    before = (out / "report.nt").read_bytes()
+
+    def failing(report, catalog):
+        yield next(dqv_blocks(report, catalog))
+        assert (out / "report.nt.tmp").exists()  # the first block went to the new file
+        raise ValueError("block two failed")
+
+    monkeypatch.setattr(cli, "dqv_blocks", failing)
+    assert main(argv) == 2
+    assert "block two failed" in capsys.readouterr().err
+    assert (out / "report.nt").read_bytes() == before
     assert sorted(p.name for p in out.iterdir()) == ["report.csv", "report.json", "report.nt"]
 
 

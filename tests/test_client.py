@@ -983,6 +983,30 @@ def test_journal_redoes_a_run_cut_mid_append(tmp_path, monkeypatch, capsys, tran
         assert (tmp_path / "cut" / uncut.name).read_bytes() == uncut.read_bytes()
     assert sorted(journal.read_bytes().splitlines()) == sorted(recorded.splitlines())
 
+    # A crash may cut the journal anywhere: at every line boundary (the
+    # empty file and the uncut one included) and at two seeded offsets
+    # inside each line, the header's too, a resume writes the uncut
+    # campaign's report files and leaves every cell journaled once.
+    boundaries = [0] + [i + 1 for i, byte in enumerate(recorded) if byte == ord("\n")]
+    assert len(boundaries) == 11
+    rng = random.Random(963)
+    inside = [
+        rng.randrange(start + 1, end)
+        for start, end in zip(boundaries, boundaries[1:])
+        for _ in range(2)
+    ]
+    for offset in boundaries + inside:
+        journal.write_bytes(recorded[:offset])
+        out = tmp_path / f"cut-at-{offset}"
+        assert cli.main(args + ["--out", str(out)]) == 0, offset
+        for uncut in (tmp_path / "uncut").iterdir():
+            assert (out / uncut.name).read_bytes() == uncut.read_bytes(), (offset, uncut.name)
+        lines = journal.read_bytes().splitlines()
+        records = [json.loads(line)["record"] for line in lines[1:]]
+        cells = [(record["endpoint"], record["run"]) for record in records]
+        assert sorted(cells) == sorted({(e, r) for e in ENDPOINTS for r in range(3)}), offset
+        assert sorted(lines) == sorted(recorded.splitlines()), offset
+
 
 def test_journal_rewrites_a_cut_header_but_refuses_other_text(tmp_path):
     path = tmp_path / "journal.jsonl"

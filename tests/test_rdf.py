@@ -264,10 +264,11 @@ def with_members() -> dict[str, object]:
 
 
 # Each member outside equality, and its value in a record built from fields
-# alone; a rule's source_bgp is made anew from its source.
+# alone; a rule's source_bgp and templates are made anew from its fields.
 _MEMBERS = {
     "Bgp.plans": {},
     "EquivalenceRule.source_bgp": None,
+    "EquivalenceRule.templates": None,
     "Catalog.plan": None,
     "Catalog._hash": None,
     "Report.runs": (),
@@ -295,7 +296,7 @@ def test_members_outside_equality_stay_outside_eq_hash_and_repr(with_members, na
     # ... and _make and _replace, which build from the fields, start it afresh
     fresh = getattr(record._replace(), member)
     assert fresh is not value
-    assert fresh == (_MEMBERS[name] if member != "source_bgp" else Bgp(record.source))
+    assert fresh == (_MEMBERS[name] if cls != "EquivalenceRule" else value)
 
 
 def test_records_equal_as_tuples_never_meet() -> None:
@@ -405,6 +406,44 @@ def test_constructors_refuse_what_the_reference_refuses(recipe: tuple) -> None:
     with pytest.raises(ValueError) as also_refused:
         _build(recipe, _NEW_CLASSES)
     assert str(also_refused.value) == str(refused.value)
+
+
+# The pieces the IRI property test strings together: schemes valid and
+# not, and characters an IRI may hold, the controls, space, each IRIREF
+# exclusion, lone surrogates and non-ASCII letters.
+_IRI_SCHEMES = ["", "http:", "urn:x:", "a+b.c-d:", "Z9:", "1a:", "+a:", ":", "ht tp:", "é:"]
+_IRI_ALLOWED = list("abcXYZ019/:#?.-_~%&=+@!$'()*,;[]")
+_IRI_PIECES = (
+    _IRI_ALLOWED
+    + [chr(c) for c in range(0x21)]
+    + ["\x7f", " ", "<", ">", '"', "{", "}", "|", "^", "`", "\\"]
+    + ["\ud800", "\udbff", "\udc00", "\udfff"]
+    + ["é", "ß", "Ω", "ж", "中", "\U0001d538", "\u00a0", "\u2028"]
+)
+
+
+@pytest.mark.parametrize("seed", [11, 20261019])
+def test_iri_accepts_and_refuses_like_the_reference(seed: int) -> None:
+    rng = random.Random(seed)
+    accepted = 0
+    messages = set()
+    for _ in range(3000):
+        body = "".join(rng.choice(_IRI_PIECES) for _ in range(rng.randrange(6)))
+        if rng.random() < 0.5:  # allowed characters and at most one other, so some pass
+            body = "".join(rng.choice(_IRI_ALLOWED) for _ in range(rng.randrange(4))) + body[:1]
+        value = rng.choice(_IRI_SCHEMES) + body
+        try:
+            expected = RefIri(value)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as refused:
+                Iri(value)
+            assert str(refused.value) == str(exc)
+            messages.add(str(exc).split(":")[0])
+        else:
+            assert Iri(value).value == expected.value
+            accepted += 1
+    assert 500 < accepted < 2500
+    assert messages == {"IRI is not absolute", "IRI contains a forbidden character"}
 
 
 # ---------------------------------------------------------------------------

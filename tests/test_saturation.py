@@ -5,9 +5,24 @@ import random
 from kgaudit.catalog import EquivalenceRule, default_catalog, expand_extended
 from kgaudit.rdf import BlankNode, Graph, Iri, Literal, Triple, parse_ntriples
 from kgaudit.saturation import saturate
-from kgaudit.sparql import Variable, eval_ask, parse_query, parse_triple_patterns, substitute
+from kgaudit.sparql import (
+    Variable,
+    eval_ask,
+    eval_bgp,
+    parse_query,
+    parse_triple_patterns,
+    substitute,
+)
 
-from helpers import catalog_vocabulary, random_metadata_graph
+from helpers import (
+    THREE_HOP_RULE,
+    catalog_vocabulary,
+    instantiate_shape,
+    random_metadata_graph,
+    ref_instantiate,
+    ref_saturate,
+    three_hop_catalog,
+)
 
 EX = "http://example.org/"
 KG = Iri(EX + "kg/main")
@@ -115,7 +130,7 @@ def test_unsound_instantiations_are_skipped():
 def _naive_fixpoint(g: Graph, rules) -> Graph:
     """Reference: re-run every rule on the whole graph until nothing is new."""
     from kgaudit.sparql import eval_bgp
-    from kgaudit.saturation import _instantiate
+    from helpers import ref_instantiate as _instantiate
 
     work = g.copy()
     while True:
@@ -248,3 +263,80 @@ def test_compact_on_saturated_agrees_with_extended_on_raw():
                 disagreements += 1
     assert checked == 150 * 33
     assert disagreements == 0
+
+
+def test_rule_templates_name_each_target_position() -> None:
+    rule = _rules((f"?s <{EX}p> ?o .", f"?o <{EX}q> ?s . <{EX}n0> <{EX}q> ?o ."))[0]
+    q, n0 = Iri(EX + "q"), Iri(EX + "n0")
+    assert rule.templates == (("o", q, "s"), (n0, q, "o"))
+
+
+def _literal_subject_rule(rng: random.Random, index: int) -> EquivalenceRule:
+    """A rule whose target puts ?o, which the source may bind to a literal,
+    in subject position; now and then with a second target holding a fixed
+    subject or a variable the source leaves unbound."""
+    source = f"?s <{rng.choice(_PREDICATES).value}> ?o ."
+    if rng.random() < 0.3:
+        source += f" ?s <{rng.choice(_PREDICATES).value}> ?m ."
+    targets = [f"?o <{rng.choice(_PREDICATES).value}> ?s ."]
+    roll = rng.random()
+    if roll < 0.3:
+        targets.append(f"?s <{rng.choice(_PREDICATES).value}> ?o .")
+    elif roll < 0.5:
+        targets.append(f"<{rng.choice(_IRIS).value}> <{rng.choice(_PREDICATES).value}> ?o .")
+    elif roll < 0.6:
+        targets.append(f"?s <{rng.choice(_PREDICATES).value}> ?unbound .")
+    rng.shuffle(targets)
+    return EquivalenceRule(
+        f"lit{index}",
+        parse_triple_patterns(source, {}),
+        parse_triple_patterns(" ".join(targets), {}),
+    )
+
+
+def _catalog_graph(rng: random.Random, catalog, *always: EquivalenceRule) -> Graph:
+    """A random metadata graph plus matches of the sources of a few of the
+    catalog's rules and of ``always``, so that rules fire."""
+    predicates, constants = catalog_vocabulary(catalog)
+    g = random_metadata_graph(rng, predicates, constants)
+    nodes = _NODES + [KG]
+    for rule in rng.sample(catalog.rules, 4) + list(always):
+        g.update(instantiate_shape(rng, rule.source, KG, predicates, nodes, _LITERALS))
+    return g
+
+
+def test_saturate_matches_the_reference_loop() -> None:
+    # The same triples in the same insertion order, and an equal trace,
+    # firings included, as the loop that instantiated target patterns one
+    # call at a time; under the default catalog, rules that bind a literal
+    # into subject position, and the three-hop catalog.
+    rng = random.Random(27027)
+    default, three_hop = default_catalog(), three_hop_catalog()
+    three_hop_rule = three_hop.rules[-1]
+    assert three_hop_rule.id == THREE_HOP_RULE["id"]
+    cases = [("default", default.rules, lambda: _catalog_graph(rng, default))]
+    for i in range(40):
+        rules = tuple(_literal_subject_rule(rng, j) for j in range(rng.randrange(1, 4)))
+        cases.append((f"literal-subject-{i}", rules, lambda: _random_graph(rng)))
+    cases.append(
+        ("three-hop", three_hop.rules, lambda: _catalog_graph(rng, three_hop, three_hop_rule))
+    )
+    derived = skipped = three_hop_firings = 0
+    for name, rules, graph in cases:
+        for _ in range(40 if name in ("default", "three-hop") else 5):
+            g = graph()
+            sat, trace = saturate(g, rules)
+            expected, expected_trace = ref_saturate(g, rules)
+            assert list(sat) == list(expected), name
+            assert trace == expected_trace, name
+            derived += trace.derived
+            three_hop_firings += trace.firings.get(three_hop_rule.id, 0)
+            skipped += sum(
+                ref_instantiate(tp, solution) is None
+                for rule in rules
+                for solution in eval_bgp(g, rule.source_bgp)
+                for tp in rule.target
+            )
+    assert derived > 1000
+    assert three_hop_firings > 20
+    assert skipped > 50  # literal subjects and unbound variables
