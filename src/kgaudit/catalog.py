@@ -155,12 +155,9 @@ class _Catalog(NamedTuple):
     root: HierarchyNode
     rules: tuple[EquivalenceRule, ...]
     # The vocabulary-expanded query of each plain-BGP query id, computed once
-    # by ``parse_catalog``.
+    # by ``parse_catalog``; the remote route asks its pattern of an endpoint
+    # as ``SELECT DISTINCT ?kg`` with ?kg bound to the datasets by VALUES.
     expanded: Mapping[str, Query]
-    # The expanded form as ``SELECT DISTINCT ?kg``, also built once: the
-    # remote route binds ?kg to the datasets with VALUES and asks it of an
-    # endpoint.
-    expanded_selects: Mapping[str, Query]
     prefixes: Mapping[str, str]
 
 
@@ -179,11 +176,10 @@ class Catalog(_Record, _Catalog):
         root: HierarchyNode,
         rules: tuple[EquivalenceRule, ...],
         expanded: Mapping[str, Query],
-        expanded_selects: Mapping[str, Query],
         prefixes: Mapping[str, str] = {},
         plan: ScoringPlan | None = None,
     ) -> "Catalog":
-        self = _new_tuple(cls, (version, root, rules, expanded, expanded_selects, prefixes))
+        self = _new_tuple(cls, (version, root, rules, expanded, prefixes))
         self.plan = plan
         self._hash = None
         return self
@@ -328,7 +324,6 @@ def parse_catalog(text: str, source: str = "<string>") -> Catalog:
         root=root,
         rules=rules,
         expanded=expanded,
-        expanded_selects=_selects(expanded),
         prefixes=dict(prefixes),
     )
     diagnostics = validate(catalog)
@@ -377,13 +372,6 @@ def _scoring_plan(catalog: Catalog) -> ScoringPlan:
         ),
         nodes=tuple((node_id, *row) for node_id, row in rows.items()),
     )
-
-
-def _selects(queries: Mapping[str, Query]) -> dict[str, Query]:
-    return {
-        qid: Query("select", (KG.name,), query.pattern, query.prefixes, query.limit, query.offset)
-        for qid, query in queries.items()
-    }
 
 
 def _parse_question(entry: dict, prefixes: Mapping[str, str], where: str) -> Question:
@@ -538,7 +526,7 @@ def _check_query(question: Question, cq: CompactQuery) -> list[str]:
     if not isinstance(cq.query.pattern, Bgp):
         problems.append(f"question '{question.id}' query {cq.id} must be a plain BGP")
         return problems
-    if not any(KG in tp.positions() for tp in cq.query.pattern.patterns):
+    if not any(KG in tp for tp in cq.query.pattern.patterns):
         problems.append(f"question '{question.id}' query {cq.id} never mentions ?kg")
     if any(isinstance(tp.predicate, Variable) for tp in cq.query.pattern.patterns):
         problems.append(
@@ -563,12 +551,7 @@ def _check_rules(catalog: Catalog) -> list[str]:
         if rule.id in seen_rules:
             problems.append(f"duplicate rule id '{rule.id}'")
         seen_rules.add(rule.id)
-        source_vars = {
-            pos.name
-            for tp in rule.source
-            for pos in tp.positions()
-            if isinstance(pos, Variable)
-        }
+        source_vars = {pos.name for tp in rule.source for pos in tp if isinstance(pos, Variable)}
         source_subject_vars = {
             tp.subject.name for tp in rule.source if isinstance(tp.subject, Variable)
         }
@@ -586,7 +569,7 @@ def _check_rules(catalog: Catalog) -> list[str]:
                     f"rule '{rule.id}' target must be '?s <p> ?o' with two distinct "
                     "variables; query expansion cannot match any other shape"
                 )
-            for pos in tp.positions():
+            for pos in tp:
                 if isinstance(pos, Variable) and pos.name not in source_vars:
                     problems.append(
                         f"rule '{rule.id}' target variable ?{pos.name} is not bound by the source"
@@ -716,7 +699,7 @@ def _unify(target: TriplePattern, concrete: TriplePattern) -> dict[str, object] 
     constant in the compact pattern, never a compact variable.
     """
     mapping: dict[str, object] = {}
-    for t_pos, c_pos in zip(target.positions(), concrete.positions()):
+    for t_pos, c_pos in zip(target, concrete):
         if isinstance(t_pos, Variable):
             if t_pos.name in mapping and mapping[t_pos.name] != c_pos:
                 return None

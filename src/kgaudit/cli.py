@@ -239,7 +239,8 @@ def _cmd_evaluate(args) -> int:
 
 def _read_endpoints_file(path: str) -> list[str]:
     endpoints = []
-    with open(path, "r", encoding="utf-8") as handle:
+    # utf-8-sig: a leading byte-order mark is no part of the first endpoint
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for line in handle:
             line = line.strip()
             if line and not line.startswith("#"):

@@ -204,7 +204,7 @@ def _renamed(patterns: tuple[TriplePattern, ...]) -> tuple[TriplePattern, ...]:
             return pos
         return names.setdefault(pos, Variable(f"v{len(names) - 1}"))
 
-    return tuple(TriplePattern(*map(rename, tp.positions())) for tp in patterns)
+    return tuple(TriplePattern(*map(rename, tp)) for tp in patterns)
 
 
 def _held_whole(shape: tuple[TriplePattern, ...]) -> bool:
@@ -283,7 +283,7 @@ def _named_blank_nodes(rows: list[dict[str, Term]]) -> list[dict[str, Term]]:
 def _row_triples(row: Mapping[str, Term], shape: tuple[TriplePattern, ...]) -> Iterator[Triple]:
     """The triples a fetch row stands for."""
     for tp in shape:
-        s, p, o = (row.get(v.name) if isinstance(v, Variable) else v for v in tp.positions())
+        s, p, o = (row.get(v.name) if isinstance(v, Variable) else v for v in tp)
         # an unbound variable, a literal subject or predicate makes no triple
         if None not in (s, o) and isinstance(p, Iri) and not isinstance(s, Literal):
             yield Triple(s, p, o)
@@ -305,7 +305,8 @@ def evaluate_remote_datasets(
     if not datasets:
         return []
     answers: dict[str, set[Term] | FailureKind] = {}
-    for qid, select in catalog.expanded_selects.items():
+    for qid, expanded in catalog.expanded.items():
+        select = Query("select", (KG.name,), expanded.pattern, expanded.prefixes)
         query = bind_values(select, KG.name, datasets)
         try:
             rows = transport.query(url, query, run=run)

@@ -693,11 +693,13 @@ class _TurtleReader(_TokenReader):
 
 
 def load_rdf(path: str) -> Graph:
-    """Load an RDF file, picking the reader from the file extension."""
-    with open(path, "r", encoding="utf-8") as handle:
+    """Load an RDF file, picking the reader from the file extension in any
+    case.  A leading UTF-8 byte-order mark is skipped."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
         text = handle.read()
-    if path.endswith(".nt"):
+    name = path.lower()
+    if name.endswith(".nt"):
         return parse_ntriples(text)
-    if path.endswith((".ttl", ".turtle")):
+    if name.endswith((".ttl", ".turtle")):
         return parse_turtle(text)
     raise ParseError(f"cannot infer RDF format from file name: {path}")

@@ -13,9 +13,12 @@ per subject with each measurement's lines in a fixed predicate order;
 sorting the subjects alone then gives the sorted line order, since no
 subject IRI is a prefix of another.  :func:`to_dqv` returns the text,
 those blocks joined, and the CLI writes the same blocks to ``report.nt``
-as they are formed.  :func:`from_dqv` parses the text back into the full
-report, recomputing the aggregation and refusing exports whose stored
-node scores disagree with their own query outcomes.
+as they are formed.
+
+The export is write-only: no command reads DQV back.  ``report.nt`` is
+plain N-Triples that any RDF library reads.  The reference reader, which
+checks that nothing is lost and refuses tampered exports, lives with the
+tests (``tests/helpers.py``).
 """
 
 from __future__ import annotations
@@ -29,26 +32,9 @@ from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .catalog import Catalog
-from .rdf import (
-    RDF_TYPE,
-    Graph,
-    Iri,
-    Literal,
-    Term,
-    XSD,
-    _Record,
-    _new_tuple,
-    format_term,
-    parse_ntriples,
-)
+from .rdf import RDF_TYPE, XSD, Iri, Literal, _Record, _new_tuple, format_term
 from .saturation import SaturationTrace
-from .scoring import (
-    DatasetResult,
-    FailureKind,
-    QueryOutcome,
-    build_result,
-    format_percent,
-)
+from .scoring import DatasetResult, FailureKind, format_percent
 
 _NS = "urn:kgaudit:v1:"
 REPORT_NODE = Iri(_NS + "report")
@@ -103,7 +89,7 @@ class Report(_Record, _Report):
     ``runs`` and ``saturation``, how saturation went on the graph each
     endpoint's datasets were scored in, are provenance, not measurement:
     they are no fields, so they take no part in equality, hash or repr,
-    and a report parsed back from an export compares equal when it
+    and a report read back from its DQV export compares equal when it
     carries the same results.
     """
 
@@ -292,95 +278,6 @@ def _union(block: tuple[str, ...], other: tuple[str, ...]) -> tuple[str, ...]:
     tail, line break aside, is a prefix of another.
     """
     return tuple(sorted({*block, *other}))
-
-
-def _only_object(g: Graph, subject: Iri, predicate: Iri) -> Term:
-    objects = [t.object for t in g.match(subject, predicate, None)]
-    if len(objects) != 1:
-        raise ValueError(
-            f"expected exactly one value of <{predicate.value}> "
-            f"on <{subject.value}>, found {len(objects)}"
-        )
-    return objects[0]
-
-
-def from_dqv(text: str, catalog: Catalog) -> Report:
-    """Rebuild a report from its DQV export (N-Triples text), verifying
-    the aggregation.
-
-    Node and question scores in the export are checked against scores
-    recomputed from the query outcomes; any disagreement is an error.
-    """
-    g = parse_ntriples(text)
-    generated_at = _literal_value(_only_object(g, REPORT_NODE, _T_GENERATED))
-    version = _literal_value(_only_object(g, REPORT_NODE, _T_VERSION))
-    digest = _literal_value(_only_object(g, REPORT_NODE, _T_HASH))
-    if digest != catalog.content_hash():
-        raise ValueError(
-            "the report was produced with a different catalog "
-            f"(hash {digest[:12]}…, expected {catalog.content_hash()[:12]}…)"
-        )
-
-    outcomes: dict[tuple[str, str], list[QueryOutcome]] = {}
-    stored: dict[tuple[str, str], dict[str, Fraction]] = {}
-    for triple in g.match(None, _D_MEASUREMENT_OF, None):
-        measure = triple.subject
-        metric = triple.object
-        if not isinstance(metric, Iri) or not isinstance(measure, Iri):
-            continue
-        endpoint = _iri_value(_only_object(g, measure, _T_ENDPOINT))
-        dataset = _iri_value(_only_object(g, measure, _D_COMPUTED_ON))
-        key = (endpoint, dataset)
-        if metric.value.startswith(_METRIC_QUERY):
-            query_id = metric.value[len(_METRIC_QUERY):]
-            value = _literal_value(_only_object(g, measure, _D_VALUE))
-            success = value == "true"
-            failure = None
-            failures = list(g.match(measure, _T_FAILURE, None))
-            if failures:
-                failure = FailureKind(_literal_value(failures[0].object))
-            outcomes.setdefault(key, []).append(QueryOutcome(query_id, success, failure))
-        elif metric.value.startswith(_METRIC_QUESTION) or metric.value.startswith(
-            _METRIC_NODE
-        ):
-            prefix = (
-                _METRIC_QUESTION
-                if metric.value.startswith(_METRIC_QUESTION)
-                else _METRIC_NODE
-            )
-            exact = Fraction(_literal_value(_only_object(g, measure, _T_EXACT)))
-            stored.setdefault(key, {})[metric.value[len(prefix):]] = exact
-
-    results: dict[str, list[DatasetResult]] = {}
-    for (endpoint, dataset), outs in sorted(outcomes.items()):
-        result = build_result(catalog, dataset, outs)
-        recomputed = dict(result.question_scores)
-        recomputed.update(result.node_scores)
-        for key, exact in stored.get((endpoint, dataset), {}).items():
-            if recomputed.get(key) != exact:
-                raise ValueError(
-                    f"stored score for {key} on <{dataset}> is {exact}, "
-                    f"but the outcomes yield {recomputed.get(key)}"
-                )
-        results.setdefault(endpoint, []).append(result)
-    return Report(
-        catalog_version=version,
-        catalog_hash=digest,
-        generated_at=generated_at,
-        results={endpoint: tuple(rs) for endpoint, rs in results.items()},
-    )
-
-
-def _literal_value(term: Term) -> str:
-    if not isinstance(term, Literal):
-        raise ValueError(f"expected a literal, found {term!r}")
-    return term.lexical
-
-
-def _iri_value(term: Term) -> str:
-    if not isinstance(term, Iri):
-        raise ValueError(f"expected an IRI, found {term!r}")
-    return term.value
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 Each catalog query is asked once for a whole set of datasets: which of
 them, bound to ?kg, give it a solution.  Locally a graph (a file, or what
 a campaign fetched from one endpoint) is saturated once and asked the
-compact form (:func:`score_datasets`); the remote route asks an endpoint
-the expanded form as ``SELECT DISTINCT ?kg`` with ?kg bound to the
-datasets by VALUES, and hands its answers to :func:`results_from_answers`
-too.
+compact form (:func:`score_datasets`, which ``evaluate --file`` and a
+campaign call with all the datasets of a graph, and a library caller with
+one); the remote route asks an endpoint the expanded form as
+``SELECT DISTINCT ?kg`` with ?kg bound to the datasets by VALUES, and
+hands its answers to :func:`results_from_answers` too.
 
 Scores are exact rationals all the way up: a question is the mean of its
 query outcomes, a leaf is the weighted mean of its questions, and every
@@ -120,11 +121,6 @@ def build_result(
     }
     ordered = tuple(map(by_id.__getitem__, plan.query_ids))
     return DatasetResult(dataset, ordered, question_scores, node_scores)
-
-
-def evaluate_graph(catalog: Catalog, graph: Graph, dataset: Iri) -> DatasetResult:
-    """Audit one dataset in a local graph."""
-    return score_datasets(catalog, graph, [dataset])[0][0]
 
 
 def score_datasets(

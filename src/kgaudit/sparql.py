@@ -103,9 +103,6 @@ class TriplePattern(NamedTuple):
     predicate: PatternTerm
     object: PatternTerm
 
-    def positions(self) -> tuple[PatternTerm, PatternTerm, PatternTerm]:
-        return self
-
 
 class _Bgp(NamedTuple):
     patterns: tuple[TriplePattern, ...]
@@ -219,7 +216,7 @@ def pattern_variables(pattern: GroupPattern) -> set[str]:
             out.add(leaf.variable)
             continue
         for tp in leaf.patterns:
-            for pos in tp.positions():
+            for pos in tp:
                 if isinstance(pos, Variable):
                     out.add(pos.name)
     return out
@@ -603,12 +600,11 @@ def _plan(bgp: Bgp, bound: frozenset[str]) -> tuple[tuple, ...]:
     steps, left, known = [], list(bgp.patterns), set(bound)
 
     def boundness(i: int) -> tuple[int, int]:
-        positions = left[i].positions()
-        return sum(not isinstance(pos, Variable) or pos.name in known for pos in positions), -i
+        return sum(not isinstance(pos, Variable) or pos.name in known for pos in left[i]), -i
 
     while left:
         match, supplied, new, same, first = [], [], [], [], {}
-        for i, pos in enumerate(left.pop(max(range(len(left)), key=boundness)).positions()):
+        for i, pos in enumerate(left.pop(max(range(len(left)), key=boundness))):
             match.append(None if isinstance(pos, Variable) else pos)
             if not isinstance(pos, Variable):
                 continue
@@ -698,15 +694,15 @@ def _solutions(g: Graph, pattern: GroupPattern) -> Iterator[dict[str, Term]]:
 def eval_bgp(g: Graph, patterns: Bgp | Iterable[TriplePattern]) -> list[dict[str, Term]]:
     """Distinct solutions of a basic graph pattern, natural-join semantics.
 
-    A :class:`Bgp` keeps its join plans from one call to the next.
+    They are distinct without a pass that removes repeats: a graph holds
+    each triple once, and two triples one join step matches agree on the
+    fixed and the supplied positions, so they differ in a position that
+    binds a new name or in one that must equal such a position.  Either
+    way the two extensions differ.  A :class:`Bgp` keeps its join plans
+    from one call to the next.
     """
     bgp = patterns if isinstance(patterns, Bgp) else Bgp(tuple(patterns))
-    positions = [pos for tp in bgp.patterns for pos in tp.positions()]
-    names = [pos.name for pos in positions if isinstance(pos, Variable)]
-    seen: dict[tuple, dict[str, Term]] = {}
-    for binding in _solutions(g, bgp):
-        seen.setdefault(tuple(binding[name] for name in names), binding)
-    return list(seen.values())
+    return list(_solutions(g, bgp))
 
 
 def eval_ask(g: Graph, query: Query) -> bool:

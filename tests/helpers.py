@@ -11,18 +11,43 @@ from pathlib import Path
 
 import yaml
 
-from kgaudit.catalog import default_catalog, dump_catalog, parse_catalog
+from kgaudit.catalog import Catalog, default_catalog, dump_catalog, parse_catalog
 from kgaudit.rdf import (
+    RDF_TYPE,
     BlankNode,
     Graph,
     Iri,
     Literal,
     Term,
     Triple,
+    format_term,
     parse_ntriples,
     term_sort_key,
 )
+from kgaudit.reporting import (
+    _D_COMPUTED_ON,
+    _D_MEASUREMENT,
+    _D_MEASUREMENT_OF,
+    _D_METRIC,
+    _D_VALUE,
+    _MEASURE,
+    _METRIC_NODE,
+    _METRIC_QUERY,
+    _METRIC_QUESTION,
+    _T_ENDPOINT,
+    _T_EXACT,
+    _T_FAILURE,
+    _T_GENERATED,
+    _T_HASH,
+    _T_VERSION,
+    _XSD_BOOLEAN,
+    _XSD_DECIMAL,
+    REPORT_NODE,
+    Report,
+    _pair_id,
+)
 from kgaudit.saturation import SaturationTrace
+from kgaudit.scoring import DatasetResult, FailureKind, QueryOutcome, build_result, score_datasets
 from kgaudit.sparql import TriplePattern, UnionPattern, Variable, eval_bgp
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -188,14 +213,7 @@ def random_bgp(
 
 def bgp_oracle(g: Graph, patterns: list[TriplePattern]) -> set[frozenset]:
     """Reference BGP semantics: try every assignment of variables to graph terms."""
-    names = sorted(
-        {
-            pos.name
-            for tp in patterns
-            for pos in tp.positions()
-            if isinstance(pos, Variable)
-        }
-    )
+    names = sorted({pos.name for tp in patterns for pos in tp if isinstance(pos, Variable)})
     facts = {(t.subject, t.predicate, t.object) for t in g}
     universe = sorted(g.terms(), key=term_sort_key)
     found: set[frozenset] = set()
@@ -463,6 +481,11 @@ def ref_format_term(term) -> str:
     return f'"{body}"'
 
 
+def evaluate_graph(catalog: Catalog, graph: Graph, dataset: Iri) -> DatasetResult:
+    """Audit one dataset in a local graph."""
+    return score_datasets(catalog, graph, [dataset])[0][0]
+
+
 # ---------------------------------------------------------------------------
 # Reference aggregation: ``kgaudit.scoring.build_result`` as it computed
 # scores before they were read off the catalog's scoring plan, copied as it
@@ -517,30 +540,6 @@ def ref_build_result(catalog, dataset: str, outcomes):
 
 
 def ref_to_dqv(report) -> str:
-    from kgaudit.rdf import RDF_TYPE, format_term
-    from kgaudit.reporting import (
-        _D_COMPUTED_ON,
-        _D_MEASUREMENT,
-        _D_MEASUREMENT_OF,
-        _D_METRIC,
-        _D_VALUE,
-        _MEASURE,
-        _METRIC_NODE,
-        _METRIC_QUERY,
-        _METRIC_QUESTION,
-        _T_ENDPOINT,
-        _T_EXACT,
-        _T_FAILURE,
-        _T_GENERATED,
-        _T_HASH,
-        _T_VERSION,
-        _XSD_BOOLEAN,
-        _XSD_DECIMAL,
-        REPORT_NODE,
-        _pair_id,
-    )
-    from kgaudit.scoring import FailureKind
-
     def tail(predicate, obj: str) -> str:
         return f" {format_term(predicate)} {obj} ."
 
@@ -603,3 +602,100 @@ def ref_to_dqv(report) -> str:
                     )
     lines.update(format_term(Iri(metric)) + is_metric for metric in metrics)
     return "\n".join(sorted(lines)) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Reference DQV reader: ``from_dqv`` parses a DQV export back into the full
+# report, recomputing the aggregation and refusing exports whose stored
+# node scores disagree with their own query outcomes or that name another
+# catalog.  No command reads DQV back; tests use it to check that
+# ``to_dqv`` loses nothing.
+
+
+def _only_object(g: Graph, subject: Iri, predicate: Iri) -> Term:
+    objects = [t.object for t in g.match(subject, predicate, None)]
+    if len(objects) != 1:
+        raise ValueError(
+            f"expected exactly one value of <{predicate.value}> "
+            f"on <{subject.value}>, found {len(objects)}"
+        )
+    return objects[0]
+
+
+def from_dqv(text: str, catalog: Catalog) -> Report:
+    """Rebuild a report from its DQV export (N-Triples text), verifying
+    the aggregation.
+
+    Node and question scores in the export are checked against scores
+    recomputed from the query outcomes; any disagreement is an error.
+    """
+    g = parse_ntriples(text)
+    generated_at = _literal_value(_only_object(g, REPORT_NODE, _T_GENERATED))
+    version = _literal_value(_only_object(g, REPORT_NODE, _T_VERSION))
+    digest = _literal_value(_only_object(g, REPORT_NODE, _T_HASH))
+    if digest != catalog.content_hash():
+        raise ValueError(
+            "the report was produced with a different catalog "
+            f"(hash {digest[:12]}…, expected {catalog.content_hash()[:12]}…)"
+        )
+
+    outcomes: dict[tuple[str, str], list[QueryOutcome]] = {}
+    stored: dict[tuple[str, str], dict[str, Fraction]] = {}
+    for triple in g.match(None, _D_MEASUREMENT_OF, None):
+        measure = triple.subject
+        metric = triple.object
+        if not isinstance(metric, Iri) or not isinstance(measure, Iri):
+            continue
+        endpoint = _iri_value(_only_object(g, measure, _T_ENDPOINT))
+        dataset = _iri_value(_only_object(g, measure, _D_COMPUTED_ON))
+        key = (endpoint, dataset)
+        if metric.value.startswith(_METRIC_QUERY):
+            query_id = metric.value[len(_METRIC_QUERY):]
+            value = _literal_value(_only_object(g, measure, _D_VALUE))
+            success = value == "true"
+            failure = None
+            failures = list(g.match(measure, _T_FAILURE, None))
+            if failures:
+                failure = FailureKind(_literal_value(failures[0].object))
+            outcomes.setdefault(key, []).append(QueryOutcome(query_id, success, failure))
+        elif metric.value.startswith(_METRIC_QUESTION) or metric.value.startswith(
+            _METRIC_NODE
+        ):
+            prefix = (
+                _METRIC_QUESTION
+                if metric.value.startswith(_METRIC_QUESTION)
+                else _METRIC_NODE
+            )
+            exact = Fraction(_literal_value(_only_object(g, measure, _T_EXACT)))
+            stored.setdefault(key, {})[metric.value[len(prefix):]] = exact
+
+    results: dict[str, list[DatasetResult]] = {}
+    for (endpoint, dataset), outs in sorted(outcomes.items()):
+        result = build_result(catalog, dataset, outs)
+        recomputed = dict(result.question_scores)
+        recomputed.update(result.node_scores)
+        for key, exact in stored.get((endpoint, dataset), {}).items():
+            if recomputed.get(key) != exact:
+                raise ValueError(
+                    f"stored score for {key} on <{dataset}> is {exact}, "
+                    f"but the outcomes yield {recomputed.get(key)}"
+                )
+        results.setdefault(endpoint, []).append(result)
+    return Report(
+        catalog_version=version,
+        catalog_hash=digest,
+        generated_at=generated_at,
+        results={endpoint: tuple(rs) for endpoint, rs in results.items()},
+    )
+
+
+def _literal_value(term: Term) -> str:
+    if not isinstance(term, Literal):
+        raise ValueError(f"expected a literal, found {term!r}")
+    return term.lexical
+
+
+def _iri_value(term: Term) -> str:
+    if not isinstance(term, Iri):
+        raise ValueError(f"expected an IRI, found {term!r}")
+    return term.value

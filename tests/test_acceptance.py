@@ -18,9 +18,9 @@ import yaml
 from kgaudit.catalog import default_catalog, expand_extended, load_catalog
 from kgaudit.client import CampaignConfig, discover_datasets, discover_in_graph, run_campaign
 from kgaudit.rdf import Graph, Iri, Triple, load_rdf, parse_ntriples, serialize_ntriples
-from kgaudit.reporting import boxplot_stats, from_dqv, radar_figure, to_csv, to_dqv
+from kgaudit.reporting import boxplot_stats, radar_figure, to_csv, to_dqv
 from kgaudit.saturation import saturate
-from kgaudit.scoring import evaluate_graph, format_percent
+from kgaudit.scoring import format_percent
 from kgaudit.sparql import eval_ask, eval_bgp, substitute
 from kgaudit.transport import TranscriptTransport
 
@@ -28,6 +28,8 @@ from helpers import (
     FIXTURES,
     bgp_oracle,
     catalog_vocabulary,
+    evaluate_graph,
+    from_dqv,
     random_bgp,
     random_metadata_graph,
     small_graph,

@@ -19,11 +19,10 @@ from kgaudit.catalog import (
 )
 from kgaudit.client import evaluate_remote_datasets
 from kgaudit.rdf import Iri, load_rdf
-from kgaudit.scoring import evaluate_graph
 from kgaudit.sparql import Bgp, UnionPattern, format_query, pattern_variables
 from kgaudit.transport import TranscriptTransport
 
-from helpers import FIXTURES, THREE_HOP_QUERY, THREE_HOP_RULE
+from helpers import FIXTURES, THREE_HOP_QUERY, THREE_HOP_RULE, evaluate_graph
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +124,6 @@ def test_a_kg_placeholder_reads_as_the_kg_variable():
     assert [cq.query for _, cq in dollar.queries()] == [cq.query for _, cq in cat.queries()]
     for qid, query in cat.expanded.items():
         assert format_query(dollar.expanded[qid]) == format_query(query)
-    assert dollar.expanded_selects == cat.expanded_selects
 
 
 def test_a_kg_placeholder_scores_alike_on_both_routes():

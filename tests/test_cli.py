@@ -80,6 +80,16 @@ def test_evaluate_file_single_dataset_prints_bare_percent(capsys):
     assert capsys.readouterr().out == "3.3%\n"
 
 
+@pytest.mark.parametrize("name", ["dataset_pair.nt", "dataset_pair.ttl"])
+def test_evaluate_file_with_a_byte_order_mark_scores_like_the_plain_file(tmp_path, capsys, name):
+    assert main(["evaluate", "--file", str(FIXTURES / name)]) == 0
+    plain = capsys.readouterr().out
+    marked = tmp_path / name
+    marked.write_text("\ufeff" + (FIXTURES / name).read_text(encoding="utf-8"), encoding="utf-8")
+    assert main(["evaluate", "--file", str(marked)]) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_evaluate_file_multiple_datasets_tabulates(capsys):
     code = main(
         [
@@ -624,6 +634,18 @@ def test_campaign_parses_each_queried_text_once(tmp_path, capsys, monkeypatch):
 def test_campaign_endpoints_file(tmp_path, capsys):
     listing = tmp_path / "endpoints.txt"
     listing.write_text("# comment\n\n" + ENDPOINTS[0] + "\n")
+    code = main(
+        ["campaign", "--endpoints-file", str(listing), "--transcript", TRANSCRIPT, "--delay", "0"]
+    )
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "100.0%\thttp://example.org/kg/full\thttp://example.org/sparql"
+    ]
+
+
+def test_campaign_endpoints_file_with_a_byte_order_mark(tmp_path, capsys):
+    listing = tmp_path / "endpoints.txt"
+    listing.write_text("\ufeff" + ENDPOINTS[0] + "\n", encoding="utf-8")
     code = main(
         ["campaign", "--endpoints-file", str(listing), "--transcript", TRANSCRIPT, "--delay", "0"]
     )

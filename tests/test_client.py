@@ -428,7 +428,7 @@ def test_a_failed_request_fails_its_query_for_every_dataset(tmp_path):
     clean = evaluate_remote_datasets(transport, FULL_ENDPOINT, catalog, datasets)
     assert [r.score for r in clean] == [1, Fraction(1, 30), 0]
     failing = "publisher.1"
-    slow = TimesOutOn(transport, catalog.expanded_selects[failing].pattern)
+    slow = TimesOutOn(transport, catalog.expanded[failing].pattern)
     results = evaluate_remote_datasets(slow, FULL_ENDPOINT, catalog, datasets)
     assert slow.count == len(catalog.expanded) == 33
     for before, after in zip(clean, results):

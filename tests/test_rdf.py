@@ -841,3 +841,24 @@ def test_load_rdf_dispatches_on_extension(tmp_path) -> None:
     stray.write_text("", encoding="utf-8")
     with pytest.raises(ParseError):
         load_rdf(str(stray))
+
+
+def test_load_rdf_reads_any_case_of_extension(tmp_path) -> None:
+    text = '<http://e.org/s> <http://e.org/p> "x" .\n'
+    for name in ("g.NT", "g.TTL", "g.Turtle"):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert len(load_rdf(str(path))) == 1
+
+
+def test_load_rdf_skips_a_leading_byte_order_mark_only(tmp_path) -> None:
+    # Windows Notepad starts a UTF-8 file with U+FEFF
+    text = '<http://e.org/s> <http://e.org/p> "x" .\n'
+    for suffix in (".nt", ".ttl"):
+        path = tmp_path / ("marked" + suffix)
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        assert load_rdf(str(path)) == parse_ntriples(text)
+        # anywhere else it is a stray character, refused with its line
+        path.write_text("\ufeff" + text + "\ufeff" + text, encoding="utf-8")
+        with pytest.raises(ParseError, match=r"^line 2: "):
+            load_rdf(str(path))

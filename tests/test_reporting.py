@@ -30,7 +30,6 @@ from kgaudit.reporting import (
     build_report,
     csv_columns,
     figure_files,
-    from_dqv,
     radar_figure,
     to_csv,
     to_dqv,
@@ -40,12 +39,11 @@ from kgaudit.scoring import (
     FailureKind,
     QueryOutcome,
     build_result,
-    evaluate_graph,
     not_evaluated_result,
 )
 from kgaudit.transport import TranscriptTransport
 
-from helpers import FIXTURES, ref_to_dqv
+from helpers import FIXTURES, evaluate_graph, from_dqv, ref_to_dqv
 
 CATALOG = default_catalog()
 

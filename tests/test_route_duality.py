@@ -27,11 +27,16 @@ from kgaudit.client import (
     score_endpoint,
 )
 from kgaudit.rdf import BlankNode, Graph, Iri, Literal, Triple, parse_ntriples, serialize_ntriples
-from kgaudit.scoring import evaluate_graph
 from kgaudit.sparql import Variable
 from kgaudit.transport import TranscriptTransport
 
-from helpers import catalog_shapes, catalog_vocabulary, random_metadata_graph, three_hop_catalog
+from helpers import (
+    catalog_shapes,
+    catalog_vocabulary,
+    evaluate_graph,
+    random_metadata_graph,
+    three_hop_catalog,
+)
 
 CATALOG = default_catalog()
 URL = "http://duality.example.org/sparql"

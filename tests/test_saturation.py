@@ -188,7 +188,7 @@ def _random_rule(rng: random.Random, index: int) -> EquivalenceRule:
             obj = _term(rng, ["o", "m", "p"])
             source.append(f"{subject} {predicate} {obj} .")
         patterns = parse_triple_patterns(" ".join(source), {})
-        bound = {p.name for tp in patterns for p in tp.positions() if isinstance(p, Variable)}
+        bound = {p.name for tp in patterns for p in tp if isinstance(p, Variable)}
         if bound - {"s"}:
             break
     target = f"?s <{rng.choice(_PREDICATES).value}> ?{rng.choice(sorted(bound - {'s'}))} ."

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import yaml
@@ -12,13 +13,12 @@ from kgaudit.scoring import (
     FailureKind,
     QueryOutcome,
     build_result,
-    evaluate_graph,
     format_percent,
     not_evaluated_result,
     results_from_answers,
 )
 
-from helpers import FIXTURES, ref_build_result
+from helpers import FIXTURES, evaluate_graph, ref_build_result
 
 CATALOG = default_catalog()
 ALL_QUERY_IDS = [cq.id for _, cq in CATALOG.queries()]
@@ -182,6 +182,19 @@ def test_publisher_only_dataset_scores_one_thirtieth():
     assert result.node_scores["collection"] == 0
     assert result.node_scores["maintenance"] == 0
     assert format_percent(result.score) == "3.3%"
+
+
+def test_the_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    code = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    for old, new in (
+        ('"metadata.ttl"', repr(str(FIXTURES / "publisher_only.nt"))),
+        ('"http://example.org/kg"', '"http://example.org/kg/sparse"'),
+    ):
+        assert old in code
+        code = code.replace(old, new)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == "1/30"
 
 
 def test_alternate_vocabulary_scores_like_canonical():

@@ -301,6 +301,26 @@ def test_eval_bgp_matches_brute_force_oracle() -> None:
         assert solutions_as_sets(eval_bgp(g, patterns)) == bgp_oracle(g, patterns)
 
 
+def test_eval_bgp_never_repeats_a_solution() -> None:
+    # solutions_as_sets cannot see a repeat, so the lengths are compared too;
+    # each BGP may gain a pattern that repeats a variable and a ground one
+    rng = random.Random(4747)
+    for _ in range(300):
+        g = small_graph(rng)
+        patterns = random_bgp(rng, g)
+        triples = list(g)
+        if triples and rng.random() < 0.5:
+            x = Variable(rng.choice(["x", "y", "z"]))
+            patterns.append(TriplePattern(x, rng.choice(triples).predicate, x))
+        if triples and rng.random() < 0.5:
+            patterns.append(TriplePattern(*rng.choice(triples)))
+        rng.shuffle(patterns)
+        solutions = eval_bgp(g, patterns)
+        expected = bgp_oracle(g, patterns)
+        assert len(solutions) == len(expected)
+        assert solutions_as_sets(solutions) == expected
+
+
 def test_empty_bgp_has_one_empty_solution() -> None:
     assert eval_bgp(Graph(), []) == [{}]
     assert eval_ask(Graph(), parse_query("ASK {}")) is True
@@ -429,15 +449,14 @@ def greedy_solutions(g: Graph, patterns: list[TriplePattern], binding: dict):
         return
 
     def boundness(i: int) -> tuple[int, int]:
-        positions = patterns[i].positions()
-        return sum(not isinstance(p, Variable) or p.name in binding for p in positions), -i
+        return sum(not isinstance(p, Variable) or p.name in binding for p in patterns[i]), -i
 
     best = max(range(len(patterns)), key=boundness)
     tp, rest = patterns[best], patterns[:best] + patterns[best + 1 :]
-    s, p, o = (binding.get(x.name) if isinstance(x, Variable) else x for x in tp.positions())
+    s, p, o = (binding.get(x.name) if isinstance(x, Variable) else x for x in tp)
     for triple in g.match(s, p, o):
         extended = dict(binding)
-        for pos, value in zip(tp.positions(), triple):
+        for pos, value in zip(tp, triple):
             if isinstance(pos, Variable) and extended.setdefault(pos.name, value) != value:
                 break
         else:
@@ -445,7 +464,7 @@ def greedy_solutions(g: Graph, patterns: list[TriplePattern], binding: dict):
 
 
 def greedy_eval_bgp(g: Graph, patterns: list[TriplePattern]) -> list[dict]:
-    names = [pos.name for tp in patterns for pos in tp.positions() if isinstance(pos, Variable)]
+    names = [pos.name for tp in patterns for pos in tp if isinstance(pos, Variable)]
     seen: dict = {}
     for binding in greedy_solutions(g, list(patterns), {}):
         seen.setdefault(tuple(binding[name] for name in names), binding)
