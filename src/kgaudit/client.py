@@ -49,9 +49,9 @@ import json
 import sys
 import threading
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from contextlib import ExitStack
 from itertools import groupby
+from queue import SimpleQueue
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .catalog import KG, Catalog, default_catalog
@@ -548,10 +548,11 @@ def run_campaign(config: CampaignConfig) -> Report:
     """Audit all endpoints and aggregate everything into one report."""
     if config.runs < 1:
         raise ValueError("a campaign needs at least one run")
-    if config.timeout <= 0:
-        raise ValueError("the timeout must be positive")
-    if config.delay < 0:
-        raise ValueError("the politeness delay cannot be negative")
+    # NaN fails both comparisons; a longer wait than TIMEOUT_MAX overflows
+    if not 0 < config.timeout <= threading.TIMEOUT_MAX:
+        raise ValueError(f"the timeout must be positive and at most {threading.TIMEOUT_MAX:g} s")
+    if not 0 <= config.delay <= threading.TIMEOUT_MAX:
+        raise ValueError(f"the politeness delay must be from 0 to {threading.TIMEOUT_MAX:g} s")
     if config.retries < 0:
         raise ValueError("the retry count cannot be negative")
     if config.page_size < 1:
@@ -602,28 +603,32 @@ def _audit_cells(
     """Audit the cells ``left``, each endpoint's runs in order, with
     ``config.workers`` cells in flight at most.
 
-    An endpoint's cells go through one request layer, opened before its
-    first cell and closed after its last, and never two at a time, so the
-    delay and the HTTP session stay per endpoint.  A free worker takes the
-    open endpoint whose next attempt may start soonest, if it may start now
-    or no endpoint is left to open; otherwise it opens the next endpoint.
+    The cells run on worker threads of their own, one per cell in flight
+    at most, which take cells from this thread and hand back each run or
+    error.  An endpoint's cells go through one request layer, opened before
+    its first cell and closed after its last, and never two at a time, so
+    the delay and the HTTP session stay per endpoint.  A free worker gets
+    the open endpoint whose next attempt may start soonest, if it may start
+    now or no endpoint is left to open; otherwise the next endpoint opens.
     So layers are opened only while none that is open is due, and with no
     delay an endpoint's runs go back to back.  Once a cell raises, no new
     cell starts: the cells in flight finish, every open layer closes and
     the error of the failed cell first in campaign order (endpoint order,
     then run) goes on.  With several workers, which cells ran, and were
-    journaled, before the stop still depends on timing.
+    journaled, before the stop still depends on timing.  Every worker has
+    ended when this returns or raises, on an interrupt too.
     """
     runs = {endpoint: deque(todo) for endpoint, todo in left.items() if todo}
     order = {endpoint: n for n, endpoint in enumerate(runs)}
     unopened = deque(runs)
     layers: dict[str, tuple[ExitStack, ThrottledTransport]] = {}  # in opening order
-    in_flight: dict[Future, str] = {}
-    cells: dict[tuple[int, int], Future] = {}  # by endpoint order, then run
+    busy: set[str] = set()  # endpoints with a cell in flight
+    outcomes: dict[tuple[int, int], EndpointRun | BaseException] = {}  # by endpoint order, run
+    todo: SimpleQueue = SimpleQueue()  # (layer, endpoint, run) per cell; None stops a worker
+    done: SimpleQueue = SimpleQueue()  # (endpoint, run, the run audited or the error)
     workers = config.workers
 
     def next_endpoint() -> str | None:
-        busy = set(in_flight.values())
         waits = {e: layer.wait_s() for e, (_, layer) in layers.items() if e not in busy}
         soonest = min(waits, key=waits.get, default=None)
         if soonest is not None and (not waits[soonest] or not unopened):
@@ -640,32 +645,48 @@ def _audit_cells(
         layers[endpoint] = stack, layer
         return endpoint
 
-    def cell(layer: ThrottledTransport, endpoint: str, run: int) -> EndpointRun:
-        er = audit_run(layer, endpoint, run, fetch, page_size=config.page_size)
-        if journal is not None:
-            journal.append(er)
-        return er
+    def work() -> None:
+        while (cell := todo.get()) is not None:
+            layer, endpoint, run = cell
+            try:
+                er = audit_run(layer, endpoint, run, fetch, page_size=config.page_size)
+                if journal is not None:
+                    journal.append(er)
+            except BaseException as exc:  # the campaign's thread raises it
+                done.put((endpoint, run, exc))
+            else:
+                done.put((endpoint, run, er))
 
+    threads = []
     try:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            while True:
-                while len(in_flight) < workers and (endpoint := next_endpoint()):
-                    _, layer = layers[endpoint]
-                    run = runs[endpoint].popleft()
-                    cells[order[endpoint], run] = future = pool.submit(cell, layer, endpoint, run)
-                    in_flight[future] = endpoint
-                if not in_flight:
-                    break
-                finished, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    endpoint = in_flight.pop(future)
-                    if future.exception() is not None:
-                        workers = 0  # start no new cell
-                    if not runs[endpoint]:
-                        layers.pop(endpoint)[0].close()
+        for _ in range(min(workers, sum(map(len, runs.values())))):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+        while True:
+            while len(busy) < workers and (endpoint := next_endpoint()):
+                _, layer = layers[endpoint]
+                todo.put((layer, endpoint, runs[endpoint].popleft()))
+                busy.add(endpoint)
+            if not busy:
+                break
+            endpoint, run, outcome = done.get()
+            busy.remove(endpoint)
+            outcomes[order[endpoint], run] = outcome
+            if isinstance(outcome, BaseException):
+                workers = 0  # start no new cell
+            if not runs[endpoint]:
+                layers.pop(endpoint)[0].close()
     finally:
-        # after the pool has let every cell in flight finish
+        # every cell handed out comes before the workers' stops
+        for _ in threads:
+            todo.put(None)
+        for thread in threads:
+            thread.join()
         for stack, _ in layers.values():
             stack.close()
-    # raises the error of the failed cell first in campaign order
-    return [cells[key].result() for key in sorted(cells)]
+    ordered = [outcomes[key] for key in sorted(outcomes)]
+    for outcome in ordered:
+        if isinstance(outcome, BaseException):
+            raise outcome  # the failed cell first in campaign order
+    return ordered

@@ -699,3 +699,65 @@ def _iri_value(term: Term) -> str:
     if not isinstance(term, Iri):
         raise ValueError(f"expected an IRI, found {term!r}")
     return term.value
+
+
+# ---------------------------------------------------------------------------
+# Dump-shaped files: a small VoID/DCAT description inside instance data, the
+# way a knowledge graph's published dump holds its own metadata.
+
+_DUMP_RESOURCE = "http://dump.example.org/resource/"
+# classes that no dataset discovery or catalog query looks for
+_DUMP_CLASSES = [
+    Iri("http://dbpedia.org/ontology/Person"),
+    Iri("http://dbpedia.org/ontology/Place"),
+    Iri("http://dbpedia.org/ontology/Film"),
+]
+# predicates no catalog query or rule names
+_DUMP_PREDICATES = [
+    Iri("http://dbpedia.org/ontology/birthPlace"),
+    Iri("http://dbpedia.org/ontology/populationTotal"),
+    Iri("http://dbpedia.org/ontology/director"),
+    Iri("http://www.w3.org/2000/01/rdf-schema#comment"),
+]
+
+
+def dump_text(metadata: str, instances: int, seed: int = 0) -> str:
+    """The N-Triples ``metadata`` with ``instances`` distinct seeded lines
+    of instance data around it, half before and half after.  Every subject
+    and every IRI object of those lines is a dump resource that no metadata
+    names, so no dataset reaches one.  About a fifth of them type a
+    resource with a class no discovery looks for; the rest use predicates
+    of the default catalog and predicates outside it, with resource,
+    plain-literal and typed-literal objects."""
+    rng = random.Random(seed)
+    predicates = catalog_vocabulary(default_catalog())[0] + _DUMP_PREDICATES
+    resources = [Iri(f"{_DUMP_RESOURCE}{n}") for n in range(max(1, instances // 5))]
+    integer = "http://www.w3.org/2001/XMLSchema#integer"
+    lines: dict[str, None] = {}  # each line once, in the order made
+    for n in itertools.count():
+        if len(lines) == instances:
+            break
+        subject = rng.choice(resources)
+        roll = rng.random()
+        if roll < 0.2:
+            triple = Triple(subject, RDF_TYPE_IRI, rng.choice(_DUMP_CLASSES))
+        else:
+            if roll < 0.5:
+                obj = rng.choice(resources)
+            elif roll < 0.8:
+                obj = Literal(f"label {n}", language=rng.choice(["en", "de", None]))
+            else:
+                obj = Literal(str(n), datatype=integer)
+            triple = Triple(subject, rng.choice(predicates), obj)
+        lines[" ".join(map(format_term, triple)) + " .\n"] = None
+    instance = list(lines)
+    half = instances // 2
+    return "".join(instance[:half]) + metadata + "".join(instance[half:])
+
+
+def write_dump(metadata_path: str, dump_path: str, instances: int, seed: int = 0) -> None:
+    """Write ``dump_text`` of the metadata file to ``dump_path``."""
+    with open(metadata_path, encoding="utf-8") as handle:
+        metadata = handle.read()
+    with open(dump_path, "w", encoding="utf-8") as handle:
+        handle.write(dump_text(metadata, instances, seed))

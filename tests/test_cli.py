@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from urllib.parse import quote
 
@@ -16,16 +19,25 @@ import requests
 import yaml
 
 import kgaudit
-from kgaudit.catalog import default_catalog, dump_catalog
+from kgaudit.catalog import default_catalog, dump_catalog, parse_catalog
 from kgaudit import cli
 from kgaudit import transport as transport_module
 from kgaudit.cli import main
-from kgaudit.rdf import load_rdf
-from kgaudit.reporting import dqv_blocks, to_dqv
+from kgaudit.client import discover_in_graph
+from kgaudit.rdf import Iri, load_rdf, serialize_ntriples
+from kgaudit.reporting import build_report, dqv_blocks, figure_files, to_csv, to_dqv, to_json
 from kgaudit.saturation import saturate
+from kgaudit.scoring import score_datasets
 from kgaudit.transport import HttpTransport, TranscriptTransport, TransportError
 
-from helpers import FIXTURES, counted_parse, three_hop_catalog
+from helpers import (
+    FIXTURES,
+    catalog_vocabulary,
+    counted_parse,
+    dump_text,
+    random_metadata_graph,
+    three_hop_catalog,
+)
 from test_transport import FakeResponse, ScriptedSession, select_body
 
 TRANSCRIPT = str(FIXTURES / "campaign.yaml")
@@ -807,6 +819,47 @@ def test_a_non_positive_timeout_variable_is_refused(monkeypatch, capsys):
     assert "the timeout must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("delay", ["inf", "1e300", "nan"])
+def test_campaign_refuses_a_delay_too_long_to_sleep(tmp_path, monkeypatch, capsys, delay):
+    # inf and 1e300 overflowed the clock at an endpoint's second run; NaN
+    # quietly meant no delay at all
+    sent = _count_requests(monkeypatch)
+    journal = tmp_path / "journal.jsonl"
+    argv = ["campaign", *ENDPOINTS, "--transcript", TRANSCRIPT, "--delay", delay]
+    assert main([*argv, "--journal", str(journal)]) == 2
+    assert capsys.readouterr().err.startswith("kgaudit: --delay must be from 0 to ")
+    assert sent == []
+    assert not journal.exists()
+
+
+@pytest.mark.parametrize("given", ["option", "variable"])
+@pytest.mark.parametrize("timeout", ["inf", "1e300", "nan"])
+@pytest.mark.parametrize("command", ["discover", "evaluate", "campaign"])
+def test_a_timeout_too_long_to_wait_is_refused_before_any_request(
+    monkeypatch, capsys, command, timeout, given
+):
+    # such a timeout overflowed the socket's clock at the first HTTP request
+    def query(self, url, query, *, run=0):
+        pytest.fail(f"a request went out to {url}")
+
+    monkeypatch.setattr(HttpTransport, "query", query)
+    argv = [command, ENDPOINTS[0]] if command == "campaign" else [command, "--endpoint", ENDPOINTS[0]]
+    if given == "option":
+        argv += ["--timeout", timeout]
+    else:
+        monkeypatch.setenv("KGAUDIT_TIMEOUT", timeout)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "the timeout must be positive and at most " in err
+    assert "(from --timeout or KGAUDIT_TIMEOUT)" in err
+
+
+def test_the_longest_timeout_a_clock_can_time_is_taken(monkeypatch, capsys):
+    monkeypatch.setenv("KGAUDIT_TIMEOUT", repr(threading.TIMEOUT_MAX))
+    assert main(["discover", "--endpoint", ENDPOINTS[0], "--transcript", TRANSCRIPT]) == 0
+    assert capsys.readouterr().out == "http://example.org/kg/full\n"
+
+
 # ---------------------------------------------------------------------------
 # catalog
 
@@ -880,6 +933,166 @@ def test_catalog_export_unknown_question(capsys):
 
 
 # ---------------------------------------------------------------------------
+# the cyclic garbage collector: paused for file commands only
+
+
+@pytest.fixture()
+def collector():
+    """The collector on for the test, and as it was afterwards."""
+    enabled = gc.isenabled()
+    gc.enable()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def _seen_by(monkeypatch, name: str, seen: list) -> None:
+    """Record ``gc.isenabled()`` at each call of ``cli.<name>``."""
+    real = getattr(cli, name)
+
+    def spy(*args, **kwargs):
+        seen.append((name, gc.isenabled()))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+
+
+def test_evaluate_file_runs_with_the_collector_paused(tmp_path, monkeypatch, capsys, collector):
+    seen = []
+    _seen_by(monkeypatch, "load_rdf", seen)
+    _seen_by(monkeypatch, "to_json", seen)
+    argv = ["evaluate", "--file", str(FIXTURES / "accountable.nt"), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert seen == [("load_rdf", False), ("to_json", False)]
+    assert gc.isenabled()
+    assert main(["discover", "--file", str(FIXTURES / "accountable.nt")]) == 0
+    assert seen[2:] == [("load_rdf", False)]
+    assert gc.isenabled()
+
+
+def test_a_malformed_file_resumes_the_collector(tmp_path, capsys, collector):
+    bad = tmp_path / "bad.nt"
+    bad.write_text("not a triple\n")
+    for command in ("discover", "evaluate"):
+        assert main([command, "--file", str(bad)]) == 2
+        assert gc.isenabled()
+
+
+def test_an_error_out_of_a_file_command_resumes_the_collector(monkeypatch, collector):
+    def score_datasets(*args, **kwargs):
+        raise RuntimeError("scripted bug")
+
+    monkeypatch.setattr(cli, "score_datasets", score_datasets)
+    with pytest.raises(RuntimeError, match="scripted bug"):
+        main(["evaluate", "--file", str(FIXTURES / "accountable.nt")])
+    assert gc.isenabled()
+
+
+def test_a_file_command_leaves_a_paused_collector_paused(tmp_path, capsys, collector):
+    gc.disable()
+    argv = ["evaluate", "--file", str(FIXTURES / "accountable.nt"), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert not gc.isenabled()
+    assert main(["discover", "--file", str(FIXTURES / "accountable.nt")]) == 0
+    assert not gc.isenabled()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["campaign", *ENDPOINTS, "--delay", "0", "--workers", "2"],
+        ["evaluate", "--endpoint", ENDPOINTS[0]],
+        ["discover", "--endpoint", ENDPOINTS[0]],
+    ],
+    ids=["campaign", "evaluate", "discover"],
+)
+def test_commands_that_send_requests_keep_the_collector_running(
+    monkeypatch, capsys, collector, argv
+):
+    # a failed HTTP request leaves the HTTP library's exceptions in cycles
+    seen = []
+
+    class Watched(TranscriptTransport):
+        def query(self, url, query, **kwargs):
+            seen.append(gc.isenabled())
+            return super().query(url, query, **kwargs)
+
+    monkeypatch.setattr(cli, "TranscriptTransport", Watched)
+    assert main([*argv, "--transcript", TRANSCRIPT]) == 0
+    assert seen and all(seen)
+    assert gc.isenabled()
+
+
+def _default_catalog_text() -> str:
+    return (Path(kgaudit.__file__).parent / "data" / "default_catalog.yaml").read_text("utf-8")
+
+
+@pytest.mark.parametrize("name", ["lf", "cr", "crlf", "bom", "ttl", "random"])
+def test_the_file_route_builds_no_reference_cycle(tmp_path, collector, name):
+    # what lets file commands pause the collector: with it off, reading,
+    # discovery, scoring, the report and every export leave nothing for it
+    path = tmp_path / "metadata.nt"
+    if name == "ttl":
+        path = FIXTURES / "dataset_pair.ttl"
+    elif name == "random":
+        predicates, constants = catalog_vocabulary(default_catalog())
+        graph = random_metadata_graph(random.Random(2929), predicates, constants, 400)
+        path.write_text(serialize_ntriples(graph), encoding="utf-8")
+    else:
+        text = (FIXTURES / "accountable.nt").read_text()
+        newline = {"lf": "\n", "cr": "\r", "crlf": "\r\n", "bom": "\n"}[name]
+        bom = "\ufeff" if name == "bom" else ""
+        path.write_bytes((bom + text.replace("\n", newline)).encode("utf-8"))
+    catalog_text = _default_catalog_text()
+    gc.collect()
+    gc.disable()
+    catalog = parse_catalog(catalog_text)
+    graph = load_rdf(str(path))
+    datasets = discover_in_graph(graph) or [Iri("http://example.org/kg/main")]
+    results, trace = score_datasets(catalog, graph, datasets)
+    source = "file:metadata.nt"
+    report = build_report(catalog, {source: results}, "", saturation={source: trace})
+    exports = [to_json(report, catalog), to_csv(report, catalog), *dqv_blocks(report, catalog)]
+    figures = figure_files(report, catalog)
+    assert gc.collect() == 0
+    assert len(graph) >= 8 and len(results) == len(datasets)
+    assert all(exports) and figures
+
+
+@pytest.mark.parametrize("which", ["default", "custom"])
+def test_parsing_a_catalog_builds_no_reference_cycle(collector, which):
+    text = _default_catalog_text() if which == "default" else dump_catalog(three_hop_catalog())
+    gc.collect()
+    gc.disable()
+    catalog = parse_catalog(text)
+    assert gc.collect() == 0
+    assert len(list(catalog.queries())) == 33
+
+
+def test_a_dump_scores_like_its_metadata_alone(tmp_path, capsys):
+    # a dump is mostly instance data around a small dataset description;
+    # no dataset reaches the instance data, so it changes no score
+    names = ("accountable.nt", "dataset_pair.nt", "publisher_only.nt")
+    metadata = "".join((FIXTURES / name).read_text() for name in names)
+    (tmp_path / "metadata.nt").write_text(metadata)
+    (tmp_path / "dump.nt").write_text(dump_text(metadata, 50_000, seed=5050))
+    assert len(load_rdf(str(tmp_path / "dump.nt"))) == 50_000 + len(metadata.splitlines())
+    printed, scores = {}, {}
+    for name in ("metadata", "dump"):
+        path = str(tmp_path / f"{name}.nt")
+        assert main(["discover", "--file", path]) == 0
+        assert main(["evaluate", "--file", path, "--out", str(tmp_path / name)]) == 0
+        printed[name] = capsys.readouterr().out
+        rows = (tmp_path / name / "report.csv").read_text().splitlines()
+        scores[name] = [row.split(",", 1)[1] for row in rows[1:]]  # without the source
+    assert printed["dump"] == printed["metadata"]
+    assert scores["dump"] == scores["metadata"]
+    assert len(scores["metadata"]) == 3
+
+
+# ---------------------------------------------------------------------------
 # installed script
 
 
@@ -937,3 +1150,25 @@ def test_commands_start_without_dataclasses_or_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]"]
+
+
+def test_commands_start_without_the_thread_pool_or_logging():
+    # a campaign's workers are threads of its own: the thread pool loaded
+    # logging, traceback and four more modules into every command
+    src = Path(kgaudit.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "import kgaudit.cli\n"
+        "from kgaudit.catalog import default_catalog\n"
+        "default_catalog()\n"
+        "code = kgaudit.cli.main(['campaign', *sys.argv[1:], '--delay', '0', '--workers', '2'])\n"
+        "print(code, sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *ENDPOINTS, "--transcript", TRANSCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"

@@ -828,6 +828,60 @@ def test_a_failing_cell_stops_the_campaign_and_closes_every_layer(
         assert len(journal.read_text().splitlines()) == 1 + 3
 
 
+@pytest.mark.parametrize("failing", [None, SPARSE_ENDPOINT], ids=["returns", "raises"])
+def test_a_campaign_leaves_no_worker_thread_behind(transcript, config, monkeypatch, failing):
+    watch = Watch(transcript, failing=failing)
+    monkeypatch.setattr(transport_module, "HttpTransport", watch)
+    before = threading.enumerate()
+    campaign = config._replace(transport=None, workers=4)
+    if failing:
+        with pytest.raises(RuntimeError, match="scripted bug"):
+            run_campaign(campaign)
+    else:
+        run_campaign(campaign)
+    assert threading.enumerate() == before
+    assert watch.closes == [1] * len(watch.closes)
+
+
+def test_an_interrupted_campaign_lets_its_cell_in_flight_finish(transcript, config, monkeypatch):
+    # the interrupt reaches the campaign's own thread while it opens the
+    # second endpoint's layer and the first endpoint's first cell is running
+    started, release = threading.Event(), threading.Event()
+    finished = []
+
+    class Held(CountingTransport):
+        def query(self, url, query, *, run=0):
+            started.set()
+            assert release.wait(5)
+            rows = super().query(url, query, run=run)
+            finished.append(url)
+            return rows
+
+    real_open_layer = client.open_layer
+    opened = []
+
+    def open_layer(*args, **kwargs):
+        if opened:
+            assert started.wait(5)
+            release.set()
+            raise KeyboardInterrupt
+        opened.append(True)
+        return real_open_layer(*args, **kwargs)
+
+    monkeypatch.setattr(client, "open_layer", open_layer)
+    before = threading.enumerate()
+    with pytest.raises(KeyboardInterrupt):
+        run_campaign(config._replace(transport=Held(transcript), workers=4))
+    assert threading.enumerate() == before
+    assert finished == [FULL_ENDPOINT]
+
+
+def test_campaign_takes_the_longest_wait_a_clock_can_time(transcript, config):
+    # one run of each endpoint sends one request, so the delay never sleeps
+    longest = config._replace(timeout=threading.TIMEOUT_MAX, delay=threading.TIMEOUT_MAX, runs=1)
+    assert run_campaign(longest) == run_campaign(config._replace(runs=1))
+
+
 @pytest.mark.parametrize("command", ["discover", "evaluate", "campaign"])
 def test_cli_closes_the_http_transport_it_builds(monkeypatch, capsys, command):
     from kgaudit import cli
@@ -848,6 +902,9 @@ def test_campaign_requires_a_run(config):
         run_campaign(broken)
 
 
+_TOO_LONG = (float("nan"), float("inf"), 1e300, threading.TIMEOUT_MAX * 2)
+
+
 @pytest.mark.parametrize(
     "name, value",
     [
@@ -856,6 +913,9 @@ def test_campaign_requires_a_run(config):
         ("retries", -1),
         ("page_size", 0),
         ("workers", 0),
+        # waits that overflowed the clock at the first request, or (NaN)
+        # quietly meant no delay at all
+        *((name, value) for name in ("timeout", "delay") for value in _TOO_LONG),
     ],
 )
 def test_campaign_rejects_bad_config(config, name, value):
