@@ -272,7 +272,8 @@ def parse_catalog(text: str, source: str = "<string>") -> Catalog:
         isinstance(k, str) and isinstance(v, str) for k, v in prefixes.items()
     ):
         raise CatalogError(f"{source}: prefixes: must map prefix names to IRIs")
-    # read once as the PREFIX lines a query would declare them in
+    # read once as the PREFIX lines a query would declare them in; queries,
+    # rules and the dump all use this map
     header = "".join(f"PREFIX {name}: <{iri}>\n" for name, iri in prefixes.items())
     try:
         declared = parse_query(header + "ASK {}").prefixes
@@ -306,7 +307,7 @@ def parse_catalog(text: str, source: str = "<string>") -> Catalog:
     if not isinstance(raw_rules, list):
         raise CatalogError(f"{source}: rules: must be a list")
     rules = tuple(
-        _parse_rule(entry, prefixes, f"{source}: rules[{index}]")
+        _parse_rule(entry, declared, f"{source}: rules[{index}]")
         for index, entry in enumerate(raw_rules)
     )
 
@@ -324,7 +325,7 @@ def parse_catalog(text: str, source: str = "<string>") -> Catalog:
         root=root,
         rules=rules,
         expanded=expanded,
-        prefixes=dict(prefixes),
+        prefixes=declared,
     )
     diagnostics = validate(catalog)
     if diagnostics:
@@ -603,14 +604,14 @@ def dump_catalog(catalog: Catalog) -> str:
     """Write a catalog back to its YAML file format (comment-free)."""
     out: list[str] = ["version: " + _yaml_str(catalog.version), "", "prefixes:"]
     for name, iri in catalog.prefixes.items():
-        out.append(f"  {name}: {_yaml_str(iri)}")
+        out.append(f"  {_yaml_str(name)}: {_yaml_str(iri)}")
     out += ["", "hierarchy:"]
     for node in catalog.nodes():
-        out.append(f"  {node.id}: {_yaml_str(node.label)}")
+        out.append(f"  {_yaml_str(node.id)}: {_yaml_str(node.label)}")
     out += ["", "questions:"]
     for question in catalog.questions():
-        out.append(f"  - id: {question.id}")
-        out.append(f"    leaf: {question.leaf}")
+        out.append(f"  - id: {_yaml_str(question.id)}")
+        out.append(f"    leaf: {_yaml_str(question.leaf)}")
         out.append(f"    text: {_yaml_str(question.text)}")
         out.append(f'    weight: "{question.weight}"')
         out.append("    queries:")
@@ -625,7 +626,7 @@ def dump_catalog(catalog: Catalog) -> str:
             out.extend(prefix + line for line in cq.text.splitlines())
     out += ["", "rules:"]
     for rule in catalog.rules:
-        out.append(f"  - id: {rule.id}")
+        out.append(f"  - id: {_yaml_str(rule.id)}")
         out.append(f"    source: {_yaml_str(_format_patterns(rule.source, catalog.prefixes))}")
         out.append(f"    target: {_yaml_str(_format_patterns(rule.target, catalog.prefixes))}")
     return "\n".join(out) + "\n"
@@ -641,13 +642,22 @@ _YAML_ESCAPES = str.maketrans(
 )
 
 
+# The resolver both loaders tag plain scalars with.
+_RESOLVER = yaml.resolver.Resolver()
+_STR_TAG = "tag:yaml.org,2002:str"
+
+
 def _yaml_str(value: str) -> str:
+    """``value`` as a YAML scalar that reads back as that string: plain when
+    it is safe, double-quoted otherwise."""
     plain = (
         value
         and all(c.isalnum() or c in " .,?'()/-_" for c in value)
         and not value.startswith((" ", "-", "?"))
         and not value.endswith(" ")
         and value.lower() not in ("true", "false", "yes", "no", "null", "on", "off")
+        # YAML 1.1 reads 0x1F, 0b101, .inf and 2001-12-14 as other types
+        and _RESOLVER.resolve(yaml.nodes.ScalarNode, value, (True, False)) == _STR_TAG
     )
     if plain:
         try:

@@ -4,14 +4,15 @@ Four subcommands: ``discover`` lists the datasets an endpoint or file
 describes, ``evaluate`` scores datasets one-shot, ``campaign`` runs the
 full multi-run audit and writes report files, and ``catalog`` inspects
 the question catalog.  All argument validation happens before the first
-request goes out, a ``--timeout`` or ``--delay`` that is not a number of
-seconds a wait can last (negative, NaN, infinite or past
-``threading.TIMEOUT_MAX``; a zero timeout too) included;
-``KGAUDIT_TIMEOUT`` is parsed only by the commands that take
-``--timeout``.  ``discover`` and ``evaluate --endpoint`` query through
-:func:`~kgaudit.transport.open_layer` with the timeout, no politeness delay
-and its default retries; a campaign opens one layer per endpoint.  Only
-``evaluate --file`` reads the clock.
+request goes out, ``--timeout`` and ``--delay`` by the transport's own
+rule (:func:`~kgaudit.transport.check_wait`); ``KGAUDIT_TIMEOUT`` is
+parsed only by the commands that take ``--timeout``, and ``--catalog`` is
+taken only by the commands that read a catalog.  ``discover`` and
+``evaluate --endpoint`` query through :func:`~kgaudit.transport.open_layer`
+with the timeout, no politeness delay and its default retries; a campaign
+opens one layer per endpoint.  The CLI reads no clock: a report's stamp
+is its newest run's, so the report of a file, which has no run, carries
+the empty one.
 
 ``discover --file`` and ``evaluate --file`` run whole, from reading the
 file to writing the reports, with the cyclic garbage collector paused:
@@ -28,7 +29,6 @@ import argparse
 import gc
 import os
 import sys
-import threading
 from contextlib import contextmanager
 from typing import Iterable, Iterator, Sequence
 from urllib.parse import quote
@@ -53,19 +53,19 @@ from .transport import (
     DEFAULT_TIMEOUT,
     TranscriptTransport,
     TransportError,
+    check_wait,
     open_layer,
-    utcnow,
 )
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if "timeout" in args and not 0 < args.timeout <= threading.TIMEOUT_MAX:
-            raise ValueError(
-                f"the timeout must be positive and at most {threading.TIMEOUT_MAX:g} seconds, "
-                f"not {args.timeout!r} (from --timeout or KGAUDIT_TIMEOUT)"
-            )
+        if "timeout" in args:
+            try:
+                check_wait(args.timeout, "the timeout", timeout=True)
+            except ValueError as exc:
+                raise ValueError(f"{exc} (from --timeout or KGAUDIT_TIMEOUT)") from None
         if getattr(args, "file", None):
             with _collector_paused():
                 return args.func(args)
@@ -103,6 +103,7 @@ def _parser() -> argparse.ArgumentParser:
 
     evaluate = sub.add_parser("evaluate", help="score datasets")
     _add_source(evaluate)
+    _add_catalog(evaluate)
     _add_common(evaluate)
     evaluate.add_argument(
         "--dataset",
@@ -138,6 +139,7 @@ def _parser() -> argparse.ArgumentParser:
         metavar="IRI",
         help="the two datasets the radar figure compares (default: the two best)",
     )
+    _add_catalog(campaign)
     _add_common(campaign)
     campaign.set_defaults(func=_cmd_campaign)
 
@@ -145,17 +147,17 @@ def _parser() -> argparse.ArgumentParser:
     catalog_sub = catalog.add_subparsers(dest="catalog_command", required=True)
 
     validate = catalog_sub.add_parser("validate", help="check a catalog file")
-    validate.add_argument("--catalog", metavar="PATH")
+    _add_catalog(validate)
     validate.set_defaults(func=_cmd_catalog_validate)
 
     listing = catalog_sub.add_parser("list", help="list the questions")
-    listing.add_argument("--catalog", metavar="PATH")
+    _add_catalog(listing)
     listing.set_defaults(func=_cmd_catalog_list)
 
     export = catalog_sub.add_parser(
         "export-extended", help="print the vocabulary-expanded form of the queries"
     )
-    export.add_argument("--catalog", metavar="PATH")
+    _add_catalog(export)
     export.add_argument("--question", metavar="ID", help="only this question")
     export.set_defaults(func=_cmd_catalog_export)
 
@@ -171,8 +173,11 @@ def _add_source(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_catalog(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--catalog", metavar="PATH", help="catalog file (default: built in)")
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
     # argparse parses a string default only when a command takes and lacks the option
     parser.add_argument(
         "--timeout",
@@ -196,7 +201,7 @@ def _seconds(text: str) -> float:
 
 
 def _load_catalog(args) -> Catalog:
-    if getattr(args, "catalog", None):
+    if args.catalog:
         return load_catalog(args.catalog)
     return default_catalog()
 
@@ -238,7 +243,7 @@ def _cmd_evaluate(args) -> int:
     source = args.endpoint or "file:" + quote(args.file)
     saturation = {}  # the remote route saturates nothing
     if args.file:
-        stamp = utcnow()
+        stamp = ""  # a report's stamp is its newest run's, and a file has no run
         graph = load_rdf(args.file)
         datasets = _named_datasets(args) or discover_in_graph(graph)
         results, saturation[source] = score_datasets(catalog, graph, datasets)
@@ -290,10 +295,7 @@ def _cmd_campaign(args) -> int:
         raise ValueError("campaign needs at least one endpoint")
     if args.runs < 1:
         raise ValueError("--runs must be at least 1")
-    if not 0 <= args.delay <= threading.TIMEOUT_MAX:
-        raise ValueError(
-            f"--delay must be from 0 to {threading.TIMEOUT_MAX:g} seconds, not {args.delay!r}"
-        )
+    check_wait(args.delay, "--delay")
     for dataset in args.radar or ():
         try:
             Iri(dataset)

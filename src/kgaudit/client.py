@@ -39,7 +39,10 @@ opens none.  A free worker takes the endpoint whose next request may go
 out soonest, so it does not sleep out one endpoint's delay while another
 endpoint has a run due (:func:`_audit_cells`).  Every run is appended to
 a journal file (JSON lines, checksummed), so an interrupted campaign
-resumes without repeating completed endpoint/run cells.
+resumes without repeating completed endpoint/run cells.  A campaign
+reads no clock and has no rule of its own for a wait: its runs carry
+their transport's stamps, and it refuses a timeout or delay by
+:func:`~kgaudit.transport.check_wait` before it touches the journal.
 """
 
 from __future__ import annotations
@@ -95,6 +98,7 @@ from .transport import (
     ThrottledTransport,
     Transport,
     TransportError,
+    check_wait,
     open_layer,
 )
 
@@ -548,11 +552,8 @@ def run_campaign(config: CampaignConfig) -> Report:
     """Audit all endpoints and aggregate everything into one report."""
     if config.runs < 1:
         raise ValueError("a campaign needs at least one run")
-    # NaN fails both comparisons; a longer wait than TIMEOUT_MAX overflows
-    if not 0 < config.timeout <= threading.TIMEOUT_MAX:
-        raise ValueError(f"the timeout must be positive and at most {threading.TIMEOUT_MAX:g} s")
-    if not 0 <= config.delay <= threading.TIMEOUT_MAX:
-        raise ValueError(f"the politeness delay must be from 0 to {threading.TIMEOUT_MAX:g} s")
+    check_wait(config.timeout, "the timeout", timeout=True)
+    check_wait(config.delay, "the politeness delay")
     if config.retries < 0:
         raise ValueError("the retry count cannot be negative")
     if config.page_size < 1:

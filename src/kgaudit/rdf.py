@@ -285,8 +285,6 @@ class Graph:
                 continue
             if object is not None and t.object != object:
                 continue
-            if subject is not None and t.subject != subject:
-                continue
             yield t
 
     def has_predicate(self, predicate: Term) -> bool:

@@ -8,7 +8,10 @@ per attempt.  Everything that can go wrong surfaces as a
 timeout differently from a refused connection without touching HTTP
 internals.  ``requests`` is imported only when an :class:`HttpTransport`
 is built, so replays and local evaluation never load it.  A transport
-owns its timeout and its run stamps.
+owns its timeout and its run stamps, and this module owns time: only
+:meth:`HttpTransport.run_timestamp` reads the clock, and only
+:func:`check_wait` says what a wait may be.  Every layer that takes a
+wait refuses one the clock cannot time before it builds anything.
 
 A transport makes one attempt per query.  :class:`ThrottledTransport`
 wraps one and is the only place that decides when an attempt goes out:
@@ -60,6 +63,21 @@ def utcnow() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+def check_wait(seconds: float, name: str, *, timeout: bool = False) -> None:
+    """Refuse, as a ``ValueError`` naming it, a wait the clock cannot time.
+
+    A delay is from 0 to ``threading.TIMEOUT_MAX`` seconds and a timeout
+    above 0 and at most that: a longer wait overflows the clock of a sleep
+    or a socket.  NaN is neither, since it fails every comparison and so
+    would space nothing.
+    """
+    shortest = seconds > 0 if timeout else seconds >= 0
+    if not (shortest and seconds <= threading.TIMEOUT_MAX):
+        rule = "positive and at most" if timeout else "from 0 to"
+        longest = threading.TIMEOUT_MAX
+        raise ValueError(f"{name} must be {rule} {longest:g} seconds, not {seconds!r}")
+
+
 class TransportError(RuntimeError):
     """A query could not be answered.
 
@@ -104,6 +122,7 @@ class ThrottledTransport:
     """
 
     def __init__(self, inner: Transport, delay: float, *, retries: int = DEFAULT_RETRIES):
+        check_wait(delay, "the politeness delay")
         if retries < 0:
             raise ValueError("the retry count cannot be negative")
         self._inner = inner
@@ -137,7 +156,11 @@ def open_layer(
     inner: Transport | None, delay: float, *, timeout: float, retries: int = DEFAULT_RETRIES
 ) -> Iterator[ThrottledTransport]:
     """The request layer over ``inner``; with no ``inner``, over an HTTP
-    session of its own with that ``timeout``, closed when the block ends."""
+    session of its own with that ``timeout``, closed when the block ends.
+    Both waits are checked before anything is built, so a replay refuses
+    the waits a live run refuses."""
+    check_wait(timeout, "the timeout", timeout=True)
+    check_wait(delay, "the politeness delay")
     with ExitStack() as stack:
         if inner is None:
             inner = stack.enter_context(closing(HttpTransport(timeout=timeout)))
@@ -162,6 +185,7 @@ class HttpTransport:
     def __init__(
         self, session: requests.Session | None = None, *, timeout: float = DEFAULT_TIMEOUT
     ):
+        check_wait(timeout, "the timeout", timeout=True)
         import requests
 
         self.session = session or requests.Session()

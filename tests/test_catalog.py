@@ -3,6 +3,7 @@
 import hashlib
 import re
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 import yaml
@@ -17,8 +18,9 @@ from kgaudit.catalog import (
     parse_catalog,
     validate,
 )
-from kgaudit.client import evaluate_remote_datasets
+from kgaudit.client import discover_in_graph, evaluate_remote_datasets
 from kgaudit.rdf import Iri, load_rdf
+from kgaudit.scoring import score_datasets
 from kgaudit.sparql import Bgp, UnionPattern, format_query, pattern_variables
 from kgaudit.transport import TranscriptTransport
 
@@ -182,6 +184,58 @@ def test_dump_parse_round_trip_keeps_line_breaks():
     assert parse_catalog(dump_catalog(cat)) == cat
 
 
+# YAML 1.1 reads each of these plain spellings as something other than
+# that string, or not at all
+_AWKWARD = (
+    "null", "yes", "0x1F", "0b101", ".inf", ".NaN", "x #y", "a: b", "1e5", "2001-12-14",
+    "~", "- a", "1_000",
+)
+
+
+def _set_every_string_field(doc: dict, value: str) -> None:
+    doc["version"] = value
+    doc["hierarchy"]["collection.who"] = value
+    question = doc["questions"][0]
+    question["id"] = value
+    question["text"] = value
+    question["queries"][0]["label"] = value
+    doc["rules"][0]["id"] = value
+
+
+@pytest.mark.parametrize("value", _AWKWARD)
+def test_dump_round_trips_every_string_field(value):
+    doc = yaml.safe_load(dump_catalog(default_catalog()))
+    _set_every_string_field(doc, value)
+    cat = parse_catalog(yaml.safe_dump(doc))
+    assert cat.version == value
+    assert next(cat.leaves()).label == value
+    assert cat.question(value).text == value
+    assert cat.question(value).queries[0].label == value
+    assert cat.rules[0].id == value
+    assert parse_catalog(dump_catalog(cat)) == cat
+
+
+DEFAULT_TEXT = (
+    resources.files("kgaudit").joinpath("data/default_catalog.yaml").read_text("utf-8")
+)
+
+
+def test_a_prefix_written_with_an_escape_serves_queries_and_rules_alike():
+    # single quotes keep the backslash, so the prefix reaches the parser escaped
+    plain = 'dct: "http://purl.org/dc/terms/"'
+    assert plain in DEFAULT_TEXT
+    escaped = parse_catalog(DEFAULT_TEXT.replace(plain, "dct: 'http://purl.org/dc/\\u0074erms/'"))
+    assert escaped.prefixes["dct"] == "http://purl.org/dc/terms/"
+    assert escaped == default_catalog()
+    assert dump_catalog(escaped) == dump_catalog(default_catalog())
+    for path in sorted(FIXTURES.glob("*.nt")):
+        graph = load_rdf(str(path))
+        datasets = discover_in_graph(graph)
+        assert datasets
+        expected, _ = score_datasets(default_catalog(), graph, datasets)
+        assert score_datasets(escaped, graph, datasets)[0] == expected
+
+
 def test_load_catalog_from_file(tmp_path):
     path = tmp_path / "catalog.yaml"
     path.write_text(dump_catalog(default_catalog()), encoding="utf-8")
@@ -219,6 +273,101 @@ def _mutated(mutate) -> str:
     with pytest.raises(CatalogError) as err:
         parse_catalog(yaml.safe_dump(doc))
     return str(err.value)
+
+
+_WEIGHT_TYPES = 'weights must be integers or strings like "1/2"'
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d.update(version=""), "<string>: version: must be a non-empty string"),
+        (lambda d: d.update(prefixes=["dct"]), "<string>: prefixes: must map prefix names to IRIs"),
+        (
+            lambda d: d["hierarchy"].update(usage={"title": "Usage"}),
+            "<string>: hierarchy.usage: expected a label",
+        ),
+        (lambda d: d.update(questions={"creator": 1}), "<string>: questions: must be a list"),
+        (lambda d: d["questions"].append("creator"), "<string>: questions[30]: expected a mapping"),
+        (lambda d: d.update(rules="none"), "<string>: rules: must be a list"),
+        (lambda d: d["questions"][0].pop("id"), "<string>: questions[0].id: required"),
+        (lambda d: d["questions"][0].update(leaf=""), "<string>: questions[0].leaf: required"),
+        (lambda d: d["questions"][0].update(text=5), "<string>: questions[0].text: required"),
+        (
+            lambda d: d["questions"][0].update(queries=[]),
+            "<string>: questions[0].queries: need at least one query",
+        ),
+        (
+            lambda d: d["questions"][0].update(queries=[5]),
+            "<string>: questions[0].queries[0]: expected SPARQL text",
+        ),
+        (
+            lambda d: d["questions"][0].update(weight=True),
+            f"<string>: questions[0].weight: {_WEIGHT_TYPES}",
+        ),
+        (
+            lambda d: d["questions"][0].update(weight="a half"),
+            "<string>: questions[0].weight: not a rational number: 'a half'",
+        ),
+        (
+            lambda d: d["questions"][0].update(weight=[1]),
+            f"<string>: questions[0].weight: {_WEIGHT_TYPES}",
+        ),
+        (lambda d: d["rules"].insert(0, "creator-dce"), "<string>: rules[0]: expected a mapping"),
+        (lambda d: d["rules"][0].pop("id"), "<string>: rules[0].id: required"),
+        (lambda d: d["rules"][0].update(source="  "), "<string>: rules[0].source: required"),
+        (
+            lambda d: d["rules"][0].update(target="?kg no:creator ?creator ."),
+            "rule 'creator-dce' target: line 1: undeclared prefix 'no:'",
+        ),
+        (
+            lambda d: d["hierarchy"].update({"usage.why": "Why"}),
+            "unknown hierarchy nodes: usage.why",
+        ),
+    ],
+    ids=[
+        "version", "prefixes", "label", "questions", "question", "rules", "question-id",
+        "leaf", "text", "queries", "query", "weight-bool", "weight-text", "weight-list",
+        "rule", "rule-id", "rule-source", "rule-target", "stray-node",
+    ],
+)
+def test_a_malformed_catalog_document_is_refused(mutate, message):
+    doc = yaml.safe_load(dump_catalog(default_catalog()))
+    mutate(doc)
+    with pytest.raises(CatalogError) as err:
+        parse_catalog(yaml.safe_dump(doc))
+    assert str(err.value) == message
+    assert err.value.diagnostics == []
+
+
+@pytest.mark.parametrize(
+    "mutate, diagnostic",
+    [
+        (
+            lambda d: d["questions"][0].update(leaf="collection.when"),
+            "leaf collection.who has no questions",
+        ),
+        (
+            lambda d: d["questions"][0]["queries"][0].update(
+                ask="ASK { { ?kg dct:creator ?c . } UNION { ?kg dct:contributor ?c . } }"
+            ),
+            "question 'creator' query creator.1 must be a plain BGP",
+        ),
+        (lambda d: d["rules"].append(dict(d["rules"][0])), "duplicate rule id 'creator-dce'"),
+        (
+            lambda d: d["rules"][0].update(target="?kg ?p ?creator ."),
+            "rule 'creator-dce' target predicate must be a constant IRI",
+        ),
+    ],
+    ids=["empty-leaf", "non-bgp", "duplicate-rule", "variable-target"],
+)
+def test_validation_names_each_unsound_part(mutate, diagnostic):
+    doc = yaml.safe_load(dump_catalog(default_catalog()))
+    mutate(doc)
+    with pytest.raises(CatalogError) as err:
+        parse_catalog(yaml.safe_dump(doc))
+    assert err.value.diagnostics == [diagnostic]
+    assert str(err.value) == f"<string>: catalog is invalid\n  - {diagnostic}"
 
 
 def test_missing_leaf_is_reported_with_counts():

@@ -83,6 +83,52 @@ def test_discover_missing_file(capsys):
     assert "kgaudit:" in capsys.readouterr().err
 
 
+def test_discover_takes_no_catalog(capsys):
+    # discovery reads no catalog, so a catalog option would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["discover", "--file", str(FIXTURES / "accountable.nt"), "--catalog", "/no/such.yaml"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --catalog" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def two_runs(tmp_path) -> str:
+    """A transcript whose one endpoint serves a different dataset per run."""
+    runs = [
+        {"timestamp": f"2024-05-0{n + 1}T10:00:00Z", "data": (FIXTURES / name).read_text("utf-8")}
+        for n, name in enumerate(("publisher_only.nt", "accountable.nt"))
+    ]
+    path = tmp_path / "two_runs.yaml"
+    path.write_text(yaml.safe_dump({"endpoints": {ENDPOINTS[0]: {"runs": runs}}}), "utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "run, listed", [("0", "sparse"), ("1", "full"), ("7", "full")], ids=["first", "second", "past"]
+)
+def test_discover_replays_the_chosen_run(capsys, two_runs, run, listed):
+    argv = ["discover", "--endpoint", ENDPOINTS[0], "--transcript", two_runs, "--run", run]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"http://example.org/kg/{listed}\n"
+
+
+def test_evaluate_scores_the_chosen_run_with_its_stamp(tmp_path, capsys, two_runs):
+    assert main(["evaluate", "--file", str(FIXTURES / "accountable.nt")]) == 0
+    served = capsys.readouterr().out
+    outputs = []
+    for run in ("1", "7"):  # a run past the last recorded one replays the last
+        out = tmp_path / run
+        argv = ["evaluate", "--endpoint", ENDPOINTS[0], "--transcript", two_runs, "--run", run]
+        assert main(argv + ["--out", str(out)]) == 0
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        outputs.append((capsys.readouterr().out, files))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == served
+    doc = json.loads(outputs[0][1]["report.json"])
+    assert doc["generated_at"] == "2024-05-02T10:00:00Z"
+    assert list(doc["endpoints"][ENDPOINTS[0]]["datasets"]) == ["http://example.org/kg/full"]
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 
@@ -264,10 +310,9 @@ def test_evaluate_file_reports_do_not_depend_on_the_working_directory(tmp_path, 
         (cwd / "data" / "kg.nt").write_bytes((FIXTURES / "accountable.nt").read_bytes())
         monkeypatch.chdir(cwd)
         assert main(["evaluate", "--file", "data/kg.nt", "--out", "out"]) == 0
-        stamp = json.loads((cwd / "out" / "report.json").read_text())["generated_at"]
-        reports.append([(cwd / "out" / n).read_text().replace(stamp, "STAMP") for n in names])
+        reports.append([(cwd / "out" / n).read_bytes() for n in names])
     assert reports[0] == reports[1]
-    assert '"file:data/kg.nt"' in reports[0][0]
+    assert b'"file:data/kg.nt"' in reports[0][0]
 
 
 def test_a_failed_report_write_keeps_the_old_file(tmp_path, monkeypatch, capsys):
@@ -350,15 +395,14 @@ def test_a_report_nt_block_that_fails_keeps_the_old_file(tmp_path, monkeypatch, 
 
 # Line count and SHA-256 of the report.json that `evaluate --file` writes
 # for every N-Triples fixture at once (five datasets, one file: source),
-# recorded once its saturation block was written.
-EVALUATE_FILE_JSON = (2969, "54ff9b2ccbd74d7696e45b7c7ad31656842631db256769d7992e6a84466d449c")
+# recorded once its saturation block was written and its stamp was empty.
+EVALUATE_FILE_JSON = (2969, "cf4727d3f6095aad35023085fbe9e9056f9527ac4d139812642f4f1c5950bbe5")
 
 
 def test_evaluate_file_report_json_is_pinned(tmp_path, monkeypatch, capsys):
     text = "".join(p.read_text(encoding="utf-8") for p in sorted(FIXTURES.glob("*.nt")))
     (tmp_path / "fixtures.nt").write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "utcnow", lambda: "2024-05-03T10:00:00Z")
     assert main(["evaluate", "--file", "fixtures.nt", "--out", "out"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 5
     out = (tmp_path / "out" / "report.json").read_text(encoding="utf-8")
@@ -368,6 +412,18 @@ def test_evaluate_file_report_json_is_pinned(tmp_path, monkeypatch, capsys):
     assert trace.derived > 0
     block = json.loads(out)["endpoints"]["file:fixtures.nt"]["saturation"]
     assert block == {"input": trace.input_size, "output": trace.output_size, "derived": trace.derived}
+
+
+def test_evaluate_file_reads_no_clock(tmp_path, monkeypatch, capsys):
+    # a report's stamp is its newest run's, and a file has no run
+    def clock():
+        pytest.fail("evaluate --file read the clock")
+
+    monkeypatch.setattr(transport_module, "utcnow", clock)
+    out = tmp_path / "out"
+    assert main(["evaluate", "--file", str(FIXTURES / "accountable.nt"), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["generated_at"] == ""
+    assert 'generatedAt> "" .' in (out / "report.nt").read_text()
 
 
 def test_evaluate_endpoint_report_uses_run_timestamp(tmp_path, capsys):

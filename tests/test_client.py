@@ -1114,6 +1114,23 @@ def test_journal_refuses_a_malformed_run_record(tmp_path, field, value):
         Journal(str(path), default_catalog(), 3).load()
 
 
+@pytest.mark.parametrize("kind", ["header", "note", None])
+def test_journal_refuses_a_record_of_another_kind(tmp_path, kind):
+    # a well-formed, checksummed line that is not a run, past the header
+    path = tmp_path / "journal.jsonl"
+    journal = Journal(str(path), default_catalog(), 3)
+    journal.load()
+    journal.append(EndpointRun("http://e.org/sparql", 0, "t", True, Graph(), ()))
+    header, line = path.read_text().splitlines()
+    doc = {**json.loads(line), "kind": kind}
+    path.write_text(header + "\n" + json.dumps(doc) + "\n")
+    before = path.read_bytes()
+    with pytest.raises(JournalError) as err:
+        Journal(str(path), default_catalog(), 3).load()
+    assert str(err.value) == f"{path}:2: unexpected record kind {kind!r}"
+    assert path.read_bytes() == before
+
+
 def test_a_journal_lends_a_campaign_only_its_own_endpoints(tmp_path, config):
     # the sparse endpoint was audited last; a campaign that drops it reads
     # neither its runs nor their timestamps from the journal

@@ -772,6 +772,30 @@ def test_turtle_rejects_unsupported_features_by_name(snippet: str, feature: str)
     assert feature in str(err.value)
 
 
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ('@prefix e: "http://e.org/" .', "line 1: expected an IRI in the prefix declaration"),
+        (
+            '<http://e.org/s> <http://e.org/p>\n  "x"^^"y" .',
+            "line 2: expected an IRI, found '\"y\"'",
+        ),
+        (
+            "<http://e.org/s> <http://e.org/p> <http://e.org/o> .\n@keywords a .",
+            "line 2: unknown directive",
+        ),
+        ("<http://e.org/s> _:p <http://e.org/o> .", "line 1: predicate must be an IRI"),
+        ('"s" <http://e.org/p> <http://e.org/o> .', "line 1: subject cannot be a literal"),
+        ("<http://e.org/s>\n<http://e.org/p>\n", "line 3: unexpected end of input"),
+    ],
+    ids=["prefix-iri", "datatype", "directive", "predicate", "subject", "end"],
+)
+def test_turtle_refuses_malformed_input_with_its_line(text: str, message: str) -> None:
+    with pytest.raises(ParseError) as err:
+        parse_turtle(text)
+    assert str(err.value) == message
+
+
 def test_turtle_rejects_undeclared_prefix_with_its_name() -> None:
     with pytest.raises(ParseError) as err:
         parse_turtle("<http://e.org/s> dct:title \"x\" .")

@@ -152,6 +152,31 @@ def test_syntax_errors() -> None:
 
 
 @pytest.mark.parametrize(
+    ("parse", "text", "message"),
+    [
+        (parse_query, "ASK { ?s ?p nonsense }", "line 1: unexpected token 'nonsense'"),
+        (parse_query, "SELECT WHERE {\n}", "line 1: SELECT needs '*' or at least one variable"),
+        (parse_query, "PREFIX e: <http://e.org/>\n{ ?s e:p ?o }", "line 2: expected ASK or SELECT"),
+        (parse_query, "ASK { }\nASK { }", "line 2: unexpected content after query"),
+        (
+            parse_query,
+            "ASK { VALUES <http://e.org/a> { } }",
+            "line 1: VALUES needs a variable, found '<http://e.org/a>'",
+        ),
+        (parse_query, 'ASK {\n  ?s "p" ?o }', "line 2: a literal cannot be a predicate"),
+        (parse_query, "ASK { ?s ?p\n}", "line 2: expected a term, found '}'"),
+        (lambda text: parse_triple_patterns(text, {}), "  # nothing\n", "no triple patterns found"),
+    ],
+    ids=["word", "projection", "form", "trailing", "values", "literal-verb", "term", "no-pattern"],
+)
+def test_malformed_text_is_refused_with_its_line(parse, text: str, message: str) -> None:
+    with pytest.raises(SparqlError) as err:
+        parse(text)
+    assert not isinstance(err.value, UnsupportedSparqlFeature)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
     "text",
     [
         "ASK { VALUES ?x { ?y } }",

@@ -382,6 +382,87 @@ def test_throttled_tries_a_transcript_down_run_once(clock, transcript):
 
 
 # ---------------------------------------------------------------------------
+# Waits the clock cannot time
+
+# inf and 1e300 overflow the clock of a sleep; NaN fails every comparison,
+# so as a delay it spaced nothing
+_BAD_DELAYS = (float("inf"), 1e300, float("nan"), -1.0)
+# a socket's clock refuses the same, and a timeout of 0 never waits at all
+_BAD_TIMEOUTS = (0.0, -5.0, float("inf"), float("nan"))
+
+
+class Unqueried:
+    """An inner transport that fails the test when a query reaches it."""
+
+    def query(self, url, query, *, run=0):
+        pytest.fail(f"a query went out to {url}")
+
+    def run_timestamp(self, url, run):
+        return ""
+
+
+@pytest.fixture()
+def no_session(monkeypatch):
+    def session():
+        pytest.fail("a requests.Session was built")
+
+    monkeypatch.setattr(requests, "Session", session)
+
+
+@pytest.mark.parametrize("inner", [None, Unqueried()], ids=["http", "given"])
+@pytest.mark.parametrize("delay", _BAD_DELAYS)
+def test_open_layer_refuses_a_delay_the_clock_cannot_time(no_session, delay, inner):
+    with pytest.raises(ValueError, match="delay"):
+        with open_layer(inner, delay, timeout=DEFAULT_TIMEOUT):
+            pytest.fail("the layer opened")
+
+
+@pytest.mark.parametrize("inner", [None, Unqueried()], ids=["http", "given"])
+@pytest.mark.parametrize("timeout", _BAD_TIMEOUTS)
+def test_open_layer_refuses_a_timeout_the_clock_cannot_time(no_session, timeout, inner):
+    # a replay refuses what a live run refuses
+    with pytest.raises(ValueError, match="timeout"):
+        with open_layer(inner, 0.0, timeout=timeout):
+            pytest.fail("the layer opened")
+
+
+@pytest.mark.parametrize("delay", _BAD_DELAYS)
+def test_throttled_transport_refuses_a_delay_the_clock_cannot_time(delay):
+    with pytest.raises(ValueError, match="delay"):
+        ThrottledTransport(Unqueried(), delay)
+
+
+@pytest.mark.parametrize("timeout", _BAD_TIMEOUTS)
+def test_http_transport_refuses_a_timeout_the_clock_cannot_time(no_session, timeout):
+    with pytest.raises(ValueError, match="timeout"):
+        HttpTransport(timeout=timeout)
+
+
+def test_the_longest_waits_a_clock_can_time_are_taken(clock, transcript):
+    longest = threading.TIMEOUT_MAX
+    session = ScriptedSession([FakeResponse(200, select_body(ROW))])
+    assert HttpTransport(session=session, timeout=longest).query(ENDPOINT, SELECT_ALL) == ROWS
+    assert session.timeouts == [longest]
+    assert ThrottledTransport(transcript, longest).query(ENDPOINT, SELECT_ALL) == [{}]
+    with open_layer(transcript, longest, timeout=longest) as layer:
+        assert layer.query(ENDPOINT, SELECT_ALL) == [{}]
+        assert layer.wait_s() == longest
+    assert clock.sleeps == []
+
+
+def test_only_the_transport_module_knows_about_time():
+    # one clock reader, one statement of what a wait may be
+    package = Path(kgaudit.__file__).parent
+    timing = re.compile(r"\b(?:TIMEOUT_MAX|utcnow|datetime)\b")
+    offenders = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if path.name != "transport.py" and timing.search(path.read_text("utf-8"))
+    ]
+    assert offenders == []
+
+
+# ---------------------------------------------------------------------------
 # HttpTransport against a real local server
 
 
