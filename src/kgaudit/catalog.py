@@ -13,16 +13,19 @@ every score off; ``dump_catalog`` writes the same structure back out, and
 names the dataset it scores with the variable ``?kg`` (``$kg`` is the same
 variable, as in SPARQL 1.1), which scoring binds with VALUES.
 
-The same rules drive two interchangeable evaluation routes: one-step rule
-application to the published graph before running the compact query
-(``saturation.saturate``), or expansion of the compact query into a UNION
-of rewritten variants (``expand_extended``).  Expansion replaces,
-independently for every triple pattern of the compact BGP, the pattern by
-each rule source whose target unifies with it, and emits one UNION branch
-per combination.  Validation refuses the shapes unification would miss (a
-compact pattern with a variable predicate, a rule target other than
-``?s <p> ?o``), so the two routes agree on every graph.  How far a query
-or rule reaches from the dataset is not limited.
+The rules reach scoring one way only: each compact query is expanded once
+into a UNION of rewritten variants (``expand_extended``), kept in
+``Catalog.expanded``, and every route asks that expanded query, of a
+local graph or of an endpoint.  Expansion replaces, independently for
+every triple pattern of the compact BGP, the pattern by each rule source
+whose target unifies with it, and emits one UNION branch per combination.
+That answers like the compact query over the graph with every rule
+applied once to its published triples; the tests keep such a saturation
+as the reference the expansion is checked against.  Validation refuses
+the shapes unification would miss (a compact pattern with a variable
+predicate, a rule target other than ``?s <p> ?o``), so the two agree on
+every graph.  How far a query or rule reaches from the dataset is not
+limited.
 """
 
 from __future__ import annotations
@@ -102,32 +105,12 @@ class HierarchyNode(NamedTuple):
     questions: tuple[Question, ...] = ()
 
 
-class _EquivalenceRule(NamedTuple):
+class EquivalenceRule(NamedTuple):
+    """Directional rewrite: when ``source`` holds, the ``target`` triples hold."""
+
     id: str
     source: tuple[TriplePattern, ...]
     target: tuple[TriplePattern, ...]
-
-
-class EquivalenceRule(_Record, _EquivalenceRule):
-    """Directional rewrite: when ``source`` holds, the ``target`` triples hold.
-
-    ``source_bgp`` is ``source`` as one basic graph pattern, which keeps its
-    join plans from one saturation to the next.  ``templates`` is
-    ``target`` as saturation instantiates it: per pattern, per position,
-    the variable's name (a ``str``) or the fixed term (a tuple).  Neither
-    is a field, so neither takes part in equality, hash or repr.
-    """
-
-    def __new__(
-        cls, id: str, source: tuple[TriplePattern, ...], target: tuple[TriplePattern, ...]
-    ) -> "EquivalenceRule":
-        self = _new_tuple(cls, (id, source, target))
-        self.source_bgp = Bgp(source)
-        self.templates = tuple(
-            tuple(pos.name if isinstance(pos, Variable) else pos for pos in tp)
-            for tp in target
-        )
-        return self
 
 
 class ScoringPlan(NamedTuple):

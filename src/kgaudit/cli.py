@@ -241,12 +241,11 @@ def _cmd_evaluate(args) -> int:
         os.makedirs(args.out, exist_ok=True)
     # the file as typed, so the report does not depend on where it lives
     source = args.endpoint or "file:" + quote(args.file)
-    saturation = {}  # the remote route saturates nothing
     if args.file:
         stamp = ""  # a report's stamp is its newest run's, and a file has no run
         graph = load_rdf(args.file)
         datasets = _named_datasets(args) or discover_in_graph(graph)
-        results, saturation[source] = score_datasets(catalog, graph, datasets)
+        results = score_datasets(catalog, graph, datasets)
     else:
         with open_layer(_transport(args), 0.0, timeout=args.timeout) as transport:
             stamp = transport.run_timestamp(args.endpoint, args.run)
@@ -260,7 +259,7 @@ def _cmd_evaluate(args) -> int:
         print("kgaudit: no datasets to evaluate", file=sys.stderr)
         return 1
     if args.out:
-        report = build_report(catalog, {source: results}, stamp, saturation=saturation)
+        report = build_report(catalog, {source: results}, stamp)
         _write(args.out, "report.json", (to_json(report, catalog),))
         _write(args.out, "report.csv", (to_csv(report, catalog),))
         _write(args.out, "report.nt", dqv_blocks(report, catalog))

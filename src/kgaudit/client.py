@@ -3,12 +3,12 @@
 Two evaluation routes exist on purpose and must stay distinct:
 
 * the *fetch* route (campaigns) downloads, in each run, one graph that
-  describes all of an endpoint's datasets, unions what the runs saw,
-  saturates that union once and answers the compact queries locally for
-  all those datasets, as ``evaluate --file`` does for a file
-  (:func:`score_endpoint`).  A down run adds nothing, so an endpoint that
-  was down for one of three runs scores exactly like one that was always
-  up, as long as the up runs served the same data;
+  describes all of an endpoint's datasets, unions what the runs saw, and
+  asks that union the expanded queries locally for all those datasets, as
+  ``evaluate --file`` does for a file (:func:`score_endpoint`).  A down
+  run adds nothing, so an endpoint that was down for one of three runs
+  scores exactly like one that was always up, as long as the up runs
+  served the same data;
 * the *remote* route sends the expanded UNION form of every query to the
   endpoint and trusts its answers.  Each query goes out once for all the
   datasets, as ``SELECT DISTINCT ?kg`` with ?kg bound to them by VALUES,
@@ -40,9 +40,10 @@ out soonest, so it does not sleep out one endpoint's delay while another
 endpoint has a run due (:func:`_audit_cells`).  Every run is appended to
 a journal file (JSON lines, checksummed), so an interrupted campaign
 resumes without repeating completed endpoint/run cells.  A campaign
-reads no clock and has no rule of its own for a wait: its runs carry
-their transport's stamps, and it refuses a timeout or delay by
-:func:`~kgaudit.transport.check_wait` before it touches the journal.
+reads no clock and has no rule of its own for a wait or a retry: its
+runs carry their transport's stamps, and it refuses a timeout, delay or
+retry count by :mod:`~kgaudit.transport`'s checks before it touches the
+journal.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ from .rdf import (
     serialize_ntriples,
 )
 from .reporting import Report, RunRecord, build_report
-from .saturation import SaturationTrace
 from .scoring import (
     DatasetResult,
     FailureKind,
@@ -98,6 +98,7 @@ from .transport import (
     ThrottledTransport,
     Transport,
     TransportError,
+    check_retries,
     check_wait,
     open_layer,
 )
@@ -370,24 +371,23 @@ def audit_run(
 
 def score_endpoint(
     catalog: Catalog, endpoint: str, runs: Sequence[EndpointRun]
-) -> tuple[list[DatasetResult], SaturationTrace | None, list[RunRecord]]:
-    """One endpoint's report rows, how saturation went on the graph they
-    were scored in (None with no dataset), and each run's record, in the
-    order of ``runs``.
+) -> tuple[list[DatasetResult], list[RunRecord]]:
+    """One endpoint's report rows, and each run's record in the order of
+    ``runs``.
 
-    The rows are scored on the union of what the runs fetched, saturated
-    once.  Unavailable runs contribute nothing, so an endpoint that was
-    down for one of three runs scores exactly like one that was always up,
-    as long as the up runs served the same data; with no dataset the
-    endpoint gets one zero row.  A run's record holds its scores on its own
-    data: a run that served the whole union reuses the rows.
+    The rows are scored on the union of what the runs fetched.
+    Unavailable runs contribute nothing, so an endpoint that was down for
+    one of three runs scores exactly like one that was always up, as long
+    as the up runs served the same data; with no dataset the endpoint gets
+    one zero row.  A run's record holds its scores on its own data: a run
+    that served the whole union reuses the rows.
     """
     graph = Graph(triple for er in runs for triple in er.graph)
     datasets = tuple(sorted({dataset for er in runs for dataset in er.datasets}))
     if datasets:
-        results, trace = score_datasets(catalog, graph, [Iri(d) for d in datasets])
+        results = score_datasets(catalog, graph, [Iri(d) for d in datasets])
     else:
-        results, trace = [not_evaluated_result(catalog, endpoint)], None
+        results = [not_evaluated_result(catalog, endpoint)]
     records = []
     for er in runs:
         if not er.datasets:
@@ -395,12 +395,12 @@ def score_endpoint(
         elif (er.graph, er.datasets) == (graph, datasets):
             scored = results
         else:
-            scored, _ = score_datasets(catalog, er.graph, [Iri(d) for d in er.datasets])
+            scored = score_datasets(catalog, er.graph, [Iri(d) for d in er.datasets])
         scores = tuple((result.dataset, result.score) for result in scored)
         records.append(
             RunRecord(er.endpoint, er.run, er.timestamp, er.available, scores, er.errors)
         )
-    return results, trace, records
+    return results, records
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +554,7 @@ def run_campaign(config: CampaignConfig) -> Report:
         raise ValueError("a campaign needs at least one run")
     check_wait(config.timeout, "the timeout", timeout=True)
     check_wait(config.delay, "the politeness delay")
-    if config.retries < 0:
-        raise ValueError("the retry count cannot be negative")
+    check_retries(config.retries)
     if config.page_size < 1:
         raise ValueError("the page size must be at least one")
     if config.workers < 1:
@@ -583,16 +582,14 @@ def run_campaign(config: CampaignConfig) -> Report:
         all_runs += _audit_cells(config, left, build_fetch(catalog), journal)
     all_runs.sort(key=lambda er: (er.endpoint, er.run))
 
-    results, saturation, records = {}, {}, []
+    results, records = {}, []
     for endpoint, runs in groupby(all_runs, key=lambda er: er.endpoint):
-        results[endpoint], trace, run_records = score_endpoint(catalog, endpoint, list(runs))
-        if trace is not None:
-            saturation[endpoint] = trace
+        results[endpoint], run_records = score_endpoint(catalog, endpoint, list(runs))
         records += run_records
     # a replayed run may carry no stamp, a live one always does
     generated_at = max((er.timestamp for er in all_runs), default="")
     ordered = {endpoint: results[endpoint] for endpoint in endpoints}
-    return build_report(catalog, ordered, generated_at, records, saturation=saturation)
+    return build_report(catalog, ordered, generated_at, records)
 
 
 def _audit_cells(

@@ -9,8 +9,8 @@ builds a new one.
 Terms and triples are validated, immutable tuples: each class subclasses
 a ``NamedTuple`` of its fields with a ``__new__`` that runs the class's
 checks.  Hashing and equality are therefore ``tuple``'s own C slots, so
-the graph, the parser's interning, saturation and the ASKs put terms into
-sets and dicts and compare them without calling back into Python; only
+the graph, the parser's interning and the ASKs put terms into sets and
+dicts and compare them without calling back into Python; only
 construction runs Python code.  Equality ignores the class, yet terms of
 different classes are never equal: an IRI always holds a ':' and a blank
 node label never does, and a literal holds strings and None where a
@@ -273,9 +273,21 @@ class Graph:
         predicate: Term | None = None,
         object: Term | None = None,
     ) -> Iterator[Triple]:
-        """Yield triples matching the given positions; None is a wildcard."""
+        """Yield triples matching the given positions; None is a wildcard.
+
+        With subject and predicate both given, the shorter of their index
+        lists is scanned; both keep insertion order, so either yields the
+        same triples in the same order.
+        """
         if subject is not None:
             candidates: Iterable[Triple] = self._by_subject.get(subject, ())
+            if predicate is not None:
+                listed = self._by_predicate.get(predicate, ())
+                if len(listed) < len(candidates):
+                    for t in listed:
+                        if t.subject == subject and (object is None or t.object == object):
+                            yield t
+                    return
         elif predicate is not None:
             candidates = self._by_predicate.get(predicate, ())
         else:

@@ -33,7 +33,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .catalog import Catalog
 from .rdf import RDF_TYPE, XSD, Iri, Literal, _Record, _new_tuple, format_term
-from .saturation import SaturationTrace
 from .scoring import DatasetResult, FailureKind, format_percent
 
 _NS = "urn:kgaudit:v1:"
@@ -86,11 +85,9 @@ class _Report(NamedTuple):
 class Report(_Record, _Report):
     """Everything one audit produced, ready for export.
 
-    ``runs`` and ``saturation``, how saturation went on the graph each
-    endpoint's datasets were scored in, are provenance, not measurement:
-    they are no fields, so they take no part in equality, hash or repr,
-    and a report read back from its DQV export compares equal when it
-    carries the same results.
+    ``runs`` is provenance, not measurement: it is no field, so it takes
+    no part in equality, hash or repr, and a report read back from its DQV
+    export compares equal when it carries the same results.
     """
 
     def __new__(
@@ -100,11 +97,9 @@ class Report(_Record, _Report):
         generated_at: str,
         results: Mapping[str, tuple[DatasetResult, ...]],
         runs: tuple[RunRecord, ...] = (),
-        saturation: Mapping[str, SaturationTrace] = {},
     ) -> "Report":
         self = _new_tuple(cls, (catalog_version, catalog_hash, generated_at, results))
         self.runs = runs
-        self.saturation = saturation
         return self
 
     def rows(self) -> list[tuple[str, DatasetResult]]:
@@ -128,7 +123,6 @@ def build_report(
     results: Mapping[str, Sequence[DatasetResult]],
     generated_at: str,
     runs: Sequence[RunRecord] = (),
-    saturation: Mapping[str, SaturationTrace] = {},
 ) -> Report:
     return Report(
         catalog_version=catalog.version,
@@ -136,7 +130,6 @@ def build_report(
         generated_at=generated_at,
         results={endpoint: tuple(rs) for endpoint, rs in results.items()},
         runs=tuple(runs),
-        saturation=dict(saturation),
     )
 
 
@@ -327,13 +320,6 @@ def to_json(report: Report, catalog: Catalog) -> str:
             }
             datasets[result.dataset] = entry
         endpoints[endpoint] = {"best": best_map[endpoint].dataset, "datasets": datasets}
-        trace = report.saturation.get(endpoint)
-        if trace is not None:
-            endpoints[endpoint]["saturation"] = {
-                "input": trace.input_size,
-                "output": trace.output_size,
-                "derived": trace.derived,
-            }
     aggregates = {
         population: {
             node: {name: score_obj(value) for name, value in stats.items()}

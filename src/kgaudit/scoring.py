@@ -1,13 +1,15 @@
 """From query answers to hierarchical accountability scores.
 
 Each catalog query is asked once for a whole set of datasets: which of
-them, bound to ?kg, give it a solution.  Locally a graph (a file, or what
-a campaign fetched from one endpoint) is saturated once and asked the
-compact form (:func:`score_datasets`, which ``evaluate --file`` and a
-campaign call with all the datasets of a graph, and a library caller with
-one); the remote route asks an endpoint the expanded form as
-``SELECT DISTINCT ?kg`` with ?kg bound to the datasets by VALUES, and
-hands its answers to :func:`results_from_answers` too.
+them, bound to ?kg, give it a solution.  Every route asks the same
+question, the vocabulary-expanded form of the query
+(``Catalog.expanded``).  Locally it is asked of a raw graph (a file, or
+what a campaign fetched from one endpoint) by :func:`score_datasets`,
+which ``evaluate --file`` and a campaign call with all the datasets of a
+graph, and a library caller with one; the remote route asks an endpoint
+the same pattern as ``SELECT DISTINCT ?kg`` with ?kg bound to the
+datasets by VALUES, and hands its answers to :func:`results_from_answers`
+too.
 
 Scores are exact rationals all the way up: a question is the mean of its
 query outcomes, a leaf is the weighted mean of its questions, and every
@@ -28,7 +30,6 @@ from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .catalog import KG, Catalog
 from .rdf import Graph, Iri, Term, _Record, _new_tuple
-from .saturation import SaturationTrace, saturate
 from .sparql import values_with_solution
 
 
@@ -125,15 +126,14 @@ def build_result(
 
 def score_datasets(
     catalog: Catalog, graph: Graph, datasets: Sequence[Iri]
-) -> tuple[list[DatasetResult], SaturationTrace]:
-    """Score datasets of one local graph: saturate it, then ask each
-    compact query once for all of them.  Also returns how saturation went."""
-    saturated, trace = saturate(graph, catalog.rules)
+) -> list[DatasetResult]:
+    """Score datasets of one local graph: ask each expanded query of it
+    once for all of them, as the remote route asks an endpoint."""
     answers = {
-        cq.id: set(values_with_solution(saturated, cq.query.pattern, KG.name, datasets))
-        for _, cq in catalog.queries()
+        qid: set(values_with_solution(graph, query.pattern, KG.name, datasets))
+        for qid, query in catalog.expanded.items()
     }
-    return results_from_answers(catalog, datasets, answers), trace
+    return results_from_answers(catalog, datasets, answers)
 
 
 def results_from_answers(

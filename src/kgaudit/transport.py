@@ -78,6 +78,12 @@ def check_wait(seconds: float, name: str, *, timeout: bool = False) -> None:
         raise ValueError(f"{name} must be {rule} {longest:g} seconds, not {seconds!r}")
 
 
+def check_retries(retries: int) -> None:
+    """Refuse, as a ``ValueError``, a negative retry count."""
+    if retries < 0:
+        raise ValueError("the retry count cannot be negative")
+
+
 class TransportError(RuntimeError):
     """A query could not be answered.
 
@@ -123,8 +129,7 @@ class ThrottledTransport:
 
     def __init__(self, inner: Transport, delay: float, *, retries: int = DEFAULT_RETRIES):
         check_wait(delay, "the politeness delay")
-        if retries < 0:
-            raise ValueError("the retry count cannot be negative")
+        check_retries(retries)
         self._inner = inner
         self._delay = delay
         self._retries = retries
@@ -157,10 +162,11 @@ def open_layer(
 ) -> Iterator[ThrottledTransport]:
     """The request layer over ``inner``; with no ``inner``, over an HTTP
     session of its own with that ``timeout``, closed when the block ends.
-    Both waits are checked before anything is built, so a replay refuses
-    the waits a live run refuses."""
+    Both waits and the retry count are checked before anything is built,
+    so a replay refuses what a live run refuses."""
     check_wait(timeout, "the timeout", timeout=True)
     check_wait(delay, "the politeness delay")
+    check_retries(retries)
     with ExitStack() as stack:
         if inner is None:
             inner = stack.enter_context(closing(HttpTransport(timeout=timeout)))

@@ -8,6 +8,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Mapping, NamedTuple
 
 import yaml
 
@@ -46,9 +47,8 @@ from kgaudit.reporting import (
     Report,
     _pair_id,
 )
-from kgaudit.saturation import SaturationTrace
-from kgaudit.scoring import DatasetResult, FailureKind, QueryOutcome, build_result, score_datasets
-from kgaudit.sparql import TriplePattern, UnionPattern, Variable, eval_bgp
+from kgaudit.scoring import DatasetResult, FailureKind, QueryOutcome, build_result
+from kgaudit.sparql import TriplePattern, UnionPattern, Variable, eval_ask, eval_bgp, substitute
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -347,8 +347,22 @@ def instantiate_shape(
 
 
 # ---------------------------------------------------------------------------
-# Reference saturation: ``kgaudit.saturation.saturate`` as it was before it
-# filled in target templates, one closure and one call per target pattern.
+# Reference saturation: every rule applied once to the published triples.
+# The compact queries over its result answer like the expanded queries
+# every route asks over the raw graph; tests check the one against the
+# other.
+
+
+class SaturationTrace(NamedTuple):
+    """What happened during one saturation run."""
+
+    input_size: int
+    output_size: int
+    firings: Mapping[str, int]
+
+    @property
+    def derived(self) -> int:
+        return self.output_size - self.input_size
 
 
 def ref_instantiate(tp: TriplePattern, solution) -> Triple | None:
@@ -373,7 +387,7 @@ def ref_saturate(graph: Graph, rules) -> tuple[Graph, SaturationTrace]:
     work = graph.copy()
     firings = {rule.id: 0 for rule in rules}
     for rule in rules:
-        for solution in eval_bgp(graph, rule.source_bgp):
+        for solution in eval_bgp(graph, rule.source):
             added = 0
             for tp in rule.target:
                 triple = ref_instantiate(tp, solution)
@@ -482,8 +496,14 @@ def ref_format_term(term) -> str:
 
 
 def evaluate_graph(catalog: Catalog, graph: Graph, dataset: Iri) -> DatasetResult:
-    """Audit one dataset in a local graph."""
-    return score_datasets(catalog, graph, [dataset])[0][0]
+    """Audit one dataset in a local graph the rule-based way: saturate it,
+    then ask each compact query with ?kg bound to the dataset."""
+    saturated, _ = ref_saturate(graph, catalog.rules)
+    outcomes = []
+    for _, cq in catalog.queries():
+        ok = eval_ask(saturated, substitute(cq.query, {"kg": dataset}))
+        outcomes.append(QueryOutcome(cq.id, ok, None if ok else FailureKind.ANSWER_FALSE))
+    return build_result(catalog, dataset.value, outcomes)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from kgaudit.catalog import (
 from kgaudit.client import discover_in_graph, evaluate_remote_datasets
 from kgaudit.rdf import Iri, load_rdf
 from kgaudit.scoring import score_datasets
-from kgaudit.sparql import Bgp, UnionPattern, format_query, pattern_variables
+from kgaudit.sparql import Bgp, SparqlError, UnionPattern, format_query, pattern_variables
 from kgaudit.transport import TranscriptTransport
 
 from helpers import FIXTURES, THREE_HOP_QUERY, THREE_HOP_RULE, evaluate_graph
@@ -99,6 +99,8 @@ def test_follow_up_queries():
         cat.question("access-url").queries[0].text
         == cat.question("access-url-how").queries[0].text
     )
+    with pytest.raises(KeyError):
+        cat.question("no-such-question")
 
 
 def test_queries_are_parsed_asks():
@@ -232,8 +234,8 @@ def test_a_prefix_written_with_an_escape_serves_queries_and_rules_alike():
         graph = load_rdf(str(path))
         datasets = discover_in_graph(graph)
         assert datasets
-        expected, _ = score_datasets(default_catalog(), graph, datasets)
-        assert score_datasets(escaped, graph, datasets)[0] == expected
+        expected = score_datasets(default_catalog(), graph, datasets)
+        assert score_datasets(escaped, graph, datasets) == expected
 
 
 def test_load_catalog_from_file(tmp_path):
@@ -606,6 +608,9 @@ def test_publisher_expands_to_five_branches():
     # every branch still talks about the dataset and binds ?publisher
     for branch in branches:
         assert {"kg", "publisher"} <= pattern_variables(branch)
+    # only a plain BGP expands, so an expansion is not expanded again
+    with pytest.raises(SparqlError, match="needs a plain BGP"):
+        expand_extended(extended, cat.rules)
 
 
 def test_follow_up_expansion_is_a_product():

@@ -26,7 +26,6 @@ from kgaudit.cli import main
 from kgaudit.client import discover_in_graph
 from kgaudit.rdf import Iri, load_rdf, serialize_ntriples
 from kgaudit.reporting import build_report, dqv_blocks, figure_files, to_csv, to_dqv, to_json
-from kgaudit.saturation import saturate
 from kgaudit.scoring import score_datasets
 from kgaudit.transport import HttpTransport, TranscriptTransport, TransportError
 
@@ -395,8 +394,8 @@ def test_a_report_nt_block_that_fails_keeps_the_old_file(tmp_path, monkeypatch, 
 
 # Line count and SHA-256 of the report.json that `evaluate --file` writes
 # for every N-Triples fixture at once (five datasets, one file: source),
-# recorded once its saturation block was written and its stamp was empty.
-EVALUATE_FILE_JSON = (2969, "cf4727d3f6095aad35023085fbe9e9056f9527ac4d139812642f4f1c5950bbe5")
+# recorded once its stamp was empty and it carried no saturation block.
+EVALUATE_FILE_JSON = (2964, "65ad83fed7faffb3fa014d4289ad880eb484c3f35a35979c16439ecce0c7ebed")
 
 
 def test_evaluate_file_report_json_is_pinned(tmp_path, monkeypatch, capsys):
@@ -407,11 +406,8 @@ def test_evaluate_file_report_json_is_pinned(tmp_path, monkeypatch, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 5
     out = (tmp_path / "out" / "report.json").read_text(encoding="utf-8")
     assert (out.count("\n"), hashlib.sha256(out.encode("utf-8")).hexdigest()) == EVALUATE_FILE_JSON
-    # the saturation block counts what saturating the file's graph counts
-    _, trace = saturate(load_rdf("fixtures.nt"), default_catalog().rules)
-    assert trace.derived > 0
-    block = json.loads(out)["endpoints"]["file:fixtures.nt"]["saturation"]
-    assert block == {"input": trace.input_size, "output": trace.output_size, "derived": trace.derived}
+    # the file is scored by expansion, so nothing is saturated and counted
+    assert "saturation" not in json.loads(out)["endpoints"]["file:fixtures.nt"]
 
 
 def test_evaluate_file_reads_no_clock(tmp_path, monkeypatch, capsys):
@@ -1107,9 +1103,8 @@ def test_the_file_route_builds_no_reference_cycle(tmp_path, collector, name):
     catalog = parse_catalog(catalog_text)
     graph = load_rdf(str(path))
     datasets = discover_in_graph(graph) or [Iri("http://example.org/kg/main")]
-    results, trace = score_datasets(catalog, graph, datasets)
-    source = "file:metadata.nt"
-    report = build_report(catalog, {source: results}, "", saturation={source: trace})
+    results = score_datasets(catalog, graph, datasets)
+    report = build_report(catalog, {"file:metadata.nt": results}, "")
     exports = [to_json(report, catalog), to_csv(report, catalog), *dqv_blocks(report, catalog)]
     figures = figure_files(report, catalog)
     assert gc.collect() == 0

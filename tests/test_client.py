@@ -540,14 +540,13 @@ def test_score_endpoint_unions_its_runs():
         EndpointRun("http://e.org/", 2, "t2", True, g2, ("http://e.org/kg", "http://e.org/kg2")),
     ]
     down = EndpointRun("http://e.org/", 1, "t1", False, Graph(), ())
-    results, trace, records = score_endpoint(catalog, "http://e.org/", [up[0], down, up[1]])
+    results, records = score_endpoint(catalog, "http://e.org/", [up[0], down, up[1]])
     assert [r.dataset for r in results] == ["http://e.org/kg", "http://e.org/kg2"]
     # a down run adds nothing
-    always_up, always_up_trace, _ = score_endpoint(catalog, "http://e.org/", up)
-    assert (results, trace) == (always_up, always_up_trace)
-    # the union is the last run's graph, and the runs' own graphs are left as they were
-    assert trace.input_size == len(g2) == 2
-    assert len(g1) == 1
+    always_up, _ = score_endpoint(catalog, "http://e.org/", up)
+    assert results == always_up
+    # the runs' own graphs are left as they were
+    assert (len(g1), len(g2)) == (1, 2)
     assert [(rr.run, rr.timestamp, rr.available) for rr in records] == [
         (0, "t0", True),
         (1, "t1", False),
@@ -558,9 +557,8 @@ def test_score_endpoint_unions_its_runs():
     assert records[2].scores == tuple((r.dataset, r.score) for r in results)
 
     dead = EndpointRun("http://down.e.org/", 0, "t0", False, Graph(), ())
-    nothing, trace, records = score_endpoint(catalog, "http://down.e.org/", [dead])
+    nothing, records = score_endpoint(catalog, "http://down.e.org/", [dead])
     assert [(r.dataset, r.score) for r in nothing] == [("http://down.e.org/", 0)]
-    assert trace is None
     assert [(rr.endpoint, rr.run, rr.scores) for rr in records] == [("http://down.e.org/", 0, ())]
 
 
@@ -671,7 +669,7 @@ def test_campaign_scores_each_endpoint_once_and_each_differing_run(
     # one scoring per endpoint with datasets (full, sparse), one per differing run
     assert len(scored) == 2 + 1
     for rr, er in zip(report.runs, runs):
-        results, _ = real(config.catalog, er.graph, [Iri(d) for d in er.datasets])
+        results = real(config.catalog, er.graph, [Iri(d) for d in er.datasets])
         assert rr.scores == tuple((r.dataset, r.score) for r in results)
     full = {rr.run: dict(rr.scores) for rr in report.runs if rr.endpoint == FULL_ENDPOINT}
     assert full[2][FULL_KG.value] < full[0][FULL_KG.value] == 1

@@ -50,7 +50,7 @@ def test_oracle_scores_like_score_datasets(oracle, path):
     graph = rdf.load_rdf(str(path))
     datasets = discover_in_graph(graph)
     assert datasets
-    results, _ = scoring.score_datasets(catalog.default_catalog(), graph, datasets)
+    results = scoring.score_datasets(catalog.default_catalog(), graph, datasets)
     expected = {result.dataset: str(result.score) for result in results}
     assert {d.value: oracle.score(graph, d.value) for d in datasets} == expected
 

@@ -45,7 +45,6 @@ from kgaudit.rdf import (
 )
 from kgaudit.catalog import default_catalog, dump_catalog, parse_catalog
 from kgaudit.reporting import RunRecord, build_report
-from kgaudit.saturation import SaturationTrace
 from kgaudit.scoring import FailureKind, QueryOutcome
 from kgaudit.sparql import (
     Bgp,
@@ -193,7 +192,6 @@ _RECORDS = {
                 "ScoringPlan"],
     "client": ["CampaignConfig", "EndpointRun", "Fetch"],
     "reporting": ["Report", "RunRecord"],
-    "saturation": ["SaturationTrace"],
     "scoring": ["DatasetResult", "QueryOutcome"],
     "sparql": ["Bgp", "InlineData", "Query", "SeqPattern", "TriplePattern", "UnionPattern",
                "Variable"],
@@ -259,20 +257,17 @@ def with_members() -> dict[str, object]:
     bgp = parse_query("ASK { ?s <http://x/p> ?o }").pattern
     eval_select(graph, Query("select", (), bgp))
     runs = [RunRecord("http://e.org/", 0, "t", True)]
-    report = build_report(catalog, {}, "t", runs, {"http://e.org/": SaturationTrace(1, 2, {})})
-    return {"Bgp": bgp, "EquivalenceRule": catalog.rules[0], "Catalog": catalog, "Report": report}
+    report = build_report(catalog, {}, "t", runs)
+    return {"Bgp": bgp, "Catalog": catalog, "Report": report}
 
 
 # Each member outside equality, and its value in a record built from fields
-# alone; a rule's source_bgp and templates are made anew from its fields.
+# alone.
 _MEMBERS = {
     "Bgp.plans": {},
-    "EquivalenceRule.source_bgp": None,
-    "EquivalenceRule.templates": None,
     "Catalog.plan": None,
     "Catalog._hash": None,
     "Report.runs": (),
-    "Report.saturation": {},
 }
 
 
@@ -296,7 +291,7 @@ def test_members_outside_equality_stay_outside_eq_hash_and_repr(with_members, na
     # ... and _make and _replace, which build from the fields, start it afresh
     fresh = getattr(record._replace(), member)
     assert fresh is not value
-    assert fresh == (_MEMBERS[name] if cls != "EquivalenceRule" else value)
+    assert fresh == _MEMBERS[name]
 
 
 def test_records_equal_as_tuples_never_meet() -> None:
@@ -499,23 +494,34 @@ def test_copy_is_equal_and_independent() -> None:
 
 
 def test_match_agrees_with_scan_for_all_binding_combinations() -> None:
+    # in insertion order; a bound subject and predicate scan the shorter of
+    # their two index lists, and both kinds of pair are checked
     rng = random.Random(90125)
+    shorter = {"subject": 0, "predicate": 0}
     for _ in range(30):
         g = random_graph(rng, max_triples=200)
         triples = list(g)
+        for s, p, o in triples:
+            by_subject, by_predicate = len(g._by_subject[s]), len(g._by_predicate[p])
+            if by_subject != by_predicate:
+                shorter["predicate" if by_predicate < by_subject else "subject"] += 1
+            expected = [t for t in triples if t.subject == s and t.predicate == p]
+            assert list(g.match(s, p)) == expected
+            assert list(g.match(s, p, o)) == [Triple(s, p, o)]
         probes = [rng.choice(triples) if triples else None for _ in range(3)]
         for mask in range(8):
             s = probes[0].subject if (mask & 1 and probes[0]) else None
             p = probes[1].predicate if (mask & 2 and probes[1]) else None
             o = probes[2].object if (mask & 4 and probes[2]) else None
-            expected = {
+            expected = [
                 t
                 for t in triples
                 if (s is None or t.subject == s)
                 and (p is None or t.predicate == p)
                 and (o is None or t.object == o)
-            }
-            assert set(g.match(s, p, o)) == expected
+            ]
+            assert list(g.match(s, p, o)) == expected
+    assert min(shorter.values()) > 100
 
 
 # ---------------------------------------------------------------------------
@@ -787,8 +793,12 @@ def test_turtle_rejects_unsupported_features_by_name(snippet: str, feature: str)
         ("<http://e.org/s> _:p <http://e.org/o> .", "line 1: predicate must be an IRI"),
         ('"s" <http://e.org/p> <http://e.org/o> .', "line 1: subject cannot be a literal"),
         ("<http://e.org/s>\n<http://e.org/p>\n", "line 3: unexpected end of input"),
+        (
+            "<http://e.org/\\u0020> <http://e.org/p> <http://e.org/o> .",
+            "line 1: IRI contains a forbidden character: 'http://e.org/ '",
+        ),
     ],
-    ids=["prefix-iri", "datatype", "directive", "predicate", "subject", "end"],
+    ids=["prefix-iri", "datatype", "directive", "predicate", "subject", "end", "escaped-iri"],
 )
 def test_turtle_refuses_malformed_input_with_its_line(text: str, message: str) -> None:
     with pytest.raises(ParseError) as err:

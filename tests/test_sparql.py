@@ -166,8 +166,14 @@ def test_syntax_errors() -> None:
         (parse_query, 'ASK {\n  ?s "p" ?o }', "line 2: a literal cannot be a predicate"),
         (parse_query, "ASK { ?s ?p\n}", "line 2: expected a term, found '}'"),
         (lambda text: parse_triple_patterns(text, {}), "  # nothing\n", "no triple patterns found"),
+        (
+            parse_query,
+            "ASK { <http://e.org/\\u0020> ?p ?o }",
+            "line 1: IRI contains a forbidden character: 'http://e.org/ '",
+        ),
     ],
-    ids=["word", "projection", "form", "trailing", "values", "literal-verb", "term", "no-pattern"],
+    ids=["word", "projection", "form", "trailing", "values", "literal-verb", "term", "no-pattern",
+         "escaped-iri"],
 )
 def test_malformed_text_is_refused_with_its_line(parse, text: str, message: str) -> None:
     with pytest.raises(SparqlError) as err:

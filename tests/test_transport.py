@@ -426,6 +426,13 @@ def test_open_layer_refuses_a_timeout_the_clock_cannot_time(no_session, timeout,
             pytest.fail("the layer opened")
 
 
+@pytest.mark.parametrize("inner", [None, Unqueried()], ids=["http", "given"])
+def test_open_layer_refuses_a_negative_retry_count(no_session, inner):
+    with pytest.raises(ValueError, match="retry count"):
+        with open_layer(inner, 0.0, timeout=DEFAULT_TIMEOUT, retries=-1):
+            pytest.fail("the layer opened")
+
+
 @pytest.mark.parametrize("delay", _BAD_DELAYS)
 def test_throttled_transport_refuses_a_delay_the_clock_cannot_time(delay):
     with pytest.raises(ValueError, match="delay"):
