@@ -240,35 +240,40 @@ def fetch_metadata(
     longer than its LIMIT, or a full page equal to the one before it, shows
     an endpoint that ignores LIMIT or OFFSET, and is malformed.
     """
-    unpaged = _at_endpoint(fetch.query, url)
-    offset = 0
-    graph = Graph()
     datasets: set[str] = set()
-    response = 0
-    previous = None
-    while True:
-        # the form, projection, pattern and prefixes, paged
-        query = Query(*unpaged[:4], page_size, offset)
-        try:
-            rows = transport.query(url, query, run=run)
-        except TransportError as exc:
-            if response:
-                raise LaterPageError(exc.kind, f"page {response + 1} failed ({exc})") from exc
-            raise
-        response += 1
-        if len(rows) > page_size:
-            raise TransportError("malformed", f"page {response} is longer than its LIMIT")
-        if rows == previous:
-            raise TransportError("malformed", f"page {response} repeats the page before it")
-        for row in _named_blank_nodes(rows):
-            shape = fetch.branches.get(row.get("branch"))
-            if isinstance(row.get(KG.name), Iri) and shape is not None:
-                datasets.add(row[KG.name].value)
-                graph.update(_row_triples(row, shape))
-        if len(rows) < page_size:
-            return graph, tuple(sorted(datasets))
-        previous = rows
-        offset += page_size
+
+    def triples() -> Iterator[Triple]:
+        # walks the pages, noting each row's dataset as it yields its triples
+        unpaged = _at_endpoint(fetch.query, url)
+        offset = 0
+        response = 0
+        previous = None
+        while True:
+            # the form, projection, pattern and prefixes, paged
+            query = Query(*unpaged[:4], page_size, offset)
+            try:
+                rows = transport.query(url, query, run=run)
+            except TransportError as exc:
+                if response:
+                    raise LaterPageError(exc.kind, f"page {response + 1} failed ({exc})") from exc
+                raise
+            response += 1
+            if len(rows) > page_size:
+                raise TransportError("malformed", f"page {response} is longer than its LIMIT")
+            if rows == previous:
+                raise TransportError("malformed", f"page {response} repeats the page before it")
+            for row in _named_blank_nodes(rows):
+                shape = fetch.branches.get(row.get("branch"))
+                if isinstance(row.get(KG.name), Iri) and shape is not None:
+                    datasets.add(row[KG.name].value)
+                    yield from _row_triples(row, shape)
+            if len(rows) < page_size:
+                return
+            previous = rows
+            offset += page_size
+
+    graph = Graph(triples())
+    return graph, tuple(sorted(datasets))
 
 
 def _named_blank_nodes(rows: list[dict[str, Term]]) -> list[dict[str, Term]]:
@@ -437,7 +442,9 @@ class Journal:
 
     def load(self) -> dict[tuple[str, int], EndpointRun]:
         completed: dict[tuple[str, int], EndpointRun] = {}
-        graphs: dict[str, Graph] = {}  # by N-Triples text: runs that saw the same share one
+        # by N-Triples text: runs that saw the same share one graph, which
+        # nothing can change
+        graphs: dict[str, Graph] = {}
         header = self._line("header", self._header).encode("utf-8")
         try:
             with open(self.path, "rb") as handle:

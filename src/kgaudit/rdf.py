@@ -2,9 +2,9 @@
 
 The model is deliberately small: IRIs, blank nodes and literals, triples
 over them, and an in-memory graph with set semantics plus subject and
-predicate indexes.  Graphs are mutated while a single owner loads them and
-are treated as read-only afterwards; every helper that combines graphs
-builds a new one.
+predicate indexes.  A graph is built once, from its triples, and never
+changes: no method adds or removes a triple, so threads and runs share
+graphs freely, and code that combines graphs builds a new one.
 
 Terms and triples are validated, immutable tuples: each class subclasses
 a ``NamedTuple`` of its fields with a ``__new__`` that runs the class's
@@ -217,32 +217,18 @@ def term_sort_key(term: Term) -> tuple[int, str]:
 class Graph:
     """A set of triples indexed by subject and by predicate.
 
-    Iteration follows insertion order, which keeps downstream output
-    deterministic without relying on hash ordering.
+    ``Graph(triples)`` is the only way to build one, and it never changes
+    afterwards.  A triple met again is dropped; iteration, and each index,
+    follows the order triples were first met, which keeps downstream
+    output deterministic without relying on hash ordering.
     """
 
     __slots__ = ("_triples", "_by_subject", "_by_predicate")
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        self._triples: dict[Triple, None] = {}
-        self._by_subject: dict[Term, list[Triple]] = {}
-        self._by_predicate: dict[Term, list[Triple]] = {}
-        self.update(triples)
-
-    def add(self, triple: Triple) -> bool:
-        """Add a triple; returns True when it was not already present."""
-        if triple in self._triples:
-            return False
-        self._triples[triple] = None
-        self._by_subject.setdefault(triple.subject, []).append(triple)
-        self._by_predicate.setdefault(triple.predicate, []).append(triple)
-        return True
-
-    def update(self, triples: Iterable[Triple]) -> None:
-        """Add each triple, as ``add`` does, in one loop."""
-        known = self._triples
-        by_subject = self._by_subject
-        by_predicate = self._by_predicate
+        known: dict[Triple, None] = {}
+        by_subject: dict[Term, list[Triple]] = {}
+        by_predicate: dict[Term, list[Triple]] = {}
         for triple in triples:
             if triple in known:
                 continue
@@ -258,14 +244,9 @@ class Graph:
                 by_predicate[predicate] = [triple]
             else:
                 listed.append(triple)
-
-    def copy(self) -> "Graph":
-        """An independent graph with the same triples in the same order."""
-        new = Graph()
-        new._triples = self._triples.copy()
-        new._by_subject = {term: ts[:] for term, ts in self._by_subject.items()}
-        new._by_predicate = {term: ts[:] for term, ts in self._by_predicate.items()}
-        return new
+        self._triples = known
+        self._by_subject = by_subject
+        self._by_predicate = by_predicate
 
     def match(
         self,
@@ -302,15 +283,6 @@ class Graph:
     def has_predicate(self, predicate: Term) -> bool:
         """True when some triple has this predicate."""
         return predicate in self._by_predicate
-
-    def terms(self) -> set[Term]:
-        """All terms occurring in any position."""
-        out: set[Term] = set()
-        for t in self._triples:
-            out.add(t.subject)
-            out.add(t.predicate)
-            out.add(t.object)
-        return out
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -639,7 +611,7 @@ def parse_turtle(text: str) -> Graph:
 
 class _TurtleReader(_TokenReader):
     def graph(self) -> Graph:
-        g = Graph()
+        triples: list[Triple] = []
         while self.peek().kind != "eof":
             tok = self.peek()
             if tok.text == "@base" or self.at_keyword("BASE"):
@@ -652,16 +624,16 @@ class _TurtleReader(_TokenReader):
             elif tok.kind == "at":
                 raise self.error("unknown directive")
             else:
-                self.triples(g)
-        return g
+                self.triples(triples)
+        return Graph(triples)
 
-    def triples(self, g: Graph) -> None:
+    def triples(self, out: list[Triple]) -> None:
         subject = self.term("subject")
         while True:
             predicate = self.verb()
-            g.add(Triple(subject, predicate, self.term("object")))
+            out.append(Triple(subject, predicate, self.term("object")))
             while self.accept(","):
-                g.add(Triple(subject, predicate, self.term("object")))
+                out.append(Triple(subject, predicate, self.term("object")))
             if not self.accept(";"):
                 break
             while self.accept(";"):

@@ -87,7 +87,9 @@ class Report(_Record, _Report):
 
     ``runs`` is provenance, not measurement: it is no field, so it takes
     no part in equality, hash or repr, and a report read back from its DQV
-    export compares equal when it carries the same results.
+    export compares equal when it carries the same results.  An endpoint
+    lists each dataset once: a dataset listed twice under one endpoint
+    raises ``ValueError``, from ``_replace`` too.
     """
 
     def __new__(
@@ -98,6 +100,14 @@ class Report(_Record, _Report):
         results: Mapping[str, tuple[DatasetResult, ...]],
         runs: tuple[RunRecord, ...] = (),
     ) -> "Report":
+        for endpoint, listed in results.items():
+            seen: set[str] = set()
+            for result in listed:
+                if result.dataset in seen:
+                    raise ValueError(
+                        f"endpoint {endpoint!r} lists dataset {result.dataset!r} twice"
+                    )
+                seen.add(result.dataset)
         self = _new_tuple(cls, (catalog_version, catalog_hash, generated_at, results))
         self.runs = runs
         return self
@@ -180,9 +190,7 @@ def dqv_blocks(report: Report, catalog: Catalog) -> Iterator[str]:
     order of their predicate IRIs (``rdf:type``, ``dqv:computedOn``,
     ``dqv:isMeasurementOf``, ``dqv:value``, then the tool's ``endpoint``
     and ``exactValue`` or ``failureKind``), which is their sorted order
-    since no predicate repeats.  A subject met twice, when a dataset is
-    listed twice under one endpoint, gets the distinct tails of both
-    blocks, sorted.
+    since no predicate repeats.
 
     Every distinct endpoint, dataset and metric IRI goes through
     :class:`Iri` once, before the first block is yielded, so a value that
@@ -236,7 +244,7 @@ def dqv_blocks(report: Report, catalog: Catalog) -> Iterator[str]:
                         _IS_MEASUREMENT, computed_on, metric, _FALSE, on_endpoint,
                         _FAILURE[outcome.failure],
                     )
-                blocks[m] = _union(blocks[m], block) if m in blocks else block
+                blocks[m] = block
             for kind, prefix, scores in (
                 ("question", _METRIC_QUESTION, result.question_scores),
                 ("node", _METRIC_NODE, result.node_scores),
@@ -253,7 +261,7 @@ def dqv_blocks(report: Report, catalog: Catalog) -> Iterator[str]:
                         )
                     m = f"<{_MEASURE}{kind}:{pair}:{key}>"
                     block = (_IS_MEASUREMENT, computed_on, metric, tails[0], on_endpoint, tails[1])
-                    blocks[m] = _union(blocks[m], block) if m in blocks else block
+                    blocks[m] = block
     for value in metrics:
         blocks[iris[value]] = (_IS_METRIC,)
     # Sort subjects with their closing ">": "-", "." and the digits sort
@@ -262,15 +270,6 @@ def dqv_blocks(report: Report, catalog: Catalog) -> Iterator[str]:
     # report block keeps the text from being empty.
     for subject in sorted(blocks):
         yield subject + subject.join(blocks[subject])
-
-
-def _union(block: tuple[str, ...], other: tuple[str, ...]) -> tuple[str, ...]:
-    """The distinct tails of two blocks of one subject, sorted.
-
-    Sorting the tails sorts the lines: they share the subject, and no
-    tail, line break aside, is a prefix of another.
-    """
-    return tuple(sorted({*block, *other}))
 
 
 # ---------------------------------------------------------------------------

@@ -307,7 +307,8 @@ class TranscriptTransport:
     a date) and ``data`` N-Triples text (default empty).  Anything else
     raises ``ValueError`` when the file is loaded.  ``data`` is parsed
     when its run is first queried, and each distinct text once, into one
-    graph that every run serving it shares; a text that is not N-Triples
+    graph that every run serving it shares, safely, since no code can
+    change a graph; a text that is not N-Triples
     raises ``ValueError`` then, naming the file, endpoint and run, and a
     run that is never queried, or recorded as down, is never parsed.  A
     text is parsed under a lock, so it is parsed exactly once however

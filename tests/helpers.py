@@ -152,10 +152,13 @@ def random_triple(rng: random.Random) -> Triple:
 
 
 def random_graph(rng: random.Random, max_triples: int = 200) -> Graph:
-    g = Graph()
-    for _ in range(rng.randrange(max_triples + 1)):
-        g.add(random_triple(rng))
-    return g
+    return Graph(random_triple(rng) for _ in range(rng.randrange(max_triples + 1)))
+
+
+def graph_terms(g: Graph) -> list[Term]:
+    """Each term occurring in any position of the graph's triples, once, in
+    term order, so that a seeded draw from them repeats from run to run."""
+    return sorted({term for triple in g for term in triple}, key=term_sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -175,16 +178,14 @@ _VAR_NAMES = ["x", "y", "z"]
 
 
 def small_graph(rng: random.Random, max_triples: int = 50) -> Graph:
-    g = Graph()
-    for _ in range(rng.randrange(max_triples + 1)):
-        g.add(
-            Triple(
-                rng.choice(_SMALL_SUBJECTS),
-                rng.choice(_SMALL_PREDICATES),
-                rng.choice(_SMALL_OBJECTS),
-            )
+    return Graph(
+        Triple(
+            rng.choice(_SMALL_SUBJECTS),
+            rng.choice(_SMALL_PREDICATES),
+            rng.choice(_SMALL_OBJECTS),
         )
-    return g
+        for _ in range(rng.randrange(max_triples + 1))
+    )
 
 
 def random_bgp(
@@ -215,7 +216,7 @@ def bgp_oracle(g: Graph, patterns: list[TriplePattern]) -> set[frozenset]:
     """Reference BGP semantics: try every assignment of variables to graph terms."""
     names = sorted({pos.name for tp in patterns for pos in tp if isinstance(pos, Variable)})
     facts = {(t.subject, t.predicate, t.object) for t in g}
-    universe = sorted(g.terms(), key=term_sort_key)
+    universe = graph_terms(g)
     found: set[frozenset] = set()
     for combo in itertools.product(universe, repeat=len(names)):
         assignment = dict(zip(names, combo))
@@ -286,7 +287,7 @@ def random_metadata_graph(
         Literal("hello", language="en"),
     ]
     noise = [Iri("http://example.org/unrelated"), RDF_TYPE_IRI]
-    g = Graph()
+    triples = []
     for _ in range(rng.randrange(max_triples + 1)):
         subject = rng.choice(resources)
         predicate = rng.choice(predicates + noise)
@@ -299,8 +300,8 @@ def random_metadata_graph(
             obj = rng.choice(constants)
         else:
             obj = rng.choice(resources)
-        g.add(Triple(subject, predicate, obj))
-    return g
+        triples.append(Triple(subject, predicate, obj))
+    return Graph(triples)
 
 
 def catalog_shapes(catalog) -> list[tuple]:
@@ -384,18 +385,19 @@ def ref_instantiate(tp: TriplePattern, solution) -> Triple | None:
 
 
 def ref_saturate(graph: Graph, rules) -> tuple[Graph, SaturationTrace]:
-    work = graph.copy()
+    work = dict.fromkeys(graph)
     firings = {rule.id: 0 for rule in rules}
     for rule in rules:
         for solution in eval_bgp(graph, rule.source):
             added = 0
             for tp in rule.target:
                 triple = ref_instantiate(tp, solution)
-                if triple is not None and work.add(triple):
+                if triple is not None and triple not in work:
+                    work[triple] = None
                     added += 1
             if added:
                 firings[rule.id] += 1
-    return work, SaturationTrace(len(graph), len(work), firings)
+    return Graph(work), SaturationTrace(len(graph), len(work), firings)
 
 
 # ---------------------------------------------------------------------------

@@ -339,14 +339,14 @@ def _all_fixtures(tmp_path) -> str:
 def test_the_streamed_report_nt_is_the_dqv_text(command, twice, tmp_path, monkeypatch, capsys):
     # The CLI writes report.nt block by block; the file holds exactly the
     # text to_dqv gives for the report it wrote.  With ``twice``, each
-    # endpoint lists its first dataset again, scored like another dataset,
-    # so its measurements take the union of two blocks.
+    # endpoint lists its first dataset again, scored like another dataset:
+    # the report refuses that, and the command writes no report.nt.
     written = []
+    relisted = {}
 
     def recording(report, catalog):
         if twice:
             results = [result for _, result in report.rows()]
-            relisted = {}
             for endpoint, rs in report.results.items():
                 other = next(r for r in results if r.outcomes != rs[0].outcomes)
                 relisted[endpoint] = (*rs, other._replace(dataset=rs[0].dataset))
@@ -361,17 +361,20 @@ def test_the_streamed_report_nt_is_the_dqv_text(command, twice, tmp_path, monkey
     else:
         argv = ["campaign", *ENDPOINTS, "--transcript", TRANSCRIPT, "--delay", "0"]
         argv += ["--out", str(out)]
+    if twice:
+        assert main(argv) == 2
+        assert written == []
+        endpoint, rows = next(iter(relisted.items()))
+        refusal = f"kgaudit: endpoint {endpoint!r} lists dataset {rows[0].dataset!r} twice\n"
+        assert capsys.readouterr().err == refusal
+        assert sorted(p.name for p in out.iterdir()) == ["report.csv", "report.json"]
+        return
     assert main(argv) == 0
     [(report, catalog)] = written
     text = to_dqv(report, catalog)
     assert (out / "report.nt").read_bytes() == text.encode("utf-8")
     lines = text.splitlines()
     assert lines == sorted(set(lines))
-    if twice:
-        # the union added lines: a measurement carries both datasets' values
-        subjects = [line.split(" ", 1)[0] for line in lines]
-        values = [s for s, line in zip(subjects, lines) if "#value> " in line]
-        assert len(values) > len(set(values))
 
 
 def test_a_report_nt_block_that_fails_keeps_the_old_file(tmp_path, monkeypatch, capsys):

@@ -159,12 +159,9 @@ def test_discover_requires_dataset_typing(tmp_path):
 def test_discover_in_graph_all_classes():
     from kgaudit.client import DATASET_CLASSES
 
-    g = Graph()
-    expected = []
-    for index, cls in enumerate(DATASET_CLASSES):
-        kg = Iri(f"http://example.org/kg/{index}")
-        g.add(Triple(kg, Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type"), cls))
-        expected.append(kg)
+    expected = [Iri(f"http://example.org/kg/{index}") for index in range(len(DATASET_CLASSES))]
+    rdf_type = Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
+    g = Graph(Triple(kg, rdf_type, cls) for kg, cls in zip(expected, DATASET_CLASSES))
     assert discover_in_graph(g) == sorted(expected, key=lambda i: i.value)
 
 
@@ -178,13 +175,17 @@ def test_discover_in_graph_ignores_untyped():
 def test_discovery_scales_to_many_datasets():
     from kgaudit.client import DATASET_CLASSES
 
-    g = Graph()
     rdf_type = Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
     link = Iri("http://rdfs.org/ns/void#sparqlEndpoint")
-    for index in range(166):
-        kg = Iri(f"http://big.example.org/kg/{index:03d}")
-        g.add(Triple(kg, rdf_type, DATASET_CLASSES[index % len(DATASET_CLASSES)]))
-        g.add(Triple(kg, link, Iri("http://big.example.org/sparql")))
+    kgs = [Iri(f"http://big.example.org/kg/{index:03d}") for index in range(166)]
+    g = Graph(
+        triple
+        for index, kg in enumerate(kgs)
+        for triple in (
+            Triple(kg, rdf_type, DATASET_CLASSES[index % len(DATASET_CLASSES)]),
+            Triple(kg, link, Iri("http://big.example.org/sparql")),
+        )
+    )
     assert len(discover_in_graph(g)) == 166
 
 
@@ -448,15 +449,13 @@ def test_one_request_per_query_scores_like_one_dataset_at_a_time(tmp_path, seed)
     shapes = catalog_shapes(duality.CATALOG)
     predicates, _ = catalog_vocabulary(duality.CATALOG)
     for _ in range(12):
-        graph = Graph()
+        served = []
         for dataset in duality.DATASETS:
-            graph.update(
-                parse_ntriples(duality.DISCOVERABLE.replace(duality.KG.value, dataset.value))
-            )
+            served += parse_ntriples(duality.DISCOVERABLE.replace(duality.KG.value, dataset.value))
             for _ in range(3):
                 triples = duality._instantiate(rng, rng.choice(shapes), predicates)
-                graph.update(duality._renamed(triples, dataset))
-        transport = duality._serve(tmp_path / "served.yaml", graph)
+                served += duality._renamed(triples, dataset)
+        transport = duality._serve(tmp_path / "served.yaml", Graph(served))
         batched = evaluate_remote_datasets(
             transport, duality.URL, duality.CATALOG, duality.DATASETS
         )
@@ -656,10 +655,13 @@ def test_campaign_scores_each_endpoint_once_and_each_differing_run(
     monkeypatch.setattr(client, "score_datasets", counting)
     report = run_campaign(CampaignConfig(**{**config._asdict(), "transport": transport}))
     runs = [audit_run(transport, rr.endpoint, rr.run, FETCH) for rr in report.runs]
-    union = {er.endpoint: (Graph(), set()) for er in runs}
-    for er in runs:
-        union[er.endpoint][0].update(er.graph)
-        union[er.endpoint][1].update(er.datasets)
+    union = {
+        endpoint: (
+            Graph(t for er in runs if er.endpoint == endpoint for t in er.graph),
+            {d for er in runs if er.endpoint == endpoint for d in er.datasets},
+        )
+        for endpoint in {er.endpoint for er in runs}
+    }
     differing = [
         er
         for er in runs

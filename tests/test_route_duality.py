@@ -130,13 +130,14 @@ def test_routes_agree_on_random_metadata(tmp_path, catalog):
     blank_cases = disagreements = 0
     # every shape leads a case; two more random shapes ride along
     for index in range(200):
-        graph = parse_ntriples(DISCOVERABLE)
-        graph.update(random_metadata_graph(rng, predicates, constants, max_triples=10))
+        served = list(parse_ntriples(DISCOVERABLE))
+        served += random_metadata_graph(rng, predicates, constants, max_triples=10)
         for patterns in (shapes[index % len(shapes)], rng.choice(shapes), rng.choice(shapes)):
             triples = _instantiate(rng, patterns, predicates)
             if len(triples) > 1 and rng.random() < 0.25:
                 triples.pop(rng.randrange(len(triples)))  # a near miss
-            graph.update(triples)
+            served += triples
+        graph = Graph(served)
         blank_cases += any(isinstance(t.subject, BlankNode) for t in graph)
         fetched, remote = _route_scores(_serve(path, graph), catalog)
         if fetched != remote:
@@ -247,12 +248,12 @@ def test_routes_agree_when_pages_cross_datasets(tmp_path, page_size):
     predicates, _ = catalog_vocabulary(CATALOG)
     path = tmp_path / "served.yaml"
     for _ in range(12):
-        graph = Graph()
+        served = []
         for dataset in DATASETS:
-            graph.update(parse_ntriples(DISCOVERABLE.replace(KG.value, dataset.value)))
+            served += parse_ntriples(DISCOVERABLE.replace(KG.value, dataset.value))
             for _ in range(3):
-                graph.update(_renamed(_instantiate(rng, rng.choice(shapes), predicates), dataset))
-        transport = _serve(path, graph)
+                served += _renamed(_instantiate(rng, rng.choice(shapes), predicates), dataset)
+        transport = _serve(path, Graph(served))
         fetched = _fetched_scores(transport, page_size=page_size)
         remote = evaluate_remote_datasets(transport, URL, CATALOG, DATASETS)
         assert fetched == {r.dataset: r.score for r in remote}

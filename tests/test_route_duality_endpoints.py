@@ -80,14 +80,14 @@ def _links(rng: random.Random, datasets: list[Iri]) -> list[Triple]:
 
 def _case(rng: random.Random, shapes, predicates) -> tuple[Graph, list[Iri]]:
     datasets = [Iri(f"http://example.org/kg/{index}") for index in range(rng.randint(2, 4))]
-    graph = Graph(_links(rng, datasets))
+    triples = _links(rng, datasets)
     # other datasets are neighbours too, so a shape can link one to another
     nodes = NEIGHBOURS + datasets
     for dataset in datasets:
         for _ in range(3):
             patterns = rng.choice(shapes)
-            graph.update(instantiate_shape(rng, patterns, dataset, predicates, nodes, LITERALS))
-    return graph, datasets
+            triples += instantiate_shape(rng, patterns, dataset, predicates, nodes, LITERALS)
+    return Graph(triples), datasets
 
 
 def _serve(path, graph: Graph) -> TranscriptTransport:

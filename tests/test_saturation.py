@@ -55,9 +55,9 @@ def test_publication_activity_chain_fires():
 
 def test_input_graph_is_not_mutated():
     g = parse_ntriples(f"<{KG.value}> <http://schema.org/author> <{EX}alice> .\n")
-    before = g.copy()
+    before = list(g)
     ref_saturate(g, default_catalog().rules)
-    assert g == before
+    assert list(g) == before
 
 
 def test_no_rules_is_a_copy():
@@ -116,9 +116,12 @@ def test_duplicate_derivations_counted_once():
 def test_unsound_instantiations_are_skipped():
     # ?o can bind a literal, which cannot be a subject; nothing is derived
     rules = _rules((f"?s <{EX}p> ?o .", f"?o <{EX}q> ?s ."))
-    g = Graph()
-    g.add(Triple(Iri(EX + "x"), Iri(EX + "p"), Literal("text")))
-    g.add(Triple(Iri(EX + "x"), Iri(EX + "p"), Iri(EX + "y")))
+    g = Graph(
+        [
+            Triple(Iri(EX + "x"), Iri(EX + "p"), Literal("text")),
+            Triple(Iri(EX + "x"), Iri(EX + "p"), Iri(EX + "y")),
+        ]
+    )
     sat, _ = ref_saturate(g, rules)
     assert len(sat) == 3
     assert Triple(Iri(EX + "y"), Iri(EX + "q"), Iri(EX + "x")) in sat
@@ -126,7 +129,7 @@ def test_unsound_instantiations_are_skipped():
 
 def _naive_fixpoint(g: Graph, rules) -> Graph:
     """Reference: re-run every rule on the whole graph until nothing is new."""
-    work = g.copy()
+    work = g
     while True:
         additions = []
         for rule in rules:
@@ -137,7 +140,7 @@ def _naive_fixpoint(g: Graph, rules) -> Graph:
                         additions.append(triple)
         if not additions:
             return work
-        work.update(additions)
+        work = Graph([*work, *additions])
 
 
 def test_matches_naive_fixpoint():
@@ -199,12 +202,12 @@ def _random_compact_query(rng: random.Random):
 
 
 def _random_graph(rng: random.Random) -> Graph:
-    g = Graph()
+    triples = []
     for _ in range(rng.randrange(1, 12)):
         subject = rng.choice(_NODES + _PREDICATES)
         obj = rng.choice(_NODES + _PREDICATES + _LITERALS)
-        g.add(Triple(subject, rng.choice(_PREDICATES), obj))
-    return g
+        triples.append(Triple(subject, rng.choice(_PREDICATES), obj))
+    return Graph(triples)
 
 
 def test_random_rule_sets_saturate_like_expansion():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from helpers import bgp_oracle, random_bgp, small_graph, solutions_as_sets
+from helpers import bgp_oracle, graph_terms, random_bgp, small_graph, solutions_as_sets
 from kgaudit import sparql
 from kgaudit.rdf import BlankNode, Graph, Iri, Literal, Triple, parse_ntriples, term_sort_key
 from kgaudit.sparql import (
@@ -310,14 +310,21 @@ def test_substitute_fills_a_dollar_variable() -> None:
 
 def test_substitute_refuses_a_variable_inline_data_binds() -> None:
     q = bind_values(parse_query(PUBLISHER_ASK), "kg", [Iri("http://example.org/kg1")])
-    with pytest.raises(SparqlError):
+    with pytest.raises(SparqlError, match=r"cannot substitute \?kg: VALUES binds it"):
         substitute(q, {"kg": Iri("http://example.org/kg2")})
+    # nor one the query projects
+    select = parse_query("SELECT ?kg ?o WHERE { ?kg <http://e.org/p> ?o }")
+    with pytest.raises(SparqlError, match="cannot substitute projected variables: kg, o"):
+        substitute(select, {"o": Literal("x"), "kg": Iri("http://example.org/kg1"), "p": Literal("y")})
 
 
 def test_substitute_rejects_literal_subject() -> None:
     q = parse_query(PUBLISHER_ASK)
-    with pytest.raises(SparqlError):
+    with pytest.raises(SparqlError, match="a literal into subject position"):
         substitute(q, {"kg": Literal("not a node")})
+    verb = parse_query("ASK { ?kg ?p ?o }")
+    with pytest.raises(SparqlError, match="a literal into predicate position"):
+        substitute(verb, {"p": Literal("not a predicate")})
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +371,10 @@ def test_ask_monotonicity_under_triple_addition() -> None:
         patterns = random_bgp(rng, g)
         query = Query("ask", None, Bgp(tuple(patterns)))
         before = eval_ask(g, query)
-        bigger = g.copy()
-        subjects = [t for t in bigger.terms() if not isinstance(t, Literal)]
+        subjects = [t for t in graph_terms(g) if not isinstance(t, Literal)]
         subjects.append(Iri("http://example.org/x"))
-        for _ in range(3):
-            bigger.add(Triple(rng.choice(subjects), Iri("http://example.org/p/0"), Literal("v0")))
+        added = [Triple(rng.choice(subjects), Iri("http://example.org/p/0"), Literal("v0")) for _ in range(3)]
+        bigger = Graph([*g, *added])
         if before:
             assert eval_ask(bigger, query) is True
 
@@ -401,6 +407,12 @@ def test_select_projection_and_order() -> None:
         Iri("http://example.org/a"),
         Iri("http://example.org/b"),
     ]
+    # each evaluator takes its own form only
+    ask = parse_query("ASK { ?s ?p <http://example.org/o> }")
+    with pytest.raises(SparqlError, match="eval_ask needs an ASK query"):
+        eval_ask(g, q)
+    with pytest.raises(SparqlError, match="eval_select needs a SELECT query"):
+        eval_select(g, ask)
 
 
 def test_discovery_query_against_small_store() -> None:
@@ -455,7 +467,7 @@ def test_values_select_keeps_the_values_with_a_solution() -> None:
         name = rng.choice(names)
         free = Query("select", (name,), Bgp(tuple(patterns)))
         found = [sol[name] for sol in eval_select(g, free)]
-        terms = sorted(g.terms(), key=term_sort_key) + [Iri("http://example.org/none")]
+        terms = graph_terms(g) + [Iri("http://example.org/none")]
         values = [
             t for t in rng.sample(found, min(2, len(found))) + rng.sample(terms, min(3, len(terms)))
             if not isinstance(t, BlankNode)
@@ -529,7 +541,7 @@ def test_plans_for_names_bound_at_the_start_keep_the_greedy_order() -> None:
         g = small_graph(rng)
         patterns = random_bgp(rng, g)
         bgp = Bgp(tuple(patterns))
-        for value in sorted(g.terms(), key=term_sort_key)[:4]:
+        for value in graph_terms(g)[:4]:
             for start in ({"x": value}, {"x": value, "y": value}, {"unused": value}):
                 expected = list(greedy_solutions(g, patterns, start))
                 assert list(sparql._gen(g, bgp, dict(start))) == expected
@@ -594,7 +606,7 @@ def test_values_with_solution_agrees_with_eval_select() -> None:
         if not names:
             continue
         name = rng.choice(names)
-        terms = [t for t in g.terms() if not isinstance(t, BlankNode)] + [Iri("http://example.org/none")]
+        terms = [t for t in graph_terms(g) if not isinstance(t, BlankNode)] + [Iri("http://example.org/none")]
         values = [rng.choice(terms) for _ in range(5)]
         found = values_with_solution(g, pattern, name, values)
         assert found == [value for value in dict.fromkeys(values) if value in found]
