@@ -280,10 +280,6 @@ class Graph:
                 continue
             yield t
 
-    def has_predicate(self, predicate: Term) -> bool:
-        """True when some triple has this predicate."""
-        return predicate in self._by_predicate
-
     def __len__(self) -> int:
         return len(self._triples)
 

@@ -18,16 +18,15 @@ forms of VALUES the fragment lacks: several variables, ``UNDEF``, and
 inline data anywhere but at the head of a group.
 
 Evaluation implements natural-join semantics over an in-memory graph with
-distinct solutions.  Each call first prunes the pattern for the graph in
-hand: a BGP or UNION branch with a constant predicate no triple has is
-dropped, and a sequence holding one, or a query pruned to nothing, has no
-solution.  Inside a BGP the pattern with the most bound positions is
-joined first, the earliest on a tie; that order depends only on the names
-bound when the BGP starts, so it is planned once per BGP and set of bound
-names and kept on the :class:`Bgp`.  :func:`values_with_solution` asks
-which values of one variable have a solution, stopping at the first
-solution of each; it answers a SELECT that projects only the variable its
-leading inline data binds.
+distinct solutions.  Inside a BGP the pattern with the most bound
+positions is joined first, the earliest on a tie; that order depends only
+on the names bound when the BGP starts, so it is planned once per BGP and
+set of bound names and kept on the :class:`Bgp`.  A pattern naming a
+predicate no triple has matches nothing after one index lookup
+(:meth:`rdf.Graph.match`), so the join stops there with no solution.
+:func:`values_with_solution` asks which values of one variable have a
+solution, stopping at the first solution of each; it answers a SELECT
+that projects only the variable its leading inline data binds.
 """
 
 from __future__ import annotations
@@ -667,30 +666,6 @@ def _gen_seq(
     return (solution for head in _gen(g, parts[0], binding) for solution in _gen_seq(g, rest, head))
 
 
-def _prune(g: Graph, pattern: GroupPattern) -> GroupPattern | None:
-    """``pattern`` without the BGPs and UNION branches that name a predicate
-    no triple of ``g`` has; None when no solution is left."""
-    if isinstance(pattern, Bgp):
-        for tp in pattern.patterns:
-            if not isinstance(tp.predicate, Variable) and not g.has_predicate(tp.predicate):
-                return None
-        return pattern
-    if isinstance(pattern, InlineData):
-        return pattern
-    if isinstance(pattern, UnionPattern):
-        kept = tuple(b for b in (_prune(g, b) for b in pattern.branches) if b is not None)
-        # one branch left is a sequence of one part, which inline data may lead
-        return (UnionPattern(kept) if len(kept) > 1 else SeqPattern(kept)) if kept else None
-    parts = tuple(_prune(g, part) for part in pattern.parts)
-    return None if any(part is None for part in parts) else SeqPattern(parts)
-
-
-def _solutions(g: Graph, pattern: GroupPattern) -> Iterator[dict[str, Term]]:
-    """The solutions of ``pattern``, pruned for ``g`` first."""
-    pruned = _prune(g, pattern)
-    return iter(()) if pruned is None else _gen(g, pruned, {})
-
-
 def eval_bgp(g: Graph, patterns: Bgp | Iterable[TriplePattern]) -> list[dict[str, Term]]:
     """Distinct solutions of a basic graph pattern, natural-join semantics.
 
@@ -702,14 +677,14 @@ def eval_bgp(g: Graph, patterns: Bgp | Iterable[TriplePattern]) -> list[dict[str
     from one call to the next.
     """
     bgp = patterns if isinstance(patterns, Bgp) else Bgp(tuple(patterns))
-    return list(_solutions(g, bgp))
+    return list(_gen(g, bgp, {}))
 
 
 def eval_ask(g: Graph, query: Query) -> bool:
     """True iff the pattern of an ASK query has at least one solution."""
     if query.form != "ask":
         raise SparqlError("eval_ask needs an ASK query")
-    return next(_solutions(g, query.pattern), None) is not None
+    return next(_gen(g, query.pattern, {}), None) is not None
 
 
 def values_with_solution(
@@ -718,11 +693,8 @@ def values_with_solution(
     """Those of ``values`` for which ``pattern`` has a solution with ``?name``
     bound to them, each once, in the order given: what
     ``SELECT ?name { VALUES ?name { values } pattern }`` answers."""
-    pruned = _prune(g, pattern)
-    if pruned is None:
-        return []
     unique = dict.fromkeys(values)
-    return [value for value in unique if next(_gen(g, pruned, {name: value}), None) is not None]
+    return [value for value in unique if next(_gen(g, pattern, {name: value}), None) is not None]
 
 
 def eval_select(g: Graph, query: Query) -> list[dict[str, Term]]:
@@ -741,7 +713,7 @@ def eval_select(g: Graph, query: Query) -> list[dict[str, Term]]:
         seen = {(value,): {data.variable: value} for value in found}
     else:
         seen = {}
-        for binding in _solutions(g, pattern):
+        for binding in _gen(g, pattern, {}):
             key = tuple(binding.get(name) for name in names)
             seen.setdefault(key, {name: binding[name] for name in names if name in binding})
 

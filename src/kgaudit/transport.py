@@ -231,7 +231,12 @@ class HttpTransport:
 
 
 def decode_results(body: str) -> list[dict[str, Term]]:
-    """Decode the rows of a SPARQL JSON results document."""
+    """Decode the rows of a SPARQL JSON results document.
+
+    The format puts no bound on a blank-node label (Virtuoso writes
+    ``nodeID://b10005``), so a blank node is named ``b`` and the hex of its
+    label's UTF-8 bytes: any label gives a valid name, and only equal
+    labels give equal names."""
     try:
         doc = json.loads(body)
     except json.JSONDecodeError as exc:
@@ -256,11 +261,13 @@ def _decode_row(row: object) -> dict[str, Term]:
             raise TransportError("malformed", f"binding for ?{name} has no value")
         kind = cell.get("type")
         value = cell["value"]
+        if not isinstance(value, str):
+            raise TransportError("malformed", f"value of ?{name} is not a string")
         try:
             if kind == "uri":
                 out[name] = Iri(value)
             elif kind == "bnode":
-                out[name] = BlankNode(value)
+                out[name] = BlankNode("b" + value.encode("utf-8").hex())
             elif kind in ("literal", "typed-literal"):
                 out[name] = Literal(
                     value,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -38,7 +39,7 @@ from kgaudit.transport import HttpTransport, TranscriptTransport, TransportError
 from fractions import Fraction
 
 import test_route_duality as duality
-from test_transport import FakeClock, FakeResponse, ScriptedSession
+from test_transport import FakeClock, FakeResponse, ScriptedSession, select_body
 from helpers import FIXTURES, catalog_shapes, catalog_vocabulary, counted_parse
 
 FULL_ENDPOINT = "http://example.org/sparql"
@@ -270,6 +271,82 @@ def test_fetch_names_blank_nodes_after_their_page(tmp_path):
     page = "\n\n".join("\n".join(row) for row in rows)
     assert objects == {BlankNode(hashlib.sha256(page.encode("utf-8")).hexdigest() + "x")}
     assert fetch_metadata(transport, url, FETCH) == (g, ("http://e.org/kg",))
+
+
+class PageRecording(CountingTransport):
+    """Keeps each page the inner transport answers with."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.pages: list[list[dict]] = []
+
+    def query(self, url, query, *, run=0):
+        self.pages.append(super().query(url, query, run=run))
+        return self.pages[-1]
+
+
+def _json_cell(term, label) -> dict:
+    if isinstance(term, Iri):
+        return {"type": "uri", "value": term.value}
+    if isinstance(term, BlankNode):
+        return {"type": "bnode", "value": label(term.label)}
+    cell = {"type": "literal", "value": term.lexical}
+    if term.datatype is not None:
+        cell["datatype"] = term.datatype
+    if term.language is not None:
+        cell["xml:lang"] = term.language
+    return cell
+
+
+def _blank_nodes(g: Graph) -> list[BlankNode]:
+    return sorted({t for triple in g for t in triple if isinstance(t, BlankNode)})
+
+
+def same_up_to_blank_names(a: Graph, b: Graph) -> bool:
+    """Some renaming of ``a``'s blank nodes onto ``b``'s gives ``b``."""
+    old, new = _blank_nodes(a), _blank_nodes(b)
+    if len(a) != len(b) or len(old) != len(new):
+        return False
+    return any(
+        Graph(Triple(*(names.get(t, t) for t in triple)) for triple in a) == b
+        for names in (dict(zip(old, order)) for order in itertools.permutations(new))
+    )
+
+
+def test_fetch_over_http_takes_any_blank_node_label(tmp_path):
+    # Virtuoso labels blank nodes nodeID://b...; a label the N-Triples
+    # grammar refuses must not fail the page
+    url = "http://v.example.org/sparql"
+    recording = PageRecording(
+        serve(
+            tmp_path / "virtuoso.yaml",
+            url,
+            discoverable("<http://e.org/kg>", url)
+            + "<http://e.org/kg> <http://purl.org/dc/terms/publisher> _:b10005 .\n"
+            '_:b10005 <http://xmlns.com/foaf/0.1/name> "Org" .\n'
+            "_:b10005 <http://e.org/p> _:b10006 .\n"
+            "<http://e.org/kg> <http://purl.org/dc/terms/creator> _:b10006 .\n"
+            '<http://e.org/kg> <http://e.org/q> "v"@en .\n',
+        )
+    )
+    served = audit_run(recording, url, 0, FETCH, page_size=4)
+    assert served.datasets == ("http://e.org/kg",) and not served.errors
+    runs = []
+    for label in (lambda label: label, lambda label: "nodeID://" + label):
+        cells = lambda row: {name: _json_cell(term, label) for name, term in row.items()}
+        session = ScriptedSession(
+            FakeResponse(200, select_body(*map(cells, page))) for page in recording.pages
+        )
+        runs.append(audit_run(HttpTransport(session), url, 0, FETCH, page_size=4))
+        assert session.steps == []
+    plain, virtuoso = runs
+    for run in runs:
+        assert run.available and not run.errors
+        assert run.datasets == served.datasets
+        assert len(_blank_nodes(run.graph)) == len(_blank_nodes(served.graph)) > 1
+    assert same_up_to_blank_names(served.graph, plain.graph)
+    assert same_up_to_blank_names(plain.graph, virtuoso.graph)
+    assert plain.graph != virtuoso.graph
 
 
 class Ignoring(CountingTransport):

@@ -22,12 +22,15 @@ import yaml
 from kgaudit.catalog import Catalog, default_catalog, dump_catalog, parse_catalog
 from kgaudit.client import (
     DEFAULT_PAGE_SIZE,
+    CampaignConfig,
     audit_run,
     build_fetch,
     evaluate_remote_datasets,
+    run_campaign,
     score_endpoint,
 )
 from kgaudit.rdf import BlankNode, Graph, Iri, Literal, Triple, parse_ntriples, serialize_ntriples
+from kgaudit.scoring import DatasetResult, score_datasets
 from kgaudit.sparql import Variable
 from kgaudit.transport import TranscriptTransport
 
@@ -35,6 +38,7 @@ from helpers import (
     catalog_shapes,
     catalog_vocabulary,
     evaluate_graph,
+    graph_terms,
     random_metadata_graph,
     three_hop_catalog,
 )
@@ -117,6 +121,48 @@ def _route_scores(
     """(fetch route score, remote route score) of KG."""
     fetched = _fetched_scores(transport, catalog, page_size=page_size)[KG.value]
     return fetched, evaluate_remote_datasets(transport, URL, catalog, [KG])[0].score
+
+
+def _every_route(path, graph: Graph) -> dict[str, DatasetResult]:
+    """KG's result on a local graph, from an endpoint asked the expanded
+    queries, and from a one-run campaign replay."""
+    transport = _serve(path, graph)
+    config = CampaignConfig([URL], CATALOG, runs=1, delay=0.0, workers=1, transport=transport)
+    return {
+        "local": score_datasets(CATALOG, graph, [KG])[0],
+        "remote": evaluate_remote_datasets(transport, URL, CATALOG, [KG])[0],
+        "campaign": run_campaign(config).results[URL][0],
+    }
+
+
+def test_adding_a_triple_lowers_nothing_on_any_route(tmp_path):
+    predicates, constants = catalog_vocabulary(CATALOG)
+    rng = random.Random(31415)
+    new_predicate = gained = 0
+    for case in range(150):
+        g = Graph([*parse_ntriples(DISCOVERABLE), *random_metadata_graph(rng, predicates, constants)])
+        nodes = [t for t in graph_terms(g) if not isinstance(t, Literal)]
+        held = [p for p in predicates if next(g.match(None, p, None), None) is not None]
+        absent = [p for p in predicates if p not in held]
+        # every other triple names a catalog predicate the graph lacks
+        predicate = rng.choice(absent if case % 2 or not held else held)
+        new_predicate += predicate in absent
+        subject = KG if rng.random() < 0.5 else rng.choice(nodes)
+        extra = Triple(subject, predicate, rng.choice(nodes + constants + _LITERALS))
+        before = _every_route(tmp_path / "before.yaml", g)
+        after = _every_route(tmp_path / "after.yaml", Graph([*g, extra]))
+        for route, result in before.items():
+            grown = after[route]
+            assert result.dataset == grown.dataset == KG.value, route
+            for was, now in zip(result.outcomes, grown.outcomes):
+                assert was.query_id == now.query_id
+                assert now.success or not was.success, (route, extra, was.query_id)
+            for node_id, score in result.node_scores.items():
+                assert grown.node_scores[node_id] >= score, (route, extra, node_id)
+        # the routes agree, so a gain on one is a gain on all
+        assert len({r.score for r in before.values()}) == 1
+        gained += after["local"].score > before["local"].score
+    assert 60 <= new_predicate <= 90 and gained >= 30
 
 
 @pytest.mark.parametrize(

@@ -84,12 +84,25 @@ def test_decode_bindings_term_types():
     assert rows == [
         {
             "s": Iri("http://example.org/a"),
-            "b": BlankNode("n1"),
+            "b": BlankNode("b6e31"),  # the label's UTF-8 hex
             "plain": Literal("hi"),
             "tagged": Literal("salut", language="fr"),
             "typed": Literal("4", datatype="http://www.w3.org/2001/XMLSchema#integer"),
         }
     ]
+
+
+def test_decode_names_a_blank_node_for_any_label():
+    # the results format puts no bound on a label; equal labels name one
+    # node and different labels stay apart, even where one label spells
+    # another's name
+    labels = ["nodeID://b10005", "n1", "nodeID://b10005", "b6e31", "", "a b", "ünï", "n1."]
+    rows = decode_results(select_body(*({"b": {"type": "bnode", "value": v}} for v in labels)))
+    names = [row["b"] for row in rows]
+    assert all(isinstance(name, BlankNode) for name in names)
+    assert names[0] == names[2]
+    assert len(set(names)) == len(set(labels)) == len(labels) - 1
+    assert names[0] == BlankNode("b6e6f646549443a2f2f623130303035")
 
 
 def test_decode_unbound_variables_are_absent():
@@ -108,6 +121,10 @@ def test_decode_unbound_variables_are_absent():
         json.dumps({"results": {"bindings": ["row is not an object"]}}),
         json.dumps({"results": {"bindings": [{"x": {"type": "uri"}}]}}),
         json.dumps({"results": {"bindings": [{"x": {"type": "martian", "value": "v"}}]}}),
+        # a value that is not a string, of each term type
+        select_body({"x": {"type": "uri", "value": 5}}),
+        select_body({"x": {"type": "bnode", "value": None}}),
+        select_body({"x": {"type": "literal", "value": ["v"]}}),
     ],
 )
 def test_decode_malformed(body):
