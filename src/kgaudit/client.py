@@ -385,7 +385,10 @@ def score_endpoint(
     one of three runs scores exactly like one that was always up, as long
     as the up runs served the same data; with no dataset the endpoint gets
     one zero row.  A run's record holds its scores on its own data: a run
-    that served the whole union reuses the rows.
+    that served the whole union reuses the rows, and any other run is asked
+    only what the union satisfied.  Every catalog pattern is positive and
+    a run's graph is part of the union, so a query a dataset fails on the
+    union it fails on each run.
     """
     graph = Graph(triple for er in runs for triple in er.graph)
     datasets = tuple(sorted({dataset for er in runs for dataset in er.datasets}))
@@ -400,7 +403,8 @@ def score_endpoint(
         elif (er.graph, er.datasets) == (graph, datasets):
             scored = results
         else:
-            scored = score_datasets(catalog, er.graph, [Iri(d) for d in er.datasets])
+            own = [Iri(d) for d in er.datasets]
+            scored = score_datasets(catalog, er.graph, own, union=results)
         scores = tuple((result.dataset, result.score) for result in scored)
         records.append(
             RunRecord(er.endpoint, er.run, er.timestamp, er.available, scores, er.errors)

@@ -50,7 +50,7 @@ misread.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Union
 
 RDF = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDF_TYPE = RDF + "type"
@@ -221,6 +221,10 @@ class Graph:
     afterwards.  A triple met again is dropped; iteration, and each index,
     follows the order triples were first met, which keeps downstream
     output deterministic without relying on hash ordering.
+
+    The query evaluator reads the index lists through :meth:`candidates`,
+    and :meth:`match` filters them; a graph that builds its indexes lazily
+    must still provide both.
     """
 
     __slots__ = ("_triples", "_by_subject", "_by_predicate")
@@ -248,6 +252,29 @@ class Graph:
         self._by_subject = by_subject
         self._by_predicate = by_predicate
 
+    def candidates(
+        self, subject: Term | None = None, predicate: Term | None = None
+    ) -> Collection[Triple]:
+        """The index list that holds every triple with this subject and
+        predicate (None is a wildcard), which callers must not change.
+
+        With both given it is the shorter of the subject's and the
+        predicate's lists; every list keeps insertion order, so either
+        holds the matching triples in the same order.  With neither it is
+        the whole graph.  With both, the list may hold triples that match
+        only one of them, so a caller filters it, as :meth:`match` does.
+        """
+        if subject is not None:
+            listed = self._by_subject.get(subject, ())
+            if predicate is not None:
+                other = self._by_predicate.get(predicate, ())
+                if len(other) < len(listed):
+                    return other
+            return listed
+        if predicate is not None:
+            return self._by_predicate.get(predicate, ())
+        return self._triples
+
     def match(
         self,
         subject: Term | None = None,
@@ -256,24 +283,11 @@ class Graph:
     ) -> Iterator[Triple]:
         """Yield triples matching the given positions; None is a wildcard.
 
-        With subject and predicate both given, the shorter of their index
-        lists is scanned; both keep insertion order, so either yields the
-        same triples in the same order.
+        They are the triples of :meth:`candidates` that match, in its order.
         """
-        if subject is not None:
-            candidates: Iterable[Triple] = self._by_subject.get(subject, ())
-            if predicate is not None:
-                listed = self._by_predicate.get(predicate, ())
-                if len(listed) < len(candidates):
-                    for t in listed:
-                        if t.subject == subject and (object is None or t.object == object):
-                            yield t
-                    return
-        elif predicate is not None:
-            candidates = self._by_predicate.get(predicate, ())
-        else:
-            candidates = self._triples
-        for t in candidates:
+        for t in self.candidates(subject, predicate):
+            if subject is not None and t.subject != subject:
+                continue
             if predicate is not None and t.predicate != predicate:
                 continue
             if object is not None and t.object != object:

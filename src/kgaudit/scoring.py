@@ -125,14 +125,30 @@ def build_result(
 
 
 def score_datasets(
-    catalog: Catalog, graph: Graph, datasets: Sequence[Iri]
+    catalog: Catalog,
+    graph: Graph,
+    datasets: Sequence[Iri],
+    *,
+    union: Sequence[DatasetResult] | None = None,
 ) -> list[DatasetResult]:
     """Score datasets of one local graph: ask each expanded query of it
-    once for all of them, as the remote route asks an endpoint."""
-    answers = {
-        qid: set(values_with_solution(graph, query.pattern, KG.name, datasets))
-        for qid, query in catalog.expanded.items()
-    }
+    once for all of them, as the remote route asks an endpoint.
+
+    ``union`` holds the results, for these datasets among others, of a
+    graph that holds every triple of ``graph``.  Every catalog pattern is
+    positive (BGPs, UNION and VALUES), so a query a dataset fails there it
+    fails here too, and each query is asked only for the datasets it
+    succeeded for there.
+    """
+    satisfied = None
+    if union is not None:
+        satisfied = {(r.dataset, o.query_id) for r in union for o in r.outcomes if o.success}
+    answers = {}
+    for qid, query in catalog.expanded.items():
+        asked = datasets
+        if satisfied is not None:
+            asked = [dataset for dataset in datasets if (dataset.value, qid) in satisfied]
+        answers[qid] = set(values_with_solution(graph, query.pattern, KG.name, asked))
     return results_from_answers(catalog, datasets, answers)
 
 

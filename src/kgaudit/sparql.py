@@ -21,18 +21,21 @@ Evaluation implements natural-join semantics over an in-memory graph with
 distinct solutions.  Inside a BGP the pattern with the most bound
 positions is joined first, the earliest on a tie; that order depends only
 on the names bound when the BGP starts, so it is planned once per BGP and
-set of bound names and kept on the :class:`Bgp`.  A pattern naming a
-predicate no triple has matches nothing after one index lookup
-(:meth:`rdf.Graph.match`), so the join stops there with no solution.
-:func:`values_with_solution` asks which values of one variable have a
-solution, stopping at the first solution of each; it answers a SELECT
-that projects only the variable its leading inline data binds.
+set of bound names and kept on the :class:`Bgp`.
+
+One join walk serves every question.  It reads the graph's index lists
+(:meth:`rdf.Graph.candidates`), so a pattern naming a predicate no triple
+has matches nothing after one lookup, and it hands each solution, depth
+first, to a callback that may stop it.  A SELECT collects every solution
+in that order; existence stops at the first, for every pattern kind:
+:func:`eval_ask`, and :func:`values_with_solution`, which asks which
+values of one variable have a solution and so answers a SELECT that
+projects only the variable its leading inline data binds.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union as TypingUnion
+from typing import Callable, Iterable, Mapping, NamedTuple, Union as TypingUnion
 
 from .rdf import (
     RDF_TYPE,
@@ -589,6 +592,9 @@ def _substitute_term(term: PatternTerm, values: Mapping[str, Term]) -> PatternTe
 # ---------------------------------------------------------------------------
 # Solutions and evaluation
 
+# Takes one solution; a true result stops the walk that found it.
+_Emit = Callable[[dict[str, Term]], object]
+
 
 def _plan(bgp: Bgp, bound: frozenset[str]) -> tuple[tuple, ...]:
     """The join order of ``bgp`` when the names ``bound`` are bound at its
@@ -620,50 +626,86 @@ def _plan(bgp: Bgp, bound: frozenset[str]) -> tuple[tuple, ...]:
 
 
 def _walk(
-    g: Graph, steps: tuple[tuple, ...], depth: int, binding: dict[str, Term]
-) -> Iterator[dict[str, Term]]:
+    g: Graph, steps: tuple[tuple, ...], depth: int, binding: dict[str, Term], emit: _Emit
+) -> bool:
+    """Hand each solution of the steps from ``depth`` on, extending
+    ``binding``, to ``emit``, in order; True as soon as ``emit`` is."""
     match, supplied, new, same = steps[depth]
     if supplied:
         match = list(match)
         for i, name in supplied:
             match[i] = binding[name]
+    s, p, o = match
     last = depth + 1 == len(steps)
-    for triple in g.match(*match):
-        if same and any(triple[i] != triple[j] for i, j in same):
+    for triple in g.candidates(s, p):
+        if (
+            (s is not None and triple[0] != s)
+            or (p is not None and triple[1] != p)
+            or (o is not None and triple[2] != o)
+            or (same and any(triple[i] != triple[j] for i, j in same))
+        ):
             continue
         extended = dict(binding)
         for i, name in new:
             extended[name] = triple[i]
-        if last:
-            yield extended
-        else:
-            yield from _walk(g, steps, depth + 1, extended)
+        if emit(extended) if last else _walk(g, steps, depth + 1, extended, emit):
+            return True
+    return False
 
 
-def _gen(g: Graph, pattern: GroupPattern, binding: dict[str, Term]) -> Iterator[dict[str, Term]]:
+def _solve(g: Graph, pattern: GroupPattern, binding: dict[str, Term], emit: _Emit) -> bool:
+    """Hand each solution of ``pattern`` that extends ``binding`` to
+    ``emit``, depth first; True as soon as ``emit`` is, which stops the
+    search there."""
     if isinstance(pattern, Bgp):
         bound = frozenset(binding)
         steps = pattern.plans.get(bound)
         if steps is None:
             steps = pattern.plans[bound] = _plan(pattern, bound)
-        return _walk(g, steps, 0, binding) if steps else iter((binding,))
+        return _walk(g, steps, 0, binding, emit) if steps else bool(emit(binding))
     if isinstance(pattern, UnionPattern):
-        return chain.from_iterable(_gen(g, branch, binding) for branch in pattern.branches)
+        for branch in pattern.branches:
+            if _solve(g, branch, binding, emit):
+                return True
+        return False
     if isinstance(pattern, InlineData):
         bound = binding.get(pattern.variable)
         if bound is None:
-            return ({**binding, pattern.variable: value} for value in pattern.values)
-        return (binding for value in pattern.values if value == bound)
-    return _gen_seq(g, pattern.parts, binding)
+            return any(emit({**binding, pattern.variable: value}) for value in pattern.values)
+        return any(emit(binding) for value in pattern.values if value == bound)
+    return _solve_seq(g, pattern.parts, 0, binding, emit)
 
 
-def _gen_seq(
-    g: Graph, parts: tuple[GroupPattern, ...], binding: dict[str, Term]
-) -> Iterator[dict[str, Term]]:
-    if len(parts) < 2:
-        return _gen(g, parts[0], binding) if parts else iter((binding,))
-    rest = parts[1:]
-    return (solution for head in _gen(g, parts[0], binding) for solution in _gen_seq(g, rest, head))
+def _solve_seq(
+    g: Graph, parts: tuple[GroupPattern, ...], index: int, binding: dict[str, Term], emit: _Emit
+) -> bool:
+    if index == len(parts):
+        return bool(emit(binding))
+    if index + 1 == len(parts):
+        return _solve(g, parts[index], binding, emit)
+
+    def rest(head: dict[str, Term]) -> bool:
+        return _solve_seq(g, parts, index + 1, head, emit)
+
+    return _solve(g, parts[index], binding, rest)
+
+
+def _found(solution: dict[str, Term]) -> bool:
+    return True
+
+
+def _exists(g: Graph, pattern: GroupPattern, binding: dict[str, Term]) -> bool:
+    """Whether ``pattern`` has a solution extending ``binding``: the walk
+    stops at the first."""
+    return _solve(g, pattern, binding, _found)
+
+
+def _gen(g: Graph, pattern: GroupPattern, binding: dict[str, Term]) -> list[dict[str, Term]]:
+    """Every solution of ``pattern`` that extends ``binding``, in the order
+    the walk meets them."""
+    out: list[dict[str, Term]] = []
+    _solve(g, pattern, binding, out.append)
+    return out
 
 
 def eval_bgp(g: Graph, patterns: Bgp | Iterable[TriplePattern]) -> list[dict[str, Term]]:
@@ -677,14 +719,14 @@ def eval_bgp(g: Graph, patterns: Bgp | Iterable[TriplePattern]) -> list[dict[str
     from one call to the next.
     """
     bgp = patterns if isinstance(patterns, Bgp) else Bgp(tuple(patterns))
-    return list(_gen(g, bgp, {}))
+    return _gen(g, bgp, {})
 
 
 def eval_ask(g: Graph, query: Query) -> bool:
     """True iff the pattern of an ASK query has at least one solution."""
     if query.form != "ask":
         raise SparqlError("eval_ask needs an ASK query")
-    return next(_gen(g, query.pattern, {}), None) is not None
+    return _exists(g, query.pattern, {})
 
 
 def values_with_solution(
@@ -694,7 +736,7 @@ def values_with_solution(
     bound to them, each once, in the order given: what
     ``SELECT ?name { VALUES ?name { values } pattern }`` answers."""
     unique = dict.fromkeys(values)
-    return [value for value in unique if next(_gen(g, pattern, {name: value}), None) is not None]
+    return [value for value in unique if _exists(g, pattern, {name: value})]
 
 
 def eval_select(g: Graph, query: Query) -> list[dict[str, Term]]:

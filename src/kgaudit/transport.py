@@ -236,7 +236,10 @@ def decode_results(body: str) -> list[dict[str, Term]]:
     The format puts no bound on a blank-node label (Virtuoso writes
     ``nodeID://b10005``), so a blank node is named ``b`` and the hex of its
     label's UTF-8 bytes: any label gives a valid name, and only equal
-    labels give equal names."""
+    labels give equal names.  A literal's datatype and language must be
+    strings, and its datatype an IRI, so that every decoded literal
+    writes N-Triples that read back; a binding that breaks any rule of
+    the format is ``malformed``."""
     try:
         doc = json.loads(body)
     except json.JSONDecodeError as exc:
@@ -269,11 +272,14 @@ def _decode_row(row: object) -> dict[str, Term]:
             elif kind == "bnode":
                 out[name] = BlankNode("b" + value.encode("utf-8").hex())
             elif kind in ("literal", "typed-literal"):
-                out[name] = Literal(
-                    value,
-                    datatype=cell.get("datatype"),
-                    language=cell.get("xml:lang"),
-                )
+                datatype, language = cell.get("datatype"), cell.get("xml:lang")
+                if any(f is not None and not isinstance(f, str) for f in (datatype, language)):
+                    raise TransportError(
+                        "malformed", f"datatype or language of ?{name} is not a string"
+                    )
+                # through Iri, so that the literal writes N-Triples that read back
+                datatype = None if datatype is None else Iri(datatype).value
+                out[name] = Literal(value, datatype, language)
             else:
                 raise TransportError(
                     "malformed", f"unknown term type {kind!r} for ?{name}"

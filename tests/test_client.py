@@ -349,6 +349,62 @@ def test_fetch_over_http_takes_any_blank_node_label(tmp_path):
     assert plain.graph != virtuoso.graph
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"datatype": "a b"},
+        {"datatype": 5},
+        {"datatype": "http://e.org/d>"},
+        {"datatype": None, "xml:lang": 5},
+    ],
+)
+def test_a_literal_that_would_not_read_back_fails_its_run_and_the_campaign_resumes(
+    tmp_path, fields
+):
+    # kept, such a literal would make the journal unreadable; a language
+    # that is no string would stop the campaign with a TypeError
+    url = "http://l.example.org/sparql"
+    recording = PageRecording(
+        serve(
+            tmp_path / "typed.yaml",
+            url,
+            discoverable("<http://e.org/kg>", url)
+            + "<http://e.org/kg> <http://purl.org/dc/terms/modified> "
+            + '"2024"^^<http://e.org/year> .\n',
+        )
+    )
+    served = audit_run(recording, url, 0, FETCH)
+    assert served.datasets == ("http://e.org/kg",) and not served.errors
+
+    def cell(term) -> dict:
+        plain = _json_cell(term, lambda label: label)
+        return {**plain, **fields} if plain["type"] == "literal" else plain
+
+    pages = [
+        [{name: cell(term) for name, term in row.items()} for row in page]
+        for page in recording.pages
+    ]
+    assert any("datatype" in c for page in pages for row in page for c in row.values())
+    session = ScriptedSession(FakeResponse(200, select_body(*page)) for page in pages)
+    config = CampaignConfig(
+        [url],
+        default_catalog(),
+        runs=1,
+        delay=0.0,
+        journal_path=str(tmp_path / "journal.jsonl"),
+        transport=HttpTransport(session),
+    )
+    first = run_campaign(config)
+    [record] = first.runs
+    assert record.available and record.scores == ()
+    assert record.errors == (("fetch", "malformed"),)
+    # the journal reads back, and the resumed campaign sends no request
+    idle = ScriptedSession([])
+    again = run_campaign(config._replace(transport=HttpTransport(idle)))
+    assert idle.calls == []
+    assert again.runs == first.runs and again == first
+
+
 class Ignoring(CountingTransport):
     """An endpoint that ignores one solution modifier, ``limit`` or
     ``offset``; the sixth request fails the test rather than hang it."""
@@ -725,9 +781,9 @@ def test_campaign_scores_each_endpoint_once_and_each_differing_run(
     scored = []
     real = client.score_datasets
 
-    def counting(catalog, graph, datasets):
+    def counting(catalog, graph, datasets, **keywords):
         scored.append(graph)
-        return real(catalog, graph, datasets)
+        return real(catalog, graph, datasets, **keywords)
 
     monkeypatch.setattr(client, "score_datasets", counting)
     report = run_campaign(CampaignConfig(**{**config._asdict(), "transport": transport}))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -626,3 +627,139 @@ def test_plans_leave_equality_hash_and_repr_unchanged() -> None:
     assert used == fresh and hash(used.pattern) == hash(fresh.pattern)
     assert repr(used) == repr(fresh) and "plans" not in repr(used)
     assert used.pattern._replace().plans == {}
+
+
+# ---------------------------------------------------------------------------
+# The one join walk: index lists, enumeration and existence
+
+
+def test_match_is_a_filter_over_the_index_list() -> None:
+    rng = random.Random(808)
+    for _ in range(60):
+        g = small_graph(rng)
+        terms = graph_terms(g) + [Iri("http://example.org/none")]
+        for s_bound, p_bound, o_bound in itertools.product((False, True), repeat=3):
+            s = rng.choice(terms) if s_bound else None
+            p = rng.choice(terms) if p_bound else None
+            o = rng.choice(terms) if o_bound else None
+            listed = list(g.candidates(s, p))
+            def fits(t: Triple) -> bool:
+                return all(want is None or have == want for have, want in zip(t, (s, p, o)))
+
+            expected = [t for t in listed if fits(t)]
+            assert list(g.match(s, p, o)) == expected
+            assert set(expected) == {t for t in g if fits(t)}
+            # the shorter of the bound positions' lists, the whole graph when none is bound
+            lengths = [len(list(g.candidates(s))) if s_bound else None]
+            lengths.append(len(list(g.candidates(None, p))) if p_bound else None)
+            bound = [n for n in lengths if n is not None]
+            assert len(listed) == (min(bound) if bound else len(g))
+
+
+def random_group(rng: random.Random, g: Graph, depth: int = 0):
+    """A group pattern over a small graph: nested UNIONs, groups led by
+    VALUES, and BGPs with constants and repeated variables."""
+    roll = rng.random()
+    if depth < 2 and roll < 0.3:
+        branches = [random_group(rng, g, depth + 1) for _ in range(rng.randint(2, 3))]
+        return UnionPattern(tuple(branches))
+    if depth < 2 and roll < 0.6:
+        parts = [random_group(rng, g, depth + 1) for _ in range(rng.randint(1, 2))]
+        if rng.random() < 0.7:
+            terms = [t for t in graph_terms(g) if not isinstance(t, BlankNode)]
+            values = [rng.choice(terms + [Iri("http://example.org/none")]) for _ in range(3)]
+            parts.insert(0, InlineData(rng.choice("xyz"), tuple(values)))
+        return SeqPattern(tuple(parts))
+    return Bgp(tuple(random_bgp(rng, g, max_patterns=3)))
+
+
+def ref_solutions(g: Graph, pattern, binding: dict):
+    """The solutions in the order the walk must meet them: depth first,
+    BGPs in the greedy join order, UNION branches and group parts in turn."""
+    if isinstance(pattern, Bgp):
+        yield from greedy_solutions(g, list(pattern.patterns), binding)
+    elif isinstance(pattern, UnionPattern):
+        for branch in pattern.branches:
+            yield from ref_solutions(g, branch, binding)
+    elif isinstance(pattern, InlineData):
+        for value in pattern.values:
+            if pattern.variable not in binding:
+                yield {**binding, pattern.variable: value}
+            elif binding[pattern.variable] == value:
+                yield binding
+    else:
+
+        def seq(parts, current):
+            if not parts:
+                yield current
+                return
+            for head in ref_solutions(g, parts[0], current):
+                yield from seq(parts[1:], head)
+
+        yield from seq(pattern.parts, binding)
+
+
+def test_existence_and_select_agree_with_the_enumeration() -> None:
+    rng = random.Random(4242)
+    stopped_early = 0
+    for _ in range(300):
+        g = small_graph(rng, max_triples=30)
+        pattern = random_group(rng, g)
+        every = sparql._gen(g, pattern, {})
+        assert every == list(ref_solutions(g, pattern, {}))
+        assert eval_ask(g, Query("ask", None, pattern)) is bool(every)
+        rows = eval_select(g, Query("select", (), pattern))
+        assert solutions_as_sets(rows) == solutions_as_sets(every)
+        # a name the pattern lacks when it has none: every value or none fits
+        name = rng.choice(sorted(pattern_variables(pattern)) or ["x"])
+        terms = [t for t in graph_terms(g) if not isinstance(t, BlankNode)]
+        values = [rng.choice(terms + [Iri("http://example.org/none")]) for _ in range(6)]
+        found = values_with_solution(g, pattern, name, values)
+        assert found == [v for v in dict.fromkeys(values) if sparql._gen(g, pattern, {name: v})]
+        # joining with VALUES: a solution that leaves the name unbound fits any value
+        assert set(found) == {v for v in values if any(s.get(name, v) == v for s in every)}
+        select = bind_values(Query("select", (name,), pattern), name, values)
+        assert [row[name] for row in eval_select(g, select)] == sorted(found, key=term_sort_key)
+        stopped_early += len(every) > 1
+    assert stopped_early > 50
+
+
+class CountingGraph(Graph):
+    """Counts the index lists the walk asks for."""
+
+    def __init__(self, triples) -> None:
+        super().__init__(triples)
+        self.asked: list[tuple] = []
+
+    def candidates(self, subject=None, predicate=None):
+        self.asked.append((subject, predicate))
+        return super().candidates(subject, predicate)
+
+
+def test_existence_stops_at_the_first_solution() -> None:
+    ex = "http://example.org/"
+    p, q = Iri(f"{ex}p"), Iri(f"{ex}q")
+    g = CountingGraph(
+        Triple(Iri(f"{ex}s{i}"), p, Iri(f"{ex}o{j}")) for i in range(20) for j in range(5)
+    )
+    s, t, o = Variable("s"), Variable("t"), Variable("o")
+    join = Bgp((TriplePattern(s, p, o), TriplePattern(t, p, o)))
+    union = UnionPattern((join, Bgp((TriplePattern(s, q, o),))))
+    assert len(sparql._gen(g, union, {})) == 20 * 5 * 20
+    # one solution handed over, then the walk is done
+    calls = []
+    assert sparql._solve(g, union, {}, lambda solution: calls.append(solution) or True) is True
+    assert len(calls) == 1
+    # the first branch's two steps each ask once; the second branch is never asked
+    g.asked.clear()
+    assert eval_ask(g, Query("ask", None, union)) is True
+    assert g.asked == [(None, p), (None, p)]
+    # so does each value of a group led by VALUES
+    g.asked.clear()
+    values = (Iri(f"{ex}s0"), Iri(f"{ex}s1"), Iri(f"{ex}none"))
+    select = bind_values(Query("select", ("s",), union), "s", values)
+    assert eval_select(g, select) == [{"s": values[0]}, {"s": values[1]}]
+    assert len(g.asked) == 2 + 2 + 2
+    g.asked.clear()
+    assert values_with_solution(g, union, "s", values) == list(values[:2])
+    assert len(g.asked) == 2 + 2 + 2

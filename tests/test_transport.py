@@ -28,7 +28,16 @@ from kgaudit.client import (
     evaluate_remote_datasets,
     fetch_metadata,
 )
-from kgaudit.rdf import BlankNode, Graph, Iri, Literal
+from kgaudit.rdf import (
+    XSD,
+    BlankNode,
+    Graph,
+    Iri,
+    Literal,
+    Triple,
+    parse_ntriples,
+    serialize_ntriples,
+)
 from kgaudit.sparql import bind_values, format_query, parse_query
 from kgaudit.transport import (
     DEFAULT_TIMEOUT,
@@ -131,6 +140,39 @@ def test_decode_malformed(body):
     with pytest.raises(TransportError) as err:
         decode_results(body)
     assert err.value.kind == "malformed"
+
+
+BAD_LITERAL_FIELDS = [
+    {"datatype": "a b"},
+    {"datatype": 5},
+    {"datatype": "http://e.org/d>"},
+    {"datatype": ""},
+    {"datatype": None, "xml:lang": 5},
+    {"xml:lang": ["en"]},
+]
+
+
+@pytest.mark.parametrize("fields", BAD_LITERAL_FIELDS)
+def test_decode_refuses_a_literal_that_would_not_read_back(fields):
+    # kept, each would be written to a journal as N-Triples that no reader
+    # takes back; a datatype is never dropped, which would skew the score
+    body = select_body({"o": {"type": "typed-literal", "value": "4", **fields}})
+    with pytest.raises(TransportError) as err:
+        decode_results(body)
+    assert err.value.kind == "malformed"
+    assert "?o" in str(err.value)
+
+
+def test_decoded_literals_write_n_triples_that_read_back():
+    cells = [
+        {"type": "typed-literal", "value": "4", "datatype": XSD + "integer"},
+        {"type": "literal", "value": 'q"\\', "datatype": "urn:x:d", "xml:lang": None},
+        {"type": "literal", "value": "salut", "xml:lang": "fr-CA"},
+    ]
+    rows = decode_results(select_body(*({"o": cell} for cell in cells)))
+    assert [row["o"].datatype for row in rows] == [cells[0]["datatype"], "urn:x:d", None]
+    graph = Graph(Triple(Iri("http://e.org/s"), Iri("http://e.org/p"), row["o"]) for row in rows)
+    assert parse_ntriples(serialize_ntriples(graph)) == graph
 
 
 @pytest.mark.parametrize("value", ["http://e.org/a\tb", "http://e.org/a\nb", "http://e.org/\ud800"])
