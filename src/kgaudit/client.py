@@ -432,7 +432,10 @@ class Journal:
     count; every line carries a checksum over its record.  A run record
     holds the run's fetched graph as one N-Triples text and its datasets
     (format 4, blank nodes named after their fetch page; older formats are
-    refused).
+    refused).  Loading reads each distinct text once, and all of them
+    through one memo of :func:`~kgaudit.rdf.parse_ntriples`, so a line that
+    recurs across records, as most lines of one endpoint's runs do, is
+    matched and built once per load.
     An unterminated last line is an append a crash cut short: loading
     drops it, so that cell is audited again.  Any other mismatch means the
     file was edited or belongs elsewhere, and resuming would silently skew
@@ -447,8 +450,9 @@ class Journal:
     def load(self) -> dict[tuple[str, int], EndpointRun]:
         completed: dict[tuple[str, int], EndpointRun] = {}
         # by N-Triples text: runs that saw the same share one graph, which
-        # nothing can change
+        # nothing can change; every text is read through one memo
         graphs: dict[str, Graph] = {}
+        memo: dict[str, Triple | Term] = {}
         header = self._line("header", self._header).encode("utf-8")
         try:
             with open(self.path, "rb") as handle:
@@ -481,7 +485,7 @@ class Journal:
                 continue
             if kind != "run":
                 raise JournalError(f"{self.path}:{number}: unexpected record kind {kind!r}")
-            er = _run_from_record(self.path, number, record, graphs)
+            er = _run_from_record(self.path, number, record, graphs, memo)
             completed[(er.endpoint, er.run)] = er
         if whole != data:
             note = f"{self.path}: dropped an unterminated last line; its run is audited again"
@@ -520,15 +524,20 @@ class Journal:
 
 
 def _run_from_record(
-    path: str, number: int, record: dict, graphs: dict[str, Graph]
+    path: str,
+    number: int,
+    record: dict,
+    graphs: dict[str, Graph],
+    memo: dict[str, Triple | Term],
 ) -> EndpointRun:
     """The run a journal record holds; its graph is taken from ``graphs``
-    when an earlier record held the same text, and added to it otherwise."""
+    when an earlier record held the same text, and read through ``memo``
+    and added to it otherwise."""
     try:
         text = record["graph"]
         graph = graphs.get(text)
         if graph is None:
-            graph = graphs[text] = parse_ntriples(text)
+            graph = graphs[text] = parse_ntriples(text, memo=memo)
         return EndpointRun(
             endpoint=record["endpoint"],
             run=int(record["run"]),

@@ -31,7 +31,10 @@ The N-Triples reader matches each statement line against one compiled
 regular expression built from the RDF 1.1 N-Triples productions, so a
 line is either a whole valid statement or rejected with its line number.
 Terms are interned per parse: each distinct spelling is built, and
-validated, once.
+validated, once.  A caller that reads many texts sharing lines (the runs
+of a transcript, the records of a journal) passes one memo to all of
+them, which interns lines like terms: each distinct line is matched and
+built once per memo, and gives the same triple object wherever it recurs.
 
 Turtle and the SPARQL fragment (``sparql``) share one lexer: a single
 compiled regular expression, built from the same N-Triples productions
@@ -381,7 +384,7 @@ def _unescape(token: str) -> str:
     return _ESCAPE_RE.sub(_decode_escape, token) if "\\" in token else token
 
 
-def parse_ntriples(text: str) -> Graph:
+def parse_ntriples(text: str, memo: dict[str, Triple | Term] | None = None) -> Graph:
     """Parse N-Triples; raises ParseError with the line number on bad input.
 
     Each statement line must match ``_NT_STATEMENT`` as a whole; a line it
@@ -391,6 +394,17 @@ def parse_ntriples(text: str) -> Graph:
     escape that names no character, or a term its class refuses (such as
     a relative IRI), raises ParseError for the line it first appears on.
 
+    ``memo``, a dict that starts empty and that the caller passes with
+    every text it reads, interns lines as well as terms: it maps each
+    statement line already read, stripped, to its triple, and each
+    spelling to its term, so a line met again in any text read through
+    the memo is neither matched nor built, and gives the identical
+    ``Triple``.  A line enters it only
+    once it has matched and its terms are built, so a line that is not
+    valid is read, and refused with its own number, every time.  No line
+    is spelled like a term, since a line holds three.  Without a memo the
+    terms are interned per text and no line is kept.
+
     Lines end at LF, CR or CRLF, each one break, as the N-Triples EOL
     production has it; no other character ends a line, so a literal may
     hold U+0085 or U+2028.  Only space and tab are white space: a line
@@ -398,25 +412,31 @@ def parse_ntriples(text: str) -> Graph:
     and U+2028 included, is refused.
     """
     triples = []
-    terms: dict[str, Term] = {}
+    terms: dict[str, Triple | Term] = {} if memo is None else memo
     known = terms.get
     statement = _NT_STATEMENT.fullmatch
     for lineno, raw in enumerate(_lf_lines(text).split("\n"), start=1):
         line = raw.strip(" \t")
         if not line or line[0] == "#":
             continue
+        if memo is not None:
+            triple = known(line)
+            if triple is not None:
+                triples.append(triple)
+                continue
         match = statement(line)
         if match is None:
             raise ParseError(f"malformed N-Triples statement: {line!r}", lineno)
         s, p, o, lexical, language, datatype = match.groups()
         # a term is a non-empty tuple, so it is never false
-        triples.append(
-            Triple(
-                known(s) or _nt_term(terms, lineno, s),
-                known(p) or _nt_term(terms, lineno, p),
-                known(o) or _nt_term(terms, lineno, o, lexical, language, datatype),
-            )
+        triple = Triple(
+            known(s) or _nt_term(terms, lineno, s),
+            known(p) or _nt_term(terms, lineno, p),
+            known(o) or _nt_term(terms, lineno, o, lexical, language, datatype),
         )
+        if memo is not None:
+            memo[line] = triple
+        triples.append(triple)
     return Graph(triples)
 
 
@@ -428,7 +448,7 @@ def _lf_lines(text: str) -> str:
 
 
 def _nt_term(
-    terms: dict[str, Term],
+    terms: dict[str, Triple | Term],
     lineno: int,
     token: str,
     lexical: str | None = None,

@@ -759,8 +759,12 @@ def eval_select(g: Graph, query: Query) -> list[dict[str, Term]]:
             key = tuple(binding.get(name) for name in names)
             seen.setdefault(key, {name: binding[name] for name in names if name in binding})
 
+    # each distinct term's sort key once, not once per row position
+    order = {term: term_sort_key(term) for term in {t for key in seen for t in key} - {None}}
+    order[None] = (-1, "")  # unbound sorts first
+
     def row_key(key: tuple) -> tuple:
-        return tuple((-1, "") if term is None else term_sort_key(term) for term in key)
+        return tuple(map(order.__getitem__, key))
 
     end = None if query.limit is None else query.offset + query.limit
     return [seen[key] for key in sorted(seen, key=row_key)[query.offset : end]]

@@ -27,10 +27,11 @@ YAML loader (libyaml when present) and the type of every field is checked
 at once: a file that is not YAML or holds a field of the wrong type is
 refused with a ``ValueError`` naming the file, endpoint and run.  A run's
 N-Triples are parsed, and checked, only when the run is first queried,
-each distinct text once, so a resumed campaign that sends no request
-parses none; a text that is not N-Triples raises the same kind of
-``ValueError`` then.  The package's own evaluator answers the client's
-queries directly, paging included, and ``run_timestamp`` hands out the
+each distinct text once and each distinct line once, so a resumed
+campaign that sends no request parses none; a text that is not N-Triples
+raises the same kind of ``ValueError`` then.  The package's own evaluator
+answers the client's queries directly, paging included, each distinct
+question once per text, and ``run_timestamp`` hands out the
 recorded timestamps (``""`` where none is recorded), which makes campaign
 runs fully deterministic: a replay never reads the clock.
 """
@@ -47,7 +48,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Protocol
 import yaml
 
 from .catalog import load_yaml
-from .rdf import BlankNode, Graph, Iri, Literal, ParseError, Term, parse_ntriples
+from .rdf import BlankNode, Graph, Iri, Literal, ParseError, Term, Triple, parse_ntriples
 from .sparql import Query, eval_select, format_query
 
 if TYPE_CHECKING:
@@ -326,7 +327,18 @@ class TranscriptTransport:
     run that is never queried, or recorded as down, is never parsed.  A
     text is parsed under a lock, so it is parsed exactly once however
     many workers meet it at once; a worker whose text is already parsed
-    takes no lock.
+    takes no lock.  Every text is read through one memo of
+    :func:`~kgaudit.rdf.parse_ntriples`, written under that lock, so a
+    line that recurs across runs, as most lines of a recorded endpoint
+    do, is matched and built once per transcript.
+
+    Each distinct question is answered once per text: the rows of a query
+    are remembered under the run's text and the query's form, projection,
+    pattern, limit and offset (its prefixes change no answer), and a run
+    serving that text answers the same question from memory.  Two
+    workers asking it at once may both evaluate it, to equal rows.  Each
+    call returns a new list, but the rows in it are shared, and callers
+    must not change them.
 
     A campaign asking for a run beyond the recorded ones gets the last
     recorded run.  Unavailable runs refuse queries with a connection
@@ -341,6 +353,8 @@ class TranscriptTransport:
             raise ValueError(f"{path}: not valid YAML: {exc}") from None
         self._endpoints: dict[str, list[TranscriptRun]] = {}
         self._graphs: dict[str, Graph] = {}  # by N-Triples text
+        self._memo: dict[str, Triple | Term] = {}  # every run's lines and terms
+        self._answers: dict[tuple, list[dict[str, Term]]] = {}
         self._parse_lock = threading.Lock()
         if not isinstance(doc, dict) or not isinstance(doc.get("endpoints"), dict):
             raise ValueError(f"{path}: transcript needs an 'endpoints' mapping")
@@ -369,10 +383,15 @@ class TranscriptTransport:
         entry = self._run(url, run)
         if not entry.available:
             raise TransportError("connection", f"endpoint {url} is recorded as down")
-        graph = self._graphs.get(entry.data)
-        if graph is None:
-            graph = self._parse(entry)
-        return eval_select(graph, query)
+        # prefixes change no answer, and a query holding them cannot be hashed
+        key = (entry.data, query.form, query.projection, query.pattern, query.limit, query.offset)
+        rows = self._answers.get(key)
+        if rows is None:
+            graph = self._graphs.get(entry.data)
+            if graph is None:
+                graph = self._parse(entry)
+            rows = self._answers[key] = eval_select(graph, query)
+        return list(rows)
 
     def _parse(self, entry: TranscriptRun) -> Graph:
         with self._parse_lock:
@@ -380,7 +399,7 @@ class TranscriptTransport:
             graph = self._graphs.get(entry.data)
             if graph is None:
                 try:
-                    graph = parse_ntriples(entry.data)
+                    graph = parse_ntriples(entry.data, memo=self._memo)
                 except ParseError as exc:
                     raise ValueError(f"{entry.where}: {exc}") from None
                 self._graphs[entry.data] = graph

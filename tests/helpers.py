@@ -71,9 +71,9 @@ def counted_parse(monkeypatch, module) -> list[str]:
     replaced by a recording one."""
     parsed = []
 
-    def counting(text):
+    def counting(text, memo=None):
         parsed.append(text)
-        return parse_ntriples(text)
+        return parse_ntriples(text, memo)
 
     monkeypatch.setattr(module, "parse_ntriples", counting)
     return parsed

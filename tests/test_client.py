@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import test_route_duality as duality
 from test_transport import FakeClock, FakeResponse, ScriptedSession, select_body
-from helpers import FIXTURES, catalog_shapes, catalog_vocabulary, counted_parse
+from helpers import FIXTURES, catalog_shapes, catalog_vocabulary, counted_parse, random_triple
 
 FULL_ENDPOINT = "http://example.org/sparql"
 SPARSE_ENDPOINT = "http://sparse.example.org/sparql"
@@ -1130,6 +1130,28 @@ def test_journal_parses_each_repeated_text_once(tmp_path, config, monkeypatch):
     assert sorted(parsed) == sorted(set(texts))
     resumed = run_campaign(journaled)
     assert reporting.to_json(resumed, config.catalog) == reporting.to_json(first, config.catalog)
+
+
+def test_a_journal_whose_records_share_lines_loads_as_one_parse_per_record(tmp_path):
+    rng = random.Random(37)
+    pool = list(dict.fromkeys(random_triple(rng) for _ in range(60)))
+    path = tmp_path / "journal.jsonl"
+    journal = Journal(str(path), default_catalog(), 3)
+    journal.load()
+    for n in range(6):
+        graph = Graph(rng.sample(pool, rng.randrange(20, len(pool))))
+        journal.append(EndpointRun(f"http://e{n % 2}.org/sparql", n // 2, "", True, graph, ()))
+    records = [json.loads(line)["record"] for line in path.read_text().splitlines()[1:]]
+    lines = [line for record in records for line in record["graph"].splitlines()]
+    assert len(set(lines)) < len(lines)
+    loaded = Journal(str(path), default_catalog(), 3).load()
+    assert len(loaded) == len(records) == 6
+    shared: dict[Triple, Triple] = {}
+    for record in records:
+        er = loaded[(record["endpoint"], record["run"])]
+        # the same triples in the same order, and one object per line
+        assert list(er.graph) == list(parse_ntriples(record["graph"]))
+        assert all(shared.setdefault(triple, triple) is triple for triple in er.graph)
 
 
 def test_journal_refuses_checksum_mismatch(tmp_path, config):

@@ -24,6 +24,7 @@ from helpers import (
     RefLiteral,
     RefTriple,
     random_graph,
+    random_triple,
     ref_format_term,
 )
 from kgaudit.rdf import (
@@ -714,6 +715,66 @@ def test_ntriples_interns_terms_within_a_parse() -> None:
     first, second = list(g)
     assert first.subject is second.subject
     assert first.object is second.object
+
+
+def shared_texts(rng: random.Random) -> list[str]:
+    """Texts drawing their lines from one pool, so that most lines recur,
+    padded and spaced out with comments, blank lines and CRLF or CR ends."""
+    pool = serialize_ntriples(Graph(random_triple(rng) for _ in range(60))).splitlines()
+    pool += ["_:b1 <http://e.org/p> _:b2 .", '_:b1 <http://e.org/p> "x"@en . # a note']
+    texts = []
+    for _ in range(6):
+        lines = [rng.choice(["", " ", "\t"]) + line for line in rng.choices(pool, k=40)]
+        lines += ["# a comment", "", " \t "]
+        rng.shuffle(lines)
+        texts.append(rng.choice(["\n", "\r\n", "\r"]).join(lines))
+    return texts
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_texts_read_through_one_memo_read_as_each_alone(seed: int) -> None:
+    memo: dict = {}
+    texts = shared_texts(random.Random(seed))
+    for text in texts:
+        # the same triples in the same order
+        assert list(parse_ntriples(text, memo)) == list(parse_ntriples(text))
+    # and again, now that every line is remembered
+    for text in texts:
+        assert list(parse_ntriples(text, memo)) == list(parse_ntriples(text))
+
+
+def test_a_line_met_again_through_a_memo_is_the_same_triple() -> None:
+    memo: dict = {}
+    line = '<http://e.org/s> <http://e.org/p> "v" .'
+    (first,) = parse_ntriples(" " + line + "\n", memo)
+    (again,) = parse_ntriples("# a comment\r\n\t" + line + "  \r\n", memo)
+    assert again is first
+    # a new line built from remembered spellings shares their terms
+    (other,) = parse_ntriples('<http://e.org/s> <http://e.org/q> "v" .', memo)
+    assert other.subject is first.subject and other.object is first.object
+    # no memo, no line kept from one text to the next
+    assert parse_ntriples(line) == parse_ntriples(line)
+    assert next(iter(parse_ntriples(line))) is not next(iter(parse_ntriples(line)))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "<http://a/s> nonsense .",
+        "<relative> <http://a/p> <http://a/o> .",
+        '<http://a/s> <http://a/p> "\\uD800" .',
+    ],
+)
+def test_a_memo_refuses_a_bad_line_after_remembered_ones_with_its_own_number(bad: str) -> None:
+    good = "<http://a/s> <http://a/p> <http://a/o> ."
+    memo: dict = {}
+    parse_ntriples(good, memo)
+    text = "\r\n".join([good, "# a comment", good, bad, good])
+    for _ in range(2):  # a refused line is never remembered
+        with pytest.raises(ParseError) as err:
+            parse_ntriples(text, memo)
+        assert err.value.line == 4
+    assert bad not in memo
 
 
 @pytest.mark.parametrize("escape", ["\\U00110000", "\\uD800", "\\uDC00"])

@@ -433,7 +433,7 @@ def test_json_contents(report):
     assert doc["endpoints"]["http://example.org/sparql"]["best"] == "http://example.org/kg/full"
 
 
-def test_json_carries_saturation_and_aggregates(report):
+def test_json_carries_aggregates_and_no_saturation(report):
     # every route asks the expanded queries, so no report saturates anything
     # or carries a saturation block: not a campaign's endpoints or datasets ...
     campaign = json.loads(to_json(_campaign_report(), CATALOG))["endpoints"]

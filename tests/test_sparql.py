@@ -7,7 +7,14 @@ import random
 
 import pytest
 
-from helpers import bgp_oracle, graph_terms, random_bgp, small_graph, solutions_as_sets
+from helpers import (
+    bgp_oracle,
+    graph_terms,
+    random_bgp,
+    random_triple,
+    small_graph,
+    solutions_as_sets,
+)
 from kgaudit import sparql
 from kgaudit.rdf import BlankNode, Graph, Iri, Literal, Triple, parse_ntriples, term_sort_key
 from kgaudit.sparql import (
@@ -414,6 +421,26 @@ def test_select_projection_and_order() -> None:
         eval_ask(g, q)
     with pytest.raises(SparqlError, match="eval_select needs a SELECT query"):
         eval_select(g, ask)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_select_rows_follow_the_term_order_position_by_position(seed: int) -> None:
+    # random terms hold blank nodes and literals that need escapes, and each
+    # branch of the union leaves one projected variable unbound
+    rng = random.Random(seed)
+    g = Graph(random_triple(rng) for _ in range(120))
+    q = parse_query("SELECT ?s ?o ?x WHERE { { ?s ?p ?o } UNION { ?x ?p ?o } }")
+    names = ("s", "o", "x")
+
+    def uncached(row: dict) -> tuple:
+        return tuple((-1, "") if n not in row else term_sort_key(row[n]) for n in names)
+
+    rows = eval_select(g, q)
+    assert rows == sorted(rows, key=uncached)
+    assert any("s" not in row for row in rows) and any("x" not in row for row in rows)
+    assert any(isinstance(row.get("o"), Literal) for row in rows)
+    assert any(isinstance(row.get("s"), BlankNode) for row in rows)
+    assert eval_select(g, q._replace(limit=7, offset=3)) == rows[3:10]
 
 
 def test_discovery_query_against_small_store() -> None:

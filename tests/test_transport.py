@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import http.server
 import json
+import random
 import re
+import sys
 import threading
 from contextlib import closing, contextmanager
 from importlib import resources
@@ -38,7 +40,7 @@ from kgaudit.rdf import (
     parse_ntriples,
     serialize_ntriples,
 )
-from kgaudit.sparql import bind_values, format_query, parse_query
+from kgaudit.sparql import bind_values, eval_select, format_query, parse_query
 from kgaudit.transport import (
     DEFAULT_TIMEOUT,
     HttpTransport,
@@ -802,12 +804,12 @@ def test_two_workers_meeting_an_unparsed_text_parse_it_once(tmp_path, monkeypatc
     counting = transport_module.parse_ntriples
     parsing, release = threading.Event(), threading.Event()
 
-    def held(text):
+    def held(text, memo=None):
         # the first parse holds until the second worker has had its chance
         if not parsing.is_set():
             parsing.set()
             assert release.wait(10)
-        return counting(text)
+        return counting(text, memo)
 
     monkeypatch.setattr(transport_module, "parse_ntriples", held)
     replay = TranscriptTransport(str(path))
@@ -828,6 +830,90 @@ def test_two_workers_meeting_an_unparsed_text_parse_it_once(tmp_path, monkeypatc
     assert parsed == [TEXTS[0]]
     expected = [{"s": Iri("http://e.org/a"), "p": Iri("http://e.org/p"), "o": Iri("http://e.org/b")}]
     assert answers == {"http://one.org/": expected, "http://two.org/": expected}
+
+
+def counted_evals(monkeypatch) -> list:
+    """The queries the transcript transport evaluates from now on."""
+    evaluated = []
+
+    def counting(graph, query):
+        evaluated.append(query)
+        return eval_select(graph, query)
+
+    monkeypatch.setattr(transport_module, "eval_select", counting)
+    return evaluated
+
+
+def test_runs_serving_one_text_answer_each_question_once(tmp_path, monkeypatch):
+    two = TEXTS[0] + "<http://e.org/a> <http://e.org/p> <http://e.org/c> .\n"
+    runs = {
+        "http://one.org/": [{"data": two}, {"data": TEXTS[1]}, {"available": False, "data": two}],
+        "http://two.org/": [{"data": two}],
+    }
+    path = tmp_path / "shared.yaml"
+    path.write_text(yaml.safe_dump({"endpoints": {u: {"runs": r} for u, r in runs.items()}}))
+    evaluated = counted_evals(monkeypatch)
+    replay = TranscriptTransport(str(path))
+    first = replay.query("http://one.org/", EVERY_TRIPLE)
+    assert len(first) == 2
+    assert replay.query("http://two.org/", EVERY_TRIPLE) == first
+    # prefixes change no answer
+    prefixed = EVERY_TRIPLE._replace(prefixes={"e": "http://e.org/"})
+    assert replay.query("http://two.org/", prefixed) == first
+    assert len(evaluated) == 1
+    # another text, another page or another projection is evaluated afresh
+    (row,) = replay.query("http://one.org/", EVERY_TRIPLE, run=1)
+    assert isinstance(row["o"], BlankNode)
+    assert row["s"] is first[0]["s"]  # every text is read through one memo
+    assert len(evaluated) == 2
+    pages = [EVERY_TRIPLE._replace(limit=1, offset=offset) for offset in (0, 1)]
+    assert [replay.query("http://two.org/", page) for page in pages] == [first[:1], first[1:]]
+    assert replay.query("http://two.org/", parse_query("SELECT ?o WHERE { ?s ?p ?o . }")) == [
+        {"o": row["o"]} for row in first
+    ]
+    assert len(evaluated) == 5
+    # each call returns a list of its own
+    first.clear()
+    again = replay.query("http://one.org/", EVERY_TRIPLE)
+    again.append({})
+    assert len(replay.query("http://one.org/", EVERY_TRIPLE)) == 2
+    assert len(evaluated) == 5
+    # a down run refuses though its text's answer is remembered
+    with pytest.raises(TransportError, match="recorded as down") as err:
+        replay.query("http://one.org/", EVERY_TRIPLE, run=2)
+    assert err.value.kind == "connection"
+
+
+def test_workers_sharing_a_transcript_read_and_answer_as_one(tmp_path, monkeypatch):
+    lines = [f"<http://e.org/s{i}> <http://e.org/p> <http://e.org/o{i % 3}> .\n" for i in range(30)]
+    texts = ["".join(lines[k : k + 20]) for k in range(0, 11, 5)]
+    runs = {f"http://e{n}.org/": [{"data": text} for text in texts] for n in range(3)}
+    path = tmp_path / "shared.yaml"
+    path.write_text(yaml.safe_dump({"endpoints": {u: {"runs": r} for u, r in runs.items()}}))
+    pages = [EVERY_TRIPLE._replace(limit=4, offset=offset) for offset in (0, 4, 8)]
+    cells = [(url, run, page) for url in runs for run in range(3) for page in range(3)]
+    expected = {cell: eval_select(parse_ntriples(texts[cell[1]]), pages[cell[2]]) for cell in cells}
+    parsed = counted_parse(monkeypatch, transport_module)
+    replay = TranscriptTransport(str(path))
+    answers: dict = {cell: [] for cell in cells}
+
+    def work(seed: int) -> None:
+        for url, run, page in random.Random(seed).sample(cells, len(cells)):
+            answers[url, run, page].append(replay.query(url, pages[page], run=run))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more workers than cores, switching often
+    try:
+        workers = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(worker.is_alive() for worker in workers)
+    assert sorted(parsed) == sorted(texts)
+    assert all(got == [expected[cell]] * 8 for cell, got in answers.items())
 
 
 # ---------------------------------------------------------------------------
