@@ -65,6 +65,7 @@ from .rdf import (
     Graph,
     Iri,
     Literal,
+    NTriplesMemo,
     Term,
     Triple,
     format_term,
@@ -452,7 +453,7 @@ class Journal:
         # by N-Triples text: runs that saw the same share one graph, which
         # nothing can change; every text is read through one memo
         graphs: dict[str, Graph] = {}
-        memo: dict[str, Triple | Term] = {}
+        memo: NTriplesMemo = ({}, {})
         header = self._line("header", self._header).encode("utf-8")
         try:
             with open(self.path, "rb") as handle:
@@ -528,7 +529,7 @@ def _run_from_record(
     number: int,
     record: dict,
     graphs: dict[str, Graph],
-    memo: dict[str, Triple | Term],
+    memo: NTriplesMemo,
 ) -> EndpointRun:
     """The run a journal record holds; its graph is taken from ``graphs``
     when an earlier record held the same text, and read through ``memo``

@@ -190,6 +190,10 @@ class Triple(_Record, _Triple):
         return _new_tuple(cls, (subject, predicate, object))
 
 
+# what parse_ntriples remembers across texts: lines to triples, spellings to terms
+NTriplesMemo = tuple[dict[str, Triple], dict[str, Term]]
+
+
 def format_term(term: Term) -> str:
     """Render a term in N-Triples syntax."""
     if isinstance(term, Iri):
@@ -384,7 +388,7 @@ def _unescape(token: str) -> str:
     return _ESCAPE_RE.sub(_decode_escape, token) if "\\" in token else token
 
 
-def parse_ntriples(text: str, memo: dict[str, Triple | Term] | None = None) -> Graph:
+def parse_ntriples(text: str, memo: NTriplesMemo | None = None) -> Graph:
     """Parse N-Triples; raises ParseError with the line number on bad input.
 
     Each statement line must match ``_NT_STATEMENT`` as a whole; a line it
@@ -394,16 +398,17 @@ def parse_ntriples(text: str, memo: dict[str, Triple | Term] | None = None) -> G
     escape that names no character, or a term its class refuses (such as
     a relative IRI), raises ParseError for the line it first appears on.
 
-    ``memo``, a dict that starts empty and that the caller passes with
-    every text it reads, interns lines as well as terms: it maps each
-    statement line already read, stripped, to its triple, and each
-    spelling to its term, so a line met again in any text read through
-    the memo is neither matched nor built, and gives the identical
-    ``Triple``.  A line enters it only
-    once it has matched and its terms are built, so a line that is not
-    valid is read, and refused with its own number, every time.  No line
-    is spelled like a term, since a line holds three.  Without a memo the
-    terms are interned per text and no line is kept.
+    ``memo``, a pair of dicts ``(lines, terms)`` that start empty and
+    that the caller passes with every text it reads, interns lines as
+    well as terms: ``lines`` maps each statement line already read,
+    stripped, to its triple, and ``terms`` each spelling to its term, so
+    a line met again in any text read through the memo is neither
+    matched nor built, and gives the identical ``Triple``.  A line enters
+    ``lines`` only once it has matched and its terms are built, and the
+    two tables are apart, so a line that is not valid, one spelled like
+    a term included, is read, and refused with its own number, every
+    time.  Without a memo the terms are interned per text and no line is
+    kept.
 
     Lines end at LF, CR or CRLF, each one break, as the N-Triples EOL
     production has it; no other character ends a line, so a literal may
@@ -412,15 +417,15 @@ def parse_ntriples(text: str, memo: dict[str, Triple | Term] | None = None) -> G
     and U+2028 included, is refused.
     """
     triples = []
-    terms: dict[str, Triple | Term] = {} if memo is None else memo
+    lines, terms = (None, {}) if memo is None else memo
     known = terms.get
     statement = _NT_STATEMENT.fullmatch
     for lineno, raw in enumerate(_lf_lines(text).split("\n"), start=1):
         line = raw.strip(" \t")
         if not line or line[0] == "#":
             continue
-        if memo is not None:
-            triple = known(line)
+        if lines is not None:
+            triple = lines.get(line)
             if triple is not None:
                 triples.append(triple)
                 continue
@@ -434,8 +439,8 @@ def parse_ntriples(text: str, memo: dict[str, Triple | Term] | None = None) -> G
             known(p) or _nt_term(terms, lineno, p),
             known(o) or _nt_term(terms, lineno, o, lexical, language, datatype),
         )
-        if memo is not None:
-            memo[line] = triple
+        if lines is not None:
+            lines[line] = triple
         triples.append(triple)
     return Graph(triples)
 
@@ -448,7 +453,7 @@ def _lf_lines(text: str) -> str:
 
 
 def _nt_term(
-    terms: dict[str, Triple | Term],
+    terms: dict[str, Term],
     lineno: int,
     token: str,
     lexical: str | None = None,

@@ -31,9 +31,9 @@ each distinct text once and each distinct line once, so a resumed
 campaign that sends no request parses none; a text that is not N-Triples
 raises the same kind of ``ValueError`` then.  The package's own evaluator
 answers the client's queries directly, paging included, each distinct
-question once per text, and ``run_timestamp`` hands out the
-recorded timestamps (``""`` where none is recorded), which makes campaign
-runs fully deterministic: a replay never reads the clock.
+question once per text that several runs serve, and ``run_timestamp``
+hands out the recorded timestamps (``""`` where none is recorded), which
+makes campaign runs fully deterministic: a replay never reads the clock.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections import Counter
 from contextlib import ExitStack, closing, contextmanager
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Protocol
@@ -48,7 +49,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Protocol
 import yaml
 
 from .catalog import load_yaml
-from .rdf import BlankNode, Graph, Iri, Literal, ParseError, Term, Triple, parse_ntriples
+from .rdf import BlankNode, Graph, Iri, Literal, NTriplesMemo, ParseError, Term, parse_ntriples
 from .sparql import Query, eval_select, format_query
 
 if TYPE_CHECKING:
@@ -327,18 +328,21 @@ class TranscriptTransport:
     run that is never queried, or recorded as down, is never parsed.  A
     text is parsed under a lock, so it is parsed exactly once however
     many workers meet it at once; a worker whose text is already parsed
-    takes no lock.  Every text is read through one memo of
+    takes no lock.  When the transcript holds more than one distinct
+    text, every text is read through one memo of
     :func:`~kgaudit.rdf.parse_ntriples`, written under that lock, so a
     line that recurs across runs, as most lines of a recorded endpoint
-    do, is matched and built once per transcript.
+    do, is matched and built once per transcript; the memo is let go
+    once every text is parsed.
 
-    Each distinct question is answered once per text: the rows of a query
-    are remembered under the run's text and the query's form, projection,
-    pattern, limit and offset (its prefixes change no answer), and a run
-    serving that text answers the same question from memory.  Two
-    workers asking it at once may both evaluate it, to equal rows.  Each
-    call returns a new list, but the rows in it are shared, and callers
-    must not change them.
+    Each distinct question is answered once per text that more than one
+    recorded run serves: the rows of a query are remembered under the
+    run's text and the query's form, projection, pattern, limit and
+    offset (its prefixes change no answer), and another run serving that
+    text answers the same question from memory.  Two workers asking it
+    at once may both evaluate it, to equal rows.  Each call returns a
+    new list, but the rows in it may be shared, and callers must not
+    change them.
 
     A campaign asking for a run beyond the recorded ones gets the last
     recorded run.  Unavailable runs refuse queries with a connection
@@ -353,7 +357,6 @@ class TranscriptTransport:
             raise ValueError(f"{path}: not valid YAML: {exc}") from None
         self._endpoints: dict[str, list[TranscriptRun]] = {}
         self._graphs: dict[str, Graph] = {}  # by N-Triples text
-        self._memo: dict[str, Triple | Term] = {}  # every run's lines and terms
         self._answers: dict[tuple, list[dict[str, Term]]] = {}
         self._parse_lock = threading.Lock()
         if not isinstance(doc, dict) or not isinstance(doc.get("endpoints"), dict):
@@ -369,6 +372,11 @@ class TranscriptTransport:
                 _transcript_run(entry, f"{where} run {index}")
                 for index, entry in enumerate(runs)
             ]
+        # how many recorded runs serve each text; only a repeat is worth remembering
+        self._served = Counter(
+            entry.data for runs in self._endpoints.values() for entry in runs if entry.available
+        )
+        self._memo: NTriplesMemo | None = ({}, {}) if len(self._served) > 1 else None
 
     def _run(self, url: str, run: int) -> TranscriptRun:
         runs = self._endpoints.get(url)
@@ -383,13 +391,15 @@ class TranscriptTransport:
         entry = self._run(url, run)
         if not entry.available:
             raise TransportError("connection", f"endpoint {url} is recorded as down")
+        graph = self._graphs.get(entry.data)
+        if graph is None:
+            graph = self._parse(entry)
+        if self._served[entry.data] == 1:
+            return eval_select(graph, query)
         # prefixes change no answer, and a query holding them cannot be hashed
         key = (entry.data, query.form, query.projection, query.pattern, query.limit, query.offset)
         rows = self._answers.get(key)
         if rows is None:
-            graph = self._graphs.get(entry.data)
-            if graph is None:
-                graph = self._parse(entry)
             rows = self._answers[key] = eval_select(graph, query)
         return list(rows)
 
@@ -403,6 +413,8 @@ class TranscriptTransport:
                 except ParseError as exc:
                     raise ValueError(f"{entry.where}: {exc}") from None
                 self._graphs[entry.data] = graph
+                if len(self._graphs) == len(self._served):
+                    self._memo = None  # no text is left to meet its lines
             return graph
 
 

@@ -35,6 +35,7 @@ from kgaudit.rdf import (
     Graph,
     Iri,
     Literal,
+    NTriplesMemo,
     ParseError,
     Triple,
     _escape_literal,
@@ -733,7 +734,7 @@ def shared_texts(rng: random.Random) -> list[str]:
 
 @pytest.mark.parametrize("seed", range(5))
 def test_texts_read_through_one_memo_read_as_each_alone(seed: int) -> None:
-    memo: dict = {}
+    memo: NTriplesMemo = ({}, {})
     texts = shared_texts(random.Random(seed))
     for text in texts:
         # the same triples in the same order
@@ -744,7 +745,7 @@ def test_texts_read_through_one_memo_read_as_each_alone(seed: int) -> None:
 
 
 def test_a_line_met_again_through_a_memo_is_the_same_triple() -> None:
-    memo: dict = {}
+    memo: NTriplesMemo = ({}, {})
     line = '<http://e.org/s> <http://e.org/p> "v" .'
     (first,) = parse_ntriples(" " + line + "\n", memo)
     (again,) = parse_ntriples("# a comment\r\n\t" + line + "  \r\n", memo)
@@ -763,18 +764,24 @@ def test_a_line_met_again_through_a_memo_is_the_same_triple() -> None:
         "<http://a/s> nonsense .",
         "<relative> <http://a/p> <http://a/o> .",
         '<http://a/s> <http://a/p> "\\uD800" .',
+        # lines spelled like a remembered term
+        '"abc"',
+        "<http://a/s>",
+        "_:b1",
     ],
 )
 def test_a_memo_refuses_a_bad_line_after_remembered_ones_with_its_own_number(bad: str) -> None:
-    good = "<http://a/s> <http://a/p> <http://a/o> ."
-    memo: dict = {}
-    parse_ntriples(good, memo)
-    text = "\r\n".join([good, "# a comment", good, bad, good])
+    good = '<http://a/s> <http://a/p> "abc" .'
+    other = "_:b1 <http://a/p> <http://a/o> ."
+    memo: NTriplesMemo = ({}, {})
+    parse_ntriples(good + "\n" + other, memo)
+    text = "\r\n".join([good, "# a comment", other, bad, good])
     for _ in range(2):  # a refused line is never remembered
         with pytest.raises(ParseError) as err:
             parse_ntriples(text, memo)
         assert err.value.line == 4
-    assert bad not in memo
+    lines, _ = memo
+    assert bad not in lines
 
 
 @pytest.mark.parametrize("escape", ["\\U00110000", "\\uD800", "\\uDC00"])

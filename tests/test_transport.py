@@ -848,7 +848,7 @@ def test_runs_serving_one_text_answer_each_question_once(tmp_path, monkeypatch):
     two = TEXTS[0] + "<http://e.org/a> <http://e.org/p> <http://e.org/c> .\n"
     runs = {
         "http://one.org/": [{"data": two}, {"data": TEXTS[1]}, {"available": False, "data": two}],
-        "http://two.org/": [{"data": two}],
+        "http://two.org/": [{"data": two}, {"data": TEXTS[1]}],
     }
     path = tmp_path / "shared.yaml"
     path.write_text(yaml.safe_dump({"endpoints": {u: {"runs": r} for u, r in runs.items()}}))
@@ -882,6 +882,36 @@ def test_runs_serving_one_text_answer_each_question_once(tmp_path, monkeypatch):
     with pytest.raises(TransportError, match="recorded as down") as err:
         replay.query("http://one.org/", EVERY_TRIPLE, run=2)
     assert err.value.kind == "connection"
+
+
+def test_a_text_one_run_serves_keeps_no_answer_and_a_lone_text_no_memo(tmp_path, monkeypatch):
+    memos = []
+
+    def recording(text, memo=None):
+        memos.append(memo)
+        return parse_ntriples(text, memo)
+
+    monkeypatch.setattr(transport_module, "parse_ntriples", recording)
+    evaluated = counted_evals(monkeypatch)
+    lone = tmp_path / "lone.yaml"
+    lone.write_text(yaml.safe_dump({"endpoints": {"http://one.org/": {"runs": [{"data": TEXTS[0]}]}}}))
+    replay = TranscriptTransport(str(lone))
+    first = replay.query("http://one.org/", EVERY_TRIPLE)
+    # a run asked beyond the recorded ones replays the last, afresh
+    assert replay.query("http://one.org/", EVERY_TRIPLE, run=1) == first
+    assert len(evaluated) == 2
+    assert memos == [None]
+    path = tmp_path / "two.yaml"
+    runs = [{"data": TEXTS[0]}, {"data": TEXTS[1]}, {"available": False, "data": TEXTS[1]}]
+    path.write_text(yaml.safe_dump({"endpoints": {"http://one.org/": {"runs": runs}}}))
+    replay = TranscriptTransport(str(path))
+    for _ in range(2):
+        assert replay.query("http://one.org/", EVERY_TRIPLE, run=1) != first
+    assert len(evaluated) == 4  # a down run does not count as serving its text
+    assert replay.query("http://one.org/", EVERY_TRIPLE) == first
+    # both texts read through one memo, which the lone text had not
+    assert memos[1] is memos[2] is not None
+    assert len(memos) == 3
 
 
 def test_workers_sharing_a_transcript_read_and_answer_as_one(tmp_path, monkeypatch):
