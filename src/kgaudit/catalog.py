@@ -8,8 +8,10 @@ canonical predicates used by the compact ASK queries.
 Catalogs live in a single YAML document so that curators can edit texts,
 weights, queries and rules without touching code.  ``load_catalog`` parses
 and validates, then derives the :class:`ScoringPlan` that scoring reads
-every score off; ``dump_catalog`` writes the same structure back out, and
-``default_catalog`` loads the catalog bundled with the package.  A query
+every score off, and ``default_catalog`` loads the catalog bundled with
+the package.  The package only reads YAML: a catalog's identity in reports
+and journals is ``Catalog.content_hash()``, a SHA-256 of canonical JSON
+over what was read, so it ignores comments, key order and quoting.  A query
 names the dataset it scores with the variable ``?kg`` (``$kg`` is the same
 variable, as in SPARQL 1.1), which scoring binds with VALUES.
 
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 from importlib import resources
@@ -200,9 +203,30 @@ class Catalog(_Record, _Catalog):
                 yield q, cq
 
     def content_hash(self) -> str:
-        """SHA-256 of the catalog's canonical dump."""
+        """SHA-256 of one canonical JSON text of what ``parse_catalog`` read.
+
+        Two catalogs hash alike exactly when they are equal: prefixes are
+        sorted, as equality ignores their order, and rules are written with
+        full IRIs, as their patterns hold no prefix.
+        """
         if self._hash is None:
-            self._hash = hashlib.sha256(dump_catalog(self).encode("utf-8")).hexdigest()
+            content = {
+                "version": self.version,
+                "prefixes": sorted(self.prefixes.items()),
+                "nodes": [[node.id, node.label] for node in self.nodes()],
+                "questions": [
+                    [q.id, q.leaf, q.text, str(q.weight), [[cq.label, cq.text] for cq in q.queries]]
+                    for q in self.questions()
+                ],
+                "rules": [
+                    [rule.id]
+                    + [" ".join(format_triple_pattern(tp, {}) for tp in side)
+                       for side in (rule.source, rule.target)]
+                    for rule in self.rules
+                ],
+            }
+            canonical = json.dumps(content, sort_keys=True, separators=(",", ":"))
+            self._hash = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
         return self._hash
 
 
@@ -256,7 +280,7 @@ def parse_catalog(text: str, source: str = "<string>") -> Catalog:
     ):
         raise CatalogError(f"{source}: prefixes: must map prefix names to IRIs")
     # read once as the PREFIX lines a query would declare them in; queries,
-    # rules and the dump all use this map
+    # rules and the content hash all use this map
     header = "".join(f"PREFIX {name}: <{iri}>\n" for name, iri in prefixes.items())
     try:
         declared = parse_query(header + "ASK {}").prefixes
@@ -577,77 +601,6 @@ def _check_rules(catalog: Catalog) -> list[str]:
                     "would never see what the other derives"
                 )
     return problems
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def dump_catalog(catalog: Catalog) -> str:
-    """Write a catalog back to its YAML file format (comment-free)."""
-    out: list[str] = ["version: " + _yaml_str(catalog.version), "", "prefixes:"]
-    for name, iri in catalog.prefixes.items():
-        out.append(f"  {_yaml_str(name)}: {_yaml_str(iri)}")
-    out += ["", "hierarchy:"]
-    for node in catalog.nodes():
-        out.append(f"  {_yaml_str(node.id)}: {_yaml_str(node.label)}")
-    out += ["", "questions:"]
-    for question in catalog.questions():
-        out.append(f"  - id: {_yaml_str(question.id)}")
-        out.append(f"    leaf: {_yaml_str(question.leaf)}")
-        out.append(f"    text: {_yaml_str(question.text)}")
-        out.append(f'    weight: "{question.weight}"')
-        out.append("    queries:")
-        for cq in question.queries:
-            if cq.label is not None:
-                out.append(f"      - label: {_yaml_str(cq.label)}")
-                out.append("        ask: |-")
-                prefix = "          "
-            else:
-                out.append("      - |-")
-                prefix = "          "
-            out.extend(prefix + line for line in cq.text.splitlines())
-    out += ["", "rules:"]
-    for rule in catalog.rules:
-        out.append(f"  - id: {_yaml_str(rule.id)}")
-        out.append(f"    source: {_yaml_str(_format_patterns(rule.source, catalog.prefixes))}")
-        out.append(f"    target: {_yaml_str(_format_patterns(rule.target, catalog.prefixes))}")
-    return "\n".join(out) + "\n"
-
-
-def _format_patterns(patterns: tuple[TriplePattern, ...], prefixes: Mapping[str, str]) -> str:
-    return " ".join(format_triple_pattern(tp, prefixes) for tp in patterns)
-
-
-# A raw line break inside double quotes folds to a space when read back.
-_YAML_ESCAPES = str.maketrans(
-    {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\x85": "\\N"}
-)
-
-
-# The resolver both loaders tag plain scalars with.
-_RESOLVER = yaml.resolver.Resolver()
-_STR_TAG = "tag:yaml.org,2002:str"
-
-
-def _yaml_str(value: str) -> str:
-    """``value`` as a YAML scalar that reads back as that string: plain when
-    it is safe, double-quoted otherwise."""
-    plain = (
-        value
-        and all(c.isalnum() or c in " .,?'()/-_" for c in value)
-        and not value.startswith((" ", "-", "?"))
-        and not value.endswith(" ")
-        and value.lower() not in ("true", "false", "yes", "no", "null", "on", "off")
-        # YAML 1.1 reads 0x1F, 0b101, .inf and 2001-12-14 as other types
-        and _RESOLVER.resolve(yaml.nodes.ScalarNode, value, (True, False)) == _STR_TAG
-    )
-    if plain:
-        try:
-            float(value)
-        except ValueError:
-            return value
-    return '"' + value.translate(_YAML_ESCAPES) + '"'
 
 
 # ---------------------------------------------------------------------------

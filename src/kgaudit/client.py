@@ -432,11 +432,13 @@ class Journal:
     The first line pins the record format, the catalog hash and the run
     count; every line carries a checksum over its record.  A run record
     holds the run's fetched graph as one N-Triples text and its datasets
-    (format 4, blank nodes named after their fetch page; older formats are
-    refused).  Loading reads each distinct text once, and all of them
-    through one memo of :func:`~kgaudit.rdf.parse_ntriples`, so a line that
-    recurs across records, as most lines of one endpoint's runs do, is
-    matched and built once per load.
+    (blank nodes named after their fetch page).  Format 5 is the first
+    whose header holds the JSON-made catalog hash; older formats are
+    refused as such, not as another campaign.  Loading reads each
+    distinct text once, and all of them through one memo of
+    :func:`~kgaudit.rdf.parse_ntriples`, so a line that recurs across
+    records, as most lines of one endpoint's runs do, is matched and built
+    once per load.
     An unterminated last line is an append a crash cut short: loading
     drops it, so that cell is audited again.  Any other mismatch means the
     file was edited or belongs elsewhere, and resuming would silently skew
@@ -446,7 +448,7 @@ class Journal:
     def __init__(self, path: str, catalog: Catalog, runs: int):
         self.path = path
         self._lock = threading.Lock()
-        self._header = {"catalog": catalog.content_hash(), "format": 4, "runs": runs}
+        self._header = {"catalog": catalog.content_hash(), "format": 5, "runs": runs}
 
     def load(self) -> dict[tuple[str, int], EndpointRun]:
         completed: dict[tuple[str, int], EndpointRun] = {}

@@ -11,9 +11,8 @@ to the rounded decimal.  :func:`dqv_blocks` formats the N-Triples lines
 straight from the report, without building a graph, one block of lines
 per subject with each measurement's lines in a fixed predicate order;
 sorting the subjects alone then gives the sorted line order, since no
-subject IRI is a prefix of another.  :func:`to_dqv` returns the text,
-those blocks joined, and the CLI writes the same blocks to ``report.nt``
-as they are formed.
+subject IRI is a prefix of another.  The CLI writes the blocks to
+``report.nt`` as they are formed.
 
 The export is write-only: no command reads DQV back.  ``report.nt`` is
 plain N-Triples that any RDF library reads.  The reference reader, which
@@ -166,17 +165,10 @@ _FAILURE = {
 }
 
 
-def to_dqv(report: Report, catalog: Catalog) -> str:
-    """The report as DQV quality measurements (plus a few tool terms), as
-    N-Triples text: one sorted line per distinct statement.
-
-    The text is the blocks of :func:`dqv_blocks`, joined.
-    """
-    return "".join(dqv_blocks(report, catalog))
-
-
 def dqv_blocks(report: Report, catalog: Catalog) -> Iterator[str]:
-    """The lines of :func:`to_dqv`, one block of lines per subject, in order.
+    """The report as DQV quality measurements (plus a few tool terms), as
+    N-Triples lines: one sorted line per distinct statement, one block of
+    lines per subject, in order; joined, the blocks are ``report.nt``.
 
     Lines are formatted straight from the report.  Each subject keeps its
     block as a tuple of line tails (what follows the subject), most of

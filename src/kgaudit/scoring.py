@@ -80,12 +80,6 @@ class DatasetResult(NamedTuple):
     def score(self) -> Fraction:
         return self.node_scores["root"]
 
-    def outcome(self, query_id: str) -> QueryOutcome:
-        for outcome in self.outcomes:
-            if outcome.query_id == query_id:
-                return outcome
-        raise KeyError(query_id)
-
 
 def build_result(
     catalog: Catalog, dataset: str, outcomes: Iterable[QueryOutcome]

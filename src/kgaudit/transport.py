@@ -229,10 +229,13 @@ class HttpTransport:
             )
         if not 200 <= response.status_code < 300:
             raise TransportError("http", f"status {response.status_code}")
-        return decode_results(response.text)
+        # the bytes, not ``response.text``: requests decodes a body whose
+        # Content-Type names no charset as ISO-8859-1 (``text/plain``) or by
+        # a guess, and JSON is UTF-8 (RFC 8259, section 8.1)
+        return decode_results(response.content)
 
 
-def decode_results(body: str) -> list[dict[str, Term]]:
+def decode_results(body: str | bytes) -> list[dict[str, Term]]:
     """Decode the rows of a SPARQL JSON results document.
 
     The format puts no bound on a blank-node label (Virtuoso writes
@@ -241,10 +244,11 @@ def decode_results(body: str) -> list[dict[str, Term]]:
     labels give equal names.  A literal's datatype and language must be
     strings, and its datatype an IRI, so that every decoded literal
     writes N-Triples that read back; a binding that breaks any rule of
-    the format is ``malformed``."""
+    the format is ``malformed``, and so is a body of bytes that are not
+    UTF-8."""
     try:
         doc = json.loads(body)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
         raise TransportError("malformed", f"not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise TransportError("malformed", "result document is not an object")

@@ -7,12 +7,13 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
 import yaml
 
-from kgaudit.catalog import Catalog, default_catalog, dump_catalog, parse_catalog
+from kgaudit.catalog import Catalog, default_catalog, parse_catalog
 from kgaudit.rdf import (
     RDF_TYPE,
     BlankNode,
@@ -79,14 +80,26 @@ def counted_parse(monkeypatch, module) -> list[str]:
     return parsed
 
 
-def three_hop_catalog():
+def default_catalog_doc() -> dict:
+    """The bundled catalog file as a fresh YAML document, for a test to
+    change and write back with ``yaml.safe_dump``."""
+    path = resources.files("kgaudit").joinpath("data/default_catalog.yaml")
+    return yaml.safe_load(path.read_text("utf-8"))
+
+
+def three_hop_catalog_text() -> str:
     """The default catalog with ``THREE_HOP_RULE`` added and ``creator``'s
-    second query replaced by ``THREE_HOP_QUERY``."""
-    doc = yaml.safe_load(dump_catalog(default_catalog()))
+    second query replaced by ``THREE_HOP_QUERY``, as YAML."""
+    doc = default_catalog_doc()
     doc["rules"].append(THREE_HOP_RULE)
     creator = next(q for q in doc["questions"] if q["id"] == "creator")
     creator["queries"][1]["ask"] = THREE_HOP_QUERY
-    return parse_catalog(yaml.safe_dump(doc))
+    return yaml.safe_dump(doc)
+
+
+def three_hop_catalog() -> Catalog:
+    return parse_catalog(three_hop_catalog_text())
+
 
 _IRIS = [
     "http://example.org/dataset/a",
@@ -555,10 +568,10 @@ def ref_build_result(catalog, dataset: str, outcomes):
 
 
 # ---------------------------------------------------------------------------
-# Reference DQV writer: ``kgaudit.reporting.to_dqv`` as it wrote report.nt
-# before it sorted subject blocks, less its caches of formatted terms, so
-# tests can check the block writer's bytes against it.  It collects whole
-# lines in a set and sorts them all, which needs no argument about order.
+# Reference DQV writer: the report.nt writer as it was before it sorted
+# subject blocks, less its caches of formatted terms, so tests can check
+# the block writer's bytes against it.  It collects whole lines in a set
+# and sorts them all, which needs no argument about order.
 
 
 def ref_to_dqv(report) -> str:
@@ -631,7 +644,7 @@ def ref_to_dqv(report) -> str:
 # report, recomputing the aggregation and refusing exports whose stored
 # node scores disagree with their own query outcomes or that name another
 # catalog.  No command reads DQV back; tests use it to check that
-# ``to_dqv`` loses nothing.
+# ``dqv_blocks`` loses nothing.
 
 
 def _only_object(g: Graph, subject: Iri, predicate: Iri) -> Term:

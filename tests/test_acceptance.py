@@ -18,7 +18,7 @@ import yaml
 from kgaudit.catalog import default_catalog, expand_extended, load_catalog
 from kgaudit.client import CampaignConfig, discover_datasets, discover_in_graph, run_campaign
 from kgaudit.rdf import Graph, Iri, Triple, load_rdf, parse_ntriples, serialize_ntriples
-from kgaudit.reporting import boxplot_stats, radar_figure, to_csv, to_dqv
+from kgaudit.reporting import boxplot_stats, dqv_blocks, radar_figure, to_csv
 from kgaudit.scoring import format_percent, score_datasets
 from kgaudit.sparql import eval_ask, eval_bgp, substitute
 from kgaudit.transport import TranscriptTransport
@@ -291,7 +291,7 @@ def test_criterion_08_dqv_round_trip():
         "http://dead.example.org/sparql",
     ]
     report = run_campaign(_transcript_config(str(FIXTURES / "campaign.yaml"), endpoints))
-    rebuilt = from_dqv(to_dqv(report, CATALOG), CATALOG)
+    rebuilt = from_dqv("".join(dqv_blocks(report, CATALOG)), CATALOG)
 
     outcomes_ok = all(
         rebuilt.results[e][i].outcomes == r.outcomes

@@ -19,13 +19,13 @@ import requests
 import yaml
 
 import kgaudit
-from kgaudit.catalog import default_catalog, dump_catalog, parse_catalog
+from kgaudit.catalog import default_catalog, parse_catalog
 from kgaudit import cli
 from kgaudit import transport as transport_module
 from kgaudit.cli import main
 from kgaudit.client import discover_in_graph
 from kgaudit.rdf import Iri, load_rdf, serialize_ntriples
-from kgaudit.reporting import build_report, dqv_blocks, figure_files, to_csv, to_dqv, to_json
+from kgaudit.reporting import build_report, dqv_blocks, figure_files, to_csv, to_json
 from kgaudit.scoring import score_datasets
 from kgaudit.transport import HttpTransport, TranscriptTransport, TransportError
 
@@ -35,7 +35,7 @@ from helpers import (
     counted_parse,
     dump_text,
     random_metadata_graph,
-    three_hop_catalog,
+    three_hop_catalog_text,
 )
 from test_transport import FakeResponse, ScriptedSession, select_body
 
@@ -338,7 +338,7 @@ def _all_fixtures(tmp_path) -> str:
 @pytest.mark.parametrize("command", ["evaluate", "campaign"])
 def test_the_streamed_report_nt_is_the_dqv_text(command, twice, tmp_path, monkeypatch, capsys):
     # The CLI writes report.nt block by block; the file holds exactly the
-    # text to_dqv gives for the report it wrote.  With ``twice``, each
+    # text the DQV blocks of the report it wrote join to.  With ``twice``, each
     # endpoint lists its first dataset again, scored like another dataset:
     # the report refuses that, and the command writes no report.nt.
     written = []
@@ -371,7 +371,7 @@ def test_the_streamed_report_nt_is_the_dqv_text(command, twice, tmp_path, monkey
         return
     assert main(argv) == 0
     [(report, catalog)] = written
-    text = to_dqv(report, catalog)
+    text = "".join(dqv_blocks(report, catalog))
     assert (out / "report.nt").read_bytes() == text.encode("utf-8")
     lines = text.splitlines()
     assert lines == sorted(set(lines))
@@ -397,8 +397,9 @@ def test_a_report_nt_block_that_fails_keeps_the_old_file(tmp_path, monkeypatch, 
 
 # Line count and SHA-256 of the report.json that `evaluate --file` writes
 # for every N-Triples fixture at once (five datasets, one file: source),
-# recorded once its stamp was empty and it carried no saturation block.
-EVALUATE_FILE_JSON = (2964, "65ad83fed7faffb3fa014d4289ad880eb484c3f35a35979c16439ecce0c7ebed")
+# recorded once its stamp was empty and it carried no saturation block,
+# and again once the catalog hash it holds was made from canonical JSON.
+EVALUATE_FILE_JSON = (2964, "495f1636eb389282d5d8d34e240269f044c4176596faaae0601069db7b820e4e")
 
 
 def test_evaluate_file_report_json_is_pinned(tmp_path, monkeypatch, capsys):
@@ -947,7 +948,7 @@ def test_catalog_validate_rejects_malformed_yaml(tmp_path, capsys, monkeypatch, 
 
 def test_catalog_validate_accepts_a_three_hop_rule_and_query(tmp_path, capsys):
     reaching = tmp_path / "reaching.yaml"
-    reaching.write_text(dump_catalog(three_hop_catalog()))
+    reaching.write_text(three_hop_catalog_text())
     assert main(["catalog", "validate", "--catalog", str(reaching)]) == 0
     assert "OK: 30 questions, 33 queries, 79 rules" in capsys.readouterr().out
 
@@ -1117,7 +1118,7 @@ def test_the_file_route_builds_no_reference_cycle(tmp_path, collector, name):
 
 @pytest.mark.parametrize("which", ["default", "custom"])
 def test_parsing_a_catalog_builds_no_reference_cycle(collector, which):
-    text = _default_catalog_text() if which == "default" else dump_catalog(three_hop_catalog())
+    text = _default_catalog_text() if which == "default" else three_hop_catalog_text()
     gc.collect()
     gc.disable()
     catalog = parse_catalog(text)

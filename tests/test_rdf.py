@@ -11,6 +11,7 @@ import random
 from pathlib import Path
 
 import pytest
+import yaml
 
 import kgaudit
 from helpers import (
@@ -23,6 +24,7 @@ from helpers import (
     RefIri,
     RefLiteral,
     RefTriple,
+    default_catalog_doc,
     random_graph,
     random_triple,
     ref_format_term,
@@ -45,7 +47,7 @@ from kgaudit.rdf import (
     parse_turtle,
     serialize_ntriples,
 )
-from kgaudit.catalog import default_catalog, dump_catalog, parse_catalog
+from kgaudit.catalog import parse_catalog
 from kgaudit.reporting import RunRecord, build_report
 from kgaudit.scoring import FailureKind, QueryOutcome
 from kgaudit.sparql import (
@@ -253,7 +255,7 @@ def test_validated_records_rebuild_through_their_checks(record, bad, message) ->
 @pytest.fixture(scope="module")
 def with_members() -> dict[str, object]:
     """A record of each class with members outside equality, each member set."""
-    catalog = parse_catalog(dump_catalog(default_catalog()))
+    catalog = parse_catalog(yaml.safe_dump(default_catalog_doc()))
     catalog.content_hash()
     graph = Graph([Triple(Iri("http://x/s"), Iri("http://x/p"), Iri("http://x/o"))])
     bgp = parse_query("ASK { ?s <http://x/p> ?o }").pattern

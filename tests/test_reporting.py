@@ -11,8 +11,9 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
+import yaml
 
-from kgaudit.catalog import default_catalog, parse_catalog, dump_catalog
+from kgaudit.catalog import default_catalog, parse_catalog
 from kgaudit.client import CampaignConfig, run_campaign
 from kgaudit.rdf import RDF_TYPE, Iri, format_term, load_rdf, parse_ntriples, serialize_ntriples
 from kgaudit.reporting import (
@@ -30,10 +31,10 @@ from kgaudit.reporting import (
     boxplot_stats,
     build_report,
     csv_columns,
+    dqv_blocks,
     figure_files,
     radar_figure,
     to_csv,
-    to_dqv,
     to_json,
 )
 from kgaudit.scoring import (
@@ -44,7 +45,7 @@ from kgaudit.scoring import (
 )
 from kgaudit.transport import TranscriptTransport
 
-from helpers import FIXTURES, evaluate_graph, from_dqv, ref_to_dqv
+from helpers import FIXTURES, default_catalog_doc, evaluate_graph, from_dqv, ref_to_dqv
 
 CATALOG = default_catalog()
 
@@ -99,23 +100,25 @@ def test_best_breaks_ties_on_dataset_key():
 
 
 def test_dqv_round_trip_is_exact(report):
-    assert from_dqv(to_dqv(report, CATALOG), CATALOG) == report
+    assert from_dqv("".join(dqv_blocks(report, CATALOG)), CATALOG) == report
 
 
 def test_dqv_text_is_canonical_ntriples(report):
-    text = to_dqv(report, CATALOG)
+    text = "".join(dqv_blocks(report, CATALOG))
     assert serialize_ntriples(parse_ntriples(text)) == text
 
 
 def test_dqv_refuses_other_catalog(report):
-    text = to_dqv(report, CATALOG)
-    other = parse_catalog(dump_catalog(CATALOG).replace('version: "1.0"', 'version: "9.9"'))
+    text = "".join(dqv_blocks(report, CATALOG))
+    doc = default_catalog_doc()
+    doc["version"] = "9.9"
+    other = parse_catalog(yaml.safe_dump(doc))
     with pytest.raises(ValueError, match="different catalog"):
         from_dqv(text, other)
 
 
 def test_dqv_refuses_tampered_scores(report):
-    text = to_dqv(report, CATALOG)
+    text = "".join(dqv_blocks(report, CATALOG))
     stored = ' <urn:kgaudit:v1:ns:exactValue> "1/30" .'
     victim = next(line for line in text.splitlines() if line.endswith(stored))
     tampered = text.replace(victim, victim.replace('"1/30"', '"29/30"'))
@@ -124,14 +127,14 @@ def test_dqv_refuses_tampered_scores(report):
 
 
 def test_dqv_failure_kinds_round_trip(report):
-    rebuilt = from_dqv(to_dqv(report, CATALOG), CATALOG)
+    rebuilt = from_dqv("".join(dqv_blocks(report, CATALOG)), CATALOG)
     dead = rebuilt.results["http://dead.example.org/sparql"][0]
     assert {o.failure for o in dead.outcomes} == {FailureKind.NOT_EVALUATED}
 
 
 def test_dqv_empty_report_is_metadata_only(report):
     empty = build_report(CATALOG, {}, "2024-01-01T00:00:00Z")
-    assert to_dqv(empty, CATALOG) == (
+    assert "".join(dqv_blocks(empty, CATALOG)) == (
         '<urn:kgaudit:v1:report> <urn:kgaudit:v1:ns:catalogHash> '
         f'"{CATALOG.content_hash()}" .\n'
         '<urn:kgaudit:v1:report> <urn:kgaudit:v1:ns:catalogVersion> '
@@ -146,7 +149,7 @@ def test_dqv_refuses_an_invalid_endpoint_iri(endpoint):
     result = not_evaluated_result(CATALOG, "http://example.org/kg/a")
     rep = build_report(CATALOG, {endpoint: [result]}, "t")
     with pytest.raises(ValueError, match="IRI"):
-        to_dqv(rep, CATALOG)
+        "".join(dqv_blocks(rep, CATALOG))
 
 
 def test_dqv_refuses_a_key_that_makes_an_invalid_iri():
@@ -154,22 +157,25 @@ def test_dqv_refuses_a_key_that_makes_an_invalid_iri():
     bad = result._replace(question_scores={"bad key": Fraction(0), **result.question_scores})
     rep = build_report(CATALOG, {"http://e.org/": [bad]}, "t")
     with pytest.raises(ValueError, match="forbidden character"):
-        to_dqv(rep, CATALOG)
+        "".join(dqv_blocks(rep, CATALOG))
 
 
 # Line count and SHA-256 of the report.nt text for the two reports below,
 # recorded from the graph-building exporter that the direct writer
-# replaced: any change to the exported bytes shows here.
-CAMPAIGN_DQV = (1489, "3ee8346642b5d10aa6fa1cfbc507d3ae3b4314c6e9edf1b918b7621bd3e727d3")
-AWKWARD_DQV = (1010, "1bc70ac4d32cee2cffe719db8b6761daad5ffe0c6b0febfa46d2074310fc0f58")
+# replaced: any change to the exported bytes shows here.  Every pin that
+# holds the catalog hash was taken again when the hash came to be made
+# from canonical JSON; the earlier bytes with only the hash replaced
+# gave the same pins.
+CAMPAIGN_DQV = (1489, "b7f19a7e7da83d13a456cd49e844b92ddc491923fe058b7041892ebfc020fba7")
+AWKWARD_DQV = (1010, "d55a9e12929c8f3e61dcf65f9ec8bb370be38aee4093742ccf0e341e834a4d1b")
 # The same campaign's report.json, report.csv and sorted journal lines.
 # The CSV was recorded while terms were still dataclasses; the JSON since
 # journal records became per run and the saturation block went; the
-# journal since its header moved to format 4 (blank nodes named after
-# their fetch page; this fixture has none, so only the header changed).
-CAMPAIGN_JSON = (2328, "d6c58b6af53752f33f170c076648bf35d95150dcea107760f58d1668edf26f2e")
+# journal since its header moved to format 5 (the JSON-made catalog hash;
+# only the header changed).
+CAMPAIGN_JSON = (2328, "a976f60c1ad03395c82c77b1f9ec0211ff68c3d6b11b87e45bbf09158754e6f4")
 CAMPAIGN_CSV = (4, "bd701e420649ea768d15efa75f483785e244b809de83eaa9c3d33d01159fad09")
-CAMPAIGN_JOURNAL = (10, "fb19bdc7fd29b95ed86c0ce486bcc0cc5fcfd6bfceeece9e1013f9039c5cd08f")
+CAMPAIGN_JOURNAL = (10, "0c3cc6536caf47e58fe8c16c019f6ab927e5fbc891c1882e6aab1232b17dce5c")
 
 
 def _pin(text: str) -> tuple[int, str]:
@@ -195,7 +201,7 @@ def _campaign_report(journal_path: str | None = None) -> Report:
 
 
 def test_dqv_bytes_of_the_campaign_report_are_pinned():
-    assert _pin(to_dqv(_campaign_report(), CATALOG)) == CAMPAIGN_DQV
+    assert _pin("".join(dqv_blocks(_campaign_report(), CATALOG))) == CAMPAIGN_DQV
 
 
 def test_json_csv_and_journal_bytes_of_the_campaign_are_pinned(tmp_path):
@@ -217,7 +223,7 @@ def test_dqv_bytes_of_an_awkward_report_are_pinned(report):
         {"http://example.org/sparql": [full], "http://dead.example.org/sparql": [dead]},
         'stamp "q" \\ back\nslash',
     )._replace(catalog_version='v"1\\0\n')
-    text = to_dqv(awkward, CATALOG)
+    text = "".join(dqv_blocks(awkward, CATALOG))
     assert _pin(text) == AWKWARD_DQV
     version = '<urn:kgaudit:v1:report> <urn:kgaudit:v1:ns:catalogVersion> "v\\"1\\\\0\\n" .'
     assert version in text.splitlines()
@@ -287,10 +293,10 @@ def test_dqv_writer_matches_the_set_and_sort_reference(seed):
     rng = random.Random(seed)
     # every fourth seed makes the empty report
     report = _random_dqv_report(rng, seed % 4)
-    text = to_dqv(report, CATALOG)
+    text = "".join(dqv_blocks(report, CATALOG))
     assert text == ref_to_dqv(report)
     ordered = _in_dataset_order(report)
-    assert from_dqv(to_dqv(ordered, CATALOG), CATALOG) == ordered
+    assert from_dqv("".join(dqv_blocks(ordered, CATALOG)), CATALOG) == ordered
 
 
 def test_a_dataset_listed_twice_under_one_endpoint_is_refused(report):
@@ -305,7 +311,7 @@ def test_a_dataset_listed_twice_under_one_endpoint_is_refused(report):
             report._replace(results={"http://example.org/sparql": rows})
     # one dataset under two endpoints is two pairs, and each has its blocks
     two = build_report(CATALOG, {"http://example.org/sparql": [full], "urn:x:e": [full]}, "t")
-    assert to_dqv(two, CATALOG) == ref_to_dqv(two)
+    assert "".join(dqv_blocks(two, CATALOG)) == ref_to_dqv(two)
 
 
 def test_dqv_tails_go_out_in_the_sorted_order_of_their_predicates(report):
@@ -319,7 +325,7 @@ def test_dqv_tails_go_out_in_the_sorted_order_of_their_predicates(report):
         "node": common + [_T_EXACT],
     }
     written: dict[str, list[str]] = {}
-    for line in to_dqv(report, CATALOG).split("\n")[:-1]:
+    for line in "".join(dqv_blocks(report, CATALOG)).split("\n")[:-1]:
         subject, predicate, _ = line.split(" ", 2)
         written.setdefault(subject, []).append(predicate)
     for kind, predicates in kinds.items():

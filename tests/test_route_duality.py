@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 import yaml
 
-from kgaudit.catalog import Catalog, default_catalog, dump_catalog, parse_catalog
+from kgaudit.catalog import Catalog, default_catalog, parse_catalog
 from kgaudit.client import (
     DEFAULT_PAGE_SIZE,
     CampaignConfig,
@@ -37,6 +37,7 @@ from kgaudit.transport import TranscriptTransport
 from helpers import (
     catalog_shapes,
     catalog_vocabulary,
+    default_catalog_doc,
     evaluate_graph,
     graph_terms,
     random_metadata_graph,
@@ -260,7 +261,7 @@ def test_routes_agree_when_a_rule_source_matches_a_derived_triple(tmp_path, extr
     # creator-any-person's source ?kg ?p ?c matches the dct:publisher triple
     # that publisher-prov-activity derives.  Rules apply once to the
     # published triples, so no route lets the two compose.
-    doc = yaml.safe_load(dump_catalog(CATALOG))
+    doc = default_catalog_doc()
     doc["rules"].append(
         {
             "id": "creator-any-person",
@@ -306,7 +307,7 @@ def test_routes_agree_when_pages_cross_datasets(tmp_path, page_size):
 
 
 def _person_catalog() -> Catalog:
-    doc = yaml.safe_load(dump_catalog(CATALOG))
+    doc = default_catalog_doc()
     creator = next(q for q in doc["questions"] if q["id"] == "creator")
     creator["queries"][1]["ask"] = "ASK { ?kg dct:creator ?c . ?c a foaf:Person . ?c foaf:name ?n . }"
     return parse_catalog(yaml.safe_dump(doc))

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from kgaudit.catalog import default_catalog, dump_catalog, parse_catalog
+from kgaudit.catalog import default_catalog, parse_catalog
 from kgaudit.rdf import Iri, load_rdf
 from kgaudit.scoring import (
     FailureKind,
@@ -18,7 +18,7 @@ from kgaudit.scoring import (
     results_from_answers,
 )
 
-from helpers import FIXTURES, evaluate_graph, ref_build_result
+from helpers import FIXTURES, default_catalog_doc, evaluate_graph, ref_build_result
 
 CATALOG = default_catalog()
 ALL_QUERY_IDS = [cq.id for _, cq in CATALOG.queries()]
@@ -86,7 +86,7 @@ _KINDS = [None, *FailureKind]
 
 def _catalog_variant(rng: random.Random):
     """The default catalog with random weights and 1-4 queries per question."""
-    doc = yaml.safe_load(dump_catalog(CATALOG))
+    doc = default_catalog_doc()
     pool = [query for question in doc["questions"] for query in question["queries"]]
     for question in doc["questions"]:
         question["weight"] = rng.choice(_WEIGHTS)
@@ -301,6 +301,6 @@ def test_monotone_in_outcomes():
 
 def test_outcome_lookup():
     result = build_result(CATALOG, "d", outcomes_where({"publisher.1"}))
-    assert result.outcome("publisher.1").success
-    with pytest.raises(KeyError):
-        result.outcome("publisher.9")
+    by_id = {o.query_id: o for o in result.outcomes}
+    assert by_id["publisher.1"].success
+    assert "publisher.9" not in by_id

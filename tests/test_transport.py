@@ -191,9 +191,21 @@ def test_decode_rejects_uri_with_control_or_surrogate(value):
 
 
 class FakeResponse:
-    def __init__(self, status_code: int, text: str = ""):
+    """The body as ``requests`` hands it over: ``content`` holds its bytes
+    and ``text`` decodes them as ``encoding``, which requests takes from
+    the Content-Type."""
+
+    def __init__(
+        self,
+        status_code: int,
+        text: str = "",
+        *,
+        content: bytes | None = None,
+        encoding: str = "utf-8",
+    ):
         self.status_code = status_code
-        self.text = text
+        self.content = text.encode("utf-8") if content is None else content
+        self.text = self.content.decode(encoding, errors="replace")
 
 
 class ScriptedSession:
@@ -230,6 +242,28 @@ def test_http_get_success():
     assert transport.query("http://e.org/sparql", SELECT_ALL) == ROWS
     assert session.calls == ["get"]
     assert session.timeouts == [DEFAULT_TIMEOUT]
+
+
+def test_http_reads_json_as_utf8_whatever_charset_the_content_type_implies():
+    # requests decodes a text/plain body that names no charset as ISO-8859-1
+    encoding = requests.utils.get_encoding_from_headers({"content-type": "text/plain"})
+    assert encoding == "ISO-8859-1"
+    zurich = "http://dbpedia.org/resource/Z\u00fcrich"
+    row = {"s": {"type": "uri", "value": zurich}}
+    body = json.dumps({"results": {"bindings": [row]}}, ensure_ascii=False).encode("utf-8")
+    session = ScriptedSession([FakeResponse(200, content=body, encoding=encoding)])
+    assert HttpTransport(session=session).query("http://e.org/sparql", SELECT_ALL) == [
+        {"s": Iri(zurich)}
+    ]
+
+
+def test_http_body_that_is_not_utf8_is_malformed():
+    body = select_body(ROW).encode("utf-8").replace(b"/x", b"/\xff")
+    session = ScriptedSession([FakeResponse(200, content=body, encoding="ISO-8859-1")])
+    with pytest.raises(TransportError) as err:
+        HttpTransport(session=session).query("http://e.org/sparql", SELECT_ALL)
+    assert err.value.kind == "malformed"
+    assert not err.value.retryable
 
 
 @pytest.mark.parametrize("status", [405, 414])
