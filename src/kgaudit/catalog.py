@@ -1,15 +1,19 @@
 """The requirement catalog: a weighted question hierarchy plus rewrite rules.
 
-A catalog holds a fixed three-level hierarchy (life-cycle steps, then
-who/when/where/how/what leaves), thirty questions attached to the leaves,
-and directional equivalence rules that map alternative vocabulary onto the
+The hierarchy is KGAcc's and fixed in code (``STEP_IDS``, ``LEAF_NAMES``):
+three life-cycle steps, each with who/when/where/how leaves, and "what"
+under usage.  A catalog attaches thirty questions to those leaves and adds
+directional equivalence rules that map alternative vocabulary onto the
 canonical predicates used by the compact ASK queries.
 
 Catalogs live in a single YAML document so that curators can edit texts,
-weights, queries and rules without touching code.  ``load_catalog`` parses
-and validates, then derives the :class:`ScoringPlan` that scoring reads
-every score off, and ``default_catalog`` loads the catalog bundled with
-the package.  The package only reads YAML: a catalog's identity in reports
+weights, queries and rules without touching code.  The document holds
+``version``, ``prefixes``, ``questions`` and ``rules``; a key the format
+lacks, at any level, is refused rather than read as absent.
+``load_catalog`` parses and validates, then derives the
+:class:`ScoringPlan` that scoring reads every score off, and
+``default_catalog`` loads the catalog bundled with the package.  The
+package only reads YAML: a catalog's identity in reports
 and journals is ``Catalog.content_hash()``, a SHA-256 of canonical JSON
 over what was read, so it ignores comments, key order and quoting.  A query
 names the dataset it scores with the variable ``?kg`` (``$kg`` is the same
@@ -103,7 +107,6 @@ class Question(NamedTuple):
 
 class HierarchyNode(NamedTuple):
     id: str
-    label: str
     children: tuple["HierarchyNode", ...] = ()
     questions: tuple[Question, ...] = ()
 
@@ -213,7 +216,6 @@ class Catalog(_Record, _Catalog):
             content = {
                 "version": self.version,
                 "prefixes": sorted(self.prefixes.items()),
-                "nodes": [[node.id, node.label] for node in self.nodes()],
                 "questions": [
                     [q.id, q.leaf, q.text, str(q.weight), [[cq.label, cq.text] for cq in q.queries]]
                     for q in self.questions()
@@ -269,6 +271,7 @@ def parse_catalog(text: str, source: str = "<string>") -> Catalog:
         raise CatalogError(f"{source}: not valid YAML: {exc}") from None
     if not isinstance(doc, dict):
         raise CatalogError(f"{source}: catalog must be a mapping")
+    _refuse_unknown_keys(doc, ("version", "prefixes", "questions", "rules"), source)
 
     version = doc.get("version")
     if not isinstance(version, str) or not version:
@@ -286,18 +289,6 @@ def parse_catalog(text: str, source: str = "<string>") -> Catalog:
         declared = parse_query(header + "ASK {}").prefixes
     except SparqlError as exc:
         raise CatalogError(f"{source}: prefixes: {exc}") from None
-
-    hierarchy = doc.get("hierarchy")
-    if not isinstance(hierarchy, dict):
-        raise CatalogError(f"{source}: hierarchy: must be a mapping of node ids to labels")
-    labels: dict[str, str] = {}
-    for node_id, value in hierarchy.items():
-        if isinstance(value, str):
-            labels[str(node_id)] = value
-        elif isinstance(value, dict) and isinstance(value.get("label"), str):
-            labels[str(node_id)] = value["label"]
-        else:
-            raise CatalogError(f"{source}: hierarchy.{node_id}: expected a label")
 
     raw_questions = doc.get("questions")
     if not isinstance(raw_questions, list):
@@ -326,7 +317,7 @@ def parse_catalog(text: str, source: str = "<string>") -> Catalog:
         if isinstance(cq.query.pattern, Bgp)  # validation refuses the others
     }
     expanded = {qid: expand_extended(query, rules) for qid, query in compact.items()}
-    root = _build_tree(labels, questions_by_leaf)
+    root = _build_tree(questions_by_leaf)
     catalog = Catalog(
         version=version,
         root=root,
@@ -382,7 +373,15 @@ def _scoring_plan(catalog: Catalog) -> ScoringPlan:
     )
 
 
+def _refuse_unknown_keys(entry: dict, allowed: tuple[str, ...], where: str) -> None:
+    # a misspelt key would otherwise read as an absent one
+    unknown = [str(key) for key in entry if key not in allowed]
+    if unknown:
+        raise CatalogError(f"{where}: unknown key {unknown[0]!r}; allowed: {', '.join(allowed)}")
+
+
 def _parse_question(entry: dict, prefixes: Mapping[str, str], where: str) -> Question:
+    _refuse_unknown_keys(entry, ("id", "leaf", "text", "weight", "queries"), where)
     qid = entry.get("id")
     leaf = entry.get("leaf")
     text = entry.get("text")
@@ -390,6 +389,9 @@ def _parse_question(entry: dict, prefixes: Mapping[str, str], where: str) -> Que
         raise CatalogError(f"{where}.id: required")
     if not isinstance(leaf, str) or not leaf:
         raise CatalogError(f"{where}.leaf: required")
+    step, _, name = leaf.partition(".")
+    if name not in LEAF_NAMES.get(step, ()):
+        raise CatalogError(f"{where}.leaf: no such leaf: {leaf!r}")
     if not isinstance(text, str) or not text:
         raise CatalogError(f"{where}.text: required")
     weight = _parse_weight(entry.get("weight", 1), f"{where}.weight")
@@ -400,7 +402,10 @@ def _parse_question(entry: dict, prefixes: Mapping[str, str], where: str) -> Que
     for qindex, q in enumerate(raw_queries, start=1):
         label: str | None = None
         if isinstance(q, dict):
+            _refuse_unknown_keys(q, ("label", "ask"), f"{where}.queries[{qindex - 1}]")
             label = q.get("label")
+            if label is not None and not isinstance(label, str):
+                raise CatalogError(f"{where}.queries[{qindex - 1}].label: must be a string")
             q = q.get("ask")
         if not isinstance(q, str):
             raise CatalogError(f"{where}.queries[{qindex - 1}]: expected SPARQL text")
@@ -431,6 +436,7 @@ def _parse_weight(value: object, where: str) -> Fraction:
 def _parse_rule(entry: object, prefixes: Mapping[str, str], where: str) -> EquivalenceRule:
     if not isinstance(entry, dict):
         raise CatalogError(f"{where}: expected a mapping")
+    _refuse_unknown_keys(entry, ("id", "source", "target"), where)
     rid = entry.get("id")
     if not isinstance(rid, str) or not rid:
         raise CatalogError(f"{where}.id: required")
@@ -446,36 +452,15 @@ def _parse_rule(entry: object, prefixes: Mapping[str, str], where: str) -> Equiv
     return EquivalenceRule(rid, out["source"], out["target"])
 
 
-def _build_tree(
-    labels: Mapping[str, str], questions_by_leaf: dict[str, list[Question]]
-) -> HierarchyNode:
-    known = set(labels)
+def _build_tree(questions_by_leaf: dict[str, list[Question]]) -> HierarchyNode:
     steps = []
     for step_id in STEP_IDS:
-        leaves = []
-        for leaf_name in LEAF_NAMES[step_id]:
-            leaf_id = f"{step_id}.{leaf_name}"
-            if leaf_id not in known:
-                continue
-            leaves.append(
-                HierarchyNode(
-                    leaf_id,
-                    labels[leaf_id],
-                    questions=tuple(questions_by_leaf.pop(leaf_id, ())),
-                )
-            )
-        if step_id in known:
-            steps.append(HierarchyNode(step_id, labels[step_id], children=tuple(leaves)))
-    stray = sorted(
-        set(labels) - {"root"} - {s for s in STEP_IDS} - {
-            f"{s}.{l}" for s in STEP_IDS for l in LEAF_NAMES[s]
-        }
-    )
-    if stray:
-        raise CatalogError("unknown hierarchy nodes: " + ", ".join(stray))
-    for leaf_id in questions_by_leaf:
-        raise CatalogError(f"questions attached to undeclared leaf '{leaf_id}'")
-    return HierarchyNode("root", labels.get("root", "Accountability"), children=tuple(steps))
+        leaves = tuple(
+            HierarchyNode(leaf_id, questions=tuple(questions_by_leaf.get(leaf_id, ())))
+            for leaf_id in (f"{step_id}.{name}" for name in LEAF_NAMES[step_id])
+        )
+        steps.append(HierarchyNode(step_id, children=leaves))
+    return HierarchyNode("root", children=tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -485,29 +470,10 @@ def _build_tree(
 def validate(catalog: Catalog) -> list[str]:
     """Structural diagnostics; an empty list means the catalog is sound."""
     problems: list[str] = []
-    root = catalog.root
-
-    if tuple(c.id for c in root.children) != STEP_IDS:
-        problems.append(
-            f"root has children ({', '.join(c.id for c in root.children) or 'none'}), "
-            f"expected ({', '.join(STEP_IDS)})"
-        )
-    for step in root.children:
-        expected = LEAF_NAMES.get(step.id)
-        if expected is None:
-            continue
-        if len(step.children) != len(expected):
-            problems.append(
-                f"{step.id} has {len(step.children)} children, expected {len(expected)}"
-            )
-        elif tuple(c.id for c in step.children) != tuple(f"{step.id}.{n}" for n in expected):
-            problems.append(
-                f"{step.id} children are ({', '.join(c.id for c in step.children)}), "
-                f"expected ({', '.join(f'{step.id}.{n}' for n in expected)})"
-            )
+    for step in catalog.steps():
         count = sum(len(leaf.questions) for leaf in step.children)
-        wanted = QUESTIONS_PER_STEP.get(step.id)
-        if wanted is not None and count != wanted:
+        wanted = QUESTIONS_PER_STEP[step.id]
+        if count != wanted:
             problems.append(f"{step.id} has {count} questions, expected {wanted}")
         for leaf in step.children:
             if not leaf.questions:

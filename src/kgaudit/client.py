@@ -432,9 +432,10 @@ class Journal:
     The first line pins the record format, the catalog hash and the run
     count; every line carries a checksum over its record.  A run record
     holds the run's fetched graph as one N-Triples text and its datasets
-    (blank nodes named after their fetch page).  Format 5 is the first
-    whose header holds the JSON-made catalog hash; older formats are
-    refused as such, not as another campaign.  Loading reads each
+    (blank nodes named after their fetch page).  Format 6 is the first
+    whose header holds the catalog hash that no longer covers node labels
+    (the tree is fixed in code); older formats are refused as such, not as
+    another campaign.  Loading reads each
     distinct text once, and all of them through one memo of
     :func:`~kgaudit.rdf.parse_ntriples`, so a line that recurs across
     records, as most lines of one endpoint's runs do, is matched and built
@@ -448,7 +449,7 @@ class Journal:
     def __init__(self, path: str, catalog: Catalog, runs: int):
         self.path = path
         self._lock = threading.Lock()
-        self._header = {"catalog": catalog.content_hash(), "format": 5, "runs": runs}
+        self._header = {"catalog": catalog.content_hash(), "format": 6, "runs": runs}
 
     def load(self) -> dict[tuple[str, int], EndpointRun]:
         completed: dict[tuple[str, int], EndpointRun] = {}

@@ -188,7 +188,6 @@ _AWKWARD = (
 
 def _set_every_string_field(doc: dict, value: str) -> None:
     doc["version"] = value
-    doc["hierarchy"]["collection.who"] = value
     question = doc["questions"][0]
     question["id"] = value
     question["text"] = value
@@ -202,7 +201,6 @@ def test_parse_reads_every_string_field(value):
     _set_every_string_field(doc, value)
     cat = parse_catalog(yaml.safe_dump(doc))
     assert cat.version == value
-    assert next(cat.leaves()).label == value
     assert cat.question(value).text == value
     assert cat.question(value).queries[0].label == value
     assert cat.rules[0].id == value
@@ -297,8 +295,6 @@ _RESPELLED = {
 # Edits of one part each, each making another catalog
 _MUTATIONS = {
     "version": lambda d: d.update(version="1.1"),
-    "node-label": lambda d: d["hierarchy"].update({"usage.what": "What for"}),
-    "root-label": lambda d: d["hierarchy"].update(root="Accountable"),
     "question-id": lambda d: _question(d, "creator").update(id="author"),
     "question-leaf": lambda d: _question(d, "creation-location").update(leaf="collection.how"),
     "question-text": lambda d: _question(d, "creator").update(text="Who made the graph?"),
@@ -340,6 +336,8 @@ def _mutated(mutate) -> str:
 
 
 _WEIGHT_TYPES = 'weights must be integers or strings like "1/2"'
+_TOP_KEYS = "version, prefixes, questions, rules"
+_QUESTION_KEYS = "id, leaf, text, weight, queries"
 
 
 @pytest.mark.parametrize(
@@ -347,10 +345,6 @@ _WEIGHT_TYPES = 'weights must be integers or strings like "1/2"'
     [
         (lambda d: d.update(version=""), "<string>: version: must be a non-empty string"),
         (lambda d: d.update(prefixes=["dct"]), "<string>: prefixes: must map prefix names to IRIs"),
-        (
-            lambda d: d["hierarchy"].update(usage={"title": "Usage"}),
-            "<string>: hierarchy.usage: expected a label",
-        ),
         (lambda d: d.update(questions={"creator": 1}), "<string>: questions: must be a list"),
         (lambda d: d["questions"].append("creator"), "<string>: questions[30]: expected a mapping"),
         (lambda d: d.update(rules="none"), "<string>: rules: must be a list"),
@@ -385,14 +379,40 @@ _WEIGHT_TYPES = 'weights must be integers or strings like "1/2"'
             "rule 'creator-dce' target: line 1: undeclared prefix 'no:'",
         ),
         (
-            lambda d: d["hierarchy"].update({"usage.why": "Why"}),
-            "unknown hierarchy nodes: usage.why",
+            lambda d: d["questions"][0].update(leaf="usage.why"),
+            "<string>: questions[0].leaf: no such leaf: 'usage.why'",
+        ),
+        # a misspelt or retired key is refused, never read as an absent one
+        (
+            lambda d: d.update(rule=d.pop("rules")),
+            f"<string>: unknown key 'rule'; allowed: {_TOP_KEYS}",
+        ),
+        (
+            lambda d: d["questions"][0].update(wieght=5),
+            f"<string>: questions[0]: unknown key 'wieght'; allowed: {_QUESTION_KEYS}",
+        ),
+        (
+            lambda d: d["questions"][0]["queries"][0].update(lable="Creator"),
+            "<string>: questions[0].queries[0]: unknown key 'lable'; allowed: label, ask",
+        ),
+        (
+            lambda d: d["rules"][0].update(sources=d["rules"][0]["source"]),
+            "<string>: rules[0]: unknown key 'sources'; allowed: id, source, target",
+        ),
+        (
+            lambda d: d.update(hierarchy={"root": "Accountability"}),
+            f"<string>: unknown key 'hierarchy'; allowed: {_TOP_KEYS}",
+        ),
+        (
+            lambda d: d["questions"][0]["queries"][0].update(label=5),
+            "<string>: questions[0].queries[0].label: must be a string",
         ),
     ],
     ids=[
-        "version", "prefixes", "label", "questions", "question", "rules", "question-id",
+        "version", "prefixes", "questions", "question", "rules", "question-id",
         "leaf", "text", "queries", "query", "weight-bool", "weight-text", "weight-list",
-        "rule", "rule-id", "rule-source", "rule-target", "stray-node",
+        "rule", "rule-id", "rule-source", "rule-target", "unknown-leaf",
+        "key-rule", "key-wieght", "key-lable", "key-sources", "key-hierarchy", "label-number",
     ],
 )
 def test_a_malformed_catalog_document_is_refused(mutate, message):
@@ -435,12 +455,15 @@ def test_validation_names_each_unsound_part(mutate, diagnostic):
 
 
 def test_missing_leaf_is_reported_with_counts():
-    def mutate(doc):
-        del doc["hierarchy"]["usage.what"]
-        doc["questions"] = [q for q in doc["questions"] if q["leaf"] != "usage.what"]
-
-    message = _mutated(mutate)
-    assert "usage has 4 children, expected 5" in message
+    doc = default_catalog_doc()
+    doc["questions"] = [q for q in doc["questions"] if q["leaf"] != "usage.what"]
+    with pytest.raises(CatalogError) as err:
+        parse_catalog(yaml.safe_dump(doc))
+    # the rules only those questions used are dead, and reported after these
+    assert err.value.diagnostics[:2] == [
+        "usage has 13 questions, expected 20",
+        "leaf usage.what has no questions",
+    ]
 
 
 def test_non_positive_weight_rejected():

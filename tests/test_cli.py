@@ -398,8 +398,9 @@ def test_a_report_nt_block_that_fails_keeps_the_old_file(tmp_path, monkeypatch, 
 # Line count and SHA-256 of the report.json that `evaluate --file` writes
 # for every N-Triples fixture at once (five datasets, one file: source),
 # recorded once its stamp was empty and it carried no saturation block,
-# and again once the catalog hash it holds was made from canonical JSON.
-EVALUATE_FILE_JSON = (2964, "495f1636eb389282d5d8d34e240269f044c4176596faaae0601069db7b820e4e")
+# and again each time the catalog hash it holds changed: once made from
+# canonical JSON, once without node labels.
+EVALUATE_FILE_JSON = (2964, "5fd89c18ebb47ae66b753b112bc1959b3495f954f99faf442d718cd2fb98f100")
 
 
 def test_evaluate_file_report_json_is_pinned(tmp_path, monkeypatch, capsys):

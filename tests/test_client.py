@@ -1245,15 +1245,16 @@ def test_journal_rewrites_a_cut_header_but_refuses_other_text(tmp_path):
 
 @pytest.mark.parametrize(
     "older",
-    [{}, {"format": 2}, {"format": 3}, {"format": 4}],
-    ids=["no-format", "format-2", "format-3", "format-4"],
+    [{}, {"format": 2}, {"format": 3}, {"format": 4}, {"format": 5}],
+    ids=["no-format", "format-2", "format-3", "format-4", "format-5"],
 )
 def test_journal_refuses_an_older_format_and_leaves_it(tmp_path, config, older):
     # the header journals had before they held a format key, the one they
     # had while blank nodes were named per page and relabelled, the one
-    # they had while blank nodes were named per row, and the one whose
-    # catalog hash was taken over a YAML dump (its hash differs too, but
-    # the format is what the refusal names)
+    # they had while blank nodes were named per row, the one whose catalog
+    # hash was taken over a YAML dump, and the one whose hash covered node
+    # labels (their hashes differ too, but the format is what the refusal
+    # names)
     record = {"catalog": default_catalog().content_hash(), "runs": 3, **older}
     digest = client._checksum(record)
     header = json.dumps({"kind": "header", "record": record, "sha256": digest}, sort_keys=True)

@@ -164,18 +164,20 @@ def test_dqv_refuses_a_key_that_makes_an_invalid_iri():
 # recorded from the graph-building exporter that the direct writer
 # replaced: any change to the exported bytes shows here.  Every pin that
 # holds the catalog hash was taken again when the hash came to be made
-# from canonical JSON; the earlier bytes with only the hash replaced
-# gave the same pins.
-CAMPAIGN_DQV = (1489, "b7f19a7e7da83d13a456cd49e844b92ddc491923fe058b7041892ebfc020fba7")
-AWKWARD_DQV = (1010, "d55a9e12929c8f3e61dcf65f9ec8bb370be38aee4093742ccf0e341e834a4d1b")
+# from canonical JSON, and again when it stopped covering node labels;
+# each time the earlier bytes with only the hash replaced gave the same
+# pins.
+CAMPAIGN_DQV = (1489, "329a2d4ec9d80194a59dd0c3ea425269850fba6606135e2e9421c0008af739cc")
+AWKWARD_DQV = (1010, "d41770e5d65669849d786ba72d20672731c89dfc2dc03e8c2409fb31f9327e0f")
 # The same campaign's report.json, report.csv and sorted journal lines.
 # The CSV was recorded while terms were still dataclasses; the JSON since
-# journal records became per run and the saturation block went; the
-# journal since its header moved to format 5 (the JSON-made catalog hash;
-# only the header changed).
-CAMPAIGN_JSON = (2328, "a976f60c1ad03395c82c77b1f9ec0211ff68c3d6b11b87e45bbf09158754e6f4")
+# journal records became per run and the saturation block went, and
+# again each time the catalog hash changed; the journal since its header
+# moved to format 6 (a catalog hash without node labels; only the header
+# changed).
+CAMPAIGN_JSON = (2328, "2d7461bdd3969281d5d7f132d46b6b300d991db031ec862dfedb79be064680f1")
 CAMPAIGN_CSV = (4, "bd701e420649ea768d15efa75f483785e244b809de83eaa9c3d33d01159fad09")
-CAMPAIGN_JOURNAL = (10, "0c3cc6536caf47e58fe8c16c019f6ab927e5fbc891c1882e6aab1232b17dce5c")
+CAMPAIGN_JOURNAL = (10, "8c75a6426c66fdc5cbe24f592f755ab3aaf13bf6db3ac9821b4881729901cfa4")
 
 
 def _pin(text: str) -> tuple[int, str]:
