@@ -399,22 +399,23 @@ def _parse_question(entry: dict, prefixes: Mapping[str, str], where: str) -> Que
     if not isinstance(raw_queries, list) or not raw_queries:
         raise CatalogError(f"{where}.queries: need at least one query")
     queries = []
-    for qindex, q in enumerate(raw_queries, start=1):
+    for qindex, q in enumerate(raw_queries):
+        qwhere = f"{where}.queries[{qindex}]"
         label: str | None = None
         if isinstance(q, dict):
-            _refuse_unknown_keys(q, ("label", "ask"), f"{where}.queries[{qindex - 1}]")
+            _refuse_unknown_keys(q, ("label", "ask"), qwhere)
             label = q.get("label")
             if label is not None and not isinstance(label, str):
-                raise CatalogError(f"{where}.queries[{qindex - 1}].label: must be a string")
+                raise CatalogError(f"{qwhere}.label: must be a string")
             q = q.get("ask")
         if not isinstance(q, str):
-            raise CatalogError(f"{where}.queries[{qindex - 1}]: expected SPARQL text")
+            raise CatalogError(f"{qwhere}: expected SPARQL text")
         body = q.strip()
         try:
             parsed = parse_query(body, prefixes)
         except SparqlError as exc:
-            raise CatalogError(f"question '{qid}' query {qindex}: {exc}") from None
-        queries.append(CompactQuery(f"{qid}.{qindex}", body, parsed, label))
+            raise CatalogError(f"{qwhere}: {exc}") from None
+        queries.append(CompactQuery(f"{qid}.{qindex + 1}", body, parsed, label))
     return Question(qid, leaf, text, weight, tuple(queries))
 
 
@@ -448,7 +449,7 @@ def _parse_rule(entry: object, prefixes: Mapping[str, str], where: str) -> Equiv
         try:
             out[key] = parse_triple_patterns(value, prefixes)
         except SparqlError as exc:
-            raise CatalogError(f"rule '{rid}' {key}: {exc}") from None
+            raise CatalogError(f"{where}.{key}: {exc}") from None
     return EquivalenceRule(rid, out["source"], out["target"])
 
 

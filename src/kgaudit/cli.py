@@ -5,9 +5,13 @@ describes, ``evaluate`` scores datasets one-shot, ``campaign`` runs the
 full multi-run audit and writes report files, and ``catalog`` inspects
 the question catalog.  All argument validation happens before the first
 request goes out, ``--timeout`` and ``--delay`` by the transport's own
-rule (:func:`~kgaudit.transport.check_wait`); ``KGAUDIT_TIMEOUT`` is
-parsed only by the commands that take ``--timeout``, and ``--catalog`` is
-taken only by the commands that read a catalog.  ``discover`` and
+rule (:func:`~kgaudit.transport.check_wait`).  That holds with a
+transcript too: its file is no argument but the network's stand-in, read
+and checked when a request or a run stamp first needs it, which is after
+every argument is checked, so a campaign that sends no request never
+reads it.  ``KGAUDIT_TIMEOUT`` is parsed only by the commands that take
+``--timeout``, and ``--catalog`` is taken only by the commands that read
+a catalog.  ``discover`` and
 ``evaluate --endpoint`` query through :func:`~kgaudit.transport.open_layer`
 with the timeout, no politeness delay and its default retries; a campaign
 opens one layer per endpoint.  The CLI reads no clock: a report's stamp
@@ -207,7 +211,8 @@ def _load_catalog(args) -> Catalog:
 
 
 def _transport(args) -> TranscriptTransport | None:
-    """The transcript to answer from, or None to talk to the network."""
+    """The transcript to answer from, read at its first call, or None to
+    talk to the network."""
     return TranscriptTransport(args.transcript) if args.transcript else None
 
 

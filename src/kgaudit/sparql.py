@@ -708,20 +708,6 @@ def _gen(g: Graph, pattern: GroupPattern, binding: dict[str, Term]) -> list[dict
     return out
 
 
-def eval_bgp(g: Graph, patterns: Bgp | Iterable[TriplePattern]) -> list[dict[str, Term]]:
-    """Distinct solutions of a basic graph pattern, natural-join semantics.
-
-    They are distinct without a pass that removes repeats: a graph holds
-    each triple once, and two triples one join step matches agree on the
-    fixed and the supplied positions, so they differ in a position that
-    binds a new name or in one that must equal such a position.  Either
-    way the two extensions differ.  A :class:`Bgp` keeps its join plans
-    from one call to the next.
-    """
-    bgp = patterns if isinstance(patterns, Bgp) else Bgp(tuple(patterns))
-    return _gen(g, bgp, {})
-
-
 def eval_ask(g: Graph, query: Query) -> bool:
     """True iff the pattern of an ASK query has at least one solution."""
     if query.form != "ask":

@@ -22,12 +22,15 @@ the timeout, when no transcript stands in for the network.
 
 The transcript transport replays a recorded audit: a YAML file holds, per
 endpoint and per run, an availability flag, a timestamp and an N-Triples
-snapshot of what the endpoint would serve.  It is read with the catalog's
-YAML loader (libyaml when present) and the type of every field is checked
-at once: a file that is not YAML or holds a field of the wrong type is
-refused with a ``ValueError`` naming the file, endpoint and run.  A run's
-N-Triples are parsed, and checked, only when the run is first queried,
-each distinct text once and each distinct line once, so a resumed
+snapshot of what the endpoint would serve.  The file is read when a query
+or a run stamp first needs it, with the catalog's YAML loader (libyaml
+when present), and the type of every field is checked then: a file that
+is missing, is not YAML or holds a field of the wrong type is refused
+with an ``OSError`` or a ``ValueError`` naming the file, endpoint and run,
+at that call and at every later one.  So a resumed campaign whose journal
+holds every cell never opens its transcript, as a live one opens no HTTP
+session.  A run's N-Triples are parsed, and checked, only when the run is
+first queried, each distinct text once and each distinct line once, so a
 campaign that sends no request parses none; a text that is not N-Triples
 raises the same kind of ``ValueError`` then.  The package's own evaluator
 answers the client's queries directly, paging included, each distinct
@@ -323,8 +326,13 @@ class TranscriptTransport:
     Each endpoint maps to a mapping whose ``runs`` is a non-empty list
     of mappings.  In a run, ``available`` is a YAML boolean (default
     true), ``timestamp`` a string (default empty; quote it, or YAML reads
-    a date) and ``data`` N-Triples text (default empty).  Anything else
-    raises ``ValueError`` when the file is loaded.  ``data`` is parsed
+    a date) and ``data`` N-Triples text (default empty).  Building the
+    transport only records the path: the first :meth:`query` or
+    :meth:`run_timestamp` reads and checks the whole file, under the lock
+    that guards parsing, so it is read once however many workers call at
+    once.  Anything but that shape raises ``ValueError`` then, and a file
+    that cannot be opened ``OSError``; a failed read keeps nothing, so
+    every later call raises the same again.  ``data`` is parsed
     when its run is first queried, and each distinct text once, into one
     graph that every run serving it shares, safely, since no code can
     change a graph; a text that is not N-Triples
@@ -354,42 +362,42 @@ class TranscriptTransport:
     """
 
     def __init__(self, path: str):
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                doc = load_yaml(handle)
-        except yaml.YAMLError as exc:
-            raise ValueError(f"{path}: not valid YAML: {exc}") from None
-        self._endpoints: dict[str, list[TranscriptRun]] = {}
+        self._path = path
+        # read, checked, at the first call that needs it; None until then
+        self._endpoints: dict[str, list[TranscriptRun]] | None = None
+        self._served: Counter = Counter()
+        self._memo: NTriplesMemo | None = None
         self._graphs: dict[str, Graph] = {}  # by N-Triples text
         self._answers: dict[tuple, list[dict[str, Term]]] = {}
         self._parse_lock = threading.Lock()
-        if not isinstance(doc, dict) or not isinstance(doc.get("endpoints"), dict):
-            raise ValueError(f"{path}: transcript needs an 'endpoints' mapping")
-        for url, spec in doc["endpoints"].items():
-            where = f"{path}: endpoint {url}"
-            if spec is not None and not isinstance(spec, dict):
-                raise ValueError(f"{where}: expected a mapping, got {spec!r}")
-            runs = (spec or {}).get("runs")
-            if not isinstance(runs, list) or not runs:
-                raise ValueError(f"{where} needs a non-empty 'runs' list")
-            self._endpoints[str(url)] = [
-                _transcript_run(entry, f"{where} run {index}")
-                for index, entry in enumerate(runs)
-            ]
-        # how many recorded runs serve each text; only a repeat is worth remembering
-        self._served = Counter(
-            entry.data for runs in self._endpoints.values() for entry in runs if entry.available
-        )
-        self._memo: NTriplesMemo | None = ({}, {}) if len(self._served) > 1 else None
+
+    def _recorded(self) -> dict[str, list[TranscriptRun]]:
+        """The recorded runs by endpoint, read from the file at the first
+        call; a read that fails keeps nothing, so the next call reads again."""
+        if self._endpoints is None:
+            with self._parse_lock:
+                # another worker may have read it while this one waited
+                if self._endpoints is None:
+                    endpoints = _read_transcript(self._path)
+                    # how many recorded runs serve each text; only a repeat is worth remembering
+                    self._served = Counter(
+                        entry.data
+                        for runs in endpoints.values()
+                        for entry in runs
+                        if entry.available
+                    )
+                    self._memo = ({}, {}) if len(self._served) > 1 else None
+                    self._endpoints = endpoints  # last: a worker seeing it takes no lock
+        return self._endpoints
 
     def _run(self, url: str, run: int) -> TranscriptRun:
-        runs = self._endpoints.get(url)
+        runs = self._recorded().get(url)
         if runs is None:
             raise TransportError("connection", f"no transcript for endpoint {url}")
         return runs[max(0, min(run, len(runs) - 1))]
 
     def run_timestamp(self, url: str, run: int) -> str:
-        return self._run(url, run).timestamp if url in self._endpoints else ""
+        return self._run(url, run).timestamp if url in self._recorded() else ""
 
     def query(self, url: str, query: Query, *, run: int = 0) -> list[dict[str, Term]]:
         entry = self._run(url, run)
@@ -420,6 +428,29 @@ class TranscriptTransport:
                 if len(self._graphs) == len(self._served):
                     self._memo = None  # no text is left to meet its lines
             return graph
+
+
+def _read_transcript(path: str) -> dict[str, list[TranscriptRun]]:
+    """The runs a transcript file records, by endpoint, every field checked."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = load_yaml(handle)
+    except yaml.YAMLError as exc:
+        raise ValueError(f"{path}: not valid YAML: {exc}") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("endpoints"), dict):
+        raise ValueError(f"{path}: transcript needs an 'endpoints' mapping")
+    endpoints = {}
+    for url, spec in doc["endpoints"].items():
+        where = f"{path}: endpoint {url}"
+        if spec is not None and not isinstance(spec, dict):
+            raise ValueError(f"{where}: expected a mapping, got {spec!r}")
+        runs = (spec or {}).get("runs")
+        if not isinstance(runs, list) or not runs:
+            raise ValueError(f"{where} needs a non-empty 'runs' list")
+        endpoints[str(url)] = [
+            _transcript_run(entry, f"{where} run {index}") for index, entry in enumerate(runs)
+        ]
+    return endpoints
 
 
 def _transcript_run(entry: object, where: str) -> TranscriptRun:

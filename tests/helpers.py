@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import yaml
 
@@ -49,7 +49,15 @@ from kgaudit.reporting import (
     _pair_id,
 )
 from kgaudit.scoring import DatasetResult, FailureKind, QueryOutcome, build_result
-from kgaudit.sparql import TriplePattern, UnionPattern, Variable, eval_ask, eval_bgp, substitute
+from kgaudit.sparql import (
+    Bgp,
+    TriplePattern,
+    UnionPattern,
+    Variable,
+    _gen,
+    eval_ask,
+    substitute,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -223,6 +231,21 @@ def random_bgp(
         ]
         patterns.append(TriplePattern(*terms))
     return patterns
+
+
+def eval_bgp(g: Graph, patterns: Bgp | Iterable[TriplePattern]) -> list[dict[str, Term]]:
+    """Distinct solutions of a basic graph pattern, natural-join semantics,
+    in the order the evaluator's own join walk meets them.
+
+    They are distinct without a pass that removes repeats: a graph holds
+    each triple once, and two triples one join step matches agree on the
+    fixed and the supplied positions, so they differ in a position that
+    binds a new name or in one that must equal such a position.  Either
+    way the two extensions differ.  A :class:`Bgp` keeps its join plans
+    from one call to the next.
+    """
+    bgp = patterns if isinstance(patterns, Bgp) else Bgp(tuple(patterns))
+    return _gen(g, bgp, {})
 
 
 def bgp_oracle(g: Graph, patterns: list[TriplePattern]) -> set[frozenset]:

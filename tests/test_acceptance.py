@@ -20,13 +20,14 @@ from kgaudit.client import CampaignConfig, discover_datasets, discover_in_graph,
 from kgaudit.rdf import Graph, Iri, Triple, load_rdf, parse_ntriples, serialize_ntriples
 from kgaudit.reporting import boxplot_stats, dqv_blocks, radar_figure, to_csv
 from kgaudit.scoring import format_percent, score_datasets
-from kgaudit.sparql import eval_ask, eval_bgp, substitute
+from kgaudit.sparql import eval_ask, substitute
 from kgaudit.transport import TranscriptTransport
 
 from helpers import (
     FIXTURES,
     bgp_oracle,
     catalog_vocabulary,
+    eval_bgp,
     evaluate_graph,
     from_dqv,
     graph_terms,

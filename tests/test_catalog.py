@@ -376,7 +376,13 @@ _QUESTION_KEYS = "id, leaf, text, weight, queries"
         (lambda d: d["rules"][0].update(source="  "), "<string>: rules[0].source: required"),
         (
             lambda d: d["rules"][0].update(target="?kg no:creator ?creator ."),
-            "rule 'creator-dce' target: line 1: undeclared prefix 'no:'",
+            "<string>: rules[0].target: line 1: undeclared prefix 'no:'",
+        ),
+        (
+            lambda d: d["questions"][0]["queries"][1].update(
+                ask="ASK { ?kg dct:creator ?c . FILTER (?c) }"
+            ),
+            "<string>: questions[0].queries[1]: line 1: unsupported SPARQL feature: FILTER",
         ),
         (
             lambda d: d["questions"][0].update(leaf="usage.why"),
@@ -411,7 +417,7 @@ _QUESTION_KEYS = "id, leaf, text, weight, queries"
     ids=[
         "version", "prefixes", "questions", "question", "rules", "question-id",
         "leaf", "text", "queries", "query", "weight-bool", "weight-text", "weight-list",
-        "rule", "rule-id", "rule-source", "rule-target", "unknown-leaf",
+        "rule", "rule-id", "rule-source", "rule-target", "query-sparql", "unknown-leaf",
         "key-rule", "key-wieght", "key-lable", "key-sources", "key-hierarchy", "label-number",
     ],
 )
@@ -623,7 +629,7 @@ def test_query_parse_errors_name_the_question():
                 q["queries"] = ["ASK { ?kg dct:creator ?c . FILTER (?c) }"]
 
     message = _mutated(mutate)
-    assert "question 'creator' query 1" in message
+    assert message.startswith("<string>: questions[0].queries[0]: ")  # creator is the first
     assert "FILTER" in message
 
 
@@ -633,7 +639,7 @@ def test_query_parse_error_lines_count_from_the_query():
             if q["id"] == "creator":
                 q["queries"] = ["ASK {\n  ?kg dct:creator ?c .\n  FILTER (?c)\n}"]
 
-    assert "question 'creator' query 1: line 3: " in _mutated(mutate)
+    assert _mutated(mutate).startswith("<string>: questions[0].queries[0]: line 3: ")
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ import requests
 import yaml
 
 import kgaudit
-from kgaudit.catalog import default_catalog, parse_catalog
+from kgaudit.catalog import default_catalog, load_yaml, parse_catalog
 from kgaudit import cli
 from kgaudit import transport as transport_module
 from kgaudit.cli import main
@@ -655,6 +655,44 @@ def test_a_resumed_campaign_never_parses_transcript_data(tmp_path, capsys, monke
     assert err.startswith(f"kgaudit: {malformed}: endpoint {ENDPOINTS[0]} run 0: line 1: ")
 
 
+@pytest.mark.parametrize("name", ["missing", "not-yaml"])
+def test_a_resumed_campaign_never_reads_its_transcript(tmp_path, capsys, monkeypatch, name):
+    transcript = tmp_path / f"{name}.yaml"
+    if name == "not-yaml":
+        transcript.write_text("endpoints: [unclosed\n", encoding="utf-8")
+    refusal = {
+        "missing": f"kgaudit: [Errno 2] No such file or directory: '{transcript}'\n",
+        "not-yaml": f"kgaudit: {transcript}: not valid YAML: ",
+    }[name]
+    read = []
+
+    def counting(stream):
+        read.append(stream)
+        return load_yaml(stream)
+
+    monkeypatch.setattr(transport_module, "load_yaml", counting)
+    journal = tmp_path / "journal.jsonl"
+    args = ["campaign", *ENDPOINTS, "--delay", "0", "--journal", str(journal)]
+    # a fresh campaign is refused at its first cell, and its journal keeps only its header
+    assert main(args + ["--transcript", str(transcript)]) == 2
+    assert capsys.readouterr().err.startswith(refusal)
+    assert len(journal.read_text(encoding="utf-8").splitlines()) == 1
+
+    def campaign(source: str, out: str) -> tuple:
+        read.clear()
+        assert main(args + ["--transcript", source, "--out", str(tmp_path / out)]) == 0
+        files = {p.name: p.read_bytes() for p in sorted((tmp_path / out).iterdir())}
+        return capsys.readouterr().out, files, journal.read_bytes()
+
+    # the next run resumes from that journal and fills it; a rerun reads no transcript
+    fresh = campaign(TRANSCRIPT, "fresh")
+    assert campaign(str(transcript), "resumed") == fresh
+    assert read == []
+    # without the journal, the same transcript is refused with today's message
+    assert main(args[:-2] + ["--transcript", str(transcript)]) == 2
+    assert capsys.readouterr().err.startswith(refusal)
+
+
 def test_a_failing_campaign_names_its_first_failed_cell(tmp_path, capsys):
     # run 0 of the first two endpoints serves malformed data; four workers
     # audit both at once, and whichever fails first, the first endpoint's
@@ -725,8 +763,8 @@ def test_campaign_endpoints_file_with_a_byte_order_mark(tmp_path, capsys):
 
 
 def test_campaign_requires_endpoints(capsys):
-    # validation fires before the transport is built: the transcript path
-    # does not exist, yet the complaint is about the missing endpoints
+    # validation fires before the transcript is read: its path does not
+    # exist, yet the complaint is about the missing endpoints
     assert main(["campaign", "--transcript", "/does/not/exist.yaml"]) == 2
     assert "at least one endpoint" in capsys.readouterr().err
 

@@ -8,7 +8,6 @@ from kgaudit.rdf import BlankNode, Graph, Iri, Literal, Triple, parse_ntriples
 from kgaudit.sparql import (
     Variable,
     eval_ask,
-    eval_bgp,
     parse_query,
     parse_triple_patterns,
     substitute,
@@ -16,6 +15,7 @@ from kgaudit.sparql import (
 
 from helpers import (
     catalog_vocabulary,
+    eval_bgp,
     random_metadata_graph,
     ref_instantiate,
     ref_saturate,

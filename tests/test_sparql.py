@@ -9,6 +9,7 @@ import pytest
 
 from helpers import (
     bgp_oracle,
+    eval_bgp,
     graph_terms,
     random_bgp,
     random_triple,
@@ -29,7 +30,6 @@ from kgaudit.sparql import (
     Variable,
     bind_values,
     eval_ask,
-    eval_bgp,
     eval_select,
     format_query,
     parse_query,

@@ -665,16 +665,31 @@ def test_transcript_select_with_modifiers(transcript):
     assert transcript.query(ENDPOINT, beyond, run=0) == []
 
 
+def refused_at_first_call(path, error: type, message: str) -> None:
+    """Building a transport on ``path`` raises nothing; its first query and
+    its first run stamp each raise ``error`` matching ``message``, and so
+    does the call after, since a failed read keeps nothing."""
+    for first in ("query", "run_timestamp"):
+        replay = TranscriptTransport(str(path))
+        for call in (first, "query"):
+            with pytest.raises(error, match=message):
+                if call == "query":
+                    replay.query("http://e.org/", SELECT_ALL)
+                else:
+                    replay.run_timestamp("http://e.org/", 0)
+
+
 def test_transcript_validation_errors(tmp_path):
+    missing = tmp_path / "missing.yaml"
+    refused_at_first_call(missing, FileNotFoundError, re.escape(str(missing)))
+
     no_endpoints = tmp_path / "bad1.yaml"
     no_endpoints.write_text("foo: bar\n")
-    with pytest.raises(ValueError, match="endpoints"):
-        TranscriptTransport(str(no_endpoints))
+    refused_at_first_call(no_endpoints, ValueError, "endpoints")
 
     empty_runs = tmp_path / "bad2.yaml"
     empty_runs.write_text('endpoints:\n  "http://e.org/":\n    runs: []\n')
-    with pytest.raises(ValueError, match="non-empty 'runs'"):
-        TranscriptTransport(str(empty_runs))
+    refused_at_first_call(empty_runs, ValueError, "non-empty 'runs'")
 
     # data that is not N-Triples loads, and is refused at its first query,
     # naming the file, endpoint and run; the other runs still answer
@@ -715,8 +730,7 @@ def test_transcript_validation_errors(tmp_path):
     for index, (text, message) in enumerate(cases):
         path = tmp_path / f"case{index}.yaml"
         path.write_text(text)
-        with pytest.raises(ValueError, match=f"(?s)^{re.escape(str(path))}: .*{message}"):
-            TranscriptTransport(str(path))
+        refused_at_first_call(path, ValueError, f"(?s)^{re.escape(str(path))}: .*{message}")
 
     # missing fields keep their defaults: available, no timestamp, no data
     defaults = tmp_path / "defaults.yaml"
@@ -776,6 +790,7 @@ def test_transcript_is_the_same_under_the_pure_python_loader(tmp_path, monkeypat
         path = tmp_path / "escaped.yaml"
         path.write_text(ESCAPED_TRANSCRIPT, encoding="utf-8")
     picked = TranscriptTransport(str(path))
+    picked.run_timestamp(ENDPOINT, 0)  # reads the file, with the loader picked
     streams = []
 
     class PureLoader(yaml.SafeLoader):
@@ -785,6 +800,8 @@ def test_transcript_is_the_same_under_the_pure_python_loader(tmp_path, monkeypat
 
     monkeypatch.setattr("kgaudit.catalog.YAML_LOADER", PureLoader)
     pure = TranscriptTransport(str(path))
+    assert streams == []  # nothing is read before the first call
+    pure.run_timestamp(ENDPOINT, 0)
     assert len(streams) == 1
     assert pure._endpoints == picked._endpoints
     rows = 0
@@ -864,6 +881,82 @@ def test_two_workers_meeting_an_unparsed_text_parse_it_once(tmp_path, monkeypatc
     assert parsed == [TEXTS[0]]
     expected = [{"s": Iri("http://e.org/a"), "p": Iri("http://e.org/p"), "o": Iri("http://e.org/b")}]
     assert answers == {"http://one.org/": expected, "http://two.org/": expected}
+
+
+def test_two_workers_starting_together_read_the_file_once(tmp_path, monkeypatch):
+    runs = {"http://one.org/": [{"data": TEXTS[0]}], "http://two.org/": [{"data": TEXTS[1]}]}
+    path = tmp_path / "two.yaml"
+    path.write_text(yaml.safe_dump({"endpoints": {u: {"runs": r} for u, r in runs.items()}}))
+    reading, release = threading.Event(), threading.Event()
+    read = []
+
+    def held(stream):
+        # the first read holds until the second worker has had its chance
+        read.append(stream)
+        if not reading.is_set():
+            reading.set()
+            assert release.wait(10)
+        return load_yaml(stream)
+
+    monkeypatch.setattr(transport_module, "load_yaml", held)
+    replay = TranscriptTransport(str(path))
+    answers = {}
+
+    def cell(url):
+        # a cell stamps its run before its first query
+        answers[url] = replay.run_timestamp(url, 0), replay.query(url, EVERY_TRIPLE)
+
+    first = threading.Thread(target=cell, args=("http://one.org/",))
+    second = threading.Thread(target=cell, args=("http://two.org/",))
+    first.start()
+    assert reading.wait(10)
+    second.start()
+    second.join(0.2)  # without the lock it reads the file meanwhile
+    release.set()
+    first.join(10)
+    second.join(10)
+    assert len(read) == 1
+    assert answers["http://one.org/"] == (
+        "",
+        [{"s": Iri("http://e.org/a"), "p": Iri("http://e.org/p"), "o": Iri("http://e.org/b")}],
+    )
+    assert isinstance(answers["http://two.org/"][1][0]["o"], BlankNode)
+
+
+def test_many_workers_starting_at_once_read_the_file_once_each_time(tmp_path, monkeypatch):
+    urls = [f"http://e{n}.org/" for n in range(8)]
+    path = tmp_path / "many.yaml"
+    runs = {url: {"runs": [{"data": TEXTS[0]}]} for url in urls}
+    path.write_text(yaml.safe_dump({"endpoints": runs}))
+    read = []
+
+    def counting(stream):
+        read.append(stream)
+        return load_yaml(stream)
+
+    monkeypatch.setattr(transport_module, "load_yaml", counting)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switching often, so first calls overlap
+    try:
+        for rounds in range(1, 21):
+            replay = TranscriptTransport(str(path))
+            start = threading.Barrier(len(urls))
+            answers = {}
+
+            def cell(url):
+                start.wait(10)
+                answers[url] = replay.run_timestamp(url, 0), replay.query(url, EVERY_TRIPLE)
+
+            threads = [threading.Thread(target=cell, args=(url,)) for url in urls]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+                assert not thread.is_alive()
+            assert len(read) == rounds
+            assert len(set(map(repr, answers.values()))) == 1 and len(answers) == len(urls)
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def counted_evals(monkeypatch) -> list:
